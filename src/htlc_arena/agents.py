@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import ALICE, BOB, LedgerError, Party
+from .core import ALICE, BOB, LedgerError, Party, debit
 from .contracts import (BriberyCall, CensorBriberyContract, COL_B, COL_M,
                         DEP_A, DEP_B, DEP_M, MinerPactContract, PRE_A, PRE_A2,
-                        PRE_AA2, PRE_B)
+                        PRE_AA2, PRE_B, SECRETS)
 from .ledger import (CONTRACT_CALL, PAYMENT, RELATED, TxRecord, Witness,
                      broadcast, validate_tx)
 from .game import (CBOB_ID, CM2M_ID, COL_A_ID, COL_B_ID, COL_ID, DEP_ID,
@@ -46,7 +46,7 @@ def _preimages_known(state, slots) -> bool:
 
 
 def tx_reveal_dep_a(scen: Scenario) -> TxRecord:
-    w = Witness(frozenset({(DEP_ID, PRE_A, scen.secrets[PRE_A])}),
+    w = Witness(frozenset({(DEP_ID, PRE_A, SECRETS[PRE_A])}),
                 frozenset({ALICE}))
     return TxRecord("tx.depA", ALICE, RELATED, ((DEP_ID, DEP_A),), w,
                     scen.f_dep_a)
@@ -55,7 +55,7 @@ def tx_reveal_dep_a(scen: Scenario) -> TxRecord:
 def tx_refund_dep_b(scen: Scenario) -> TxRecord:
     pre = frozenset()
     if scen.protocol in ("mad", "he"):
-        pre = frozenset({(DEP_ID, PRE_B, scen.secrets[PRE_B])})
+        pre = frozenset({(DEP_ID, PRE_B, SECRETS[PRE_B])})
     return TxRecord("tx.depB", BOB, RELATED, ((DEP_ID, DEP_B),),
                     Witness(pre, frozenset({BOB})), scen.f_dep_b)
 
@@ -74,7 +74,7 @@ def tx_confiscate(state, scen: Scenario, creator: Party, cid: str,
     """
     values = {s: _known_value(state, s) for s in (PRE_A, PRE_B)}
     if collude_bob:
-        values[PRE_B] = scen.secrets[PRE_B]
+        values[PRE_B] = SECRETS[PRE_B]
     pre = frozenset({(cid, s, v) for s, v in values.items()})
     return TxRecord(f"tx.{path}.{creator.id}", creator, RELATED,
                     ((cid, path),), Witness(pre), 0)
@@ -83,12 +83,12 @@ def tx_confiscate(state, scen: Scenario, creator: Party, cid: str,
 def tx_commit(scen: Scenario, path: str) -> TxRecord:
     """A two-phase-protocol collateral commit for the given path."""
     if path == PRE_B:
-        w = Witness(frozenset({(COL_B_ID, PRE_B, scen.secrets[PRE_B])}),
+        w = Witness(frozenset({(COL_B_ID, PRE_B, SECRETS[PRE_B])}),
                     frozenset({BOB}))
         return TxRecord("tx.colPreB", BOB, RELATED, ((COL_B_ID, PRE_B),), w,
                         scen.fee_schedule.paid[PRE_B])
     slots = {PRE_A: (PRE_A,), PRE_A2: (PRE_A2,), PRE_AA2: (PRE_A, PRE_A2)}[path]
-    w = Witness(frozenset({(COL_A_ID, s, scen.secrets[s]) for s in slots}),
+    w = Witness(frozenset({(COL_A_ID, s, SECRETS[s]) for s in slots}),
                 frozenset({ALICE}))
     return TxRecord(f"tx.col.{path}", ALICE, RELATED, ((COL_A_ID, path),), w,
                     scen.fee_schedule.paid[path])
@@ -293,7 +293,7 @@ class _BriberyDeployer(PartyPolicy):
     def setup(self, state, scen, profile):
         br = self.br if self.br is not None else scen.br
         budget = self.budget if self.budget is not None else scen.v_dep
-        contract = CensorBriberyContract(BOB, br, scen.T, scen.secrets[PRE_A])
+        contract = CensorBriberyContract(BOB, br, scen.T, SECRETS[PRE_A])
         state = state.clone()
         state.bribery[CBOB_ID] = contract
         init = call_tx("tx.cbob.init", BOB, CBOB_ID, "init",
@@ -336,12 +336,8 @@ class BobB3a(_BriberyDeployer):
 class BobHydraBriber(_BriberyDeployer):
     """Censor via bribes, then sell the confiscation to an accomplice."""
 
+    name = "hydra-briber"
     protocols = frozenset({"mad"})
-
-    def __init__(self, br=None, epsilon: Optional[int] = None, budget=None):
-        super().__init__(br, budget)
-        self.epsilon = epsilon
-        self.name = "hydra-briber"
 
 
 def make_party_policy(role: str, name: str, **params) -> PartyPolicy:
@@ -357,13 +353,6 @@ def make_party_policy(role: str, name: str, **params) -> PartyPolicy:
     if name not in table:
         raise ValueError(f"unknown {role} policy {name!r}")
     return table[name](**params)
-
-
-# The per-protocol reveal policies exposed as one callable, matching the
-# operation surface used by the verifiers.
-def demba_party_policies(state, rnd: int, policy: PartyPolicy,
-                         scen: Scenario) -> list:
-    return policy.broadcasts(state, rnd, scen)
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +554,11 @@ class M2MbaActive(MinerPolicy):
             bribes = scen.pact_bribes or {
                 m.party: scen.br for m in scen.miners
                 if m.colluding and m.kind == "active"}
-            pact = MinerPactContract(scen.T, scen.secrets[PRE_A], bribes)
+            pact = MinerPactContract(scen.T, SECRETS[PRE_A], bribes)
             state.bribery[CM2M_ID] = pact
         else:
             pact = pact.copy_for_step()
             state.bribery[CM2M_ID] = pact
-        from .core import debit
         debit(state.balances, party, scen.v_col)
         pact.lock_collateral(party, scen.v_col)
         return state
@@ -592,11 +580,6 @@ class M2MbaActive(MinerPolicy):
         return _confiscation_plan(state, rnd, miner, scen,
                                   pact=scen.m2mba_split != "equal",
                                   claim_only=claim_only)
-
-
-def m2mba_active_policy(state, rnd, miner, scen, profile,
-                        role: str = "race") -> BlockPlan:
-    return M2MbaActive(role).build_block(state, rnd, miner, scen, profile)
 
 
 class B3aAccomplice(MinerPolicy):

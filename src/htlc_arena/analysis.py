@@ -15,23 +15,19 @@ the measure the per-block bribe arithmetic lives in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .core import ALICE, BOB, Party, ScenarioError, miner_party
-from .contracts import (FeeSchedule, FeeScheduleVerdict, PRE_A2, PRE_AA2,
-                        check_fee_schedule)
+from .contracts import PRE_A2, PRE_AA2, check_fee_schedule
 from .game import (MinerProfile, Scenario, StrategyProfile, dominance_check,
                    expected_utilities)
 from .agents import (AliceCensoredFallback, AliceGrief, AliceHonest,
                      AliceOffline, BobDelay, BobHonest, CensorRelated,
                      HonestFeeMax, M2MbaActive, M2MbaPassive)
-
-ATTACKS = ("naive-bribery", "b3a-case1", "b3a-case2", "sdrba-worst",
-           "hydra-bob", "hydra-alice", "m2mba-perblock", "m2mba-equal")
 
 
 def _need(params: dict, *names):
@@ -104,35 +100,45 @@ class LemmaVerdict:
         return (not self.hypothesis_holds) or self.conclusion_holds
 
 
-def coalition_view(scen: Scenario, focal: Party) -> tuple:
+#: The miners of a reduced view: the focal active colluder, the focal
+#: passive miner, and everyone else lumped into one.
+VIEW_MI = miner_party("mi")
+VIEW_MP = miner_party("mp")
+VIEW_REST = miner_party("rest")
+
+
+def _view(scen: Scenario, miners: tuple, pact_bribes) -> Scenario:
+    # Views are exact per-block games: any Monte-Carlo mode or equal-split
+    # setting of the source scenario is dropped.
+    return replace(scen, miners=miners, mode=("exact",),
+                   m2mba_split="per-block", pact_bribes=pact_bribes)
+
+
+def coalition_view(scen: Scenario, focal: Party,
+                   pact_bribes: Optional[dict] = None) -> tuple:
     """Renormalise the colluding coalition to conditional shares.
 
     Returns (scenario, focal_party, rest_party_or_None).  The focal miner
     keeps share lambda_i/lambda_col; the rest of the coalition is lumped
     into one miner.  This is the measure in which per-censored-block bribe
     expectations take the form (T - t_pub) * br * lambda_i / lambda_col.
+    `pact_bribes`, keyed by VIEW_MI and VIEW_REST, overrides the scenario's.
     """
     lam_col = scen.lambda_col
     lam_i = scen.profile_of(focal).power
     if lam_col == 0 or lam_i > lam_col:
         raise ScenarioError("focal miner must belong to the colluding coalition")
     share = lam_i / lam_col
-    mi = miner_party("mi")
     if share == 1:
-        miners = (MinerProfile(mi, Fraction(1), "active", True),)
+        miners = (MinerProfile(VIEW_MI, Fraction(1), "active", True),)
         rest = None
     else:
-        rest = miner_party("rest")
-        miners = (MinerProfile(mi, share, "active", True),
+        rest = VIEW_REST
+        miners = (MinerProfile(VIEW_MI, share, "active", True),
                   MinerProfile(rest, 1 - share, "active", True))
-    view = Scenario(protocol=scen.protocol, v_dep=scen.v_dep, v_col=scen.v_col,
-                    T=scen.T, t_pub=scen.t_pub, l=scen.l, miners=miners,
-                    f=scen.f, f_dep_a=scen.f_dep_a, f_dep_b=scen.f_dep_b,
-                    f_col_b=scen.f_col_b, f_cbob_b=scen.f_cbob_b,
-                    br=scen.br, epsilon=scen.epsilon, horizon=scen.horizon,
-                    capacity=scen.capacity, enum_cap=scen.enum_cap,
-                    pact_bribes=scen.pact_bribes)
-    return view, mi, rest
+    view = _view(scen, miners,
+                 scen.pact_bribes if pact_bribes is None else pact_bribes)
+    return view, VIEW_MI, rest
 
 
 def passive_view(scen: Scenario, focal: Party) -> tuple:
@@ -145,17 +151,25 @@ def passive_view(scen: Scenario, focal: Party) -> tuple:
     lam_i = scen.profile_of(focal).power
     if lam_i >= 1:
         raise ScenarioError("passive focal miner cannot own the whole network")
-    mp = miner_party("mp")
-    rest = miner_party("rest")
-    miners = (MinerProfile(mp, lam_i, "passive", False),
-              MinerProfile(rest, 1 - lam_i, "active", True))
-    view = Scenario(protocol=scen.protocol, v_dep=scen.v_dep, v_col=scen.v_col,
-                    T=scen.T, t_pub=scen.t_pub, l=scen.l, miners=miners,
-                    f=scen.f, f_dep_a=scen.f_dep_a, f_dep_b=scen.f_dep_b,
-                    f_col_b=scen.f_col_b, f_cbob_b=scen.f_cbob_b,
-                    br=scen.br, epsilon=scen.epsilon, horizon=scen.horizon,
-                    capacity=scen.capacity, enum_cap=scen.enum_cap)
-    return view, mp, rest
+    miners = (MinerProfile(VIEW_MP, lam_i, "passive", False),
+              MinerProfile(VIEW_REST, 1 - lam_i, "active", True))
+    return _view(scen, miners, None), VIEW_MP, VIEW_REST
+
+
+def pact_hypothesis(n: int, scen: Scenario, power: Fraction) -> bool:
+    """Closed-form hypothesis of pact lemma 1, 2 or 3 for a miner's power.
+
+    Lemmas 1 and 2 take an active colluder's share lambda_i / lambda_col of
+    the coalition; lemma 3 takes a passive miner's network share.
+    """
+    f_a = scen.f_dep_a
+    if n == 3:
+        return scen.v_col * power > f_a
+    delta = scen.T - scen.t_pub
+    share = power / scen.lambda_col
+    if n == 1:
+        return delta * scen.br * share > f_a
+    return scen.v_col * share + delta * scen.br * (2 * share - 1) > f_a
 
 
 def _attack_profile(scen: Scenario, overrides: Optional[dict] = None) -> StrategyProfile:
@@ -200,7 +214,7 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
     lam_col = scen.lambda_col
 
     if n == 1:
-        hyp = delta * scen.br * lam_i / lam_col > f_a
+        hyp = pact_hypothesis(1, scen, lam_i)
         view, mi, rest = coalition_view(scen, focal)
         pin = {scen.T + 1: rest} if rest is not None else None
         base = _attack_profile(view)
@@ -215,8 +229,7 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
                             income - f_a, {"bribe_income": income,
                                            "verdict": verdict.verdict})
     if n == 2:
-        hyp = (scen.v_col * lam_i / lam_col
-               + delta * scen.br * (2 * lam_i / lam_col - 1)) > f_a
+        hyp = pact_hypothesis(2, scen, lam_i)
         view, mi, rest = coalition_view(scen, focal)
         offer = M2MbaActive("race")
         verdict = dominance_check(view, mi, offer,
@@ -225,7 +238,7 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
         return LemmaVerdict("lemma2", hyp, verdict.verdict == "strict",
                             detail={"verdict": verdict.verdict})
     if n == 3:
-        hyp = scen.v_col * lam_i > f_a
+        hyp = pact_hypothesis(3, scen, lam_i)
         view, mp, _ = passive_view(scen, focal)
         wait = M2MbaPassive()
         verdict = dominance_check(view, mp, wait,
@@ -258,13 +271,12 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
         br_i = math.ceil(exact_br)
         predicted = f_a + (lam_i / lam_col) * delta * scen.epsilon
         hyp = scen.epsilon > 0
-        view, mi, rest = coalition_view(scen, focal)
-        bribes = {mi: br_i}
-        if rest is not None:
-            rest_lam = scen.lambda_col - lam_i
-            rest_br = Fraction(f_a) * (lam_col / rest_lam) / delta + scen.epsilon
-            bribes[rest] = math.ceil(rest_br)
-        view.pact_bribes = bribes
+        bribes = {VIEW_MI: br_i}
+        if lam_i < lam_col:
+            rest_br = Fraction(f_a) * (lam_col / (lam_col - lam_i)) / delta \
+                + scen.epsilon
+            bribes[VIEW_REST] = math.ceil(rest_br)
+        view, mi, _ = coalition_view(scen, focal, bribes)
         income = expected_utilities(view, _attack_profile(view)) \
             .bribe_income.get(mi, Fraction(0))
         concl = income > f_a
@@ -304,7 +316,6 @@ def verify_theorem_m2mba(scen: Scenario,
     """
     if scen.protocol != "he":
         raise ScenarioError("protocol-mismatch")
-    delta = scen.T - scen.t_pub
     base = _attack_profile(scen)
     per_miner: dict = {}
     hypothesis: dict = {}
@@ -312,15 +323,11 @@ def verify_theorem_m2mba(scen: Scenario,
     for m in scen.miners:
         party = m.party
         if m.kind == "passive":
-            checks = {"lemma3": scen.v_col * m.power > scen.f_dep_a}
+            checks = {"lemma3": pact_hypothesis(3, scen, m.power)}
             candidates = [M2MbaPassive()]
         else:
-            share = m.power / scen.lambda_col
-            checks = {
-                "lemma1": delta * scen.br * share > scen.f_dep_a,
-                "lemma2": (scen.v_col * share
-                           + delta * scen.br * (2 * share - 1)) > scen.f_dep_a,
-            }
+            checks = {f"lemma{n}": pact_hypothesis(n, scen, m.power)
+                      for n in (1, 2)}
             candidates = [M2MbaActive("race"), M2MbaActive("accept")]
         hypothesis[party] = {"holds": all(checks.values()), "checks": checks}
         honest_alts = [HonestFeeMax(), CensorRelated(participate=False)]
@@ -393,8 +400,7 @@ def verify_demba(scen: Scenario, spaces: Optional[dict] = None) -> DembaReport:
     """
     if scen.protocol != "demba":
         raise ScenarioError("protocol-mismatch")
-    sched = scen.fee_schedule
-    verdict = check_fee_schedule(sched, scen.horizon)
+    verdict = check_fee_schedule(scen.fee_schedule, scen.horizon)
     if not verdict.ok:
         raise ScenarioError(f"invalid schedule: {verdict.violation}")
     spaces = spaces or demba_deviation_spaces(scen)
@@ -416,14 +422,7 @@ def verify_demba(scen: Scenario, spaces: Optional[dict] = None) -> DembaReport:
     honest_best_bob = delay_loss > 0
 
     # (c) timely inclusion earns strictly more, per scheduled path.
-    miner_timely_dominant = True
-    for path, paid in sched.paid.items():
-        if paid == 0:
-            continue
-        on_time = sched.split(path, paid, sched.T)[0]
-        for t in range(sched.T + 1, scen.horizon + 1):
-            if sched.split(path, paid, t)[0] >= on_time:
-                miner_timely_dominant = False
+    miner_timely_dominant = _timely_inclusion_dominant(scen)
 
     # (d) unilateral deviations.
     deviations = []
@@ -489,30 +488,22 @@ def verify_demba_lemma(n: int, scen: Scenario) -> LemmaVerdict:
         return LemmaVerdict("lemma7", hyp, concl,
                             detail={"honest": honest, "delayed": delayed})
     if n == 8:
-        sched = scen.fee_schedule
-        hyp = sched.alpha < 1
-        concl = True
-        for path, paid in sched.paid.items():
-            if paid == 0:
-                continue
-            on_time = sched.split(path, paid, sched.T)[0]
-            for t in range(sched.T + 1, scen.horizon + 1):
-                if sched.split(path, paid, t)[0] >= on_time:
-                    concl = False
-        return LemmaVerdict("lemma8", hyp, concl)
+        return LemmaVerdict("lemma8", scen.fee_schedule.alpha < 1,
+                            _timely_inclusion_dominant(scen))
     raise ScenarioError(f"no such lemma {n}")
 
 
-# ---------------------------------------------------------------------------
-# Fee schedule surface.
-# ---------------------------------------------------------------------------
-
-
-def fee_schedule_check(schedule: FeeSchedule,
-                       horizon: Optional[int] = None) -> FeeScheduleVerdict:
-    if horizon is not None and horizon <= schedule.T:
-        raise ScenarioError("horizon must extend past the deadline")
-    return check_fee_schedule(schedule, horizon)
+def _timely_inclusion_dominant(scen: Scenario) -> bool:
+    """Every paid scheduled fee earns the miner less after the deadline."""
+    sched = scen.fee_schedule
+    for path, paid in sched.paid.items():
+        if paid == 0:
+            continue
+        on_time = sched.split(path, paid, sched.T)[0]
+        for t in range(sched.T + 1, scen.horizon + 1):
+            if sched.split(path, paid, t)[0] >= on_time:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,10 @@ PRE_A2 = "pre_A'"
 PRE_AA2 = "pre_AA'"
 PRE_B = "pre_B"
 
+#: Preimage of each hashlock slot.  Contracts store these values as their
+#: digests (exact-witness model), so a witness must carry them bit-exact.
+SECRETS = {PRE_A: "secret:pre_A", PRE_A2: "secret:pre_A'", PRE_B: "secret:pre_B"}
+
 #: Sentinel amount: deposit minus fee minus all fixed effects.
 REST = "rest"
 
@@ -102,7 +106,6 @@ class ContractInstance:
     digests: dict  # slot -> expected preimage value (exact-witness model)
     paths: tuple
     status: object = REDEEMABLE  # REDEEMABLE | ("redeemed", path) | BURNED
-    exposed_slots: frozenset = frozenset()
 
     def path(self, name: str) -> RedeemPath:
         for p in self.paths:
@@ -115,10 +118,8 @@ class ContractInstance:
         return self.status == REDEEMABLE
 
     def copy(self) -> "ContractInstance":
-        return ContractInstance(
-            self.contract_id, self.deposit, self.digests, self.paths,
-            self.status, self.exposed_slots,
-        )
+        return ContractInstance(self.contract_id, self.deposit, self.digests,
+                                self.paths, self.status)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +189,7 @@ def build_naive_htlc(alice: Party, bob: Party, v_dep: int, digest_a: str,
                    required_signers=frozenset({bob}), earliest=T + 1),
     )
     return ContractInstance(contract_id, check_amount(v_dep, "v_dep"),
-                            {PRE_A: digest_a}, paths,
-                            exposed_slots=frozenset({PRE_A}))
+                            {PRE_A: digest_a}, paths)
 
 
 def build_mad_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
@@ -210,7 +210,6 @@ def build_mad_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
             RedeemPath(DEP_M, (Transfer(BLOCK_MINER, REST),),
                        required_preimages=both),
         ),
-        exposed_slots=both,
     )
     col = ContractInstance(
         col_id, v_col, dict(digests),
@@ -220,7 +219,6 @@ def build_mad_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
             RedeemPath(COL_M, (Transfer(BLOCK_MINER, REST),),
                        required_preimages=both),
         ),
-        exposed_slots=both,
     )
     return dep, col
 
@@ -249,7 +247,6 @@ def build_he_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
                        required_preimages=frozenset({PRE_B}),
                        required_signers=frozenset({bob}), earliest=T + 1),
         ),
-        exposed_slots=both,
     )
     # The collateral pot starts empty; dep-B funds it.
     col = ContractInstance(
@@ -260,7 +257,6 @@ def build_he_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
             RedeemPath(COL_M, (Burn(v_dep), Transfer(BLOCK_MINER, REST)),
                        required_preimages=both),
         ),
-        exposed_slots=both,
     )
     return dep, col
 
@@ -304,7 +300,6 @@ def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
                        required_preimages=frozenset({PRE_A, PRE_A2}),
                        required_signers=frozenset({alice}), earliest=T + 1),
         ),
-        exposed_slots=frozenset({PRE_A, PRE_A2}),
     )
     col_b = ContractInstance(
         col_b_id, check_amount(v_col_b, "v_col_b"),
@@ -314,7 +309,6 @@ def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
                        required_preimages=frozenset({PRE_B}),
                        required_signers=frozenset({bob}), late_burn=(T, v_ded)),
         ),
-        exposed_slots=frozenset({PRE_B}),
     )
     dep = ContractInstance(
         dep_id, check_amount(v_dep, "v_dep"), {},

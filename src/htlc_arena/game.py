@@ -15,16 +15,17 @@ both collaterals exist, so its funding lands inside the measured window.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .core import ALICE, BOB, EXTERNAL, Party, ScenarioError, debit
+from .core import (ALICE, BOB, EXTERNAL, ArenaError, Party, ScenarioError,
+                   debit)
 from .contracts import (COL_M, DEP_A, FeeSchedule, PRE_A, PRE_A2, PRE_AA2,
-                        PRE_B, build_demba, build_he_htlc, build_mad_htlc,
-                        build_naive_htlc, derive_he_delay)
+                        PRE_B, SECRETS, build_demba, build_he_htlc,
+                        build_mad_htlc, build_naive_htlc, derive_he_delay)
 from .ledger import Block, ChainState, apply_block, broadcast
 
 PROTOCOLS = ("naive", "mad", "he", "demba")
@@ -37,10 +38,6 @@ COL_B_ID = "col-B-contract"
 CBOB_ID = "cbob"
 CM2M_ID = "cm2m"
 
-MAD_HE_LABELS = ("red", "nred-nrev", "nred-rev", "nred-A")
-DEMBA_LABELS = ("all-red", "nred-AB", "nred-A'B", "nred-AA'B",
-                "nred-ABT", "nred-A'BT", "nred-AA'BT")
-
 
 @dataclass(frozen=True)
 class MinerProfile:
@@ -50,9 +47,21 @@ class MinerProfile:
     colluding: bool = False
 
 
-@dataclass
+def _invalid(what: str, why: str) -> ScenarioError:
+    return ScenarioError(f"validation-error({what}): {why}")
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """All protocol, fee, timing, and miner parameters for one game."""
+    """All protocol, fee, timing, and miner parameters for one game.
+
+    Construction is the one place a game's parameters are checked: it
+    derives `l` and `horizon`, then builds the round-0 genesis once.  The
+    scenario is frozen, so that genesis can never go stale; derive variants
+    with `dataclasses.replace`, which checks and builds them afresh.  A
+    variant keeps the derived `l` and `horizon` unless it passes `l=0` or
+    `horizon=None` to derive them again.
+    """
 
     protocol: str
     v_dep: int
@@ -80,25 +89,29 @@ class Scenario:
     enum_cap: int = 10_000_000
     m2mba_split: str = "per-block"  # per-block | equal
     pact_bribes: Optional[dict] = None  # Party -> per-block bribe override
-    secrets: dict = field(default_factory=lambda: {
-        PRE_A: "secret:pre_A", PRE_A2: "secret:pre_A'", PRE_B: "secret:pre_B"})
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
-            raise ScenarioError(f"unknown protocol {self.protocol!r}")
+            raise _invalid("protocol", f"got {self.protocol!r}")
         total = sum((m.power for m in self.miners), Fraction(0))
         if total != 1:
-            raise ScenarioError(f"miner power must sum to 1, got {total}")
+            raise _invalid("power-sum",
+                           f"miner powers sum to {total}, need exactly 1")
         if self.protocol == "he" and self.l < 1:
-            self.l = derive_he_delay(self.v_dep, self.v_col, self.f)
+            object.__setattr__(self, "l",
+                               derive_he_delay(self.v_dep, self.v_col, self.f))
         if self.horizon is None:
-            self.horizon = self.T + self.l + 2
+            object.__setattr__(self, "horizon", self.T + self.l + 2)
         if self.horizon < self.T + self.l + 2:
-            raise ScenarioError("horizon too short for every refund path to fire")
+            raise _invalid("horizon", "too short for every refund path to fire")
         if self.t_pub < 1 or self.t_pub > self.T:
-            raise ScenarioError("t_pub must fall in [1, T]")
+            raise _invalid("t_pub", "must fall in [1, T]")
         if self.protocol == "demba" and self.fee_schedule is None:
-            raise ScenarioError("two-phase protocol requires a fee schedule")
+            raise _invalid("fee_schedule", "required for demba")
+        if self.mode[0] != "exact" and self.mode[1] < 1:
+            raise _invalid("mode", "monte-carlo needs at least 1 trial")
+        # A plain attribute, not a field: replace() builds a fresh one.
+        object.__setattr__(self, "_genesis", _build_genesis(self))
 
     @property
     def lambda_col(self) -> Fraction:
@@ -113,9 +126,6 @@ class Scenario:
             if m.party == party:
                 return m
         raise ScenarioError(f"no such miner {party}")
-
-    def digests(self) -> dict:
-        return dict(self.secrets)
 
 
 @dataclass
@@ -177,42 +187,37 @@ def _start_balance(scen: Scenario) -> int:
 
 
 def build_genesis(scen: Scenario) -> tuple:
-    """Construct the funded round-0 state; returns (state, baseline balances).
+    """A fresh copy of the funded round-0 state: (state, baseline, escrow).
 
-    The genesis depends only on scenario fields, so it is built once per
-    scenario and cloned per play.
+    The scenario built its genesis once, at construction; each call clones
+    the state so that a play can never touch the original.
     """
-    cached = getattr(scen, "_genesis", None)
-    if cached is not None:
-        return cached[0].clone(), cached[1], cached[2]
-    state, baseline, escrow0 = _build_genesis(scen)
-    scen._genesis = (state, baseline, escrow0)
+    state, baseline, escrow0 = scen._genesis
     return state.clone(), baseline, escrow0
 
 
 def _build_genesis(scen: Scenario) -> tuple:
-    digests = scen.digests()
     meta = {"T": scen.T, "l": scen.l, "target_contract": DEP_ID,
             "target_path": DEP_A, "col_contract": COL_ID,
             "confiscation_path": COL_M}
     if scen.protocol == "naive":
-        dep = build_naive_htlc(ALICE, BOB, scen.v_dep, digests[PRE_A], scen.T,
+        dep = build_naive_htlc(ALICE, BOB, scen.v_dep, SECRETS[PRE_A], scen.T,
                                DEP_ID)
         contracts = {DEP_ID: dep}
         live = {DEP_ID: scen.v_dep}
     elif scen.protocol == "mad":
-        dep, col = build_mad_htlc(ALICE, BOB, scen.v_dep, scen.v_col, digests,
+        dep, col = build_mad_htlc(ALICE, BOB, scen.v_dep, scen.v_col, SECRETS,
                                   scen.T, DEP_ID, COL_ID)
         contracts = {DEP_ID: dep, COL_ID: col}
         live = {DEP_ID: scen.v_dep, COL_ID: scen.v_col}
     elif scen.protocol == "he":
-        dep, col = build_he_htlc(ALICE, BOB, scen.v_dep, scen.v_col, digests,
+        dep, col = build_he_htlc(ALICE, BOB, scen.v_dep, scen.v_col, SECRETS,
                                  scen.T, scen.l, DEP_ID, COL_ID)
         contracts = {DEP_ID: dep, COL_ID: col}
         live = {DEP_ID: scen.v_dep + scen.v_col, COL_ID: 0}
     else:
         dep, col_a, col_b = build_demba(ALICE, BOB, scen.v_dep, scen.v_col_a,
-                                        scen.v_col_b, scen.v_ded, digests,
+                                        scen.v_col_b, scen.v_ded, SECRETS,
                                         scen.T, scen.fee_schedule,
                                         DEP_ID, COL_A_ID, COL_B_ID)
         contracts = {DEP_ID: dep, COL_A_ID: col_a, COL_B_ID: col_b}
@@ -456,7 +461,8 @@ def expected_utilities(scen: Scenario, profile: StrategyProfile,
             for party, b in out.bribe_income.items():
                 bribes[party] = bribes.get(party, Fraction(0)) + w * b
             burned += w * out.burned
-        assert total_weight == 1
+        if total_weight != 1:
+            raise ArenaError(f"schedule weights sum to {total_weight}, not 1")
         return ExpectedUtilities(utilities, bribes, burned, "exact")
     trials = mode[1]
     rng = np.random.default_rng(scen.seed)

@@ -18,8 +18,9 @@ from typing import Optional
 
 from .core import (BLOCK_MINER, BURN_SINK, EXTERNAL, LedgerError, Party,
                    check_amount, credit, debit)
-from .contracts import (BURNED, Burn, ContractInstance, Forward, REST,
-                        RedeemPath, Transfer, bribery_contract_step)
+from .contracts import (BURNED, Burn, CensorBriberyContract, ContractInstance,
+                        Forward, MinerPactContract, REST, RedeemPath, Transfer,
+                        bribery_contract_step, resolve_demba_dep)
 
 RELATED = "related"
 UNRELATED = "unrelated"
@@ -346,7 +347,6 @@ def _resolve_auto_contracts(s: ChainState, rnd: int, block_miner: Party) -> None
             continue
         if slots is None:
             slots = s.revealed_slots()
-        from .contracts import resolve_demba_dep
         path = resolve_demba_dep(contract, slots, rnd)
         if path is not None:
             auto_tx = TxRecord(f"auto.{cid}.{rnd}", block_miner)
@@ -361,7 +361,6 @@ def _auto_refund_bribery(s: ChainState, rnd: int) -> None:
     budget returns to its owner once the target tx has landed, and pact
     collateral returns once no eligible confiscation claim can ever succeed.
     """
-    from .contracts import CensorBriberyContract, MinerPactContract
     meta = s.meta
     target = s.redemptions.get(meta.get("target_contract", "dep"))
     target_hit = (target is not None

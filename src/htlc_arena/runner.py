@@ -16,16 +16,17 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .core import EXTERNAL, ScenarioError, miner_party
-from .contracts import FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B
-from .game import (MinerProfile, Scenario, StrategyProfile,
-                   dominance_check, expected_utilities, play,
+from .core import ArenaError, EXTERNAL, ScenarioError, miner_party
+from .contracts import (FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B,
+                        check_fee_schedule)
+from .game import (COL_B_ID, COL_ID, DEP_ID, MinerProfile, Scenario,
+                   StrategyProfile, dominance_check, expected_utilities, play,
                    sample_schedule)
 from .agents import (AliceHonest, AliceOffline, BobHonest, HonestFeeMax,
                      make_miner_policy, make_party_policy)
@@ -55,8 +56,14 @@ def _frac(value, what: str) -> Fraction:
     raise ScenarioError(f"validation-error({what}): expected int, 'p/q', or [p, q]")
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"validation-error({what}): expected an object")
+    return value
+
+
 def _fee_schedule_from(doc: dict, T: int) -> FeeSchedule:
-    paid_doc = doc.get("paid", {})
+    paid_doc = _object(doc.get("paid", {}), "fees.schedule.paid")
     try:
         paid = {PRE_A: int(paid_doc["pre_A"]), PRE_A2: int(paid_doc["pre_A'"]),
                 PRE_AA2: int(paid_doc["pre_AA'"]), PRE_B: int(paid_doc["pre_B"])}
@@ -67,43 +74,55 @@ def _fee_schedule_from(doc: dict, T: int) -> FeeSchedule:
 
 def load_scenario(path) -> tuple:
     """Parse and validate a scenario file; returns (Scenario, StrategyProfile)."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ScenarioError(f"parse-error(line {e.lineno}, col {e.colno}): {e.msg}")
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"parse-error: {e}") from e
     return scenario_from_doc(doc)
 
 
-def scenario_from_doc(doc: dict) -> tuple:
-    protocol = doc.get("protocol")
-    if protocol not in ("naive", "mad", "he", "demba"):
-        raise ScenarioError(f"validation-error(protocol): got {protocol!r}")
-    amounts = doc.get("amounts", {})
-    fees = doc.get("fees", {})
-    timing = doc.get("timing", {})
-    bribes = doc.get("bribes", {})
+def scenario_from_doc(doc) -> tuple:
+    """Translate a scenario document into (Scenario, StrategyProfile).
+
+    Building the Scenario makes every check on the game's parameters; a
+    malformed document surfaces as one ScenarioError, never a traceback.
+    """
+    doc = _object(doc, "document")
+    try:
+        scen = _scenario_from_doc(doc)
+        policies = _object(doc.get("policies", {}), "policies")
+        return scen, _profile_from_doc(policies, scen)
+    except ScenarioError:
+        raise
+    except (ArenaError, TypeError, ValueError, OverflowError) as e:
+        raise ScenarioError(f"validation-error: {e}") from e
+
+
+def _scenario_from_doc(doc: dict) -> Scenario:
+    amounts = _object(doc.get("amounts", {}), "amounts")
+    fees = _object(doc.get("fees", {}), "fees")
+    timing = _object(doc.get("timing", {}), "timing")
+    bribes = _object(doc.get("bribes", {}), "bribes")
     if "T" not in timing:
         raise ScenarioError("validation-error(timing.T): required")
     T = int(timing["T"])
     miners_doc = doc.get("miners") or [{"id": "m1", "power": 1}]
+    if not isinstance(miners_doc, list):
+        raise ScenarioError("validation-error(miners): expected a list")
     miners = []
     for i, m in enumerate(miners_doc):
+        m = _object(m, f"miners[{i}]")
         power = _frac(m.get("power", 0), f"miners[{i}].power")
         miners.append(MinerProfile(miner_party(m.get("id", f"m{i + 1}")), power,
                                    m.get("kind", "passive"),
                                    bool(m.get("colluding", False))))
-    total = sum((m.power for m in miners), Fraction(0))
-    if total != 1:
-        raise ScenarioError(f"validation-error(power-sum): miner powers sum to "
-                            f"{total}, need exactly 1")
     schedule = None
     if "schedule" in fees:
-        schedule = _fee_schedule_from(fees["schedule"], T)
-    elif protocol == "demba":
-        raise ScenarioError("validation-error(fees.schedule): required for demba")
-    if schedule is not None:
-        verdict = analysis.fee_schedule_check(schedule)
+        schedule = _fee_schedule_from(
+            _object(fees["schedule"], "fees.schedule"), T)
+        verdict = check_fee_schedule(schedule)
         if not verdict.ok:
             raise ScenarioError(f"validation-error(Eq.1/Eq.2): {verdict.violation}")
     mode_doc = doc.get("mode", "exact")
@@ -113,49 +132,54 @@ def scenario_from_doc(doc: dict) -> tuple:
         mode = ("monte-carlo", int(mode_doc["monte-carlo"]))
     else:
         raise ScenarioError(f"validation-error(mode): got {mode_doc!r}")
+    return Scenario(
+        protocol=doc.get("protocol"),
+        v_dep=int(amounts.get("v_dep", 0)),
+        v_col=int(amounts.get("v_col", 0)),
+        v_col_a=int(amounts.get("v_col_a", 0)),
+        v_col_b=int(amounts.get("v_col_b", 0)),
+        v_ded=int(amounts.get("v_ded", 0)),
+        f=int(fees.get("f", 1)),
+        f_dep_a=int(fees.get("f_dep_a", 2)),
+        f_dep_b=int(fees.get("f_dep_b", 2)),
+        f_col_b=int(fees.get("f_col_b", 2)),
+        f_cbob_b=int(fees.get("f_cbob_b", 1)),
+        f_calice_a=int(fees.get("f_calice_a", 1)),
+        fee_schedule=schedule,
+        T=T,
+        l=int(timing.get("l", 0)),
+        t_pub=int(timing.get("t_pub", 1)),
+        horizon=int(timing["horizon"]) if "horizon" in timing else None,
+        miners=tuple(miners),
+        br=int(bribes.get("br", 0)),
+        epsilon=int(bribes.get("epsilon", 0)),
+        capacity=int(doc.get("capacity", 8)),
+        seed=int(doc.get("seed", 0)),
+        mode=mode,
+    )
+
+
+def _policy_from_doc(doc, what: str, make, *role):
+    params = dict(_object(doc, what))
     try:
-        scen = Scenario(
-            protocol=protocol,
-            v_dep=int(amounts.get("v_dep", 0)),
-            v_col=int(amounts.get("v_col", 0)),
-            v_col_a=int(amounts.get("v_col_a", 0)),
-            v_col_b=int(amounts.get("v_col_b", 0)),
-            v_ded=int(amounts.get("v_ded", 0)),
-            f=int(fees.get("f", 1)),
-            f_dep_a=int(fees.get("f_dep_a", 2)),
-            f_dep_b=int(fees.get("f_dep_b", 2)),
-            f_col_b=int(fees.get("f_col_b", 2)),
-            f_cbob_b=int(fees.get("f_cbob_b", 1)),
-            f_calice_a=int(fees.get("f_calice_a", 1)),
-            fee_schedule=schedule,
-            T=T,
-            l=int(timing.get("l", 0)),
-            t_pub=int(timing.get("t_pub", 1)),
-            horizon=int(timing["horizon"]) if "horizon" in timing else None,
-            miners=tuple(miners),
-            br=int(bribes.get("br", 0)),
-            epsilon=int(bribes.get("epsilon", 0)),
-            capacity=int(doc.get("capacity", 8)),
-            seed=int(doc.get("seed", 0)),
-            mode=mode,
-        )
-    except ScenarioError as e:
-        raise ScenarioError(f"validation-error: {e}") from e
-    profile = _profile_from_doc(doc.get("policies", {}), scen)
-    return scen, profile
+        return make(*role, params.pop("name", None), **params)
+    except (TypeError, ValueError) as e:
+        # TypeError: a key that the policy's constructor does not take.
+        raise ScenarioError(f"validation-error({what}): {e}") from e
 
 
 def _profile_from_doc(doc: dict, scen: Scenario) -> StrategyProfile:
-    a_doc = dict(doc.get("alice", {"name": "honest"}))
-    b_doc = dict(doc.get("bob", {"name": "honest"}))
-    alice = make_party_policy("alice", a_doc.pop("name"), **a_doc)
-    bob = make_party_policy("bob", b_doc.pop("name"), **b_doc)
-    miners_doc = doc.get("miners", {})
+    alice = _policy_from_doc(doc.get("alice", {"name": "honest"}),
+                             "policies.alice", make_party_policy, "alice")
+    bob = _policy_from_doc(doc.get("bob", {"name": "honest"}),
+                           "policies.bob", make_party_policy, "bob")
+    miners_doc = _object(doc.get("miners", {}), "policies.miners")
     default_doc = miners_doc.get("default", {"name": "honest-fee-max"})
     miners = {}
     for m in scen.miners:
-        entry = dict(miners_doc.get(m.party.id, default_doc))
-        miners[m.party] = make_miner_policy(entry.pop("name"), **entry)
+        miners[m.party] = _policy_from_doc(
+            miners_doc.get(m.party.id, default_doc),
+            f"policies.miners.{m.party.id}", make_miner_policy)
     return StrategyProfile(alice, bob, miners)
 
 
@@ -269,7 +293,7 @@ def cmd_simulate(args) -> tuple:
 def cmd_expect(args) -> tuple:
     scen, profile = load_scenario(args.scenario)
     if args.seed is not None:
-        scen.seed = args.seed
+        scen = replace(scen, seed=args.seed)
     mode = scen.mode
     if args.mode == "exact":
         mode = ("exact",)
@@ -422,13 +446,11 @@ def _ttc_profile(scen: Scenario, path: str) -> StrategyProfile:
 def _completion_round(out, scen: Scenario, path: str) -> Optional[int]:
     red = out.state.redemptions
     if scen.protocol == "demba":
-        from .game import DEP_ID, COL_B_ID
         if path == "bob-collateral":
             entry = red.get(COL_B_ID)
             return entry[1] if entry else None
         entry = red.get(DEP_ID)
         return entry[1] if entry else None
-    from .game import DEP_ID, COL_ID
     if path == "alice-redeems":
         entry = red.get(DEP_ID)
         return entry[1] if entry and entry[0] == "dep-A" else None
@@ -556,17 +578,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = COMMANDS[args.subcommand](args)
-    except ScenarioError as e:
+        text = report.render()
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    except (ScenarioError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    text = report.render()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
 
-from htlc_arena.core import ALICE, BOB, ScenarioError, miner_party
+from htlc_arena import game
+from htlc_arena.core import ALICE, BOB, ArenaError, ScenarioError, miner_party
 from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
                                M2MbaActive)
-from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
-                             dominance_check, enumerate_schedules,
-                             expected_utilities, play)
+from htlc_arena.game import (MinerProfile, Scenario, Schedule,
+                             StrategyProfile, dominance_check,
+                             enumerate_schedules, expected_utilities, play)
 
 from conftest import (M1, M2, demba_scenario, flat_schedule, he_scenario,
                       mad_scenario, naive_scenario)
@@ -22,6 +24,26 @@ def honest_profile(scen, miner_policy=None):
     miners = {m.party: (miner_policy or HonestFeeMax())
               for m in scen.miners}
     return StrategyProfile(AliceHonest(), BobHonest(1), miners)
+
+
+class TestScenario:
+    def test_every_field_is_frozen(self):
+        scen = naive_scenario()
+        for f in fields(Scenario):
+            with pytest.raises(FrozenInstanceError):
+                setattr(scen, f.name, getattr(scen, f.name))
+
+    def test_replaced_scenario_plays_its_own_deposit(self):
+        scen = naive_scenario(v_dep=100, t_pub=2, f_dep_a=3)
+        profile = honest_profile(scen)
+        assert play(scen, profile, flat_schedule(scen)).delta(ALICE) == 97
+        bigger = replace(scen, v_dep=500)
+        assert play(bigger, profile, flat_schedule(bigger)).delta(ALICE) == 497
+        assert play(scen, profile, flat_schedule(scen)).delta(ALICE) == 97
+
+    def test_replace_checks_the_new_parameters(self):
+        with pytest.raises(ScenarioError):
+            replace(naive_scenario(), t_pub=0)
 
 
 class TestPlay:
@@ -188,6 +210,14 @@ class TestExpectations:
         a = expected_utilities(scen, profile, mode=("monte-carlo", 200))
         b = expected_utilities(scen, profile, mode=("monte-carlo", 200))
         assert a.utilities == b.utilities and a.ci == b.ci
+
+    def test_weight_sum_check_survives_optimised_mode(self, monkeypatch):
+        scen = naive_scenario()
+        half = Schedule(flat_schedule(scen).miners, Fraction(1, 2))
+        monkeypatch.setattr(game, "enumerate_schedules",
+                            lambda scen, pin=None: iter([half]))
+        with pytest.raises(ArenaError):
+            expected_utilities(scen, honest_profile(scen))
 
     def test_enumeration_cap(self):
         miners = tuple(MinerProfile(miner_party(f"m{i}"), Fraction(1, 4))

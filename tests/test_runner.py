@@ -155,6 +155,19 @@ class TestCli:
         code = main(["simulate", "--scenario", str(path)])
         assert code == 1
 
+    def test_expect_mc_reports_the_requested_seed(self, capsys):
+        path = str(SCENARIOS / "he_m2mba.json")
+        rows = {}
+        for seed in (1, 2):
+            code, out = self.run(capsys, "expect", "--scenario", path,
+                                 "--mode", "mc", "--trials", "50",
+                                 "--seed", str(seed))
+            assert code == 0
+            assert f"# seed: {seed}\n" in out
+            rows[seed] = [l for l in out.splitlines()
+                          if l.startswith("utility\t")]
+        assert rows[1] and rows[1] != rows[2]
+
     def test_pool_zero_fee_ratio_record(self, capsys):
         code, out = self.run(capsys, "pool", "--pool-fee", "0")
         assert code == 0
@@ -173,6 +186,44 @@ class TestCli:
         assert code == 0
         parsed = Report.parse(target.read_text(encoding="utf-8"))
         assert any(r[0] == "ratio" for r in parsed.records)
+
+
+MALFORMED = {
+    "T-not-an-int": minimal_naive(timing={"T": "x"}),
+    "top-level-array": [minimal_naive()],
+    "unknown-policy-name": minimal_naive(policies={"bob": {"name": "nope"}}),
+    "unknown-policy-key": minimal_naive(
+        protocol="mad", amounts={"v_dep": 100, "v_col": 50},
+        policies={"bob": {"name": "hydra-briber", "foo": 1}}),
+    "hydra-briber-epsilon": minimal_naive(
+        protocol="mad", amounts={"v_dep": 100, "v_col": 50},
+        policies={"bob": {"name": "hydra-briber", "epsilon": 5}}),
+    "naive-zero-deposit": minimal_naive(amounts={"v_dep": 0}),
+    "he-zero-collateral": minimal_naive(
+        protocol="he", amounts={"v_dep": 100, "v_col": 0}),
+    "mc-zero-trials": minimal_naive(mode={"monte-carlo": 0}),
+    "miners-not-a-list": minimal_naive(miners={"id": "m1", "power": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED) + [
+    "not-utf8", "scenario-is-a-directory", "out-is-a-directory"])
+def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
+    argv = ["simulate", "--scenario", str(tmp_path / "scen.json")]
+    if case in MALFORMED:
+        write_doc(tmp_path, MALFORMED[case])
+    elif case == "not-utf8":
+        (tmp_path / "scen.json").write_bytes(b"\xff\xfe{}")
+    elif case == "scenario-is-a-directory":
+        argv[-1] = str(tmp_path)
+    else:
+        argv = ["pool", "--out", str(tmp_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
 class TestTtc:
