@@ -10,6 +10,7 @@ bribery-contract calls), which never pass through the mempool.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -350,9 +351,24 @@ def make_party_policy(role: str, name: str, **params) -> PartyPolicy:
         table = {"honest": BobHonest, "delay": BobDelay,
                  "naive-briber": BobNaiveBriber, "b3a": BobB3a,
                  "hydra-briber": BobHydraBriber}
+    return _build_policy(table, f"{role} policy", name, params)
+
+
+def _build_policy(table: dict, what: str, name: str, params: dict):
+    """Construct the named policy, holding each parameter to the type of
+    its constructor default (an int where that default is None)."""
     if name not in table:
-        raise ValueError(f"unknown {role} policy {name!r}")
-    return table[name](**params)
+        raise ValueError(f"unknown {what} {name!r}")
+    cls = table[name]
+    signature = inspect.signature(cls).parameters
+    for key, value in params.items():
+        if key in signature:  # an unknown key fails in the constructor
+            default = signature[key].default
+            want = int if default is None else type(default)
+            if type(value) is not want:
+                raise ValueError(
+                    f"{key} must be {want.__name__}, got {value!r}")
+    return cls(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +714,4 @@ def make_miner_policy(name: str, **params) -> MinerPolicy:
              "m2mba-active": M2MbaActive, "m2mba-passive": M2MbaPassive,
              "b3a-accomplice": B3aAccomplice, "sdrba-briber": SdrbaBriber,
              "hydra-accomplice": HydraAccomplice}
-    if name not in table:
-        raise ValueError(f"unknown miner policy {name!r}")
-    return table[name](**params)
+    return _build_policy(table, "miner policy", name, params)

@@ -304,8 +304,7 @@ def m2mba_policy_space(kind: str) -> list:
             CensorRelated(participate=False)]
 
 
-def verify_theorem_m2mba(scen: Scenario,
-                         spaces: Optional[dict] = None) -> TheoremReport:
+def verify_theorem_m2mba(scen: Scenario) -> TheoremReport:
     """Brute-force the full-attack dominance claim, one miner at a time.
 
     For every passive miner the wait-then-confiscate policy must dominate
@@ -322,15 +321,13 @@ def verify_theorem_m2mba(scen: Scenario,
     all_dominant = True
     for m in scen.miners:
         party = m.party
-        if m.kind == "passive":
-            checks = {"lemma3": pact_hypothesis(3, scen, m.power)}
-            candidates = [M2MbaPassive()]
-        else:
-            checks = {f"lemma{n}": pact_hypothesis(n, scen, m.power)
-                      for n in (1, 2)}
-            candidates = [M2MbaActive("race"), M2MbaActive("accept")]
+        lemmas = (3,) if m.kind == "passive" else (1, 2)
+        checks = {f"lemma{n}": pact_hypothesis(n, scen, m.power)
+                  for n in lemmas}
         hypothesis[party] = {"holds": all(checks.values()), "checks": checks}
-        honest_alts = [HonestFeeMax(), CensorRelated(participate=False)]
+        # The attack policies first, then the two honest alternatives.
+        space = m2mba_policy_space(m.kind)
+        candidates, honest_alts = space[:-2], space[-2:]
         results = []
         for cand in candidates:
             v = dominance_check(scen, party, cand, [cand] + honest_alts, [base])
@@ -373,9 +370,7 @@ def demba_deviation_spaces(scen: Scenario) -> dict:
                   AliceOffline(), AliceGrief(), AliceCensoredFallback(),
                   AliceHonest(reveal_late)],
         "bob": [BobHonest(1), BobHonest(reveal_late), BobDelay(1), BobDelay(2)],
-        "miners": [HonestFeeMax(), CensorRelated(participate=False),
-                   CensorRelated(until=None, participate=False),
-                   HonestFeeMax()],
+        "miners": [HonestFeeMax(), CensorRelated(participate=False)],
     }
 
 
@@ -387,7 +382,7 @@ def _single_miner_play(scen: Scenario, alice, bob, miner_policy=None):
     return expected_utilities(scen, profile)
 
 
-def verify_demba(scen: Scenario, spaces: Optional[dict] = None) -> DembaReport:
+def verify_demba(scen: Scenario) -> DembaReport:
     """Mechanically check that honest play is a best response everywhere.
 
     (a) the payee's three redemption choices peak at the honest reveal;
@@ -403,7 +398,7 @@ def verify_demba(scen: Scenario, spaces: Optional[dict] = None) -> DembaReport:
     verdict = check_fee_schedule(scen.fee_schedule, scen.horizon)
     if not verdict.ok:
         raise ScenarioError(f"invalid schedule: {verdict.violation}")
-    spaces = spaces or demba_deviation_spaces(scen)
+    spaces = demba_deviation_spaces(scen)
 
     honest = _single_miner_play(scen, AliceHonest(), BobHonest(1))
     u_alice_honest = honest.of(ALICE)

@@ -285,7 +285,8 @@ def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
     check_amount(v_ded, "v_ded")
     verdict = check_fee_schedule(schedule)
     if not verdict.ok:
-        raise ContractError(f"invalid fee schedule: {verdict.violation}")
+        raise ContractError(
+            f"invalid fee schedule (Eq.1/Eq.2): {verdict.violation}")
     col_a = ContractInstance(
         col_a_id, check_amount(v_col_a, "v_col_a"),
         {PRE_A: digests[PRE_A], PRE_A2: digests[PRE_A2]},
@@ -384,8 +385,10 @@ def check_fee_schedule(schedule: FeeSchedule, horizon: Optional[int] = None) -> 
     for name in (PRE_A, PRE_A2, PRE_AA2, PRE_B):
         if name not in p:
             return FeeScheduleVerdict(False, f"missing paid fee for {name}")
-        if p[name] < 0:
-            return FeeScheduleVerdict(False, f"negative paid fee for {name}")
+        if type(p[name]) is not int or p[name] < 0:
+            return FeeScheduleVerdict(
+                False, f"paid fee for {name} must be a non-negative int, "
+                f"got {p[name]!r}")
     if not (p[PRE_A] < p[PRE_A2] < p[PRE_AA2]):
         return FeeScheduleVerdict(
             False,

@@ -15,7 +15,7 @@ both collaterals exist, so its funding lands inside the measured window.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -39,6 +39,10 @@ CBOB_ID = "cbob"
 CM2M_ID = "cm2m"
 
 
+def _invalid(what: str, why: str) -> ScenarioError:
+    return ScenarioError(f"validation-error({what}): {why}")
+
+
 @dataclass(frozen=True)
 class MinerProfile:
     party: Party
@@ -46,9 +50,17 @@ class MinerProfile:
     kind: str = "passive"  # passive | active
     colluding: bool = False
 
-
-def _invalid(what: str, why: str) -> ScenarioError:
-    return ScenarioError(f"validation-error({what}): {why}")
+    def __post_init__(self):
+        if type(self.party.id) is not str:
+            raise _invalid("id", f"expected a string, got {self.party.id!r}")
+        if self.power < 0:
+            raise _invalid("power", f"must not be negative, got {self.power}")
+        if self.kind not in ("passive", "active"):
+            raise _invalid("kind", f"expected 'passive' or 'active', "
+                           f"got {self.kind!r}")
+        if type(self.colluding) is not bool:
+            raise _invalid("colluding",
+                           f"expected true or false, got {self.colluding!r}")
 
 
 @dataclass(frozen=True)
@@ -93,23 +105,33 @@ class Scenario:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise _invalid("protocol", f"got {self.protocol!r}")
+        for name in _INT_FIELDS:
+            _require_count(name, getattr(self, name))
+        if self.capacity < 1:
+            raise _invalid("capacity", "must be at least 1")
         total = sum((m.power for m in self.miners), Fraction(0))
         if total != 1:
             raise _invalid("power-sum",
                            f"miner powers sum to {total}, need exactly 1")
+        ids = [m.party.id for m in self.miners]
+        if len(set(ids)) != len(ids):
+            raise _invalid("miners", f"duplicate miner id in {ids}")
         if self.protocol == "he" and self.l < 1:
             object.__setattr__(self, "l",
                                derive_he_delay(self.v_dep, self.v_col, self.f))
         if self.horizon is None:
             object.__setattr__(self, "horizon", self.T + self.l + 2)
+        _require_count("horizon", self.horizon)
         if self.horizon < self.T + self.l + 2:
             raise _invalid("horizon", "too short for every refund path to fire")
         if self.t_pub < 1 or self.t_pub > self.T:
             raise _invalid("t_pub", "must fall in [1, T]")
         if self.protocol == "demba" and self.fee_schedule is None:
             raise _invalid("fee_schedule", "required for demba")
-        if self.mode[0] != "exact" and self.mode[1] < 1:
-            raise _invalid("mode", "monte-carlo needs at least 1 trial")
+        if self.mode[0] != "exact" and (type(self.mode[1]) is not int
+                                        or self.mode[1] < 1):
+            raise _invalid("mode", "monte-carlo needs a positive int trial "
+                           f"count, got {self.mode[1]!r}")
         # A plain attribute, not a field: replace() builds a fresh one.
         object.__setattr__(self, "_genesis", _build_genesis(self))
 
@@ -126,6 +148,17 @@ class Scenario:
             if m.party == party:
                 return m
         raise ScenarioError(f"no such miner {party}")
+
+
+#: The fields that must hold a plain non-negative int, computed once.
+#: `horizon` may be None until it is derived, so it is checked after that.
+_INT_FIELDS = tuple(f.name for f in fields(Scenario) if f.type == "int")
+
+
+def _require_count(name: str, value) -> None:
+    # `type(...) is int` also turns away bools, floats and numeric strings.
+    if type(value) is not int or value < 0:
+        raise _invalid(name, f"expected a non-negative int, got {value!r}")
 
 
 @dataclass

@@ -23,8 +23,7 @@ from typing import Optional
 
 from . import __version__
 from .core import ArenaError, EXTERNAL, ScenarioError, miner_party
-from .contracts import (FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B,
-                        check_fee_schedule)
+from .contracts import FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B
 from .game import (COL_B_ID, COL_ID, DEP_ID, MinerProfile, Scenario,
                    StrategyProfile, dominance_check, expected_utilities, play,
                    sample_schedule)
@@ -65,8 +64,8 @@ def _object(value, what: str) -> dict:
 def _fee_schedule_from(doc: dict, T: int) -> FeeSchedule:
     paid_doc = _object(doc.get("paid", {}), "fees.schedule.paid")
     try:
-        paid = {PRE_A: int(paid_doc["pre_A"]), PRE_A2: int(paid_doc["pre_A'"]),
-                PRE_AA2: int(paid_doc["pre_AA'"]), PRE_B: int(paid_doc["pre_B"])}
+        paid = {PRE_A: paid_doc["pre_A"], PRE_A2: paid_doc["pre_A'"],
+                PRE_AA2: paid_doc["pre_AA'"], PRE_B: paid_doc["pre_B"]}
     except KeyError as e:
         raise ScenarioError(f"validation-error(fees.schedule.paid): missing {e}")
     return FeeSchedule(paid, _frac(doc.get("alpha", "1/2"), "fees.schedule.alpha"), T)
@@ -100,14 +99,25 @@ def scenario_from_doc(doc) -> tuple:
         raise ScenarioError(f"validation-error: {e}") from e
 
 
+#: The Scenario fields each document section holds (None: the top level).
+#: A key the document leaves out keeps the Scenario default.
+_SECTIONS = {
+    None: ("protocol", "capacity", "seed"),
+    "amounts": ("v_dep", "v_col", "v_col_a", "v_col_b", "v_ded"),
+    "fees": ("f", "f_dep_a", "f_dep_b", "f_col_b", "f_cbob_b", "f_calice_a"),
+    "timing": ("T", "l", "t_pub", "horizon"),
+    "bribes": ("br", "epsilon"),
+}
+
+
 def _scenario_from_doc(doc: dict) -> Scenario:
-    amounts = _object(doc.get("amounts", {}), "amounts")
-    fees = _object(doc.get("fees", {}), "fees")
-    timing = _object(doc.get("timing", {}), "timing")
-    bribes = _object(doc.get("bribes", {}), "bribes")
-    if "T" not in timing:
-        raise ScenarioError("validation-error(timing.T): required")
-    T = int(timing["T"])
+    values = {}
+    for section, names in _SECTIONS.items():
+        part = doc if section is None else _object(doc.get(section, {}), section)
+        values.update((name, part[name]) for name in names if name in part)
+    # A missing required field reaches the Scenario's checks as None.
+    for name in ("protocol", "v_dep", "T"):
+        values.setdefault(name, None)
     miners_doc = doc.get("miners") or [{"id": "m1", "power": 1}]
     if not isinstance(miners_doc, list):
         raise ScenarioError("validation-error(miners): expected a list")
@@ -117,46 +127,19 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         power = _frac(m.get("power", 0), f"miners[{i}].power")
         miners.append(MinerProfile(miner_party(m.get("id", f"m{i + 1}")), power,
                                    m.get("kind", "passive"),
-                                   bool(m.get("colluding", False))))
-    schedule = None
+                                   m.get("colluding", False)))
+    fees = doc.get("fees", {})
     if "schedule" in fees:
-        schedule = _fee_schedule_from(
-            _object(fees["schedule"], "fees.schedule"), T)
-        verdict = check_fee_schedule(schedule)
-        if not verdict.ok:
-            raise ScenarioError(f"validation-error(Eq.1/Eq.2): {verdict.violation}")
+        values["fee_schedule"] = _fee_schedule_from(
+            _object(fees["schedule"], "fees.schedule"), values["T"])
     mode_doc = doc.get("mode", "exact")
     if mode_doc == "exact":
-        mode = ("exact",)
+        values["mode"] = ("exact",)
     elif isinstance(mode_doc, dict) and "monte-carlo" in mode_doc:
-        mode = ("monte-carlo", int(mode_doc["monte-carlo"]))
+        values["mode"] = ("monte-carlo", mode_doc["monte-carlo"])
     else:
         raise ScenarioError(f"validation-error(mode): got {mode_doc!r}")
-    return Scenario(
-        protocol=doc.get("protocol"),
-        v_dep=int(amounts.get("v_dep", 0)),
-        v_col=int(amounts.get("v_col", 0)),
-        v_col_a=int(amounts.get("v_col_a", 0)),
-        v_col_b=int(amounts.get("v_col_b", 0)),
-        v_ded=int(amounts.get("v_ded", 0)),
-        f=int(fees.get("f", 1)),
-        f_dep_a=int(fees.get("f_dep_a", 2)),
-        f_dep_b=int(fees.get("f_dep_b", 2)),
-        f_col_b=int(fees.get("f_col_b", 2)),
-        f_cbob_b=int(fees.get("f_cbob_b", 1)),
-        f_calice_a=int(fees.get("f_calice_a", 1)),
-        fee_schedule=schedule,
-        T=T,
-        l=int(timing.get("l", 0)),
-        t_pub=int(timing.get("t_pub", 1)),
-        horizon=int(timing["horizon"]) if "horizon" in timing else None,
-        miners=tuple(miners),
-        br=int(bribes.get("br", 0)),
-        epsilon=int(bribes.get("epsilon", 0)),
-        capacity=int(doc.get("capacity", 8)),
-        seed=int(doc.get("seed", 0)),
-        mode=mode,
-    )
+    return Scenario(miners=tuple(miners), **values)
 
 
 def _policy_from_doc(doc, what: str, make, *role):
@@ -269,14 +252,23 @@ def _base_header(args, subcommand: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> tuple:
+def _load_overridden(args, mode: Optional[tuple] = None) -> tuple:
+    """Load the scenario, then apply `--seed` and the given mode in one
+    `replace`, so that an override passes the checks a file value does."""
     scen, profile = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scen.seed
-    rng = np.random.default_rng(seed)
+    changes = {} if args.seed is None else {"seed": args.seed}
+    if mode is not None:
+        changes["mode"] = mode
+    return (replace(scen, **changes) if changes else scen), profile
+
+
+def cmd_simulate(args) -> tuple:
+    scen, profile = _load_overridden(args)
+    rng = np.random.default_rng(scen.seed)
     schedule = sample_schedule(scen, rng)
     out = play(scen, profile, schedule)
     report = Report(_base_header(args, "simulate"))
-    report.header["seed"] = seed
+    report.header["seed"] = scen.seed
     for party in sorted(out.deltas, key=lambda p: p.id):
         if party == EXTERNAL:
             continue
@@ -291,17 +283,13 @@ def cmd_simulate(args) -> tuple:
 
 
 def cmd_expect(args) -> tuple:
-    scen, profile = load_scenario(args.scenario)
-    if args.seed is not None:
-        scen = replace(scen, seed=args.seed)
-    mode = scen.mode
+    mode = None
     if args.mode == "exact":
         mode = ("exact",)
-    elif args.mode == "mc":
-        mode = ("monte-carlo", args.trials or 10_000)
-    elif args.trials:
-        mode = ("monte-carlo", args.trials)
-    eu = expected_utilities(scen, profile, mode=mode)
+    elif args.mode == "mc" or args.trials is not None:
+        mode = ("monte-carlo", 10_000 if args.trials is None else args.trials)
+    scen, profile = _load_overridden(args, mode)
+    eu = expected_utilities(scen, profile)
     report = Report(_base_header(args, "expect"))
     report.header["seed"] = scen.seed
     report.header["mode"] = eu.mode
@@ -368,36 +356,31 @@ def cmd_dominance(args) -> tuple:
 
 def cmd_lemmas(args) -> tuple:
     scen, _ = load_scenario(args.scenario)
-    report = Report(_base_header(args, "lemmas"))
-    failed = False
     if scen.protocol == "he":
-        for n in (1, 2, 3, 4, 5):
-            v = verify_m2mba_lemma(n, scen)
-            report.add(v.lemma_id, "-",
-                       f"consistent={'true' if v.consistent else 'false'}",
-                       f"hypothesis={v.hypothesis_holds}",
-                       f"conclusion={v.conclusion_holds}")
-            failed |= not v.consistent
-        thm = verify_theorem_m2mba(scen)
-        report.add("theorem-m2mba", "-",
-                   "dominant" if thm.all_dominant else "not-dominant")
-        if thm.hypothesis_holds and not thm.all_dominant:
-            failed = True
+        verify, numbers, theorem = verify_m2mba_lemma, (1, 2, 3, 4, 5), "m2mba"
     elif scen.protocol == "demba":
-        for n in (6, 7, 8):
-            v = verify_demba_lemma(n, scen)
-            report.add(v.lemma_id, "-",
-                       f"consistent={'true' if v.consistent else 'false'}",
-                       f"hypothesis={v.hypothesis_holds}",
-                       f"conclusion={v.conclusion_holds}")
-            failed |= not v.consistent
-        rep = verify_demba(scen)
-        report.add("theorem-demba", "-",
-                   "dominant" if rep.all_hold else "not-dominant")
-        failed |= not rep.all_hold
+        verify, numbers, theorem = verify_demba_lemma, (6, 7, 8), "demba"
     else:
         raise ScenarioError(
             "validation-error(protocol): lemma checks need 'he' or 'demba'")
+    report = Report(_base_header(args, "lemmas"))
+    failed = False
+    for n in numbers:
+        v = verify(n, scen)
+        report.add(v.lemma_id, "-",
+                   f"consistent={'true' if v.consistent else 'false'}",
+                   f"hypothesis={v.hypothesis_holds}",
+                   f"conclusion={v.conclusion_holds}")
+        failed |= not v.consistent
+    if scen.protocol == "he":
+        thm = verify_theorem_m2mba(scen)
+        dominant = thm.all_dominant
+        failed |= thm.hypothesis_holds and not dominant
+    else:
+        dominant = verify_demba(scen).all_hold
+        failed |= not dominant
+    report.add(f"theorem-{theorem}", "-",
+               "dominant" if dominant else "not-dominant")
     report.summary.append("all lemma verdicts consistent" if not failed
                           else "LEMMA/THEOREM FAILURE")
     return report, (2 if failed else 0)
@@ -501,15 +484,14 @@ def ttc(scen: Scenario, path: str, trials: int, seed: int) -> dict:
 
 
 def cmd_ttc(args) -> tuple:
-    scen, _ = load_scenario(args.scenario)
+    scen, _ = _load_overridden(args, ("monte-carlo", args.trials))
     variant = args.variant or scen.protocol
     if variant != scen.protocol:
         raise ScenarioError("validation-error(variant): scenario protocol is "
                             f"{scen.protocol!r}")
-    seed = args.seed if args.seed is not None else scen.seed
-    result = ttc(scen, args.path, args.trials or 10_000, seed)
+    result = ttc(scen, args.path, scen.mode[1], scen.seed)
     report = Report(_base_header(args, "ttc"))
-    report.header["seed"] = seed
+    report.header["seed"] = scen.seed
     report.add("ttc-mean-rounds", "-", result["mean"],
                result["mean"] - result["half_width"],
                result["mean"] + result["half_width"])
@@ -564,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--variant", choices=("mad", "he", "demba"), default=None)
     p.add_argument("--path", choices=TTC_PATHS, required=True)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=10_000)
     return parser
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htlc_arena.core import ScenarioError
 from htlc_arena.runner import Report, load_scenario, main, ttc
@@ -188,30 +191,71 @@ class TestCli:
         assert any(r[0] == "ratio" for r in parsed.records)
 
 
+# case -> (scenario document, the field its error line names or None)
 MALFORMED = {
-    "T-not-an-int": minimal_naive(timing={"T": "x"}),
-    "top-level-array": [minimal_naive()],
-    "unknown-policy-name": minimal_naive(policies={"bob": {"name": "nope"}}),
-    "unknown-policy-key": minimal_naive(
+    "T-not-an-int": (minimal_naive(timing={"T": "x"}), "T"),
+    "top-level-array": ([minimal_naive()], "document"),
+    "unknown-policy-name": (
+        minimal_naive(policies={"bob": {"name": "nope"}}), "policies.bob"),
+    "unknown-policy-key": (minimal_naive(
         protocol="mad", amounts={"v_dep": 100, "v_col": 50},
-        policies={"bob": {"name": "hydra-briber", "foo": 1}}),
-    "hydra-briber-epsilon": minimal_naive(
+        policies={"bob": {"name": "hydra-briber", "foo": 1}}), "policies.bob"),
+    "hydra-briber-epsilon": (minimal_naive(
         protocol="mad", amounts={"v_dep": 100, "v_col": 50},
         policies={"bob": {"name": "hydra-briber", "epsilon": 5}}),
-    "naive-zero-deposit": minimal_naive(amounts={"v_dep": 0}),
-    "he-zero-collateral": minimal_naive(
-        protocol="he", amounts={"v_dep": 100, "v_col": 0}),
-    "mc-zero-trials": minimal_naive(mode={"monte-carlo": 0}),
-    "miners-not-a-list": minimal_naive(miners={"id": "m1", "power": 1}),
+        "policies.bob"),
+    "naive-zero-deposit": (minimal_naive(amounts={"v_dep": 0}), None),
+    "he-zero-collateral": (minimal_naive(
+        protocol="he", amounts={"v_dep": 100, "v_col": 0}), None),
+    "mc-zero-trials": (minimal_naive(mode={"monte-carlo": 0}), "mode"),
+    "miners-not-a-list": (
+        minimal_naive(miners={"id": "m1", "power": 1}), "miners"),
+    "v_dep-float": (minimal_naive(amounts={"v_dep": 100.9}), "v_dep"),
+    "T-numeric-string": (minimal_naive(timing={"T": "5"}), "T"),
+    "f-negative": (minimal_naive(fees={"f": -1}), "f"),
+    "capacity-bool": (minimal_naive(capacity=True), "capacity"),
+    "capacity-negative": (minimal_naive(capacity=-1), "capacity"),
+    "seed-negative": (minimal_naive(seed=-1), "seed"),
+    "miner-kind-typo": (minimal_naive(
+        miners=[{"id": "m1", "power": 1, "kind": "pasive"}]), "kind"),
+    "colluding-string": (minimal_naive(
+        miners=[{"id": "m1", "power": 1, "colluding": "no"}]), "colluding"),
+    "duplicate-miner-id": (minimal_naive(
+        miners=[{"id": "m1", "power": "1/2"}, {"id": "m1", "power": "1/2"}]),
+        "miners"),
+    "miner-id-int": (minimal_naive(miners=[{"id": 7, "power": 1}]), "id"),
+    "miner-power-negative": (minimal_naive(
+        miners=[{"id": "m1", "power": 2}, {"id": "m2", "power": -1}]),
+        "power"),
+    "policy-param-type": (minimal_naive(
+        policies={"alice": {"name": "honest", "t_pub": "x"}}),
+        "policies.alice"),
+    "mc-trials-string": (minimal_naive(mode={"monte-carlo": "5"}), "mode"),
+}
+
+# case -> (argv run on a valid sample scenario, the field its error names)
+BAD_OVERRIDES = {
+    "expect-negative-trials": (["expect", "--trials", "-3"], "mode"),
+    "expect-mc-zero-trials": (
+        ["expect", "--mode", "mc", "--trials", "0"], "mode"),
+    "ttc-zero-trials": (
+        ["ttc", "--path", "alice-redeems", "--trials", "0"], "mode"),
+    "simulate-negative-seed": (["simulate", "--seed", "-1"], "seed"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED) + [
+@pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(BAD_OVERRIDES) + [
     "not-utf8", "scenario-is-a-directory", "out-is-a-directory"])
 def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
     argv = ["simulate", "--scenario", str(tmp_path / "scen.json")]
+    field = None
     if case in MALFORMED:
-        write_doc(tmp_path, MALFORMED[case])
+        doc, field = MALFORMED[case]
+        write_doc(tmp_path, doc)
+    elif case in BAD_OVERRIDES:
+        (sub, *options), field = BAD_OVERRIDES[case]
+        argv = [sub, "--scenario", str(SCENARIOS / "naive_bribery.json"),
+                *options]
     elif case == "not-utf8":
         (tmp_path / "scen.json").write_bytes(b"\xff\xfe{}")
     elif case == "scenario-is-a-directory":
@@ -224,6 +268,52 @@ def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    if field is not None:
+        assert lines[0].startswith(f"error: validation-error({field}): "), \
+            lines[0]
+
+
+def _nodes(node, path=()):
+    """Every (path, value) in a JSON document, sections and leaves alike."""
+    if path:
+        yield path, node
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+SAMPLE_NODES = [(name, path)
+                for name in sorted(p.name for p in SCENARIOS.glob("*.json"))
+                for path, _ in _nodes(json.loads(
+                    (SCENARIOS / name).read_text(encoding="utf-8")))]
+WRONG_VALUES = st.one_of(
+    st.integers(max_value=-1), st.floats(), st.booleans(), st.none(),
+    st.text(max_size=6), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(node=st.sampled_from(SAMPLE_NODES), value=WRONG_VALUES)
+def test_mutated_sample_scenario_fails_cleanly(tmp_path_factory, node, value):
+    name, path = node
+    doc = json.loads((SCENARIOS / name).read_text(encoding="utf-8"))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    scen = tmp_path_factory.getbasetemp() / "mutated.json"
+    scen.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["simulate", "--scenario", str(scen)])
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert err.getvalue() == ""
 
 
 class TestTtc:
