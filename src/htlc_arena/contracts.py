@@ -178,9 +178,9 @@ def build_naive_htlc(alice: Party, bob: Party, v_dep: int, digest_a: str,
                      T: int, contract_id: str = "dep") -> ContractInstance:
     """Single deposit: payee path on the preimage until T, payer refund after."""
     if v_dep <= 0:
-        raise ContractError("deposit must be positive")
+        raise ContractError("deposit must be positive", "v_dep")
     if T <= 0:
-        raise ContractError("timeout must be positive")
+        raise ContractError("timeout must be positive", "T")
     paths = (
         RedeemPath(DEP_A, (Transfer(alice, REST),),
                    required_preimages=frozenset({PRE_A}),
@@ -192,12 +192,18 @@ def build_naive_htlc(alice: Party, bob: Party, v_dep: int, digest_a: str,
                             {PRE_A: digest_a}, paths)
 
 
+def _require_positive(v_dep: int, v_col: int) -> None:
+    if v_dep <= 0:
+        raise ContractError("deposit must be positive", "v_dep")
+    if v_col <= 0:
+        raise ContractError("collateral must be positive", "v_col")
+
+
 def build_mad_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
                    digests: dict, T: int,
                    dep_id: str = "dep", col_id: str = "col") -> tuple:
     """Deposit plus payer collateral, both confiscatable on a double reveal."""
-    if v_dep <= 0 or v_col <= 0:
-        raise ContractError("deposit and collateral must be positive")
+    _require_positive(v_dep, v_col)
     both = frozenset({PRE_A, PRE_B})
     dep = ContractInstance(
         dep_id, v_dep, dict(digests),
@@ -232,10 +238,9 @@ def build_he_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
     collateral contract, whose payer path only opens l rounds later, leaving
     a confiscation window in which miners can take v_col while v_dep burns.
     """
-    if v_dep <= 0 or v_col <= 0:
-        raise ContractError("deposit and collateral must be positive")
+    _require_positive(v_dep, v_col)
     if l < 1:
-        raise ContractError("delay l must be at least 1")
+        raise ContractError("delay l must be at least 1", "l")
     both = frozenset({PRE_A, PRE_B})
     dep = ContractInstance(
         dep_id, v_dep + v_col, dict(digests),
@@ -264,7 +269,7 @@ def build_he_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
 def derive_he_delay(v_dep: int, v_col: int, f: int) -> int:
     """Smallest refund delay satisfying v_col >= v_dep/(kappa-1) + f, l = ceil(kappa)."""
     if v_col <= f:
-        raise ContractError("collateral must exceed the unrelated fee")
+        raise ContractError("collateral must exceed the unrelated fee", "v_col")
     kappa = Fraction(v_dep, v_col - f) + 1
     return max(1, math.ceil(kappa))
 
@@ -286,7 +291,8 @@ def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
     verdict = check_fee_schedule(schedule)
     if not verdict.ok:
         raise ContractError(
-            f"invalid fee schedule (Eq.1/Eq.2): {verdict.violation}")
+            f"invalid fee schedule (Eq.1/Eq.2): {verdict.violation}",
+            "fee_schedule")
     col_a = ContractInstance(
         col_a_id, check_amount(v_col_a, "v_col_a"),
         {PRE_A: digests[PRE_A], PRE_A2: digests[PRE_A2]},
@@ -454,6 +460,16 @@ class CensorBriberyContract:
     def pool_total(self) -> int:
         return self.deposit if not self.settled else 0
 
+    def key(self) -> tuple:
+        """Canonical value of the fields a step can change.
+
+        The parameters fixed at deployment are shared by every state of
+        one game, and `last_request_round` only guards a second request in
+        the same block, so neither is part of the key.
+        """
+        return (self.deposit, self.bal_left, frozenset(self.reserved.items()),
+                self.settled)
+
     def copy_for_step(self) -> "CensorBriberyContract":
         c = CensorBriberyContract(self.owner, self.br, self.T, self.pre_a_value)
         c.deposit = self.deposit
@@ -531,6 +547,12 @@ class MinerPactContract:
 
     def pool_total(self) -> int:
         return sum(self.locked.values())
+
+    def key(self) -> tuple:
+        """Canonical value of the fields a step can change (see
+        `CensorBriberyContract.key`)."""
+        return (frozenset(self.locked.items()),
+                frozenset(self.reserved.items()), self.settled)
 
     def copy_for_step(self) -> "MinerPactContract":
         c = MinerPactContract(self.T, self.pre_a_value, self.br)

@@ -54,7 +54,12 @@ class LedgerError(ArenaError):
 
 
 class ContractError(ArenaError):
-    pass
+    """A contract cannot be built or used; `field` names the builder
+    parameter at fault, where one is."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class ScenarioError(ArenaError):

@@ -1,9 +1,13 @@
 """Round-driving game engine.
 
 A play is fully determined by (scenario, strategy profile, miner schedule).
-Expected utilities are either exact (enumerate every schedule, weight by the
-product of miner power, sum in rational arithmetic) or Monte-Carlo with a
-seeded generator.  Dominance checks brute-force finite policy spaces on top
+Expected utilities are either exact or Monte-Carlo with a seeded generator.
+The exact expectation is a forward pass over rounds: every policy is a
+stateless function of (chain state, round), so schedule prefixes that reach
+equal states are merged and carry their summed weight (the product of miner
+powers, in rational arithmetic).  Its values are those of playing every
+schedule that `enumerate_schedules` yields, which is the reference the
+tests hold it to.  Dominance checks brute-force finite policy spaces on top
 of the expectation machinery.
 
 Utilities carry no discounting: they are raw end-of-game token deltas from
@@ -21,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ALICE, BOB, EXTERNAL, ArenaError, Party, ScenarioError,
-                   debit)
+from .core import (ALICE, BOB, EXTERNAL, ArenaError, ContractError, Party,
+                   ScenarioError, debit)
 from .contracts import (COL_M, DEP_A, FeeSchedule, PRE_A, PRE_A2, PRE_AA2,
                         PRE_B, SECRETS, build_demba, build_he_htlc,
                         build_mad_htlc, build_naive_htlc, derive_he_delay)
@@ -117,8 +121,8 @@ class Scenario:
         if len(set(ids)) != len(ids):
             raise _invalid("miners", f"duplicate miner id in {ids}")
         if self.protocol == "he" and self.l < 1:
-            object.__setattr__(self, "l",
-                               derive_he_delay(self.v_dep, self.v_col, self.f))
+            object.__setattr__(self, "l", _built(
+                derive_he_delay, self.v_dep, self.v_col, self.f))
         if self.horizon is None:
             object.__setattr__(self, "horizon", self.T + self.l + 2)
         _require_count("horizon", self.horizon)
@@ -133,7 +137,7 @@ class Scenario:
             raise _invalid("mode", "monte-carlo needs a positive int trial "
                            f"count, got {self.mode[1]!r}")
         # A plain attribute, not a field: replace() builds a fresh one.
-        object.__setattr__(self, "_genesis", _build_genesis(self))
+        object.__setattr__(self, "_genesis", _built(_build_genesis, self))
 
     @property
     def lambda_col(self) -> Fraction:
@@ -159,6 +163,14 @@ def _require_count(name: str, value) -> None:
     # `type(...) is int` also turns away bools, floats and numeric strings.
     if type(value) is not int or value < 0:
         raise _invalid(name, f"expected a non-negative int, got {value!r}")
+
+
+def _built(builder, *args):
+    """Run a contract builder for a Scenario, naming the field it rejects."""
+    try:
+        return builder(*args)
+    except ContractError as e:
+        raise _invalid(e.field, str(e)) from e
 
 
 @dataclass
@@ -233,6 +245,9 @@ def _build_genesis(scen: Scenario) -> tuple:
     meta = {"T": scen.T, "l": scen.l, "target_contract": DEP_ID,
             "target_path": DEP_A, "col_contract": COL_ID,
             "confiscation_path": COL_M}
+    if scen.protocol == "he" and scen.m2mba_split == "equal":
+        # The equal split shares a confiscation by censored-window blocks.
+        meta["split_window"] = (scen.t_pub + 1, scen.T)
     if scen.protocol == "naive":
         dep = build_naive_htlc(ALICE, BOB, scen.v_dep, SECRETS[PRE_A], scen.T,
                                DEP_ID)
@@ -321,40 +336,63 @@ def _check_profile(scen: Scenario, profile: StrategyProfile) -> None:
             raise ScenarioError(f"no policy for miner {party}")
 
 
-def play(scen: Scenario, profile: StrategyProfile, schedule: Schedule,
-         check_invariants: bool = False) -> Outcome:
-    """Run one deterministic game to the horizon."""
-    if len(schedule.miners) < scen.horizon:
-        raise ScenarioError("schedule shorter than horizon")
+def _setup(scen: Scenario, profile: StrategyProfile) -> tuple:
+    """The round-0 state after every policy's setup: (state, baseline, escrow)."""
     _check_profile(scen, profile)
     state, baseline, escrow0 = build_genesis(scen)
     for pol in (profile.alice, profile.bob):
         state = pol.setup(state, scen, profile)
     for party in sorted(profile.miners, key=lambda p: p.id):
         state = profile.miners[party].setup(state, scen, profile, party)
+    return state, baseline, escrow0
+
+
+def _play_round(scen: Scenario, profile: StrategyProfile, state: ChainState,
+                rnd: int, miner: Party, prev_rank: int) -> tuple:
+    """One round: `miner`'s block, then the parties' broadcasts.
+
+    Returns (state, label, label rank).  A label may never fall back to
+    red once the game has left it; `prev_rank` is the previous round's
+    rank, -1 before round 1.
+    """
+    plan = profile.miners[miner].build_block(state, rnd, miner, scen, profile)
+    fill = max(0, scen.capacity - len(plan.txs))
+    block = Block(round=rnd, miner=miner, txs=tuple(plan.txs),
+                  unrelated_fill=fill, unrelated_fee=scen.f,
+                  capacity=scen.capacity, coinbase=tuple(plan.coinbase))
+    state = apply_block(state, block)
+    emissions = list(profile.alice.broadcasts(state, rnd, scen))
+    emissions += profile.bob.broadcasts(state, rnd, scen)
+    if emissions:
+        state = broadcast(state, emissions)
+    label = state_label(state, rnd, scen.protocol)
+    rank = _LABEL_ORDER[label]
+    if rank < prev_rank and label in ("red", "all-red"):
+        raise ScenarioError(f"state label regressed to {label} at {rnd}")
+    return state, label, rank
+
+
+def play(scen: Scenario, profile: StrategyProfile, schedule: Schedule,
+         check_invariants: bool = False) -> Outcome:
+    """Run one deterministic game to the horizon."""
+    if len(schedule.miners) < scen.horizon:
+        raise ScenarioError("schedule shorter than horizon")
+    state, baseline, escrow0 = _setup(scen, profile)
     expected_total = state.conservation_total()
     trace = []
-    prev_rank = -1
+    rank = -1
     for rnd in range(1, scen.horizon + 1):
-        miner = schedule.miners[rnd - 1]
-        plan = profile.miners[miner].build_block(state, rnd, miner, scen, profile)
-        fill = max(0, scen.capacity - len(plan.txs))
-        block = Block(round=rnd, miner=miner, txs=tuple(plan.txs),
-                      unrelated_fill=fill, unrelated_fee=scen.f,
-                      capacity=scen.capacity, coinbase=tuple(plan.coinbase))
-        state = apply_block(state, block)
-        emissions = list(profile.alice.broadcasts(state, rnd, scen))
-        emissions += profile.bob.broadcasts(state, rnd, scen)
-        if emissions:
-            state = broadcast(state, emissions)
-        label = state_label(state, rnd, scen.protocol)
-        rank = _LABEL_ORDER[label]
-        if trace and rank < prev_rank and label in ("red", "all-red"):
-            raise ScenarioError(f"state label regressed to {label} at {rnd}")
-        prev_rank = rank
+        state, label, rank = _play_round(scen, profile, state, rnd,
+                                         schedule.miners[rnd - 1], rank)
         trace.append(label)
         if check_invariants and state.conservation_total() != expected_total:
             raise ScenarioError(f"conservation violated at round {rnd}")
+    return _outcome(scen, state, baseline, escrow0, tuple(trace))
+
+
+def _outcome(scen: Scenario, state: ChainState, baseline: dict, escrow0: int,
+             trace: tuple) -> Outcome:
+    """Settle a final state against the post-setup baseline."""
     deltas = {}
     parties = set(baseline) | set(state.balances)
     for party in parties:
@@ -364,13 +402,12 @@ def play(scen: Scenario, profile: StrategyProfile, schedule: Schedule,
     for party, amount, tag in state.bribe_log:
         if tag == "censor-bribe":
             bribe_income[party] = bribe_income.get(party, 0) + amount
-    _settle_equal_split(scen, profile, schedule, state, deltas)
-    terminal = _terminal_tag(state, scen)
+    _settle_equal_split(scen, state, deltas)
     escrow = (sum(state.live.values())
               + sum(c.pool_total() for c in state.bribery.values()))
     return Outcome(deltas=deltas, burned=state.burned,
                    minted=sum(m[1] for m in state.mint_log),
-                   trace=tuple(trace), terminal=terminal,
+                   trace=trace, terminal=_terminal_tag(state, scen),
                    bribe_income=bribe_income,
                    escrow_delta=Fraction(escrow - escrow0), state=state)
 
@@ -386,15 +423,15 @@ def _terminal_tag(state: ChainState, scen: Scenario) -> str:
     return entry[0] if entry else "pending"
 
 
-def _settle_equal_split(scen: Scenario, profile: StrategyProfile,
-                        schedule: Schedule, state: ChainState,
+def _settle_equal_split(scen: Scenario, state: ChainState,
                         deltas: dict) -> None:
     """Reallocate a confiscation equally by censored blocks mined.
 
     Used by the miner-pact equal-split variant: the confiscator keeps
     v_col * k_i / k and pays every other censoring colluder v_col * k_j / k,
-    where k counts the censored window blocks.  Pure reallocation, so the
-    outcome total is unchanged.
+    where k counts the censored window blocks (the ledger counts each
+    miner's in `state.window_blocks`).  Pure reallocation, so the outcome
+    total is unchanged.
     """
     if scen.protocol != "he" or scen.m2mba_split != "equal":
         return
@@ -405,15 +442,12 @@ def _settle_equal_split(scen: Scenario, profile: StrategyProfile,
     colluders = {m.party for m in scen.miners if m.colluding and m.kind == "active"}
     if confiscator not in colluders:
         return
-    window = range(scen.t_pub + 1, scen.T + 1)
-    counts: dict = {}
-    for rnd in window:
-        counts[schedule.miners[rnd - 1]] = counts.get(schedule.miners[rnd - 1], 0) + 1
-    k = len(list(window))
+    k = scen.T - scen.t_pub
     if k == 0:
         return
     v_col = scen.v_col
-    for party, k_j in sorted(counts.items(), key=lambda kv: kv[0].id):
+    for party, k_j in sorted(state.window_blocks.items(),
+                             key=lambda kv: kv[0].id):
         if party == confiscator or party not in colluders:
             continue
         share = Fraction(v_col) * k_j / k
@@ -449,10 +483,7 @@ def enumerate_schedules(scen: Scenario, pin: Optional[dict] = None):
     parties = scen.miner_parties()
     powers = {m.party: m.power for m in scen.miners}
     free = [r for r in range(1, scen.horizon + 1) if r not in pin]
-    if len(parties) ** len(free) > scen.enum_cap:
-        raise ScenarioError(
-            f"enumeration-cap-exceeded: {len(parties)}^{len(free)} schedules;"
-            " use monte-carlo mode")
+    _check_enumeration_cap(scen, len(free))
     for combo in itertools.product(parties, repeat=len(free)):
         assignment = dict(pin)
         weight = Fraction(1)
@@ -461,6 +492,70 @@ def enumerate_schedules(scen: Scenario, pin: Optional[dict] = None):
             weight *= powers[party]
         miners = tuple(assignment[r] for r in range(1, scen.horizon + 1))
         yield Schedule(miners, weight)
+
+
+def _check_enumeration_cap(scen: Scenario, free_rounds: int) -> None:
+    n = len(scen.miners)
+    if n ** free_rounds > scen.enum_cap:
+        raise ScenarioError(
+            f"enumeration-cap-exceeded: {n}^{free_rounds} schedules;"
+            " use monte-carlo mode")
+
+
+def _round_branches(scen: Scenario, rnd: int, pin: dict) -> tuple:
+    """(miner, weight) for each way round `rnd` can go: every miner with
+    its power, or the pinned miner with weight 1."""
+    if rnd in pin:
+        return ((pin[rnd], Fraction(1)),)
+    return tuple((m.party, m.power) for m in scen.miners)
+
+
+def _exact_expectation(scen: Scenario, profile: StrategyProfile,
+                       pin: dict) -> ExpectedUtilities:
+    """Exact expectation by a forward pass over rounds.
+
+    Each round branches every distinct state on every miner (or on the
+    pinned one) and merges successors with equal `merge_key`, summing the
+    weights of the schedule prefixes that reach them; the outcome is read
+    from the final states.  Zero-weight branches are kept, so the parties
+    in the result are those of every schedule.  Conservation is checked
+    once per distinct state, the label rule on every transition.
+    """
+    _check_enumeration_cap(
+        scen, sum(1 for r in range(1, scen.horizon + 1) if r not in pin))
+    state, baseline, escrow0 = _setup(scen, profile)
+    expected_total = state.conservation_total()
+    frontier = [[state, Fraction(1), -1]]  # [state, weight, label rank]
+    for rnd in range(1, scen.horizon + 1):
+        branches = _round_branches(scen, rnd, pin)
+        merged: dict = {}
+        for state, weight, rank in frontier:
+            for miner, power in branches:
+                nxt, _, nxt_rank = _play_round(scen, profile, state, rnd,
+                                               miner, rank)
+                key = nxt.merge_key()
+                entry = merged.get(key)
+                if entry is not None:
+                    entry[1] += weight * power
+                elif nxt.conservation_total() != expected_total:
+                    raise ScenarioError(f"conservation violated at round {rnd}")
+                else:
+                    merged[key] = [nxt, weight * power, nxt_rank]
+        frontier = list(merged.values())
+    total_weight = sum((w for _, w, _ in frontier), Fraction(0))
+    if total_weight != 1:
+        raise ArenaError(f"schedule weights sum to {total_weight}, not 1")
+    utilities: dict = {}
+    bribes: dict = {}
+    burned = Fraction(0)
+    for state, w, _ in frontier:
+        out = _outcome(scen, state, baseline, escrow0, ())
+        for party, d in out.deltas.items():
+            utilities[party] = utilities.get(party, Fraction(0)) + w * d
+        for party, b in out.bribe_income.items():
+            bribes[party] = bribes.get(party, Fraction(0)) + w * b
+        burned += w * out.burned
+    return ExpectedUtilities(utilities, bribes, burned, "exact")
 
 
 def sample_schedule(scen: Scenario, rng: np.random.Generator,
@@ -481,22 +576,7 @@ def expected_utilities(scen: Scenario, profile: StrategyProfile,
     """Exact rational expectation or seeded Monte-Carlo mean with 95% CI."""
     mode = mode or scen.mode
     if mode[0] == "exact":
-        utilities: dict = {}
-        bribes: dict = {}
-        burned = Fraction(0)
-        total_weight = Fraction(0)
-        for schedule in enumerate_schedules(scen, pin):
-            out = play(scen, profile, schedule)
-            w = schedule.weight
-            total_weight += w
-            for party, d in out.deltas.items():
-                utilities[party] = utilities.get(party, Fraction(0)) + w * d
-            for party, b in out.bribe_income.items():
-                bribes[party] = bribes.get(party, Fraction(0)) + w * b
-            burned += w * out.burned
-        if total_weight != 1:
-            raise ArenaError(f"schedule weights sum to {total_weight}, not 1")
-        return ExpectedUtilities(utilities, bribes, burned, "exact")
+        return _exact_expectation(scen, profile, pin or {})
     trials = mode[1]
     rng = np.random.default_rng(scen.seed)
     sums: dict = {}

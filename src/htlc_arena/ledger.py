@@ -63,11 +63,16 @@ class Block:
 
 
 class ChainState:
-    """Ledger snapshot: live contract outputs, balances, reveals, mempool."""
+    """Ledger snapshot: live contract outputs, balances, reveals, mempool.
+
+    `window_blocks` counts the blocks each miner mined in the rounds that
+    `meta["split_window"]` names (first, last); it stays empty in a game
+    whose genesis sets no such window.
+    """
 
     __slots__ = ("height", "contracts", "live", "balances", "burned",
                  "revealed", "mempool", "mint_log", "bribery", "redemptions",
-                 "fee_schedule", "meta", "known", "bribe_log")
+                 "fee_schedule", "meta", "known", "bribe_log", "window_blocks")
 
     def __init__(self, contracts=None, live=None, balances=None,
                  fee_schedule=None, meta=None):
@@ -85,6 +90,7 @@ class ChainState:
         self.meta: dict = meta or {}
         self.known: dict = {}  # (cid, slot) -> value, mempool-or-chain knowledge
         self.bribe_log: list = []  # (party, amount, tag)
+        self.window_blocks: dict = {}  # Party -> blocks mined in the window
 
     def clone(self) -> "ChainState":
         s = ChainState.__new__(ChainState)
@@ -102,6 +108,7 @@ class ChainState:
         s.meta = self.meta
         s.known = dict(self.known)
         s.bribe_log = list(self.bribe_log)
+        s.window_blocks = dict(self.window_blocks)
         return s
 
     # -- queries ----------------------------------------------------------
@@ -133,6 +140,24 @@ class ChainState:
                               else c.status[1])
                              for cid, c in self.contracts.items())),
                 tuple(sorted(m[0].id for m in self.mint_log)))
+
+    def merge_key(self) -> tuple:
+        """Canonical value of every field that a policy, contract, label or
+        outcome reads: two states of one game with equal keys play out
+        identically from the same round on.
+
+        Within one game a transaction id names its content, so the mempool
+        enters by ids; contracts change only in status, and the fee
+        schedule and meta never change after genesis.
+        """
+        return (self.height, frozenset(self.balances.items()), self.burned,
+                frozenset(self.live.items()), frozenset(self.revealed.items()),
+                frozenset(self.mempool), tuple(self.mint_log),
+                tuple(self.bribe_log), frozenset(self.redemptions.items()),
+                frozenset((cid, c.status) for cid, c in self.contracts.items()),
+                frozenset(self.known.items()),
+                frozenset((cid, c.key()) for cid, c in self.bribery.items()),
+                frozenset(self.window_blocks.items()))
 
 
 def broadcast(state: ChainState, txs) -> ChainState:
@@ -435,5 +460,8 @@ def apply_block(state: ChainState, block: Block) -> ChainState:
         s.mint_log.append((party, amount, reason))
     _resolve_auto_contracts(s, block.round, block.miner)
     _auto_refund_bribery(s, block.round)
+    window = s.meta.get("split_window")
+    if window is not None and window[0] <= block.round <= window[1]:
+        s.window_blocks[block.miner] = s.window_blocks.get(block.miner, 0) + 1
     s.height = block.round
     return s

@@ -252,6 +252,18 @@ def _base_header(args, subcommand: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _check_options(args) -> None:
+    """The one check on `--seed` and `--trials`, for every subcommand that
+    takes them, whether or not it reads them."""
+    if args.seed is not None and args.seed < 0:
+        raise ScenarioError("validation-error(seed): expected a non-negative "
+                            f"int, got {args.seed}")
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 1:
+        raise ScenarioError("validation-error(trials): expected a positive "
+                            f"int, got {trials}")
+
+
 def _load_overridden(args, mode: Optional[tuple] = None) -> tuple:
     """Load the scenario, then apply `--seed` and the given mode in one
     `replace`, so that an override passes the checks a file value does."""
@@ -559,6 +571,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         report, code = COMMANDS[args.subcommand](args)
         text = report.render()
         if args.out:

@@ -1,0 +1,100 @@
+"""The merged-state exact expectation against the brute-force enumerator.
+
+`expected_utilities` merges equal states round by round; summing `play`
+over every schedule of `enumerate_schedules` is the reference.  The two
+must agree exactly, down to which parties appear in the result.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
+
+from htlc_arena.agents import AliceHonest, BobHonest, M2MbaActive
+from htlc_arena.core import miner_party
+from htlc_arena.game import (MinerProfile, StrategyProfile, enumerate_schedules,
+                             expected_utilities, play)
+
+from conftest import he_scenario
+from test_acceptance import _fuzz_pools, _fuzz_scenario
+
+POOLS = _fuzz_pools()
+PARTIES = tuple(miner_party(f"d{i}") for i in range(1, 4))
+#: Free rounds are capped so that one reference sum plays at most this
+#: many schedules.
+MAX_SCHEDULES = 729
+
+
+def brute_force(scen, profile, pin):
+    utilities: dict = {}
+    bribes: dict = {}
+    burned = Fraction(0)
+    for schedule in enumerate_schedules(scen, pin):
+        out = play(scen, profile, schedule)
+        w = schedule.weight
+        for party, d in out.deltas.items():
+            utilities[party] = utilities.get(party, Fraction(0)) + w * d
+        for party, b in out.bribe_income.items():
+            bribes[party] = bribes.get(party, Fraction(0)) + w * b
+        burned += w * out.burned
+    return utilities, bribes, burned
+
+
+@st.composite
+def games(draw):
+    """(scenario, profile, pin): criterion-9 scenarios and policy pools on
+    two or three miners, one of them with power 0, and random pins."""
+    protocol = draw(st.sampled_from(sorted(POOLS)))
+    n = draw(st.integers(2, 3))
+    powers = [Fraction(1)] if n == 2 else [
+        draw(st.sampled_from((Fraction(1, 3), Fraction(1, 2))))]
+    if n == 3:
+        powers.append(1 - powers[0])
+    powers.insert(draw(st.integers(0, n - 1)), Fraction(0))
+    kind = "active" if protocol in ("mad", "he") else "passive"
+    miners = tuple(MinerProfile(p, power, kind, draw(st.booleans()))
+                   for p, power in zip(PARTIES, powers))
+    scen = _fuzz_scenario(protocol, random.Random(draw(st.integers(0, 999))),
+                          miners)
+    if protocol == "he" and draw(st.booleans()):
+        scen = replace(scen, m2mba_split="equal")
+    alice_pool, bob_pool, miner_pool = POOLS[protocol]
+    profile = StrategyProfile(
+        draw(st.sampled_from(alice_pool)), draw(st.sampled_from(bob_pool)),
+        {p: draw(st.sampled_from(miner_pool)) for p in PARTIES[:n]})
+    rounds = range(1, scen.horizon + 1)
+    pinned = draw(st.sets(st.sampled_from(rounds)))
+    while n ** (len(rounds) - len(pinned)) > MAX_SCHEDULES:
+        pinned.add(draw(st.sampled_from([r for r in rounds
+                                         if r not in pinned])))
+    pin = {r: draw(st.sampled_from(PARTIES[:n])) for r in sorted(pinned)}
+    return scen, profile, pin
+
+
+def _equal_split_game():
+    # Every miner in the pact, so the equal split reallocates a
+    # confiscation; the zero-power miner is a colluder with no blocks.
+    miners = (MinerProfile(PARTIES[0], Fraction(1, 2), "active", True),
+              MinerProfile(PARTIES[1], Fraction(0), "active", True),
+              MinerProfile(PARTIES[2], Fraction(1, 2), "active", True))
+    scen = he_scenario(v_dep=100, v_col=60, T=4, t_pub=1, l=2, f=0,
+                       miners=miners, m2mba_split="equal")
+    profile = StrategyProfile(AliceHonest(), BobHonest(),
+                              {p: M2MbaActive() for p in PARTIES})
+    return scen, profile, {8: PARTIES[0], 7: PARTIES[1]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=games())
+@example(game=_equal_split_game())
+def test_merged_expectation_equals_brute_force(game):
+    scen, profile, pin = game
+    utilities, bribes, burned = brute_force(scen, profile, pin)
+    eu = expected_utilities(scen, profile, pin)
+    assert eu.mode == "exact"
+    assert eu.utilities == utilities
+    assert eu.bribe_income == bribes
+    assert eu.burned == burned

@@ -213,10 +213,30 @@ class TestExpectations:
 
     def test_weight_sum_check_survives_optimised_mode(self, monkeypatch):
         scen = naive_scenario()
-        half = Schedule(flat_schedule(scen).miners, Fraction(1, 2))
-        monkeypatch.setattr(game, "enumerate_schedules",
-                            lambda scen, pin=None: iter([half]))
+        # Every round's only branch carries weight 1/2 instead of 1.
+        monkeypatch.setattr(game, "_round_branches",
+                            lambda scen, rnd, pin: ((M1, Fraction(1, 2)),))
         with pytest.raises(ArenaError):
+            expected_utilities(scen, honest_profile(scen))
+
+    def test_exact_expectation_checks_conservation(self, monkeypatch):
+        apply_block = game.apply_block
+
+        def leaky(state, block):
+            state = apply_block(state, block)
+            state.balances[M1] += 1  # a token from nowhere
+            return state
+
+        monkeypatch.setattr(game, "apply_block", leaky)
+        scen = naive_scenario()
+        with pytest.raises(ScenarioError, match="conservation violated"):
+            expected_utilities(scen, honest_profile(scen))
+
+    def test_exact_expectation_checks_label_order(self, monkeypatch):
+        monkeypatch.setattr(game, "state_label", lambda state, rnd, protocol:
+                            "red" if rnd == 3 else "nred-A")
+        scen = naive_scenario()
+        with pytest.raises(ScenarioError, match="regressed to red at 3"):
             expected_utilities(scen, honest_profile(scen))
 
     def test_enumeration_cap(self):

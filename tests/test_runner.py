@@ -191,7 +191,7 @@ class TestCli:
         assert any(r[0] == "ratio" for r in parsed.records)
 
 
-# case -> (scenario document, the field its error line names or None)
+# case -> (scenario document, the field its error line names)
 MALFORMED = {
     "T-not-an-int": (minimal_naive(timing={"T": "x"}), "T"),
     "top-level-array": ([minimal_naive()], "document"),
@@ -204,9 +204,9 @@ MALFORMED = {
         protocol="mad", amounts={"v_dep": 100, "v_col": 50},
         policies={"bob": {"name": "hydra-briber", "epsilon": 5}}),
         "policies.bob"),
-    "naive-zero-deposit": (minimal_naive(amounts={"v_dep": 0}), None),
+    "naive-zero-deposit": (minimal_naive(amounts={"v_dep": 0}), "v_dep"),
     "he-zero-collateral": (minimal_naive(
-        protocol="he", amounts={"v_dep": 100, "v_col": 0}), None),
+        protocol="he", amounts={"v_dep": 100, "v_col": 0}), "v_col"),
     "mc-zero-trials": (minimal_naive(mode={"monte-carlo": 0}), "mode"),
     "miners-not-a-list": (
         minimal_naive(miners={"id": "m1", "power": 1}), "miners"),
@@ -233,14 +233,25 @@ MALFORMED = {
     "mc-trials-string": (minimal_naive(mode={"monte-carlo": "5"}), "mode"),
 }
 
-# case -> (argv run on a valid sample scenario, the field its error names)
+NAIVE = ["--scenario", str(SCENARIOS / "naive_bribery.json")]
+DEMBA = ["--scenario", str(SCENARIOS / "demba_honest.json")]
+
+# case -> (argv that runs cleanly but for one option, the field its error
+# names)
 BAD_OVERRIDES = {
-    "expect-negative-trials": (["expect", "--trials", "-3"], "mode"),
+    "expect-negative-trials": (["expect", *NAIVE, "--trials", "-3"], "trials"),
     "expect-mc-zero-trials": (
-        ["expect", "--mode", "mc", "--trials", "0"], "mode"),
+        ["expect", *NAIVE, "--mode", "mc", "--trials", "0"], "trials"),
+    "expect-exact-negative-trials": (
+        ["expect", *NAIVE, "--mode", "exact", "--trials", "-3"], "trials"),
     "ttc-zero-trials": (
-        ["ttc", "--path", "alice-redeems", "--trials", "0"], "mode"),
-    "simulate-negative-seed": (["simulate", "--seed", "-1"], "seed"),
+        ["ttc", *NAIVE, "--path", "alice-redeems", "--trials", "0"], "trials"),
+    "simulate-negative-seed": (["simulate", *NAIVE, "--seed", "-1"], "seed"),
+    "lemmas-negative-seed": (["lemmas", *DEMBA, "--seed", "-1"], "seed"),
+    "dominance-negative-seed": (
+        ["dominance", *NAIVE, "--player", "bob", "--seed", "-1"], "seed"),
+    "pool-negative-seed": (["pool", "--trials", "5", "--seed", "-1"], "seed"),
+    "pool-zero-trials": (["pool", "--trials", "0"], "trials"),
 }
 
 
@@ -253,9 +264,7 @@ def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
         doc, field = MALFORMED[case]
         write_doc(tmp_path, doc)
     elif case in BAD_OVERRIDES:
-        (sub, *options), field = BAD_OVERRIDES[case]
-        argv = [sub, "--scenario", str(SCENARIOS / "naive_bribery.json"),
-                *options]
+        argv, field = BAD_OVERRIDES[case]
     elif case == "not-utf8":
         (tmp_path / "scen.json").write_bytes(b"\xff\xfe{}")
     elif case == "scenario-is-a-directory":
