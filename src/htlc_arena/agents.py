@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import ALICE, BOB, LedgerError, Party, debit
-from .contracts import (BriberyCall, CensorBriberyContract, COL_B, COL_M,
-                        DEP_A, DEP_B, DEP_M, MinerPactContract, PRE_A, PRE_A2,
+from .contracts import (BriberyCall, CBOB_ID, CM2M_ID, COL_A_ID, COL_B,
+                        COL_B_ID, COL_ID, COL_M, CensorBriberyContract, DEP_A,
+                        DEP_B, DEP_ID, DEP_M, MinerPactContract, PRE_A, PRE_A2,
                         PRE_AA2, PRE_B, SECRETS)
 from .ledger import (CONTRACT_CALL, PAYMENT, RELATED, TxRecord, Witness,
                      broadcast, validate_tx)
-from .game import (CBOB_ID, CM2M_ID, COL_A_ID, COL_B_ID, COL_ID, DEP_ID,
-                   Scenario)
+from .game import Scenario
 
 
 @dataclass

@@ -400,47 +400,9 @@ def verify_demba(scen: Scenario) -> DembaReport:
         raise ScenarioError(f"invalid schedule: {verdict.violation}")
     spaces = demba_deviation_spaces(scen)
 
-    honest = _single_miner_play(scen, AliceHonest(), BobHonest(1))
-    u_alice_honest = honest.of(ALICE)
-    u_bob_honest = honest.of(BOB)
-
-    # (a) payee redemption choices.
-    offline = _single_miner_play(scen, AliceOffline(), BobHonest(1))
-    grief = _single_miner_play(scen, AliceGrief(), BobHonest(1))
-    honest_best_alice = (u_alice_honest > offline.of(ALICE)
-                         and u_alice_honest > grief.of(ALICE))
-    grief_collateral_loss = (u_alice_honest - grief.of(ALICE)) - scen.v_dep
-
-    # (b) payer delay.
-    delayed = _single_miner_play(scen, AliceHonest(), BobDelay(2))
-    delay_loss = u_bob_honest - delayed.of(BOB)
-    honest_best_bob = delay_loss > 0
-
-    # (c) timely inclusion earns strictly more, per scheduled path.
-    miner_timely_dominant = _timely_inclusion_dominant(scen)
-
-    # (d) unilateral deviations.
-    deviations = []
-    no_profit = True
-    for pol in spaces["alice"]:
-        u = _single_miner_play(scen, pol, BobHonest(1)).of(ALICE)
-        deviations.append(("alice", pol.name, u, u_alice_honest))
-        if u > u_alice_honest:
-            no_profit = False
-    for pol in spaces["bob"]:
-        u = _single_miner_play(scen, AliceHonest(), pol).of(BOB)
-        deviations.append(("bob", pol.name, u, u_bob_honest))
-        if u > u_bob_honest:
-            no_profit = False
-    miner = scen.miner_parties()[0]
-    u_miner_honest = honest.of(miner)
-    for pol in spaces["miners"]:
-        u = _single_miner_play(scen, AliceHonest(), BobHonest(1), pol).of(miner)
-        deviations.append(("miner", pol.name, u, u_miner_honest))
-        if u > u_miner_honest:
-            no_profit = False
-
-    # (e) collusion bounds over the full cross product.
+    # (e) collusion bounds over the full cross product.  Its all-honest-miner
+    # rows are every profile that (a), (b) and the party rows of (d) read.
+    table = {}
     bounds_ok = True
     for a_pol in spaces["alice"]:
         for b_pol in spaces["bob"]:
@@ -448,10 +410,45 @@ def verify_demba(scen: Scenario) -> DembaReport:
                 profile = StrategyProfile(a_pol, b_pol, {
                     p: m_pol for p in scen.miner_parties()})
                 eu = expected_utilities(scen, profile)
-                if eu.of(ALICE) > scen.v_dep + scen.v_col_a:
-                    bounds_ok = False
-                if eu.of(BOB) > scen.v_col_b:
-                    bounds_ok = False
+                table[a_pol.name, b_pol.name, m_pol.name] = eu
+                bounds_ok &= (eu.of(ALICE) <= scen.v_dep + scen.v_col_a
+                              and eu.of(BOB) <= scen.v_col_b)
+
+    def honest_miners(alice, bob):
+        return table[alice.name, bob.name, HonestFeeMax.name]
+
+    honest = honest_miners(AliceHonest(), BobHonest(1))
+    u_alice_honest = honest.of(ALICE)
+    u_bob_honest = honest.of(BOB)
+
+    # (a) payee redemption choices.
+    offline = honest_miners(AliceOffline(), BobHonest(1))
+    grief = honest_miners(AliceGrief(), BobHonest(1))
+    honest_best_alice = (u_alice_honest > offline.of(ALICE)
+                         and u_alice_honest > grief.of(ALICE))
+    grief_collateral_loss = (u_alice_honest - grief.of(ALICE)) - scen.v_dep
+
+    # (b) payer delay.
+    delayed = honest_miners(AliceHonest(), BobDelay(2))
+    delay_loss = u_bob_honest - delayed.of(BOB)
+    honest_best_bob = delay_loss > 0
+
+    # (c) timely inclusion earns strictly more, per scheduled path.
+    miner_timely_dominant = _timely_inclusion_dominant(scen)
+
+    # (d) unilateral deviations; a miner deviates alone, the others honest.
+    deviations = []
+    for pol in spaces["alice"]:
+        u = honest_miners(pol, BobHonest(1)).of(ALICE)
+        deviations.append(("alice", pol.name, u, u_alice_honest))
+    for pol in spaces["bob"]:
+        u = honest_miners(AliceHonest(), pol).of(BOB)
+        deviations.append(("bob", pol.name, u, u_bob_honest))
+    miner = scen.miner_parties()[0]
+    for pol in spaces["miners"]:
+        u = _single_miner_play(scen, AliceHonest(), BobHonest(1), pol).of(miner)
+        deviations.append(("miner", pol.name, u, honest.of(miner)))
+    no_profit = all(u <= u_honest for _, _, u, u_honest in deviations)
     return DembaReport(honest_best_alice, honest_best_bob,
                        miner_timely_dominant, no_profit, deviations,
                        bounds_ok, ("nred-AB", "nred-ABT"),

@@ -34,6 +34,14 @@ PRE_A2 = "pre_A'"
 PRE_AA2 = "pre_AA'"
 PRE_B = "pre_B"
 
+# Contract ids: the builders' protocol contracts, then the bribery contracts.
+DEP_ID = "dep"
+COL_ID = "col"
+COL_A_ID = "col-A"
+COL_B_ID = "col-B-contract"
+CBOB_ID = "cbob"
+CM2M_ID = "cm2m"
+
 #: Preimage of each hashlock slot.  Contracts store these values as their
 #: digests (exact-witness model), so a witness must carry them bit-exact.
 SECRETS = {PRE_A: "secret:pre_A", PRE_A2: "secret:pre_A'", PRE_B: "secret:pre_B"}
@@ -175,7 +183,7 @@ def fee_split(path: str, declared_fee: int, inclusion_round: int,
 
 
 def build_naive_htlc(alice: Party, bob: Party, v_dep: int, digest_a: str,
-                     T: int, contract_id: str = "dep") -> ContractInstance:
+                     T: int) -> ContractInstance:
     """Single deposit: payee path on the preimage until T, payer refund after."""
     if v_dep <= 0:
         raise ContractError("deposit must be positive", "v_dep")
@@ -188,7 +196,7 @@ def build_naive_htlc(alice: Party, bob: Party, v_dep: int, digest_a: str,
         RedeemPath(DEP_B, (Transfer(bob, REST),),
                    required_signers=frozenset({bob}), earliest=T + 1),
     )
-    return ContractInstance(contract_id, check_amount(v_dep, "v_dep"),
+    return ContractInstance(DEP_ID, check_amount(v_dep, "v_dep"),
                             {PRE_A: digest_a}, paths)
 
 
@@ -200,13 +208,12 @@ def _require_positive(v_dep: int, v_col: int) -> None:
 
 
 def build_mad_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
-                   digests: dict, T: int,
-                   dep_id: str = "dep", col_id: str = "col") -> tuple:
+                   digests: dict, T: int) -> tuple:
     """Deposit plus payer collateral, both confiscatable on a double reveal."""
     _require_positive(v_dep, v_col)
     both = frozenset({PRE_A, PRE_B})
     dep = ContractInstance(
-        dep_id, v_dep, dict(digests),
+        DEP_ID, v_dep, dict(digests),
         (
             RedeemPath(DEP_A, (Transfer(alice, REST),),
                        required_preimages=frozenset({PRE_A}),
@@ -218,7 +225,7 @@ def build_mad_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
         ),
     )
     col = ContractInstance(
-        col_id, v_col, dict(digests),
+        COL_ID, v_col, dict(digests),
         (
             RedeemPath(COL_B, (Transfer(bob, REST),),
                        required_signers=frozenset({bob}), earliest=T + 1),
@@ -230,8 +237,7 @@ def build_mad_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
 
 
 def build_he_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
-                  digests: dict, T: int, l: int,
-                  dep_id: str = "dep", col_id: str = "col") -> tuple:
+                  digests: dict, T: int, l: int) -> tuple:
     """Deposit-and-collateral variant that burns the deposit on confiscation.
 
     The payer's refund is staged: dep-B forwards everything into the
@@ -243,19 +249,19 @@ def build_he_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
         raise ContractError("delay l must be at least 1", "l")
     both = frozenset({PRE_A, PRE_B})
     dep = ContractInstance(
-        dep_id, v_dep + v_col, dict(digests),
+        DEP_ID, v_dep + v_col, dict(digests),
         (
             RedeemPath(DEP_A, (Transfer(bob, v_col), Transfer(alice, REST)),
                        required_preimages=frozenset({PRE_A}),
                        required_signers=frozenset({alice})),
-            RedeemPath(DEP_B, (Forward(col_id, REST),),
+            RedeemPath(DEP_B, (Forward(COL_ID, REST),),
                        required_preimages=frozenset({PRE_B}),
                        required_signers=frozenset({bob}), earliest=T + 1),
         ),
     )
     # The collateral pot starts empty; dep-B funds it.
     col = ContractInstance(
-        col_id, 0, dict(digests),
+        COL_ID, 0, dict(digests),
         (
             RedeemPath(COL_B, (Transfer(bob, REST),),
                        required_signers=frozenset({bob}), earliest=T + l + 1),
@@ -276,9 +282,7 @@ def derive_he_delay(v_dep: int, v_col: int, f: int) -> int:
 
 def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
                 v_col_b: int, v_ded: int, digests: dict, T: int,
-                schedule: FeeSchedule,
-                dep_id: str = "dep", col_a_id: str = "col-A",
-                col_b_id: str = "col-B-contract") -> tuple:
+                schedule: FeeSchedule) -> tuple:
     """Two-phase exchange: both sides commit via collateral reveals.
 
     The deposit contract has no manual spend; it resolves automatically from
@@ -294,7 +298,7 @@ def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
             f"invalid fee schedule (Eq.1/Eq.2): {verdict.violation}",
             "fee_schedule")
     col_a = ContractInstance(
-        col_a_id, check_amount(v_col_a, "v_col_a"),
+        COL_A_ID, check_amount(v_col_a, "v_col_a"),
         {PRE_A: digests[PRE_A], PRE_A2: digests[PRE_A2]},
         (
             RedeemPath(PRE_A, (Transfer(alice, REST),),
@@ -309,7 +313,7 @@ def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
         ),
     )
     col_b = ContractInstance(
-        col_b_id, check_amount(v_col_b, "v_col_b"),
+        COL_B_ID, check_amount(v_col_b, "v_col_b"),
         {PRE_B: digests[PRE_B]},
         (
             RedeemPath(PRE_B, (Transfer(bob, REST),),
@@ -318,21 +322,21 @@ def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
         ),
     )
     dep = ContractInstance(
-        dep_id, check_amount(v_dep, "v_dep"), {},
+        DEP_ID, check_amount(v_dep, "v_dep"), {},
         (
             RedeemPath(DEP_A, (Transfer(alice, REST),), auto_only=True,
                        cross_reads=(
-                           CrossRead(col_a_id, frozenset({PRE_A}), frozenset({PRE_A2})),
-                           CrossRead(col_b_id, frozenset({PRE_B})),
+                           CrossRead(COL_A_ID, frozenset({PRE_A}), frozenset({PRE_A2})),
+                           CrossRead(COL_B_ID, frozenset({PRE_B})),
                        )),
             RedeemPath(DEP_B, (Transfer(bob, REST),), auto_only=True, earliest=T + 1,
                        cross_reads=(
-                           CrossRead(col_a_id, frozenset({PRE_A2}), frozenset({PRE_A})),
-                           CrossRead(col_b_id, frozenset({PRE_B})),
+                           CrossRead(COL_A_ID, frozenset({PRE_A2}), frozenset({PRE_A})),
+                           CrossRead(COL_B_ID, frozenset({PRE_B})),
                        )),
             RedeemPath(DEP_BURN, (Burn(REST),), auto_only=True, earliest=T + 1,
                        cross_reads=(
-                           CrossRead(col_a_id, frozenset({PRE_A, PRE_A2})),
+                           CrossRead(COL_A_ID, frozenset({PRE_A, PRE_A2})),
                        )),
         ),
     )

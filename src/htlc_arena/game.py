@@ -27,20 +27,16 @@ import numpy as np
 
 from .core import (ALICE, BOB, EXTERNAL, ArenaError, ContractError, Party,
                    ScenarioError, debit)
-from .contracts import (COL_M, DEP_A, FeeSchedule, PRE_A, PRE_A2, PRE_AA2,
-                        PRE_B, SECRETS, build_demba, build_he_htlc,
-                        build_mad_htlc, build_naive_htlc, derive_he_delay)
+from .contracts import (COL_A_ID, COL_B_ID, COL_ID, COL_M, DEP_A, DEP_ID,
+                        FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B, SECRETS,
+                        build_demba, build_he_htlc, build_mad_htlc,
+                        build_naive_htlc, derive_he_delay)
 from .ledger import Block, ChainState, apply_block, broadcast
 
 PROTOCOLS = ("naive", "mad", "he", "demba")
 
-# Canonical contract ids used by the builders and the policies.
-DEP_ID = "dep"
-COL_ID = "col"
-COL_A_ID = "col-A"
-COL_B_ID = "col-B-contract"
-CBOB_ID = "cbob"
-CM2M_ID = "cm2m"
+#: Most schedules an exact expectation may stand for: |miners|^free rounds.
+ENUM_CAP = 10_000_000
 
 
 def _invalid(what: str, why: str) -> ScenarioError:
@@ -101,8 +97,7 @@ class Scenario:
     epsilon: int = 0
     capacity: int = 8
     seed: int = 0
-    mode: tuple = ("exact",)
-    enum_cap: int = 10_000_000
+    mode: tuple = ("exact",)  # ("exact",) or ("monte-carlo", trials)
     m2mba_split: str = "per-block"  # per-block | equal
     pact_bribes: Optional[dict] = None  # Party -> per-block bribe override
 
@@ -132,10 +127,16 @@ class Scenario:
             raise _invalid("t_pub", "must fall in [1, T]")
         if self.protocol == "demba" and self.fee_schedule is None:
             raise _invalid("fee_schedule", "required for demba")
-        if self.mode[0] != "exact" and (type(self.mode[1]) is not int
-                                        or self.mode[1] < 1):
-            raise _invalid("mode", "monte-carlo needs a positive int trial "
-                           f"count, got {self.mode[1]!r}")
+        if self.fee_schedule is not None and self.fee_schedule.T != self.T:
+            # Fees decay from the schedule's T, contract deadlines from ours.
+            raise _invalid("fee_schedule", f"deadline T={self.fee_schedule.T} "
+                           f"differs from the scenario's T={self.T}")
+        mode = self.mode
+        if not (mode == ("exact",) or type(mode) is tuple and len(mode) == 2
+                and mode[0] == "monte-carlo" and type(mode[1]) is int
+                and mode[1] >= 1):
+            raise _invalid("mode", "expected ('exact',) or ('monte-carlo', n) "
+                           f"with n a positive int, got {mode!r}")
         # A plain attribute, not a field: replace() builds a fresh one.
         object.__setattr__(self, "_genesis", _built(_build_genesis, self))
 
@@ -249,25 +250,23 @@ def _build_genesis(scen: Scenario) -> tuple:
         # The equal split shares a confiscation by censored-window blocks.
         meta["split_window"] = (scen.t_pub + 1, scen.T)
     if scen.protocol == "naive":
-        dep = build_naive_htlc(ALICE, BOB, scen.v_dep, SECRETS[PRE_A], scen.T,
-                               DEP_ID)
+        dep = build_naive_htlc(ALICE, BOB, scen.v_dep, SECRETS[PRE_A], scen.T)
         contracts = {DEP_ID: dep}
         live = {DEP_ID: scen.v_dep}
     elif scen.protocol == "mad":
         dep, col = build_mad_htlc(ALICE, BOB, scen.v_dep, scen.v_col, SECRETS,
-                                  scen.T, DEP_ID, COL_ID)
+                                  scen.T)
         contracts = {DEP_ID: dep, COL_ID: col}
         live = {DEP_ID: scen.v_dep, COL_ID: scen.v_col}
     elif scen.protocol == "he":
         dep, col = build_he_htlc(ALICE, BOB, scen.v_dep, scen.v_col, SECRETS,
-                                 scen.T, scen.l, DEP_ID, COL_ID)
+                                 scen.T, scen.l)
         contracts = {DEP_ID: dep, COL_ID: col}
         live = {DEP_ID: scen.v_dep + scen.v_col, COL_ID: 0}
     else:
         dep, col_a, col_b = build_demba(ALICE, BOB, scen.v_dep, scen.v_col_a,
                                         scen.v_col_b, scen.v_ded, SECRETS,
-                                        scen.T, scen.fee_schedule,
-                                        DEP_ID, COL_A_ID, COL_B_ID)
+                                        scen.T, scen.fee_schedule)
         contracts = {DEP_ID: dep, COL_A_ID: col_a, COL_B_ID: col_b}
         live = {COL_A_ID: scen.v_col_a, COL_B_ID: scen.v_col_b}
         meta["target_contract"] = COL_A_ID
@@ -466,7 +465,6 @@ class ExpectedUtilities:
     bribe_income: dict  # Party -> Fraction
     burned: Fraction
     mode: str
-    trials: Optional[int] = None
     ci: Optional[dict] = None  # Party -> (low, high) floats
 
     def of(self, party: Party) -> Fraction:
@@ -496,7 +494,7 @@ def enumerate_schedules(scen: Scenario, pin: Optional[dict] = None):
 
 def _check_enumeration_cap(scen: Scenario, free_rounds: int) -> None:
     n = len(scen.miners)
-    if n ** free_rounds > scen.enum_cap:
+    if n ** free_rounds > ENUM_CAP:
         raise ScenarioError(
             f"enumeration-cap-exceeded: {n}^{free_rounds} schedules;"
             " use monte-carlo mode")
@@ -570,37 +568,47 @@ def sample_schedule(scen: Scenario, rng: np.random.Generator,
     return Schedule(miners, Fraction(1))
 
 
-def expected_utilities(scen: Scenario, profile: StrategyProfile,
-                       pin: Optional[dict] = None,
-                       mode: Optional[tuple] = None) -> ExpectedUtilities:
-    """Exact rational expectation or seeded Monte-Carlo mean with 95% CI."""
-    mode = mode or scen.mode
-    if mode[0] == "exact":
-        return _exact_expectation(scen, profile, pin or {})
-    trials = mode[1]
+def sampled_outcomes(scen: Scenario, profile: StrategyProfile,
+                     pin: Optional[dict] = None):
+    """The one Monte-Carlo trial loop: yield the outcome of each of
+    `scen.mode[1]` schedules drawn, in order, from a `scen.seed` generator."""
+    if scen.mode[0] != "monte-carlo":
+        raise _invalid("mode", f"sampling needs monte-carlo, got {scen.mode!r}")
     rng = np.random.default_rng(scen.seed)
-    sums: dict = {}
-    sq_sums: dict = {}
-    bribes = {}
+    for _ in range(scen.mode[1]):
+        yield play(scen, profile, sample_schedule(scen, rng, pin))
+
+
+def mean_half_width(total, total_sq, n: int) -> tuple:
+    """Sample mean and 95% normal half-width from a sum and a sum of squares."""
+    mean = float(total) / n
+    var = float(total_sq) / n - mean * mean
+    return mean, 1.96 * (max(var, 0.0) / n) ** 0.5
+
+
+def expected_utilities(scen: Scenario, profile: StrategyProfile,
+                       pin: Optional[dict] = None) -> ExpectedUtilities:
+    """Exact rational expectation or seeded Monte-Carlo mean with 95% CI,
+    as the scenario's mode says."""
+    if scen.mode[0] == "exact":
+        return _exact_expectation(scen, profile, pin or {})
+    sums, sq_sums, bribes = {}, {}, {}
     burned = Fraction(0)
-    for i in range(trials):
-        schedule = sample_schedule(scen, rng, pin)
-        out = play(scen, profile, schedule)
+    for out in sampled_outcomes(scen, profile, pin):
         for party, d in out.deltas.items():
             sums[party] = sums.get(party, Fraction(0)) + d
             sq_sums[party] = sq_sums.get(party, Fraction(0)) + d * d
         for party, b in out.bribe_income.items():
             bribes[party] = bribes.get(party, Fraction(0)) + b
         burned += out.burned
+    trials = scen.mode[1]
     utilities = {p: s / trials for p, s in sums.items()}
     ci = {}
     for party, s in sums.items():
-        mean = float(s) / trials
-        var = float(sq_sums[party]) / trials - mean * mean
-        half = 1.96 * (max(var, 0.0) / trials) ** 0.5
+        mean, half = mean_half_width(s, sq_sums[party], trials)
         ci[party] = (mean - half, mean + half)
     return ExpectedUtilities(utilities, {p: b / trials for p, b in bribes.items()},
-                             burned / trials, "monte-carlo", trials, ci)
+                             burned / trials, "monte-carlo", ci)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ from typing import Optional
 
 from .core import (BLOCK_MINER, BURN_SINK, EXTERNAL, LedgerError, Party,
                    check_amount, credit, debit)
-from .contracts import (BURNED, Burn, CensorBriberyContract, ContractInstance,
-                        Forward, MinerPactContract, REST, RedeemPath, Transfer,
+from .contracts import (BURNED, Burn, COL_ID, COL_M, CensorBriberyContract,
+                        ContractInstance, DEP_A, DEP_ID, Forward,
+                        MinerPactContract, REST, RedeemPath, Transfer,
                         bribery_contract_step, resolve_demba_dep)
 
 RELATED = "related"
@@ -333,28 +334,28 @@ class _BriberyChainView:
 
     def target_included_by_deadline(self) -> bool:
         meta = self._s.meta
-        entry = self._s.redemptions.get(meta.get("target_contract", "dep"))
+        entry = self._s.redemptions.get(meta.get("target_contract", DEP_ID))
         if entry is None:
             return False
         path, rnd, _ = entry
-        return path == meta.get("target_path", "dep-A") and rnd <= meta.get("T", 0)
+        return path == meta.get("target_path", DEP_A) and rnd <= meta.get("T", 0)
 
     def target_included_ever(self) -> bool:
         meta = self._s.meta
-        entry = self._s.redemptions.get(meta.get("target_contract", "dep"))
-        return entry is not None and entry[0] == meta.get("target_path", "dep-A")
+        entry = self._s.redemptions.get(meta.get("target_contract", DEP_ID))
+        return entry is not None and entry[0] == meta.get("target_path", DEP_A)
 
     def settlement_landed(self) -> bool:
         meta = self._s.meta
-        entry = self._s.redemptions.get(meta.get("target_contract", "dep"))
+        entry = self._s.redemptions.get(meta.get("target_contract", DEP_ID))
         if entry is None:
             return False
-        return entry[0] != meta.get("target_path", "dep-A")
+        return entry[0] != meta.get("target_path", DEP_A)
 
     def confiscator(self):
         meta = self._s.meta
-        entry = self._s.redemptions.get(meta.get("col_contract", "col"))
-        if entry is None or entry[0] != meta.get("confiscation_path", "col-M"):
+        entry = self._s.redemptions.get(meta.get("col_contract", COL_ID))
+        if entry is None or entry[0] != meta.get("confiscation_path", COL_M):
             return None
         return entry[2]
 
@@ -387,9 +388,9 @@ def _auto_refund_bribery(s: ChainState, rnd: int) -> None:
     collateral returns once no eligible confiscation claim can ever succeed.
     """
     meta = s.meta
-    target = s.redemptions.get(meta.get("target_contract", "dep"))
+    target = s.redemptions.get(meta.get("target_contract", DEP_ID))
     target_hit = (target is not None
-                  and target[0] == meta.get("target_path", "dep-A"))
+                  and target[0] == meta.get("target_path", DEP_A))
     for cid, contract in list(s.bribery.items()):
         if contract.settled:
             continue
@@ -401,11 +402,11 @@ def _auto_refund_bribery(s: ChainState, rnd: int) -> None:
                     s.bribe_log.append((party, amount, tag))
                 s.bribery[cid] = fresh
         elif isinstance(contract, MinerPactContract):
-            col = s.redemptions.get(meta.get("col_contract", "col"))
+            col = s.redemptions.get(meta.get("col_contract", COL_ID))
             claim_dead = target_hit
             if col is not None:
                 path, _, confiscator = col
-                if path != meta.get("confiscation_path", "col-M"):
+                if path != meta.get("confiscation_path", COL_M):
                     claim_dead = True  # reclaimed by the payer
                 elif contract.locked.get(confiscator, 0) == 0:
                     claim_dead = True  # confiscated by a non-member

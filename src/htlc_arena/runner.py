@@ -23,10 +23,11 @@ from typing import Optional
 
 from . import __version__
 from .core import ArenaError, EXTERNAL, ScenarioError, miner_party
-from .contracts import FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B
-from .game import (COL_B_ID, COL_ID, DEP_ID, MinerProfile, Scenario,
-                   StrategyProfile, dominance_check, expected_utilities, play,
-                   sample_schedule)
+from .contracts import (COL_B, COL_B_ID, COL_ID, DEP_A, DEP_ID, FeeSchedule,
+                        PRE_A, PRE_A2, PRE_AA2, PRE_B)
+from .game import (MinerProfile, Scenario, StrategyProfile, dominance_check,
+                   expected_utilities, mean_half_width, play, sample_schedule,
+                   sampled_outcomes)
 from .agents import (AliceHonest, AliceOffline, BobHonest, HonestFeeMax,
                      make_miner_policy, make_party_policy)
 from . import analysis
@@ -238,10 +239,11 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def _base_header(args, subcommand: str) -> dict:
+def _base_header(args, subcommand: str, scen=None) -> dict:
+    """Report header; the seed is the scenario's when a run reads one."""
     header = {"subcommand": subcommand}
-    seed = getattr(args, "seed", None)
-    header["seed"] = seed if seed is not None else 0
+    header["seed"] = (scen.seed if scen is not None
+                      else args.seed if args.seed is not None else 0)
     if getattr(args, "scenario", None):
         header["scenario-digest"] = _digest(args.scenario)
     return header
@@ -250,6 +252,9 @@ def _base_header(args, subcommand: str) -> dict:
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
+
+#: Monte-Carlo trials of `expect --mode mc` and `ttc` without `--trials`.
+DEFAULT_TRIALS = 10_000
 
 
 def _check_options(args) -> None:
@@ -279,8 +284,7 @@ def cmd_simulate(args) -> tuple:
     rng = np.random.default_rng(scen.seed)
     schedule = sample_schedule(scen, rng)
     out = play(scen, profile, schedule)
-    report = Report(_base_header(args, "simulate"))
-    report.header["seed"] = scen.seed
+    report = Report(_base_header(args, "simulate", scen))
     for party in sorted(out.deltas, key=lambda p: p.id):
         if party == EXTERNAL:
             continue
@@ -299,11 +303,10 @@ def cmd_expect(args) -> tuple:
     if args.mode == "exact":
         mode = ("exact",)
     elif args.mode == "mc" or args.trials is not None:
-        mode = ("monte-carlo", 10_000 if args.trials is None else args.trials)
+        mode = ("monte-carlo", args.trials or DEFAULT_TRIALS)
     scen, profile = _load_overridden(args, mode)
     eu = expected_utilities(scen, profile)
-    report = Report(_base_header(args, "expect"))
-    report.header["seed"] = scen.seed
+    report = Report(_base_header(args, "expect", scen))
     report.header["mode"] = eu.mode
     for party in sorted(eu.utilities, key=lambda p: p.id):
         if party == EXTERNAL:
@@ -440,58 +443,45 @@ def _ttc_profile(scen: Scenario, path: str) -> StrategyProfile:
 
 def _completion_round(out, scen: Scenario, path: str) -> Optional[int]:
     red = out.state.redemptions
+
+    def landed(cid: str, via: Optional[str] = None) -> Optional[int]:
+        """The round contract `cid` was redeemed in (through path `via`)."""
+        entry = red.get(cid)
+        return entry[1] if entry and via in (None, entry[0]) else None
+
     if scen.protocol == "demba":
-        if path == "bob-collateral":
-            entry = red.get(COL_B_ID)
-            return entry[1] if entry else None
-        entry = red.get(DEP_ID)
-        return entry[1] if entry else None
+        return landed(COL_B_ID if path == "bob-collateral" else DEP_ID)
     if path == "alice-redeems":
-        entry = red.get(DEP_ID)
-        return entry[1] if entry and entry[0] == "dep-A" else None
+        return landed(DEP_ID, DEP_A)
     if path == "bob-collateral":
         if scen.protocol == "naive":
             raise ScenarioError("validation-error(path): naive has no collateral")
-        if scen.protocol == "he":
-            entry = red.get(DEP_ID)
-            return entry[1] if entry else None
-        entry = red.get(COL_ID)
-        return entry[1] if entry else None
+        return landed(DEP_ID if scen.protocol == "he" else COL_ID)
     if scen.protocol == "naive":
-        entry = red.get(DEP_ID)
-        return entry[1] if entry else None
+        return landed(DEP_ID)
     if scen.protocol == "he":
         # The staged refund completes when the combined pot leaves the
         # collateral contract.
-        entry = red.get(COL_ID)
-        return entry[1] if entry and entry[0] == "col-B" else None
+        return landed(COL_ID, COL_B)
     rounds = [red[c][1] for c in (DEP_ID, COL_ID) if c in red]
     return max(rounds) if len(rounds) == 2 else None
 
 
-def ttc(scen: Scenario, path: str, trials: int, seed: int) -> dict:
-    """Monte-Carlo rounds-to-final-transfer with a 95% half-width."""
+def ttc(scen: Scenario, path: str) -> dict:
+    """Monte-Carlo rounds-to-final-transfer with a 95% half-width, over the
+    scenario's Monte-Carlo trials and seed."""
     if path not in TTC_PATHS:
         raise ScenarioError(f"validation-error(path): {path!r}")
-    if trials < 1:
-        raise ScenarioError("validation-error(trials): need at least 1")
-    profile = _ttc_profile(scen, path)
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(trials):
-        schedule = sample_schedule(scen, rng)
-        out = play(scen, profile, schedule)
+    total = total_sq = 0  # integer sums, exact when turned into floats
+    for out in sampled_outcomes(scen, _ttc_profile(scen, path)):
         done = _completion_round(out, scen, path)
         if done is None:
             raise ScenarioError(
                 f"validation-error: {path} never completed within the horizon")
         total += done
         total_sq += done * done
-    mean = total / trials
-    var = max(0.0, total_sq / trials - mean * mean)
-    half = 1.96 * (var / trials) ** 0.5
-    return {"mean": mean, "half_width": half, "trials": trials,
+    mean, half = mean_half_width(total, total_sq, scen.mode[1])
+    return {"mean": mean, "half_width": half, "trials": scen.mode[1],
             "l": scen.l}
 
 
@@ -501,9 +491,8 @@ def cmd_ttc(args) -> tuple:
     if variant != scen.protocol:
         raise ScenarioError("validation-error(variant): scenario protocol is "
                             f"{scen.protocol!r}")
-    result = ttc(scen, args.path, scen.mode[1], scen.seed)
-    report = Report(_base_header(args, "ttc"))
-    report.header["seed"] = scen.seed
+    result = ttc(scen, args.path)
+    report = Report(_base_header(args, "ttc", scen))
     report.add("ttc-mean-rounds", "-", result["mean"],
                result["mean"] - result["half_width"],
                result["mean"] + result["half_width"])
@@ -558,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--variant", choices=("mad", "he", "demba"), default=None)
     p.add_argument("--path", choices=TTC_PATHS, required=True)
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     return parser
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,12 @@ def demba_scenario(v_dep=100, v_col_a=50, v_col_b=40, v_ded=7, T=4, t_pub=1,
                     horizon=horizon,
                     fee_schedule=schedule or demba_schedule(T),
                     miners=miners or solo_miner(), **kw)
+
+
+def monte_carlo(scen, trials, seed=None):
+    """`scen` in Monte-Carlo mode with `trials` trials and, if given, `seed`."""
+    return replace(scen, mode=("monte-carlo", trials),
+                   seed=scen.seed if seed is None else seed)
 
 
 def flat_schedule(scen, miner=M1):

@@ -28,7 +28,8 @@ from htlc_arena.game import MinerProfile, Schedule, StrategyProfile, play
 from htlc_arena.runner import ttc
 
 from conftest import (M1, demba_scenario, demba_schedule, flat_schedule,
-                      he_scenario, mad_scenario, naive_scenario, solo_miner)
+                      he_scenario, mad_scenario, monte_carlo, naive_scenario,
+                      solo_miner)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -391,12 +392,15 @@ def test_criterion_8_ttc_trend():
     he_means = []
     for mult in (1, 2, 4):
         scen = he_scenario(v_dep=mult * v_col, v_col=v_col, l=0, f=0, T=3)
-        he_means.append(ttc(scen, "bob-both", trials, seed)["mean"])
+        he_means.append(ttc(monte_carlo(scen, trials, seed),
+                            "bob-both")["mean"])
     assert he_means[0] < he_means[1] < he_means[2]
-    mad_means = [ttc(mad_scenario(v_dep=m * v_col, v_col=v_col, T=3, f=0),
-                     "bob-both", trials, seed)["mean"] for m in (1, 2, 4)]
-    demba_means = [ttc(demba_scenario(v_dep=m * v_col, T=3, horizon=7),
-                       "bob-both", trials, seed)["mean"] for m in (1, 2, 4)]
+    mad_means = [ttc(monte_carlo(mad_scenario(v_dep=m * v_col, v_col=v_col,
+                                              T=3, f=0), trials, seed),
+                     "bob-both")["mean"] for m in (1, 2, 4)]
+    demba_means = [ttc(monte_carlo(demba_scenario(v_dep=m * v_col, T=3,
+                                                  horizon=7), trials, seed),
+                       "bob-both")["mean"] for m in (1, 2, 4)]
     assert max(mad_means) - min(mad_means) < 0.1
     assert max(demba_means) - min(demba_means) < 0.1
     report("criterion-8 ttc trend", True,

@@ -13,8 +13,9 @@ from htlc_arena.agents import (AliceHonest, B3aAccomplice, BlockPlan,
                                b3a_bob_policy, honest_miner_select,
                                make_miner_policy, make_party_policy,
                                tx_reveal_dep_a)
-from htlc_arena.game import (CM2M_ID, MinerProfile, Schedule,
-                             StrategyProfile, build_genesis, play)
+from htlc_arena.contracts import CM2M_ID
+from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
+                             build_genesis, play)
 from htlc_arena.ledger import CONTRACT_CALL, TxRecord, broadcast
 
 from conftest import (M1, M2, flat_schedule, he_scenario, mad_scenario,

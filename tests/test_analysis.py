@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from htlc_arena import analysis
 from htlc_arena.core import ALICE, BOB, ScenarioError
 from htlc_arena.analysis import (PoolParams, closed_form, pool_math,
                                  pool_mc, verify_demba, verify_demba_lemma,
@@ -160,6 +161,20 @@ class TestDembaVerification:
         assert rep.all_hold
         assert rep.grief_collateral_loss == 7 + (20 - 8)
         assert rep.delay_loss == 7
+
+    def test_reads_every_all_honest_miner_profile_from_the_table(
+            self, monkeypatch):
+        # 6 x 4 x 2 cross-product profiles plus the two miner deviations.
+        calls = []
+        expected_utilities = analysis.expected_utilities
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return expected_utilities(*args, **kw)
+
+        monkeypatch.setattr(analysis, "expected_utilities", counted)
+        assert verify_demba(demba_scenario()).all_hold
+        assert len(calls) == 50
 
     def test_honest_oracle_values(self):
         from htlc_arena.agents import AliceHonest, BobHonest, HonestFeeMax

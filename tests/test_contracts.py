@@ -9,14 +9,14 @@ from fractions import Fraction
 import pytest
 
 from htlc_arena.core import ALICE, BOB, ContractError, miner_party
-from htlc_arena.contracts import (CensorBriberyContract, COL_B, COL_M, DEP_A,
-                                  DEP_B, DEP_BURN, DEP_M, FeeError,
-                                  FeeSchedule, MinerPactContract, PRE_A,
-                                  PRE_A2, PRE_AA2, PRE_B, build_demba,
-                                  build_he_htlc, build_mad_htlc,
-                                  build_naive_htlc, check_fee_schedule,
-                                  derive_he_delay, fee_split,
-                                  resolve_demba_dep)
+from htlc_arena.contracts import (CensorBriberyContract, COL_A_ID, COL_B,
+                                  COL_B_ID, COL_M, DEP_A, DEP_B, DEP_BURN,
+                                  DEP_M, FeeError, FeeSchedule,
+                                  MinerPactContract, PRE_A, PRE_A2, PRE_AA2,
+                                  PRE_B, build_demba, build_he_htlc,
+                                  build_mad_htlc, build_naive_htlc,
+                                  check_fee_schedule, derive_he_delay,
+                                  fee_split, resolve_demba_dep)
 
 from conftest import M1, demba_schedule
 
@@ -86,26 +86,26 @@ class TestDembaResolution:
 
     def build(self):
         return build_demba(ALICE, BOB, 100, 50, 40, 7, DIGESTS, self.T,
-                           demba_schedule(self.T), "dep", "col-A", "col-B-c")
+                           demba_schedule(self.T))
 
     def test_to_alice_fires_once_both_sides_commit(self):
         dep, _, _ = self.build()
-        slots = {"col-A": {PRE_A}}
+        slots = {COL_A_ID: {PRE_A}}
         assert resolve_demba_dep(dep, slots, 5) is None
-        slots["col-B-c"] = {PRE_B}
+        slots[COL_B_ID] = {PRE_B}
         assert resolve_demba_dep(dep, slots, 5).name == DEP_A
 
     def test_to_bob_after_deadline(self):
         dep, _, _ = self.build()
-        slots = {"col-A": {PRE_A2}, "col-B-c": {PRE_B}}
+        slots = {COL_A_ID: {PRE_A2}, COL_B_ID: {PRE_B}}
         assert resolve_demba_dep(dep, slots, self.T) is None
         assert resolve_demba_dep(dep, slots, self.T + 2).name == DEP_B
 
     def test_double_reveal_burns_regardless_of_payer(self):
         dep, _, _ = self.build()
-        slots = {"col-A": {PRE_A, PRE_A2}}
+        slots = {COL_A_ID: {PRE_A, PRE_A2}}
         assert resolve_demba_dep(dep, slots, self.T + 1).name == DEP_BURN
-        slots["col-B-c"] = {PRE_B}
+        slots[COL_B_ID] = {PRE_B}
         assert resolve_demba_dep(dep, slots, self.T + 1).name == DEP_BURN
 
     def test_exclusivity_over_all_reveal_subsets(self):
@@ -114,8 +114,8 @@ class TestDembaResolution:
         for a_bits in itertools.product([False, True], repeat=2):
             for b_bit in (False, True):
                 a_slots = {s for s, bit in zip((PRE_A, PRE_A2), a_bits) if bit}
-                slots = {"col-A": a_slots,
-                         "col-B-c": {PRE_B} if b_bit else set()}
+                slots = {COL_A_ID: a_slots,
+                         COL_B_ID: {PRE_B} if b_bit else set()}
                 for rnd in (self.T, self.T + 1, self.T + 5):
                     matches = [p.name for p in dep.paths if p.auto_only
                                and resolve_demba_dep(dep, slots, rnd) is p]
@@ -133,7 +133,7 @@ class TestDembaResolution:
     def test_redeemed_deposit_never_resolves_again(self):
         dep, _, _ = self.build()
         dep.status = ("redeemed", DEP_A)
-        slots = {"col-A": {PRE_A, PRE_A2}, "col-B-c": {PRE_B}}
+        slots = {COL_A_ID: {PRE_A, PRE_A2}, COL_B_ID: {PRE_B}}
         assert resolve_demba_dep(dep, slots, self.T + 1) is None
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from htlc_arena import game
@@ -16,8 +17,8 @@ from htlc_arena.game import (MinerProfile, Scenario, Schedule,
                              StrategyProfile, dominance_check,
                              enumerate_schedules, expected_utilities, play)
 
-from conftest import (M1, M2, demba_scenario, flat_schedule, he_scenario,
-                      mad_scenario, naive_scenario)
+from conftest import (M1, M2, demba_scenario, demba_schedule, flat_schedule,
+                      he_scenario, mad_scenario, monte_carlo, naive_scenario)
 
 
 def honest_profile(scen, miner_policy=None):
@@ -44,6 +45,22 @@ class TestScenario:
     def test_replace_checks_the_new_parameters(self):
         with pytest.raises(ScenarioError):
             replace(naive_scenario(), t_pub=0)
+
+    @pytest.mark.parametrize("mode", [
+        ("mc", 5), ("monte-carlo", 5, 7), ("exact", 5), (), "exact",
+        ["exact"], ("monte-carlo",), ("monte-carlo", 0), ("monte-carlo", "5"),
+        ("monte-carlo", True), ("monte-carlo", 2.0)])
+    def test_mode_is_exact_or_monte_carlo_with_a_positive_count(self, mode):
+        with pytest.raises(ScenarioError) as e:
+            naive_scenario(mode=mode)
+        assert str(e.value).startswith("validation-error(mode): ")
+        assert "\n" not in str(e.value)
+
+    def test_fee_schedule_deadline_must_match(self):
+        with pytest.raises(ScenarioError,
+                           match=r"^validation-error\(fee_schedule\): "):
+            demba_scenario(T=4, schedule=demba_schedule(6))
+        assert demba_scenario(T=6, schedule=demba_schedule(6)).T == 6
 
 
 class TestPlay:
@@ -198,7 +215,7 @@ class TestExpectations:
         profile = StrategyProfile(AliceHonest(), BobHonest(),
                                   {mi: M2MbaActive(), rest: M2MbaActive()})
         exact = expected_utilities(scen, profile).of(mi)
-        mc = expected_utilities(scen, profile, mode=("monte-carlo", 3000))
+        mc = expected_utilities(monte_carlo(scen, 3000), profile)
         lo, hi = mc.ci[mi]
         assert lo <= float(exact) <= hi
 
@@ -207,8 +224,8 @@ class TestExpectations:
                                       MinerProfile(M2, Fraction(1, 2))),
                               seed=5)
         profile = honest_profile(scen)
-        a = expected_utilities(scen, profile, mode=("monte-carlo", 200))
-        b = expected_utilities(scen, profile, mode=("monte-carlo", 200))
+        a = expected_utilities(monte_carlo(scen, 200), profile)
+        b = expected_utilities(monte_carlo(scen, 200), profile)
         assert a.utilities == b.utilities and a.ci == b.ci
 
     def test_weight_sum_check_survives_optimised_mode(self, monkeypatch):
@@ -239,13 +256,35 @@ class TestExpectations:
         with pytest.raises(ScenarioError, match="regressed to red at 3"):
             expected_utilities(scen, honest_profile(scen))
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        # 4 miners over a 12-round horizon: 4^12 > 10^7 schedules.
         miners = tuple(MinerProfile(miner_party(f"m{i}"), Fraction(1, 4))
                        for i in range(1, 5))
-        scen = naive_scenario(T=8, miners=miners, enum_cap=100)
+        scen = naive_scenario(T=10, miners=miners)
+        assert scen.horizon == 12 and 4 ** 12 > game.ENUM_CAP
+        played = []
+        monkeypatch.setattr(game, "_play_round",
+                            lambda *args: played.append(args))
         with pytest.raises(ScenarioError) as e:
             expected_utilities(scen, honest_profile(scen))
-        assert "enumeration-cap-exceeded" in str(e.value)
+        assert "enumeration-cap-exceeded: 4^12 schedules" in str(e.value)
+        assert not played
+
+    def test_sampler_needs_monte_carlo_mode(self):
+        scen = naive_scenario()
+        with pytest.raises(ScenarioError, match=r"validation-error\(mode\)"):
+            next(game.sampled_outcomes(scen, honest_profile(scen)))
+
+    def test_sampler_draws_the_scenario_trials_and_seed(self):
+        scen = monte_carlo(naive_scenario(
+            miners=(MinerProfile(M1, Fraction(1, 2)),
+                    MinerProfile(M2, Fraction(1, 2)))), 7, seed=11)
+        profile = honest_profile(scen)
+        rng = np.random.default_rng(11)
+        want = [play(scen, profile, game.sample_schedule(scen, rng)).deltas
+                for _ in range(7)]
+        got = [o.deltas for o in game.sampled_outcomes(scen, profile)]
+        assert got == want and len({d[M1] for d in got}) > 1
 
     def test_linearity_under_token_scaling(self):
         # All integer amounts scaled by c scale every utility by exactly c.

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from htlc_arena.core import ScenarioError
 from htlc_arena.runner import Report, load_scenario, main, ttc
 
-from conftest import demba_scenario, he_scenario
+from conftest import demba_scenario, he_scenario, monte_carlo, naive_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -327,31 +327,34 @@ def test_mutated_sample_scenario_fails_cleanly(tmp_path_factory, node, value):
 
 class TestTtc:
     def test_demba_invariant_to_deposit_size(self):
-        a = ttc(demba_scenario(v_dep=100), "bob-both", trials=64, seed=1)
-        b = ttc(demba_scenario(v_dep=200), "bob-both", trials=64, seed=1)
+        a = ttc(monte_carlo(demba_scenario(v_dep=100), 64, seed=1), "bob-both")
+        b = ttc(monte_carlo(demba_scenario(v_dep=200), 64, seed=1), "bob-both")
         assert a["mean"] == b["mean"]
 
     def test_he_refund_delay_follows_kappa(self):
         # l = ceil(v_dep/(v_col - f) + 1) lifts the combined-refund time.
         lo = he_scenario(v_dep=10, v_col=10, l=0, f=0, T=3)
         hi = he_scenario(v_dep=40, v_col=10, l=0, f=0, T=3)
-        a = ttc(lo, "bob-both", trials=32, seed=2)
-        b = ttc(hi, "bob-both", trials=32, seed=2)
+        a = ttc(monte_carlo(lo, 32, seed=2), "bob-both")
+        b = ttc(monte_carlo(hi, 32, seed=2), "bob-both")
         assert lo.l == 2 and hi.l == 5
         assert b["mean"] - a["mean"] == hi.l - lo.l
 
     def test_he_payee_redemption_independent_of_deposit(self):
-        a = ttc(he_scenario(v_dep=10, v_col=10, l=0, f=0, T=3),
-                "alice-redeems", trials=32, seed=3)
-        b = ttc(he_scenario(v_dep=40, v_col=10, l=0, f=0, T=3),
-                "alice-redeems", trials=32, seed=3)
+        a = ttc(monte_carlo(he_scenario(v_dep=10, v_col=10, l=0, f=0, T=3),
+                            32, seed=3), "alice-redeems")
+        b = ttc(monte_carlo(he_scenario(v_dep=40, v_col=10, l=0, f=0, T=3),
+                            32, seed=3), "alice-redeems")
         assert a["mean"] == b["mean"]
 
     def test_bad_path_rejected(self):
         with pytest.raises(ScenarioError):
-            ttc(demba_scenario(), "sideways", trials=1, seed=0)
+            ttc(monte_carlo(demba_scenario(), 1, seed=0), "sideways")
 
     def test_naive_has_no_collateral_path(self):
-        from conftest import naive_scenario
-        with pytest.raises(ScenarioError):
-            ttc(naive_scenario(), "bob-collateral", trials=1, seed=0)
+        with pytest.raises(ScenarioError, match="naive has no collateral"):
+            ttc(monte_carlo(naive_scenario(), 1, seed=0), "bob-collateral")
+
+    def test_exact_mode_scenario_is_rejected(self):
+        with pytest.raises(ScenarioError, match=r"^validation-error\(mode\)"):
+            ttc(demba_scenario(), "bob-both")
