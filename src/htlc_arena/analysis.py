@@ -10,10 +10,17 @@ ever reconciling the two sides silently.
 Active-miner checks run on the coalition view: colluding miners
 renormalised to their conditional shares lambda_i / lambda_col, which is
 the measure the per-block bribe arithmetic lives in.
+
+Each verifier call computes each distinct (scenario, profile, pin)
+expectation once: policies are stateless, so a profile is keyed by each
+policy's class and constructor parameters.  The memo lives for that one
+call and no longer.  (The two-phase lemmas 6 and 7 ask for no expectation
+twice and call `expected_utilities` directly.)
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -80,6 +87,34 @@ def closed_form(attack: str, params: dict) -> dict:
         v_col, k, k_mi = _need(p, "v_col", "k", "k_mi")
         return {"each-miner": Fraction(v_col) * k_mi / k}
     raise ScenarioError(f"unknown attack {attack!r}")
+
+
+# ---------------------------------------------------------------------------
+# One verdict's expectations.
+# ---------------------------------------------------------------------------
+
+
+def _policy_key(policy) -> tuple:
+    # A stateless policy is its class and its constructor's parameters.
+    return type(policy), tuple(sorted(vars(policy).items()))
+
+
+def _verdict_expectations():
+    """`expected_utilities` for one verdict, computing each distinct
+    (scenario, profile, pin) once; scenarios are told apart by identity."""
+    done: dict = {}
+
+    def expect(scen: Scenario, profile: StrategyProfile,
+               pin: Optional[dict] = None):
+        key = (id(scen), _policy_key(profile.alice), _policy_key(profile.bob),
+               tuple(sorted((p, _policy_key(pol))
+                            for p, pol in profile.miners.items())),
+               tuple(sorted((pin or {}).items())))
+        if key not in done:
+            # Holding the scenario keeps its id from being reused.
+            done[key] = scen, expected_utilities(scen, profile, pin)
+        return done[key][1]
+    return expect
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +247,7 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
             raise ScenarioError("no miner of the required kind")
     lam_i = scen.profile_of(focal).power
     lam_col = scen.lambda_col
+    expect = _verdict_expectations()
 
     if n == 1:
         hyp = pact_hypothesis(1, scen, lam_i)
@@ -221,10 +257,10 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
         accept = M2MbaActive("accept")
         verdict = dominance_check(view, mi, accept,
                                   own_space=[accept, HonestFeeMax()],
-                                  opponent_space=[base], pin=pin)
-        income = expected_utilities(
-            view, _attack_profile(view, {mi: accept}),
-            pin=pin).bribe_income.get(mi, Fraction(0))
+                                  opponent_space=[base], pin=pin,
+                                  expect=expect)
+        income = expect(view, _attack_profile(view, {mi: accept}),
+                        pin=pin).bribe_income.get(mi, Fraction(0))
         return LemmaVerdict("lemma1", hyp, verdict.verdict == "strict",
                             income - f_a, {"bribe_income": income,
                                            "verdict": verdict.verdict})
@@ -234,7 +270,8 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
         offer = M2MbaActive("race")
         verdict = dominance_check(view, mi, offer,
                                   own_space=[offer, HonestFeeMax()],
-                                  opponent_space=[_attack_profile(view)])
+                                  opponent_space=[_attack_profile(view)],
+                                  expect=expect)
         return LemmaVerdict("lemma2", hyp, verdict.verdict == "strict",
                             detail={"verdict": verdict.verdict})
     if n == 3:
@@ -243,7 +280,8 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
         wait = M2MbaPassive()
         verdict = dominance_check(view, mp, wait,
                                   own_space=[wait, HonestFeeMax()],
-                                  opponent_space=[_attack_profile(view)])
+                                  opponent_space=[_attack_profile(view)],
+                                  expect=expect)
         return LemmaVerdict("lemma3", hyp, verdict.verdict == "strict",
                             detail={"verdict": verdict.verdict})
     if n == 4:
@@ -256,8 +294,7 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
         for t_y in (view.T + 1, view.T + 2, view.T + 3):
             pol = M2MbaActive("race") if t_y == view.T + 1 else \
                 M2MbaActive("race", defer_to=t_y)
-            u = expected_utilities(view, _attack_profile(view, {mi: pol}),
-                                   pin=pin).of(mi)
+            u = expect(view, _attack_profile(view, {mi: pol}), pin=pin).of(mi)
             utils.append(u)
         decreasing = all(utils[i] > utils[i + 1] for i in range(len(utils) - 1))
         return LemmaVerdict("lemma4", hyp, decreasing,
@@ -277,7 +314,7 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
                 + scen.epsilon
             bribes[VIEW_REST] = math.ceil(rest_br)
         view, mi, _ = coalition_view(scen, focal, bribes)
-        income = expected_utilities(view, _attack_profile(view)) \
+        income = expect(view, _attack_profile(view)) \
             .bribe_income.get(mi, Fraction(0))
         concl = income > f_a
         return LemmaVerdict("lemma5", hyp, concl, income - f_a,
@@ -316,6 +353,7 @@ def verify_theorem_m2mba(scen: Scenario) -> TheoremReport:
     if scen.protocol != "he":
         raise ScenarioError("protocol-mismatch")
     base = _attack_profile(scen)
+    expect = _verdict_expectations()
     per_miner: dict = {}
     hypothesis: dict = {}
     all_dominant = True
@@ -330,7 +368,8 @@ def verify_theorem_m2mba(scen: Scenario) -> TheoremReport:
         candidates, honest_alts = space[:-2], space[-2:]
         results = []
         for cand in candidates:
-            v = dominance_check(scen, party, cand, [cand] + honest_alts, [base])
+            v = dominance_check(scen, party, cand, [cand] + honest_alts, [base],
+                                expect=expect)
             results.append((cand.name, v))
             if v.verdict != "strict":
                 all_dominant = False
@@ -374,12 +413,13 @@ def demba_deviation_spaces(scen: Scenario) -> dict:
     }
 
 
-def _single_miner_play(scen: Scenario, alice, bob, miner_policy=None):
+def _single_miner_play(scen: Scenario, alice, bob, miner_policy=None,
+                       expect=None):
     m = scen.miner_parties()[0]
     profile = StrategyProfile(alice, bob, {
         p: (miner_policy or HonestFeeMax()) if p == m else HonestFeeMax()
         for p in scen.miner_parties()})
-    return expected_utilities(scen, profile)
+    return (expect or expected_utilities)(scen, profile)
 
 
 def verify_demba(scen: Scenario) -> DembaReport:
@@ -399,23 +439,23 @@ def verify_demba(scen: Scenario) -> DembaReport:
     if not verdict.ok:
         raise ScenarioError(f"invalid schedule: {verdict.violation}")
     spaces = demba_deviation_spaces(scen)
+    expect = _verdict_expectations()
+
+    def uniform(alice, bob, miner_policy):
+        return expect(scen, StrategyProfile(alice, bob, {
+            p: miner_policy for p in scen.miner_parties()}))
 
     # (e) collusion bounds over the full cross product.  Its all-honest-miner
-    # rows are every profile that (a), (b) and the party rows of (d) read.
-    table = {}
+    # rows are every profile that (a), (b) and (d) read back from the memo.
     bounds_ok = True
-    for a_pol in spaces["alice"]:
-        for b_pol in spaces["bob"]:
-            for m_pol in spaces["miners"]:
-                profile = StrategyProfile(a_pol, b_pol, {
-                    p: m_pol for p in scen.miner_parties()})
-                eu = expected_utilities(scen, profile)
-                table[a_pol.name, b_pol.name, m_pol.name] = eu
-                bounds_ok &= (eu.of(ALICE) <= scen.v_dep + scen.v_col_a
-                              and eu.of(BOB) <= scen.v_col_b)
+    for a_pol, b_pol, m_pol in itertools.product(
+            spaces["alice"], spaces["bob"], spaces["miners"]):
+        eu = uniform(a_pol, b_pol, m_pol)
+        bounds_ok &= (eu.of(ALICE) <= scen.v_dep + scen.v_col_a
+                      and eu.of(BOB) <= scen.v_col_b)
 
     def honest_miners(alice, bob):
-        return table[alice.name, bob.name, HonestFeeMax.name]
+        return uniform(alice, bob, HonestFeeMax())
 
     honest = honest_miners(AliceHonest(), BobHonest(1))
     u_alice_honest = honest.of(ALICE)
@@ -446,7 +486,8 @@ def verify_demba(scen: Scenario) -> DembaReport:
         deviations.append(("bob", pol.name, u, u_bob_honest))
     miner = scen.miner_parties()[0]
     for pol in spaces["miners"]:
-        u = _single_miner_play(scen, AliceHonest(), BobHonest(1), pol).of(miner)
+        u = _single_miner_play(scen, AliceHonest(), BobHonest(1), pol,
+                               expect).of(miner)
         deviations.append(("miner", pol.name, u, honest.of(miner)))
     no_profit = all(u <= u_honest for _, _, u, u_honest in deviations)
     return DembaReport(honest_best_alice, honest_best_bob,

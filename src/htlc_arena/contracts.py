@@ -172,11 +172,6 @@ class FeeSchedule:
         return earned, declared_fee - earned
 
 
-def fee_split(path: str, declared_fee: int, inclusion_round: int,
-              schedule: FeeSchedule) -> tuple:
-    return schedule.split(path, declared_fee, inclusion_round)
-
-
 # ---------------------------------------------------------------------------
 # Protocol builders.
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ wrap-around can never be observed anywhere in the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 ROLE_ALICE = "alice"
 ROLE_BOB = "bob"
@@ -16,9 +16,12 @@ ROLE_EXTERNAL = "external-user"
 ROLE_BURN = "burn-sink"
 
 
-@dataclass(frozen=True, slots=True)
-class Party:
-    """Opaque participant identifier plus a role tag."""
+class Party(NamedTuple):
+    """Opaque participant identifier plus a role tag.
+
+    A named tuple, so hashing and equality run in C: parties key every
+    balance and outcome dict the engine touches.
+    """
 
     id: str
     role: str

@@ -5,10 +5,11 @@ Expected utilities are either exact or Monte-Carlo with a seeded generator.
 The exact expectation is a forward pass over rounds: every policy is a
 stateless function of (chain state, round), so schedule prefixes that reach
 equal states are merged and carry their summed weight (the product of miner
-powers, in rational arithmetic).  Its values are those of playing every
-schedule that `enumerate_schedules` yields, which is the reference the
-tests hold it to.  Dominance checks brute-force finite policy spaces on top
-of the expectation machinery.
+powers).  Weights travel as integer numerators over one common denominator,
+the product of each round's, and become fractions once, at the end.  Its
+values are those of playing every schedule that `enumerate_schedules`
+yields, which is the reference the tests hold it to.  Dominance checks
+brute-force finite policy spaces on top of the expectation machinery.
 
 Utilities carry no discounting: they are raw end-of-game token deltas from
 the post-setup baseline.  The one exception to pre-funded contracts is the
@@ -19,6 +20,7 @@ both collaterals exist, so its funding lands inside the measured window.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
@@ -393,8 +395,8 @@ def _outcome(scen: Scenario, state: ChainState, baseline: dict, escrow0: int,
              trace: tuple) -> Outcome:
     """Settle a final state against the post-setup baseline."""
     deltas = {}
-    parties = set(baseline) | set(state.balances)
-    for party in parties:
+    # In party order, so results print alike whatever the hash seed.
+    for party in sorted(set(baseline) | set(state.balances)):
         deltas[party] = Fraction(state.balances.get(party, 0)
                                  - baseline.get(party, 0))
     bribe_income: dict = {}
@@ -508,6 +510,14 @@ def _round_branches(scen: Scenario, rnd: int, pin: dict) -> tuple:
     return tuple((m.party, m.power) for m in scen.miners)
 
 
+def _integer_branches(branches: tuple) -> tuple:
+    """A round's branches with integer weights over their common
+    denominator: (((miner, numerator), ...), denominator)."""
+    scale = math.lcm(*(w.denominator for _, w in branches))
+    return tuple((m, w.numerator * (scale // w.denominator))
+                 for m, w in branches), scale
+
+
 def _exact_expectation(scen: Scenario, profile: StrategyProfile,
                        pin: dict) -> ExpectedUtilities:
     """Exact expectation by a forward pass over rounds.
@@ -515,17 +525,21 @@ def _exact_expectation(scen: Scenario, profile: StrategyProfile,
     Each round branches every distinct state on every miner (or on the
     pinned one) and merges successors with equal `merge_key`, summing the
     weights of the schedule prefixes that reach them; the outcome is read
-    from the final states.  Zero-weight branches are kept, so the parties
-    in the result are those of every schedule.  Conservation is checked
-    once per distinct state, the label rule on every transition.
+    from the final states.  A weight is an integer over `denom`, the
+    product of the rounds' common denominators, so merging adds ints and
+    the one division comes at the end.  Zero-weight branches are kept, so
+    the parties in the result are those of every schedule.  Conservation
+    is checked once per distinct state, the label rule on every transition.
     """
     _check_enumeration_cap(
         scen, sum(1 for r in range(1, scen.horizon + 1) if r not in pin))
     state, baseline, escrow0 = _setup(scen, profile)
     expected_total = state.conservation_total()
-    frontier = [[state, Fraction(1), -1]]  # [state, weight, label rank]
+    frontier = [[state, 1, -1]]  # [state, weight numerator, label rank]
+    denom = 1
     for rnd in range(1, scen.horizon + 1):
-        branches = _round_branches(scen, rnd, pin)
+        branches, scale = _integer_branches(_round_branches(scen, rnd, pin))
+        denom *= scale
         merged: dict = {}
         for state, weight, rank in frontier:
             for miner, power in branches:
@@ -540,20 +554,24 @@ def _exact_expectation(scen: Scenario, profile: StrategyProfile,
                 else:
                     merged[key] = [nxt, weight * power, nxt_rank]
         frontier = list(merged.values())
-    total_weight = sum((w for _, w, _ in frontier), Fraction(0))
-    if total_weight != 1:
-        raise ArenaError(f"schedule weights sum to {total_weight}, not 1")
+    total_weight = sum(w for _, w, _ in frontier)
+    if total_weight != denom:
+        raise ArenaError(f"schedule weights sum to "
+                         f"{Fraction(total_weight, denom)}, not 1")
     utilities: dict = {}
     bribes: dict = {}
-    burned = Fraction(0)
+    burned = 0
     for state, w, _ in frontier:
         out = _outcome(scen, state, baseline, escrow0, ())
         for party, d in out.deltas.items():
-            utilities[party] = utilities.get(party, Fraction(0)) + w * d
+            utilities[party] = utilities.get(party, 0) + w * d
         for party, b in out.bribe_income.items():
-            bribes[party] = bribes.get(party, Fraction(0)) + w * b
+            bribes[party] = bribes.get(party, 0) + w * b
         burned += w * out.burned
-    return ExpectedUtilities(utilities, bribes, burned, "exact")
+    return ExpectedUtilities(
+        {p: Fraction(u, denom) for p, u in utilities.items()},
+        {p: Fraction(b, denom) for p, b in bribes.items()},
+        Fraction(burned, denom), "exact")
 
 
 def sample_schedule(scen: Scenario, rng: np.random.Generator,
@@ -644,17 +662,21 @@ def _player_party(player) -> Party:
 
 
 def dominance_check(scen: Scenario, player, candidate, own_space,
-                    opponent_space, pin: Optional[dict] = None) -> DominanceVerdict:
+                    opponent_space, pin: Optional[dict] = None, *,
+                    expect=None) -> DominanceVerdict:
     """Brute-force pure-strategy dominance of `candidate` over `own_space`.
 
     `opponent_space` is a list of StrategyProfile templates giving every
     other player's policy (the `player` slot is overwritten).  Returns
     strict if the candidate beats every alternative against every opponent
     profile, weak if it never loses and wins somewhere, none otherwise; the
-    witness pins down the comparison that was tight or violated.
+    witness pins down the comparison that was tight or violated.  `expect`
+    computes each expectation, `expected_utilities` unless a caller that
+    shares its results across checks passes its own.
     """
     if not own_space or not opponent_space:
         raise ScenarioError("empty strategy space")
+    expect = expect or expected_utilities
     party = _player_party(player)
     alternatives = [p for p in own_space if p is not candidate]
     if not alternatives:
@@ -662,11 +684,10 @@ def dominance_check(scen: Scenario, player, candidate, own_space,
     strict_somewhere = False
     tight_witness = None
     for opp in opponent_space:
-        cand_u = expected_utilities(
+        cand_u = expect(
             scen, _profile_with(opp, player, candidate), pin).of(party)
         for alt in alternatives:
-            alt_u = expected_utilities(
-                scen, _profile_with(opp, player, alt), pin).of(party)
+            alt_u = expect(scen, _profile_with(opp, player, alt), pin).of(party)
             if cand_u > alt_u:
                 strict_somewhere = True
             elif cand_u == alt_u:

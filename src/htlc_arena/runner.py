@@ -56,17 +56,32 @@ def _frac(value, what: str) -> Fraction:
     raise ScenarioError(f"validation-error({what}): expected int, 'p/q', or [p, q]")
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, known=None) -> dict:
+    """`value` as an object; with `known`, one that holds no other key."""
     if not isinstance(value, dict):
         raise ScenarioError(f"validation-error({what}): expected an object")
+    if known is not None:
+        _known_keys(value, known, f"{what}.")
     return value
 
 
+def _known_keys(part: dict, known, prefix: str = "") -> None:
+    for key in part:
+        if key not in known:
+            # repr() keeps a key with a line break on the one error line.
+            shown = key if key.isprintable() else repr(key)
+            raise ScenarioError(f"validation-error({prefix}{shown}): unknown "
+                                f"key, expected one of {', '.join(known)}")
+
+
+_PAID_KEYS = {"pre_A": PRE_A, "pre_A'": PRE_A2, "pre_AA'": PRE_AA2,
+              "pre_B": PRE_B}
+
+
 def _fee_schedule_from(doc: dict, T: int) -> FeeSchedule:
-    paid_doc = _object(doc.get("paid", {}), "fees.schedule.paid")
+    paid_doc = _object(doc.get("paid", {}), "fees.schedule.paid", _PAID_KEYS)
     try:
-        paid = {PRE_A: paid_doc["pre_A"], PRE_A2: paid_doc["pre_A'"],
-                PRE_AA2: paid_doc["pre_AA'"], PRE_B: paid_doc["pre_B"]}
+        paid = {path: paid_doc[key] for key, path in _PAID_KEYS.items()}
     except KeyError as e:
         raise ScenarioError(f"validation-error(fees.schedule.paid): missing {e}")
     return FeeSchedule(paid, _frac(doc.get("alpha", "1/2"), "fees.schedule.alpha"), T)
@@ -90,9 +105,11 @@ def scenario_from_doc(doc) -> tuple:
     malformed document surfaces as one ScenarioError, never a traceback.
     """
     doc = _object(doc, "document")
+    _known_keys(doc, _TOP_LEVEL)
     try:
         scen = _scenario_from_doc(doc)
-        policies = _object(doc.get("policies", {}), "policies")
+        policies = _object(doc.get("policies", {}), "policies",
+                           ("alice", "bob", "miners"))
         return scen, _profile_from_doc(policies, scen)
     except ScenarioError:
         raise
@@ -101,7 +118,8 @@ def scenario_from_doc(doc) -> tuple:
 
 
 #: The Scenario fields each document section holds (None: the top level).
-#: A key the document leaves out keeps the Scenario default.
+#: A key the document leaves out keeps the Scenario default; a key that no
+#: section knows is an error, so that a misspelt one cannot pass silently.
 _SECTIONS = {
     None: ("protocol", "capacity", "seed"),
     "amounts": ("v_dep", "v_col", "v_col_a", "v_col_b", "v_ded"),
@@ -109,12 +127,18 @@ _SECTIONS = {
     "timing": ("T", "l", "t_pub", "horizon"),
     "bribes": ("br", "epsilon"),
 }
+#: Keys a section holds besides its Scenario fields.
+_EXTRA_KEYS = {"fees": ("schedule",)}
+_TOP_LEVEL = (*_SECTIONS[None], *(s for s in _SECTIONS if s is not None),
+              "miners", "policies", "mode")
+_MINER_KEYS = ("id", "power", "kind", "colluding")
 
 
 def _scenario_from_doc(doc: dict) -> Scenario:
     values = {}
     for section, names in _SECTIONS.items():
-        part = doc if section is None else _object(doc.get(section, {}), section)
+        part = doc if section is None else _object(
+            doc.get(section, {}), section, names + _EXTRA_KEYS.get(section, ()))
         values.update((name, part[name]) for name in names if name in part)
     # A missing required field reaches the Scenario's checks as None.
     for name in ("protocol", "v_dep", "T"):
@@ -124,7 +148,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         raise ScenarioError("validation-error(miners): expected a list")
     miners = []
     for i, m in enumerate(miners_doc):
-        m = _object(m, f"miners[{i}]")
+        m = _object(m, f"miners[{i}]", _MINER_KEYS)
         power = _frac(m.get("power", 0), f"miners[{i}].power")
         miners.append(MinerProfile(miner_party(m.get("id", f"m{i + 1}")), power,
                                    m.get("kind", "passive"),
@@ -132,11 +156,13 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     fees = doc.get("fees", {})
     if "schedule" in fees:
         values["fee_schedule"] = _fee_schedule_from(
-            _object(fees["schedule"], "fees.schedule"), values["T"])
+            _object(fees["schedule"], "fees.schedule", ("paid", "alpha")),
+            values["T"])
     mode_doc = doc.get("mode", "exact")
     if mode_doc == "exact":
         values["mode"] = ("exact",)
     elif isinstance(mode_doc, dict) and "monte-carlo" in mode_doc:
+        _object(mode_doc, "mode", ("monte-carlo",))
         values["mode"] = ("monte-carlo", mode_doc["monte-carlo"])
     else:
         raise ScenarioError(f"validation-error(mode): got {mode_doc!r}")
@@ -157,7 +183,8 @@ def _profile_from_doc(doc: dict, scen: Scenario) -> StrategyProfile:
                              "policies.alice", make_party_policy, "alice")
     bob = _policy_from_doc(doc.get("bob", {"name": "honest"}),
                            "policies.bob", make_party_policy, "bob")
-    miners_doc = _object(doc.get("miners", {}), "policies.miners")
+    miners_doc = _object(doc.get("miners", {}), "policies.miners",
+                         ("default", *(m.party.id for m in scen.miners)))
     default_doc = miners_doc.get("default", {"name": "honest-fee-max"})
     miners = {}
     for m in scen.miners:

@@ -7,14 +7,30 @@ from fractions import Fraction
 
 import pytest
 
-from htlc_arena import analysis
+from htlc_arena import analysis, game
 from htlc_arena.core import ALICE, BOB, ScenarioError
 from htlc_arena.analysis import (PoolParams, closed_form, pool_math,
                                  pool_mc, verify_demba, verify_demba_lemma,
                                  verify_m2mba_lemma, verify_theorem_m2mba)
-from htlc_arena.game import MinerProfile
+from htlc_arena.agents import (AliceHonest, BobHonest, M2MbaActive,
+                               M2MbaPassive)
+from htlc_arena.game import MinerProfile, StrategyProfile
 
 from conftest import M1, M2, M3, demba_scenario, demba_schedule, he_scenario
+from test_acceptance import _theorem_scenario
+
+
+def count_exact_expectations(monkeypatch) -> list:
+    """Record every exact expectation computed from now on."""
+    calls = []
+    exact = game._exact_expectation
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(game, "_exact_expectation", counted)
+    return calls
 
 
 def m2mba_miners(lam_i="3/10", lam_other="3/10", lam_passive="4/10"):
@@ -77,6 +93,35 @@ class TestM2MbaLemmas:
         v = verify_m2mba_lemma(1, self.scen(), M1)
         assert v.hypothesis_holds and v.conclusion_holds
         assert v.detail["bribe_income"] == 4
+
+    def test_lemma1_computes_each_expectation_once(self, monkeypatch):
+        # The accept profile's bribe income is dominance's candidate row.
+        calls = count_exact_expectations(monkeypatch)
+        verify_m2mba_lemma(1, self.scen(), M1)
+        assert len(calls) == 2
+
+    def test_theorem_computes_each_expectation_once(self, monkeypatch):
+        # A candidate equal to the base profile, or an honest alternative
+        # shared by two candidates, is computed once per verdict.
+        calls = count_exact_expectations(monkeypatch)
+        for kw in ({}, {"f_dep_a": 250}, {"br": 0}):
+            verify_theorem_m2mba(_theorem_scenario(**kw)[1])
+        assert len(calls) == 24
+
+    def test_memo_keys_on_pin_and_policy_parameters(self, monkeypatch):
+        calls = count_exact_expectations(monkeypatch)
+        expect = analysis._verdict_expectations()
+        scen = self.scen(T=3, l=1)
+
+        def profile(m1_policy):
+            return StrategyProfile(AliceHonest(), BobHonest(), {
+                M1: m1_policy, M2: M2MbaActive(), M3: M2MbaPassive()})
+
+        first = expect(scen, profile(M2MbaActive()))
+        assert expect(scen, profile(M2MbaActive())) is first
+        expect(scen, profile(M2MbaActive()), {2: M3})
+        expect(scen, profile(M2MbaActive(defer_to=5)))
+        assert len(calls) == 3
 
     def test_lemma1_inverted_bribe_gives_none(self):
         scen = self.scen(T=3, br=0, f_dep_a=8, f_dep_b=8)
@@ -164,7 +209,8 @@ class TestDembaVerification:
 
     def test_reads_every_all_honest_miner_profile_from_the_table(
             self, monkeypatch):
-        # 6 x 4 x 2 cross-product profiles plus the two miner deviations.
+        # The 6 x 4 x 2 cross-product profiles; on one miner, the two miner
+        # deviations are cross-product rows and come from the verdict's memo.
         calls = []
         expected_utilities = analysis.expected_utilities
 
@@ -174,7 +220,7 @@ class TestDembaVerification:
 
         monkeypatch.setattr(analysis, "expected_utilities", counted)
         assert verify_demba(demba_scenario()).all_hold
-        assert len(calls) == 50
+        assert len(calls) == 48
 
     def test_honest_oracle_values(self):
         from htlc_arena.agents import AliceHonest, BobHonest, HonestFeeMax

@@ -16,7 +16,7 @@ from htlc_arena.contracts import (CensorBriberyContract, COL_A_ID, COL_B,
                                   PRE_B, build_demba, build_he_htlc,
                                   build_mad_htlc, build_naive_htlc,
                                   check_fee_schedule, derive_he_delay,
-                                  fee_split, resolve_demba_dep)
+                                  resolve_demba_dep)
 
 from conftest import M1, demba_schedule
 
@@ -143,21 +143,21 @@ class TestFeeSplit:
                            Fraction(1, 2), T=5)
 
     def test_full_fee_before_deadline(self):
-        assert fee_split(PRE_B, 6, 4, self.schedule()) == (6, 0)
-        assert fee_split(PRE_A, 8, 5, self.schedule()) == (8, 0)
+        assert self.schedule().split(PRE_B, 6, 4) == (6, 0)
+        assert self.schedule().split(PRE_A, 8, 5) == (8, 0)
 
     def test_decay_after_deadline(self):
         # alpha = 1/2, base 8, two rounds late: floor(8/4) = 2 earned.
-        assert fee_split(PRE_A, 8, 7, self.schedule()) == (2, 6)
+        assert self.schedule().split(PRE_A, 8, 7) == (2, 6)
 
     def test_zero_fee_stays_zero(self):
         sched = FeeSchedule({PRE_A: 0, PRE_A2: 12, PRE_AA2: 20, PRE_B: 6},
                             Fraction(1, 2), T=5)
-        assert fee_split(PRE_A, 0, 9, sched) == (0, 0)
+        assert sched.split(PRE_A, 0, 9) == (0, 0)
 
     def test_fee_mismatch(self):
         with pytest.raises(FeeError):
-            fee_split(PRE_A, 7, 3, self.schedule())
+            self.schedule().split(PRE_A, 7, 3)
 
 
 class TestFeeScheduleCheck:

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from htlc_arena.agents import AliceHonest, BobHonest, M2MbaActive
+from htlc_arena.agents import (AliceHonest, BobHonest, M2MbaActive,
+                               M2MbaPassive)
 from htlc_arena.core import miner_party
 from htlc_arena.game import (MinerProfile, StrategyProfile, enumerate_schedules,
                              expected_utilities, play)
@@ -87,9 +88,25 @@ def _equal_split_game():
     return scen, profile, {8: PARTIES[0], 7: PARTIES[1]}
 
 
+def _unequal_denominators_game():
+    # Powers over 3, 5 and 15 put each free round's weights over the common
+    # denominator 15; the pinned round, which the passive miner mines
+    # inside the censored window, weighs 1.
+    miners = (MinerProfile(PARTIES[0], Fraction(1, 3), "active", True),
+              MinerProfile(PARTIES[1], Fraction(2, 5), "active", True),
+              MinerProfile(PARTIES[2], Fraction(4, 15), "passive"))
+    scen = he_scenario(v_dep=300, v_col=200, T=3, t_pub=1, l=1, br=30, f=0,
+                       miners=miners)
+    profile = StrategyProfile(AliceHonest(), BobHonest(), {
+        PARTIES[0]: M2MbaActive(), PARTIES[1]: M2MbaActive("accept"),
+        PARTIES[2]: M2MbaPassive()})
+    return scen, profile, {2: PARTIES[2]}
+
+
 @settings(max_examples=60, deadline=None)
 @given(game=games())
 @example(game=_equal_split_game())
+@example(game=_unequal_denominators_game())
 def test_merged_expectation_equals_brute_force(game):
     scen, profile, pin = game
     utilities, bribes, burned = brute_force(scen, profile, pin)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +231,31 @@ class TestExpectations:
         a = expected_utilities(monte_carlo(scen, 200), profile)
         b = expected_utilities(monte_carlo(scen, 200), profile)
         assert a.utilities == b.utilities and a.ci == b.ci
+
+    def test_results_print_alike_under_any_hash_seed(self):
+        # Parties hash by their id strings, which each process salts anew.
+        script = "\n".join([
+            "from fractions import Fraction",
+            "from htlc_arena.agents import AliceHonest, BobHonest, M2MbaActive",
+            "from htlc_arena.game import (MinerProfile, StrategyProfile,",
+            "                             expected_utilities)",
+            "from conftest import M1, M2, he_scenario, monte_carlo",
+            "scen = he_scenario(T=3, l=1, miners=(",
+            "    MinerProfile(M1, Fraction(1, 3), 'active', True),",
+            "    MinerProfile(M2, Fraction(2, 3), 'active', True)))",
+            "profile = StrategyProfile(AliceHonest(), BobHonest(),",
+            "                          {M1: M2MbaActive(), M2: M2MbaActive()})",
+            "print(repr(expected_utilities(scen, profile)))",
+            "print(repr(expected_utilities(monte_carlo(scen, 20), profile)))"])
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        outs = [subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONHASHSEED=seed,
+                                 PYTHONPATH=path)).stdout
+            for seed in ("1", "2")]
+        assert outs[0] == outs[1]
+        assert outs[0].count("ExpectedUtilities(") == 2
 
     def test_weight_sum_check_survives_optimised_mode(self, monkeypatch):
         scen = naive_scenario()

@@ -231,6 +231,30 @@ MALFORMED = {
         policies={"alice": {"name": "honest", "t_pub": "x"}}),
         "policies.alice"),
     "mc-trials-string": (minimal_naive(mode={"monte-carlo": "5"}), "mode"),
+    # A key that no section knows, typically a misspelt one.
+    "top-level-unknown-key": (minimal_naive(bribe={"br": 2}), "bribe"),
+    "amounts-unknown-key": (
+        minimal_naive(amounts={"v_dep": 100, "v_coll": 5}), "amounts.v_coll"),
+    "fees-unknown-key": (minimal_naive(fees={"f_dep": 3}), "fees.f_dep"),
+    "timing-unknown-key": (minimal_naive(
+        timing={"T": 5, "t_pub": 1, "tpub": 4}), "timing.tpub"),
+    "bribes-unknown-key": (minimal_naive(bribes={"bribe": 2}), "bribes.bribe"),
+    "mode-unknown-key": (minimal_naive(
+        mode={"monte-carlo": 5, "trials": 900}), "mode.trials"),
+    "miner-unknown-key": (minimal_naive(
+        miners=[{"id": "m1", "power": 1, "colluding": False, "kinds": "x"}]),
+        "miners[0].kinds"),
+    "schedule-unknown-key": (minimal_naive(fees={"schedule": {
+        "paid": {"pre_A": 8, "pre_A'": 12, "pre_AA'": 20, "pre_B": 8},
+        "alfa": "1/2"}}), "fees.schedule.alfa"),
+    "schedule-paid-unknown-key": (minimal_naive(fees={"schedule": {"paid": {
+        "pre_A": 8, "pre_A'": 12, "pre_AA'": 20, "pre_B": 8, "pre_C": 1}}}),
+        "fees.schedule.paid.pre_C"),
+    "policies-unknown-key": (minimal_naive(
+        policies={"alcie": {"name": "honest"}}), "policies.alcie"),
+    "policies-unknown-miner": (minimal_naive(
+        policies={"miners": {"m2": {"name": "censor-related"}}}),
+        "policies.miners.m2"),
 }
 
 NAIVE = ["--scenario", str(SCENARIOS / "naive_bribery.json")]
