@@ -6,7 +6,7 @@ from .core import ALICE, BOB, BURN_SINK, EXTERNAL, Party, miner_party
 from .contracts import (FeeSchedule, build_demba, build_he_htlc,
                         build_mad_htlc, build_naive_htlc, check_fee_schedule,
                         resolve_demba_dep)
-from .ledger import Block, ChainState, TxRecord, Witness, apply_block, mint, validate_tx
+from .ledger import Block, ChainState, TxRecord, Witness, apply_block, validate_tx
 from .game import (MinerProfile, Outcome, Scenario, Schedule, StrategyProfile,
                    dominance_check, expected_utilities, play, state_label)
 
@@ -14,7 +14,7 @@ __all__ = [
     "ALICE", "BOB", "BURN_SINK", "EXTERNAL", "Party", "miner_party",
     "FeeSchedule", "build_demba", "build_he_htlc", "build_mad_htlc",
     "build_naive_htlc", "check_fee_schedule", "resolve_demba_dep",
-    "Block", "ChainState", "TxRecord", "Witness", "apply_block", "mint",
+    "Block", "ChainState", "TxRecord", "Witness", "apply_block",
     "validate_tx", "MinerProfile", "Outcome", "Scenario", "Schedule",
     "StrategyProfile", "dominance_check", "expected_utilities", "play",
     "state_label", "__version__",

@@ -6,6 +6,13 @@ identical actions.  Party policies broadcast transactions at the end of a
 round (eligible from the next block); miner policies assemble the block for
 a round, including any transactions they create themselves (confiscations,
 bribery-contract calls), which never pass through the mempool.
+
+Every miner block that is not a bespoke attack block follows one assembly
+rule (`_assemble`): the policy's own head transactions, then the honest
+fee-maximal picks that spend no contract the head spends, then its tail
+transactions, cut to the block capacity, so a full block drops its tail
+first.  Policies read settlement facts through `ledger.ChainView`, the
+view bribery contracts see.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from .contracts import (BriberyCall, CBOB_ID, CM2M_ID, COL_A_ID, COL_B,
                         COL_B_ID, COL_ID, COL_M, CensorBriberyContract, DEP_A,
                         DEP_B, DEP_ID, DEP_M, MinerPactContract, PRE_A, PRE_A2,
                         PRE_AA2, PRE_B, SECRETS)
-from .ledger import (CONTRACT_CALL, PAYMENT, RELATED, TxRecord, Witness,
-                     broadcast, validate_tx)
+from .ledger import (CONTRACT_CALL, PAYMENT, RELATED, ChainView, TxRecord,
+                     Witness, broadcast, validate_tx)
 from .game import Scenario
 
 
@@ -123,6 +130,14 @@ def _earned_fee(state, tx: TxRecord, rnd: int) -> int:
     return tx.declared_fee
 
 
+def _valid(state, tx: TxRecord, rnd: int) -> bool:
+    try:
+        validate_tx(state, tx, rnd)
+    except LedgerError:
+        return False
+    return True
+
+
 def honest_miner_select(state, rnd: int, miner: Party, scen: Scenario,
                         exclude=frozenset()) -> list:
     """Greedy fee-maximal selection from the mempool.
@@ -134,11 +149,7 @@ def honest_miner_select(state, rnd: int, miner: Party, scen: Scenario,
     """
     candidates = []
     for tx in state.mempool.values():
-        if tx.tx_id in exclude:
-            continue
-        try:
-            validate_tx(state, tx, rnd)
-        except LedgerError:
+        if tx.tx_id in exclude or not _valid(state, tx, rnd):
             continue
         earned = _earned_fee(state, tx, rnd)
         if earned > scen.f:
@@ -155,6 +166,24 @@ def honest_miner_select(state, rnd: int, miner: Party, scen: Scenario,
         picked.append(tx)
         consumed |= cids
     return picked
+
+
+def _assemble(state, rnd: int, miner: Party, scen: Scenario, head=(),
+              tail=(), exclude=frozenset()) -> BlockPlan:
+    """`head`, then the honest picks that spend no contract `head` spends,
+    then `tail`, cut to capacity (so a full block loses its tail first).
+
+    `head` ids never enter the honest picks, nor do the `exclude` ids.
+    """
+    spent: set = set()
+    if head:
+        exclude = exclude | {tx.tx_id for tx in head}
+        spent = {cid for tx in head for (cid, _) in tx.consumes}
+    picked = honest_miner_select(state, rnd, miner, scen, exclude)
+    if spent:
+        picked = [tx for tx in picked
+                  if spent.isdisjoint(cid for (cid, _) in tx.consumes)]
+    return BlockPlan([*head, *picked, *tail][:scen.capacity])
 
 
 # ---------------------------------------------------------------------------
@@ -419,44 +448,30 @@ class CensorRelated(MinerPolicy):
         cbob = state.bribery.get(CBOB_ID) if self.participate else None
         head: list = []
         tail: list = []
-        settled_now = False
         if cbob is not None and "tx.cbob.init" in state.mempool:
             head.append(state.mempool["tx.cbob.init"])
-        if rnd > until:
-            refund = state.mempool.get("tx.depB")
-            if state.contracts[DEP_ID].redeemable and refund is not None:
-                try:
-                    validate_tx(state, refund, rnd)
-                    head.append(refund)
-                    settled_now = True
-                except LedgerError:
-                    pass
+        refund = state.mempool.get("tx.depB")
+        settled_now = (rnd > until and refund is not None
+                       and state.contracts[DEP_ID].redeemable
+                       and _valid(state, refund, rnd))
+        if settled_now:
+            head.append(refund)
         if cbob is not None and not cbob.settled:
-            meta = state.meta
-            target = state.redemptions.get(meta["target_contract"])
-            target_hit = (target is not None
-                          and target[0] == meta["target_path"])
+            view = ChainView(state, rnd, miner)
             pre_a = _known_value(state, PRE_A)
             if rnd <= until:
                 if any(t in state.mempool for t in _target_tx_ids(scen)):
                     head.append(call_tx(f"tx.cbob.req.{rnd}", miner, CBOB_ID,
                                         "requestBribe"))
-            elif target_hit:
+            elif view.target_included_ever():
                 tail.append(call_tx(f"tx.cbob.refund.{rnd}", miner, CBOB_ID,
                                     "refundToBob"))
-            elif pre_a is not None and (settled_now or (
-                    target is not None and target[0] != meta["target_path"])):
+            elif pre_a is not None and (settled_now
+                                        or view.settlement_landed()):
                 tail.append(call_tx(f"tx.cbob.claim.{rnd}", miner, CBOB_ID,
                                     "claimBribe", {"preimage": pre_a}))
-        exclude = set(tx.tx_id for tx in head)
-        if rnd <= until:
-            exclude |= set(_target_tx_ids(scen))
-        picked = honest_miner_select(state, rnd, miner, scen, frozenset(exclude))
-        consumed = {cid for tx in head for (cid, _) in tx.consumes}
-        body = [tx for tx in picked
-                if not ({cid for cid, _ in tx.consumes} & consumed)]
-        ordered = head + body + tail
-        return BlockPlan(ordered[:scen.capacity])
+        return _assemble(state, rnd, miner, scen, head, tail,
+                         _target_tx_ids(scen) if rnd <= until else frozenset())
 
 
 class M2MbaPassive(MinerPolicy):
@@ -467,83 +482,55 @@ class M2MbaPassive(MinerPolicy):
 
     def build_block(self, state, rnd, miner, scen, profile):
         if rnd <= scen.T and not _preimages_known(state, (PRE_A, PRE_B)):
-            picked = honest_miner_select(state, rnd, miner, scen,
-                                         _target_tx_ids(scen))
-            return BlockPlan(picked)
+            return _assemble(state, rnd, miner, scen,
+                             exclude=_target_tx_ids(scen))
         return _confiscation_plan(state, rnd, miner, scen, pact=False)
 
 
 def _confiscation_plan(state, rnd, miner, scen, pact: bool,
                        claim_only: bool = False) -> BlockPlan:
     """Post-deadline attack block: land the refund, confiscate, settle."""
-    txs: list = []
-    consumed: set = set()
-    dep = state.contracts[DEP_ID]
+    head: list = []
+    dep_open = state.contracts[DEP_ID].redeemable
     both_known = _preimages_known(state, (PRE_A, PRE_B))
     refund = state.mempool.get("tx.depB")
-
-    def refund_valid():
-        if refund is None:
-            return False
-        try:
-            validate_tx(state, refund, rnd)
-            return True
-        except LedgerError:
-            return False
-
-    if scen.protocol == "mad":
+    refund_lands = False
+    if scen.protocol == "mad" and dep_open and both_known and not claim_only:
         # Confiscation beats letting the payer spend the deposit.
-        if dep.redeemable and both_known and not claim_only:
-            txs.append(tx_confiscate(state, scen, miner, DEP_ID, DEP_M))
-            consumed.add(DEP_ID)
-        elif dep.redeemable and refund_valid():
-            txs.append(refund)
-            consumed.add(DEP_ID)
-    else:
-        # The staged refund must land before the collateral pot is spendable.
-        if dep.redeemable and refund_valid():
-            txs.append(refund)
-            consumed.add(DEP_ID)
-    col = state.contracts[COL_ID]
-    can_confiscate = col.redeemable and not claim_only and both_known
+        head.append(tx_confiscate(state, scen, miner, DEP_ID, DEP_M))
+    elif dep_open and refund is not None and _valid(state, refund, rnd):
+        # In he the staged refund must land before the collateral pot is
+        # spendable.
+        head.append(refund)
+        refund_lands = True
+    can_confiscate = (state.contracts[COL_ID].redeemable and not claim_only
+                      and both_known)
     if scen.protocol == "he":
         dep_entry = state.redemptions.get(DEP_ID)
-        will_fund = DEP_ID in consumed and refund is not None
-        already = dep_entry is not None and dep_entry[0] == DEP_B
-        if already:
+        if dep_entry is not None and dep_entry[0] == DEP_B:
             pot = state.live.get(COL_ID, 0)
-        elif will_fund:
+        elif refund_lands:
             pot = state.live.get(DEP_ID, 0) - refund.declared_fee
         else:
             pot = 0
         # The confiscation burns the deposit; skip if the pot cannot cover it.
         can_confiscate = can_confiscate and pot >= scen.v_dep
     if can_confiscate:
-        txs.append(tx_confiscate(state, scen, miner, COL_ID, COL_M))
-        consumed.add(COL_ID)
-    if pact:
-        pact_obj = state.bribery.get(CM2M_ID)
-        confiscated = (COL_ID in consumed
-                       or (state.redemptions.get(COL_ID) or ("",))[0] == COL_M)
-        if pact_obj is not None and not pact_obj.settled:
-            pre_a = _known_value(state, PRE_A)
-            if confiscated and pre_a is not None:
-                txs.append(call_tx(f"tx.cm2m.claim.{rnd}", miner, CM2M_ID,
-                                   "claimBribe", {"preimage": pre_a}))
-            elif rnd > scen.T + scen.l + 1:
-                # Attack window over with nothing confiscated: recover locks.
-                txs.append(call_tx(f"tx.cm2m.refund.{rnd}", miner, CM2M_ID,
-                                   "refundToMiners"))
-    filler = honest_miner_select(
-        state, rnd, miner, scen,
-        frozenset(t.tx_id for t in txs) | {"tx.depB"})
-    for tx in filler:
-        if len(txs) >= scen.capacity:
-            break
-        if {cid for cid, _ in tx.consumes} & consumed:
-            continue
-        txs.append(tx)
-    return BlockPlan(txs[:scen.capacity])
+        head.append(tx_confiscate(state, scen, miner, COL_ID, COL_M))
+    pact_obj = state.bribery.get(CM2M_ID) if pact else None
+    if pact_obj is not None and not pact_obj.settled:
+        view = ChainView(state, rnd, miner)
+        pre_a = _known_value(state, PRE_A)
+        if pre_a is not None and (can_confiscate
+                                  or view.confiscator() is not None):
+            head.append(call_tx(f"tx.cm2m.claim.{rnd}", miner, CM2M_ID,
+                                "claimBribe", {"preimage": pre_a}))
+        elif view.attack_window_over():
+            # Nothing confiscated in the attack window: recover the locks.
+            head.append(call_tx(f"tx.cm2m.refund.{rnd}", miner, CM2M_ID,
+                                "refundToMiners"))
+    return _assemble(state, rnd, miner, scen, head,
+                     exclude=frozenset({"tx.depB"}))
 
 
 class M2MbaActive(MinerPolicy):
@@ -581,16 +568,15 @@ class M2MbaActive(MinerPolicy):
 
     def build_block(self, state, rnd, miner, scen, profile):
         if rnd <= scen.T:
-            txs = []
+            head = []
             if scen.m2mba_split != "equal":
                 pact = state.bribery.get(CM2M_ID)
                 if (pact is not None and not pact.settled
                         and any(t in state.mempool for t in _target_tx_ids(scen))):
-                    txs.append(call_tx(f"tx.cm2m.req.{rnd}", miner, CM2M_ID,
-                                       "requestBribe"))
-            picked = honest_miner_select(state, rnd, miner, scen,
-                                         _target_tx_ids(scen))
-            return BlockPlan((txs + picked)[:scen.capacity])
+                    head.append(call_tx(f"tx.cm2m.req.{rnd}", miner, CM2M_ID,
+                                        "requestBribe"))
+            return _assemble(state, rnd, miner, scen, head,
+                             exclude=_target_tx_ids(scen))
         claim_only = self.role == "accept" or (
             self.defer_to is not None and rnd < self.defer_to)
         return _confiscation_plan(state, rnd, miner, scen,
@@ -614,11 +600,9 @@ class B3aAccomplice(MinerPolicy):
         self.name = f"b3a-accomplice(case={self.case})"
 
     def build_block(self, state, rnd, miner, scen, profile):
-        if rnd <= scen.T:
-            return CensorRelated().build_block(state, rnd, miner, scen, profile)
-        dep = state.contracts[DEP_ID]
         pre_a = _known_value(state, PRE_A)
-        if not dep.redeemable or pre_a is None:
+        if (rnd <= scen.T or pre_a is None
+                or not state.contracts[DEP_ID].redeemable):
             return CensorRelated().build_block(state, rnd, miner, scen, profile)
         br = scen.br
         txs = [tx_confiscate(state, scen, miner, DEP_ID, DEP_M,
@@ -689,11 +673,9 @@ class HydraAccomplice(MinerPolicy):
         self.name = "hydra-accomplice"
 
     def build_block(self, state, rnd, miner, scen, profile):
-        if rnd <= scen.T:
-            return CensorRelated().build_block(state, rnd, miner, scen, profile)
-        dep = state.contracts[DEP_ID]
         pre_a = _known_value(state, PRE_A)
-        if not dep.redeemable or pre_a is None:
+        if (rnd <= scen.T or pre_a is None
+                or not state.contracts[DEP_ID].redeemable):
             return CensorRelated().build_block(state, rnd, miner, scen, profile)
         eps = self.epsilon if self.epsilon is not None else scen.epsilon
         txs = [tx_confiscate(state, scen, miner, DEP_ID, DEP_M,

@@ -80,6 +80,12 @@ class CrossRead:
     must_have: frozenset
     must_not: frozenset = frozenset()
 
+    def holds(self, revealed_slots) -> bool:
+        """True if `revealed_slots` (contract_id -> set of slot names) has
+        every `must_have` slot and no `must_not` slot of the contract."""
+        have = revealed_slots.get(self.contract_id, frozenset())
+        return self.must_have <= have and not have & self.must_not
+
 
 @dataclass(frozen=True, slots=True)
 class RedeemPath:
@@ -352,13 +358,7 @@ def resolve_demba_dep(dep: ContractInstance, revealed_slots, rnd: int):
     for path in dep.paths:
         if not path.auto_only or not path.in_window(rnd):
             continue
-        ok = True
-        for cr in path.cross_reads:
-            have = revealed_slots.get(cr.contract_id, frozenset())
-            if not cr.must_have <= have or have & cr.must_not:
-                ok = False
-                break
-        if ok:
+        if all(cr.holds(revealed_slots) for cr in path.cross_reads):
             return path
     return None
 

@@ -29,11 +29,11 @@ import numpy as np
 
 from .core import (ALICE, BOB, EXTERNAL, ArenaError, ContractError, Party,
                    ScenarioError, debit)
-from .contracts import (COL_A_ID, COL_B_ID, COL_ID, COL_M, DEP_A, DEP_ID,
+from .contracts import (COL_A_ID, COL_B_ID, COL_ID, DEP_A, DEP_ID,
                         FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B, SECRETS,
                         build_demba, build_he_htlc, build_mad_htlc,
                         build_naive_htlc, derive_he_delay)
-from .ledger import Block, ChainState, apply_block, broadcast
+from .ledger import Block, ChainState, ChainView, apply_block, broadcast
 
 PROTOCOLS = ("naive", "mad", "he", "demba")
 
@@ -55,6 +55,9 @@ class MinerProfile:
     def __post_init__(self):
         if type(self.party.id) is not str:
             raise _invalid("id", f"expected a string, got {self.party.id!r}")
+        if not self.party.id.isprintable():
+            # Error lines name miner ids raw, so a line break would split them.
+            raise _invalid("id", f"must be printable, got {self.party.id!r}")
         if self.power < 0:
             raise _invalid("power", f"must not be negative, got {self.power}")
         if self.kind not in ("passive", "active"):
@@ -246,8 +249,7 @@ def build_genesis(scen: Scenario) -> tuple:
 
 def _build_genesis(scen: Scenario) -> tuple:
     meta = {"T": scen.T, "l": scen.l, "target_contract": DEP_ID,
-            "target_path": DEP_A, "col_contract": COL_ID,
-            "confiscation_path": COL_M}
+            "target_path": DEP_A}
     if scen.protocol == "he" and scen.m2mba_split == "equal":
         # The equal split shares a confiscation by censored-window blocks.
         meta["split_window"] = (scen.t_pub + 1, scen.T)
@@ -304,7 +306,7 @@ def state_label(state: ChainState, rnd: int, protocol: str) -> str:
             return "all-red"
         mode = {PRE_A: "A", PRE_A2: "A'", PRE_AA2: "AA'"}[red_a[0]]
         b_round = state.reveal_round(COL_B_ID, PRE_B)
-        late = b_round is not None and b_round > state.meta.get("T", 0)
+        late = b_round is not None and b_round > state.meta["T"]
         return f"nred-{mode}B" + ("T" if late else "")
     entry = state.redemptions.get(DEP_ID)
     if entry is None:
@@ -436,10 +438,7 @@ def _settle_equal_split(scen: Scenario, state: ChainState,
     """
     if scen.protocol != "he" or scen.m2mba_split != "equal":
         return
-    entry = state.redemptions.get(COL_ID)
-    if entry is None or entry[0] != COL_M:
-        return
-    confiscator = entry[2]
+    confiscator = ChainView(state, state.height, None).confiscator()
     colluders = {m.party for m in scen.miners if m.colluding and m.kind == "active"}
     if confiscator not in colluders:
         return

@@ -19,8 +19,7 @@ from typing import Optional
 from .core import (BLOCK_MINER, BURN_SINK, EXTERNAL, LedgerError, Party,
                    check_amount, credit, debit)
 from .contracts import (BURNED, Burn, COL_ID, COL_M, CensorBriberyContract,
-                        ContractInstance, DEP_A, DEP_ID, Forward,
-                        MinerPactContract, REST, RedeemPath, Transfer,
+                        ContractInstance, Forward, REST, RedeemPath, Transfer,
                         bribery_contract_step, resolve_demba_dep)
 
 RELATED = "related"
@@ -66,9 +65,11 @@ class Block:
 class ChainState:
     """Ledger snapshot: live contract outputs, balances, reveals, mempool.
 
-    `window_blocks` counts the blocks each miner mined in the rounds that
-    `meta["split_window"]` names (first, last); it stays empty in a game
-    whose genesis sets no such window.
+    `meta` holds the game's fixed parameters, set by genesis: the deadline
+    `T`, the refund delay `l`, and the contract and path of the protected
+    transfer, `target_contract` and `target_path`.  An equal-split pact
+    game also sets `split_window` (first, last): `window_blocks` counts the
+    blocks each miner mined in those rounds, and stays empty without it.
     """
 
     __slots__ = ("height", "contracts", "live", "balances", "burned",
@@ -173,15 +174,6 @@ def broadcast(state: ChainState, txs) -> ChainState:
     return s
 
 
-def mint(state: ChainState, to: Party, amount: int, reason: str) -> ChainState:
-    """Create tokens out of band (coinbase bribes); logged for conservation."""
-    check_amount(amount)
-    s = state.clone()
-    credit(s.balances, to, amount)
-    s.mint_log.append((to, amount, reason))
-    return s
-
-
 # ---------------------------------------------------------------------------
 # Validation.
 # ---------------------------------------------------------------------------
@@ -202,10 +194,8 @@ def _check_path_predicate(state: ChainState, contract: ContractInstance,
             raise LedgerError("predicate-failed", f"hashlock:{slot}")
     if path.cross_reads:
         slots = state.revealed_slots()
-        for cr in path.cross_reads:
-            have = slots.get(cr.contract_id, set())
-            if not cr.must_have <= have or have & cr.must_not:
-                raise LedgerError("predicate-failed", "cross-read")
+        if not all(cr.holds(slots) for cr in path.cross_reads):
+            raise LedgerError("predicate-failed", "cross-read")
 
 
 def _path_outflow(path: RedeemPath, rnd: int) -> int:
@@ -311,7 +301,7 @@ def _apply_call(s: ChainState, tx: TxRecord, rnd: int, block_miner: Party) -> No
     if call.method in ("init", "lockCollateral"):
         lock = call.args["val"]
         debit(s.balances, call.caller, lock)
-    view = _BriberyChainView(s, rnd, block_miner)
+    view = ChainView(s, rnd, block_miner)
     payouts = bribery_contract_step(contract, call, rnd, view)
     for party, amount, tag in payouts:
         credit(s.balances, party, amount)
@@ -321,8 +311,12 @@ def _apply_call(s: ChainState, tx: TxRecord, rnd: int, block_miner: Party) -> No
         credit(s.balances, block_miner, tx.declared_fee)
 
 
-class _BriberyChainView:
-    """Answers the guard-clause questions bribery contracts ask of the chain."""
+class ChainView:
+    """The settlement facts of one chain state, asked by bribery contracts
+    as guard clauses and by miner policies: did the protected transfer
+    land, and who confiscated the collateral?"""
+
+    __slots__ = ("_s", "_rnd", "_miner")
 
     def __init__(self, state: ChainState, rnd: int, block_miner: Party):
         self._s = state
@@ -332,36 +326,32 @@ class _BriberyChainView:
     def block_miner(self) -> Party:
         return self._miner
 
+    def _target(self):
+        return self._s.redemptions.get(self._s.meta["target_contract"])
+
     def target_included_by_deadline(self) -> bool:
-        meta = self._s.meta
-        entry = self._s.redemptions.get(meta.get("target_contract", DEP_ID))
-        if entry is None:
-            return False
-        path, rnd, _ = entry
-        return path == meta.get("target_path", DEP_A) and rnd <= meta.get("T", 0)
+        entry = self._target()
+        return (entry is not None and entry[0] == self._s.meta["target_path"]
+                and entry[1] <= self._s.meta["T"])
 
     def target_included_ever(self) -> bool:
-        meta = self._s.meta
-        entry = self._s.redemptions.get(meta.get("target_contract", DEP_ID))
-        return entry is not None and entry[0] == meta.get("target_path", DEP_A)
+        entry = self._target()
+        return entry is not None and entry[0] == self._s.meta["target_path"]
 
     def settlement_landed(self) -> bool:
-        meta = self._s.meta
-        entry = self._s.redemptions.get(meta.get("target_contract", DEP_ID))
-        if entry is None:
-            return False
-        return entry[0] != meta.get("target_path", DEP_A)
+        """The target contract settled by any path but the protected one."""
+        entry = self._target()
+        return entry is not None and entry[0] != self._s.meta["target_path"]
 
     def confiscator(self):
-        meta = self._s.meta
-        entry = self._s.redemptions.get(meta.get("col_contract", COL_ID))
-        if entry is None or entry[0] != meta.get("confiscation_path", COL_M):
+        entry = self._s.redemptions.get(COL_ID)
+        if entry is None or entry[0] != COL_M:
             return None
         return entry[2]
 
     def attack_window_over(self) -> bool:
         meta = self._s.meta
-        return self._rnd > meta.get("T", 0) + meta.get("l", 0) + 1
+        return self._rnd > meta["T"] + meta["l"] + 1
 
 
 def _resolve_auto_contracts(s: ChainState, rnd: int, block_miner: Party) -> None:
@@ -379,7 +369,7 @@ def _resolve_auto_contracts(s: ChainState, rnd: int, block_miner: Party) -> None
             _apply_redeem(s, cid, path, auto_tx, rnd, block_miner)
 
 
-def _auto_refund_bribery(s: ChainState, rnd: int) -> None:
+def _auto_refund_bribery(s: ChainState, rnd: int, block_miner: Party) -> None:
     """Release bribery funds the moment their claim is provably dead.
 
     Anyone may trigger the refund methods, so the model fires them promptly
@@ -387,35 +377,30 @@ def _auto_refund_bribery(s: ChainState, rnd: int) -> None:
     budget returns to its owner once the target tx has landed, and pact
     collateral returns once no eligible confiscation claim can ever succeed.
     """
-    meta = s.meta
-    target = s.redemptions.get(meta.get("target_contract", DEP_ID))
-    target_hit = (target is not None
-                  and target[0] == meta.get("target_path", DEP_A))
+    view = None
     for cid, contract in list(s.bribery.items()):
         if contract.settled:
             continue
+        if view is None:
+            view = ChainView(s, rnd, block_miner)
         if isinstance(contract, CensorBriberyContract):
-            if target_hit and contract.deposit > 0:
-                fresh = contract.copy_for_step()
-                for party, amount, tag in fresh.refund_owner(True):
-                    credit(s.balances, party, amount)
-                    s.bribe_log.append((party, amount, tag))
-                s.bribery[cid] = fresh
-        elif isinstance(contract, MinerPactContract):
-            col = s.redemptions.get(meta.get("col_contract", COL_ID))
-            claim_dead = target_hit
-            if col is not None:
-                path, _, confiscator = col
-                if path != meta.get("confiscation_path", COL_M):
-                    claim_dead = True  # reclaimed by the payer
-                elif contract.locked.get(confiscator, 0) == 0:
-                    claim_dead = True  # confiscated by a non-member
-            if claim_dead:
-                fresh = contract.copy_for_step()
-                for party, amount, tag in fresh.refund_all():
-                    credit(s.balances, party, amount)
-                    s.bribe_log.append((party, amount, tag))
-                s.bribery[cid] = fresh
+            if not (view.target_included_ever() and contract.deposit > 0):
+                continue
+            fresh = contract.copy_for_step()
+            payouts = fresh.refund_owner(True)
+        else:  # MinerPactContract
+            # Dead once the target landed, or once the collateral went to
+            # the payer or to a non-member: neither holds a lock.
+            if not (view.target_included_ever() or (
+                    COL_ID in s.redemptions
+                    and contract.locked.get(view.confiscator(), 0) == 0)):
+                continue
+            fresh = contract.copy_for_step()
+            payouts = fresh.refund_all()
+        for party, amount, tag in payouts:
+            credit(s.balances, party, amount)
+            s.bribe_log.append((party, amount, tag))
+        s.bribery[cid] = fresh
 
 
 def apply_block(state: ChainState, block: Block) -> ChainState:
@@ -460,7 +445,7 @@ def apply_block(state: ChainState, block: Block) -> ChainState:
         credit(s.balances, party, amount)
         s.mint_log.append((party, amount, reason))
     _resolve_auto_contracts(s, block.round, block.miner)
-    _auto_refund_bribery(s, block.round)
+    _auto_refund_bribery(s, block.round, block.miner)
     window = s.meta.get("split_window")
     if window is not None and window[0] <= block.round <= window[1]:
         s.window_blocks[block.miner] = s.window_blocks.get(block.miner, 0) + 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,13 @@ from htlc_arena.agents import (AliceHonest, B3aAccomplice, BlockPlan,
                                CensorRelated, M2MbaActive, M2MbaPassive,
                                b3a_bob_policy, honest_miner_select,
                                make_miner_policy, make_party_policy,
+                               tx_col_b, tx_confiscate, tx_refund_dep_b,
                                tx_reveal_dep_a)
-from htlc_arena.contracts import CM2M_ID
+from htlc_arena.contracts import CM2M_ID, COL_B, COL_ID, COL_M
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              build_genesis, play)
-from htlc_arena.ledger import CONTRACT_CALL, TxRecord, broadcast
+from htlc_arena.ledger import (CONTRACT_CALL, Block, TxRecord, apply_block,
+                               broadcast)
 
 from conftest import (M1, M2, flat_schedule, he_scenario, mad_scenario,
                       naive_scenario, solo_miner)
@@ -63,6 +66,72 @@ class TestHonestSelect:
         picked = honest_miner_select(state, 1, M1, scen)
         fees = sorted((t.declared_fee for t in picked), reverse=True)
         assert fees == [9, 5, 4]
+
+
+class TestBlockAssembly:
+    def test_full_block_drops_the_tail_first(self):
+        # Head: the payer's refund; body: a high-fee transfer; tail: the
+        # censorship-bribe claim.  A block with room for two drops the claim.
+        scen = naive_scenario(T=3, capacity=3)
+        profile = StrategyProfile(AliceHonest(), BobNaiveBriber(),
+                                  {M1: CensorRelated()})
+        state, _, _ = build_genesis(scen)
+        state = profile.bob.setup(state, scen, profile)
+        state = apply_block(state, Block(round=1, miner=M1, txs=(
+            state.mempool["tx.cbob.init"],)))
+        for rnd in range(2, scen.T + 1):
+            state = apply_block(state, Block(round=rnd, miner=M1))
+        state = broadcast(state, [
+            tx_reveal_dep_a(scen), tx_refund_dep_b(scen),
+            TxRecord("tx.u", ALICE, "unrelated", declared_fee=9)])
+        rnd = scen.T + 1
+        roomy = CensorRelated().build_block(state, rnd, M1, scen, profile)
+        assert [t.tx_id for t in roomy.txs] == [
+            "tx.depB", "tx.u", f"tx.cbob.claim.{rnd}"]
+        tight = replace(scen, capacity=2)
+        full = CensorRelated().build_block(state, rnd, M1, tight, profile)
+        assert [t.tx_id for t in full.txs] == ["tx.depB", "tx.u"]
+
+
+class TestPactAutoRefund:
+    """The ledger returns the pact locks in the block the claim dies."""
+
+    def funded(self):
+        miners = (MinerProfile(M1, Fraction(1, 2), "active", True),
+                  MinerProfile(M2, Fraction(1, 2), "passive"))
+        scen = he_scenario(miners=miners, T=4, l=2, br=2, f=0)
+        state, _, _ = build_genesis(scen)
+        state = M2MbaActive().setup(state, scen, None, M1)
+        for rnd in range(1, scen.T + 1):
+            state = apply_block(state, Block(round=rnd, miner=M2))
+        # The payer's staged refund funds the collateral pot.
+        state = apply_block(state, Block(round=scen.T + 1, miner=M2, txs=(
+            tx_refund_dep_b(scen),)))
+        return scen, broadcast(state, [tx_reveal_dep_a(scen)])
+
+    def test_payer_reclaiming_the_collateral_refunds_the_locks(self):
+        scen, state = self.funded()
+        for rnd in range(scen.T + 2, scen.T + scen.l + 1):
+            state = apply_block(state, Block(round=rnd, miner=M2))
+        assert not state.bribery[CM2M_ID].settled
+        state = apply_block(state, Block(round=scen.T + scen.l + 1, miner=M2,
+                                         txs=(tx_col_b(scen),)))
+        assert state.redemptions[COL_ID][0] == COL_B
+        assert state.bribery[CM2M_ID].settled
+        assert state.bribe_log == [(M1, scen.v_col, "refund")]
+
+    @pytest.mark.parametrize("confiscator", [M1, M2])
+    def test_only_a_non_member_confiscation_refunds_the_locks(
+            self, confiscator):
+        scen, state = self.funded()
+        take = tx_confiscate(state, scen, confiscator, COL_ID, COL_M)
+        state = apply_block(state, Block(round=scen.T + 2, miner=confiscator,
+                                         txs=(take,)))
+        assert state.redemptions[COL_ID] == (COL_M, scen.T + 2, confiscator)
+        member = confiscator == M1
+        assert state.bribery[CM2M_ID].settled is not member
+        assert state.bribe_log == ([] if member
+                                   else [(M1, scen.v_col, "refund")])
 
 
 class TestPartyPolicies:

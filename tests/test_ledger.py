@@ -8,7 +8,7 @@ from htlc_arena.core import ALICE, BOB, EXTERNAL, LedgerError, credit, debit
 from htlc_arena.contracts import (COL_M, DEP_A, DEP_B, PRE_A, PRE_B,
                                   build_he_htlc, build_naive_htlc)
 from htlc_arena.ledger import (Block, ChainState, TxRecord, Witness,
-                               apply_block, broadcast, mint, validate_tx)
+                               apply_block, broadcast, validate_tx)
 
 from conftest import M1
 
@@ -150,17 +150,22 @@ class TestApply:
                                      unrelated_fill=8, capacity=8))
 
 
+def coinbase_block(rnd, party, amount, reason):
+    return Block(round=rnd, miner=M1, coinbase=((party, amount, reason),))
+
+
 class TestMint:
     def test_zero_mint_only_logs(self):
         state = fresh_naive()
-        after = mint(state, BOB, 0, "noop")
+        after = apply_block(state, coinbase_block(1, BOB, 0, "noop"))
         assert after.balances == state.balances
         assert after.mint_log == [(BOB, 0, "noop")]
 
     def test_mint_credits_and_nets_out_of_conservation(self):
         state = fresh_naive()
         total = state.conservation_total()
-        after = mint(mint(state, BOB, 7, "a"), ALICE, 5, "b")
+        after = apply_block(apply_block(state, coinbase_block(1, BOB, 7, "a")),
+                            coinbase_block(2, ALICE, 5, "b"))
         assert after.balances[BOB] == state.balances[BOB] + 7
         assert after.balances[ALICE] == state.balances[ALICE] + 5
         assert after.burned == state.burned

@@ -224,6 +224,9 @@ MALFORMED = {
         miners=[{"id": "m1", "power": "1/2"}, {"id": "m1", "power": "1/2"}]),
         "miners"),
     "miner-id-int": (minimal_naive(miners=[{"id": 7, "power": 1}]), "id"),
+    "miner-id-line-break": (minimal_naive(
+        miners=[{"id": "m\n1", "power": 1}],
+        policies={"miners": {"m\n1": {"name": "nope"}}}), "id"),
     "miner-power-negative": (minimal_naive(
         miners=[{"id": "m1", "power": 2}, {"id": "m2", "power": -1}]),
         "power"),
@@ -316,25 +319,37 @@ def _nodes(node, path=()):
         yield from _nodes(child, path + (key,))
 
 
-SAMPLE_NODES = [(name, path)
-                for name in sorted(p.name for p in SCENARIOS.glob("*.json"))
-                for path, _ in _nodes(json.loads(
-                    (SCENARIOS / name).read_text(encoding="utf-8")))]
+SAMPLE_NAMES = sorted(p.name for p in SCENARIOS.glob("*.json"))
 WRONG_VALUES = st.one_of(
     st.integers(max_value=-1), st.floats(), st.booleans(), st.none(),
     st.text(max_size=6), st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
 
 
+@st.composite
+def mutated_samples(draw):
+    """A sample scenario with one to three values replaced by wrong ones and
+    up to two keys, known or not, added to its sections."""
+    doc = json.loads((SCENARIOS / draw(st.sampled_from(SAMPLE_NAMES)))
+                     .read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(1, 3))):
+        # Paths are drawn afresh: an earlier mutation may have removed some.
+        path, _ = draw(st.sampled_from(list(_nodes(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(WRONG_VALUES)
+    sections = [doc] + [node for _, node in _nodes(doc)
+                        if isinstance(node, dict)]
+    for _ in range(draw(st.integers(0, 2))):
+        section = draw(st.sampled_from(sections))
+        section[draw(st.text(max_size=6))] = draw(WRONG_VALUES)
+    return doc
+
+
 @settings(max_examples=150, deadline=None)
-@given(node=st.sampled_from(SAMPLE_NODES), value=WRONG_VALUES)
-def test_mutated_sample_scenario_fails_cleanly(tmp_path_factory, node, value):
-    name, path = node
-    doc = json.loads((SCENARIOS / name).read_text(encoding="utf-8"))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+@given(doc=mutated_samples())
+def test_mutated_sample_scenario_fails_cleanly(tmp_path_factory, doc):
     scen = tmp_path_factory.getbasetemp() / "mutated.json"
     scen.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
