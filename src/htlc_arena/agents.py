@@ -11,8 +11,11 @@ Every miner block that is not a bespoke attack block follows one assembly
 rule (`_assemble`): the policy's own head transactions, then the honest
 fee-maximal picks that spend no contract the head spends, then its tail
 transactions, cut to the block capacity, so a full block drops its tail
-first.  Policies read settlement facts through `ledger.ChainView`, the
-view bribery contracts see.
+first.  A bespoke attack block (B3a, Hydra, SDRBA) is mined whole or not
+at all: one that does not fit the capacity gives way to the policy's
+ordinary block, as a B3a block does when the briber rejects it.  Policies
+read settlement facts through `ledger.ChainView`, the view bribery
+contracts see.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .contracts import (BriberyCall, CBOB_ID, CM2M_ID, COL_A_ID, COL_B,
                         DEP_B, DEP_ID, DEP_M, MinerPactContract, PRE_A, PRE_A2,
                         PRE_AA2, PRE_B, SECRETS)
 from .ledger import (CONTRACT_CALL, PAYMENT, RELATED, ChainView, TxRecord,
-                     Witness, broadcast, validate_tx)
+                     Witness, broadcast, fee_split, validate_tx)
 from .game import Scenario
 
 
@@ -118,16 +121,10 @@ def payment_tx(tx_id: str, creator: Party, to: Party, amount: int) -> TxRecord:
 
 
 def _earned_fee(state, tx: TxRecord, rnd: int) -> int:
-    sched = state.fee_schedule
-    if sched is not None and tx.kind == RELATED:
-        total = 0
-        for (_, path) in tx.consumes:
-            if path in sched.paid:
-                total += sched.split(path, tx.declared_fee, rnd)[0]
-            else:
-                total += tx.declared_fee
-        return total
-    return tx.declared_fee
+    if tx.kind != RELATED:
+        return tx.declared_fee
+    return sum(fee_split(state, path, tx.declared_fee, rnd)[0]
+               for (_, path) in tx.consumes)
 
 
 def _valid(state, tx: TxRecord, rnd: int) -> bool:
@@ -438,20 +435,18 @@ class CensorRelated(MinerPolicy):
     the deadline passes, and settles the bribes in the same block.
     """
 
-    def __init__(self, until: Optional[int] = None, participate: bool = True):
-        self.until = until
+    def __init__(self, participate: bool = True):
         self.participate = participate
         self.name = "censor-related"
 
     def build_block(self, state, rnd, miner, scen, profile):
-        until = self.until if self.until is not None else scen.T
         cbob = state.bribery.get(CBOB_ID) if self.participate else None
         head: list = []
         tail: list = []
         if cbob is not None and "tx.cbob.init" in state.mempool:
             head.append(state.mempool["tx.cbob.init"])
         refund = state.mempool.get("tx.depB")
-        settled_now = (rnd > until and refund is not None
+        settled_now = (rnd > scen.T and refund is not None
                        and state.contracts[DEP_ID].redeemable
                        and _valid(state, refund, rnd))
         if settled_now:
@@ -459,7 +454,7 @@ class CensorRelated(MinerPolicy):
         if cbob is not None and not cbob.settled:
             view = ChainView(state, rnd, miner)
             pre_a = _known_value(state, PRE_A)
-            if rnd <= until:
+            if rnd <= scen.T:
                 if any(t in state.mempool for t in _target_tx_ids(scen)):
                     head.append(call_tx(f"tx.cbob.req.{rnd}", miner, CBOB_ID,
                                         "requestBribe"))
@@ -470,8 +465,8 @@ class CensorRelated(MinerPolicy):
                                         or view.settlement_landed()):
                 tail.append(call_tx(f"tx.cbob.claim.{rnd}", miner, CBOB_ID,
                                     "claimBribe", {"preimage": pre_a}))
-        return _assemble(state, rnd, miner, scen, head, tail,
-                         _target_tx_ids(scen) if rnd <= until else frozenset())
+        exclude = _target_tx_ids(scen) if rnd <= scen.T else frozenset()
+        return _assemble(state, rnd, miner, scen, head, tail, exclude)
 
 
 class M2MbaPassive(MinerPolicy):
@@ -588,8 +583,9 @@ class B3aAccomplice(MinerPolicy):
     """Mines the partial settlement block the briber finalises.
 
     The handshake is collapsed into an atomic acceptance predicate: the plan
-    is only used if the briber's checks pass, otherwise the accomplice falls
-    back to an ordinary honest block and the attack aborts.
+    is only used if it fits the block and the briber's checks pass,
+    otherwise the accomplice falls back to an ordinary honest block and the
+    attack aborts.
     """
 
     protocols = frozenset({"mad"})
@@ -621,7 +617,8 @@ class B3aAccomplice(MinerPolicy):
         if self.defective:
             coinbase = ()
         plan = BlockPlan(txs, coinbase)
-        if not b3a_bob_policy(plan, scen, self.case):
+        if (len(txs) > scen.capacity
+                or not b3a_bob_policy(plan, scen, self.case)):
             return CensorRelated().build_block(state, rnd, miner, scen, profile)
         return plan
 
@@ -659,7 +656,8 @@ class SdrbaBriber(MinerPolicy):
                                  collude_bob=True),
                    payment_tx(f"tx.sdrba.pay.{rnd}", miner, BOB,
                               scen.v_col + eps)]
-            return BlockPlan(txs)
+            if len(txs) <= scen.capacity:
+                return BlockPlan(txs)
         return BlockPlan(honest_miner_select(state, rnd, miner, scen))
 
 
@@ -674,21 +672,22 @@ class HydraAccomplice(MinerPolicy):
 
     def build_block(self, state, rnd, miner, scen, profile):
         pre_a = _known_value(state, PRE_A)
-        if (rnd <= scen.T or pre_a is None
-                or not state.contracts[DEP_ID].redeemable):
-            return CensorRelated().build_block(state, rnd, miner, scen, profile)
-        eps = self.epsilon if self.epsilon is not None else scen.epsilon
-        txs = [tx_confiscate(state, scen, miner, DEP_ID, DEP_M,
-                             collude_bob=True),
-               tx_confiscate(state, scen, miner, COL_ID, COL_M,
-                             collude_bob=True),
-               payment_tx(f"tx.hydra.pay.{rnd}", miner, BOB,
-                          scen.v_col + eps)]
-        cbob = state.bribery.get(CBOB_ID)
-        if cbob is not None and not cbob.settled:
-            txs.append(call_tx(f"tx.cbob.claim.{rnd}", miner, CBOB_ID,
-                               "claimBribe", {"preimage": pre_a}))
-        return BlockPlan(txs)
+        if (rnd > scen.T and pre_a is not None
+                and state.contracts[DEP_ID].redeemable):
+            eps = self.epsilon if self.epsilon is not None else scen.epsilon
+            txs = [tx_confiscate(state, scen, miner, DEP_ID, DEP_M,
+                                 collude_bob=True),
+                   tx_confiscate(state, scen, miner, COL_ID, COL_M,
+                                 collude_bob=True),
+                   payment_tx(f"tx.hydra.pay.{rnd}", miner, BOB,
+                              scen.v_col + eps)]
+            cbob = state.bribery.get(CBOB_ID)
+            if cbob is not None and not cbob.settled:
+                txs.append(call_tx(f"tx.cbob.claim.{rnd}", miner, CBOB_ID,
+                                   "claimBribe", {"preimage": pre_a}))
+            if len(txs) <= scen.capacity:
+                return BlockPlan(txs)
+        return CensorRelated().build_block(state, rnd, miner, scen, profile)
 
 
 def make_miner_policy(name: str, **params) -> MinerPolicy:

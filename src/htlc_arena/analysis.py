@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ALICE, BOB, Party, ScenarioError, miner_party
-from .contracts import PRE_A2, PRE_AA2, check_fee_schedule
+from .contracts import PRE_A2, PRE_AA2
 from .game import (MinerProfile, Scenario, StrategyProfile, dominance_check,
                    expected_utilities)
 from .agents import (AliceCensoredFallback, AliceGrief, AliceHonest,
@@ -435,9 +435,6 @@ def verify_demba(scen: Scenario) -> DembaReport:
     """
     if scen.protocol != "demba":
         raise ScenarioError("protocol-mismatch")
-    verdict = check_fee_schedule(scen.fee_schedule, scen.horizon)
-    if not verdict.ok:
-        raise ScenarioError(f"invalid schedule: {verdict.violation}")
     spaces = demba_deviation_spaces(scen)
     expect = _verdict_expectations()
 

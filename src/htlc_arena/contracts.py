@@ -7,10 +7,14 @@ receives whatever is left of the deposit after fixed effects and the
 transaction fee, which is how a UTXO-style "fee = inputs - outputs" model
 falls out of the data.
 
-Also here: the paid-vs-earned fee schedule used by the two-phase commit
-protocol (miners earn a geometrically decayed slice of late fees, the gap
-is burned) and the two adversarial bribery contracts miners and payers use
-to coordinate censorship.
+Also here: the fee schedule of the two-phase commit protocol and the two
+adversarial bribery contracts miners and payers use to coordinate
+censorship.  The fee rule: a commit on a scheduled path pays exactly its
+scheduled fee; a miner including it at round t <= T earns all of it, and
+after T earns floor(alpha^(t-T) * fee) while the rest burns
+(`FeeSchedule.split`; `ledger.fee_split` applies it to any fee).
+`check_fee_schedule` holds a schedule to Eq.1/Eq.2 when a demba deposit
+is built.
 """
 
 from __future__ import annotations
@@ -159,14 +163,9 @@ class FeeSchedule:
     alpha: Fraction
     T: int
 
-    def base(self, path: str) -> int:
-        if path not in self.paid:
-            raise FeeError(f"no scheduled fee for path {path!r}")
-        return self.paid[path]
-
     def split(self, path: str, declared_fee: int, inclusion_round: int) -> tuple:
-        """Return (miner_earned, burned) for a scheduled tx."""
-        base = self.base(path)
+        """Return (miner_earned, burned) for a tx on a scheduled `path`."""
+        base = self.paid[path]
         if declared_fee != base:
             raise FeeError(
                 f"fee-mismatch: path {path!r} pays {base}, declared {declared_fee}"
@@ -176,6 +175,46 @@ class FeeSchedule:
         decay = self.alpha ** (inclusion_round - self.T)
         earned = min(declared_fee, math.floor(decay * base))
         return earned, declared_fee - earned
+
+
+def check_fee_schedule(schedule: FeeSchedule) -> None:
+    """Raise ContractError at the first violation of Eq.1/Eq.2.
+
+    Paid fees must be non-negative ints that rise strictly across the
+    payee's three commit paths.  0 < alpha <= 1, and the derived
+    miner-earned ordering must run the other way: each further deviation
+    path is priced one extra decay step, so in exact arithmetic
+    paid[pre_A] > alpha*paid[pre_A'] > alpha^2*paid[pre_AA'] must hold,
+    which makes the earned tuple strictly decreasing at every round.
+    alpha = 1 never burns and so voids the deterrent; it is accepted, and
+    its earned ordering (which the paid ordering contradicts) is not asked.
+
+    The burn shape needs no check: `FeeSchedule.split` burns nothing up to
+    T, and for 0 < alpha <= 1 the decayed share alpha^(t-T) never grows
+    with t, so the burn never shrinks in a later round.
+    """
+    def invalid(violation: str) -> ContractError:
+        return ContractError(f"invalid fee schedule (Eq.1/Eq.2): {violation}",
+                             "fee_schedule")
+
+    p = schedule.paid
+    for name in (PRE_A, PRE_A2, PRE_AA2, PRE_B):
+        if name not in p:
+            raise invalid(f"missing paid fee for {name}")
+        if type(p[name]) is not int or p[name] < 0:
+            raise invalid(f"paid fee for {name} must be a non-negative int, "
+                          f"got {p[name]!r}")
+    if not (p[PRE_A] < p[PRE_A2] < p[PRE_AA2]):
+        raise invalid(f"paid ordering violated: need {p[PRE_A]} < "
+                      f"{p[PRE_A2]} < {p[PRE_AA2]}")
+    a = schedule.alpha
+    if a <= 0:
+        raise invalid("alpha must be positive")
+    if a > 1:
+        raise invalid("alpha above 1 would grow fees")
+    if a < 1 and not (p[PRE_A] > a * p[PRE_A2] > a * a * p[PRE_AA2]):
+        raise invalid("earned ordering violated: decayed fees do not "
+                      "decrease across paths")
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +332,7 @@ def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
     # A zero penalty builds fine (it just voids the deterrent); negative is
     # meaningless.
     check_amount(v_ded, "v_ded")
-    verdict = check_fee_schedule(schedule)
-    if not verdict.ok:
-        raise ContractError(
-            f"invalid fee schedule (Eq.1/Eq.2): {verdict.violation}",
-            "fee_schedule")
+    check_fee_schedule(schedule)
     col_a = ContractInstance(
         COL_A_ID, check_amount(v_col_a, "v_col_a"),
         {PRE_A: digests[PRE_A], PRE_A2: digests[PRE_A2]},
@@ -361,65 +396,6 @@ def resolve_demba_dep(dep: ContractInstance, revealed_slots, rnd: int):
         if all(cr.holds(revealed_slots) for cr in path.cross_reads):
             return path
     return None
-
-
-# ---------------------------------------------------------------------------
-# Fee schedule validation.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FeeScheduleVerdict:
-    ok: bool
-    violation: Optional[str] = None
-    warnings: tuple = ()
-
-
-def check_fee_schedule(schedule: FeeSchedule, horizon: Optional[int] = None) -> FeeScheduleVerdict:
-    """Validate the paid ordering, the derived earned ordering, and burn shape.
-
-    Paid fees must rise strictly across the payee's three commit paths.  The
-    derived miner-earned ordering must run the other way: each further
-    deviation path is priced one extra decay step, so in exact arithmetic
-    paid[pre_A] > alpha*paid[pre_A'] > alpha^2*paid[pre_AA'] must hold, which
-    makes the earned tuple strictly decreasing at every round.  alpha >= 1
-    never burns anything, which voids the deterrent; that is reported as a
-    warning rather than a violation.
-    """
-    p = schedule.paid
-    for name in (PRE_A, PRE_A2, PRE_AA2, PRE_B):
-        if name not in p:
-            return FeeScheduleVerdict(False, f"missing paid fee for {name}")
-        if type(p[name]) is not int or p[name] < 0:
-            return FeeScheduleVerdict(
-                False, f"paid fee for {name} must be a non-negative int, "
-                f"got {p[name]!r}")
-    if not (p[PRE_A] < p[PRE_A2] < p[PRE_AA2]):
-        return FeeScheduleVerdict(
-            False,
-            f"paid ordering violated: need {p[PRE_A]} < {p[PRE_A2]} < {p[PRE_AA2]}")
-    if schedule.alpha <= 0:
-        return FeeScheduleVerdict(False, "alpha must be positive")
-    if schedule.alpha > 1:
-        return FeeScheduleVerdict(False, "alpha above 1 would grow fees")
-    if schedule.alpha == 1:
-        return FeeScheduleVerdict(True, None, ("deterrence-void: alpha = 1 never burns",))
-    a = schedule.alpha
-    if not (p[PRE_A] > a * p[PRE_A2] > a * a * p[PRE_AA2]):
-        return FeeScheduleVerdict(
-            False, "earned ordering violated: decayed fees do not decrease across paths")
-    end = horizon if horizon is not None else schedule.T + 4
-    prev_burn = {name: 0 for name in p}
-    for rnd in range(0, end + 1):
-        for name in p:
-            earned, burned = schedule.split(name, p[name], rnd)
-            if rnd <= schedule.T and burned != 0:
-                return FeeScheduleVerdict(False, f"burn before deadline at round {rnd}")
-            if burned < prev_burn[name]:
-                return FeeScheduleVerdict(
-                    False, f"burn not monotone for {name} at round {rnd}")
-            prev_burn[name] = burned
-    return FeeScheduleVerdict(True)
 
 
 # ---------------------------------------------------------------------------

@@ -297,8 +297,8 @@ def _build_genesis(scen: Scenario) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def state_label(state: ChainState, rnd: int, protocol: str) -> str:
-    """Classify the game state; a pure function of chain state and round."""
+def state_label(state: ChainState, protocol: str) -> str:
+    """Classify the game state; a pure function of the chain state."""
     if protocol == "demba":
         red_a = state.redemptions.get(COL_A_ID)
         red_b = state.redemptions.get(COL_B_ID)
@@ -368,7 +368,7 @@ def _play_round(scen: Scenario, profile: StrategyProfile, state: ChainState,
     emissions += profile.bob.broadcasts(state, rnd, scen)
     if emissions:
         state = broadcast(state, emissions)
-    label = state_label(state, rnd, scen.protocol)
+    label = state_label(state, scen.protocol)
     rank = _LABEL_ORDER[label]
     if rank < prev_rank and label in ("red", "all-red"):
         raise ScenarioError(f"state label regressed to {label} at {rnd}")

@@ -250,15 +250,20 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def fee_split(state: ChainState, path: str, fee: int, rnd: int) -> tuple:
+    """(earned, burned) of a `fee` paid on `path` and included at `rnd`:
+    the fee schedule's split on a path it lists, else all to the miner."""
+    schedule = state.fee_schedule
+    if schedule is None or path not in schedule.paid:
+        return fee, 0
+    return schedule.split(path, fee, rnd)
+
+
 def _apply_redeem(s: ChainState, cid: str, path: RedeemPath, tx: TxRecord,
                   rnd: int, block_miner: Party) -> None:
     value = s.live.pop(cid)
     fee = tx.declared_fee
-    schedule = s.fee_schedule
-    if schedule is not None and path.name in schedule.paid:
-        earned, fee_burn = schedule.split(path.name, fee, rnd)
-    else:
-        earned, fee_burn = fee, 0
+    earned, fee_burn = fee_split(s, path.name, fee, rnd)
     rest = value - fee - _path_outflow(path, rnd)
     if path.late_burn and rnd > path.late_burn[0]:
         s.burned += path.late_burn[1]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,20 +10,23 @@ import pytest
 
 from htlc_arena.core import ALICE, BOB, ScenarioError
 from htlc_arena.agents import (AliceHonest, B3aAccomplice, BlockPlan,
-                               BobB3a, BobHonest, BobNaiveBriber,
-                               CensorRelated, M2MbaActive, M2MbaPassive,
-                               b3a_bob_policy, honest_miner_select,
-                               make_miner_policy, make_party_policy,
-                               tx_col_b, tx_confiscate, tx_refund_dep_b,
+                               BobB3a, BobHonest, BobHydraBriber,
+                               BobNaiveBriber, CensorRelated, HonestFeeMax,
+                               HydraAccomplice, M2MbaActive, M2MbaPassive,
+                               SdrbaBriber, b3a_bob_policy,
+                               honest_miner_select, make_miner_policy,
+                               make_party_policy, tx_col_b, tx_commit,
+                               tx_confiscate, tx_refund_dep_b,
                                tx_reveal_dep_a)
-from htlc_arena.contracts import CM2M_ID, COL_B, COL_ID, COL_M
+from htlc_arena.contracts import CM2M_ID, COL_B, COL_ID, COL_M, PRE_A2
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
-                             build_genesis, play)
+                             build_genesis, expected_utilities, play)
 from htlc_arena.ledger import (CONTRACT_CALL, Block, TxRecord, apply_block,
                                broadcast)
+from htlc_arena.runner import main
 
-from conftest import (M1, M2, flat_schedule, he_scenario, mad_scenario,
-                      naive_scenario, solo_miner)
+from conftest import (M1, M2, demba_scenario, flat_schedule, he_scenario,
+                      mad_scenario, naive_scenario, solo_miner)
 
 
 def seeded_state(scen, txs=()):
@@ -66,6 +70,15 @@ class TestHonestSelect:
         picked = honest_miner_select(state, 1, M1, scen)
         fees = sorted((t.declared_fee for t in picked), reverse=True)
         assert fees == [9, 5, 4]
+
+
+    def test_late_scheduled_fee_counts_what_the_miner_earns(self):
+        # pre_A' pays 12: earned 6 one round late, 1 three rounds late.
+        scen = demba_scenario(T=4, f=2)
+        state = seeded_state(scen, [tx_commit(scen, PRE_A2)])
+        assert honest_miner_select(state, scen.T + 1, M1, scen) == [
+            state.mempool[f"tx.col.{PRE_A2}"]]
+        assert honest_miner_select(state, scen.T + 3, M1, scen) == []
 
 
 class TestBlockAssembly:
@@ -254,6 +267,44 @@ class TestB3a:
                                   {M1: B3aAccomplice(case=1, defective=True)})
         out = play(scen, profile, flat_schedule(scen))
         assert out.minted == 0  # the bribing coinbase never made it on chain
+
+
+class TestAttackBlocksFitCapacity:
+    """A bespoke attack block that does not fit the block capacity is not
+    mined: the policy builds its ordinary block instead."""
+
+    def test_hydra_scenario_at_capacity_two_simulates(self, tmp_path, capsys):
+        doc = {"protocol": "mad", "amounts": {"v_dep": 100, "v_col": 50},
+               "capacity": 2, "timing": {"T": 4}, "bribes": {"br": 2},
+               "miners": [{"id": "m1", "power": 1, "kind": "active",
+                           "colluding": True}],
+               "policies": {"bob": {"name": "hydra-briber"},
+                            "miners": {"m1": {"name": "hydra-accomplice"}}}}
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    def test_mad_attack_pool_plays_at_small_capacity(self, capacity):
+        # Each attacker mines against an honest miner over every schedule.
+        miners = (MinerProfile(M1, Fraction(1, 2), "active", True),
+                  MinerProfile(M2, Fraction(1, 2), "active", True))
+        scen = mad_scenario(T=4, br=2, epsilon=5, capacity=capacity,
+                            miners=miners)
+        bobs = [BobNaiveBriber(), BobB3a(case=1), BobB3a(case=2),
+                BobHydraBriber()]
+        attackers = [B3aAccomplice(case=1), B3aAccomplice(case=2),
+                     HydraAccomplice(), SdrbaBriber()]
+        for bob in bobs:
+            for attacker in attackers:
+                profile = StrategyProfile(AliceHonest(), bob, {
+                    M1: attacker, M2: HonestFeeMax()})
+                expected_utilities(scen, profile)
+            out = play(scen, StrategyProfile(AliceHonest(), bob, {
+                M1: HydraAccomplice(), M2: HydraAccomplice()}),
+                flat_schedule(scen))
+            assert out.conserves()
 
 
 class TestProtocolGuards:

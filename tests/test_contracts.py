@@ -161,31 +161,34 @@ class TestFeeSplit:
 
 
 class TestFeeScheduleCheck:
+    def invalid(self, sched) -> str:
+        with pytest.raises(ContractError) as e:
+            check_fee_schedule(sched)
+        assert e.value.field == "fee_schedule"
+        assert str(e.value).startswith("invalid fee schedule (Eq.1/Eq.2): ")
+        return str(e.value)
+
     def test_reference_schedule_is_valid(self):
         sched = FeeSchedule({PRE_A: 2, PRE_A2: 3, PRE_AA2: 5, PRE_B: 2},
                             Fraction(1, 2), T=4)
-        verdict = check_fee_schedule(sched, horizon=8)
-        assert verdict.ok and not verdict.warnings
+        check_fee_schedule(sched)
 
     def test_equal_paid_breaks_strictness(self):
         sched = FeeSchedule({PRE_A: 3, PRE_A2: 3, PRE_AA2: 5, PRE_B: 2},
                             Fraction(1, 2), T=4)
-        verdict = check_fee_schedule(sched)
-        assert not verdict.ok and "paid ordering" in verdict.violation
+        assert "paid ordering" in self.invalid(sched)
 
-    def test_no_decay_is_flagged_not_rejected(self):
+    def test_no_decay_is_accepted(self):
+        # alpha = 1 voids the deterrent but is a valid schedule.
         sched = FeeSchedule({PRE_A: 2, PRE_A2: 3, PRE_AA2: 5, PRE_B: 2},
                             Fraction(1), T=4)
-        verdict = check_fee_schedule(sched)
-        assert verdict.ok
-        assert any("deterrence-void" in w for w in verdict.warnings)
+        check_fee_schedule(sched)
 
     def test_decayed_earned_must_reverse_order(self):
         # alpha too close to 1: paid[pre_A] < alpha * paid[pre_A'].
         sched = FeeSchedule({PRE_A: 2, PRE_A2: 3, PRE_AA2: 5, PRE_B: 2},
                             Fraction(9, 10), T=4)
-        verdict = check_fee_schedule(sched)
-        assert not verdict.ok and "earned ordering" in verdict.violation
+        assert "earned ordering" in self.invalid(sched)
 
     def test_burn_zero_pre_deadline_monotone_after(self):
         sched = FeeSchedule({PRE_A: 8, PRE_A2: 12, PRE_AA2: 20, PRE_B: 6},

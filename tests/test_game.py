@@ -279,8 +279,8 @@ class TestExpectations:
             expected_utilities(scen, honest_profile(scen))
 
     def test_exact_expectation_checks_label_order(self, monkeypatch):
-        monkeypatch.setattr(game, "state_label", lambda state, rnd, protocol:
-                            "red" if rnd == 3 else "nred-A")
+        monkeypatch.setattr(game, "state_label", lambda state, protocol:
+                            "red" if state.height == 3 else "nred-A")
         scen = naive_scenario()
         with pytest.raises(ScenarioError, match="regressed to red at 3"):
             expected_utilities(scen, honest_profile(scen))

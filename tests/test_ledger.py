@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from htlc_arena.core import ALICE, BOB, EXTERNAL, LedgerError, credit, debit
-from htlc_arena.contracts import (COL_M, DEP_A, DEP_B, PRE_A, PRE_B,
+from htlc_arena.agents import tx_commit
+from htlc_arena.contracts import (COL_M, DEP_A, DEP_B, PRE_A, PRE_A2, PRE_B,
                                   build_he_htlc, build_naive_htlc)
+from htlc_arena.game import build_genesis
 from htlc_arena.ledger import (Block, ChainState, TxRecord, Witness,
-                               apply_block, broadcast, validate_tx)
+                               apply_block, broadcast, fee_split, validate_tx)
 
-from conftest import M1
+from conftest import M1, demba_scenario
 
 
 def fresh_naive(v_dep=100, T=10):
@@ -177,6 +179,33 @@ class TestMint:
                                          coinbase=((BOB, 9, "bribe"),)))
         assert after.mint_log == [(BOB, 9, "bribe")]
         assert after.conservation_total() == state.conservation_total()
+
+
+class TestFeeSplit:
+    """The schedule splits a fee only on the paths it lists."""
+
+    def test_without_a_schedule_the_miner_earns_all(self):
+        assert fee_split(fresh_naive(), DEP_A, 3, 20) == (3, 0)
+
+    def test_schedule_splits_only_its_own_paths(self):
+        scen = demba_scenario(T=4)  # paid pre_A' = 12, alpha = 1/2
+        state, _, _ = build_genesis(scen)
+        assert fee_split(state, DEP_A, 5, 9) == (5, 0)
+        assert fee_split(state, PRE_A2, 12, 4) == (12, 0)
+        assert fee_split(state, PRE_A2, 12, 6) == (3, 9)
+
+    def test_late_commit_burns_the_decayed_remainder(self):
+        scen = demba_scenario(T=4)
+        state, _, _ = build_genesis(scen)
+        total = state.conservation_total()
+        for rnd in range(1, scen.T + 2):
+            state = apply_block(state, Block(round=rnd, miner=M1))
+        before = state.balances[M1]
+        state = apply_block(state, Block(round=scen.T + 2, miner=M1,
+                                         txs=(tx_commit(scen, PRE_A2),)))
+        assert state.balances[M1] - before == 3  # floor(12 / 4)
+        assert state.burned == 9
+        assert state.conservation_total() == total
 
 
 class TestInvariants:

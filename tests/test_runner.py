@@ -258,6 +258,14 @@ MALFORMED = {
     "policies-unknown-miner": (minimal_naive(
         policies={"miners": {"m2": {"name": "censor-related"}}}),
         "policies.miners.m2"),
+    "censor-related-until": (minimal_naive(
+        policies={"miners": {"m1": {"name": "censor-related", "until": 3}}}),
+        "policies.miners.m1"),
+    "demba-paid-ordering": (minimal_naive(
+        protocol="demba",
+        amounts={"v_dep": 100, "v_col_a": 50, "v_col_b": 40, "v_ded": 7},
+        fees={"schedule": {"paid": {"pre_A": 3, "pre_A'": 3, "pre_AA'": 5,
+                                    "pre_B": 2}}}), "fee_schedule"),
 }
 
 NAIVE = ["--scenario", str(SCENARIOS / "naive_bribery.json")]
