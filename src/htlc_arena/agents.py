@@ -381,19 +381,21 @@ def make_party_policy(role: str, name: str, **params) -> PartyPolicy:
 
 
 def _build_policy(table: dict, what: str, name: str, params: dict):
-    """Construct the named policy, holding each parameter to the type of
-    its constructor default (an int where that default is None)."""
+    """Construct the named policy, holding each parameter to one its
+    constructor takes and to the type of its default (an int where that
+    default is None)."""
     if name not in table:
         raise ValueError(f"unknown {what} {name!r}")
     cls = table[name]
-    signature = inspect.signature(cls).parameters
+    signature = inspect.signature(cls).parameters if params else {}
     for key, value in params.items():
-        if key in signature:  # an unknown key fails in the constructor
-            default = signature[key].default
-            want = int if default is None else type(default)
-            if type(value) is not want:
-                raise ValueError(
-                    f"{key} must be {want.__name__}, got {value!r}")
+        if key not in signature:
+            # repr() keeps a key with a line break on the one error line.
+            raise ValueError(f"{name} takes no parameter {key!r}")
+        default = signature[key].default
+        want = int if default is None else type(default)
+        if type(value) is not want:
+            raise ValueError(f"{key} must be {want.__name__}, got {value!r}")
     return cls(**params)
 
 

@@ -180,10 +180,11 @@ class FeeSchedule:
 def check_fee_schedule(schedule: FeeSchedule) -> None:
     """Raise ContractError at the first violation of Eq.1/Eq.2.
 
-    Paid fees must be non-negative ints that rise strictly across the
-    payee's three commit paths.  0 < alpha <= 1, and the derived
-    miner-earned ordering must run the other way: each further deviation
-    path is priced one extra decay step, so in exact arithmetic
+    Paid fees must be non-negative ints, given for the four commit paths
+    and no other, that rise strictly across the payee's three.
+    0 < alpha <= 1, and the derived miner-earned ordering must run the
+    other way: each further deviation path is priced one extra decay
+    step, so in exact arithmetic
     paid[pre_A] > alpha*paid[pre_A'] > alpha^2*paid[pre_AA'] must hold,
     which makes the earned tuple strictly decreasing at every round.
     alpha = 1 never burns and so voids the deterrent; it is accepted, and
@@ -198,7 +199,13 @@ def check_fee_schedule(schedule: FeeSchedule) -> None:
                              "fee_schedule")
 
     p = schedule.paid
-    for name in (PRE_A, PRE_A2, PRE_AA2, PRE_B):
+    paths = (PRE_A, PRE_A2, PRE_AA2, PRE_B)
+    for name in p:
+        if name not in paths:
+            # The ledger would charge this path's txs a fee none declares.
+            raise invalid(f"paid fee for {name!r}, which is not one of "
+                          f"{', '.join(paths)}")
+    for name in paths:
         if name not in p:
             raise invalid(f"missing paid fee for {name}")
         if type(p[name]) is not int or p[name] < 0:

@@ -1,14 +1,17 @@
 """Round-driving game engine.
 
 A play is fully determined by (scenario, strategy profile, miner schedule).
-Expected utilities are either exact or Monte-Carlo with a seeded generator.
-The exact expectation is a forward pass over rounds: every policy is a
+Expected utilities are either exact or Monte-Carlo with a seeded generator,
+and both modes run the same forward pass over rounds: every policy is a
 stateless function of (chain state, round), so schedule prefixes that reach
-equal states are merged and carry their summed weight (the product of miner
-powers).  Weights travel as integer numerators over one common denominator,
-the product of each round's, and become fractions once, at the end.  Its
-values are those of playing every schedule that `enumerate_schedules`
-yields, which is the reference the tests hold it to.  Dominance checks
+equal states are merged and played on once.  The modes differ only in the
+mass a merged state carries.  In exact mode it is the summed weight (the
+product of miner powers), as an integer numerator over one common
+denominator, the product of each round's, which becomes a fraction once, at
+the end; its values are those of playing every schedule that
+`enumerate_schedules` yields, which is the reference the tests hold it to.
+In Monte-Carlo mode it is the list of sampled trials that reach the state;
+its values are those of playing each sampled schedule.  Dominance checks
 brute-force finite policy spaces on top of the expectation machinery.
 
 Utilities carry no discounting: they are raw end-of-game token deltas from
@@ -19,6 +22,7 @@ both collaterals exist, so its funding lands inside the measured window.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -517,51 +521,64 @@ def _integer_branches(branches: tuple) -> tuple:
                  for m, w in branches), scale
 
 
-def _exact_expectation(scen: Scenario, profile: StrategyProfile,
-                       pin: dict) -> ExpectedUtilities:
-    """Exact expectation by a forward pass over rounds.
+def _forward(scen: Scenario, profile: StrategyProfile, mass, split) -> list:
+    """The forward pass over rounds that both expectation modes run.
 
-    Each round branches every distinct state on every miner (or on the
-    pinned one) and merges successors with equal `merge_key`, summing the
-    weights of the schedule prefixes that reach them; the outcome is read
-    from the final states.  A weight is an integer over `denom`, the
-    product of the rounds' common denominators, so merging adds ints and
-    the one division comes at the end.  Zero-weight branches are kept, so
-    the parties in the result are those of every schedule.  Conservation
-    is checked once per distinct state, the label rule on every transition.
+    A frontier entry is a distinct state with the mass of the schedule
+    prefixes that reach it.  Each round, `split(rnd, mass)` yields
+    (miner, part) for every way the entry's mass goes that round; each
+    successor merges with those of equal `merge_key`, and merged parts are
+    added with `+=`, so a part must be owned by the entry it goes to.
+    Conservation is checked once per distinct state, the label rule on
+    every transition.  Returns (outcome, mass) for each final state.
     """
-    _check_enumeration_cap(
-        scen, sum(1 for r in range(1, scen.horizon + 1) if r not in pin))
     state, baseline, escrow0 = _setup(scen, profile)
     expected_total = state.conservation_total()
-    frontier = [[state, 1, -1]]  # [state, weight numerator, label rank]
-    denom = 1
+    frontier = [[state, mass, -1]]  # [state, mass, label rank]
     for rnd in range(1, scen.horizon + 1):
-        branches, scale = _integer_branches(_round_branches(scen, rnd, pin))
-        denom *= scale
         merged: dict = {}
-        for state, weight, rank in frontier:
-            for miner, power in branches:
+        for state, mass, rank in frontier:
+            for miner, part in split(rnd, mass):
                 nxt, _, nxt_rank = _play_round(scen, profile, state, rnd,
                                                miner, rank)
                 key = nxt.merge_key()
                 entry = merged.get(key)
                 if entry is not None:
-                    entry[1] += weight * power
+                    entry[1] += part
                 elif nxt.conservation_total() != expected_total:
                     raise ScenarioError(f"conservation violated at round {rnd}")
                 else:
-                    merged[key] = [nxt, weight * power, nxt_rank]
+                    merged[key] = [nxt, part, nxt_rank]
         frontier = list(merged.values())
-    total_weight = sum(w for _, w, _ in frontier)
+    return [(_outcome(scen, state, baseline, escrow0, ()), mass)
+            for state, mass, _ in frontier]
+
+
+def _exact_expectation(scen: Scenario, profile: StrategyProfile,
+                       pin: dict) -> ExpectedUtilities:
+    """Exact expectation: the forward pass with integer weights.
+
+    An entry's mass is its weight as an integer over `denom`, the product
+    of the rounds' common denominators, split over every miner with its
+    power (or the pinned one); merging adds ints and the one division
+    comes at the end.  Zero-weight branches are kept, so the parties in
+    the result are those of every schedule.
+    """
+    _check_enumeration_cap(
+        scen, sum(1 for r in range(1, scen.horizon + 1) if r not in pin))
+    rounds = [_integer_branches(_round_branches(scen, rnd, pin))
+              for rnd in range(1, scen.horizon + 1)]
+    denom = math.prod(scale for _, scale in rounds)
+    final = _forward(scen, profile, 1, lambda rnd, w: [
+        (miner, w * power) for miner, power in rounds[rnd - 1][0]])
+    total_weight = sum(w for _, w in final)
     if total_weight != denom:
         raise ArenaError(f"schedule weights sum to "
                          f"{Fraction(total_weight, denom)}, not 1")
     utilities: dict = {}
     bribes: dict = {}
     burned = 0
-    for state, w, _ in frontier:
-        out = _outcome(scen, state, baseline, escrow0, ())
+    for out, w in final:
         for party, d in out.deltas.items():
             utilities[party] = utilities.get(party, 0) + w * d
         for party, b in out.bribe_income.items():
@@ -573,13 +590,19 @@ def _exact_expectation(scen: Scenario, profile: StrategyProfile,
         Fraction(burned, denom), "exact")
 
 
+def _pick_probs(scen: Scenario) -> np.ndarray:
+    """Each miner's chance to mine a round, as the sampler draws it."""
+    probs = np.array([float(m.power) for m in scen.miners])
+    return probs / probs.sum()
+
+
 def sample_schedule(scen: Scenario, rng: np.random.Generator,
                     pin: Optional[dict] = None) -> Schedule:
+    """One schedule drawn from `rng`: the first row of the draw that
+    `sampled_outcomes` makes for all its trials at once."""
     pin = pin or {}
     parties = scen.miner_parties()
-    probs = np.array([float(m.power) for m in scen.miners])
-    probs = probs / probs.sum()
-    picks = rng.choice(len(parties), size=scen.horizon, p=probs)
+    picks = rng.choice(len(parties), size=scen.horizon, p=_pick_probs(scen))
     miners = tuple(pin.get(r, parties[picks[r - 1]])
                    for r in range(1, scen.horizon + 1))
     return Schedule(miners, Fraction(1))
@@ -587,13 +610,36 @@ def sample_schedule(scen: Scenario, rng: np.random.Generator,
 
 def sampled_outcomes(scen: Scenario, profile: StrategyProfile,
                      pin: Optional[dict] = None):
-    """The one Monte-Carlo trial loop: yield the outcome of each of
-    `scen.mode[1]` schedules drawn, in order, from a `scen.seed` generator."""
+    """Yield (outcome, trial count) for each distinct final state of the
+    `scen.mode[1]` schedules drawn from a `scen.seed` generator.
+
+    All trials are drawn in one call, which reads the generator's stream
+    exactly as one `sample_schedule` per trial would; a pinned round keeps
+    its draw and overrides it.  The forward pass then carries each state's
+    trial indices, grouped each round by the miner each trial picked.
+    """
     if scen.mode[0] != "monte-carlo":
         raise _invalid("mode", f"sampling needs monte-carlo, got {scen.mode!r}")
-    rng = np.random.default_rng(scen.seed)
-    for _ in range(scen.mode[1]):
-        yield play(scen, profile, sample_schedule(scen, rng, pin))
+    pin = pin or {}
+    parties = scen.miner_parties()
+    trials = scen.mode[1]
+    picks = np.random.default_rng(scen.seed).choice(
+        len(parties), size=(trials, scen.horizon), p=_pick_probs(scen))
+    # Python ints group faster than numpy masks; one round's column at a time.
+    column = functools.lru_cache(maxsize=1)(
+        lambda rnd: picks[:, rnd - 1].tolist())
+
+    def split(rnd: int, indices: list):
+        if rnd in pin:
+            return ((pin[rnd], indices),)
+        col = column(rnd)
+        groups = [[] for _ in parties]
+        for t in indices:
+            groups[col[t]].append(t)
+        return [(party, g) for party, g in zip(parties, groups) if g]
+
+    for out, indices in _forward(scen, profile, list(range(trials)), split):
+        yield out, len(indices)
 
 
 def mean_half_width(total, total_sq, n: int) -> tuple:
@@ -611,13 +657,13 @@ def expected_utilities(scen: Scenario, profile: StrategyProfile,
         return _exact_expectation(scen, profile, pin or {})
     sums, sq_sums, bribes = {}, {}, {}
     burned = Fraction(0)
-    for out in sampled_outcomes(scen, profile, pin):
+    for out, n in sampled_outcomes(scen, profile, pin):
         for party, d in out.deltas.items():
-            sums[party] = sums.get(party, Fraction(0)) + d
-            sq_sums[party] = sq_sums.get(party, Fraction(0)) + d * d
+            sums[party] = sums.get(party, Fraction(0)) + n * d
+            sq_sums[party] = sq_sums.get(party, Fraction(0)) + n * d * d
         for party, b in out.bribe_income.items():
-            bribes[party] = bribes.get(party, Fraction(0)) + b
-        burned += out.burned
+            bribes[party] = bribes.get(party, Fraction(0)) + n * b
+        burned += n * out.burned
     trials = scen.mode[1]
     utilities = {p: s / trials for p, s in sums.items()}
     ci = {}

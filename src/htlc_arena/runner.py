@@ -13,6 +13,7 @@ verdict failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -174,7 +175,7 @@ def _policy_from_doc(doc, what: str, make, *role):
     try:
         return make(*role, params.pop("name", None), **params)
     except (TypeError, ValueError) as e:
-        # TypeError: a key that the policy's constructor does not take.
+        # TypeError: a key named like a factory argument, such as `role`.
         raise ScenarioError(f"validation-error({what}): {e}") from e
 
 
@@ -500,13 +501,13 @@ def ttc(scen: Scenario, path: str) -> dict:
     if path not in TTC_PATHS:
         raise ScenarioError(f"validation-error(path): {path!r}")
     total = total_sq = 0  # integer sums, exact when turned into floats
-    for out in sampled_outcomes(scen, _ttc_profile(scen, path)):
+    for out, n in sampled_outcomes(scen, _ttc_profile(scen, path)):
         done = _completion_round(out, scen, path)
         if done is None:
             raise ScenarioError(
                 f"validation-error: {path} never completed within the horizon")
-        total += done
-        total_sq += done * done
+        total += n * done
+        total_sq += n * done * done
     mean, half = mean_half_width(total, total_sq, scen.mode[1])
     return {"mean": mean, "half_width": half, "trials": scen.mode[1],
             "l": scen.l}
@@ -536,7 +537,9 @@ def cmd_ttc(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `arena` parser, built once: `parse_args` does not change it."""
     parser = argparse.ArgumentParser(
         prog="arena",
         description="Deterministic HTLC bribery-game simulator and verifier")

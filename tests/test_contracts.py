@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from htlc_arena.core import ALICE, BOB, ContractError, miner_party
+from htlc_arena.core import (ALICE, BOB, ContractError, ScenarioError,
+                             miner_party)
 from htlc_arena.contracts import (CensorBriberyContract, COL_A_ID, COL_B,
                                   COL_B_ID, COL_M, DEP_A, DEP_B, DEP_BURN,
                                   DEP_M, FeeError, FeeSchedule,
@@ -18,7 +19,7 @@ from htlc_arena.contracts import (CensorBriberyContract, COL_A_ID, COL_B,
                                   check_fee_schedule, derive_he_delay,
                                   resolve_demba_dep)
 
-from conftest import M1, demba_schedule
+from conftest import M1, demba_scenario, demba_schedule
 
 DIGESTS = {PRE_A: "s-a", PRE_A2: "s-a2", PRE_B: "s-b"}
 
@@ -177,6 +178,15 @@ class TestFeeScheduleCheck:
         sched = FeeSchedule({PRE_A: 3, PRE_A2: 3, PRE_AA2: 5, PRE_B: 2},
                             Fraction(1, 2), T=4)
         assert "paid ordering" in self.invalid(sched)
+
+    def test_paid_fee_off_the_commit_paths_is_rejected(self):
+        # The ledger would charge a dep-A redemption 5 that no tx declares.
+        sched = FeeSchedule({PRE_A: 8, PRE_A2: 12, PRE_AA2: 20, PRE_B: 8,
+                             DEP_A: 5}, Fraction(1, 2), T=4)
+        assert "paid fee for 'dep-A', which is not one of" in self.invalid(sched)
+        with pytest.raises(ScenarioError, match=r"^validation-error"
+                           r"\(fee_schedule\): invalid fee schedule"):
+            demba_scenario(T=4, schedule=sched)
 
     def test_no_decay_is_accepted(self):
         # alpha = 1 voids the deterrent but is a valid schedule.

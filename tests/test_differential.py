@@ -1,8 +1,11 @@
-"""The merged-state exact expectation against the brute-force enumerator.
+"""The merged-state forward pass against plays one schedule at a time.
 
-`expected_utilities` merges equal states round by round; summing `play`
-over every schedule of `enumerate_schedules` is the reference.  The two
-must agree exactly, down to which parties appear in the result.
+`expected_utilities` merges equal states round by round in both modes.
+In exact mode, summing `play` over every schedule of `enumerate_schedules`
+is the reference; in Monte-Carlo mode, `play` on each schedule that
+`sample_schedule` draws in turn from the scenario's seed, for the
+expectation and for `ttc` alike.  Each pair must agree exactly, down to
+which parties appear in the result.
 """
 
 from __future__ import annotations
@@ -11,15 +14,20 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from htlc_arena.agents import (AliceHonest, BobHonest, M2MbaActive,
                                M2MbaPassive)
-from htlc_arena.core import miner_party
+from htlc_arena.core import ScenarioError, miner_party
 from htlc_arena.game import (MinerProfile, StrategyProfile, enumerate_schedules,
-                             expected_utilities, play)
+                             expected_utilities, mean_half_width, play,
+                             sample_schedule)
+from htlc_arena.runner import (TTC_PATHS, _completion_round, _ttc_profile,
+                               ttc)
 
-from conftest import he_scenario
+from conftest import he_scenario, monte_carlo
 from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 POOLS = _fuzz_pools()
@@ -45,16 +53,18 @@ def brute_force(scen, profile, pin):
 
 
 @st.composite
-def games(draw):
+def games(draw, fewest=2):
     """(scenario, profile, pin): criterion-9 scenarios and policy pools on
-    two or three miners, one of them with power 0, and random pins."""
+    `fewest` to three miners, one of them with power 0 unless there is only
+    one, and random pins."""
     protocol = draw(st.sampled_from(sorted(POOLS)))
-    n = draw(st.integers(2, 3))
-    powers = [Fraction(1)] if n == 2 else [
+    n = draw(st.integers(fewest, 3))
+    powers = [Fraction(1)] if n <= 2 else [
         draw(st.sampled_from((Fraction(1, 3), Fraction(1, 2))))]
     if n == 3:
         powers.append(1 - powers[0])
-    powers.insert(draw(st.integers(0, n - 1)), Fraction(0))
+    if n > 1:
+        powers.insert(draw(st.integers(0, n - 1)), Fraction(0))
     kind = "active" if protocol in ("mad", "he") else "passive"
     miners = tuple(MinerProfile(p, power, kind, draw(st.booleans()))
                    for p, power in zip(PARTIES, powers))
@@ -115,3 +125,71 @@ def test_merged_expectation_equals_brute_force(game):
     assert eu.utilities == utilities
     assert eu.bribe_income == bribes
     assert eu.burned == burned
+
+
+def sampled_one_by_one(scen, profile, pin=None):
+    """The outcome of each Monte-Carlo trial, drawn and played in turn."""
+    rng = np.random.default_rng(scen.seed)
+    return [play(scen, profile, sample_schedule(scen, rng, pin))
+            for _ in range(scen.mode[1])]
+
+
+def expected_one_by_one(scen, profile, pin):
+    """(utilities, bribe income, burned, ci) from per-trial plays."""
+    sums, sq_sums, bribes = {}, {}, {}
+    burned = Fraction(0)
+    for out in sampled_one_by_one(scen, profile, pin):
+        for party, d in out.deltas.items():
+            sums[party] = sums.get(party, Fraction(0)) + d
+            sq_sums[party] = sq_sums.get(party, Fraction(0)) + d * d
+        for party, b in out.bribe_income.items():
+            bribes[party] = bribes.get(party, Fraction(0)) + b
+        burned += out.burned
+    n = scen.mode[1]
+    ci = {}
+    for party, s in sums.items():
+        mean, half = mean_half_width(s, sq_sums[party], n)
+        ci[party] = (mean - half, mean + half)
+    return ({p: s / n for p, s in sums.items()},
+            {p: b / n for p, b in bribes.items()}, burned / n, ci)
+
+
+def ttc_one_by_one(scen, path):
+    """`ttc`'s result from per-trial plays."""
+    total = total_sq = 0
+    for out in sampled_one_by_one(scen, _ttc_profile(scen, path)):
+        done = _completion_round(out, scen, path)
+        if done is None:
+            raise ScenarioError(
+                f"validation-error: {path} never completed within the horizon")
+        total += done
+        total_sq += done * done
+    mean, half = mean_half_width(total, total_sq, scen.mode[1])
+    return {"mean": mean, "half_width": half, "trials": scen.mode[1],
+            "l": scen.l}
+
+
+def result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ScenarioError as e:
+        return f"error: {e}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(game=games(fewest=1), trials=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_sampled_expectation_and_ttc_equal_one_by_one_plays(game, trials,
+                                                            seed):
+    scen, profile, pin = game
+    scen = monte_carlo(scen, trials, seed)
+    utilities, bribes, burned, ci = expected_one_by_one(scen, profile, pin)
+    eu = expected_utilities(scen, profile, pin)
+    assert eu.mode == "monte-carlo"
+    assert eu.utilities == utilities
+    assert eu.bribe_income == bribes
+    assert eu.burned == burned
+    assert eu.ci == ci
+    for path in TTC_PATHS:
+        assert result_or_error(ttc, scen, path) == result_or_error(
+            ttc_one_by_one, scen, path)

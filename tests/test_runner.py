@@ -261,6 +261,8 @@ MALFORMED = {
     "censor-related-until": (minimal_naive(
         policies={"miners": {"m1": {"name": "censor-related", "until": 3}}}),
         "policies.miners.m1"),
+    "policy-key-with-line-break": (minimal_naive(
+        policies={"alice": {"name": "honest", "\r": -1}}), "policies.alice"),
     "demba-paid-ordering": (minimal_naive(
         protocol="demba",
         amounts={"v_dep": 100, "v_col_a": 50, "v_col_b": 40, "v_ded": 7},
@@ -405,3 +407,17 @@ class TestTtc:
     def test_exact_mode_scenario_is_rejected(self):
         with pytest.raises(ScenarioError, match=r"^validation-error\(mode\)"):
             ttc(demba_scenario(), "bob-both")
+
+    def test_path_that_never_completes_is_one_error_line(self, capsys):
+        # A censoring miner keeps Bob's refund out of every block.
+        path = str(SCENARIOS / "naive_bribery.json")
+        scen, _ = load_scenario(path)
+        with pytest.raises(ScenarioError, match="^validation-error: bob-both "
+                           "never completed within the horizon$"):
+            ttc(monte_carlo(scen, 5), "bob-both")
+        code = main(["ttc", "--scenario", path, "--path", "bob-both",
+                     "--trials", "5"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == ("error: validation-error: bob-both never completed "
+                       "within the horizon\n")
