@@ -229,13 +229,14 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
     simulated dominance or income orderings.  Consistency means the
     hypothesis never holds while the simulated conclusion fails.
     """
+    kinds = {1: "active", 2: "active", 3: "passive", 4: "active", 5: "active"}
+    if n not in kinds:
+        raise ScenarioError(f"no such lemma {n}")
     if scen.protocol != "he":
         raise ScenarioError("protocol-mismatch: pact lemmas run on 'he'")
     delta = scen.T - scen.t_pub
     f_a = scen.f_dep_a
     if focal is None:
-        kinds = {1: "active", 2: "active", 3: "passive", 4: "active",
-                 5: "active"}
         for m in scen.miners:
             if kinds[n] == "active" and m.colluding and m.kind == "active":
                 focal = m.party
@@ -299,28 +300,26 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
         decreasing = all(utils[i] > utils[i + 1] for i in range(len(utils) - 1))
         return LemmaVerdict("lemma4", hyp, decreasing,
                             detail={"deferral_utilities": utils})
-    if n == 5:
-        # Per-recipient pact constant: br_i = f_dep_a*(lam_col/lam_i)/delta + eps.
-        # Token amounts are whole, so a fractional constant is rounded up,
-        # which can only raise the income and never weakens the implication.
-        ratio = lam_col / lam_i
-        exact_br = Fraction(f_a) * ratio / delta + scen.epsilon
-        br_i = math.ceil(exact_br)
-        predicted = f_a + (lam_i / lam_col) * delta * scen.epsilon
-        hyp = scen.epsilon > 0
-        bribes = {VIEW_MI: br_i}
-        if lam_i < lam_col:
-            rest_br = Fraction(f_a) * (lam_col / (lam_col - lam_i)) / delta \
-                + scen.epsilon
-            bribes[VIEW_REST] = math.ceil(rest_br)
-        view, mi, _ = coalition_view(scen, focal, bribes)
-        income = expect(view, _attack_profile(view)) \
-            .bribe_income.get(mi, Fraction(0))
-        concl = income > f_a
-        return LemmaVerdict("lemma5", hyp, concl, income - f_a,
-                            {"bribe_income": income, "predicted": predicted,
-                             "exact_constant": exact_br})
-    raise ScenarioError(f"no such lemma {n}")
+    # Lemma 5, per recipient: br_i = f_dep_a*(lam_col/lam_i)/delta + eps.
+    # Token amounts are whole, so a fractional constant is rounded up,
+    # which can only raise the income and never weakens the implication.
+    ratio = lam_col / lam_i
+    exact_br = Fraction(f_a) * ratio / delta + scen.epsilon
+    br_i = math.ceil(exact_br)
+    predicted = f_a + (lam_i / lam_col) * delta * scen.epsilon
+    hyp = scen.epsilon > 0
+    bribes = {VIEW_MI: br_i}
+    if lam_i < lam_col:
+        rest_br = Fraction(f_a) * (lam_col / (lam_col - lam_i)) / delta \
+            + scen.epsilon
+        bribes[VIEW_REST] = math.ceil(rest_br)
+    view, mi, _ = coalition_view(scen, focal, bribes)
+    income = expect(view, _attack_profile(view)) \
+        .bribe_income.get(mi, Fraction(0))
+    concl = income > f_a
+    return LemmaVerdict("lemma5", hyp, concl, income - f_a,
+                        {"bribe_income": income, "predicted": predicted,
+                         "exact_constant": exact_br})
 
 
 @dataclass

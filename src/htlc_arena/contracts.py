@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional, Union
 
 from .core import BLOCK_MINER, ContractError, Party, check_amount
@@ -159,9 +160,12 @@ class FeeSchedule:
     paid/earned gap.
     """
 
-    paid: dict  # path name -> int
+    paid: dict  # path name -> int, held as a read-only copy
     alpha: Fraction
     T: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "paid", MappingProxyType(dict(self.paid)))
 
     def split(self, path: str, declared_fee: int, inclusion_round: int) -> tuple:
         """Return (miner_earned, burned) for a tx on a scheduled `path`."""

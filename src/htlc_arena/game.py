@@ -4,15 +4,15 @@ A play is fully determined by (scenario, strategy profile, miner schedule).
 Expected utilities are either exact or Monte-Carlo with a seeded generator,
 and both modes run the same forward pass over rounds: every policy is a
 stateless function of (chain state, round), so schedule prefixes that reach
-equal states are merged and played on once.  The modes differ only in the
-mass a merged state carries.  In exact mode it is the summed weight (the
-product of miner powers), as an integer numerator over one common
-denominator, the product of each round's, which becomes a fraction once, at
-the end; its values are those of playing every schedule that
-`enumerate_schedules` yields, which is the reference the tests hold it to.
-In Monte-Carlo mode it is the list of sampled trials that reach the state;
-its values are those of playing each sampled schedule.  Dominance checks
-brute-force finite policy spaces on top of the expectation machinery.
+equal states are merged and played on once.  `final_outcomes` returns each
+final state's outcome with an integer mass and the total the masses sum to.
+In exact mode a mass is the summed schedule weight (the product of miner
+powers) over one common denominator, the product of each round's; its values
+are those of playing every schedule that `enumerate_schedules` yields, which
+is the reference the tests hold it to.  In Monte-Carlo mode a mass is the
+number of sampled trials that reach the state; its values are those of
+playing each sampled schedule.  Dominance checks brute-force finite policy
+spaces on top of the expectation machinery.
 
 Utilities carry no discounting: they are raw end-of-game token deltas from
 the post-setup baseline.  The one exception to pre-funded contracts is the
@@ -27,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -136,6 +137,9 @@ class Scenario:
             raise _invalid("t_pub", "must fall in [1, T]")
         if self.protocol == "demba" and self.fee_schedule is None:
             raise _invalid("fee_schedule", "required for demba")
+        if self.protocol != "demba" and self.fee_schedule is not None:
+            raise _invalid("fee_schedule", "only demba takes a fee schedule, "
+                           f"got protocol {self.protocol!r}")
         if self.fee_schedule is not None and self.fee_schedule.T != self.T:
             # Fees decay from the schedule's T, contract deadlines from ours.
             raise _invalid("fee_schedule", f"deadline T={self.fee_schedule.T} "
@@ -146,6 +150,9 @@ class Scenario:
                 and mode[1] >= 1):
             raise _invalid("mode", "expected ('exact',) or ('monte-carlo', n) "
                            f"with n a positive int, got {mode!r}")
+        if self.pact_bribes is not None:  # a copy that no write can reach
+            object.__setattr__(self, "pact_bribes",
+                               MappingProxyType(dict(self.pact_bribes)))
         # A plain attribute, not a field: replace() builds a fresh one.
         object.__setattr__(self, "_genesis", _built(_build_genesis, self))
 
@@ -506,19 +513,14 @@ def _check_enumeration_cap(scen: Scenario, free_rounds: int) -> None:
 
 
 def _round_branches(scen: Scenario, rnd: int, pin: dict) -> tuple:
-    """(miner, weight) for each way round `rnd` can go: every miner with
-    its power, or the pinned miner with weight 1."""
+    """Each way round `rnd` can go, with integer weights over their common
+    denominator: (((miner, numerator), ...), denominator).  Every miner
+    weighs its power, or the pinned miner weighs 1/1."""
     if rnd in pin:
-        return ((pin[rnd], Fraction(1)),)
-    return tuple((m.party, m.power) for m in scen.miners)
-
-
-def _integer_branches(branches: tuple) -> tuple:
-    """A round's branches with integer weights over their common
-    denominator: (((miner, numerator), ...), denominator)."""
-    scale = math.lcm(*(w.denominator for _, w in branches))
-    return tuple((m, w.numerator * (scale // w.denominator))
-                 for m, w in branches), scale
+        return ((pin[rnd], 1),), 1
+    scale = math.lcm(*(m.power.denominator for m in scen.miners))
+    return tuple((m.party, m.power.numerator * (scale // m.power.denominator))
+                 for m in scen.miners), scale
 
 
 def _forward(scen: Scenario, profile: StrategyProfile, mass, split) -> list:
@@ -554,42 +556,6 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split) -> list:
             for state, mass, _ in frontier]
 
 
-def _exact_expectation(scen: Scenario, profile: StrategyProfile,
-                       pin: dict) -> ExpectedUtilities:
-    """Exact expectation: the forward pass with integer weights.
-
-    An entry's mass is its weight as an integer over `denom`, the product
-    of the rounds' common denominators, split over every miner with its
-    power (or the pinned one); merging adds ints and the one division
-    comes at the end.  Zero-weight branches are kept, so the parties in
-    the result are those of every schedule.
-    """
-    _check_enumeration_cap(
-        scen, sum(1 for r in range(1, scen.horizon + 1) if r not in pin))
-    rounds = [_integer_branches(_round_branches(scen, rnd, pin))
-              for rnd in range(1, scen.horizon + 1)]
-    denom = math.prod(scale for _, scale in rounds)
-    final = _forward(scen, profile, 1, lambda rnd, w: [
-        (miner, w * power) for miner, power in rounds[rnd - 1][0]])
-    total_weight = sum(w for _, w in final)
-    if total_weight != denom:
-        raise ArenaError(f"schedule weights sum to "
-                         f"{Fraction(total_weight, denom)}, not 1")
-    utilities: dict = {}
-    bribes: dict = {}
-    burned = 0
-    for out, w in final:
-        for party, d in out.deltas.items():
-            utilities[party] = utilities.get(party, 0) + w * d
-        for party, b in out.bribe_income.items():
-            bribes[party] = bribes.get(party, 0) + w * b
-        burned += w * out.burned
-    return ExpectedUtilities(
-        {p: Fraction(u, denom) for p, u in utilities.items()},
-        {p: Fraction(b, denom) for p, b in bribes.items()},
-        Fraction(burned, denom), "exact")
-
-
 def _pick_probs(scen: Scenario) -> np.ndarray:
     """Each miner's chance to mine a round, as the sampler draws it."""
     probs = np.array([float(m.power) for m in scen.miners])
@@ -599,7 +565,7 @@ def _pick_probs(scen: Scenario) -> np.ndarray:
 def sample_schedule(scen: Scenario, rng: np.random.Generator,
                     pin: Optional[dict] = None) -> Schedule:
     """One schedule drawn from `rng`: the first row of the draw that
-    `sampled_outcomes` makes for all its trials at once."""
+    `final_outcomes` makes for all its Monte-Carlo trials at once."""
     pin = pin or {}
     parties = scen.miner_parties()
     picks = rng.choice(len(parties), size=scen.horizon, p=_pick_probs(scen))
@@ -608,38 +574,53 @@ def sample_schedule(scen: Scenario, rng: np.random.Generator,
     return Schedule(miners, Fraction(1))
 
 
-def sampled_outcomes(scen: Scenario, profile: StrategyProfile,
-                     pin: Optional[dict] = None):
-    """Yield (outcome, trial count) for each distinct final state of the
-    `scen.mode[1]` schedules drawn from a `scen.seed` generator.
+def final_outcomes(scen: Scenario, profile: StrategyProfile,
+                   pin: Optional[dict] = None) -> tuple:
+    """(pairs, total): each distinct final state's (outcome, integer mass),
+    and the total those masses sum to, in the scenario's mode.
 
-    All trials are drawn in one call, which reads the generator's stream
-    exactly as one `sample_schedule` per trial would; a pinned round keeps
-    its draw and overrides it.  The forward pass then carries each state's
-    trial indices, grouped each round by the miner each trial picked.
+    In exact mode a mass is a schedule weight over `total`, the product of
+    the rounds' common denominators; zero-weight branches are kept, so the
+    parties in the outcomes are those of every schedule.  In Monte-Carlo
+    mode a mass is a trial count over `total` = `scen.mode[1]`: all trials
+    are drawn in one call from a `scen.seed` generator, which reads its
+    stream exactly as one `sample_schedule` per trial would, and a state's
+    trials are grouped each round by their pick.  `pin` maps a 1-based
+    round to the party forced to mine it, overriding any draw.
     """
-    if scen.mode[0] != "monte-carlo":
-        raise _invalid("mode", f"sampling needs monte-carlo, got {scen.mode!r}")
     pin = pin or {}
-    parties = scen.miner_parties()
-    trials = scen.mode[1]
-    picks = np.random.default_rng(scen.seed).choice(
-        len(parties), size=(trials, scen.horizon), p=_pick_probs(scen))
-    # Python ints group faster than numpy masks; one round's column at a time.
-    column = functools.lru_cache(maxsize=1)(
-        lambda rnd: picks[:, rnd - 1].tolist())
+    if scen.mode[0] == "exact":
+        _check_enumeration_cap(
+            scen, sum(1 for r in range(1, scen.horizon + 1) if r not in pin))
+        rounds = [_round_branches(scen, rnd, pin)
+                  for rnd in range(1, scen.horizon + 1)]
+        total = math.prod(scale for _, scale in rounds)
+        pairs = _forward(scen, profile, 1, lambda rnd, w: [
+            (miner, w * power) for miner, power in rounds[rnd - 1][0]])
+    else:
+        parties = scen.miner_parties()
+        total = scen.mode[1]
+        picks = np.random.default_rng(scen.seed).choice(
+            len(parties), size=(total, scen.horizon), p=_pick_probs(scen))
+        # Python ints group faster than numpy masks; one column at a time.
+        column = functools.lru_cache(maxsize=1)(
+            lambda rnd: picks[:, rnd - 1].tolist())
 
-    def split(rnd: int, indices: list):
-        if rnd in pin:
-            return ((pin[rnd], indices),)
-        col = column(rnd)
-        groups = [[] for _ in parties]
-        for t in indices:
-            groups[col[t]].append(t)
-        return [(party, g) for party, g in zip(parties, groups) if g]
+        def split(rnd: int, trials: list):
+            if rnd in pin:
+                return ((pin[rnd], trials),)
+            col = column(rnd)
+            groups = [[] for _ in parties]
+            for t in trials:
+                groups[col[t]].append(t)
+            return [(party, g) for party, g in zip(parties, groups) if g]
 
-    for out, indices in _forward(scen, profile, list(range(trials)), split):
-        yield out, len(indices)
+        pairs = [(out, len(trials)) for out, trials in
+                 _forward(scen, profile, list(range(total)), split)]
+    mass = sum(m for _, m in pairs)
+    if mass != total:
+        raise ArenaError(f"final masses sum to {Fraction(mass, total)}, not 1")
+    return pairs, total
 
 
 def mean_half_width(total, total_sq, n: int) -> tuple:
@@ -652,26 +633,28 @@ def mean_half_width(total, total_sq, n: int) -> tuple:
 def expected_utilities(scen: Scenario, profile: StrategyProfile,
                        pin: Optional[dict] = None) -> ExpectedUtilities:
     """Exact rational expectation or seeded Monte-Carlo mean with 95% CI,
-    as the scenario's mode says."""
-    if scen.mode[0] == "exact":
-        return _exact_expectation(scen, profile, pin or {})
+    as the scenario's mode says: the mass-weighted mean of `final_outcomes`."""
+    pairs, total = final_outcomes(scen, profile, pin)
+    sampled = scen.mode[0] == "monte-carlo"
     sums, sq_sums, bribes = {}, {}, {}
-    burned = Fraction(0)
-    for out, n in sampled_outcomes(scen, profile, pin):
+    burned = 0
+    for out, n in pairs:
         for party, d in out.deltas.items():
-            sums[party] = sums.get(party, Fraction(0)) + n * d
-            sq_sums[party] = sq_sums.get(party, Fraction(0)) + n * d * d
+            sums[party] = sums.get(party, 0) + n * d
+            if sampled:
+                sq_sums[party] = sq_sums.get(party, 0) + n * d * d
         for party, b in out.bribe_income.items():
-            bribes[party] = bribes.get(party, Fraction(0)) + n * b
+            bribes[party] = bribes.get(party, 0) + n * b
         burned += n * out.burned
-    trials = scen.mode[1]
-    utilities = {p: s / trials for p, s in sums.items()}
-    ci = {}
-    for party, s in sums.items():
-        mean, half = mean_half_width(s, sq_sums[party], trials)
-        ci[party] = (mean - half, mean + half)
-    return ExpectedUtilities(utilities, {p: b / trials for p, b in bribes.items()},
-                             burned / trials, "monte-carlo", ci)
+    ci = None
+    if sampled:
+        ci = {}
+        for party, s in sums.items():
+            mean, half = mean_half_width(s, sq_sums[party], total)
+            ci[party] = (mean - half, mean + half)
+    return ExpectedUtilities({p: Fraction(s, total) for p, s in sums.items()},
+                             {p: Fraction(b, total) for p, b in bribes.items()},
+                             Fraction(burned, total), scen.mode[0], ci)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from .core import ArenaError, EXTERNAL, ScenarioError, miner_party
 from .contracts import (COL_B, COL_B_ID, COL_ID, DEP_A, DEP_ID, FeeSchedule,
                         PRE_A, PRE_A2, PRE_AA2, PRE_B)
 from .game import (MinerProfile, Scenario, StrategyProfile, dominance_check,
-                   expected_utilities, mean_half_width, play, sample_schedule,
-                   sampled_outcomes)
+                   expected_utilities, final_outcomes, mean_half_width, play,
+                   sample_schedule)
 from .agents import (AliceHonest, AliceOffline, BobHonest, HonestFeeMax,
                      make_miner_policy, make_party_policy)
 from . import analysis
@@ -500,17 +500,20 @@ def ttc(scen: Scenario, path: str) -> dict:
     scenario's Monte-Carlo trials and seed."""
     if path not in TTC_PATHS:
         raise ScenarioError(f"validation-error(path): {path!r}")
+    if scen.mode[0] != "monte-carlo":
+        raise ScenarioError("validation-error(mode): sampling needs "
+                            f"monte-carlo, got {scen.mode!r}")
+    pairs, trials = final_outcomes(scen, _ttc_profile(scen, path))
     total = total_sq = 0  # integer sums, exact when turned into floats
-    for out, n in sampled_outcomes(scen, _ttc_profile(scen, path)):
+    for out, n in pairs:
         done = _completion_round(out, scen, path)
         if done is None:
             raise ScenarioError(
                 f"validation-error: {path} never completed within the horizon")
         total += n * done
         total_sq += n * done * done
-    mean, half = mean_half_width(total, total_sq, scen.mode[1])
-    return {"mean": mean, "half_width": half, "trials": scen.mode[1],
-            "l": scen.l}
+    mean, half = mean_half_width(total, total_sq, trials)
+    return {"mean": mean, "half_width": half, "trials": trials, "l": scen.l}
 
 
 def cmd_ttc(args) -> tuple:

@@ -23,13 +23,14 @@ from test_acceptance import _theorem_scenario
 def count_exact_expectations(monkeypatch) -> list:
     """Record every exact expectation computed from now on."""
     calls = []
-    exact = game._exact_expectation
+    final = game.final_outcomes
 
-    def counted(*args):
-        calls.append(args)
-        return exact(*args)
+    def counted(scen, *args):
+        if scen.mode[0] == "exact":
+            calls.append((scen, *args))
+        return final(scen, *args)
 
-    monkeypatch.setattr(game, "_exact_expectation", counted)
+    monkeypatch.setattr(game, "final_outcomes", counted)
     return calls
 
 
@@ -155,6 +156,11 @@ class TestM2MbaLemmas:
     def test_protocol_mismatch(self):
         with pytest.raises(ScenarioError):
             verify_m2mba_lemma(1, demba_scenario())
+
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_unknown_lemma_number(self, n):
+        with pytest.raises(ScenarioError, match=f"^no such lemma {n}$"):
+            verify_m2mba_lemma(n, self.scen())
 
 
 class TestTheoremM2Mba:

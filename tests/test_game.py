@@ -15,6 +15,7 @@ import pytest
 
 from htlc_arena import game
 from htlc_arena.core import ALICE, BOB, ArenaError, ScenarioError, miner_party
+from htlc_arena.contracts import PRE_A, FeeSchedule
 from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
                                M2MbaActive)
@@ -66,6 +67,30 @@ class TestScenario:
                            match=r"^validation-error\(fee_schedule\): "):
             demba_scenario(T=4, schedule=demba_schedule(6))
         assert demba_scenario(T=6, schedule=demba_schedule(6)).T == 6
+
+    def test_fee_schedule_and_pact_bribes_are_read_only(self):
+        paid = dict(demba_schedule(4).paid)
+        scen = demba_scenario(schedule=FeeSchedule(paid, Fraction(1, 2), 4))
+        profile = honest_profile(scen)
+        before = expected_utilities(scen, profile)
+        paid[PRE_A] = 30
+        with pytest.raises(TypeError):
+            scen.fee_schedule.paid[PRE_A] = 30
+        assert expected_utilities(scen, profile) == before
+        assert before.of(ALICE) == 142
+
+        bribes = {M1: 5, M2: 1}
+        pact = he_scenario(T=3, l=1, br=2, pact_bribes=bribes, miners=(
+            MinerProfile(M1, Fraction(1, 3), "active", True),
+            MinerProfile(M2, Fraction(2, 3), "active", True)))
+        profile = StrategyProfile(AliceHonest(), BobHonest(),
+                                  {M1: M2MbaActive(), M2: M2MbaActive()})
+        before = expected_utilities(pact, profile)
+        bribes[M1] = 50
+        with pytest.raises(TypeError):
+            pact.pact_bribes[M2] = 50
+        assert expected_utilities(pact, profile) == before
+        assert before.bribe_income[M1] == Fraction(10, 3)
 
 
 class TestPlay:
@@ -262,9 +287,25 @@ class TestExpectations:
         scen = naive_scenario()
         # Every round's only branch carries weight 1/2 instead of 1.
         monkeypatch.setattr(game, "_round_branches",
-                            lambda scen, rnd, pin: ((M1, Fraction(1, 2)),))
+                            lambda scen, rnd, pin: (((M1, 1),), 2))
         with pytest.raises(ArenaError):
             expected_utilities(scen, honest_profile(scen))
+
+    @pytest.mark.parametrize("trials", [None, 9])
+    def test_lost_final_entry_fails_the_mass_check(self, monkeypatch, trials):
+        scen = naive_scenario(miners=(MinerProfile(M1, Fraction(1, 2)),
+                                      MinerProfile(M2, Fraction(1, 2))))
+        if trials is not None:
+            scen = monte_carlo(scen, trials)
+        profile = StrategyProfile(AliceHonest(), BobNaiveBriber(),
+                                  {M1: CensorRelated(), M2: HonestFeeMax()})
+        pairs, _ = game.final_outcomes(scen, profile)
+        assert len(pairs) > 1
+        forward = game._forward
+        monkeypatch.setattr(game, "_forward",
+                            lambda *args: forward(*args)[1:])
+        with pytest.raises(ArenaError, match="final masses sum to"):
+            expected_utilities(scen, profile)
 
     def test_exact_expectation_checks_conservation(self, monkeypatch):
         apply_block = game.apply_block
@@ -300,11 +341,6 @@ class TestExpectations:
         assert "enumeration-cap-exceeded: 4^12 schedules" in str(e.value)
         assert not played
 
-    def test_sampler_needs_monte_carlo_mode(self):
-        scen = naive_scenario()
-        with pytest.raises(ScenarioError, match=r"validation-error\(mode\)"):
-            next(game.sampled_outcomes(scen, honest_profile(scen)))
-
     def test_sampler_draws_the_scenario_trials_and_seed(self):
         scen = monte_carlo(naive_scenario(
             miners=(MinerProfile(M1, Fraction(1, 2)),
@@ -322,8 +358,10 @@ class TestExpectations:
                                     game.sample_schedule(scen, rng)))
                        for _ in range(7))
         got = Counter()
-        for out, n in game.sampled_outcomes(scen, profile):
+        pairs, total = game.final_outcomes(scen, profile)
+        for out, n in pairs:
             got[settled(out)] += n
+        assert total == 7
         assert got == want and len(got) > 1
 
     def test_linearity_under_token_scaling(self):

@@ -268,6 +268,10 @@ MALFORMED = {
         amounts={"v_dep": 100, "v_col_a": 50, "v_col_b": 40, "v_ded": 7},
         fees={"schedule": {"paid": {"pre_A": 3, "pre_A'": 3, "pre_AA'": 5,
                                     "pre_B": 2}}}), "fee_schedule"),
+    "naive-with-fee-schedule": (minimal_naive(
+        fees={"schedule": {"paid": {"pre_A": 9, "pre_A'": 3, "pre_AA'": 1,
+                                    "pre_B": 2}, "alpha": "7/2"}}),
+        "fee_schedule"),
 }
 
 NAIVE = ["--scenario", str(SCENARIOS / "naive_bribery.json")]
