@@ -1,11 +1,15 @@
 """Named behaviour policies for the payee, the payer, and the miners.
 
 Every policy is a deterministic, stateless function of the chain state, the
-round, and its own parameters: evaluating it twice on the same inputs emits
-identical actions.  Party policies broadcast transactions at the end of a
-round (eligible from the next block); miner policies assemble the block for
-a round, including any transactions they create themselves (confiscations,
-bribery-contract calls), which never pass through the mempool.
+round, the scenario (a miner policy also of its miner) and its own
+parameters; none sees the strategy profile, and evaluating one twice on the
+same inputs emits identical actions.  Party policies return what they
+broadcast at the end of a round (eligible from the next block), a
+redemption only while the contracts it spends are open (`_if_open`).  Miner
+policies return the round's `ledger.Block`, built by `make_block`, which
+fills the free room with unrelated traffic at fee `f`; a block may carry
+transactions its miner creates (confiscations, bribery-contract calls),
+which never pass through the mempool.
 
 Every miner block that is not a bespoke attack block follows one assembly
 rule (`_assemble`): the policy's own head transactions, then the honest
@@ -21,7 +25,6 @@ contracts see.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import ALICE, BOB, LedgerError, Party, debit
@@ -29,15 +32,9 @@ from .contracts import (BriberyCall, CBOB_ID, CM2M_ID, COL_A_ID, COL_B,
                         COL_B_ID, COL_ID, COL_M, CensorBriberyContract, DEP_A,
                         DEP_B, DEP_ID, DEP_M, MinerPactContract, PRE_A, PRE_A2,
                         PRE_AA2, PRE_B, SECRETS)
-from .ledger import (CONTRACT_CALL, PAYMENT, RELATED, ChainView, TxRecord,
-                     Witness, broadcast, fee_split, validate_tx)
+from .ledger import (CONTRACT_CALL, PAYMENT, RELATED, Block, ChainView,
+                     TxRecord, Witness, broadcast, fee_split, validate_tx)
 from .game import Scenario
-
-
-@dataclass
-class BlockPlan:
-    txs: list = field(default_factory=list)
-    coinbase: tuple = ()
 
 
 def _known_value(state, slot: str) -> Optional[str]:
@@ -76,8 +73,8 @@ def tx_col_b(scen: Scenario) -> TxRecord:
                     Witness(signers=frozenset({BOB})), scen.f_col_b)
 
 
-def tx_confiscate(state, scen: Scenario, creator: Party, cid: str,
-                  path: str, collude_bob: bool = False) -> TxRecord:
+def tx_confiscate(state, creator: Party, cid: str, path: str,
+                  collude_bob: bool = False) -> TxRecord:
     """Self-created double-preimage redemption.
 
     Confiscators normally know only what was broadcast; an accomplice
@@ -135,14 +132,14 @@ def _valid(state, tx: TxRecord, rnd: int) -> bool:
     return True
 
 
-def honest_miner_select(state, rnd: int, miner: Party, scen: Scenario,
+def honest_miner_select(state, rnd: int, scen: Scenario,
                         exclude=frozenset()) -> list:
     """Greedy fee-maximal selection from the mempool.
 
     Orders candidates by descending miner-earned fee with ties broken by
     tx id, keeps the ones whose earned fee beats the unrelated fee, and
-    skips anything that conflicts with an earlier pick.  The remaining
-    capacity is filled with unrelated traffic by the caller.
+    skips anything that conflicts with an earlier pick.  At most
+    `scen.capacity` transactions are picked.
     """
     candidates = []
     for tx in state.mempool.values():
@@ -165,8 +162,18 @@ def honest_miner_select(state, rnd: int, miner: Party, scen: Scenario,
     return picked
 
 
+def make_block(rnd: int, miner: Party, scen: Scenario, txs,
+               coinbase: tuple = ()) -> Block:
+    """The block `miner` mines in round `rnd`: `txs`, then unrelated
+    traffic paying `scen.f` each in the room the block has left."""
+    return Block(round=rnd, miner=miner, txs=tuple(txs),
+                 unrelated_fill=max(0, scen.capacity - len(txs)),
+                 unrelated_fee=scen.f, capacity=scen.capacity,
+                 coinbase=coinbase)
+
+
 def _assemble(state, rnd: int, miner: Party, scen: Scenario, head=(),
-              tail=(), exclude=frozenset()) -> BlockPlan:
+              tail=(), exclude=frozenset()) -> Block:
     """`head`, then the honest picks that spend no contract `head` spends,
     then `tail`, cut to capacity (so a full block loses its tail first).
 
@@ -176,11 +183,11 @@ def _assemble(state, rnd: int, miner: Party, scen: Scenario, head=(),
     if head:
         exclude = exclude | {tx.tx_id for tx in head}
         spent = {cid for tx in head for (cid, _) in tx.consumes}
-    picked = honest_miner_select(state, rnd, miner, scen, exclude)
+    picked = honest_miner_select(state, rnd, scen, exclude)
     if spent:
         picked = [tx for tx in picked
                   if spent.isdisjoint(cid for (cid, _) in tx.consumes)]
-    return BlockPlan([*head, *picked, *tail][:scen.capacity])
+    return make_block(rnd, miner, scen, [*head, *picked, *tail][:scen.capacity])
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +195,18 @@ def _assemble(state, rnd: int, miner: Party, scen: Scenario, head=(),
 # ---------------------------------------------------------------------------
 
 
+def _if_open(state, *txs) -> list:
+    """The open-contract broadcast rule: of `txs`, those whose spent
+    contracts are all still redeemable."""
+    return [tx for tx in txs
+            if all(state.contracts[cid].redeemable for (cid, _) in tx.consumes)]
+
+
 class PartyPolicy:
     name = "party"
     protocols: Optional[frozenset] = None
 
-    def setup(self, state, scen: Scenario, profile):
+    def setup(self, state, scen: Scenario):
         return state
 
     def broadcasts(self, state, rnd: int, scen: Scenario) -> list:
@@ -213,12 +227,8 @@ class AliceHonest(PartyPolicy):
         if rnd != self._round(scen):
             return []
         if scen.protocol == "demba":
-            if state.contracts[COL_A_ID].redeemable:
-                return [tx_commit(scen, PRE_A)]
-            return []
-        if state.contracts[DEP_ID].redeemable:
-            return [tx_reveal_dep_a(scen)]
-        return []
+            return _if_open(state, tx_commit(scen, PRE_A))
+        return _if_open(state, tx_reveal_dep_a(scen))
 
 
 class AliceOffline(PartyPolicy):
@@ -229,9 +239,7 @@ class AliceOffline(PartyPolicy):
     def broadcasts(self, state, rnd, scen):
         if scen.protocol != "demba" or rnd != scen.T:
             return []
-        if state.contracts[COL_A_ID].redeemable:
-            return [tx_commit(scen, PRE_A2)]
-        return []
+        return _if_open(state, tx_commit(scen, PRE_A2))
 
 
 class AliceGrief(PartyPolicy):
@@ -243,9 +251,7 @@ class AliceGrief(PartyPolicy):
     def broadcasts(self, state, rnd, scen):
         if rnd != scen.T:
             return []
-        if state.contracts[COL_A_ID].redeemable:
-            return [tx_commit(scen, PRE_AA2)]
-        return []
+        return _if_open(state, tx_commit(scen, PRE_AA2))
 
 
 class AliceCensoredFallback(PartyPolicy):
@@ -259,13 +265,10 @@ class AliceCensoredFallback(PartyPolicy):
         t_pub = self.t_pub if self.t_pub is not None else scen.t_pub
         if rnd == t_pub:
             if scen.protocol == "demba":
-                return [tx_commit(scen, PRE_A)]
-            if state.contracts[DEP_ID].redeemable:
-                return [tx_reveal_dep_a(scen)]
-            return []
+                return _if_open(state, tx_commit(scen, PRE_A))
+            return _if_open(state, tx_reveal_dep_a(scen))
         if scen.protocol == "demba" and rnd == scen.T:
-            if state.contracts[COL_A_ID].redeemable:
-                return [tx_commit(scen, PRE_AA2)]
+            return _if_open(state, tx_commit(scen, PRE_AA2))
         return []
 
 
@@ -278,21 +281,18 @@ class BobHonest(PartyPolicy):
 
     def broadcasts(self, state, rnd, scen):
         if scen.protocol == "demba":
-            if rnd == self.reveal_round and state.contracts[COL_B_ID].redeemable:
-                return [tx_commit(scen, PRE_B)]
+            if rnd == self.reveal_round:
+                return _if_open(state, tx_commit(scen, PRE_B))
             return []
         out = []
-        if rnd == scen.T and state.contracts[DEP_ID].redeemable:
+        if rnd == scen.T:
             out.append(tx_refund_dep_b(scen))
-        if scen.protocol == "mad":
-            if rnd == scen.T and state.contracts[COL_ID].redeemable:
+            if scen.protocol == "mad":
                 out.append(tx_col_b(scen))
-        elif scen.protocol == "he":
-            col = state.contracts[COL_ID]
-            if (rnd == scen.T + scen.l and col.redeemable
-                    and state.live.get(COL_ID, 0) > 0):
-                out.append(tx_col_b(scen))
-        return out
+        if (scen.protocol == "he" and rnd == scen.T + scen.l
+                and state.live.get(COL_ID, 0) > 0):
+            out.append(tx_col_b(scen))
+        return _if_open(state, *out)
 
 
 class BobDelay(PartyPolicy):
@@ -305,8 +305,8 @@ class BobDelay(PartyPolicy):
         self.name = f"delay({d})"
 
     def broadcasts(self, state, rnd, scen):
-        if rnd == scen.T + self.d and state.contracts[COL_B_ID].redeemable:
-            return [tx_commit(scen, PRE_B)]
+        if rnd == scen.T + self.d:
+            return _if_open(state, tx_commit(scen, PRE_B))
         return []
 
 
@@ -317,7 +317,7 @@ class _BriberyDeployer(PartyPolicy):
         self.br = br
         self.budget = budget
 
-    def setup(self, state, scen, profile):
+    def setup(self, state, scen):
         br = self.br if self.br is not None else scen.br
         budget = self.budget if self.budget is not None else scen.v_dep
         contract = CensorBriberyContract(BOB, br, scen.T, SECRETS[PRE_A])
@@ -338,8 +338,8 @@ class BobNaiveBriber(_BriberyDeployer):
         self.name = f"naive-briber(br={br if br is not None else 'scenario'})"
 
     def broadcasts(self, state, rnd, scen):
-        if rnd == scen.T and state.contracts[DEP_ID].redeemable:
-            return [tx_refund_dep_b(scen)]
+        if rnd == scen.T:
+            return _if_open(state, tx_refund_dep_b(scen))
         return []
 
 
@@ -355,8 +355,8 @@ class BobB3a(_BriberyDeployer):
 
     def broadcasts(self, state, rnd, scen):
         # Abort to the honest refund if no acceptable partial block arrived.
-        if rnd == scen.T + 1 and state.contracts[DEP_ID].redeemable:
-            return [tx_refund_dep_b(scen)]
+        if rnd == scen.T + 1:
+            return _if_open(state, tx_refund_dep_b(scen))
         return []
 
 
@@ -408,19 +408,19 @@ class MinerPolicy:
     name = "miner"
     protocols: Optional[frozenset] = None
 
-    def setup(self, state, scen: Scenario, profile, party: Party):
+    def setup(self, state, scen: Scenario, party: Party):
         return state
 
-    def build_block(self, state, rnd: int, miner: Party, scen: Scenario,
-                    profile) -> BlockPlan:
+    def build_block(self, state, rnd: int, miner: Party,
+                    scen: Scenario) -> Block:
         raise NotImplementedError
 
 
 class HonestFeeMax(MinerPolicy):
     name = "honest-fee-max"
 
-    def build_block(self, state, rnd, miner, scen, profile):
-        return BlockPlan(honest_miner_select(state, rnd, miner, scen))
+    def build_block(self, state, rnd, miner, scen):
+        return _assemble(state, rnd, miner, scen)
 
 
 def _target_tx_ids(scen: Scenario) -> frozenset:
@@ -441,7 +441,7 @@ class CensorRelated(MinerPolicy):
         self.participate = participate
         self.name = "censor-related"
 
-    def build_block(self, state, rnd, miner, scen, profile):
+    def build_block(self, state, rnd, miner, scen):
         cbob = state.bribery.get(CBOB_ID) if self.participate else None
         head: list = []
         tail: list = []
@@ -477,15 +477,15 @@ class M2MbaPassive(MinerPolicy):
     name = "m2mba-passive"
     protocols = frozenset({"he", "mad"})
 
-    def build_block(self, state, rnd, miner, scen, profile):
+    def build_block(self, state, rnd, miner, scen):
         if rnd <= scen.T and not _preimages_known(state, (PRE_A, PRE_B)):
             return _assemble(state, rnd, miner, scen,
                              exclude=_target_tx_ids(scen))
-        return _confiscation_plan(state, rnd, miner, scen, pact=False)
+        return _confiscation_block(state, rnd, miner, scen, pact=False)
 
 
-def _confiscation_plan(state, rnd, miner, scen, pact: bool,
-                       claim_only: bool = False) -> BlockPlan:
+def _confiscation_block(state, rnd, miner, scen, pact: bool,
+                        claim_only: bool = False) -> Block:
     """Post-deadline attack block: land the refund, confiscate, settle."""
     head: list = []
     dep_open = state.contracts[DEP_ID].redeemable
@@ -494,7 +494,7 @@ def _confiscation_plan(state, rnd, miner, scen, pact: bool,
     refund_lands = False
     if scen.protocol == "mad" and dep_open and both_known and not claim_only:
         # Confiscation beats letting the payer spend the deposit.
-        head.append(tx_confiscate(state, scen, miner, DEP_ID, DEP_M))
+        head.append(tx_confiscate(state, miner, DEP_ID, DEP_M))
     elif dep_open and refund is not None and _valid(state, refund, rnd):
         # In he the staged refund must land before the collateral pot is
         # spendable.
@@ -513,7 +513,7 @@ def _confiscation_plan(state, rnd, miner, scen, pact: bool,
         # The confiscation burns the deposit; skip if the pot cannot cover it.
         can_confiscate = can_confiscate and pot >= scen.v_dep
     if can_confiscate:
-        head.append(tx_confiscate(state, scen, miner, COL_ID, COL_M))
+        head.append(tx_confiscate(state, miner, COL_ID, COL_M))
     pact_obj = state.bribery.get(CM2M_ID) if pact else None
     if pact_obj is not None and not pact_obj.settled:
         view = ChainView(state, rnd, miner)
@@ -545,7 +545,7 @@ class M2MbaActive(MinerPolicy):
         self.defer_to = defer_to
         self.name = f"m2mba-active({role})"
 
-    def setup(self, state, scen, profile, party):
+    def setup(self, state, scen, party):
         if scen.m2mba_split == "equal":
             return state
         state = state.clone()
@@ -563,7 +563,7 @@ class M2MbaActive(MinerPolicy):
         pact.lock_collateral(party, scen.v_col)
         return state
 
-    def build_block(self, state, rnd, miner, scen, profile):
+    def build_block(self, state, rnd, miner, scen):
         if rnd <= scen.T:
             head = []
             if scen.m2mba_split != "equal":
@@ -576,18 +576,18 @@ class M2MbaActive(MinerPolicy):
                              exclude=_target_tx_ids(scen))
         claim_only = self.role == "accept" or (
             self.defer_to is not None and rnd < self.defer_to)
-        return _confiscation_plan(state, rnd, miner, scen,
-                                  pact=scen.m2mba_split != "equal",
-                                  claim_only=claim_only)
+        return _confiscation_block(state, rnd, miner, scen,
+                                   pact=scen.m2mba_split != "equal",
+                                   claim_only=claim_only)
 
 
 class B3aAccomplice(MinerPolicy):
     """Mines the partial settlement block the briber finalises.
 
-    The handshake is collapsed into an atomic acceptance predicate: the plan
-    is only used if it fits the block and the briber's checks pass,
-    otherwise the accomplice falls back to an ordinary honest block and the
-    attack aborts.
+    The handshake is collapsed into an atomic acceptance predicate: the
+    partial block is only mined if it fits the capacity and the briber's
+    checks pass, otherwise the accomplice falls back to an ordinary block
+    and the attack aborts.
     """
 
     protocols = frozenset({"mad"})
@@ -597,20 +597,19 @@ class B3aAccomplice(MinerPolicy):
         self.defective = defective
         self.name = f"b3a-accomplice(case={self.case})"
 
-    def build_block(self, state, rnd, miner, scen, profile):
+    def build_block(self, state, rnd, miner, scen):
         pre_a = _known_value(state, PRE_A)
         if (rnd <= scen.T or pre_a is None
                 or not state.contracts[DEP_ID].redeemable):
-            return CensorRelated().build_block(state, rnd, miner, scen, profile)
+            return CensorRelated().build_block(state, rnd, miner, scen)
         br = scen.br
-        txs = [tx_confiscate(state, scen, miner, DEP_ID, DEP_M,
-                             collude_bob=True)]
+        txs = [tx_confiscate(state, miner, DEP_ID, DEP_M, collude_bob=True)]
         if self.case == 1:
             coinbase = ((BOB, scen.v_dep - br, "b3a-coinbase"),)
             txs.append(tx_col_b(scen))
         else:
             coinbase = ((BOB, scen.v_dep + scen.v_col - 2 * br, "b3a-coinbase"),)
-            txs.append(tx_confiscate(state, scen, miner, COL_ID, COL_M,
+            txs.append(tx_confiscate(state, miner, COL_ID, COL_M,
                                      collude_bob=True))
         cbob = state.bribery.get(CBOB_ID)
         if cbob is not None and not cbob.settled:
@@ -618,20 +617,20 @@ class B3aAccomplice(MinerPolicy):
                                "claimBribe", {"preimage": pre_a}))
         if self.defective:
             coinbase = ()
-        plan = BlockPlan(txs, coinbase)
+        block = make_block(rnd, miner, scen, txs, coinbase)
         if (len(txs) > scen.capacity
-                or not b3a_bob_policy(plan, scen, self.case)):
-            return CensorRelated().build_block(state, rnd, miner, scen, profile)
-        return plan
+                or not b3a_bob_policy(block, scen, self.case)):
+            return CensorRelated().build_block(state, rnd, miner, scen)
+        return block
 
 
-def b3a_bob_policy(plan: BlockPlan, scen: Scenario, case: int) -> bool:
+def b3a_bob_policy(block: Block, scen: Scenario, case: int) -> bool:
     """The briber's acceptance predicate over an accomplice's partial block."""
-    ids = [tx.tx_id for tx in plan.txs]
+    ids = [tx.tx_id for tx in block.txs]
     expected_mint = (scen.v_dep - scen.br if case == 1
                      else scen.v_dep + scen.v_col - 2 * scen.br)
     coinbase_ok = any(party == BOB and amount == expected_mint
-                      for (party, amount, _) in plan.coinbase)
+                      for (party, amount, _) in block.coinbase)
     has_dep_m = any(i.startswith(f"tx.{DEP_M}.") for i in ids)
     has_claim = any(i.startswith("tx.cbob.claim") for i in ids)
     if case == 1:
@@ -650,17 +649,17 @@ class SdrbaBriber(MinerPolicy):
         self.epsilon = epsilon
         self.name = "sdrba-briber"
 
-    def build_block(self, state, rnd, miner, scen, profile):
+    def build_block(self, state, rnd, miner, scen):
         eps = self.epsilon if self.epsilon is not None else scen.epsilon
         dep = state.contracts[DEP_ID]
         if dep.redeemable and _known_value(state, PRE_A) is not None:
-            txs = [tx_confiscate(state, scen, miner, DEP_ID, DEP_M,
+            txs = [tx_confiscate(state, miner, DEP_ID, DEP_M,
                                  collude_bob=True),
                    payment_tx(f"tx.sdrba.pay.{rnd}", miner, BOB,
                               scen.v_col + eps)]
             if len(txs) <= scen.capacity:
-                return BlockPlan(txs)
-        return BlockPlan(honest_miner_select(state, rnd, miner, scen))
+                return make_block(rnd, miner, scen, txs)
+        return _assemble(state, rnd, miner, scen)
 
 
 class HydraAccomplice(MinerPolicy):
@@ -672,14 +671,14 @@ class HydraAccomplice(MinerPolicy):
         self.epsilon = epsilon
         self.name = "hydra-accomplice"
 
-    def build_block(self, state, rnd, miner, scen, profile):
+    def build_block(self, state, rnd, miner, scen):
         pre_a = _known_value(state, PRE_A)
         if (rnd > scen.T and pre_a is not None
                 and state.contracts[DEP_ID].redeemable):
             eps = self.epsilon if self.epsilon is not None else scen.epsilon
-            txs = [tx_confiscate(state, scen, miner, DEP_ID, DEP_M,
+            txs = [tx_confiscate(state, miner, DEP_ID, DEP_M,
                                  collude_bob=True),
-                   tx_confiscate(state, scen, miner, COL_ID, COL_M,
+                   tx_confiscate(state, miner, COL_ID, COL_M,
                                  collude_bob=True),
                    payment_tx(f"tx.hydra.pay.{rnd}", miner, BOB,
                               scen.v_col + eps)]
@@ -688,8 +687,8 @@ class HydraAccomplice(MinerPolicy):
                 txs.append(call_tx(f"tx.cbob.claim.{rnd}", miner, CBOB_ID,
                                    "claimBribe", {"preimage": pre_a}))
             if len(txs) <= scen.capacity:
-                return BlockPlan(txs)
-        return CensorRelated().build_block(state, rnd, miner, scen, profile)
+                return make_block(rnd, miner, scen, txs)
+        return CensorRelated().build_block(state, rnd, miner, scen)
 
 
 def make_miner_policy(name: str, **params) -> MinerPolicy:

@@ -620,9 +620,6 @@ def bribery_contract_step(contract, call: BriberyCall, rnd: int, chain) -> list:
             return contract.refund_owner(chain.target_included_ever())
         raise ContractError(f"unknown method {m!r}")
     if isinstance(contract, MinerPactContract):
-        if m == "lockCollateral":
-            contract.lock_collateral(call.caller, call.args["val"])
-            return []
         if m == "requestBribe":
             contract.request_bribe(call.caller, chain.block_miner(), rnd)
             return []

@@ -38,7 +38,7 @@ from .contracts import (COL_A_ID, COL_B_ID, COL_ID, DEP_A, DEP_ID,
                         FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B, SECRETS,
                         build_demba, build_he_htlc, build_mad_htlc,
                         build_naive_htlc, derive_he_delay)
-from .ledger import Block, ChainState, ChainView, apply_block, broadcast
+from .ledger import ChainState, ChainView, apply_block, broadcast
 
 PROTOCOLS = ("naive", "mad", "he", "demba")
 
@@ -98,7 +98,6 @@ class Scenario:
     f_dep_b: int = 2
     f_col_b: int = 2
     f_cbob_b: int = 1
-    f_calice_a: int = 1
     fee_schedule: Optional[FeeSchedule] = None
     l: int = 0
     t_pub: int = 1
@@ -241,7 +240,7 @@ class Outcome:
 
 def _start_balance(scen: Scenario) -> int:
     fees = (scen.f + scen.f_dep_a + scen.f_dep_b + scen.f_col_b
-            + scen.f_cbob_b + scen.f_calice_a + scen.br + scen.epsilon)
+            + scen.f_cbob_b + scen.br + scen.epsilon)
     if scen.fee_schedule is not None:
         fees += sum(scen.fee_schedule.paid.values())
     bulk = scen.v_dep + scen.v_col + scen.v_col_a + scen.v_col_b + scen.v_ded
@@ -355,9 +354,9 @@ def _setup(scen: Scenario, profile: StrategyProfile) -> tuple:
     _check_profile(scen, profile)
     state, baseline, escrow0 = build_genesis(scen)
     for pol in (profile.alice, profile.bob):
-        state = pol.setup(state, scen, profile)
+        state = pol.setup(state, scen)
     for party in sorted(profile.miners, key=lambda p: p.id):
-        state = profile.miners[party].setup(state, scen, profile, party)
+        state = profile.miners[party].setup(state, scen, party)
     return state, baseline, escrow0
 
 
@@ -369,11 +368,7 @@ def _play_round(scen: Scenario, profile: StrategyProfile, state: ChainState,
     red once the game has left it; `prev_rank` is the previous round's
     rank, -1 before round 1.
     """
-    plan = profile.miners[miner].build_block(state, rnd, miner, scen, profile)
-    fill = max(0, scen.capacity - len(plan.txs))
-    block = Block(round=rnd, miner=miner, txs=tuple(plan.txs),
-                  unrelated_fill=fill, unrelated_fee=scen.f,
-                  capacity=scen.capacity, coinbase=tuple(plan.coinbase))
+    block = profile.miners[miner].build_block(state, rnd, miner, scen)
     state = apply_block(state, block)
     emissions = list(profile.alice.broadcasts(state, rnd, scen))
     emissions += profile.bob.broadcasts(state, rnd, scen)

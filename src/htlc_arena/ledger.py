@@ -303,7 +303,7 @@ def _apply_call(s: ChainState, tx: TxRecord, rnd: int, block_miner: Party) -> No
     contract = s.bribery[cid].copy_for_step()
     s.bribery[cid] = contract
     lock = 0
-    if call.method in ("init", "lockCollateral"):
+    if call.method == "init":
         lock = call.args["val"]
         debit(s.balances, call.caller, lock)
     view = ChainView(s, rnd, block_miner)

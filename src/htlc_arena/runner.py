@@ -124,7 +124,7 @@ def scenario_from_doc(doc) -> tuple:
 _SECTIONS = {
     None: ("protocol", "capacity", "seed"),
     "amounts": ("v_dep", "v_col", "v_col_a", "v_col_b", "v_ded"),
-    "fees": ("f", "f_dep_a", "f_dep_b", "f_col_b", "f_cbob_b", "f_calice_a"),
+    "fees": ("f", "f_dep_a", "f_dep_b", "f_col_b", "f_cbob_b"),
     "timing": ("T", "l", "t_pub", "horizon"),
     "bribes": ("br", "epsilon"),
 }

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from htlc_arena.core import ALICE, BOB, ScenarioError
-from htlc_arena.agents import (AliceHonest, B3aAccomplice, BlockPlan,
+from htlc_arena import game
+from htlc_arena.core import ALICE, BOB, ScenarioError, miner_party
+from htlc_arena.agents import (AliceHonest, AliceOffline, B3aAccomplice,
                                BobB3a, BobHonest, BobHydraBriber,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
                                HydraAccomplice, M2MbaActive, M2MbaPassive,
-                               SdrbaBriber, b3a_bob_policy,
+                               MinerPolicy, SdrbaBriber, b3a_bob_policy,
                                honest_miner_select, make_miner_policy,
                                make_party_policy, tx_col_b, tx_commit,
                                tx_confiscate, tx_refund_dep_b,
@@ -27,6 +29,7 @@ from htlc_arena.runner import main
 
 from conftest import (M1, M2, demba_scenario, flat_schedule, he_scenario,
                       mad_scenario, naive_scenario, solo_miner)
+from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 
 def seeded_state(scen, txs=()):
@@ -38,13 +41,13 @@ class TestHonestSelect:
     def test_greedy_prefers_related_over_fill(self):
         scen = naive_scenario(f=1, f_dep_a=3)
         state = seeded_state(scen, [tx_reveal_dep_a(scen)])
-        picked = honest_miner_select(state, 2, M1, scen)
+        picked = honest_miner_select(state, 2, scen)
         assert [t.tx_id for t in picked] == ["tx.depA"]
 
     def test_empty_mempool_leaves_only_fill(self):
         scen = naive_scenario()
         state = seeded_state(scen)
-        assert honest_miner_select(state, 1, M1, scen) == []
+        assert honest_miner_select(state, 1, scen) == []
 
     def test_equal_fee_breaks_ties_by_tx_id(self):
         scen = naive_scenario(f=1)
@@ -52,13 +55,13 @@ class TestHonestSelect:
         a = TxRecord("tx.b-second", ALICE, "unrelated", declared_fee=4)
         b = TxRecord("tx.a-first", BOB, "unrelated", declared_fee=4)
         state = broadcast(state, [a, b])
-        picked = honest_miner_select(state, 1, M1, scen)
+        picked = honest_miner_select(state, 1, scen)
         assert [t.tx_id for t in picked] == ["tx.a-first", "tx.b-second"]
 
     def test_fee_at_or_below_unrelated_not_taken(self):
         scen = naive_scenario(f=3, f_dep_a=3)
         state = seeded_state(scen, [tx_reveal_dep_a(scen)])
-        assert honest_miner_select(state, 2, M1, scen) == []
+        assert honest_miner_select(state, 2, scen) == []
 
     def test_swap_optimality_within_block(self):
         # No single included/excluded swap can raise the earned fee.
@@ -67,7 +70,7 @@ class TestHonestSelect:
         txs = [TxRecord(f"tx.u{i}", ALICE, "unrelated", declared_fee=fee)
                for i, fee in enumerate((5, 4, 3, 2, 9))]
         state = broadcast(state, txs)
-        picked = honest_miner_select(state, 1, M1, scen)
+        picked = honest_miner_select(state, 1, scen)
         fees = sorted((t.declared_fee for t in picked), reverse=True)
         assert fees == [9, 5, 4]
 
@@ -76,9 +79,9 @@ class TestHonestSelect:
         # pre_A' pays 12: earned 6 one round late, 1 three rounds late.
         scen = demba_scenario(T=4, f=2)
         state = seeded_state(scen, [tx_commit(scen, PRE_A2)])
-        assert honest_miner_select(state, scen.T + 1, M1, scen) == [
+        assert honest_miner_select(state, scen.T + 1, scen) == [
             state.mempool[f"tx.col.{PRE_A2}"]]
-        assert honest_miner_select(state, scen.T + 3, M1, scen) == []
+        assert honest_miner_select(state, scen.T + 3, scen) == []
 
 
 class TestBlockAssembly:
@@ -89,7 +92,7 @@ class TestBlockAssembly:
         profile = StrategyProfile(AliceHonest(), BobNaiveBriber(),
                                   {M1: CensorRelated()})
         state, _, _ = build_genesis(scen)
-        state = profile.bob.setup(state, scen, profile)
+        state = profile.bob.setup(state, scen)
         state = apply_block(state, Block(round=1, miner=M1, txs=(
             state.mempool["tx.cbob.init"],)))
         for rnd in range(2, scen.T + 1):
@@ -98,11 +101,11 @@ class TestBlockAssembly:
             tx_reveal_dep_a(scen), tx_refund_dep_b(scen),
             TxRecord("tx.u", ALICE, "unrelated", declared_fee=9)])
         rnd = scen.T + 1
-        roomy = CensorRelated().build_block(state, rnd, M1, scen, profile)
+        roomy = CensorRelated().build_block(state, rnd, M1, scen)
         assert [t.tx_id for t in roomy.txs] == [
             "tx.depB", "tx.u", f"tx.cbob.claim.{rnd}"]
         tight = replace(scen, capacity=2)
-        full = CensorRelated().build_block(state, rnd, M1, tight, profile)
+        full = CensorRelated().build_block(state, rnd, M1, tight)
         assert [t.tx_id for t in full.txs] == ["tx.depB", "tx.u"]
 
 
@@ -114,7 +117,7 @@ class TestPactAutoRefund:
                   MinerProfile(M2, Fraction(1, 2), "passive"))
         scen = he_scenario(miners=miners, T=4, l=2, br=2, f=0)
         state, _, _ = build_genesis(scen)
-        state = M2MbaActive().setup(state, scen, None, M1)
+        state = M2MbaActive().setup(state, scen, M1)
         for rnd in range(1, scen.T + 1):
             state = apply_block(state, Block(round=rnd, miner=M2))
         # The payer's staged refund funds the collateral pot.
@@ -137,7 +140,7 @@ class TestPactAutoRefund:
     def test_only_a_non_member_confiscation_refunds_the_locks(
             self, confiscator):
         scen, state = self.funded()
-        take = tx_confiscate(state, scen, confiscator, COL_ID, COL_M)
+        take = tx_confiscate(state, confiscator, COL_ID, COL_M)
         state = apply_block(state, Block(round=scen.T + 2, miner=confiscator,
                                          txs=(take,)))
         assert state.redemptions[COL_ID] == (COL_M, scen.T + 2, confiscator)
@@ -145,6 +148,81 @@ class TestPactAutoRefund:
         assert state.bribery[CM2M_ID].settled is not member
         assert state.bribe_log == ([] if member
                                    else [(M1, scen.v_col, "refund")])
+
+
+class TestPactRefundToMiners:
+    def test_race_miners_refund_their_locks_after_an_idle_window(
+            self, monkeypatch):
+        # The payer never reveals, so nothing is censored or confiscated in
+        # the attack window; the first pact call after it returns the locks.
+        miners = (MinerProfile(M1, Fraction(1, 2), "active", True),
+                  MinerProfile(M2, Fraction(1, 2), "active", True))
+        scen = he_scenario(v_dep=60, v_col=30, T=2, t_pub=1, l=1, br=2, f=2,
+                           f_dep_a=2, f_dep_b=2, f_col_b=1, miners=miners)
+        profile = StrategyProfile(AliceOffline(), BobHonest(1), {
+            M1: M2MbaActive("race"), M2: M2MbaActive("race")})
+        blocks = []
+
+        def recording_apply(state, block):
+            blocks.append(block)
+            return apply_block(state, block)
+
+        monkeypatch.setattr(game, "apply_block", recording_apply)
+        out = play(scen, profile, flat_schedule(scen))
+        assert [b.round for b in blocks] == [1, 2, 3, 4, 5]
+        assert "tx.cm2m.refund.5" in [t.tx_id for t in blocks[-1].txs]
+        assert out.state.bribe_log == [(M1, 30, "refund"), (M2, 30, "refund")]
+        assert out.state.bribery[CM2M_ID].settled
+
+
+class CheckedMiner(MinerPolicy):
+    """Delegates to `inner` and checks every block it returns."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.protocols = inner.protocols
+        self.blocks = 0
+
+    def setup(self, state, scen, party):
+        return self.inner.setup(state, scen, party)
+
+    def build_block(self, state, rnd, miner, scen):
+        block = self.inner.build_block(state, rnd, miner, scen)
+        assert isinstance(block, Block)
+        assert (block.round, block.miner) == (rnd, miner)
+        assert block.capacity == scen.capacity
+        assert len(block.txs) + block.unrelated_fill == scen.capacity
+        assert block.unrelated_fee == scen.f
+        self.blocks += 1
+        return block
+
+
+@pytest.mark.parametrize("protocol", ["naive", "mad", "he", "demba"])
+def test_every_pool_miner_returns_a_filled_block(protocol):
+    # Every criterion-9 miner policy mines a few seeded plays, at small and
+    # default capacities and at a zero and a positive unrelated fee.
+    rng = random.Random(protocol)
+    alice_pool, bob_pool, miner_pool = _fuzz_pools()[protocol]
+    parties = (miner_party("f1"), miner_party("f2"))
+    kind = "active" if protocol in ("mad", "he") else "passive"
+    miners = tuple(MinerProfile(p, Fraction(1, 2), kind, True)
+                   for p in parties)
+    for policy in miner_pool:
+        checked = CheckedMiner(policy)
+        for _ in range(4):
+            scen = replace(_fuzz_scenario(protocol, rng, miners),
+                           capacity=rng.choice((1, 2, 8)),
+                           f=rng.choice((0, 3)))
+            other = CheckedMiner(rng.choice(miner_pool))
+            profile = StrategyProfile(rng.choice(alice_pool),
+                                      rng.choice(bob_pool),
+                                      {parties[0]: checked, parties[1]: other})
+            schedule = Schedule(tuple(rng.choice(parties)
+                                      for _ in range(scen.horizon)))
+            out = play(scen, profile, schedule, check_invariants=True)
+            assert out.conserves()
+        assert checked.blocks > 0
 
 
 class TestPartyPolicies:
@@ -170,8 +248,8 @@ class TestPartyPolicies:
         pol = AliceHonest()
         assert pol.broadcasts(state, 2, scen) == pol.broadcasts(state, 2, scen)
         miner = CensorRelated()
-        plan1 = miner.build_block(state, 1, M1, scen, None)
-        plan2 = miner.build_block(state, 1, M1, scen, None)
+        plan1 = miner.build_block(state, 1, M1, scen)
+        plan2 = miner.build_block(state, 1, M1, scen)
         assert [t.tx_id for t in plan1.txs] == [t.tx_id for t in plan2.txs]
 
     def test_bob_honest_refunds_only_when_deposit_live(self):
@@ -194,10 +272,10 @@ class TestM2MbaPolicies:
         profile = StrategyProfile(AliceHonest(), BobHonest(),
                                   {M1: M2MbaActive(), M2: M2MbaActive()})
         state, _, _ = build_genesis(scen)
-        state = profile.miners[M1].setup(state, scen, profile, M1)
-        state = profile.miners[M2].setup(state, scen, profile, M2)
+        state = profile.miners[M1].setup(state, scen, M1)
+        state = profile.miners[M2].setup(state, scen, M2)
         state = broadcast(state, [tx_reveal_dep_a(scen)])
-        plan = profile.miners[M1].build_block(state, 2, M1, scen, profile)
+        plan = profile.miners[M1].build_block(state, 2, M1, scen)
         ids = [t.tx_id for t in plan.txs]
         assert "tx.depA" not in ids
         assert any(i.startswith("tx.cm2m.req") for i in ids)
@@ -207,10 +285,10 @@ class TestM2MbaPolicies:
         profile = StrategyProfile(AliceHonest(), BobHonest(),
                                   {M1: M2MbaActive(), M2: M2MbaActive()})
         state, _, _ = build_genesis(scen)
-        state = profile.miners[M1].setup(state, scen, profile, M1)
+        state = profile.miners[M1].setup(state, scen, M1)
         # Nothing broadcast yet: nothing to censor, no reservation to make.
-        plan = profile.miners[M1].build_block(state, 1, M1, scen, profile)
-        assert plan.txs == []
+        plan = profile.miners[M1].build_block(state, 1, M1, scen)
+        assert plan.txs == ()
 
     def test_confiscation_block_orders_refund_then_collateral(self):
         scen = self.scen()
@@ -247,18 +325,18 @@ class TestB3a:
         profile = StrategyProfile(AliceHonest(), BobB3a(case=1),
                                   {M1: acc})
         state, _, _ = build_genesis(scen)
-        state = profile.bob.setup(state, scen, profile)
+        state = profile.bob.setup(state, scen)
         state = broadcast(state, [tx_reveal_dep_a(scen)])
         for rnd in range(1, scen.T + 1):
-            plan = acc.build_block(state, rnd, M1, scen, profile)
+            plan = acc.build_block(state, rnd, M1, scen)
             from htlc_arena.ledger import Block, apply_block
             block = Block(round=rnd, miner=M1, txs=tuple(plan.txs),
                           capacity=scen.capacity)
             state = apply_block(state, block)
-        plan = acc.build_block(state, scen.T + 1, M1, scen, profile)
+        plan = acc.build_block(state, scen.T + 1, M1, scen)
         assert b3a_bob_policy(plan, scen, case=1)
         assert not b3a_bob_policy(plan, scen, case=2)
-        stripped = BlockPlan(plan.txs, coinbase=())
+        stripped = replace(plan, coinbase=())
         assert not b3a_bob_policy(stripped, scen, case=1)
 
     def test_defective_partial_block_is_not_used(self):

@@ -36,11 +36,14 @@ def _runs() -> dict:
         for path in TTC_PATHS[name]:
             runs[f"{name}.ttc-{path}"] = ["ttc", *scen, "--path", path,
                                           "--trials", "200"]
-    runs["demba_honest.lemmas"] = [
-        "lemmas", "--scenario", str(SCENARIOS / "demba_honest.json")]
-    runs["naive_bribery.dominance-bob"] = [
-        "dominance", "--scenario", str(SCENARIOS / "naive_bribery.json"),
-        "--player", "bob"]
+    for name in ("demba_honest", "he_m2mba"):
+        runs[f"{name}.lemmas"] = [
+            "lemmas", "--scenario", str(SCENARIOS / f"{name}.json")]
+    for name, player in (("naive_bribery", "bob"), ("he_m2mba", "m1"),
+                         ("demba_honest", "alice")):
+        runs[f"{name}.dominance-{player}"] = [
+            "dominance", "--scenario", str(SCENARIOS / f"{name}.json"),
+            "--player", player]
     return runs
 
 

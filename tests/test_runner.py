@@ -239,6 +239,9 @@ MALFORMED = {
     "amounts-unknown-key": (
         minimal_naive(amounts={"v_dep": 100, "v_coll": 5}), "amounts.v_coll"),
     "fees-unknown-key": (minimal_naive(fees={"f_dep": 3}), "fees.f_dep"),
+    # A fee that no step charged; the key is gone with the field.
+    "fees-f-calice-a": (minimal_naive(fees={"f_calice_a": 1}),
+                        "fees.f_calice_a"),
     "timing-unknown-key": (minimal_naive(
         timing={"T": 5, "t_pub": 1, "tpub": 4}), "timing.tpub"),
     "bribes-unknown-key": (minimal_naive(bribes={"bribe": 2}), "bribes.bribe"),
