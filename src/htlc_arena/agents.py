@@ -27,7 +27,7 @@ from __future__ import annotations
 import inspect
 from typing import Optional
 
-from .core import ALICE, BOB, LedgerError, Party, debit
+from .core import ALICE, BOB, LedgerError, Party
 from .contracts import (BriberyCall, CBOB_ID, CM2M_ID, COL_A_ID, COL_B,
                         COL_B_ID, COL_ID, COL_M, CensorBriberyContract, DEP_A,
                         DEP_B, DEP_ID, DEP_M, MinerPactContract, PRE_A, PRE_A2,
@@ -320,12 +320,12 @@ class _BriberyDeployer(PartyPolicy):
     def setup(self, state, scen):
         br = self.br if self.br is not None else scen.br
         budget = self.budget if self.budget is not None else scen.v_dep
-        contract = CensorBriberyContract(BOB, br, scen.T, SECRETS[PRE_A])
-        state = state.clone()
-        state.bribery[CBOB_ID] = contract
+        s = state.draft()
+        s.write("bribery")[CBOB_ID] = CensorBriberyContract(
+            BOB, br, scen.T, SECRETS[PRE_A])
         init = call_tx("tx.cbob.init", BOB, CBOB_ID, "init",
                        {"val": budget}, fee=scen.f_cbob_b)
-        return broadcast(state, [init])
+        return broadcast(s.seal(), [init])
 
 
 class BobNaiveBriber(_BriberyDeployer):
@@ -548,20 +548,19 @@ class M2MbaActive(MinerPolicy):
     def setup(self, state, scen, party):
         if scen.m2mba_split == "equal":
             return state
-        state = state.clone()
         pact = state.bribery.get(CM2M_ID)
         if pact is None:
             bribes = scen.pact_bribes or {
                 m.party: scen.br for m in scen.miners
                 if m.colluding and m.kind == "active"}
             pact = MinerPactContract(scen.T, SECRETS[PRE_A], bribes)
-            state.bribery[CM2M_ID] = pact
         else:
             pact = pact.copy_for_step()
-            state.bribery[CM2M_ID] = pact
-        debit(state.balances, party, scen.v_col)
+        s = state.draft()
+        s.write("bribery")[CM2M_ID] = pact
+        s.debit(party, scen.v_col)
         pact.lock_collateral(party, scen.v_col)
-        return state
+        return s.seal()
 
     def build_block(self, state, rnd, miner, scen):
         if rnd <= scen.T:

@@ -609,8 +609,12 @@ def pool_mc(p: PoolParams, trials: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     lam_i = float(p.h / p.H * p.lambda_net)
     R = float(p.R)
-    solo = rng.poisson(lam_i, size=trials) * R
-    pool_blocks = rng.poisson(lam_i * p.N, size=trials)
+    try:
+        solo = rng.poisson(lam_i, size=trials) * R
+        pool_blocks = rng.poisson(lam_i * p.N, size=trials)
+    except MemoryError as e:
+        raise ScenarioError(f"validation-error(trials): the draw of {trials} "
+                            "trials does not fit in memory") from e
     fee_cut = float(p.f_pool) * lam_i * R
     member = pool_blocks * R / p.N - fee_cut
     return {"mean_solo": float(solo.mean()),

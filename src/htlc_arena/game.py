@@ -38,7 +38,7 @@ from .contracts import (COL_A_ID, COL_B_ID, COL_ID, DEP_A, DEP_ID,
                         FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B, SECRETS,
                         build_demba, build_he_htlc, build_mad_htlc,
                         build_naive_htlc, derive_he_delay)
-from .ledger import ChainState, ChainView, apply_block, broadcast
+from .ledger import ChainState, ChainView, Part, apply_block, broadcast
 
 PROTOCOLS = ("naive", "mad", "he", "demba")
 
@@ -248,13 +248,12 @@ def _start_balance(scen: Scenario) -> int:
 
 
 def build_genesis(scen: Scenario) -> tuple:
-    """A fresh copy of the funded round-0 state: (state, baseline, escrow).
+    """The funded round-0 state: (state, baseline, escrow).
 
-    The scenario built its genesis once, at construction; each call clones
-    the state so that a play can never touch the original.
+    The scenario built its genesis once, at construction.  The state and
+    the baseline balances are read-only, so every play shares them.
     """
-    state, baseline, escrow0 = scen._genesis
-    return state.clone(), baseline, escrow0
+    return scen._genesis
 
 
 def _build_genesis(scen: Scenario) -> tuple:
@@ -290,15 +289,15 @@ def _build_genesis(scen: Scenario) -> tuple:
                 EXTERNAL: start + scen.capacity * scen.f * (scen.horizon + 2)}
     for m in scen.miners:
         balances[m.party] = start
-    state = ChainState(contracts=contracts, live=live, balances=balances,
-                       fee_schedule=scen.fee_schedule, meta=meta)
-    baseline = dict(balances)
+    baseline = Part.of(balances)
     escrow0 = sum(live.values())
     if scen.protocol == "demba":
         # Deposit contract goes live only after both collaterals exist, so
         # the payer funds it inside the measured window.
-        debit(state.balances, BOB, scen.v_dep)
-        state.live[DEP_ID] = scen.v_dep
+        debit(balances, BOB, scen.v_dep)
+        live[DEP_ID] = scen.v_dep
+    state = ChainState(contracts=contracts, live=live, balances=balances,
+                       fee_schedule=scen.fee_schedule, meta=meta)
     return state, baseline, escrow0
 
 
@@ -412,10 +411,9 @@ def _outcome(scen: Scenario, state: ChainState, baseline: dict, escrow0: int,
         if tag == "censor-bribe":
             bribe_income[party] = bribe_income.get(party, 0) + amount
     _settle_equal_split(scen, state, deltas)
-    escrow = (sum(state.live.values())
-              + sum(c.pool_total() for c in state.bribery.values()))
+    escrow = state.live.total() + state.bribery.total()
     return Outcome(deltas=deltas, burned=state.burned,
-                   minted=sum(m[1] for m in state.mint_log),
+                   minted=state.mint_log.total(),
                    trace=trace, terminal=_terminal_tag(state, scen),
                    bribe_income=bribe_income,
                    escrow_delta=Fraction(escrow - escrow0), state=state)
@@ -595,8 +593,12 @@ def final_outcomes(scen: Scenario, profile: StrategyProfile,
     else:
         parties = scen.miner_parties()
         total = scen.mode[1]
-        picks = np.random.default_rng(scen.seed).choice(
-            len(parties), size=(total, scen.horizon), p=_pick_probs(scen))
+        try:
+            picks = np.random.default_rng(scen.seed).choice(
+                len(parties), size=(total, scen.horizon), p=_pick_probs(scen))
+        except MemoryError as e:
+            raise _invalid("trials", f"the draw of {total} trials x "
+                           f"{scen.horizon} rounds does not fit in memory") from e
         # Python ints group faster than numpy masks; one column at a time.
         column = functools.lru_cache(maxsize=1)(
             lambda rnd: picks[:, rnd - 1].tolist())

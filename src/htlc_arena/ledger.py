@@ -1,10 +1,22 @@
 """Fork-free discrete-round ledger.
 
-One block per round, applied functionally: apply_block returns a fresh
+One block per round, applied functionally: apply_block returns a successor
 ChainState and never touches its input, so states are safe to keep as
 snapshots.  Conservation is the load-bearing invariant: balances plus live
 deposits plus bribery pools plus burned tokens, net of explicit mints, is
 constant across every block.
+
+A chain state is built from read-only parts (balances, live deposits,
+reveals, mempool, mint and bribe logs, redemptions, contracts, known
+preimages, bribery contracts and window blocks), shared by reference
+between a state and its successor.  Each part caches what is derived from
+it: its share of `ChainState.merge_key` and of
+`ChainState.conservation_total`, and for the contracts the ids that still
+have an automatic path.  Every write goes through one step: `draft` a
+successor that shares every part, `write` a part (the draft's own copy,
+made on first write), `seal`.  A step shares every part it does not
+write, so a block that changes nothing copies nothing and keeps its
+parent's key and total.
 
 Unrelated traffic is modelled as an inexhaustible supply of filler
 transactions, each paying exactly the scenario's base fee; blocks carry
@@ -14,6 +26,7 @@ them as a count rather than as objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional
 
 from .core import (BLOCK_MINER, BURN_SINK, EXTERNAL, LedgerError, Party,
@@ -62,8 +75,136 @@ class Block:
     coinbase: tuple = ()  # ((party, amount, reason), ...)
 
 
+def _refuse(self, *args, **kwargs):
+    raise TypeError("chain-state parts are read-only; write a part "
+                    "through ChainState.draft")
+
+
+class _Cached:
+    """What a part derives from its contents, computed on first use: its
+    share of the merge key and the sum it adds to the conservation total.
+    Build a part with `of`, which starts both caches empty."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, items=()):
+        part = cls(items)
+        part._key = part._total = None
+        return part
+
+    def key(self):
+        if self._key is None:
+            self._key = self._make_key()
+        return self._key
+
+    def total(self) -> int:
+        if self._total is None:
+            self._total = self._make_total()
+        return self._total
+
+
+class Part(_Cached, dict):
+    """A read-only mapping part; its key is its items, its sum its values."""
+
+    __slots__ = ("_key", "_total")
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def _make_key(self):
+        return frozenset(self.items())
+
+    def _make_total(self) -> int:
+        return sum(self.values())
+
+
+class Mempool(Part):
+    """tx_id -> TxRecord.  Within one game a transaction id names its
+    content, so the key holds the ids only."""
+
+    __slots__ = ()
+
+    def _make_key(self):
+        return frozenset(self)
+
+
+class Contracts(Part):
+    """cid -> ContractInstance.  Contracts change only in status, so the key
+    holds statuses.  Its third cache, `auto_ids`, lives in an instance dict
+    (no `__slots__`), so it starts empty without an initialiser."""
+
+    _auto_ids = None
+
+    def _make_key(self):
+        return frozenset((cid, c.status) for cid, c in self.items())
+
+    def auto_ids(self) -> tuple:
+        """The redeemable contracts that have an automatic path: the only
+        ones a block may resolve on its own."""
+        if self._auto_ids is None:
+            self._auto_ids = tuple(
+                cid for cid, c in self.items()
+                if c.redeemable and any(p.auto_only for p in c.paths))
+        return self._auto_ids
+
+
+class Bribery(Part):
+    """cid -> bribery contract.  A step replaces a contract with its
+    `copy_for_step` before calling it, so a handed-out one never changes."""
+
+    __slots__ = ()
+
+    def _make_key(self):
+        return frozenset((cid, c.key()) for cid, c in self.items())
+
+    def _make_total(self) -> int:
+        return sum(c.pool_total() for c in self.values())
+
+
+class Log(_Cached, list):
+    """A read-only log of (party, amount, tag) entries; its sum is the
+    amounts'."""
+
+    __slots__ = ("_key", "_total")
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = clear = extend = insert = pop = remove = reverse = sort = _refuse
+
+    def _make_key(self):
+        return tuple(self)
+
+    def _make_total(self) -> int:
+        return sum(entry[1] for entry in self)
+
+
+#: The type each part is sealed as.
+_PART_TYPES = {"balances": Part, "live": Part, "revealed": Part,
+               "mempool": Mempool, "mint_log": Log, "bribe_log": Log,
+               "redemptions": Part, "contracts": Contracts, "known": Part,
+               "bribery": Bribery, "window_blocks": Part}
+#: Empty parts: read-only, so every state may share them.
+_EMPTY, _EMPTY_MEMPOOL, _EMPTY_LOG, _EMPTY_BRIBERY = (
+    Part.of(), Mempool.of(), Log.of(), Bribery.of())
+#: The parts `conservation_total` sums.
+_SUMMED = frozenset({"balances", "live", "mint_log", "bribery"})
+
+
 class ChainState:
-    """Ledger snapshot: live contract outputs, balances, reveals, mempool.
+    """Ledger snapshot: a height, the burned total and the read-only parts.
+
+    The parts are `balances` (Party -> tokens), `live` (cid -> deposit),
+    `revealed` ((cid, slot) -> (value, round)), `mempool`, `mint_log` and
+    `bribe_log` ((party, amount, tag) entries), `redemptions`
+    (cid -> (path, round, miner)), `contracts`, `known` ((cid, slot) ->
+    value, mempool-or-chain knowledge), `bribery` and `window_blocks`.
+    Each caches its share of `merge_key` and of `conservation_total`
+    (`Part`), and the state caches the sum of those shares, so both cost
+    nothing on a state whose parts are all its parent's.
+
+    A state is written only as a draft: `draft()` returns a successor that
+    shares every part, `write(name)` hands out the draft's own writable
+    copy of one part (copied on its first write, which drops the cached
+    key and total), `credit`, `debit` and `burn` write through it, and
+    `seal()` freezes the written parts.  A sealed state refuses writes.
 
     `meta` holds the game's fixed parameters, set by genesis: the deadline
     `T`, the refund delay `l`, and the contract and path of the protected
@@ -72,46 +213,102 @@ class ChainState:
     blocks each miner mined in those rounds, and stays empty without it.
     """
 
-    __slots__ = ("height", "contracts", "live", "balances", "burned",
-                 "revealed", "mempool", "mint_log", "bribery", "redemptions",
-                 "fee_schedule", "meta", "known", "bribe_log", "window_blocks")
+    __slots__ = ("height", "burned", "fee_schedule", "meta", *_PART_TYPES,
+                 "_key", "_total", "_written")
 
     def __init__(self, contracts=None, live=None, balances=None,
                  fee_schedule=None, meta=None):
         self.height = 0
-        self.contracts: dict = contracts or {}
-        self.live: dict = live or {}
-        self.balances: dict = balances or {}
         self.burned = 0
-        self.revealed: dict = {}  # (cid, slot) -> (value, round)
-        self.mempool: dict = {}  # tx_id -> TxRecord
-        self.mint_log: list = []
-        self.bribery: dict = {}  # cid -> contract object
-        self.redemptions: dict = {}  # cid -> (path, round, miner)
         self.fee_schedule = fee_schedule
-        self.meta: dict = meta or {}
-        self.known: dict = {}  # (cid, slot) -> value, mempool-or-chain knowledge
-        self.bribe_log: list = []  # (party, amount, tag)
-        self.window_blocks: dict = {}  # Party -> blocks mined in the window
+        self.meta = MappingProxyType(dict(meta or {}))
+        self.contracts = Contracts.of(contracts or ())
+        self.live = Part.of(live or ())
+        self.balances = Part.of(balances or ())
+        self.revealed = self.redemptions = self.known = _EMPTY
+        self.window_blocks = _EMPTY
+        self.mempool = _EMPTY_MEMPOOL
+        self.mint_log = self.bribe_log = _EMPTY_LOG
+        self.bribery = _EMPTY_BRIBERY
+        self._key = self._total = None
+        self._written = None
 
-    def clone(self) -> "ChainState":
+    # -- the one write path -------------------------------------------------
+
+    def draft(self) -> "ChainState":
+        """A successor that shares every part (and so the key and total)."""
+        if self._written is not None:
+            raise TypeError("cannot draft from an unsealed chain state")
         s = ChainState.__new__(ChainState)
         s.height = self.height
-        s.contracts = dict(self.contracts)
-        s.live = dict(self.live)
-        s.balances = dict(self.balances)
         s.burned = self.burned
-        s.revealed = dict(self.revealed)
-        s.mempool = dict(self.mempool)
-        s.mint_log = list(self.mint_log)
-        s.bribery = dict(self.bribery)
-        s.redemptions = dict(self.redemptions)
         s.fee_schedule = self.fee_schedule
         s.meta = self.meta
-        s.known = dict(self.known)
-        s.bribe_log = list(self.bribe_log)
-        s.window_blocks = dict(self.window_blocks)
+        s.balances = self.balances
+        s.live = self.live
+        s.revealed = self.revealed
+        s.mempool = self.mempool
+        s.mint_log = self.mint_log
+        s.bribe_log = self.bribe_log
+        s.redemptions = self.redemptions
+        s.contracts = self.contracts
+        s.known = self.known
+        s.bribery = self.bribery
+        s.window_blocks = self.window_blocks
+        s._key = self._key
+        s._total = self._total
+        s._written = {}
         return s
+
+    def write(self, name: str):
+        """This draft's own writable copy of part `name`: a plain dict or
+        list, made on the part's first write in this draft."""
+        written = self._written
+        if written is None:
+            raise TypeError("a sealed chain state is read-only")
+        part = written.get(name)
+        if part is None:
+            part = written[name] = getattr(self, name).copy()
+            setattr(self, name, part)
+            self._key = None
+            if name in _SUMMED:
+                self._total = None
+        return part
+
+    def credit(self, party: Party, amount: int) -> None:
+        """Credit `party`; a zero credit to a holder writes nothing."""
+        balances = self.balances
+        if type(balances) is not dict:
+            if not amount and party in balances:
+                return
+            balances = self.write("balances")
+        credit(balances, party, amount)
+
+    def debit(self, party: Party, amount: int) -> None:
+        """Debit `party` (never below 0); a zero debit writes nothing."""
+        balances = self.balances
+        if type(balances) is not dict:
+            if not amount and party in balances:
+                return
+            balances = self.write("balances")
+        debit(balances, party, amount)
+
+    def burn(self, amount: int) -> None:
+        """Add `amount` to the burned total; burning 0 writes nothing."""
+        if amount:
+            if self._written is None:
+                raise TypeError("a sealed chain state is read-only")
+            self.burned += amount
+            self._key = self._total = None
+
+    def seal(self) -> "ChainState":
+        """Freeze the parts this draft wrote; returns the finished state."""
+        for name, part in self._written.items():
+            part = _PART_TYPES[name](part)
+            part._key = part._total = None  # as `of` does, without the call
+            setattr(self, name, part)
+        self._written = None
+        return self
 
     # -- queries ----------------------------------------------------------
 
@@ -126,9 +323,12 @@ class ChainState:
         return entry[1] if entry else None
 
     def conservation_total(self) -> int:
-        return (sum(self.balances.values()) + sum(self.live.values())
-                + sum(c.pool_total() for c in self.bribery.values())
-                + self.burned - sum(m[1] for m in self.mint_log))
+        total = self._total
+        if total is None:
+            total = self._total = (
+                self.balances.total() + self.live.total()
+                + self.bribery.total() + self.burned - self.mint_log.total())
+        return total
 
     def snapshot_key(self) -> tuple:
         """Canonical value for replay-determinism comparisons."""
@@ -148,30 +348,34 @@ class ChainState:
         outcome reads: two states of one game with equal keys play out
         identically from the same round on.
 
-        Within one game a transaction id names its content, so the mempool
-        enters by ids; contracts change only in status, and the fee
-        schedule and meta never change after genesis.
+        It is (height, body key), and the body key is the burned total and
+        each part's cached key; the fee schedule and meta never change
+        after genesis.
         """
-        return (self.height, frozenset(self.balances.items()), self.burned,
-                frozenset(self.live.items()), frozenset(self.revealed.items()),
-                frozenset(self.mempool), tuple(self.mint_log),
-                tuple(self.bribe_log), frozenset(self.redemptions.items()),
-                frozenset((cid, c.status) for cid, c in self.contracts.items()),
-                frozenset(self.known.items()),
-                frozenset((cid, c.key()) for cid, c in self.bribery.items()),
-                frozenset(self.window_blocks.items()))
+        key = self._key
+        if key is None:
+            key = self._key = (
+                self.burned, self.balances.key(), self.live.key(),
+                self.revealed.key(), self.mempool.key(), self.mint_log.key(),
+                self.bribe_log.key(), self.redemptions.key(),
+                self.contracts.key(), self.known.key(), self.bribery.key(),
+                self.window_blocks.key())
+        return self.height, key
 
 
 def broadcast(state: ChainState, txs) -> ChainState:
     """Admit transactions to the mempool; preimages become common knowledge."""
     if not txs:
         return state
-    s = state.clone()
+    s = state.draft()
     for tx in txs:
-        s.mempool[tx.tx_id] = tx
+        held = s.mempool.get(tx.tx_id)
+        if held is None or held != tx:
+            s.write("mempool")[tx.tx_id] = tx
         for (cid, slot, value) in tx.witness.preimages:
-            s.known[(cid, slot)] = value
-    return s
+            if s.known.get((cid, slot)) != value:
+                s.write("known")[(cid, slot)] = value
+    return s.seal()
 
 
 # ---------------------------------------------------------------------------
@@ -261,59 +465,64 @@ def fee_split(state: ChainState, path: str, fee: int, rnd: int) -> tuple:
 
 def _apply_redeem(s: ChainState, cid: str, path: RedeemPath, tx: TxRecord,
                   rnd: int, block_miner: Party) -> None:
-    value = s.live.pop(cid)
+    live = s.write("live")
+    value = live.pop(cid)
     fee = tx.declared_fee
     earned, fee_burn = fee_split(s, path.name, fee, rnd)
     rest = value - fee - _path_outflow(path, rnd)
     if path.late_burn and rnd > path.late_burn[0]:
-        s.burned += path.late_burn[1]
+        s.burn(path.late_burn[1])
     for eff in path.effects:
         amt = rest if eff.amount == REST else eff.amount
         if isinstance(eff, Transfer):
             to = block_miner if eff.to == BLOCK_MINER else eff.to
             if to == BURN_SINK:
-                s.burned += amt
+                s.burn(amt)
             else:
-                credit(s.balances, to, amt)
+                s.credit(to, amt)
         elif isinstance(eff, Burn):
-            s.burned += amt
+            s.burn(amt)
         elif isinstance(eff, Forward):
-            if eff.to_contract not in s.live:
+            if eff.to_contract not in live:
                 raise LedgerError("unknown-output", f"forward to {eff.to_contract}")
-            s.live[eff.to_contract] += amt
+            live[eff.to_contract] += amt
         else:  # pragma: no cover - effect union is closed
             raise LedgerError("invalid-tx", f"unknown effect {eff!r}")
-    credit(s.balances, block_miner, earned)
-    s.burned += fee_burn
+    s.credit(block_miner, earned)
+    s.burn(fee_burn)
     contract = s.contracts[cid].copy()
     if all(isinstance(e, Burn) for e in path.effects):
         contract.status = BURNED
     else:
         contract.status = ("redeemed", path.name)
-    s.contracts[cid] = contract
-    s.redemptions[cid] = (path.name, rnd, block_miner)
+    s.write("contracts")[cid] = contract
+    s.write("redemptions")[cid] = (path.name, rnd, block_miner)
     for (c, slot, value_) in tx.witness.preimages:
         if (c, slot) not in s.revealed:
-            s.revealed[(c, slot)] = (value_, rnd)
-            s.known[(c, slot)] = value_
+            s.write("revealed")[(c, slot)] = (value_, rnd)
+            if s.known.get((c, slot)) != value_:
+                s.write("known")[(c, slot)] = value_
 
 
 def _apply_call(s: ChainState, tx: TxRecord, rnd: int, block_miner: Party) -> None:
     cid, call = tx.call
     contract = s.bribery[cid].copy_for_step()
-    s.bribery[cid] = contract
-    lock = 0
+    s.write("bribery")[cid] = contract
     if call.method == "init":
-        lock = call.args["val"]
-        debit(s.balances, call.caller, lock)
+        s.debit(call.caller, call.args["val"])
     view = ChainView(s, rnd, block_miner)
     payouts = bribery_contract_step(contract, call, rnd, view)
-    for party, amount, tag in payouts:
-        credit(s.balances, party, amount)
-        s.bribe_log.append((party, amount, tag))
+    _pay(s, payouts)
     if tx.declared_fee:
-        debit(s.balances, tx.creator, tx.declared_fee)
-        credit(s.balances, block_miner, tx.declared_fee)
+        s.debit(tx.creator, tx.declared_fee)
+        s.credit(block_miner, tx.declared_fee)
+
+
+def _pay(s: ChainState, payouts) -> None:
+    """Credit a bribery contract's payouts and log each one."""
+    for party, amount, tag in payouts:
+        s.credit(party, amount)
+        s.write("bribe_log").append((party, amount, tag))
 
 
 class ChainView:
@@ -359,12 +568,14 @@ class ChainView:
         return self._rnd > meta["T"] + meta["l"] + 1
 
 
-def _resolve_auto_contracts(s: ChainState, rnd: int, block_miner: Party) -> None:
+def _resolve_auto_contracts(s: ChainState, auto_ids: tuple, rnd: int,
+                            block_miner: Party) -> None:
+    """Fire the automatic path of each contract in `auto_ids` (those with
+    one, redeemable before this block) whose condition now holds."""
     slots = None
-    for cid, contract in list(s.contracts.items()):
+    for cid in auto_ids:
+        contract = s.contracts[cid]
         if not contract.redeemable:
-            continue
-        if not any(p.auto_only for p in contract.paths):
             continue
         if slots is None:
             slots = s.revealed_slots()
@@ -402,10 +613,8 @@ def _auto_refund_bribery(s: ChainState, rnd: int, block_miner: Party) -> None:
                 continue
             fresh = contract.copy_for_step()
             payouts = fresh.refund_all()
-        for party, amount, tag in payouts:
-            credit(s.balances, party, amount)
-            s.bribe_log.append((party, amount, tag))
-        s.bribery[cid] = fresh
+        _pay(s, payouts)
+        s.write("bribery")[cid] = fresh
 
 
 def apply_block(state: ChainState, block: Block) -> ChainState:
@@ -415,7 +624,7 @@ def apply_block(state: ChainState, block: Block) -> ChainState:
                           f"block {block.round} onto height {state.height}")
     if len(block.txs) + block.unrelated_fill > block.capacity:
         raise LedgerError("invalid-tx", "block over capacity")
-    s = state.clone()
+    s = state.draft()
     consumed_this_block: set = set()
     for i, tx in enumerate(block.txs):
         for (cid, _) in tx.consumes:
@@ -431,28 +640,33 @@ def apply_block(state: ChainState, block: Block) -> ChainState:
                 _apply_redeem(s, cid, path, tx, block.round, block.miner)
                 consumed_this_block.add(cid)
         elif tx.kind == UNRELATED:
-            debit(s.balances, EXTERNAL, tx.declared_fee)
-            credit(s.balances, block.miner, tx.declared_fee)
+            s.debit(EXTERNAL, tx.declared_fee)
+            s.credit(block.miner, tx.declared_fee)
         elif tx.kind == PAYMENT:
             to, amount = tx.payment
-            debit(s.balances, tx.creator, amount + tx.declared_fee)
-            credit(s.balances, to, amount)
-            credit(s.balances, block.miner, tx.declared_fee)
+            s.debit(tx.creator, amount + tx.declared_fee)
+            s.credit(to, amount)
+            s.credit(block.miner, tx.declared_fee)
         else:
             _apply_call(s, tx, block.round, block.miner)
-        s.mempool.pop(tx.tx_id, None)
+        if tx.tx_id in s.mempool:
+            del s.write("mempool")[tx.tx_id]
     if block.unrelated_fill:
         total = block.unrelated_fill * block.unrelated_fee
-        debit(s.balances, EXTERNAL, total)
-        credit(s.balances, block.miner, total)
+        s.debit(EXTERNAL, total)
+        s.credit(block.miner, total)
     for party, amount, reason in block.coinbase:
         check_amount(amount)
-        credit(s.balances, party, amount)
-        s.mint_log.append((party, amount, reason))
-    _resolve_auto_contracts(s, block.round, block.miner)
-    _auto_refund_bribery(s, block.round, block.miner)
+        s.credit(party, amount)
+        s.write("mint_log").append((party, amount, reason))
+    auto_ids = state.contracts.auto_ids()
+    if auto_ids:
+        _resolve_auto_contracts(s, auto_ids, block.round, block.miner)
+    if s.bribery:
+        _auto_refund_bribery(s, block.round, block.miner)
     window = s.meta.get("split_window")
     if window is not None and window[0] <= block.round <= window[1]:
-        s.window_blocks[block.miner] = s.window_blocks.get(block.miner, 0) + 1
+        blocks = s.write("window_blocks")
+        blocks[block.miner] = blocks.get(block.miner, 0) + 1
     s.height = block.round
-    return s
+    return s.seal()

@@ -311,9 +311,9 @@ class TestExpectations:
         apply_block = game.apply_block
 
         def leaky(state, block):
-            state = apply_block(state, block)
-            state.balances[M1] += 1  # a token from nowhere
-            return state
+            state = apply_block(state, block).draft()
+            state.credit(M1, 1)  # a token from nowhere
+            return state.seal()
 
         monkeypatch.setattr(game, "apply_block", leaky)
         scen = naive_scenario()

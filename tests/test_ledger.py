@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
-import pytest
+import random
+from dataclasses import replace
+from fractions import Fraction
+from unittest.mock import patch
 
-from htlc_arena.core import ALICE, BOB, EXTERNAL, LedgerError, credit, debit
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from htlc_arena import game
+from htlc_arena.core import (ALICE, BOB, EXTERNAL, LedgerError, credit, debit,
+                             miner_party)
 from htlc_arena.agents import tx_commit
 from htlc_arena.contracts import (COL_M, DEP_A, DEP_B, PRE_A, PRE_A2, PRE_B,
                                   build_he_htlc, build_naive_htlc)
-from htlc_arena.game import build_genesis
+from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
+                             build_genesis, play)
 from htlc_arena.ledger import (Block, ChainState, TxRecord, Witness,
                                apply_block, broadcast, fee_split, validate_tx)
 
-from conftest import M1, demba_scenario
+from conftest import M1, M2, demba_scenario, he_scenario
+from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 
 def fresh_naive(v_dep=100, T=10):
@@ -247,3 +257,143 @@ class TestInvariants:
         assert ("dep", PRE_A) not in after.revealed
         assert "tx.depA" in after.mempool
         assert "tx.depA" not in state.mempool
+
+
+#: Every part of a chain state, as the ledger names them.
+PARTS = ("balances", "live", "revealed", "mempool", "mint_log", "bribe_log",
+         "redemptions", "contracts", "known", "bribery", "window_blocks")
+
+
+def rebuilt(state):
+    """A state built afresh from `state`'s part contents, so that none of
+    its cached keys or sums is carried over."""
+    fresh = ChainState(fee_schedule=state.fee_schedule,
+                       meta=state.meta).draft()
+    for name in PARTS:
+        part = fresh.write(name)
+        if isinstance(part, list):
+            part.extend(getattr(state, name))
+        else:
+            part.update(getattr(state, name))
+    fresh.burn(state.burned)
+    fresh.height = state.height
+    return fresh.seal()
+
+
+def assert_read_only(state):
+    for name in PARTS:
+        part = getattr(state, name)
+        with pytest.raises(TypeError):
+            part.clear()
+        if isinstance(part, list):
+            with pytest.raises(TypeError):
+                part.append(None)
+        else:
+            with pytest.raises(TypeError):
+                part["x"] = None
+            with pytest.raises(TypeError):
+                part.pop("x", None)
+        with pytest.raises(TypeError):
+            state.write(name)
+    with pytest.raises(TypeError):
+        state.burn(1)
+    with pytest.raises(TypeError):
+        state.meta["T"] = 0
+
+
+class TestParts:
+    """A state is built from read-only parts that a step shares unless it
+    writes them."""
+
+    def test_block_that_changes_nothing_shares_every_part(self):
+        scen = he_scenario(f=0)
+        state, _, _ = build_genesis(scen)
+        key = state.merge_key()
+        after = apply_block(state, Block(round=1, miner=M1, unrelated_fill=8,
+                                         unrelated_fee=0))
+        assert all(getattr(after, n) is getattr(state, n) for n in PARTS)
+        assert after.merge_key() == (1, key[1])
+        assert after.merge_key()[1] is key[1]
+
+    def test_zero_credit_writes_only_a_new_party(self):
+        state = fresh_naive()
+        draft = state.draft()
+        draft.credit(M1, 0)
+        draft.debit(ALICE, 0)
+        assert draft.balances is state.balances
+        draft.credit(M2, 0)
+        after = draft.seal()
+        assert after.balances == {**state.balances, M2: 0}
+        assert state.balances.get(M2) is None
+
+    def test_step_writes_only_its_parts(self):
+        state = fresh_naive()
+        after = apply_block(state, Block(round=1, miner=M1, unrelated_fill=2,
+                                         unrelated_fee=3))
+        shared = [n for n in PARTS if getattr(after, n) is getattr(state, n)]
+        assert shared == [n for n in PARTS if n != "balances"]
+        assert after.conservation_total() == state.conservation_total()
+
+    def test_finished_states_refuse_writes(self):
+        state = fresh_naive()
+        assert_read_only(state)
+        assert_read_only(apply_block(state, Block(round=1, miner=M1,
+                                                  txs=(alice_tx(),))))
+        with pytest.raises(TypeError):
+            state.draft().draft()
+
+
+def _checked(step):
+    """`step` (apply_block or broadcast), checked on every call: the input
+    keeps its parts, contents, key and total; the output's cached key and
+    total equal a rebuilt state's; and the output refuses writes."""
+
+    def run(state, arg):
+        parts = {n: getattr(state, n) for n in PARTS}
+        contents = {n: list(p) if isinstance(p, list) else dict(p)
+                    for n, p in parts.items()}
+        key, total = state.merge_key(), state.conservation_total()
+        out = step(state, arg)
+        assert all(getattr(state, n) is p for n, p in parts.items())
+        assert {n: list(p) if isinstance(p, list) else dict(p)
+                for n, p in parts.items()} == contents
+        assert (state.merge_key(), state.conservation_total()) == (key, total)
+        again = rebuilt(state)
+        assert (again.merge_key(), again.conservation_total()) == (key, total)
+        fresh = rebuilt(out)
+        assert fresh.merge_key() == out.merge_key()
+        assert fresh.conservation_total() == out.conservation_total()
+        assert_read_only(out)
+        return out
+
+    return run
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=st.sampled_from(("naive", "mad", "he", "demba")),
+       n_miners=st.integers(1, 3), capacity=st.sampled_from((1, 2, 8)),
+       f=st.sampled_from((0, 3)), seed=st.integers(0, 2 ** 32 - 1))
+def test_steps_share_parts_keep_caches_and_refuse_writes(
+        protocol, n_miners, capacity, f, seed):
+    # Criterion-9 pools, at 1-3 miners, small and default capacities and a
+    # zero and a positive unrelated fee: a seeded play, then a Monte-Carlo
+    # pass that merges states, both through checked steps.
+    rng = random.Random(seed)
+    alice_pool, bob_pool, miner_pool = _fuzz_pools()[protocol]
+    parties = tuple(miner_party(f"f{i}") for i in range(1, n_miners + 1))
+    kind = "active" if protocol in ("mad", "he") else "passive"
+    miners = tuple(MinerProfile(p, Fraction(1, n_miners), kind, True)
+                   for p in parties)
+    scen = replace(_fuzz_scenario(protocol, rng, miners), capacity=capacity,
+                   f=f)
+    profile = StrategyProfile(rng.choice(alice_pool), rng.choice(bob_pool),
+                              {p: rng.choice(miner_pool) for p in parties})
+    schedule = Schedule(tuple(rng.choice(parties)
+                              for _ in range(scen.horizon)))
+    with patch.object(game, "apply_block", _checked(game.apply_block)), \
+            patch.object(game, "broadcast", _checked(game.broadcast)):
+        out = play(scen, profile, schedule, check_invariants=True)
+        pairs, total = game.final_outcomes(
+            replace(scen, mode=("monte-carlo", 6), seed=seed % 1000), profile)
+    assert out.conserves()
+    assert sum(n for _, n in pairs) == total

@@ -296,6 +296,14 @@ BAD_OVERRIDES = {
         ["dominance", *NAIVE, "--player", "bob", "--seed", "-1"], "seed"),
     "pool-negative-seed": (["pool", "--trials", "5", "--seed", "-1"], "seed"),
     "pool-zero-trials": (["pool", "--trials", "0"], "trials"),
+    # 10^12 trials fail at allocation, before any memory is taken.
+    "ttc-huge-trials": (
+        ["ttc", "--scenario", str(SCENARIOS / "he_m2mba.json"), "--path",
+         "alice-redeems", "--trials", str(10 ** 12)], "trials"),
+    "expect-mc-huge-trials": (
+        ["expect", *NAIVE, "--mode", "mc", "--trials", str(10 ** 12)],
+        "trials"),
+    "pool-huge-trials": (["pool", "--trials", str(10 ** 12)], "trials"),
 }
 
 
