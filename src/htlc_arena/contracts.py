@@ -116,9 +116,13 @@ REDEEMABLE = "redeemable"
 BURNED = "burned"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ContractInstance:
-    """A single deposit output with one-shot redemption."""
+    """A single deposit output with one-shot redemption.
+
+    Frozen, so a chain state's cached key and derived values cannot go
+    stale: a redemption replaces the instance with one of the new status.
+    """
 
     contract_id: str
     deposit: int
@@ -135,10 +139,6 @@ class ContractInstance:
     @property
     def redeemable(self) -> bool:
         return self.status == REDEEMABLE
-
-    def copy(self) -> "ContractInstance":
-        return ContractInstance(self.contract_id, self.deposit, self.digests,
-                                self.paths, self.status)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ A play is fully determined by (scenario, strategy profile, miner schedule).
 Expected utilities are either exact or Monte-Carlo with a seeded generator,
 and both modes run the same forward pass over rounds: every policy is a
 stateless function of (chain state, round), so schedule prefixes that reach
-equal states are merged and played on once.  `final_outcomes` returns each
+equal states are merged and played on once.  Each round's two halves run
+once per distinct input: a block once per (state, miner), with one honest
+mempool selection per state, and the parties' broadcasts, the label and
+its check once per distinct mined state.  `final_outcomes` returns each
 final state's outcome with an integer mass and the total the masses sum to.
 In exact mode a mass is the summed schedule weight (the product of miner
 powers) over one common denominator, the product of each round's; its values
@@ -143,12 +146,7 @@ class Scenario:
             # Fees decay from the schedule's T, contract deadlines from ours.
             raise _invalid("fee_schedule", f"deadline T={self.fee_schedule.T} "
                            f"differs from the scenario's T={self.T}")
-        mode = self.mode
-        if not (mode == ("exact",) or type(mode) is tuple and len(mode) == 2
-                and mode[0] == "monte-carlo" and type(mode[1]) is int
-                and mode[1] >= 1):
-            raise _invalid("mode", "expected ('exact',) or ('monte-carlo', n) "
-                           f"with n a positive int, got {mode!r}")
+        check_field("mode", self.mode)
         if self.pact_bribes is not None:  # a copy that no write can reach
             object.__setattr__(self, "pact_bribes",
                                MappingProxyType(dict(self.pact_bribes)))
@@ -173,6 +171,18 @@ class Scenario:
 #: The fields that must hold a plain non-negative int, computed once.
 #: `horizon` may be None until it is derived, so it is checked after that.
 _INT_FIELDS = tuple(f.name for f in fields(Scenario) if f.type == "int")
+
+
+def check_field(name: str, value) -> None:
+    """The check a Scenario makes on `seed`, `mode` or an int field alone,
+    for a file value that an override replaces before the one build."""
+    if name != "mode":
+        _require_count(name, value)
+    elif not (value == ("exact",) or type(value) is tuple and len(value) == 2
+              and value[0] == "monte-carlo" and type(value[1]) is int
+              and value[1] >= 1):
+        raise _invalid("mode", "expected ('exact',) or ('monte-carlo', n) "
+                       f"with n a positive int, got {value!r}")
 
 
 def _require_count(name: str, value) -> None:
@@ -359,16 +369,21 @@ def _setup(scen: Scenario, profile: StrategyProfile) -> tuple:
     return state, baseline, escrow0
 
 
-def _play_round(scen: Scenario, profile: StrategyProfile, state: ChainState,
-                rnd: int, miner: Party, prev_rank: int) -> tuple:
-    """One round: `miner`'s block, then the parties' broadcasts.
+def _mine(scen: Scenario, profile: StrategyProfile, state: ChainState,
+          rnd: int, miner: Party) -> ChainState:
+    """The block half of a round: `miner`'s block, applied."""
+    return apply_block(state, profile.miners[miner].build_block(
+        state, rnd, miner, scen))
+
+
+def _act(scen: Scenario, profile: StrategyProfile, state: ChainState,
+         rnd: int, prev_rank: int) -> tuple:
+    """The party half of a round: the parties' broadcasts on a mined state.
 
     Returns (state, label, label rank).  A label may never fall back to
-    red once the game has left it; `prev_rank` is the previous round's
-    rank, -1 before round 1.
+    red once the game has left it; `prev_rank` is the highest rank of the
+    states the mined state came from, -1 before round 1.
     """
-    block = profile.miners[miner].build_block(state, rnd, miner, scen)
-    state = apply_block(state, block)
     emissions = list(profile.alice.broadcasts(state, rnd, scen))
     emissions += profile.bob.broadcasts(state, rnd, scen)
     if emissions:
@@ -378,6 +393,13 @@ def _play_round(scen: Scenario, profile: StrategyProfile, state: ChainState,
     if rank < prev_rank and label in ("red", "all-red"):
         raise ScenarioError(f"state label regressed to {label} at {rnd}")
     return state, label, rank
+
+
+def _play_round(scen: Scenario, profile: StrategyProfile, state: ChainState,
+                rnd: int, miner: Party, prev_rank: int) -> tuple:
+    """One round: `miner`'s block, then the parties' broadcasts."""
+    return _act(scen, profile, _mine(scen, profile, state, rnd, miner), rnd,
+                prev_rank)
 
 
 def play(scen: Scenario, profile: StrategyProfile, schedule: Schedule,
@@ -520,30 +542,51 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split) -> list:
     """The forward pass over rounds that both expectation modes run.
 
     A frontier entry is a distinct state with the mass of the schedule
-    prefixes that reach it.  Each round, `split(rnd, mass)` yields
-    (miner, part) for every way the entry's mass goes that round; each
-    successor merges with those of equal `merge_key`, and merged parts are
-    added with `+=`, so a part must be owned by the entry it goes to.
-    Conservation is checked once per distinct state, the label rule on
-    every transition.  Returns (outcome, mass) for each final state.
+    prefixes that reach it.  Each round has two halves, and each runs once
+    per distinct input.  The block half runs once per (state, miner):
+    `split(rnd, mass)` yields (miner, part) for every way the entry's mass
+    goes that round, and each mined state merges with those of equal
+    `merge_key`, keeping the highest label rank it came from.  A state
+    branched more than once shares one honest block selection across its
+    miners (`ChainState.selections`).  The party half runs once per
+    distinct mined state: the broadcasts, the label and the label rule,
+    checked against that highest rank, so it raises exactly when some
+    transition would.  Its results merge again, conservation is checked
+    once per distinct state, and merged parts are added with `+=`, so a
+    part must be owned by the entry it goes to.  Returns (outcome, mass)
+    for each final state.
     """
     state, baseline, escrow0 = _setup(scen, profile)
     expected_total = state.conservation_total()
     frontier = [[state, mass, -1]]  # [state, mass, label rank]
     for rnd in range(1, scen.horizon + 1):
-        merged: dict = {}
+        mined: dict = {}
         for state, mass, rank in frontier:
-            for miner, part in split(rnd, mass):
-                nxt, _, nxt_rank = _play_round(scen, profile, state, rnd,
-                                               miner, rank)
+            branches = split(rnd, mass)
+            if len(branches) > 1:
+                state.selections = {}
+            for miner, part in branches:
+                nxt = _mine(scen, profile, state, rnd, miner)
                 key = nxt.merge_key()
-                entry = merged.get(key)
-                if entry is not None:
-                    entry[1] += part
-                elif nxt.conservation_total() != expected_total:
-                    raise ScenarioError(f"conservation violated at round {rnd}")
+                entry = mined.get(key)
+                if entry is None:
+                    mined[key] = [nxt, part, rank]
                 else:
-                    merged[key] = [nxt, part, nxt_rank]
+                    entry[1] += part
+                    if rank > entry[2]:
+                        entry[2] = rank
+            state.selections = None
+        merged: dict = {}
+        for state, mass, rank in mined.values():
+            nxt, _, nxt_rank = _act(scen, profile, state, rnd, rank)
+            key = nxt.merge_key()
+            entry = merged.get(key)
+            if entry is not None:
+                entry[1] += mass
+            elif nxt.conservation_total() != expected_total:
+                raise ScenarioError(f"conservation violated at round {rnd}")
+            else:
+                merged[key] = [nxt, mass, nxt_rank]
         frontier = list(merged.values())
     return [(_outcome(scen, state, baseline, escrow0, ()), mass)
             for state, mass, _ in frontier]

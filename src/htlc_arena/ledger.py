@@ -25,7 +25,7 @@ them as a count rather than as objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Optional
 
@@ -129,9 +129,10 @@ class Mempool(Part):
 
 
 class Contracts(Part):
-    """cid -> ContractInstance.  Contracts change only in status, so the key
-    holds statuses.  Its third cache, `auto_ids`, lives in an instance dict
-    (no `__slots__`), so it starts empty without an initialiser."""
+    """cid -> ContractInstance, frozen, so a redemption replaces one.
+    Contracts change only in status, so the key holds statuses.  Its third
+    cache, `auto_ids`, lives in an instance dict (no `__slots__`), so it
+    starts empty without an initialiser."""
 
     _auto_ids = None
 
@@ -211,10 +212,16 @@ class ChainState:
     transfer, `target_contract` and `target_path`.  An equal-split pact
     game also sets `split_window` (first, last): `window_blocks` counts the
     blocks each miner mined in those rounds, and stays empty without it.
+
+    `selections` caches what `agents.honest_miner_select` derives from a
+    finished state, by (round, exclusion, capacity, fee).  It is None
+    unless the forward pass branches the sealed state to more than one
+    miner, which sets it to a dict for as long as it branches it; a draft
+    never inherits it.
     """
 
     __slots__ = ("height", "burned", "fee_schedule", "meta", *_PART_TYPES,
-                 "_key", "_total", "_written")
+                 "selections", "_key", "_total", "_written")
 
     def __init__(self, contracts=None, live=None, balances=None,
                  fee_schedule=None, meta=None):
@@ -230,6 +237,7 @@ class ChainState:
         self.mempool = _EMPTY_MEMPOOL
         self.mint_log = self.bribe_log = _EMPTY_LOG
         self.bribery = _EMPTY_BRIBERY
+        self.selections = None
         self._key = self._total = None
         self._written = None
 
@@ -255,6 +263,7 @@ class ChainState:
         s.known = self.known
         s.bribery = self.bribery
         s.window_blocks = self.window_blocks
+        s.selections = None
         s._key = self._key
         s._total = self._total
         s._written = {}
@@ -490,12 +499,9 @@ def _apply_redeem(s: ChainState, cid: str, path: RedeemPath, tx: TxRecord,
             raise LedgerError("invalid-tx", f"unknown effect {eff!r}")
     s.credit(block_miner, earned)
     s.burn(fee_burn)
-    contract = s.contracts[cid].copy()
-    if all(isinstance(e, Burn) for e in path.effects):
-        contract.status = BURNED
-    else:
-        contract.status = ("redeemed", path.name)
-    s.write("contracts")[cid] = contract
+    status = (BURNED if all(isinstance(e, Burn) for e in path.effects)
+              else ("redeemed", path.name))
+    s.write("contracts")[cid] = replace(s.contracts[cid], status=status)
     s.write("redemptions")[cid] = (path.name, rnd, block_miner)
     for (c, slot, value_) in tx.witness.preimages:
         if (c, slot) not in s.revealed:

@@ -17,7 +17,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -26,9 +26,9 @@ from . import __version__
 from .core import ArenaError, EXTERNAL, ScenarioError, miner_party
 from .contracts import (COL_B, COL_B_ID, COL_ID, DEP_A, DEP_ID, FeeSchedule,
                         PRE_A, PRE_A2, PRE_AA2, PRE_B)
-from .game import (MinerProfile, Scenario, StrategyProfile, dominance_check,
-                   expected_utilities, final_outcomes, mean_half_width, play,
-                   sample_schedule)
+from .game import (MinerProfile, Scenario, StrategyProfile, check_field,
+                   dominance_check, expected_utilities, final_outcomes,
+                   mean_half_width, play, sample_schedule)
 from .agents import (AliceHonest, AliceOffline, BobHonest, HonestFeeMax,
                      make_miner_policy, make_party_policy)
 from . import analysis
@@ -88,27 +88,33 @@ def _fee_schedule_from(doc: dict, T: int) -> FeeSchedule:
     return FeeSchedule(paid, _frac(doc.get("alpha", "1/2"), "fees.schedule.alpha"), T)
 
 
-def load_scenario(path) -> tuple:
-    """Parse and validate a scenario file; returns (Scenario, StrategyProfile)."""
+def load_scenario(path, overrides=None) -> tuple:
+    """Parse and validate a scenario file; returns (Scenario, StrategyProfile).
+
+    `overrides` maps Scenario fields to values that replace the file's
+    (`scenario_from_doc`)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ScenarioError(f"parse-error(line {e.lineno}, col {e.colno}): {e.msg}")
     except UnicodeDecodeError as e:
         raise ScenarioError(f"parse-error: {e}") from e
-    return scenario_from_doc(doc)
+    return scenario_from_doc(doc, overrides)
 
 
-def scenario_from_doc(doc) -> tuple:
+def scenario_from_doc(doc, overrides=None) -> tuple:
     """Translate a scenario document into (Scenario, StrategyProfile).
 
+    `overrides` maps Scenario fields (`seed`, `mode`) to values that
+    replace the document's in the translation, so the Scenario is built
+    once; a document value they replace still gets its own check first.
     Building the Scenario makes every check on the game's parameters; a
     malformed document surfaces as one ScenarioError, never a traceback.
     """
     doc = _object(doc, "document")
     _known_keys(doc, _TOP_LEVEL)
     try:
-        scen = _scenario_from_doc(doc)
+        scen = _scenario_from_doc(doc, overrides or {})
         policies = _object(doc.get("policies", {}), "policies",
                            ("alice", "bob", "miners"))
         return scen, _profile_from_doc(policies, scen)
@@ -135,7 +141,7 @@ _TOP_LEVEL = (*_SECTIONS[None], *(s for s in _SECTIONS if s is not None),
 _MINER_KEYS = ("id", "power", "kind", "colluding")
 
 
-def _scenario_from_doc(doc: dict) -> Scenario:
+def _scenario_from_doc(doc: dict, overrides: dict) -> Scenario:
     values = {}
     for section, names in _SECTIONS.items():
         part = doc if section is None else _object(
@@ -167,6 +173,10 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         values["mode"] = ("monte-carlo", mode_doc["monte-carlo"])
     else:
         raise ScenarioError(f"validation-error(mode): got {mode_doc!r}")
+    for name, value in overrides.items():
+        if name in values:
+            check_field(name, values[name])
+        values[name] = value
     return Scenario(miners=tuple(miners), **values)
 
 
@@ -298,13 +308,13 @@ def _check_options(args) -> None:
 
 
 def _load_overridden(args, mode: Optional[tuple] = None) -> tuple:
-    """Load the scenario, then apply `--seed` and the given mode in one
-    `replace`, so that an override passes the checks a file value does."""
-    scen, profile = load_scenario(args.scenario)
-    changes = {} if args.seed is None else {"seed": args.seed}
+    """Load the scenario with `--seed` and the given mode in place of the
+    file's, so that an override passes the checks a file value does and
+    the job builds one Scenario."""
+    overrides = {} if args.seed is None else {"seed": args.seed}
     if mode is not None:
-        changes["mode"] = mode
-    return (replace(scen, **changes) if changes else scen), profile
+        overrides["mode"] = mode
+    return load_scenario(args.scenario, overrides)
 
 
 def cmd_simulate(args) -> tuple:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from htlc_arena import game
+from htlc_arena import agents, game
 from htlc_arena.core import ALICE, BOB, ArenaError, ScenarioError, miner_party
 from htlc_arena.contracts import PRE_A, FeeSchedule
 from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
@@ -333,9 +333,8 @@ class TestExpectations:
                        for i in range(1, 5))
         scen = naive_scenario(T=10, miners=miners)
         assert scen.horizon == 12 and 4 ** 12 > game.ENUM_CAP
-        played = []
-        monkeypatch.setattr(game, "_play_round",
-                            lambda *args: played.append(args))
+        played = []  # the pass's block half: no round may be mined
+        monkeypatch.setattr(game, "_mine", lambda *args: played.append(args))
         with pytest.raises(ScenarioError) as e:
             expected_utilities(scen, honest_profile(scen))
         assert "enumeration-cap-exceeded: 4^12 schedules" in str(e.value)
@@ -445,3 +444,92 @@ class TestLabels:
             if label != "red":
                 seen_nonred = True
             assert not (seen_nonred and label == "red")
+
+
+class TestRoundHalves:
+    """The pass mines once per (state, miner) and lets the parties act once
+    per distinct mined state."""
+
+    def two_miners(self):
+        return naive_scenario(miners=(MinerProfile(M1, Fraction(1, 2)),
+                                      MinerProfile(M2, Fraction(1, 2))))
+
+    @pytest.mark.parametrize("label,raises", [
+        ("red", True), ("all-red", True), ("nred-rev", False),
+        ("nred-A", False)])
+    def test_merged_predecessors_keep_the_higher_label_rank(
+            self, monkeypatch, label, raises):
+        scen = self.two_miners()
+        real_apply = game.apply_block
+        first: dict = {}
+
+        def apply_block(state, block):
+            # Every block lands on the first state seen at its height, so
+            # both round-1 states merge once mined in round 2.
+            return real_apply(first.setdefault(state.height, state), block)
+
+        def state_label(state, protocol):
+            if state.height == 1:
+                # m1's round-1 state comes first and ranks lowest.
+                return ("red" if state.balances[M1] > state.balances[M2]
+                        else "nred-A")
+            return label
+
+        monkeypatch.setattr(game, "apply_block", apply_block)
+        monkeypatch.setattr(game, "state_label", state_label)
+        if raises:
+            with pytest.raises(ScenarioError,
+                               match=f"state label regressed to {label} at 2"):
+                expected_utilities(scen, honest_profile(scen))
+        else:
+            expected_utilities(scen, honest_profile(scen))
+
+    def test_parties_act_once_per_mined_state(self, monkeypatch):
+        scen = self.two_miners()
+        profile = honest_profile(scen)
+        want = expected_utilities(scen, profile)
+        mined, acted, probed = [], Counter(), Counter()
+        real_apply = game.apply_block
+        real_validate = agents.validate_tx
+
+        def apply_block(state, block):
+            out = real_apply(state, block)
+            mined.append(out.merge_key())
+            return out
+
+        def broadcasts(state, rnd, scen):
+            acted[state.merge_key(), rnd] += 1
+            return AliceHonest.broadcasts(profile.alice, state, rnd, scen)
+
+        def validate_tx(state, tx, rnd):
+            probed[state.merge_key(), rnd, tx.tx_id] += 1
+            return real_validate(state, tx, rnd)
+
+        monkeypatch.setattr(game, "apply_block", apply_block)
+        monkeypatch.setattr(profile.alice, "broadcasts", broadcasts)
+        monkeypatch.setattr(agents, "validate_tx", validate_tx)
+        assert expected_utilities(scen, profile) == want
+        assert set(acted) == {(key, key[0]) for key in mined}
+        assert set(acted.values()) == {1} and len(acted) < len(mined)
+        assert probed and set(probed.values()) == {1}
+
+    def test_play_leaves_no_selection_cache(self, monkeypatch):
+        scen = self.two_miners()
+        profile = honest_profile(scen)
+        expected_utilities(scen, profile)  # shares the play's genesis
+        reached = [game.build_genesis(scen)[0]]
+        real_apply, real_broadcast = game.apply_block, game.broadcast
+
+        def apply_block(state, block):
+            reached.append(real_apply(state, block))
+            return reached[-1]
+
+        def broadcast(state, txs):
+            reached.append(real_broadcast(state, txs))
+            return reached[-1]
+
+        monkeypatch.setattr(game, "apply_block", apply_block)
+        monkeypatch.setattr(game, "broadcast", broadcast)
+        out = play(scen, profile, Schedule((M1, M2) * scen.horizon))
+        assert len(reached) > scen.horizon
+        assert all(s.selections is None for s in (*reached, out.state))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -13,15 +13,15 @@ from hypothesis import given, settings, strategies as st
 from htlc_arena import game
 from htlc_arena.core import (ALICE, BOB, EXTERNAL, LedgerError, credit, debit,
                              miner_party)
-from htlc_arena.agents import tx_commit
-from htlc_arena.contracts import (COL_M, DEP_A, DEP_B, PRE_A, PRE_A2, PRE_B,
-                                  build_he_htlc, build_naive_htlc)
+from htlc_arena.agents import BobNaiveBriber, tx_commit
+from htlc_arena.contracts import (BURNED, COL_M, DEP_A, DEP_B, PRE_A, PRE_A2,
+                                  PRE_B, build_he_htlc, build_naive_htlc)
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              build_genesis, play)
 from htlc_arena.ledger import (Block, ChainState, TxRecord, Witness,
                                apply_block, broadcast, fee_split, validate_tx)
 
-from conftest import M1, M2, demba_scenario, he_scenario
+from conftest import M1, M2, demba_scenario, he_scenario, naive_scenario
 from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 
@@ -341,6 +341,19 @@ class TestParts:
                                                   txs=(alice_tx(),))))
         with pytest.raises(TypeError):
             state.draft().draft()
+
+    def test_contract_values_refuse_writes(self):
+        scen = naive_scenario()
+        state = BobNaiveBriber().setup(build_genesis(scen)[0], scen)
+        state = apply_block(state, Block(
+            round=1, miner=M1, txs=(state.mempool["tx.cbob.init"],),
+            capacity=scen.capacity))
+        key, total = state.merge_key(), state.conservation_total()
+        with pytest.raises(FrozenInstanceError):
+            state.contracts["dep"].status = BURNED
+        assert state.contracts["dep"].redeemable
+        fresh = rebuilt(state)
+        assert (fresh.merge_key(), fresh.conservation_total()) == (key, total)
 
 
 def _checked(step):

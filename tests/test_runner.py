@@ -306,8 +306,23 @@ BAD_OVERRIDES = {
     "pool-huge-trials": (["pool", "--trials", str(10 ** 12)], "trials"),
 }
 
+# case -> (subcommand and options, scenario document, the field its error
+# line names): an option replaces an invalid file value, which is still
+# rejected
+SHADOWED = {
+    "ttc-trials-over-mc-zero-trials": (
+        ["ttc", "--path", "alice-redeems", "--trials", "5"],
+        minimal_naive(mode={"monte-carlo": 0}), "mode"),
+    "expect-exact-over-mc-zero-trials": (
+        ["expect", "--mode", "exact"], minimal_naive(mode={"monte-carlo": 0}),
+        "mode"),
+    "seed-over-negative-seed": (
+        ["simulate", "--seed", "3"], minimal_naive(seed=-1), "seed"),
+}
 
-@pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(BAD_OVERRIDES) + [
+
+@pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(BAD_OVERRIDES)
+                         + sorted(SHADOWED) + [
     "not-utf8", "scenario-is-a-directory", "out-is-a-directory"])
 def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
     argv = ["simulate", "--scenario", str(tmp_path / "scen.json")]
@@ -317,6 +332,10 @@ def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
         write_doc(tmp_path, doc)
     elif case in BAD_OVERRIDES:
         argv, field = BAD_OVERRIDES[case]
+    elif case in SHADOWED:
+        options, doc, field = SHADOWED[case]
+        argv = [options[0], *argv[1:], *options[1:]]
+        write_doc(tmp_path, doc)
     elif case == "not-utf8":
         (tmp_path / "scen.json").write_bytes(b"\xff\xfe{}")
     elif case == "scenario-is-a-directory":
