@@ -11,6 +11,13 @@ fills the free room with unrelated traffic at fee `f`; a block may carry
 transactions its miner creates (confiscations, bribery-contract calls),
 which never pass through the mempool.
 
+The miner policy contract: a miner policy reads its miner only to name
+its block and the transactions it creates.  So two miners with equal
+policies (`game.policy_key`) at one state build blocks that are both free
+of transactions and coinbase, or neither, and two such free blocks differ
+only in their miner.  The forward pass mines such an idle block once per
+group of equal policies (`game._forward`).
+
 Every miner block that is not a bespoke attack block follows one assembly
 rule (`_assemble`): the policy's own head transactions, then the honest
 fee-maximal picks that spend no contract the head spends, then its tail
@@ -420,6 +427,16 @@ def _build_policy(table: dict, what: str, name: str, params: dict):
 
 
 class MinerPolicy:
+    """A miner's block rule: `build_block` returns the block `miner` mines
+    at `state` in round `rnd`.
+
+    The contract every policy keeps: it reads `miner` only to name its
+    block and the transactions it creates, never to choose what goes in,
+    so an equal policy builds an equal transaction-free block for any
+    miner.  The forward pass relies on it to build such a block once per
+    group of equal policies.
+    """
+
     name = "miner"
     protocols: Optional[frozenset] = None
 
@@ -569,12 +586,9 @@ class M2MbaActive(MinerPolicy):
                 m.party: scen.br for m in scen.miners
                 if m.colluding and m.kind == "active"}
             pact = MinerPactContract(scen.T, SECRETS[PRE_A], bribes)
-        else:
-            pact = pact.copy_for_step()
         s = state.draft()
-        s.write("bribery")[CM2M_ID] = pact
+        s.write("bribery")[CM2M_ID] = pact.lock_collateral(party, scen.v_col)
         s.debit(party, scen.v_col)
-        pact.lock_collateral(party, scen.v_col)
         return s.seal()
 
     def build_block(self, state, rnd, miner, scen):
@@ -705,9 +719,13 @@ class HydraAccomplice(MinerPolicy):
         return CensorRelated().build_block(state, rnd, miner, scen)
 
 
+#: Every miner policy, by the name scenario files use.
+MINER_POLICIES = {"honest-fee-max": HonestFeeMax,
+                  "censor-related": CensorRelated,
+                  "m2mba-active": M2MbaActive, "m2mba-passive": M2MbaPassive,
+                  "b3a-accomplice": B3aAccomplice, "sdrba-briber": SdrbaBriber,
+                  "hydra-accomplice": HydraAccomplice}
+
+
 def make_miner_policy(name: str, **params) -> MinerPolicy:
-    table = {"honest-fee-max": HonestFeeMax, "censor-related": CensorRelated,
-             "m2mba-active": M2MbaActive, "m2mba-passive": M2MbaPassive,
-             "b3a-accomplice": B3aAccomplice, "sdrba-briber": SdrbaBriber,
-             "hydra-accomplice": HydraAccomplice}
-    return _build_policy(table, "miner policy", name, params)
+    return _build_policy(MINER_POLICIES, "miner policy", name, params)

@@ -31,7 +31,7 @@ import numpy as np
 from .core import ALICE, BOB, Party, ScenarioError, miner_party
 from .contracts import PRE_A2, PRE_AA2
 from .game import (MinerProfile, Scenario, StrategyProfile, dominance_check,
-                   expected_utilities)
+                   expected_utilities, policy_key)
 from .agents import (AliceCensoredFallback, AliceGrief, AliceHonest,
                      AliceOffline, BobDelay, BobHonest, CensorRelated,
                      HonestFeeMax, M2MbaActive, M2MbaPassive)
@@ -94,11 +94,6 @@ def closed_form(attack: str, params: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _policy_key(policy) -> tuple:
-    # A stateless policy is its class and its constructor's parameters.
-    return type(policy), tuple(sorted(vars(policy).items()))
-
-
 def _verdict_expectations():
     """`expected_utilities` for one verdict, computing each distinct
     (scenario, profile, pin) once; scenarios are told apart by identity."""
@@ -106,8 +101,8 @@ def _verdict_expectations():
 
     def expect(scen: Scenario, profile: StrategyProfile,
                pin: Optional[dict] = None):
-        key = (id(scen), _policy_key(profile.alice), _policy_key(profile.bob),
-               tuple(sorted((p, _policy_key(pol))
+        key = (id(scen), policy_key(profile.alice), policy_key(profile.bob),
+               tuple(sorted((p, policy_key(pol))
                             for p, pol in profile.miners.items())),
                tuple(sorted((pin or {}).items())))
         if key not in done:

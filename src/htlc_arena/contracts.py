@@ -20,7 +20,7 @@ is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional, Union
@@ -421,7 +421,16 @@ class BriberyCall:
     args: dict = field(default_factory=dict)
 
 
-@dataclass
+def _freeze(contract, *names) -> None:
+    """Hold each named map of a frozen `contract` as a read-only copy,
+    which no write can reach; a read-only map is kept as it is."""
+    for name in names:
+        value = getattr(contract, name)
+        if type(value) is not MappingProxyType:
+            object.__setattr__(contract, name, MappingProxyType(dict(value)))
+
+
+@dataclass(frozen=True, slots=True)
 class CensorBriberyContract:
     """Payer-funded censorship pact: reserve a bribe per censored block.
 
@@ -431,6 +440,10 @@ class CensorBriberyContract:
     knower of the payee's preimage can call claim_bribe: every reservation
     pays out, the caller's includer earns one extra `br`, and the remainder
     returns to the payer.  Failed guards are silent no-ops.
+
+    Frozen, with a read-only `reserved`, so a chain state's cached key and
+    total cannot go stale: each step returns the contract after it, and
+    the contract itself when a guard fails.
     """
 
     owner: Party
@@ -439,9 +452,12 @@ class CensorBriberyContract:
     pre_a_value: str
     deposit: int = 0
     bal_left: int = 0
-    reserved: dict = field(default_factory=dict)  # Party -> block count
+    reserved: MappingProxyType = field(default_factory=dict)  # Party -> count
     settled: bool = False
     last_request_round: int = -1
+
+    def __post_init__(self):
+        _freeze(self, "reserved")
 
     def pool_total(self) -> int:
         return self.deposit if not self.settled else 0
@@ -456,63 +472,55 @@ class CensorBriberyContract:
         return (self.deposit, self.bal_left, frozenset(self.reserved.items()),
                 self.settled)
 
-    def copy_for_step(self) -> "CensorBriberyContract":
-        c = CensorBriberyContract(self.owner, self.br, self.T, self.pre_a_value)
-        c.deposit = self.deposit
-        c.bal_left = self.bal_left
-        c.reserved = dict(self.reserved)
-        c.settled = self.settled
-        c.last_request_round = self.last_request_round
-        return c
+    def init(self, val: int) -> "CensorBriberyContract":
+        """The contract funded with a bribe budget of `val`."""
+        check_amount(val, "bribe budget")
+        return replace(self, deposit=val, bal_left=val)
 
-    def init(self, val: int) -> int:
-        """Fund the bribe budget; returns the amount to lock."""
-        self.deposit = check_amount(val, "bribe budget")
-        self.bal_left = val
-        return val
-
-    def request_bribe(self, caller: Party, block_miner: Party, rnd: int) -> bool:
+    def request_bribe(self, caller: Party, block_miner: Party,
+                      rnd: int) -> "CensorBriberyContract":
         if self.settled or caller != block_miner or rnd == self.last_request_round:
-            return False
+            return self
         if rnd > self.T or self.bal_left < self.br:
-            return False
-        self.reserved[caller] = self.reserved.get(caller, 0) + 1
-        self.bal_left -= self.br
-        self.last_request_round = rnd
-        return True
+            return self
+        reserved = dict(self.reserved)
+        reserved[caller] = reserved.get(caller, 0) + 1
+        # Built directly: a request is the step a censored block takes, and
+        # `replace` costs twice as much.
+        return CensorBriberyContract(
+            self.owner, self.br, self.T, self.pre_a_value, self.deposit,
+            self.bal_left - self.br, MappingProxyType(reserved), self.settled,
+            rnd)
 
     def claim_bribe(self, caller: Party, preimage: str, target_included: bool,
-                    settlement_landed: bool) -> list:
-        """Returns [(party, amount, tag)] payouts, empty when a guard fails."""
+                    settlement_landed: bool) -> tuple:
+        """(contract, [(party, amount, tag)] payouts); no payouts when a
+        guard fails."""
         if self.settled or preimage != self.pre_a_value:
-            return []
+            return self, []
         if target_included or not settlement_landed:
-            return []
+            return self, []
         count = sum(self.reserved.values())
         if self.deposit - (count + 1) * self.br < 0:
-            return []
+            return self, []
         payouts = [(party, self.br * n, "censor-bribe") for party, n in sorted(
             self.reserved.items(), key=lambda kv: kv[0].id)]
         payouts.append((caller, self.br, "claim-bonus"))
         remainder = self.deposit - (count + 1) * self.br
         if remainder > 0:
             payouts.append((self.owner, remainder, "remainder"))
-        self.settled = True
-        self.reserved = {}
-        return payouts
+        return replace(self, settled=True, reserved={}), payouts
 
-    def refund_owner(self, target_included: bool) -> list:
+    def refund_owner(self, target_included: bool) -> tuple:
         # Once the target tx lands at any height, bribes are unclaimable and
         # the whole budget returns to the payer.
         if self.settled or not target_included:
-            return []
-        self.settled = True
-        out = [(self.owner, self.deposit, "refund")]
-        self.reserved = {}
-        return out
+            return self, []
+        return (replace(self, settled=True, reserved={}),
+                [(self.owner, self.deposit, "refund")])
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class MinerPactContract:
     """Miner-to-miner pact: lock collateral, censor, split the confiscation.
 
@@ -521,15 +529,21 @@ class MinerPactContract:
     been confiscated, claim_bribe pays each reservation from the
     confiscator's locked collateral, pays the caller one bribe, and returns
     every remaining lock.  refund_all returns locks when the attack is dead.
+
+    Frozen like `CensorBriberyContract`, with read-only maps: each step
+    returns the contract after it (a request builds it directly, as there).
     """
 
     T: int
     pre_a_value: str
-    br: dict  # Party -> per-block bribe owed to that miner
-    locked: dict = field(default_factory=dict)  # Party -> amount
-    reserved: dict = field(default_factory=dict)  # Party -> block count
+    br: MappingProxyType  # Party -> per-block bribe owed to that miner
+    locked: MappingProxyType = field(default_factory=dict)  # Party -> amount
+    reserved: MappingProxyType = field(default_factory=dict)  # Party -> count
     settled: bool = False
     last_request_round: int = -1
+
+    def __post_init__(self):
+        _freeze(self, "br", "locked", "reserved")
 
     def pool_total(self) -> int:
         return sum(self.locked.values())
@@ -540,78 +554,73 @@ class MinerPactContract:
         return (frozenset(self.locked.items()),
                 frozenset(self.reserved.items()), self.settled)
 
-    def copy_for_step(self) -> "MinerPactContract":
-        c = MinerPactContract(self.T, self.pre_a_value, self.br)
-        c.locked = dict(self.locked)
-        c.reserved = dict(self.reserved)
-        c.settled = self.settled
-        c.last_request_round = self.last_request_round
-        return c
+    def lock_collateral(self, caller: Party, val: int) -> "MinerPactContract":
+        locked = dict(self.locked)
+        locked[caller] = locked.get(caller, 0) + check_amount(val)
+        return replace(self, locked=locked)
 
-    def lock_collateral(self, caller: Party, val: int) -> int:
-        self.locked[caller] = self.locked.get(caller, 0) + check_amount(val)
-        return val
-
-    def request_bribe(self, caller: Party, block_miner: Party, rnd: int) -> bool:
+    def request_bribe(self, caller: Party, block_miner: Party,
+                      rnd: int) -> "MinerPactContract":
         if self.settled or caller != block_miner or rnd == self.last_request_round:
-            return False
+            return self
         if rnd > self.T or caller not in self.locked:
-            return False
-        self.reserved[caller] = self.reserved.get(caller, 0) + 1
-        self.last_request_round = rnd
-        return True
+            return self
+        reserved = dict(self.reserved)
+        reserved[caller] = reserved.get(caller, 0) + 1
+        return MinerPactContract(self.T, self.pre_a_value, self.br, self.locked,
+                                 MappingProxyType(reserved), self.settled, rnd)
 
     def claim_bribe(self, caller: Party, preimage: str, target_included_by_T: bool,
-                    confiscator) -> list:
+                    confiscator) -> tuple:
+        """(contract, payouts), as `CensorBriberyContract.claim_bribe`."""
         if self.settled or preimage != self.pre_a_value:
-            return []
+            return self, []
         if target_included_by_T or confiscator is None:
-            return []
+            return self, []
         owed = sum(self.br.get(p, 0) * n for p, n in self.reserved.items())
         stake = self.locked.get(confiscator, 0)
         caller_cut = self.br.get(caller, 0)
         if stake - owed - caller_cut < 0:
-            return []
+            return self, []
         payouts = []
         for party, n in sorted(self.reserved.items(), key=lambda kv: kv[0].id):
             payouts.append((party, self.br.get(party, 0) * n, "censor-bribe"))
         payouts.append((caller, caller_cut, "claim-bonus"))
-        self.locked[confiscator] = stake - owed - caller_cut
-        for party, amount in sorted(self.locked.items(), key=lambda kv: kv[0].id):
+        locked = dict(self.locked)
+        locked[confiscator] = stake - owed - caller_cut
+        for party, amount in sorted(locked.items(), key=lambda kv: kv[0].id):
             if amount > 0:
                 payouts.append((party, amount, "refund"))
-        self.locked = {}
-        self.reserved = {}
-        self.settled = True
-        return payouts
+        return self._settled(), payouts
 
-    def refund_all(self) -> list:
+    def refund_all(self) -> tuple:
+        """(contract, payouts): every lock back to its miner."""
         if self.settled:
-            return []
+            return self, []
         out = [(p, a, "refund") for p, a in
                sorted(self.locked.items(), key=lambda kv: kv[0].id) if a > 0]
-        self.locked = {}
-        self.reserved = {}
-        self.settled = True
-        return out
+        return self._settled(), out
+
+    def _settled(self) -> "MinerPactContract":
+        return replace(self, locked={}, reserved={}, settled=True)
 
 
-def bribery_contract_step(contract, call: BriberyCall, rnd: int, chain) -> list:
+def bribery_contract_step(contract, call: BriberyCall, rnd: int, chain) -> tuple:
     """Dispatch one call against a bribery contract; silent no-op on guard failure.
 
     `chain` must answer three questions: was the protected target tx ever
     included by its deadline, has the settlement (refund or confiscation)
     landed, and who confiscated the collateral contract, if anyone.
-    Returns the resulting payout list [(party, amount, tag)].
+    Returns (contract after the call, [(party, amount, tag)] payouts); the
+    contract is the one passed in when the call changes nothing.
     """
     m = call.method
     if isinstance(contract, CensorBriberyContract):
         if m == "init":
-            contract.init(call.args["val"])
-            return []
+            return contract.init(call.args["val"]), []
         if m == "requestBribe":
-            contract.request_bribe(call.caller, chain.block_miner(), rnd)
-            return []
+            return contract.request_bribe(call.caller, chain.block_miner(),
+                                          rnd), []
         if m == "claimBribe":
             return contract.claim_bribe(
                 call.caller, call.args.get("preimage", ""),
@@ -621,8 +630,8 @@ def bribery_contract_step(contract, call: BriberyCall, rnd: int, chain) -> list:
         raise ContractError(f"unknown method {m!r}")
     if isinstance(contract, MinerPactContract):
         if m == "requestBribe":
-            contract.request_bribe(call.caller, chain.block_miner(), rnd)
-            return []
+            return contract.request_bribe(call.caller, chain.block_miner(),
+                                          rnd), []
         if m == "claimBribe":
             return contract.claim_bribe(
                 call.caller, call.args.get("preimage", ""),
@@ -630,6 +639,6 @@ def bribery_contract_step(contract, call: BriberyCall, rnd: int, chain) -> list:
         if m == "refundToMiners":
             if chain.target_included_by_deadline() or chain.attack_window_over():
                 return contract.refund_all()
-            return []
+            return contract, []
         raise ContractError(f"unknown method {m!r}")
     raise ContractError(f"not a bribery contract: {contract!r}")

@@ -6,8 +6,10 @@ and both modes run the same forward pass over rounds: every policy is a
 stateless function of (chain state, round), so schedule prefixes that reach
 equal states are merged and played on once.  Each round's two halves run
 once per distinct input: a block once per (state, miner), with one honest
-mempool selection per state, and the parties' broadcasts, the label and
-its check once per distinct mined state.  `final_outcomes` returns each
+mempool selection per state, and an idle block (no transaction, no
+coinbase, nothing written) once per state and group of miners with equal
+policies; then the parties' broadcasts, the label and its check once per
+distinct mined state.  `final_outcomes` returns each
 final state's outcome with an integer mass and the total the masses sum to.
 In exact mode a mass is the summed schedule weight (the product of miner
 powers) over one common denominator, the product of each round's; its values
@@ -347,6 +349,14 @@ _LABEL_ORDER = {name: i for i, name in enumerate(
 # ---------------------------------------------------------------------------
 
 
+def policy_key(policy) -> tuple:
+    """What tells policies apart: a stateless policy is its class and its
+    constructor's parameters, so two policies with equal keys act alike.
+    The verdict memo and the forward pass's miner groups both read it, so
+    a policy's attributes must be hashable."""
+    return type(policy), tuple(sorted(vars(policy).items()))
+
+
 def _check_profile(scen: Scenario, profile: StrategyProfile) -> None:
     for pol in (profile.alice, profile.bob, *profile.miners.values()):
         allowed = getattr(pol, "protocols", None)
@@ -370,10 +380,10 @@ def _setup(scen: Scenario, profile: StrategyProfile) -> tuple:
 
 
 def _mine(scen: Scenario, profile: StrategyProfile, state: ChainState,
-          rnd: int, miner: Party) -> ChainState:
-    """The block half of a round: `miner`'s block, applied."""
-    return apply_block(state, profile.miners[miner].build_block(
-        state, rnd, miner, scen))
+          rnd: int, miner: Party) -> tuple:
+    """The block half of a round: (`miner`'s block, the state it makes)."""
+    block = profile.miners[miner].build_block(state, rnd, miner, scen)
+    return block, apply_block(state, block)
 
 
 def _act(scen: Scenario, profile: StrategyProfile, state: ChainState,
@@ -398,8 +408,8 @@ def _act(scen: Scenario, profile: StrategyProfile, state: ChainState,
 def _play_round(scen: Scenario, profile: StrategyProfile, state: ChainState,
                 rnd: int, miner: Party, prev_rank: int) -> tuple:
     """One round: `miner`'s block, then the parties' broadcasts."""
-    return _act(scen, profile, _mine(scen, profile, state, rnd, miner), rnd,
-                prev_rank)
+    return _act(scen, profile, _mine(scen, profile, state, rnd, miner)[1],
+                rnd, prev_rank)
 
 
 def play(scen: Scenario, profile: StrategyProfile, schedule: Schedule,
@@ -543,31 +553,52 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split) -> list:
 
     A frontier entry is a distinct state with the mass of the schedule
     prefixes that reach it.  Each round has two halves, and each runs once
-    per distinct input.  The block half runs once per (state, miner):
-    `split(rnd, mass)` yields (miner, part) for every way the entry's mass
-    goes that round, and each mined state merges with those of equal
-    `merge_key`, keeping the highest label rank it came from.  A state
-    branched more than once shares one honest block selection across its
-    miners (`ChainState.selections`).  The party half runs once per
-    distinct mined state: the broadcasts, the label and the label rule,
-    checked against that highest rank, so it raises exactly when some
-    transition would.  Its results merge again, conservation is checked
-    once per distinct state, and merged parts are added with `+=`, so a
-    part must be owned by the entry it goes to.  Returns (outcome, mass)
-    for each final state.
+    per distinct input.  The block half runs at most once per (state,
+    miner): `split(rnd, mass)` yields (miner, part) for every way the
+    entry's mass goes that round, and each mined state merges with those
+    of equal `merge_key`, keeping the highest label rank it came from.  A
+    state branched more than once shares one honest block selection
+    across its miners (`ChainState.selections`).
+
+    Miners with equal policies (`policy_key`) form a group.  When a
+    group's block at a state is idle, carrying no transaction and no
+    coinbase and writing nothing, so that its state is the parent's one
+    round on, every later miner of the group takes that state and adds its
+    part to it, with no block built or applied.  This rests on the miner
+    policy contract (`agents.MinerPolicy`): an equal policy builds that
+    same block for any miner, and applying it writes nothing for any
+    miner, since every scenario miner holds a balance from genesis.
+
+    The party half runs once per distinct mined state: the broadcasts, the
+    label and the label rule, checked against that highest rank, so it
+    raises exactly when some transition would.  Its results merge again,
+    conservation is checked once per distinct state, and merged parts are
+    added with `+=`, so a part must be owned by the entry it goes to.
+    Returns (outcome, mass) for each final state.
     """
     state, baseline, escrow0 = _setup(scen, profile)
     expected_total = state.conservation_total()
+    keys: dict = {}
+    group = {party: keys.setdefault(policy_key(pol), len(keys))
+             for party, pol in profile.miners.items()}
     frontier = [[state, mass, -1]]  # [state, mass, label rank]
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
         for state, mass, rank in frontier:
+            body = state.merge_key()[1]
             branches = split(rnd, mass)
             if len(branches) > 1:
                 state.selections = {}
+            idle: dict = {}  # group -> merge key of its idle successor
             for miner, part in branches:
-                nxt = _mine(scen, profile, state, rnd, miner)
+                key = idle.get(group[miner])
+                if key is not None:  # its entry already holds our rank
+                    mined[key][1] += part
+                    continue
+                block, nxt = _mine(scen, profile, state, rnd, miner)
                 key = nxt.merge_key()
+                if key[1] is body and not block.txs and not block.coinbase:
+                    idle[group[miner]] = key
                 entry = mined.get(key)
                 if entry is None:
                     mined[key] = [nxt, part, rank]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (BLOCK_MINER, BURN_SINK, EXTERNAL, LedgerError, Party,
                    check_amount, credit, debit)
@@ -64,8 +64,10 @@ class TxRecord:
     payment: Optional[tuple] = None  # (to_party, amount)
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
+class Block(NamedTuple):
+    """One round's block.  A named tuple: blocks are built once per mined
+    branch, and a tuple builds in about half a frozen dataclass's time."""
+
     round: int
     miner: Party
     txs: tuple = ()
@@ -150,8 +152,8 @@ class Contracts(Part):
 
 
 class Bribery(Part):
-    """cid -> bribery contract.  A step replaces a contract with its
-    `copy_for_step` before calling it, so a handed-out one never changes."""
+    """cid -> bribery contract.  The contracts are frozen: a step that
+    changes one puts the contract it returns in its place."""
 
     __slots__ = ()
 
@@ -512,12 +514,13 @@ def _apply_redeem(s: ChainState, cid: str, path: RedeemPath, tx: TxRecord,
 
 def _apply_call(s: ChainState, tx: TxRecord, rnd: int, block_miner: Party) -> None:
     cid, call = tx.call
-    contract = s.bribery[cid].copy_for_step()
-    s.write("bribery")[cid] = contract
     if call.method == "init":
         s.debit(call.caller, call.args["val"])
-    view = ChainView(s, rnd, block_miner)
-    payouts = bribery_contract_step(contract, call, rnd, view)
+    before = s.bribery[cid]
+    after, payouts = bribery_contract_step(before, call, rnd,
+                                           ChainView(s, rnd, block_miner))
+    if after is not before:
+        s.write("bribery")[cid] = after
     _pay(s, payouts)
     if tx.declared_fee:
         s.debit(tx.creator, tx.declared_fee)
@@ -608,8 +611,7 @@ def _auto_refund_bribery(s: ChainState, rnd: int, block_miner: Party) -> None:
         if isinstance(contract, CensorBriberyContract):
             if not (view.target_included_ever() and contract.deposit > 0):
                 continue
-            fresh = contract.copy_for_step()
-            payouts = fresh.refund_owner(True)
+            fresh, payouts = contract.refund_owner(True)
         else:  # MinerPactContract
             # Dead once the target landed, or once the collateral went to
             # the payer or to a non-member: neither holds a lock.
@@ -617,8 +619,7 @@ def _auto_refund_bribery(s: ChainState, rnd: int, block_miner: Party) -> None:
                     COL_ID in s.redemptions
                     and contract.locked.get(view.confiscator(), 0) == 0)):
                 continue
-            fresh = contract.copy_for_step()
-            payouts = fresh.refund_all()
+            fresh, payouts = contract.refund_all()
         _pay(s, payouts)
         s.write("bribery")[cid] = fresh
 

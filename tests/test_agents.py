@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htlc_arena import agents, game
 from htlc_arena.core import ALICE, BOB, ScenarioError, miner_party
@@ -207,18 +209,21 @@ class TestPactRefundToMiners:
 
 
 class CheckedMiner(MinerPolicy):
-    """Delegates to `inner` and checks every block it returns."""
+    """Delegates to `inner` and checks every block it returns; appends
+    each (state, round) it mines at to `seen`, if given."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, seen=None):
         self.inner = inner
         self.name = inner.name
         self.protocols = inner.protocols
         self.blocks = 0
+        self.seen = [] if seen is None else seen
 
     def setup(self, state, scen, party):
         return self.inner.setup(state, scen, party)
 
     def build_block(self, state, rnd, miner, scen):
+        self.seen.append((state, rnd))
         block = self.inner.build_block(state, rnd, miner, scen)
         assert isinstance(block, Block)
         assert (block.round, block.miner) == (rnd, miner)
@@ -254,6 +259,58 @@ def test_every_pool_miner_returns_a_filled_block(protocol):
             out = play(scen, profile, schedule, check_invariants=True)
             assert out.conserves()
         assert checked.blocks > 0
+
+
+def test_pools_cover_every_miner_policy():
+    pooled = {type(pol) for pools in _fuzz_pools().values() for pol in pools[2]}
+    assert pooled == set(agents.MINER_POLICIES.values())
+
+
+@pytest.mark.parametrize("protocol", ["naive", "mad", "he", "demba"])
+@settings(max_examples=40, deadline=None)
+@given(capacity=st.sampled_from((1, 2, 8)), f=st.sampled_from((0, 3)),
+       equal_split=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_equal_policies_build_alike_blocks(protocol, capacity, f, equal_split,
+                                           seed):
+    # The miner policy contract, for every policy of the criterion-9 pools:
+    # at every state a play reaches, two miners with equal policies build
+    # blocks that are both free of transactions and coinbase, or neither.
+    # Two free blocks differ only in their miner, and applying them writes
+    # nothing for both miners or for neither.
+    rng = random.Random(seed)
+    alice_pool, bob_pool, miner_pool = _fuzz_pools()[protocol]
+    parties = tuple(miner_party(f"f{i}") for i in range(1, 4))
+    kind = "active" if protocol in ("mad", "he") else "passive"
+    miners = tuple(MinerProfile(p, Fraction(1, 3), kind, True)
+                   for p in parties)
+    scen = replace(_fuzz_scenario(protocol, rng, miners), capacity=capacity,
+                   f=f)
+    if protocol == "he" and equal_split:
+        scen = replace(scen, m2mba_split="equal")
+    a, b = parties[:2]
+    for policy in miner_pool:
+        twin = copy.copy(policy)
+        assert game.policy_key(twin) == game.policy_key(policy)
+        seen: list = []
+        profile = StrategyProfile(
+            rng.choice(alice_pool), rng.choice(bob_pool),
+            {a: CheckedMiner(policy, seen), b: CheckedMiner(twin, seen),
+             parties[2]: CheckedMiner(rng.choice(miner_pool), seen)})
+        schedule = Schedule(tuple(rng.choice(parties)
+                                  for _ in range(scen.horizon)))
+        play(scen, profile, schedule)
+        assert len(seen) == scen.horizon
+        for state, rnd in seen:
+            block_a = policy.build_block(state, rnd, a, scen)
+            block_b = twin.build_block(state, rnd, b, scen)
+            free = not block_a.txs and not block_a.coinbase
+            assert free == (not block_b.txs and not block_b.coinbase)
+            if free:
+                assert block_a._replace(miner=b) == block_b
+                body = state.merge_key()[1]
+                assert ((apply_block(state, block_a).merge_key()[1] is body)
+                        == (apply_block(state, block_b).merge_key()[1]
+                            is body))
 
 
 class TestPartyPolicies:
@@ -367,7 +424,7 @@ class TestB3a:
         plan = acc.build_block(state, scen.T + 1, M1, scen)
         assert b3a_bob_policy(plan, scen, case=1)
         assert not b3a_bob_policy(plan, scen, case=2)
-        stripped = replace(plan, coinbase=())
+        stripped = plan._replace(coinbase=())
         assert not b3a_bob_policy(stripped, scen, case=1)
 
     def test_defective_partial_block_is_not_used(self):

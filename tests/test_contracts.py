@@ -245,17 +245,21 @@ class _View:
 
 
 class TestCensorBriberyContract:
+    """Each step returns the contract after it; the input never changes."""
+
     def miners(self, n=4):
         return [miner_party(f"c{i}") for i in range(n)]
 
     def test_full_flow_pays_every_censor_and_refunds_rest(self):
-        c = CensorBriberyContract(BOB, br=2, T=5, pre_a_value="s-a")
-        c.init(100)
+        c = CensorBriberyContract(BOB, br=2, T=5, pre_a_value="s-a").init(100)
         miners = self.miners(4)
         for rnd, m in enumerate(miners, start=2):
-            assert c.request_bribe(m, m, rnd)
-        payouts = c.claim_bribe(miners[0], "s-a", target_included=False,
-                                settlement_landed=True)
+            before = c
+            c = c.request_bribe(m, m, rnd)
+            assert c is not before and before.reserved.get(m) is None
+        funded = c
+        c, payouts = c.claim_bribe(miners[0], "s-a", target_included=False,
+                                   settlement_landed=True)
         got: dict = {}
         for p, a, _ in payouts:
             got[p] = got.get(p, 0) + a
@@ -265,26 +269,27 @@ class TestCensorBriberyContract:
         assert got[BOB] == 100 - 5 * 2
         assert sum(a for _, a, _ in payouts) == 100
         assert c.pool_total() == 0
+        assert funded.pool_total() == 100 and not funded.settled
 
     def test_wrong_preimage_is_silent_noop(self):
-        c = CensorBriberyContract(BOB, br=2, T=5, pre_a_value="s-a")
-        c.init(100)
-        c.request_bribe(M1, M1, 2)
+        c = CensorBriberyContract(BOB, br=2, T=5, pre_a_value="s-a").init(100)
+        c = c.request_bribe(M1, M1, 2)
         before = (c.bal_left, dict(c.reserved), c.settled)
-        assert c.claim_bribe(M1, "nope", False, True) == []
+        assert c.claim_bribe(M1, "nope", False, True) == (c, [])
         assert (c.bal_left, c.reserved, c.settled) == before
 
     def test_request_guards(self):
-        c = CensorBriberyContract(BOB, br=10, T=3, pre_a_value="s-a")
-        c.init(25)
+        c = CensorBriberyContract(BOB, br=10, T=3, pre_a_value="s-a").init(25)
         other = miner_party("other")
-        assert not c.request_bribe(M1, other, 2)  # not the block miner
-        assert c.request_bribe(M1, M1, 2)
-        assert not c.request_bribe(M1, M1, 2)  # once per block
-        assert c.request_bribe(M1, M1, 3)
-        assert not c.request_bribe(M1, M1, 4)  # past the deadline
+        assert c.request_bribe(M1, other, 2) is c  # not the block miner
+        c = c.request_bribe(M1, M1, 2)
+        assert c.reserved == {M1: 1}
+        assert c.request_bribe(M1, M1, 2) is c  # once per block
+        c = c.request_bribe(M1, M1, 3)
+        assert c.reserved == {M1: 2}
+        assert c.request_bribe(M1, M1, 4) is c  # past the deadline
         assert c.bal_left == 5
-        assert not c.request_bribe(M1, M1, 3)  # cannot reserve beyond budget
+        assert c.request_bribe(M1, M1, 3) is c  # cannot reserve beyond budget
 
     def test_liquidity_under_random_call_sequences(self):
         rng = random.Random(42)
@@ -293,14 +298,14 @@ class TestCensorBriberyContract:
             c = CensorBriberyContract(BOB, br=rng.randint(1, 9), T=6,
                                       pre_a_value="s-a")
             deposit = rng.randint(0, 60)
-            c.init(deposit)
+            c = c.init(deposit)
             paid_out = 0
             for rnd in range(1, 10):
                 m = rng.choice(miners)
-                c.request_bribe(m, m, rnd)
+                c = c.request_bribe(m, m, rnd)
                 assert c.bal_left >= 0
                 if rng.random() < 0.3:
-                    payouts = c.claim_bribe(
+                    c, payouts = c.claim_bribe(
                         m, rng.choice(["s-a", "zz"]), rng.random() < 0.2,
                         rng.random() < 0.8)
                     paid_out += sum(a for _, a, _ in payouts)
@@ -311,13 +316,13 @@ class TestMinerPactContract:
     def test_claim_pays_reservations_from_confiscator_stake(self):
         a, b = miner_party("a"), miner_party("b")
         c = MinerPactContract(T=5, pre_a_value="s-a", br={a: 2, b: 2})
-        c.lock_collateral(a, 50)
-        c.lock_collateral(b, 50)
-        c.request_bribe(a, a, 2)
-        c.request_bribe(b, b, 3)
-        c.request_bribe(b, b, 4)
-        payouts = c.claim_bribe(b, "s-a", target_included_by_T=False,
-                                confiscator=b)
+        c = c.lock_collateral(a, 50).lock_collateral(b, 50)
+        c = c.request_bribe(a, a, 2)
+        c = c.request_bribe(b, b, 3)
+        c = c.request_bribe(b, b, 4)
+        locked = c
+        c, payouts = c.claim_bribe(b, "s-a", target_included_by_T=False,
+                                   confiscator=b)
         got: dict = {}
         for p, amount, _ in payouts:
             got[p] = got.get(p, 0) + amount
@@ -327,22 +332,21 @@ class TestMinerPactContract:
         assert got[b] == 4 + 2 + (50 - 6 - 2)
         assert sum(got.values()) == 100
         assert c.pool_total() == 0 and c.settled
+        assert locked.pool_total() == 100 and not locked.settled
 
     def test_claim_blocked_for_outside_confiscator(self):
         a = miner_party("a")
         outsider = miner_party("x")
         c = MinerPactContract(T=5, pre_a_value="s-a", br={a: 2})
-        c.lock_collateral(a, 50)
-        c.request_bribe(a, a, 2)
-        assert c.claim_bribe(a, "s-a", False, confiscator=outsider) == []
+        c = c.lock_collateral(a, 50).request_bribe(a, a, 2)
+        assert c.claim_bribe(a, "s-a", False, confiscator=outsider) == (c, [])
         assert not c.settled
 
     def test_refund_returns_all_locks(self):
         a, b = miner_party("a"), miner_party("b")
         c = MinerPactContract(T=5, pre_a_value="s-a", br={a: 2, b: 2})
-        c.lock_collateral(a, 50)
-        c.lock_collateral(b, 50)
-        out = c.refund_all()
+        c = c.lock_collateral(a, 50).lock_collateral(b, 50)
+        c, out = c.refund_all()
         assert {(p, amt) for p, amt, _ in out} == {(a, 50), (b, 50)}
         assert c.pool_total() == 0
 

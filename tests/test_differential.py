@@ -11,6 +11,7 @@ which parties appear in the result.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,8 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from htlc_arena.agents import (AliceHonest, BobHonest, M2MbaActive,
+from htlc_arena.agents import (AliceCensoredFallback, AliceHonest, BobHonest,
+                               CensorRelated, HonestFeeMax, M2MbaActive,
                                M2MbaPassive)
+from htlc_arena import game
 from htlc_arena.core import ScenarioError, miner_party
 from htlc_arena.game import (MinerProfile, StrategyProfile, enumerate_schedules,
                              expected_utilities, mean_half_width, play,
@@ -27,7 +30,8 @@ from htlc_arena.game import (MinerProfile, StrategyProfile, enumerate_schedules,
 from htlc_arena.runner import (TTC_PATHS, _completion_round, _ttc_profile,
                                ttc)
 
-from conftest import he_scenario, monte_carlo
+from conftest import (demba_scenario, he_scenario, monte_carlo,
+                      naive_scenario)
 from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 POOLS = _fuzz_pools()
@@ -113,10 +117,71 @@ def _unequal_denominators_game():
     return scen, profile, {2: PARTIES[2]}
 
 
+def _fill_paid_game():
+    # Every miner shares one policy at f >= 1: each block's fill pays its
+    # own miner, so no block is idle and no miner takes another's state.
+    miners = (MinerProfile(PARTIES[0], Fraction(2, 3)),
+              MinerProfile(PARTIES[1], Fraction(1, 3)))
+    scen = naive_scenario(T=3, f=2, miners=miners)
+    profile = StrategyProfile(AliceHonest(), BobHonest(),
+                              {p: HonestFeeMax() for p in PARTIES[:2]})
+    return scen, profile, {}
+
+
+def _demba_auto_resolution_game():
+    # Every miner shares one censoring policy, so the censored rounds are
+    # idle blocks mined once for both miners; the payee's fallback commit
+    # then lands after T and the deposit resolves on its own (dep-Burn).
+    miners = (MinerProfile(PARTIES[0], Fraction(1, 4)),
+              MinerProfile(PARTIES[1], Fraction(3, 4)))
+    scen = demba_scenario(T=4, horizon=8, miners=miners)
+    profile = StrategyProfile(AliceCensoredFallback(), BobHonest(1), {
+        p: CensorRelated(participate=False) for p in PARTIES[:2]})
+    return scen, profile, {1: PARTIES[0]}
+
+
+def _confiscated_after_a_shared_window(state):
+    return (state.redemptions.get("col", ("",))[0] == "col-M"
+            and len(state.window_blocks) > 1)
+
+
+@pytest.mark.parametrize("make,rounds,lumped,settled", [
+    (_equal_split_game, range(2, 5), False,
+     _confiscated_after_a_shared_window),
+    (_fill_paid_game, range(1, 6), False,
+     lambda state: state.redemptions.get("dep", ("",))[0] == "dep-A"),
+    (_demba_auto_resolution_game, range(3, 5), True,
+     lambda state: state.redemptions.get("dep", ("",))[0] == "dep-Burn")])
+def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
+                                               lumped, settled):
+    # Each one-policy example reaches the blocks it is there for.  In the
+    # equal split's censored window every block writes the window count,
+    # and at f >= 1 every fill pays its miner, so the second miner mines
+    # as often as the first; the demba censors' blocks are idle, so the
+    # second miner takes the first's state.  Each game also settles as it
+    # says.
+    scen, profile, pin = make()
+    mined = Counter()
+    real_mine = game._mine
+
+    def mine(scen, profile, state, rnd, miner):
+        mined[rnd, miner] += 1
+        return real_mine(scen, profile, state, rnd, miner)
+
+    monkeypatch.setattr(game, "_mine", mine)
+    pairs, _ = game.final_outcomes(scen, profile, pin)
+    first, second = (m.party for m in scen.miners[:2])
+    for rnd in rounds:
+        assert (mined[rnd, second] < mined[rnd, first]) == lumped, rnd
+    assert any(settled(out.state) for out, _ in pairs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(game=games())
 @example(game=_equal_split_game())
 @example(game=_unequal_denominators_game())
+@example(game=_fill_paid_game())
+@example(game=_demba_auto_resolution_game())
 def test_merged_expectation_equals_brute_force(game):
     scen, profile, pin = game
     utilities, bribes, burned = brute_force(scen, profile, pin)
@@ -179,6 +244,9 @@ def result_or_error(fn, *args):
 @settings(max_examples=40, deadline=None)
 @given(game=games(fewest=1), trials=st.integers(1, 40),
        seed=st.integers(0, 2**32 - 1))
+@example(game=_equal_split_game(), trials=40, seed=7)
+@example(game=_fill_paid_game(), trials=40, seed=7)
+@example(game=_demba_auto_resolution_game(), trials=40, seed=7)
 def test_sampled_expectation_and_ttc_equal_one_by_one_plays(game, trials,
                                                             seed):
     scen, profile, pin = game

@@ -533,3 +533,72 @@ class TestRoundHalves:
         out = play(scen, profile, Schedule((M1, M2) * scen.horizon))
         assert len(reached) > scen.horizon
         assert all(s.selections is None for s in (*reached, out.state))
+
+
+class TestIdleBlocks:
+    """Miners with equal policies share an idle block: one with no
+    transaction and no coinbase that writes nothing."""
+
+    def game(self, bob, first=None, second=None):
+        scen = naive_scenario(f=0, T=4, miners=(
+            MinerProfile(M1, Fraction(1, 2)), MinerProfile(M2, Fraction(1, 2))))
+        return scen, StrategyProfile(AliceHonest(), bob, {
+            M1: first or CensorRelated(), M2: second or CensorRelated()})
+
+    def mined(self, monkeypatch, scen, profile) -> Counter:
+        """(round, miner) -> blocks the exact pass mines, checked against
+        plays over every schedule."""
+        mined = Counter()
+        real_mine = game._mine
+
+        def mine(scen, profile, state, rnd, miner):
+            mined[rnd, miner] += 1
+            return real_mine(scen, profile, state, rnd, miner)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(game, "_mine", mine)
+            eu = expected_utilities(scen, profile)
+        want = Counter()
+        for schedule in enumerate_schedules(scen):
+            for party, d in play(scen, profile, schedule).deltas.items():
+                want[party] += schedule.weight * d
+        assert eu.utilities == dict(want)
+        return mined
+
+    def test_idle_blocks_are_mined_once_per_state(self, monkeypatch):
+        # Both miners censor the payee's reveal through T, in blocks with
+        # no transaction that write nothing: the second takes the first's.
+        scen, profile = self.game(BobHonest())
+        mined = self.mined(monkeypatch, scen, profile)
+        assert all(mined[rnd, M2] < mined[rnd, M1]
+                   for rnd in range(2, scen.T + 1))
+
+    def test_unequal_policies_mine_their_own_blocks(self, monkeypatch):
+        # The same blocks, from policies whose keys differ.
+        scen, profile = self.game(
+            BobHonest(), second=CensorRelated(participate=False))
+        mined = self.mined(monkeypatch, scen, profile)
+        assert all(mined[rnd, M2] == mined[rnd, M1]
+                   for rnd in range(1, scen.horizon + 1))
+
+    def test_a_block_with_a_tx_is_never_shared(self, monkeypatch):
+        # A bribe request that the budget cannot cover changes nothing, so
+        # its block writes nothing, but it names its miner: each miner
+        # mines its own.
+        scen, profile = self.game(BobNaiveBriber(br=200))
+        steps = []
+        real_apply = game.apply_block
+
+        def apply_block(state, block):
+            body = state.merge_key()[1]
+            steps.append((block, body, real_apply(state, block)))
+            return steps[-1][2]
+
+        monkeypatch.setattr(game, "apply_block", apply_block)
+        play(scen, profile, flat_schedule(scen))
+        monkeypatch.undo()
+        assert any(block.txs and after.merge_key()[1] is body
+                   for block, body, after in steps)
+        mined = self.mined(monkeypatch, scen, profile)
+        assert all(mined[rnd, M2] == mined[rnd, M1]
+                   for rnd in range(1, scen.horizon + 1))

@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from htlc_arena import game
 from htlc_arena.core import (ALICE, BOB, EXTERNAL, LedgerError, credit, debit,
                              miner_party)
-from htlc_arena.agents import BobNaiveBriber, tx_commit
-from htlc_arena.contracts import (BURNED, COL_M, DEP_A, DEP_B, PRE_A, PRE_A2,
-                                  PRE_B, build_he_htlc, build_naive_htlc)
+from htlc_arena.agents import BobNaiveBriber, M2MbaActive, tx_commit
+from htlc_arena.contracts import (BURNED, CBOB_ID, CM2M_ID, COL_M, DEP_A,
+                                  DEP_B, PRE_A, PRE_A2, PRE_B, build_he_htlc,
+                                  build_naive_htlc)
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              build_genesis, play)
 from htlc_arena.ledger import (Block, ChainState, TxRecord, Witness,
@@ -352,6 +353,25 @@ class TestParts:
         with pytest.raises(FrozenInstanceError):
             state.contracts["dep"].status = BURNED
         assert state.contracts["dep"].redeemable
+        cbob = state.bribery[CBOB_ID]
+        with pytest.raises(FrozenInstanceError):
+            cbob.deposit = 0
+        with pytest.raises(TypeError):
+            cbob.reserved[M1] = 1
+        assert (cbob.deposit, dict(cbob.reserved)) == (scen.v_dep, {})
+        fresh = rebuilt(state)
+        assert (fresh.merge_key(), fresh.conservation_total()) == (key, total)
+        scen = he_scenario(miners=(MinerProfile(M1, Fraction(1), "active",
+                                                True),))
+        state = M2MbaActive().setup(build_genesis(scen)[0], scen, M1)
+        key, total = state.merge_key(), state.conservation_total()
+        pact = state.bribery[CM2M_ID]
+        with pytest.raises(FrozenInstanceError):
+            pact.settled = True
+        for name in ("locked", "reserved", "br"):
+            with pytest.raises(TypeError):
+                getattr(pact, name)[M1] = 0
+        assert dict(pact.locked) == {M1: scen.v_col} and not pact.settled
         fresh = rebuilt(state)
         assert (fresh.merge_key(), fresh.conservation_total()) == (key, total)
 

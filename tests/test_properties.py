@@ -117,12 +117,12 @@ class _View:
 def test_bribery_step_dispatch_never_overpays(calls, br, budget):
     contract = CensorBriberyContract(BOB, br, T=6, pre_a_value="s-a")
     view = _View(M1)
-    bribery_contract_step(contract, BriberyCall("init", BOB, {"val": budget}),
-                          0, view)
+    contract, _ = bribery_contract_step(
+        contract, BriberyCall("init", BOB, {"val": budget}), 0, view)
     paid = 0
     for rnd, method in enumerate(calls, start=1):
         args = {"preimage": "s-a"} if method == "claimBribe" else {}
-        payouts = bribery_contract_step(
+        contract, payouts = bribery_contract_step(
             contract, BriberyCall(method, M1, args), rnd, view)
         paid += sum(amount for _, amount, _ in payouts)
         assert contract.bal_left >= 0
