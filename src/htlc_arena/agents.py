@@ -146,23 +146,8 @@ def honest_miner_select(state, rnd: int, scen: Scenario,
     Orders candidates by descending miner-earned fee with ties broken by
     tx id, keeps the ones whose earned fee beats the unrelated fee, and
     skips anything that conflicts with an earlier pick.  At most
-    `scen.capacity` transactions are picked.  The selection reads no
-    miner, so a state the forward pass branches to several miners makes
-    it once per (round, exclusion, capacity, fee) in `state.selections`;
-    that cache is filled only on such a sealed state, and a draft never
-    inherits it.
+    `scen.capacity` transactions are picked.
     """
-    cache = state.selections
-    if cache is None:
-        return _select(state, rnd, scen, exclude)
-    key = (rnd, exclude, scen.capacity, scen.f)
-    picked = cache.get(key)
-    if picked is None:
-        picked = cache[key] = _select(state, rnd, scen, exclude)
-    return list(picked)  # the cached list stays the cache's
-
-
-def _select(state, rnd: int, scen: Scenario, exclude) -> list:
     candidates = []
     for tx in state.mempool.values():
         if tx.tx_id in exclude or not _valid(state, tx, rnd):

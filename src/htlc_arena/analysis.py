@@ -546,12 +546,17 @@ class PoolParams:
     alpha_risk: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.h <= self.H):
-            raise ScenarioError("need 0 < h <= H")
-        if self.N < 1:
-            raise ScenarioError("pool size must be at least 1")
-        if not (0 <= self.f_pool < 1):
-            raise ScenarioError("pool fee must lie in [0, 1)")
+        for name, ok, rule in (
+                ("h", 0 < self.h <= self.H, "need 0 < h <= H"),
+                ("N", self.N >= 1, "pool size must be at least 1"),
+                ("R", self.R >= 0, "block reward must be at least 0"),
+                ("f_pool", 0 <= self.f_pool < 1, "pool fee must lie in [0, 1)"),
+                ("lambda_net", self.lambda_net >= 0,
+                 "block rate must be at least 0"),
+                ("alpha_risk", 0 < self.alpha_risk < math.inf,
+                 "risk aversion must be finite and above 0")):
+            if not ok:
+                raise ScenarioError(f"validation-error({name}): {rule}")
 
 
 @dataclass

@@ -5,12 +5,12 @@ Expected utilities are either exact or Monte-Carlo with a seeded generator,
 and both modes run the same forward pass over rounds: every policy is a
 stateless function of (chain state, round), so schedule prefixes that reach
 equal states are merged and played on once.  Each round's two halves run
-once per distinct input: a block once per (state, miner), with one honest
-mempool selection per state, and an idle block (no transaction, no
-coinbase, nothing written) once per state and group of miners with equal
-policies; then the parties' broadcasts, the label and its check once per
-distinct mined state.  `final_outcomes` returns each
-final state's outcome with an integer mass and the total the masses sum to.
+once per distinct input: a block once per (state, miner), and an idle
+block (no transaction, no coinbase, nothing written) once per state and
+group of miners with equal policies; then the parties' broadcasts, the
+label and its check once per distinct mined state.  `final_outcomes`
+returns each final state's outcome with an integer mass and the total
+the masses sum to.
 In exact mode a mass is the summed schedule weight (the product of miner
 powers) over one common denominator, the product of each round's; its values
 are those of playing every schedule that `enumerate_schedules` yields, which
@@ -270,7 +270,7 @@ def build_genesis(scen: Scenario) -> tuple:
 
 def _build_genesis(scen: Scenario) -> tuple:
     meta = {"T": scen.T, "l": scen.l, "target_contract": DEP_ID,
-            "target_path": DEP_A}
+            "target_path": DEP_A, "fee_schedule": scen.fee_schedule}
     if scen.protocol == "he" and scen.m2mba_split == "equal":
         # The equal split shares a confiscation by censored-window blocks.
         meta["split_window"] = (scen.t_pub + 1, scen.T)
@@ -308,8 +308,10 @@ def _build_genesis(scen: Scenario) -> tuple:
         # the payer funds it inside the measured window.
         debit(balances, BOB, scen.v_dep)
         live[DEP_ID] = scen.v_dep
+    meta["auto_ids"] = tuple(cid for cid, c in contracts.items()
+                             if any(p.auto_only for p in c.paths))
     state = ChainState(contracts=contracts, live=live, balances=balances,
-                       fee_schedule=scen.fee_schedule, meta=meta)
+                       meta=meta)
     return state, baseline, escrow0
 
 
@@ -556,9 +558,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split) -> list:
     per distinct input.  The block half runs at most once per (state,
     miner): `split(rnd, mass)` yields (miner, part) for every way the
     entry's mass goes that round, and each mined state merges with those
-    of equal `merge_key`, keeping the highest label rank it came from.  A
-    state branched more than once shares one honest block selection
-    across its miners (`ChainState.selections`).
+    of equal `merge_key`, keeping the highest label rank it came from.
 
     Miners with equal policies (`policy_key`) form a group.  When a
     group's block at a state is idle, carrying no transaction and no
@@ -586,11 +586,8 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split) -> list:
         mined: dict = {}
         for state, mass, rank in frontier:
             body = state.merge_key()[1]
-            branches = split(rnd, mass)
-            if len(branches) > 1:
-                state.selections = {}
             idle: dict = {}  # group -> merge key of its idle successor
-            for miner, part in branches:
+            for miner, part in split(rnd, mass):
                 key = idle.get(group[miner])
                 if key is not None:  # its entry already holds our rank
                     mined[key][1] += part
@@ -606,7 +603,6 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split) -> list:
                     entry[1] += part
                     if rank > entry[2]:
                         entry[2] = rank
-            state.selections = None
         merged: dict = {}
         for state, mass, rank in mined.values():
             nxt, _, nxt_rank = _act(scen, profile, state, rnd, rank)

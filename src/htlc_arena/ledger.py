@@ -9,14 +9,12 @@ constant across every block.
 A chain state is built from read-only parts (balances, live deposits,
 reveals, mempool, mint and bribe logs, redemptions, contracts, known
 preimages, bribery contracts and window blocks), shared by reference
-between a state and its successor.  Each part caches what is derived from
-it: its share of `ChainState.merge_key` and of
-`ChainState.conservation_total`, and for the contracts the ids that still
-have an automatic path.  Every write goes through one step: `draft` a
-successor that shares every part, `write` a part (the draft's own copy,
-made on first write), `seal`.  A step shares every part it does not
-write, so a block that changes nothing copies nothing and keeps its
-parent's key and total.
+between a state and its successor.  Each part caches its share of
+`ChainState.merge_key` and of `ChainState.conservation_total`.  Every
+write goes through one step: `draft` a successor that shares every part,
+`write` a part (the draft's own copy, made on first write), `seal`.  A
+step shares every part it does not write, so a block that changes nothing
+copies nothing and keeps its parent's key and total.
 
 Unrelated traffic is modelled as an inexhaustible supply of filler
 transactions, each paying exactly the scenario's base fee; blocks carry
@@ -25,7 +23,7 @@ them as a count rather than as objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -132,23 +130,12 @@ class Mempool(Part):
 
 class Contracts(Part):
     """cid -> ContractInstance, frozen, so a redemption replaces one.
-    Contracts change only in status, so the key holds statuses.  Its third
-    cache, `auto_ids`, lives in an instance dict (no `__slots__`), so it
-    starts empty without an initialiser."""
+    Contracts change only in status, so the key holds statuses."""
 
-    _auto_ids = None
+    __slots__ = ()
 
     def _make_key(self):
         return frozenset((cid, c.status) for cid, c in self.items())
-
-    def auto_ids(self) -> tuple:
-        """The redeemable contracts that have an automatic path: the only
-        ones a block may resolve on its own."""
-        if self._auto_ids is None:
-            self._auto_ids = tuple(
-                cid for cid, c in self.items()
-                if c.redeemable and any(p.auto_only for p in c.paths))
-        return self._auto_ids
 
 
 class Bribery(Part):
@@ -192,7 +179,8 @@ _SUMMED = frozenset({"balances", "live", "mint_log", "bribery"})
 
 
 class ChainState:
-    """Ledger snapshot: a height, the burned total and the read-only parts.
+    """Ledger snapshot: a plain value of a height, the burned total, the
+    game's fixed `meta` and the read-only parts.
 
     The parts are `balances` (Party -> tokens), `live` (cid -> deposit),
     `revealed` ((cid, slot) -> (value, round)), `mempool`, `mint_log` and
@@ -211,25 +199,20 @@ class ChainState:
 
     `meta` holds the game's fixed parameters, set by genesis: the deadline
     `T`, the refund delay `l`, and the contract and path of the protected
-    transfer, `target_contract` and `target_path`.  An equal-split pact
-    game also sets `split_window` (first, last): `window_blocks` counts the
-    blocks each miner mined in those rounds, and stays empty without it.
-
-    `selections` caches what `agents.honest_miner_select` derives from a
-    finished state, by (round, exclusion, capacity, fee).  It is None
-    unless the forward pass branches the sealed state to more than one
-    miner, which sets it to a dict for as long as it branches it; a draft
-    never inherits it.
+    transfer, `target_contract` and `target_path`.  It may also hold the
+    `fee_schedule` (`fee_split`) and `auto_ids`, the contracts that have an
+    automatic path, which are the only ones a block may resolve on its own;
+    either is taken as none when absent.  An equal-split pact game also sets
+    `split_window` (first, last): `window_blocks` counts the blocks each
+    miner mined in those rounds, and stays empty without it.
     """
 
-    __slots__ = ("height", "burned", "fee_schedule", "meta", *_PART_TYPES,
-                 "selections", "_key", "_total", "_written")
+    __slots__ = ("height", "burned", "meta", *_PART_TYPES, "_key", "_total",
+                 "_written")
 
-    def __init__(self, contracts=None, live=None, balances=None,
-                 fee_schedule=None, meta=None):
+    def __init__(self, contracts=None, live=None, balances=None, meta=None):
         self.height = 0
         self.burned = 0
-        self.fee_schedule = fee_schedule
         self.meta = MappingProxyType(dict(meta or {}))
         self.contracts = Contracts.of(contracts or ())
         self.live = Part.of(live or ())
@@ -239,7 +222,6 @@ class ChainState:
         self.mempool = _EMPTY_MEMPOOL
         self.mint_log = self.bribe_log = _EMPTY_LOG
         self.bribery = _EMPTY_BRIBERY
-        self.selections = None
         self._key = self._total = None
         self._written = None
 
@@ -252,7 +234,6 @@ class ChainState:
         s = ChainState.__new__(ChainState)
         s.height = self.height
         s.burned = self.burned
-        s.fee_schedule = self.fee_schedule
         s.meta = self.meta
         s.balances = self.balances
         s.live = self.live
@@ -265,7 +246,6 @@ class ChainState:
         s.known = self.known
         s.bribery = self.bribery
         s.window_blocks = self.window_blocks
-        s.selections = None
         s._key = self._key
         s._total = self._total
         s._written = {}
@@ -360,8 +340,7 @@ class ChainState:
         identically from the same round on.
 
         It is (height, body key), and the body key is the burned total and
-        each part's cached key; the fee schedule and meta never change
-        after genesis.
+        each part's cached key; meta never changes after genesis.
         """
         key = self._key
         if key is None:
@@ -468,7 +447,7 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int) -> None:
 def fee_split(state: ChainState, path: str, fee: int, rnd: int) -> tuple:
     """(earned, burned) of a `fee` paid on `path` and included at `rnd`:
     the fee schedule's split on a path it lists, else all to the miner."""
-    schedule = state.fee_schedule
+    schedule = state.meta.get("fee_schedule")
     if schedule is None or path not in schedule.paid:
         return fee, 0
     return schedule.split(path, fee, rnd)
@@ -503,7 +482,9 @@ def _apply_redeem(s: ChainState, cid: str, path: RedeemPath, tx: TxRecord,
     s.burn(fee_burn)
     status = (BURNED if all(isinstance(e, Burn) for e in path.effects)
               else ("redeemed", path.name))
-    s.write("contracts")[cid] = replace(s.contracts[cid], status=status)
+    c = s.contracts[cid]
+    s.write("contracts")[cid] = ContractInstance(
+        c.contract_id, c.deposit, c.digests, c.paths, status)
     s.write("redemptions")[cid] = (path.name, rnd, block_miner)
     for (c, slot, value_) in tx.witness.preimages:
         if (c, slot) not in s.revealed:
@@ -579,8 +560,8 @@ class ChainView:
 
 def _resolve_auto_contracts(s: ChainState, auto_ids: tuple, rnd: int,
                             block_miner: Party) -> None:
-    """Fire the automatic path of each contract in `auto_ids` (those with
-    one, redeemable before this block) whose condition now holds."""
+    """Fire the automatic path of each contract in `auto_ids` that is
+    still redeemable and whose condition now holds."""
     slots = None
     for cid in auto_ids:
         contract = s.contracts[cid]
@@ -666,7 +647,7 @@ def apply_block(state: ChainState, block: Block) -> ChainState:
         check_amount(amount)
         s.credit(party, amount)
         s.write("mint_log").append((party, amount, reason))
-    auto_ids = state.contracts.auto_ids()
+    auto_ids = s.meta.get("auto_ids")
     if auto_ids:
         _resolve_auto_contracts(s, auto_ids, block.round, block.miner)
     if s.bribery:

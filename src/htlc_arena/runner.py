@@ -45,13 +45,13 @@ import numpy as np
 
 
 def _frac(value, what: str) -> Fraction:
+    # `type(...) is int` also turns away bools: `true` is never a number.
     try:
-        if isinstance(value, str):
+        if isinstance(value, str) or type(value) is int:
             return Fraction(value)
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return Fraction(value[0], value[1])
+        if (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(type(v) is int for v in value)):
+            return Fraction(*value)
     except (ValueError, ZeroDivisionError) as e:
         raise ScenarioError(f"validation-error({what}): {e}") from e
     raise ScenarioError(f"validation-error({what}): expected int, 'p/q', or [p, q]")
@@ -99,6 +99,8 @@ def load_scenario(path, overrides=None) -> tuple:
         raise ScenarioError(f"parse-error(line {e.lineno}, col {e.colno}): {e.msg}")
     except UnicodeDecodeError as e:
         raise ScenarioError(f"parse-error: {e}") from e
+    except RecursionError as e:
+        raise ScenarioError("parse-error: nested too deeply") from e
     return scenario_from_doc(doc, overrides)
 
 
@@ -150,9 +152,10 @@ def _scenario_from_doc(doc: dict, overrides: dict) -> Scenario:
     # A missing required field reaches the Scenario's checks as None.
     for name in ("protocol", "v_dep", "T"):
         values.setdefault(name, None)
-    miners_doc = doc.get("miners") or [{"id": "m1", "power": 1}]
-    if not isinstance(miners_doc, list):
-        raise ScenarioError("validation-error(miners): expected a list")
+    miners_doc = doc.get("miners", [{"id": "m1", "power": 1}])
+    if not isinstance(miners_doc, list) or not miners_doc:
+        raise ScenarioError("validation-error(miners): expected a non-empty "
+                            "list")
     miners = []
     for i, m in enumerate(miners_doc):
         m = _object(m, f"miners[{i}]", _MINER_KEYS)
@@ -442,10 +445,16 @@ def cmd_lemmas(args) -> tuple:
 def cmd_pool(args) -> tuple:
     params = PoolParams(h=_frac(args.hash, "h"), H=_frac(args.network_hash, "H"),
                         N=args.pool_size, R=_frac(args.reward, "R"),
-                        f_pool=_frac(args.pool_fee, "f"),
-                        lambda_net=_frac(args.lambda_net, "lambda"),
+                        f_pool=_frac(args.pool_fee, "f_pool"),
+                        lambda_net=_frac(args.lambda_net, "lambda_net"),
                         alpha_risk=args.alpha_risk)
-    rep = pool_math(params)
+    try:
+        rep = pool_math(params)
+        mc = pool_mc(params, args.trials, args.seed or 0) if args.trials else None
+    except (OverflowError, ValueError) as e:
+        # OverflowError: a figure too large for a float; ValueError: a rate
+        # too large for the Poisson draw.
+        raise ScenarioError(f"validation-error(pool): {e}") from e
     report = Report(_base_header(args, "pool"))
     report.add("E_solo", "-", fmt_fraction(rep.E_solo))
     report.add("E_pool", "-", fmt_fraction(rep.E_pool))
@@ -455,8 +464,7 @@ def cmd_pool(args) -> tuple:
     report.add("EU_solo", "-", rep.EU_solo)
     report.add("EU_pool", "-", rep.EU_pool)
     report.add("delta_U", "-", rep.delta_U)
-    if args.trials:
-        mc = pool_mc(params, args.trials, args.seed or 0)
+    if mc is not None:
         for key in ("mean_solo", "var_solo", "mean_pool", "var_pool"):
             report.add(f"mc_{key}", "-", mc[key])
     report.summary.append(

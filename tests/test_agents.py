@@ -85,37 +85,6 @@ class TestHonestSelect:
             state.mempool[f"tx.col.{PRE_A2}"]]
         assert honest_miner_select(state, scen.T + 3, scen) == []
 
-    def test_branched_state_selects_once_per_key(self, monkeypatch):
-        scen = naive_scenario(f=1, f_dep_a=3)
-        state = seeded_state(scen, [tx_reveal_dep_a(scen)])
-        assert state.selections is None
-        want = honest_miner_select(state, 2, scen)
-        probes = []
-        real = agents.validate_tx
-        monkeypatch.setattr(agents, "validate_tx",
-                            lambda *args: probes.append(args) or real(*args))
-        state.selections = {}  # as the forward pass does before branching
-        mine = honest_miner_select(state, 2, scen)
-        mine.clear()  # a caller's list is its own
-        assert honest_miner_select(state, 2, scen) == want
-        excluded = frozenset({"tx.depA"})
-        assert honest_miner_select(state, 2, scen, excluded) == []
-        assert len(probes) == 1
-        assert set(state.selections) == {
-            (2, frozenset(), scen.capacity, scen.f),
-            (2, excluded, scen.capacity, scen.f)}
-
-    def test_draft_never_inherits_the_selection_cache(self):
-        scen = naive_scenario(f=1, f_dep_a=3)
-        state = seeded_state(scen, [tx_reveal_dep_a(scen)])
-        state.selections = {}
-        block = HonestFeeMax().build_block(state, 1, M1, scen)
-        assert state.selections
-        draft = state.draft()
-        assert draft.selections is None
-        assert draft.seal().selections is None
-        assert apply_block(state, block).selections is None
-
 
 class TestBlockAssembly:
     def test_full_block_drops_the_tail_first(self):

@@ -297,6 +297,19 @@ class TestPool:
             PoolParams(h=Fraction(1), H=Fraction(1), N=1, R=Fraction(1),
                        f_pool=Fraction(1), lambda_net=Fraction(1))
 
+    @pytest.mark.parametrize("field,value", [
+        ("R", Fraction(-1)), ("lambda_net", Fraction(-5)),
+        ("alpha_risk", 0.0), ("alpha_risk", -1000.0),
+        ("alpha_risk", math.nan), ("alpha_risk", math.inf)])
+    def test_negative_rates_and_odd_risk_aversion_are_refused(self, field,
+                                                              value):
+        params = dict(h=Fraction(1, 10), H=Fraction(1), N=25, R=Fraction(1),
+                      f_pool=Fraction(0), lambda_net=Fraction(1))
+        params[field] = value
+        with pytest.raises(ScenarioError,
+                           match=rf"^validation-error\({field}\): "):
+            PoolParams(**params)
+
     def test_mc_zero_rate_gives_zero_rewards(self):
         p = PoolParams(h=Fraction(1, 10), H=Fraction(1), N=5, R=Fraction(1),
                        f_pool=Fraction(0), lambda_net=Fraction(0))

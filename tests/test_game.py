@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from htlc_arena import agents, game
+from htlc_arena import game
 from htlc_arena.core import ALICE, BOB, ArenaError, ScenarioError, miner_party
 from htlc_arena.contracts import PRE_A, FeeSchedule
 from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
@@ -488,9 +488,8 @@ class TestRoundHalves:
         scen = self.two_miners()
         profile = honest_profile(scen)
         want = expected_utilities(scen, profile)
-        mined, acted, probed = [], Counter(), Counter()
+        mined, acted = [], Counter()
         real_apply = game.apply_block
-        real_validate = agents.validate_tx
 
         def apply_block(state, block):
             out = real_apply(state, block)
@@ -501,38 +500,11 @@ class TestRoundHalves:
             acted[state.merge_key(), rnd] += 1
             return AliceHonest.broadcasts(profile.alice, state, rnd, scen)
 
-        def validate_tx(state, tx, rnd):
-            probed[state.merge_key(), rnd, tx.tx_id] += 1
-            return real_validate(state, tx, rnd)
-
         monkeypatch.setattr(game, "apply_block", apply_block)
         monkeypatch.setattr(profile.alice, "broadcasts", broadcasts)
-        monkeypatch.setattr(agents, "validate_tx", validate_tx)
         assert expected_utilities(scen, profile) == want
         assert set(acted) == {(key, key[0]) for key in mined}
         assert set(acted.values()) == {1} and len(acted) < len(mined)
-        assert probed and set(probed.values()) == {1}
-
-    def test_play_leaves_no_selection_cache(self, monkeypatch):
-        scen = self.two_miners()
-        profile = honest_profile(scen)
-        expected_utilities(scen, profile)  # shares the play's genesis
-        reached = [game.build_genesis(scen)[0]]
-        real_apply, real_broadcast = game.apply_block, game.broadcast
-
-        def apply_block(state, block):
-            reached.append(real_apply(state, block))
-            return reached[-1]
-
-        def broadcast(state, txs):
-            reached.append(real_broadcast(state, txs))
-            return reached[-1]
-
-        monkeypatch.setattr(game, "apply_block", apply_block)
-        monkeypatch.setattr(game, "broadcast", broadcast)
-        out = play(scen, profile, Schedule((M1, M2) * scen.horizon))
-        assert len(reached) > scen.horizon
-        assert all(s.selections is None for s in (*reached, out.state))
 
 
 class TestIdleBlocks:

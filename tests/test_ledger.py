@@ -15,8 +15,8 @@ from htlc_arena.core import (ALICE, BOB, EXTERNAL, LedgerError, credit, debit,
                              miner_party)
 from htlc_arena.agents import BobNaiveBriber, M2MbaActive, tx_commit
 from htlc_arena.contracts import (BURNED, CBOB_ID, CM2M_ID, COL_M, DEP_A,
-                                  DEP_B, PRE_A, PRE_A2, PRE_B, build_he_htlc,
-                                  build_naive_htlc)
+                                  DEP_B, DEP_ID, PRE_A, PRE_A2, PRE_B,
+                                  build_he_htlc, build_naive_htlc)
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              build_genesis, play)
 from htlc_arena.ledger import (Block, ChainState, TxRecord, Witness,
@@ -162,6 +162,23 @@ class TestApply:
             apply_block(state, Block(round=1, miner=M1, txs=(alice_tx(),),
                                      unrelated_fill=8, capacity=8))
 
+    def test_demba_deposit_resolves_in_the_block_both_commits_land(self):
+        # The deposit is the one contract with automatic paths; it fires
+        # from inside the block that publishes both collateral reveals,
+        # and never again once redeemed.
+        scen = demba_scenario(T=4)
+        state, _, _ = build_genesis(scen)
+        assert state.meta["auto_ids"] == (DEP_ID,)
+        after = apply_block(state, Block(round=1, miner=M1, txs=(
+            tx_commit(scen, PRE_A), tx_commit(scen, PRE_B))))
+        assert after.redemptions[DEP_ID] == (DEP_A, 1, M1)
+        assert after.contracts[DEP_ID].status == ("redeemed", DEP_A)
+        assert DEP_ID not in after.live
+        assert after.conservation_total() == state.conservation_total()
+        later = apply_block(after, Block(round=2, miner=M2))
+        assert later.redemptions is after.redemptions
+        assert later.contracts is after.contracts
+
 
 def coinbase_block(rnd, party, amount, reason):
     return Block(round=rnd, miner=M1, coinbase=((party, amount, reason),))
@@ -268,8 +285,7 @@ PARTS = ("balances", "live", "revealed", "mempool", "mint_log", "bribe_log",
 def rebuilt(state):
     """A state built afresh from `state`'s part contents, so that none of
     its cached keys or sums is carried over."""
-    fresh = ChainState(fee_schedule=state.fee_schedule,
-                       meta=state.meta).draft()
+    fresh = ChainState(meta=state.meta).draft()
     for name in PARTS:
         part = fresh.write(name)
         if isinstance(part, list):
@@ -430,3 +446,50 @@ def test_steps_share_parts_keep_caches_and_refuse_writes(
             replace(scen, mode=("monte-carlo", 6), seed=seed % 1000), profile)
     assert out.conserves()
     assert sum(n for _, n in pairs) == total
+
+
+#: A sealed chain state's slots: its height, burned total, fixed meta and
+#: parts, the caches of its key and total, and the draft marker.
+STATE_SLOTS = ("height", "burned", "meta", *PARTS, "_key", "_total",
+               "_written")
+
+
+@settings(max_examples=100, deadline=None)
+@given(protocol=st.sampled_from(("naive", "mad", "he", "demba")),
+       n_miners=st.integers(1, 3), exact=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_pass_leaves_every_state_it_reads_as_it_was(
+        protocol, n_miners, exact, seed):
+    # Criterion-9 pools in both modes: each state that the block half
+    # (`game._mine`) or the party half (`game._act`) receives holds the
+    # same object in every slot once the pass is over, and no part of it
+    # keeps anything in an instance dict.
+    assert sorted(ChainState.__slots__) == sorted(STATE_SLOTS)
+    rng = random.Random(seed)
+    alice_pool, bob_pool, miner_pool = _fuzz_pools()[protocol]
+    parties = tuple(miner_party(f"f{i}") for i in range(1, n_miners + 1))
+    kind = "active" if protocol in ("mad", "he") else "passive"
+    miners = tuple(MinerProfile(p, Fraction(1, n_miners), kind, True)
+                   for p in parties)
+    scen = replace(_fuzz_scenario(protocol, rng, miners), seed=seed % 1000,
+                   mode=("exact",) if exact else ("monte-carlo", 6))
+    profile = StrategyProfile(rng.choice(alice_pool), rng.choice(bob_pool),
+                              {p: rng.choice(miner_pool) for p in parties})
+    received = []
+
+    def recorded(half):
+        def run(scen, profile, state, *args):
+            state.merge_key()  # fill both caches first: a later fill
+            state.conservation_total()  # is no change of value
+            received.append((state, [getattr(state, n) for n in STATE_SLOTS]))
+            return half(scen, profile, state, *args)
+        return run
+
+    with patch.object(game, "_mine", recorded(game._mine)), \
+            patch.object(game, "_act", recorded(game._act)):
+        pairs, total = game.final_outcomes(scen, profile)
+    assert sum(m for _, m in pairs) == total
+    assert len(received) >= 2 * scen.horizon
+    for state, slots in received:
+        assert all(getattr(state, n) is v for n, v in zip(STATE_SLOTS, slots))
+        assert not any(hasattr(getattr(state, n), "__dict__") for n in PARTS)

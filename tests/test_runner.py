@@ -40,6 +40,12 @@ class TestLoadScenario:
         assert profile.alice.name.startswith("honest")
         assert profile.bob.name.startswith("honest")
 
+    def test_only_an_absent_miners_key_takes_the_default(self, tmp_path):
+        doc = minimal_naive()
+        del doc["miners"]
+        scen, _ = load_scenario(write_doc(tmp_path, doc))
+        assert [(m.party.id, m.power) for m in scen.miners] == [("m1", 1)]
+
     def test_power_sum_violation(self, tmp_path):
         doc = minimal_naive(miners=[{"id": "m1", "power": "9/10"}])
         with pytest.raises(ScenarioError) as e:
@@ -210,6 +216,13 @@ MALFORMED = {
     "mc-zero-trials": (minimal_naive(mode={"monte-carlo": 0}), "mode"),
     "miners-not-a-list": (
         minimal_naive(miners={"id": "m1", "power": 1}), "miners"),
+    # Only an absent `miners` key takes the default miner.
+    "miners-empty": (minimal_naive(miners=[]), "miners"),
+    "miners-null": (minimal_naive(miners=None), "miners"),
+    "miner-power-bool": (
+        minimal_naive(miners=[{"id": "m1", "power": True}]), "miners[0].power"),
+    "miner-power-bool-pair": (minimal_naive(
+        miners=[{"id": "m1", "power": [True, 1]}]), "miners[0].power"),
     "v_dep-float": (minimal_naive(amounts={"v_dep": 100.9}), "v_dep"),
     "T-numeric-string": (minimal_naive(timing={"T": "5"}), "T"),
     "f-negative": (minimal_naive(fees={"f": -1}), "f"),
@@ -304,6 +317,15 @@ BAD_OVERRIDES = {
         ["expect", *NAIVE, "--mode", "mc", "--trials", str(10 ** 12)],
         "trials"),
     "pool-huge-trials": (["pool", "--trials", str(10 ** 12)], "trials"),
+    "pool-negative-lambda": (
+        ["pool", "--lambda-net", "-5", "--trials", "10"], "lambda_net"),
+    "pool-negative-reward": (["pool", "--reward", "-1"], "R"),
+    "pool-negative-alpha-risk": (["pool", "--alpha-risk", "-1000"],
+                                 "alpha_risk"),
+    "pool-nan-alpha-risk": (["pool", "--alpha-risk", "nan"], "alpha_risk"),
+    # A reward too large for a float overflows the moments.
+    "pool-huge-reward": (["pool", "--reward", "1e400", "--trials", "3"],
+                         "pool"),
 }
 
 # case -> (subcommand and options, scenario document, the field its error
@@ -323,7 +345,8 @@ SHADOWED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(BAD_OVERRIDES)
                          + sorted(SHADOWED) + [
-    "not-utf8", "scenario-is-a-directory", "out-is-a-directory"])
+    "not-utf8", "deeply-nested", "scenario-is-a-directory",
+    "out-is-a-directory"])
 def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
     argv = ["simulate", "--scenario", str(tmp_path / "scen.json")]
     field = None
@@ -338,6 +361,9 @@ def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
         write_doc(tmp_path, doc)
     elif case == "not-utf8":
         (tmp_path / "scen.json").write_bytes(b"\xff\xfe{}")
+    elif case == "deeply-nested":
+        # Deeper than the JSON parser recurses.
+        (tmp_path / "scen.json").write_text("[" * 200_000 + "]" * 200_000)
     elif case == "scenario-is-a-directory":
         argv[-1] = str(tmp_path)
     else:
