@@ -16,7 +16,10 @@ its block and the transactions it creates.  So two miners with equal
 policies (`game.policy_key`) at one state build blocks that are both free
 of transactions and coinbase, or neither, and two such free blocks differ
 only in their miner.  The forward pass mines such an idle block once per
-group of equal policies (`game._forward`).
+group of equal policies (`game._forward`).  Every policy, miner or party,
+reads only a state's control parts (`ledger.ChainState.control_key`),
+never balances, logs or window blocks, so the pass builds blocks and
+broadcasts once per control state.
 
 Every miner block that is not a bespoke attack block follows one assembly
 rule (`_assemble`): the policy's own head transactions, then the honest
@@ -418,8 +421,9 @@ class MinerPolicy:
     The contract every policy keeps: it reads `miner` only to name its
     block and the transactions it creates, never to choose what goes in,
     so an equal policy builds an equal transaction-free block for any
-    miner.  The forward pass relies on it to build such a block once per
-    group of equal policies.
+    miner, and it reads only the state's control parts.  The forward pass
+    relies on it to build such a block once per control state and group
+    of equal policies.
     """
 
     name = "miner"

@@ -593,6 +593,12 @@ def pool_math(p: PoolParams) -> PoolReport:
         a * float(p.f_pool) * float(E_solo)
         - a * a * float(Var_solo) / 2
         + a * a * float(Var_solo) / (2 * p.N))
+    if not all(map(math.isfinite, (EU_solo, EU_pool, delta_U))):
+        # A risk aversion this large underflows exp(-a E) to 0 while
+        # a^2 Var overflows, and 0 * inf has no value.
+        raise ScenarioError("validation-error(alpha_risk): risk aversion "
+                            f"{a} leaves a risk-utility term without a "
+                            "finite value")
     return PoolReport(E_solo, E_pool, ratio, Var_solo, Var_pool,
                       EU_solo, EU_pool, delta_U)
 

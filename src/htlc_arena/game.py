@@ -2,22 +2,27 @@
 
 A play is fully determined by (scenario, strategy profile, miner schedule).
 Expected utilities are either exact or Monte-Carlo with a seeded generator,
-and both modes run the same forward pass over rounds: every policy is a
-stateless function of (chain state, round), so schedule prefixes that reach
-equal states are merged and played on once.  Each round's two halves run
-once per distinct input: a block once per (state, miner), and an idle
-block (no transaction, no coinbase, nothing written) once per state and
+and both modes run the same forward pass over rounds.  Every policy is a
+stateless function of (chain state, round) that reads only the state's
+control parts (`ChainState.control_key`), so schedule prefixes that reach
+one control state are merged and played on once, whatever they were paid
+on the way.  What they were paid is summed apart, as payoff groups: each
+maps the payoff accumulated so far (balance changes, burn, mint and bribe
+log entries, window blocks, redemption miners) to the mass of the prefixes
+that reach it.  Each round's two halves run once per distinct input: a
+block once per (control state, miner), and an idle block (no transaction
+or coinbase, the control state unchanged) once per control state and
 group of miners with equal policies; then the parties' broadcasts, the
-label and its check once per distinct mined state.  `final_outcomes`
-returns each final state's outcome with an integer mass and the total
-the masses sum to.
-In exact mode a mass is the summed schedule weight (the product of miner
-powers) over one common denominator, the product of each round's; its values
-are those of playing every schedule that `enumerate_schedules` yields, which
-is the reference the tests hold it to.  In Monte-Carlo mode a mass is the
-number of sampled trials that reach the state; its values are those of
-playing each sampled schedule.  Dominance checks brute-force finite policy
-spaces on top of the expectation machinery.
+label and its check once per mined control state.  `final_outcomes`
+returns one outcome per (control state, payoff group), with the full
+chain state `play` reaches, an integer mass, and the total the masses sum
+to.  In exact mode a mass is the summed schedule weight (the product of
+miner powers) over one common denominator, the product of each round's;
+its values are those of playing every schedule that `enumerate_schedules`
+yields, which is the reference the tests hold it to.  In Monte-Carlo mode
+a mass is the number of sampled trials that reach the state; its values
+are those of playing each sampled schedule.  Dominance checks brute-force
+finite policy spaces on top of the expectation machinery.
 
 Utilities carry no discounting: they are raw end-of-game token deltas from
 the post-setup baseline.  The one exception to pre-funded contracts is the
@@ -30,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
@@ -43,7 +49,8 @@ from .contracts import (COL_A_ID, COL_B_ID, COL_ID, DEP_A, DEP_ID,
                         FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B, SECRETS,
                         build_demba, build_he_htlc, build_mad_htlc,
                         build_naive_htlc, derive_he_delay)
-from .ledger import ChainState, ChainView, Part, apply_block, broadcast
+from .ledger import (ChainState, ChainView, Part, apply_block, broadcast,
+                     with_payoff)
 
 PROTOCOLS = ("naive", "mad", "he", "demba")
 
@@ -550,73 +557,284 @@ def _round_branches(scen: Scenario, rnd: int, pin: dict) -> tuple:
                  for m in scen.miners), scale
 
 
-def _forward(scen: Scenario, profile: StrategyProfile, mass, split) -> list:
+class _Payoffs:
+    """The payoffs of one forward pass, each the key of a payoff group.
+
+    A payoff is what the payoff parts hold beyond the setup state's, as a
+    pair of tuples (vec, logs): `vec` holds each setup party's balance
+    change, then the burned total's, then each party's window blocks, and
+    `logs` holds the appended mint-log and bribe-log entries and the
+    (cid, miner) of each redemption.  Every party a step pays holds a
+    balance from genesis: the payer, the payee, the external user and the
+    scenario's miners.  So every state's balances list the setup parties
+    in setup order, as a step copies the part and writes it in place, and
+    `vec` reads them in that order.
+    """
+
+    def __init__(self, setup: ChainState):
+        self.setup = setup
+        self.parties = tuple(setup.balances)
+        self.start = tuple(setup.balances.values())
+        self.slot = {p: i for i, p in enumerate(self.parties)}
+        self.zero = ((0,) * (2 * len(self.parties) + 1), ((), (), ()))
+
+    def of(self, state: ChainState) -> tuple:
+        """The payoff that `state`'s own payoff parts hold: all it has been
+        paid since setup, as one step."""
+        return self.add(self.zero, self.step(self.setup, state))
+
+    def _balances(self, state: ChainState):
+        """`state`'s balances in slot order."""
+        if len(state.balances) != len(self.parties):
+            raise ArenaError("a step paid a party with no balance at setup")
+        return state.balances.values()
+
+    def step(self, before: ChainState, after: ChainState) -> tuple:
+        """What the step from `before` to `after` pays and draws, as
+        (adds, logs, draws): each (slot, change) of `vec`; the entries it
+        appends to `logs`, or None; and each (slot, draw) of a party whose
+        balance it took below its start, by the most it did (from
+        `ChainState.lows`).  A payoff takes the same step exactly when its
+        balance covers each draw: the step's debits and their checks are
+        the same whatever the payoff, and only the start moves."""
+        b0, b1 = before.balances, after.balances
+        w0, w1 = before.window_blocks, after.window_blocks
+        r0, r1 = before.redemptions, after.redemptions
+        m0, m1 = before.mint_log, after.mint_log
+        l0, l1 = before.bribe_log, after.bribe_log
+        burn = after.burned - before.burned
+        if b1 is b0 and w1 is w0 and r1 is r0 and m1 is m0 and l1 is l0 \
+                and not burn:
+            return _UNPAID
+        slot, n = self.slot, len(self.parties)
+        adds = [] if b1 is b0 else [
+            (i, v - u) for i, (v, u) in enumerate(zip(self._balances(after),
+                                                      b0.values())) if v != u]
+        if burn:
+            adds.append((n, burn))
+        if w1 is not w0:
+            adds += [(n + 1 + slot[p], k - w0.get(p, 0)) for p, k in w1.items()
+                     if k != w0.get(p, 0)]
+        logs = None
+        if m1 is not m0 or l1 is not l0 or r1 is not r0:
+            logs = (tuple(m1[len(m0):]), tuple(l1[len(l0):]),
+                    tuple((cid, entry[2]) for cid, entry in r1.items()
+                          if cid not in r0))
+        return tuple(adds), logs, tuple(
+            (slot[p], b0[p] - low) for p, low in after.lows.items()
+            if low < b0[p])
+
+    def renamed(self, step: tuple, old: Party, new: Party) -> tuple:
+        """An idle block's step for miner `new`: `old`'s, with `old`'s
+        balance and window-block slots moved to `new`'s (an idle block
+        appends no log entry)."""
+        if step is _UNPAID:
+            return step
+        adds, logs, draws = step
+        a, b = self.slot[old], self.slot[new]
+        n = len(self.parties) + 1
+        moved = {a: b, n + a: n + b}
+        return (tuple((moved.get(i, i), d) for i, d in adds), logs,
+                tuple((moved.get(i, i), d) for i, d in draws))
+
+    def add(self, payoff: tuple, step: tuple):
+        """`payoff` after `step`, or None if it cannot cover a draw."""
+        adds, logs, draws = step
+        vec, held = payoff
+        for i, draw in draws:
+            if self.start[i] + vec[i] < draw:
+                return None
+        if adds:
+            vec = list(vec)
+            for i, d in adds:
+                vec[i] += d
+            vec = tuple(vec)
+        if logs is not None:
+            held = (held[0] + logs[0], held[1] + logs[1], held[2] + logs[2])
+        return vec, held
+
+    def put(self, entry: list, payoff, mass) -> None:
+        """Add `mass` to the group of `payoff` in frontier entry `entry`.
+        `_OWN`, the payoff of the entry's own state, keys a group only
+        while it is the entry's one group: a second group turns it into
+        that payoff first, so each payoff keys one group."""
+        state, _, held = entry
+        if payoff is _OWN:
+            if held and _OWN not in held:
+                payoff = self.of(state)
+        elif _OWN in held:
+            held[self.of(state)] = held.pop(_OWN)
+        prev = held.get(payoff)
+        held[payoff] = mass if prev is None else prev + mass
+
+    def state(self, control: ChainState, payoff: tuple) -> ChainState:
+        """The full chain state of `payoff` at `control`'s control state."""
+        vec, (mints, bribes, redeemers) = payoff
+        setup, n = self.setup, len(self.parties)
+        window = setup.window_blocks
+        if any(vec[n + 1:]):
+            window = dict(window)
+            for p, k in zip(self.parties, vec[n + 1:]):
+                if k:
+                    window[p] = window.get(p, 0) + k
+        redemptions = control.redemptions
+        if redeemers:
+            miners = dict(redeemers)
+            redemptions = {cid: (path, rnd, miners.get(cid, miner))
+                           for cid, (path, rnd, miner) in redemptions.items()}
+        return with_payoff(control, setup.burned + vec[n], {
+            "balances": dict(zip(self.parties, map(operator.add, self.start,
+                                                   vec))),
+            "mint_log": [*setup.mint_log, *mints] if mints else setup.mint_log,
+            "bribe_log": ([*setup.bribe_log, *bribes] if bribes
+                          else setup.bribe_log),
+            "window_blocks": window, "redemptions": redemptions})
+
+
+#: The step that pays and draws nothing.
+_UNPAID = ((), None, ())
+#: The key of the payoff group whose payoff is its entry's own state's.
+_OWN = None
+
+
+def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
+             whole) -> list:
     """The forward pass over rounds that both expectation modes run.
 
-    A frontier entry is a distinct state with the mass of the schedule
-    prefixes that reach it.  Each round has two halves, and each runs once
-    per distinct input.  The block half runs at most once per (state,
-    miner): `split(rnd, mass)` yields (miner, part) for every way the
-    entry's mass goes that round, and each mined state merges with those
-    of equal `merge_key`, keeping the highest label rank it came from.
+    A frontier entry is a control state (`ChainState.control_key`): one
+    full state of it, reached by one of its prefixes, to build blocks and
+    broadcasts on (no policy, contract guard, label or tag reads its payoff
+    parts); the highest label rank it came from; and its payoff groups,
+    each a payoff (`_Payoffs`) with the mass of the schedule prefixes that
+    reach it.  The group whose payoff is the entry state's own is keyed
+    `_OWN` while it is the entry's only group, so a chain of single-group
+    entries carries no payoff arithmetic.  Each round has two halves, and
+    each runs once per distinct input.
 
-    Miners with equal policies (`policy_key`) form a group.  When a
-    group's block at a state is idle, carrying no transaction and no
-    coinbase and writing nothing, so that its state is the parent's one
-    round on, every later miner of the group takes that state and adds its
-    part to it, with no block built or applied.  This rests on the miner
+    The block half runs at most once per (control state, miner):
+    `split(rnd, mass)` yields (miner, part) for every way a group's mass
+    goes that round, and each mined state merges with those of equal
+    control key, keeping the highest label rank it came from.  Each group
+    adds the step's payoff increment (`_Payoffs.step`) and sends its part
+    to the successor's group of that payoff.  Miners with equal policies
+    (`policy_key`) form a miner group: when a group's block carries no
+    transaction and no coinbase and leaves the control state as it was,
+    every later miner of the group takes the same increment with the miner
+    renamed, with no block built or applied.  This rests on the miner
     policy contract (`agents.MinerPolicy`): an equal policy builds that
-    same block for any miner, and applying it writes nothing for any
-    miner, since every scenario miner holds a balance from genesis.
+    same block for any miner, and such a block pays its miner and counts
+    its window block alike for any miner.  Once every miner group is known
+    to take such a block that pays nothing, each remaining group moves to
+    its successor whole, unsplit: `whole(rnd, mass)` is the sum of the
+    parts `split(rnd, mass)` yields.
 
-    The party half runs once per distinct mined state: the broadcasts, the
+    The balance checks stay exact for every group.  The ledger reads a
+    balance only to refuse a payment it cannot fund or a debit below zero,
+    and a step does the same debits whatever the payoff, so a group passes
+    exactly when it covers each of the step's draws; a group that does not
+    replays the block on its own full state, which raises the ledger's
+    error.  Conservation is checked once per step: the mined state's total
+    must be the setup state's, which holds exactly when the increment plus
+    the change in live deposits and bribery pools sums to zero.
+
+    The party half runs once per mined control state: the broadcasts, the
     label and the label rule, checked against that highest rank, so it
-    raises exactly when some transition would.  Its results merge again,
-    conservation is checked once per distinct state, and merged parts are
-    added with `+=`, so a part must be owned by the entry it goes to.
-    Returns (outcome, mass) for each final state.
+    raises exactly when some transition would.  It writes only control
+    parts, so the groups carry over, and entries that reach one control
+    state merge their groups.  Returns (outcome, mass) for each (control
+    state, payoff group) at the horizon, with the full chain state that
+    `play` reaches.
     """
     state, baseline, escrow0 = _setup(scen, profile)
     expected_total = state.conservation_total()
     keys: dict = {}
     group = {party: keys.setdefault(policy_key(pol), len(keys))
              for party, pol in profile.miners.items()}
-    frontier = [[state, mass, -1]]  # [state, mass, label rank]
+    payoffs = _Payoffs(state)
+    frontier = {state.control_key(): [state, -1, {_OWN: mass}]}
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
-        for state, mass, rank in frontier:
-            body = state.merge_key()[1]
-            idle: dict = {}  # group -> merge key of its idle successor
-            for miner, part in split(rnd, mass):
-                key = idle.get(group[miner])
-                if key is not None:  # its entry already holds our rank
-                    mined[key][1] += part
+        for (_, body), (state, rank, groups) in frontier.items():
+            steps: dict = {}  # miner -> [entry, keeps, block, made, paying]
+            idle: dict = {}  # miner group -> (miner, step) of its idle block
+            own = None  # the payoff of `state`, once a group needs it
+            unpaid = None  # the entry every miner reaches unpaid, or False
+            for payoff, m in groups.items():
+                if unpaid:  # move the group whole; `_OWN` is a first group
+                    payoffs.put(unpaid, payoff, whole(rnd, m))
                     continue
-                block, nxt = _mine(scen, profile, state, rnd, miner)
-                key = nxt.merge_key()
-                if key[1] is body and not block.txs and not block.coinbase:
-                    idle[group[miner]] = key
-                entry = mined.get(key)
-                if entry is None:
-                    mined[key] = [nxt, part, rank]
-                else:
-                    entry[1] += part
-                    if rank > entry[2]:
-                        entry[2] = rank
-        merged: dict = {}
-        for state, mass, rank in mined.values():
+                for miner, part in split(rnd, m):
+                    step = steps.get(miner)
+                    if step is None:
+                        first = idle.get(group[miner])
+                        if first is not None:
+                            # its entry already holds our rank
+                            owner, (entry, keeps, block, _, paying) = first
+                            step = [entry, keeps and paying is _UNPAID,
+                                    block, None,
+                                    payoffs.renamed(paying, owner, miner)]
+                        else:
+                            block, nxt = _mine(scen, profile, state, rnd,
+                                               miner)
+                            if nxt.conservation_total() != expected_total:
+                                raise ScenarioError(
+                                    f"conservation violated at round {rnd}")
+                            key = nxt.control_key()
+                            entry = mined.get(key)
+                            if entry is None:
+                                entry = mined[key] = [nxt, rank, {}]
+                            elif rank > entry[1]:
+                                entry[1] = rank
+                            step = [entry, entry[0] is nxt, block, nxt, None]
+                            if (key[1] == body and not block.txs
+                                    and not block.coinbase):
+                                step[4] = payoffs.step(state, nxt)
+                                idle[group[miner]] = miner, step
+                        steps[miner] = step
+                    entry, keeps, block, made, paying = step
+                    if payoff is _OWN:
+                        if keeps:
+                            payoffs.put(entry, _OWN, part)
+                            continue
+                        payoff = own = own or payoffs.of(state)
+                    if paying is None:
+                        paying = step[4] = payoffs.step(state, made)
+                    paid = (payoff if paying is _UNPAID
+                            else payoffs.add(payoff, paying))
+                    if paid is None:
+                        apply_block(payoffs.state(state, payoff),
+                                    block._replace(miner=miner))
+                        raise ArenaError(f"round {rnd}: a payoff group fails "
+                                         "a draw that the ledger allows")
+                    held = entry[2]
+                    if _OWN in held:
+                        payoffs.put(entry, paid, part)
+                    else:
+                        prev = held.get(paid)
+                        held[paid] = part if prev is None else prev + part
+                if unpaid is None and len(idle) == len(keys):
+                    firsts = [step for _, step in idle.values()]
+                    target = firsts[0][0]
+                    unpaid = all(step[0] is target and step[4] is _UNPAID
+                                 for step in firsts) and target
+        frontier = {}
+        for state, rank, groups in mined.values():
             nxt, _, nxt_rank = _act(scen, profile, state, rnd, rank)
-            key = nxt.merge_key()
-            entry = merged.get(key)
-            if entry is not None:
-                entry[1] += mass
-            elif nxt.conservation_total() != expected_total:
+            if nxt.conservation_total() != expected_total:
                 raise ScenarioError(f"conservation violated at round {rnd}")
-            else:
-                merged[key] = [nxt, mass, nxt_rank]
-        frontier = list(merged.values())
-    return [(_outcome(scen, state, baseline, escrow0, ()), mass)
-            for state, mass, _ in frontier]
+            key = nxt.control_key()
+            entry = frontier.get(key)
+            if entry is None:
+                frontier[key] = [nxt, nxt_rank, groups]
+                continue
+            for payoff, m in groups.items():
+                payoffs.put(entry, payoffs.of(nxt) if payoff is _OWN
+                            else payoff, m)
+    return [(_outcome(scen, state if payoff is _OWN
+                      else payoffs.state(state, payoff), baseline, escrow0,
+                      ()), m)
+            for state, _, groups in frontier.values()
+            for payoff, m in groups.items()]
 
 
 def _pick_probs(scen: Scenario) -> np.ndarray:
@@ -659,16 +877,22 @@ def final_outcomes(scen: Scenario, profile: StrategyProfile,
                   for rnd in range(1, scen.horizon + 1)]
         total = math.prod(scale for _, scale in rounds)
         pairs = _forward(scen, profile, 1, lambda rnd, w: [
-            (miner, w * power) for miner, power in rounds[rnd - 1][0]])
+            (miner, w * power) for miner, power in rounds[rnd - 1][0]],
+            lambda rnd, w: w * rounds[rnd - 1][1])
     else:
         parties = scen.miner_parties()
         total = scen.mode[1]
+        too_big = _invalid("trials", f"the draw of {total} trials x "
+                           f"{scen.horizon} rounds does not fit in memory")
+        # Past what numpy can address the draw fails with a ValueError or
+        # an OverflowError, not a MemoryError, so such a size never reaches it.
+        if total * scen.horizon > np.iinfo(np.intp).max // 8:
+            raise too_big
         try:
             picks = np.random.default_rng(scen.seed).choice(
                 len(parties), size=(total, scen.horizon), p=_pick_probs(scen))
         except MemoryError as e:
-            raise _invalid("trials", f"the draw of {total} trials x "
-                           f"{scen.horizon} rounds does not fit in memory") from e
+            raise too_big from e
         # Python ints group faster than numpy masks; one column at a time.
         column = functools.lru_cache(maxsize=1)(
             lambda rnd: picks[:, rnd - 1].tolist())
@@ -676,6 +900,8 @@ def final_outcomes(scen: Scenario, profile: StrategyProfile,
         def split(rnd: int, trials: list):
             if rnd in pin:
                 return ((pin[rnd], trials),)
+            if len(parties) == 1:
+                return ((parties[0], trials),)
             col = column(rnd)
             groups = [[] for _ in parties]
             for t in trials:
@@ -683,7 +909,8 @@ def final_outcomes(scen: Scenario, profile: StrategyProfile,
             return [(party, g) for party, g in zip(parties, groups) if g]
 
         pairs = [(out, len(trials)) for out, trials in
-                 _forward(scen, profile, list(range(total)), split)]
+                 _forward(scen, profile, list(range(total)), split,
+                          lambda rnd, trials: trials)]
     mass = sum(m for _, m in pairs)
     if mass != total:
         raise ArenaError(f"final masses sum to {Fraction(mass, total)}, not 1")
@@ -707,6 +934,8 @@ def expected_utilities(scen: Scenario, profile: StrategyProfile,
     burned = 0
     for out, n in pairs:
         for party, d in out.deltas.items():
+            if d.denominator == 1:  # int arithmetic, far cheaper than Fraction's
+                d = d.numerator
             sums[party] = sums.get(party, 0) + n * d
             if sampled:
                 sq_sums[party] = sq_sums.get(party, 0) + n * d * d

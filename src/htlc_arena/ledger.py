@@ -16,6 +16,19 @@ write goes through one step: `draft` a successor that shares every part,
 step shares every part it does not write, so a block that changes nothing
 copies nothing and keeps its parent's key and total.
 
+The parts split in two.  The control parts (live deposits, reveals,
+mempool, contracts, known preimages, bribery contracts and redemptions,
+whose miner counts only on a col-M confiscation) are all that a policy, a
+contract guard, a label or a terminal tag reads: `ChainState.control_key`.
+The payoff parts (balances, the burned total, the mint and bribe logs,
+window blocks, and the miner of every other redemption) are only ever
+added to.
+The ledger reads balances in two checks alone, the over-spend check on a
+payment and `debit`'s underflow check, and both fail exactly when a
+debit takes a balance below zero; so a step records each debited party's
+lowest balance (`ChainState.lows`), which tells how far below its start
+the step took each balance.
+
 Unrelated traffic is modelled as an inexhaustible supply of filler
 transactions, each paying exactly the scenario's base fee; blocks carry
 them as a count rather than as objects.
@@ -151,6 +164,18 @@ class Bribery(Part):
         return sum(c.pool_total() for c in self.values())
 
 
+class Redemptions(Part):
+    """cid -> (path, round, miner).  A miner is read only as the
+    confiscator of a col-M redemption (`ChainView.confiscator`), so the
+    control key keeps it there alone."""
+
+    __slots__ = ()
+
+    def control_key(self):
+        return frozenset((cid, path, rnd, miner if path == COL_M else None)
+                         for cid, (path, rnd, miner) in self.items())
+
+
 class Log(_Cached, list):
     """A read-only log of (party, amount, tag) entries; its sum is the
     amounts'."""
@@ -169,18 +194,24 @@ class Log(_Cached, list):
 #: The type each part is sealed as.
 _PART_TYPES = {"balances": Part, "live": Part, "revealed": Part,
                "mempool": Mempool, "mint_log": Log, "bribe_log": Log,
-               "redemptions": Part, "contracts": Contracts, "known": Part,
-               "bribery": Bribery, "window_blocks": Part}
+               "redemptions": Redemptions, "contracts": Contracts,
+               "known": Part, "bribery": Bribery, "window_blocks": Part}
 #: Empty parts: read-only, so every state may share them.
-_EMPTY, _EMPTY_MEMPOOL, _EMPTY_LOG, _EMPTY_BRIBERY = (
-    Part.of(), Mempool.of(), Log.of(), Bribery.of())
+_EMPTY, _EMPTY_MEMPOOL, _EMPTY_LOG, _EMPTY_BRIBERY, _EMPTY_REDEMPTIONS = (
+    Part.of(), Mempool.of(), Log.of(), Bribery.of(), Redemptions.of())
+#: The lows of a step that debited no one.
+_NO_LOWS = MappingProxyType({})
 #: The parts `conservation_total` sums.
 _SUMMED = frozenset({"balances", "live", "mint_log", "bribery"})
+#: The parts `control_key` reads.
+_CONTROL = frozenset({"live", "revealed", "mempool", "contracts", "known",
+                      "bribery", "redemptions"})
 
 
 class ChainState:
     """Ledger snapshot: a plain value of a height, the burned total, the
-    game's fixed `meta` and the read-only parts.
+    game's fixed `meta` and the read-only parts, plus the lowest balance
+    of each party the step that made it debited (`lows`).
 
     The parts are `balances` (Party -> tokens), `live` (cid -> deposit),
     `revealed` ((cid, slot) -> (value, round)), `mempool`, `mint_log` and
@@ -188,14 +219,17 @@ class ChainState:
     (cid -> (path, round, miner)), `contracts`, `known` ((cid, slot) ->
     value, mempool-or-chain knowledge), `bribery` and `window_blocks`.
     Each caches its share of `merge_key` and of `conservation_total`
-    (`Part`), and the state caches the sum of those shares, so both cost
-    nothing on a state whose parts are all its parent's.
+    (`Part`), and the state caches the sum of those shares and its
+    `control_key`, so all three cost nothing on a state whose parts are all
+    its parent's.
 
     A state is written only as a draft: `draft()` returns a successor that
     shares every part, `write(name)` hands out the draft's own writable
     copy of one part (copied on its first write, which drops the cached
     key and total), `credit`, `debit` and `burn` write through it, and
     `seal()` freezes the written parts.  A sealed state refuses writes.
+    A draft starts with no `lows`; each debit records the debited party's
+    balance after it if that is the lowest so far.
 
     `meta` holds the game's fixed parameters, set by genesis: the deadline
     `T`, the refund delay `l`, and the contract and path of the protected
@@ -207,8 +241,8 @@ class ChainState:
     miner mined in those rounds, and stays empty without it.
     """
 
-    __slots__ = ("height", "burned", "meta", *_PART_TYPES, "_key", "_total",
-                 "_written")
+    __slots__ = ("height", "burned", "meta", *_PART_TYPES, "lows", "_key",
+                 "_control", "_total", "_written")
 
     def __init__(self, contracts=None, live=None, balances=None, meta=None):
         self.height = 0
@@ -217,12 +251,13 @@ class ChainState:
         self.contracts = Contracts.of(contracts or ())
         self.live = Part.of(live or ())
         self.balances = Part.of(balances or ())
-        self.revealed = self.redemptions = self.known = _EMPTY
-        self.window_blocks = _EMPTY
+        self.revealed = self.known = self.window_blocks = _EMPTY
+        self.redemptions = _EMPTY_REDEMPTIONS
         self.mempool = _EMPTY_MEMPOOL
         self.mint_log = self.bribe_log = _EMPTY_LOG
         self.bribery = _EMPTY_BRIBERY
-        self._key = self._total = None
+        self.lows = _NO_LOWS
+        self._key = self._control = self._total = None
         self._written = None
 
     # -- the one write path -------------------------------------------------
@@ -246,7 +281,9 @@ class ChainState:
         s.known = self.known
         s.bribery = self.bribery
         s.window_blocks = self.window_blocks
+        s.lows = _NO_LOWS
         s._key = self._key
+        s._control = self._control
         s._total = self._total
         s._written = {}
         return s
@@ -264,6 +301,8 @@ class ChainState:
             self._key = None
             if name in _SUMMED:
                 self._total = None
+            if name in _CONTROL:
+                self._control = None
         return part
 
     def credit(self, party: Party, amount: int) -> None:
@@ -276,13 +315,20 @@ class ChainState:
         credit(balances, party, amount)
 
     def debit(self, party: Party, amount: int) -> None:
-        """Debit `party` (never below 0); a zero debit writes nothing."""
+        """Debit `party` (never below 0) and keep its lowest balance in
+        `lows`; a zero debit writes nothing."""
         balances = self.balances
         if type(balances) is not dict:
             if not amount and party in balances:
                 return
             balances = self.write("balances")
         debit(balances, party, amount)
+        lows = self.lows
+        if lows is _NO_LOWS:
+            lows = self.lows = {}
+        have = balances[party]
+        if have < lows.get(party, have + 1):
+            lows[party] = have
 
     def burn(self, amount: int) -> None:
         """Add `amount` to the burned total; burning 0 writes nothing."""
@@ -335,9 +381,8 @@ class ChainState:
                 tuple(sorted(m[0].id for m in self.mint_log)))
 
     def merge_key(self) -> tuple:
-        """Canonical value of every field that a policy, contract, label or
-        outcome reads: two states of one game with equal keys play out
-        identically from the same round on.
+        """Canonical value of the whole state: two states of one game with
+        equal keys are equal, parts, burned total and height alike.
 
         It is (height, body key), and the body key is the burned total and
         each part's cached key; meta never changes after genesis.
@@ -351,6 +396,37 @@ class ChainState:
                 self.contracts.key(), self.known.key(), self.bribery.key(),
                 self.window_blocks.key())
         return self.height, key
+
+    def control_key(self) -> tuple:
+        """Canonical value of every field that a policy, contract guard,
+        label or terminal tag reads: two states of one game with equal
+        control keys build the same blocks, make the same broadcasts and
+        carry the same labels from the same round on, whatever their payoff
+        parts hold.
+
+        It is (height, body key), and the body key is the control parts'
+        keys, with a redemption's miner kept only on a col-M confiscation.
+        A successor that writes no control part keeps its parent's body key.
+        """
+        key = self._control
+        if key is None:
+            key = self._control = (
+                self.live.key(), self.revealed.key(), self.mempool.key(),
+                self.contracts.key(), self.known.key(), self.bribery.key(),
+                self.redemptions.control_key())
+        return self.height, key
+
+
+def with_payoff(state: ChainState, burned: int, parts: dict) -> ChainState:
+    """`state` with burned total `burned` and, for each payoff part that
+    `parts` names, those contents (a mapping or a list); it shares every
+    other part, and each named part whose contents equal its own."""
+    s = state.draft()
+    s.burned = burned
+    s._key = s._control = s._total = None
+    s._written = {name: part for name, part in parts.items()
+                  if part != getattr(state, name)}
+    return s.seal()
 
 
 def broadcast(state: ChainState, txs) -> ChainState:

@@ -310,6 +310,16 @@ class TestPool:
                            match=rf"^validation-error\({field}\): "):
             PoolParams(**params)
 
+    def test_risk_aversion_without_finite_utilities_is_refused(self):
+        # At a = 1e300, exp(-a E) underflows to 0 while a^2 Var / 2
+        # overflows, so each risk-utility term would be 0 * -inf = nan.
+        p = PoolParams(h=Fraction(1, 10), H=Fraction(1), N=25, R=Fraction(1),
+                       f_pool=Fraction(1, 50), lambda_net=Fraction(100),
+                       alpha_risk=1e300)
+        with pytest.raises(ScenarioError,
+                           match=r"^validation-error\(alpha_risk\): "):
+            pool_math(p)
+
     def test_mc_zero_rate_gives_zero_rewards(self):
         p = PoolParams(h=Fraction(1, 10), H=Fraction(1), N=5, R=Fraction(1),
                        f_pool=Fraction(0), lambda_net=Fraction(0))

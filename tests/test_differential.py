@@ -1,6 +1,7 @@
 """The merged-state forward pass against plays one schedule at a time.
 
-`expected_utilities` merges equal states round by round in both modes.
+`expected_utilities` merges schedule prefixes that reach one control state
+round by round in both modes, and adds up their payoffs apart.
 In exact mode, summing `play` over every schedule of `enumerate_schedules`
 is the reference; in Monte-Carlo mode, `play` on each schedule that
 `sample_schedule` draws in turn from the scenario's seed, for the
@@ -23,10 +24,10 @@ from htlc_arena.agents import (AliceCensoredFallback, AliceHonest, BobHonest,
                                CensorRelated, HonestFeeMax, M2MbaActive,
                                M2MbaPassive)
 from htlc_arena import game
-from htlc_arena.core import ScenarioError, miner_party
-from htlc_arena.game import (MinerProfile, StrategyProfile, enumerate_schedules,
-                             expected_utilities, mean_half_width, play,
-                             sample_schedule)
+from htlc_arena.core import LedgerError, ScenarioError, miner_party
+from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
+                             enumerate_schedules, expected_utilities,
+                             mean_half_width, play, sample_schedule)
 from htlc_arena.runner import (TTC_PATHS, _completion_round, _ttc_profile,
                                ttc)
 
@@ -119,7 +120,8 @@ def _unequal_denominators_game():
 
 def _fill_paid_game():
     # Every miner shares one policy at f >= 1: each block's fill pays its
-    # own miner, so no block is idle and no miner takes another's state.
+    # own miner, so a later miner takes the first's block with the payment
+    # renamed to it.
     miners = (MinerProfile(PARTIES[0], Fraction(2, 3)),
               MinerProfile(PARTIES[1], Fraction(1, 3)))
     scen = naive_scenario(T=3, f=2, miners=miners)
@@ -145,35 +147,60 @@ def _confiscated_after_a_shared_window(state):
             and len(state.window_blocks) > 1)
 
 
-@pytest.mark.parametrize("make,rounds,lumped,settled", [
+@pytest.mark.parametrize("make,rounds,writes_nothing,settled", [
     (_equal_split_game, range(2, 5), False,
      _confiscated_after_a_shared_window),
-    (_fill_paid_game, range(1, 6), False,
+    (_fill_paid_game, (1, 3, 4, 5), False,
      lambda state: state.redemptions.get("dep", ("",))[0] == "dep-A"),
     (_demba_auto_resolution_game, range(3, 5), True,
      lambda state: state.redemptions.get("dep", ("",))[0] == "dep-Burn")])
 def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
-                                               lumped, settled):
-    # Each one-policy example reaches the blocks it is there for.  In the
-    # equal split's censored window every block writes the window count,
-    # and at f >= 1 every fill pays its miner, so the second miner mines
-    # as often as the first; the demba censors' blocks are idle, so the
-    # second miner takes the first's state.  Each game also settles as it
-    # says.
+                                               writes_nothing, settled):
+    # Each one-policy example reaches the blocks it is there for.  In each
+    # of `rounds` the first miner's block carries no transaction and leaves
+    # the control state as it was, so the second miner takes it renamed
+    # and mines less often.  The equal split's censored-window blocks write
+    # their miner's window count and the fill game's pay their miner, so
+    # those two rename a paid increment; the demba censors' blocks write
+    # nothing.  Each game also settles as it says.
     scen, profile, pin = make()
     mined = Counter()
+    wrote: dict = {}
     real_mine = game._mine
 
     def mine(scen, profile, state, rnd, miner):
         mined[rnd, miner] += 1
-        return real_mine(scen, profile, state, rnd, miner)
+        block, nxt = real_mine(scen, profile, state, rnd, miner)
+        wrote.setdefault((rnd, miner), set()).add(
+            nxt.merge_key()[1] is not state.merge_key()[1])
+        return block, nxt
 
     monkeypatch.setattr(game, "_mine", mine)
     pairs, _ = game.final_outcomes(scen, profile, pin)
     first, second = (m.party for m in scen.miners[:2])
     for rnd in rounds:
-        assert (mined[rnd, second] < mined[rnd, first]) == lumped, rnd
+        assert mined[rnd, second] < mined[rnd, first], rnd
+        assert wrote[rnd, first] == {not writes_nothing}, rnd
     assert any(settled(out.state) for out, _ in pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=games(fewest=1), seed=st.integers(0, 2**32 - 1))
+def test_no_play_overdraws_from_genesis(game, seed):
+    # The premise the merged pass rests on: genesis funds every party for
+    # the whole horizon, so no play refuses a payment it cannot fund or a
+    # debit below zero, on any schedule, pinned rounds and zero powers
+    # aside.
+    scen, profile, _ = game
+    rng = random.Random(seed)
+    parties = scen.miner_parties()
+    for _ in range(8):
+        schedule = Schedule(tuple(rng.choice(parties)
+                                  for _ in range(scen.horizon)))
+        try:
+            play(scen, profile, schedule)
+        except LedgerError as e:
+            pytest.fail(f"{[p.id for p in schedule.miners]}: {e}")
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,6 +217,26 @@ def test_merged_expectation_equals_brute_force(game):
     assert eu.utilities == utilities
     assert eu.bribe_income == bribes
     assert eu.burned == burned
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=games())
+@example(drawn=_equal_split_game())
+@example(drawn=_fill_paid_game())
+def test_final_states_are_those_of_every_schedule(drawn):
+    # One pair per distinct final state: its full state is the one `play`
+    # reaches, and its mass the summed weight of the schedules reaching it.
+    scen, profile, pin = drawn
+    want = Counter()
+    for schedule in enumerate_schedules(scen, pin):
+        want[play(scen, profile, schedule).state.merge_key()] += \
+            schedule.weight
+    pairs, total = game.final_outcomes(scen, profile, pin)
+    got = Counter()
+    for out, n in pairs:
+        got[out.state.merge_key()] += Fraction(n, total)
+    assert len(got) == len(pairs)
+    assert got == want
 
 
 def sampled_one_by_one(scen, profile, pin=None):

@@ -14,14 +14,17 @@ import numpy as np
 import pytest
 
 from htlc_arena import game
-from htlc_arena.core import ALICE, BOB, ArenaError, ScenarioError, miner_party
+from htlc_arena.core import (ALICE, BOB, ArenaError, LedgerError,
+                             ScenarioError, miner_party)
 from htlc_arena.contracts import PRE_A, FeeSchedule
 from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
-                               M2MbaActive)
+                               M2MbaActive, payment_tx)
 from htlc_arena.game import (MinerProfile, Scenario, Schedule,
                              StrategyProfile, dominance_check,
                              enumerate_schedules, expected_utilities, play)
+from htlc_arena.ledger import Block
+from htlc_arena.runner import TTC_PATHS, _ttc_profile
 
 from conftest import (M1, M2, demba_scenario, demba_schedule, flat_schedule,
                       he_scenario, mad_scenario, monte_carlo, naive_scenario)
@@ -447,8 +450,8 @@ class TestLabels:
 
 
 class TestRoundHalves:
-    """The pass mines once per (state, miner) and lets the parties act once
-    per distinct mined state."""
+    """The pass mines once per (control state, miner) and lets the parties
+    act once per mined control state."""
 
     def two_miners(self):
         return naive_scenario(miners=(MinerProfile(M1, Fraction(1, 2)),
@@ -459,30 +462,34 @@ class TestRoundHalves:
         ("nred-A", False)])
     def test_merged_predecessors_keep_the_higher_label_rank(
             self, monkeypatch, label, raises):
+        # In round 2 the censor keeps the game red and the honest miner
+        # lands the payee's redemption (nred-A): two control states.
         scen = self.two_miners()
-        real_apply = game.apply_block
+        profile = StrategyProfile(AliceHonest(), BobHonest(),
+                                  {M1: CensorRelated(), M2: HonestFeeMax()})
+        real_apply, real_label = game.apply_block, game.state_label
         first: dict = {}
 
         def apply_block(state, block):
-            # Every block lands on the first state seen at its height, so
-            # both round-1 states merge once mined in round 2.
-            return real_apply(first.setdefault(state.height, state), block)
+            # Every round-3 block lands on the first round-2 state (the red
+            # one), so round-3 states mined from both round-2 states merge.
+            if state.height == 2:
+                state = first.setdefault(2, state)
+            return real_apply(state, block)
 
         def state_label(state, protocol):
-            if state.height == 1:
-                # m1's round-1 state comes first and ranks lowest.
-                return ("red" if state.balances[M1] > state.balances[M2]
-                        else "nred-A")
-            return label
+            return (label if state.height >= 3
+                    else real_label(state, protocol))
 
         monkeypatch.setattr(game, "apply_block", apply_block)
         monkeypatch.setattr(game, "state_label", state_label)
         if raises:
             with pytest.raises(ScenarioError,
-                               match=f"state label regressed to {label} at 2"):
-                expected_utilities(scen, honest_profile(scen))
+                               match=f"state label regressed to {label} at 3"):
+                expected_utilities(scen, profile)
         else:
-            expected_utilities(scen, honest_profile(scen))
+            expected_utilities(scen, profile)
+        assert real_label(first[2], scen.protocol) == "red"
 
     def test_parties_act_once_per_mined_state(self, monkeypatch):
         scen = self.two_miners()
@@ -493,11 +500,11 @@ class TestRoundHalves:
 
         def apply_block(state, block):
             out = real_apply(state, block)
-            mined.append(out.merge_key())
+            mined.append(out.control_key())
             return out
 
         def broadcasts(state, rnd, scen):
-            acted[state.merge_key(), rnd] += 1
+            acted[state.control_key(), rnd] += 1
             return AliceHonest.broadcasts(profile.alice, state, rnd, scen)
 
         monkeypatch.setattr(game, "apply_block", apply_block)
@@ -507,9 +514,151 @@ class TestRoundHalves:
         assert set(acted.values()) == {1} and len(acted) < len(mined)
 
 
+class TestControlMerge:
+    """Prefixes that differ only in what they were paid share one control
+    state, and so one block per miner and one party half per round."""
+
+    @pytest.mark.parametrize("path", TTC_PATHS)
+    def test_four_equal_miners_keep_one_control_state_per_round(
+            self, monkeypatch, path):
+        # The Monte-Carlo benchmark's `ttc` jobs: he, four equal miners,
+        # ten rounds, honest parties and honest miners, whose fees pay
+        # whoever mines.  Each round mines one block for the whole miner
+        # group, or one per miner in a round whose block carries a
+        # transaction, which happens at most twice.
+        miners = tuple(MinerProfile(miner_party(f"m{i}"), Fraction(1, 4),
+                                    kind, kind == "active")
+                       for i, kind in enumerate(
+                           ("active", "active", "passive", "passive"), 1))
+        scen = monte_carlo(he_scenario(
+            v_dep=300, v_col=200, T=3, t_pub=1, l=1, br=30, f=0, f_dep_a=2,
+            f_dep_b=2, f_col_b=2, horizon=10, miners=miners), 50)
+        profile = _ttc_profile(scen, path)
+        mined, acted = Counter(), Counter()
+        real_mine, real_act = game._mine, game._act
+
+        def mine(scen, profile, state, rnd, miner):
+            mined[rnd] += 1
+            return real_mine(scen, profile, state, rnd, miner)
+
+        def act(scen, profile, state, rnd, rank):
+            acted[rnd] += 1
+            return real_act(scen, profile, state, rnd, rank)
+
+        monkeypatch.setattr(game, "_mine", mine)
+        monkeypatch.setattr(game, "_act", act)
+        pairs, total = game.final_outcomes(scen, profile)
+        assert sum(n for _, n in pairs) == total == 50 and len(pairs) > 1
+        rounds = range(1, scen.horizon + 1)
+        assert acted == {rnd: 1 for rnd in rounds}
+        assert set(mined.values()) <= {1, len(miners)}
+        assert sum(mined.values()) <= 2 * scen.horizon
+
+
+class TestPayoffs:
+    """A payoff group's key: what the payoff parts hold beyond setup."""
+
+    def test_a_payoff_is_the_sum_of_its_steps(self):
+        # The payer's staged refund redeems two contracts and pays fill and
+        # fees to two miners: at every round the payoff read off the state
+        # equals the setup's with each step added.
+        scen = he_scenario(T=3, l=2, f=1, f_dep_b=2, f_col_b=2, miners=(
+            MinerProfile(M1, Fraction(1, 2)), MinerProfile(M2, Fraction(1, 2))))
+        profile = StrategyProfile(AliceOffline(), BobHonest(),
+                                  {M1: HonestFeeMax(), M2: HonestFeeMax()})
+        state = game._setup(scen, profile)[0]
+        payoffs = game._Payoffs(state)
+        payoff = payoffs.of(state)
+        for rnd in range(1, scen.horizon + 1):
+            _, mined = game._mine(scen, profile, state, rnd, (M1, M2)[rnd % 2])
+            payoff = payoffs.add(payoff, payoffs.step(state, mined))
+            state = game._act(scen, profile, mined, rnd, -1)[0]
+            assert payoff == payoffs.of(state), rnd
+        assert len(state.redemptions) == 2 and len(payoff[1][2]) == 2
+
+    def test_own_payoff_keys_a_group_only_while_it_is_alone(self):
+        # `_OWN` stands for the entry state's own payoff, so once another
+        # group arrives, in either order, both are keyed by their payoffs.
+        scen = naive_scenario(f=3)
+        state = game.build_genesis(scen)[0]
+        payoffs = game._Payoffs(state)
+        own = payoffs.of(state)
+        paid = payoffs.add(own, payoffs.step(state, game.apply_block(
+            state, Block(round=1, miner=M1, unrelated_fill=2,
+                         unrelated_fee=scen.f))))
+        assert paid != own
+        for first, second, want in (
+                (game._OWN, paid, {own: 1 + 4, paid: 2}),
+                (paid, game._OWN, {paid: 1, own: 2 + 4})):
+            entry = [state, 0, {}]
+            payoffs.put(entry, first, 1)
+            payoffs.put(entry, second, 2)
+            payoffs.put(entry, game._OWN, 4)
+            assert entry[2] == want
+
+
+class PayingMiner(HonestFeeMax):
+    """An honest miner whose round-2 block also carries a payment of
+    `amount` from m1 to the payee, in place of one filler."""
+
+    name = "paying"
+
+    def __init__(self, amount):
+        self.amount = amount
+
+    def build_block(self, state, rnd, miner, scen):
+        block = super().build_block(state, rnd, miner, scen)
+        if rnd != 2:
+            return block
+        pay = payment_tx("tx.pay", M1, ALICE, self.amount)
+        return block._replace(txs=(*block.txs, pay),
+                              unrelated_fill=block.unrelated_fill - 1)
+
+
+class TestBalanceChecks:
+    """The pass checks the balances of every payoff group it merges, not
+    only those of the state it builds blocks on."""
+
+    def game(self, amount_over_start):
+        # Whoever mines round 1 earns its fill, in idle blocks, so every
+        # prefix reaches one control state in two payoff groups.  In round
+        # 2 every block pays the payee from m1's balance.
+        scen = naive_scenario(miners=(MinerProfile(M1, Fraction(1, 2)),
+                                      MinerProfile(M2, Fraction(1, 2))))
+        start = game.build_genesis(scen)[0].balances[M1]
+        return scen, honest_profile(scen,
+                                    PayingMiner(start + amount_over_start))
+
+    @pytest.mark.parametrize("trials", [None, 20])
+    def test_one_overdrawn_group_raises_the_ledgers_error(self, trials):
+        # One token over m1's genesis balance: m1 funds it if it mined
+        # round 1 or mines round 2 (the payee's fee comes first), but not
+        # if m2 mines both, and the pass must raise what that play raises.
+        scen, profile = self.game(1)
+        play(scen, profile, Schedule((M1,) * scen.horizon))
+        play(scen, profile, Schedule((M2, M1) + (M2,) * scen.horizon))
+        with pytest.raises(LedgerError) as refused:
+            play(scen, profile, Schedule((M2,) * scen.horizon))
+        assert "over-spend" in str(refused.value)
+        if trials is not None:
+            scen = monte_carlo(scen, trials)
+        with pytest.raises(LedgerError) as merged:
+            game.final_outcomes(scen, profile)
+        assert str(merged.value) == str(refused.value)
+
+    def test_a_group_that_can_fund_every_draw_plays_on(self):
+        # At exactly m1's genesis balance every prefix funds the payment.
+        scen, profile = self.game(0)
+        want = Counter()
+        for schedule in enumerate_schedules(scen):
+            for party, d in play(scen, profile, schedule).deltas.items():
+                want[party] += schedule.weight * d
+        assert expected_utilities(scen, profile).utilities == dict(want)
+
+
 class TestIdleBlocks:
     """Miners with equal policies share an idle block: one with no
-    transaction and no coinbase that writes nothing."""
+    transaction and no coinbase that leaves the control state as it was."""
 
     def game(self, bob, first=None, second=None):
         scen = naive_scenario(f=0, T=4, miners=(

@@ -332,6 +332,23 @@ class TestParts:
         assert after.merge_key() == (1, key[1])
         assert after.merge_key()[1] is key[1]
 
+    def test_control_key_keeps_only_a_confiscators_miner(self):
+        # States that differ only in who mined a redemption play alike, so
+        # they share a control key, unless the redemption is a col-M
+        # confiscation, whose miner a pact contract reads.
+        state = fresh_naive()
+
+        def redeemed(path, miner):
+            s = state.draft()
+            s.write("redemptions")["col"] = (path, 3, miner)
+            return s.seal()
+
+        by_m1, by_m2 = redeemed(DEP_B, M1), redeemed(DEP_B, M2)
+        assert by_m1.control_key() == by_m2.control_key()
+        assert by_m1.merge_key() != by_m2.merge_key()
+        assert (redeemed(COL_M, M1).control_key()
+                != redeemed(COL_M, M2).control_key())
+
     def test_zero_credit_writes_only_a_new_party(self):
         state = fresh_naive()
         draft = state.draft()
@@ -449,9 +466,10 @@ def test_steps_share_parts_keep_caches_and_refuse_writes(
 
 
 #: A sealed chain state's slots: its height, burned total, fixed meta and
-#: parts, the caches of its key and total, and the draft marker.
-STATE_SLOTS = ("height", "burned", "meta", *PARTS, "_key", "_total",
-               "_written")
+#: parts, the lowest balances of the step that made it, the caches of its
+#: keys and total, and the draft marker.
+STATE_SLOTS = ("height", "burned", "meta", *PARTS, "lows", "_key",
+               "_control", "_total", "_written")
 
 
 @settings(max_examples=100, deadline=None)

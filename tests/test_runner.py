@@ -317,12 +317,21 @@ BAD_OVERRIDES = {
         ["expect", *NAIVE, "--mode", "mc", "--trials", str(10 ** 12)],
         "trials"),
     "pool-huge-trials": (["pool", "--trials", str(10 ** 12)], "trials"),
+    # Past 2^63 trials numpy cannot even address the draw.
+    "ttc-overflow-trials": (
+        ["ttc", *DEMBA, "--path", "alice-redeems", "--trials",
+         "999999999999999999999"], "trials"),
+    "expect-mc-overflow-trials": (
+        ["expect", *DEMBA, "--mode", "mc", "--trials",
+         "999999999999999999999"], "trials"),
     "pool-negative-lambda": (
         ["pool", "--lambda-net", "-5", "--trials", "10"], "lambda_net"),
     "pool-negative-reward": (["pool", "--reward", "-1"], "R"),
     "pool-negative-alpha-risk": (["pool", "--alpha-risk", "-1000"],
                                  "alpha_risk"),
     "pool-nan-alpha-risk": (["pool", "--alpha-risk", "nan"], "alpha_risk"),
+    # Finite, but too large for any risk-utility term to have a value.
+    "pool-huge-alpha-risk": (["pool", "--alpha-risk", "1e300"], "alpha_risk"),
     # A reward too large for a float overflows the moments.
     "pool-huge-reward": (["pool", "--reward", "1e400", "--trials", "3"],
                          "pool"),
