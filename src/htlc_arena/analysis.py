@@ -612,6 +612,12 @@ def pool_mc(p: PoolParams, trials: int, seed: int) -> dict:
     """
     if trials < 1:
         raise ScenarioError("trials must be at least 1")
+    too_big = ScenarioError(f"validation-error(trials): the draw of {trials} "
+                            "trials does not fit in memory")
+    # Past what numpy can address the draw fails with a ValueError, not a
+    # MemoryError, so such a size never reaches it.
+    if trials > np.iinfo(np.intp).max // 8:
+        raise too_big
     rng = np.random.default_rng(seed)
     lam_i = float(p.h / p.H * p.lambda_net)
     R = float(p.R)
@@ -619,8 +625,7 @@ def pool_mc(p: PoolParams, trials: int, seed: int) -> dict:
         solo = rng.poisson(lam_i, size=trials) * R
         pool_blocks = rng.poisson(lam_i * p.N, size=trials)
     except MemoryError as e:
-        raise ScenarioError(f"validation-error(trials): the draw of {trials} "
-                            "trials does not fit in memory") from e
+        raise too_big from e
     fee_cut = float(p.f_pool) * lam_i * R
     member = pool_blocks * R / p.N - fee_cut
     return {"mean_solo": float(solo.mean()),

@@ -578,11 +578,6 @@ class _Payoffs:
         self.slot = {p: i for i, p in enumerate(self.parties)}
         self.zero = ((0,) * (2 * len(self.parties) + 1), ((), (), ()))
 
-    def of(self, state: ChainState) -> tuple:
-        """The payoff that `state`'s own payoff parts hold: all it has been
-        paid since setup, as one step."""
-        return self.add(self.zero, self.step(self.setup, state))
-
     def _balances(self, state: ChainState):
         """`state`'s balances in slot order."""
         if len(state.balances) != len(self.parties):
@@ -639,6 +634,8 @@ class _Payoffs:
 
     def add(self, payoff: tuple, step: tuple):
         """`payoff` after `step`, or None if it cannot cover a draw."""
+        if step is _UNPAID:
+            return payoff
         adds, logs, draws = step
         vec, held = payoff
         for i, draw in draws:
@@ -652,20 +649,6 @@ class _Payoffs:
         if logs is not None:
             held = (held[0] + logs[0], held[1] + logs[1], held[2] + logs[2])
         return vec, held
-
-    def put(self, entry: list, payoff, mass) -> None:
-        """Add `mass` to the group of `payoff` in frontier entry `entry`.
-        `_OWN`, the payoff of the entry's own state, keys a group only
-        while it is the entry's one group: a second group turns it into
-        that payoff first, so each payoff keys one group."""
-        state, _, held = entry
-        if payoff is _OWN:
-            if held and _OWN not in held:
-                payoff = self.of(state)
-        elif _OWN in held:
-            held[self.of(state)] = held.pop(_OWN)
-        prev = held.get(payoff)
-        held[payoff] = mass if prev is None else prev + mass
 
     def state(self, control: ChainState, payoff: tuple) -> ChainState:
         """The full chain state of `payoff` at `control`'s control state."""
@@ -693,8 +676,6 @@ class _Payoffs:
 
 #: The step that pays and draws nothing.
 _UNPAID = ((), None, ())
-#: The key of the payoff group whose payoff is its entry's own state's.
-_OWN = None
 
 
 def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
@@ -705,28 +686,30 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     full state of it, reached by one of its prefixes, to build blocks and
     broadcasts on (no policy, contract guard, label or tag reads its payoff
     parts); the highest label rank it came from; and its payoff groups,
-    each a payoff (`_Payoffs`) with the mass of the schedule prefixes that
-    reach it.  The group whose payoff is the entry state's own is keyed
-    `_OWN` while it is the entry's only group, so a chain of single-group
-    entries carries no payoff arithmetic.  Each round has two halves, and
-    each runs once per distinct input.
+    each keyed by its payoff (`_Payoffs`) and holding the mass of the
+    schedule prefixes that reach it.  The pass starts from one group, the
+    setup state's zero payoff with all of `mass`.  Each round has two
+    halves, and each runs once per distinct input.
 
     The block half runs at most once per (control state, miner):
     `split(rnd, mass)` yields (miner, part) for every way a group's mass
     goes that round, and each mined state merges with those of equal
-    control key, keeping the highest label rank it came from.  Each group
-    adds the step's payoff increment (`_Payoffs.step`) and sends its part
-    to the successor's group of that payoff.  Miners with equal policies
-    (`policy_key`) form a miner group: when a group's block carries no
-    transaction and no coinbase and leaves the control state as it was,
-    every later miner of the group takes the same increment with the miner
-    renamed, with no block built or applied.  This rests on the miner
-    policy contract (`agents.MinerPolicy`): an equal policy builds that
-    same block for any miner, and such a block pays its miner and counts
-    its window block alike for any miner.  Once every miner group is known
-    to take such a block that pays nothing, each remaining group moves to
-    its successor whole, unsplit: `whole(rnd, mass)` is the sum of the
-    parts `split(rnd, mass)` yields.
+    control key, keeping the highest label rank it came from.  The step's
+    payoff increment (`_Payoffs.step`) is taken once, when its block is
+    built; each group adds it and sends its part to the successor's group
+    of that payoff.  Miners with equal policies (`policy_key`) form a miner
+    group: when a group's block carries no transaction and no coinbase and
+    leaves the control state as it was, every later miner of the group
+    takes the same increment with the miner renamed, with no block built
+    or applied.  This rests on the miner policy contract
+    (`agents.MinerPolicy`): an equal policy builds that same block for any
+    miner, and such a block pays its miner and counts its window block
+    alike for any miner.  Once every miner group is known to take such a
+    block that pays nothing, each remaining group moves to its successor
+    whole, unsplit: `whole(rnd, mass)` is the sum of the parts
+    `split(rnd, mass)` yields.  Where blocks carry no fee most groups move
+    this way, and splitting their mass only to add the parts up again
+    would cost a Monte-Carlo job about a tenth of its speed.
 
     The balance checks stay exact for every group.  The ledger reads a
     balance only to refuse a payment it cannot fund or a debit below zero,
@@ -743,7 +726,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     parts, so the groups carry over, and entries that reach one control
     state merge their groups.  Returns (outcome, mass) for each (control
     state, payoff group) at the horizon, with the full chain state that
-    `play` reaches.
+    `play` reaches, rebuilt from the group's payoff (`_Payoffs.state`).
     """
     state, baseline, escrow0 = _setup(scen, profile)
     expected_total = state.conservation_total()
@@ -751,17 +734,18 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     group = {party: keys.setdefault(policy_key(pol), len(keys))
              for party, pol in profile.miners.items()}
     payoffs = _Payoffs(state)
-    frontier = {state.control_key(): [state, -1, {_OWN: mass}]}
+    frontier = {state.control_key(): [state, -1, {payoffs.zero: mass}]}
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
         for (_, body), (state, rank, groups) in frontier.items():
-            steps: dict = {}  # miner -> [entry, keeps, block, made, paying]
+            steps: dict = {}  # miner -> (entry, block, increment)
             idle: dict = {}  # miner group -> (miner, step) of its idle block
-            own = None  # the payoff of `state`, once a group needs it
             unpaid = None  # the entry every miner reaches unpaid, or False
             for payoff, m in groups.items():
-                if unpaid:  # move the group whole; `_OWN` is a first group
-                    payoffs.put(unpaid, payoff, whole(rnd, m))
+                if unpaid:  # move the group whole
+                    held, part = unpaid[2], whole(rnd, m)
+                    prev = held.get(payoff)
+                    held[payoff] = part if prev is None else prev + part
                     continue
                 for miner, part in split(rnd, m):
                     step = steps.get(miner)
@@ -769,10 +753,9 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
                         first = idle.get(group[miner])
                         if first is not None:
                             # its entry already holds our rank
-                            owner, (entry, keeps, block, _, paying) = first
-                            step = [entry, keeps and paying is _UNPAID,
-                                    block, None,
-                                    payoffs.renamed(paying, owner, miner)]
+                            owner, (entry, block, paying) = first
+                            step = (entry, block,
+                                    payoffs.renamed(paying, owner, miner))
                         else:
                             block, nxt = _mine(scen, profile, state, rnd,
                                                miner)
@@ -785,37 +768,25 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
                                 entry = mined[key] = [nxt, rank, {}]
                             elif rank > entry[1]:
                                 entry[1] = rank
-                            step = [entry, entry[0] is nxt, block, nxt, None]
+                            step = (entry, block, payoffs.step(state, nxt))
                             if (key[1] == body and not block.txs
                                     and not block.coinbase):
-                                step[4] = payoffs.step(state, nxt)
                                 idle[group[miner]] = miner, step
                         steps[miner] = step
-                    entry, keeps, block, made, paying = step
-                    if payoff is _OWN:
-                        if keeps:
-                            payoffs.put(entry, _OWN, part)
-                            continue
-                        payoff = own = own or payoffs.of(state)
-                    if paying is None:
-                        paying = step[4] = payoffs.step(state, made)
-                    paid = (payoff if paying is _UNPAID
-                            else payoffs.add(payoff, paying))
+                    entry, block, paying = step
+                    paid = payoffs.add(payoff, paying)
                     if paid is None:
                         apply_block(payoffs.state(state, payoff),
                                     block._replace(miner=miner))
                         raise ArenaError(f"round {rnd}: a payoff group fails "
                                          "a draw that the ledger allows")
                     held = entry[2]
-                    if _OWN in held:
-                        payoffs.put(entry, paid, part)
-                    else:
-                        prev = held.get(paid)
-                        held[paid] = part if prev is None else prev + part
+                    prev = held.get(paid)
+                    held[paid] = part if prev is None else prev + part
                 if unpaid is None and len(idle) == len(keys):
                     firsts = [step for _, step in idle.values()]
                     target = firsts[0][0]
-                    unpaid = all(step[0] is target and step[4] is _UNPAID
+                    unpaid = all(step[0] is target and step[2] is _UNPAID
                                  for step in firsts) and target
         frontier = {}
         for state, rank, groups in mined.values():
@@ -827,11 +798,11 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
             if entry is None:
                 frontier[key] = [nxt, nxt_rank, groups]
                 continue
+            held = entry[2]
             for payoff, m in groups.items():
-                payoffs.put(entry, payoffs.of(nxt) if payoff is _OWN
-                            else payoff, m)
-    return [(_outcome(scen, state if payoff is _OWN
-                      else payoffs.state(state, payoff), baseline, escrow0,
+                prev = held.get(payoff)
+                held[payoff] = m if prev is None else prev + m
+    return [(_outcome(scen, payoffs.state(state, payoff), baseline, escrow0,
                       ()), m)
             for state, _, groups in frontier.values()
             for payoff, m in groups.items()]

@@ -9,12 +9,13 @@ constant across every block.
 A chain state is built from read-only parts (balances, live deposits,
 reveals, mempool, mint and bribe logs, redemptions, contracts, known
 preimages, bribery contracts and window blocks), shared by reference
-between a state and its successor.  Each part caches its share of
-`ChainState.merge_key` and of `ChainState.conservation_total`.  Every
-write goes through one step: `draft` a successor that shares every part,
-`write` a part (the draft's own copy, made on first write), `seal`.  A
-step shares every part it does not write, so a block that changes nothing
-copies nothing and keeps its parent's key and total.
+between a state and its successor.  Each part caches, on first use, the
+sum it adds to `ChainState.conservation_total` and, if it is a control
+part (below), its share of `ChainState.control_key`.  Every write goes
+through one step: `draft` a successor that shares every part, `write` a
+part (the draft's own copy, made on first write), `seal`.  A step shares
+every part it does not write, so a block that changes nothing copies
+nothing and shares its parent's control key and total.
 
 The parts split in two.  The control parts (live deposits, reveals,
 mempool, contracts, known preimages, bribery contracts and redemptions,
@@ -94,9 +95,9 @@ def _refuse(self, *args, **kwargs):
 
 
 class _Cached:
-    """What a part derives from its contents, computed on first use: its
-    share of the merge key and the sum it adds to the conservation total.
-    Build a part with `of`, which starts both caches empty."""
+    """What a part derives from its contents, computed on first use: the
+    sum it adds to the conservation total and, for a mapping, its key
+    (`Part.key`).  Build a part with `of`, which starts both caches empty."""
 
     __slots__ = ()
 
@@ -106,11 +107,6 @@ class _Cached:
         part._key = part._total = None
         return part
 
-    def key(self):
-        if self._key is None:
-            self._key = self._make_key()
-        return self._key
-
     def total(self) -> int:
         if self._total is None:
             self._total = self._make_total()
@@ -118,11 +114,17 @@ class _Cached:
 
 
 class Part(_Cached, dict):
-    """A read-only mapping part; its key is its items, its sum its values."""
+    """A read-only mapping part; its key is its items, its sum its values.
+    A control part's key is its share of `ChainState.control_key`."""
 
     __slots__ = ("_key", "_total")
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse
+
+    def key(self):
+        if self._key is None:
+            self._key = self._make_key()
+        return self._key
 
     def _make_key(self):
         return frozenset(self.items())
@@ -171,21 +173,19 @@ class Redemptions(Part):
 
     __slots__ = ()
 
-    def control_key(self):
+    def _make_key(self):
         return frozenset((cid, path, rnd, miner if path == COL_M else None)
                          for cid, (path, rnd, miner) in self.items())
 
 
 class Log(_Cached, list):
     """A read-only log of (party, amount, tag) entries; its sum is the
-    amounts'."""
+    amounts'.  A log is a payoff part and has no key; it has the slot only
+    so that every part starts its caches alike."""
 
     __slots__ = ("_key", "_total")
     __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
     append = clear = extend = insert = pop = remove = reverse = sort = _refuse
-
-    def _make_key(self):
-        return tuple(self)
 
     def _make_total(self) -> int:
         return sum(entry[1] for entry in self)
@@ -218,18 +218,19 @@ class ChainState:
     `bribe_log` ((party, amount, tag) entries), `redemptions`
     (cid -> (path, round, miner)), `contracts`, `known` ((cid, slot) ->
     value, mempool-or-chain knowledge), `bribery` and `window_blocks`.
-    Each caches its share of `merge_key` and of `conservation_total`
-    (`Part`), and the state caches the sum of those shares and its
-    `control_key`, so all three cost nothing on a state whose parts are all
-    its parent's.
+    Each caches its share of `conservation_total` and, if it is a control
+    part, of `control_key` (`Part`), and the state caches its total and its
+    control key, so both cost nothing on a state whose parts are all its
+    parent's.
 
     A state is written only as a draft: `draft()` returns a successor that
     shares every part, `write(name)` hands out the draft's own writable
     copy of one part (copied on its first write, which drops the cached
-    key and total), `credit`, `debit` and `burn` write through it, and
-    `seal()` freezes the written parts.  A sealed state refuses writes.
-    A draft starts with no `lows`; each debit records the debited party's
-    balance after it if that is the lowest so far.
+    total or control key that the part is in), `credit`, `debit` and
+    `burn` write through it, and `seal()` freezes the written parts.  A
+    sealed state refuses writes.  A draft starts with no `lows`; each debit
+    records the debited party's balance after it if that is the lowest so
+    far.
 
     `meta` holds the game's fixed parameters, set by genesis: the deadline
     `T`, the refund delay `l`, and the contract and path of the protected
@@ -241,7 +242,7 @@ class ChainState:
     miner mined in those rounds, and stays empty without it.
     """
 
-    __slots__ = ("height", "burned", "meta", *_PART_TYPES, "lows", "_key",
+    __slots__ = ("height", "burned", "meta", *_PART_TYPES, "lows",
                  "_control", "_total", "_written")
 
     def __init__(self, contracts=None, live=None, balances=None, meta=None):
@@ -257,13 +258,14 @@ class ChainState:
         self.mint_log = self.bribe_log = _EMPTY_LOG
         self.bribery = _EMPTY_BRIBERY
         self.lows = _NO_LOWS
-        self._key = self._control = self._total = None
+        self._control = self._total = None
         self._written = None
 
     # -- the one write path -------------------------------------------------
 
     def draft(self) -> "ChainState":
-        """A successor that shares every part (and so the key and total)."""
+        """A successor that shares every part (and so the control key and
+        total)."""
         if self._written is not None:
             raise TypeError("cannot draft from an unsealed chain state")
         s = ChainState.__new__(ChainState)
@@ -282,7 +284,6 @@ class ChainState:
         s.bribery = self.bribery
         s.window_blocks = self.window_blocks
         s.lows = _NO_LOWS
-        s._key = self._key
         s._control = self._control
         s._total = self._total
         s._written = {}
@@ -298,7 +299,6 @@ class ChainState:
         if part is None:
             part = written[name] = getattr(self, name).copy()
             setattr(self, name, part)
-            self._key = None
             if name in _SUMMED:
                 self._total = None
             if name in _CONTROL:
@@ -336,7 +336,7 @@ class ChainState:
             if self._written is None:
                 raise TypeError("a sealed chain state is read-only")
             self.burned += amount
-            self._key = self._total = None
+            self._total = None
 
     def seal(self) -> "ChainState":
         """Freeze the parts this draft wrote; returns the finished state."""
@@ -380,23 +380,6 @@ class ChainState:
                              for cid, c in self.contracts.items())),
                 tuple(sorted(m[0].id for m in self.mint_log)))
 
-    def merge_key(self) -> tuple:
-        """Canonical value of the whole state: two states of one game with
-        equal keys are equal, parts, burned total and height alike.
-
-        It is (height, body key), and the body key is the burned total and
-        each part's cached key; meta never changes after genesis.
-        """
-        key = self._key
-        if key is None:
-            key = self._key = (
-                self.burned, self.balances.key(), self.live.key(),
-                self.revealed.key(), self.mempool.key(), self.mint_log.key(),
-                self.bribe_log.key(), self.redemptions.key(),
-                self.contracts.key(), self.known.key(), self.bribery.key(),
-                self.window_blocks.key())
-        return self.height, key
-
     def control_key(self) -> tuple:
         """Canonical value of every field that a policy, contract guard,
         label or terminal tag reads: two states of one game with equal
@@ -405,15 +388,16 @@ class ChainState:
         parts hold.
 
         It is (height, body key), and the body key is the control parts'
-        keys, with a redemption's miner kept only on a col-M confiscation.
-        A successor that writes no control part keeps its parent's body key.
+        cached keys, with a redemption's miner kept only on a col-M
+        confiscation (`Redemptions`); meta never changes after genesis.  A
+        successor that writes no control part keeps its parent's body key.
         """
         key = self._control
         if key is None:
             key = self._control = (
                 self.live.key(), self.revealed.key(), self.mempool.key(),
                 self.contracts.key(), self.known.key(), self.bribery.key(),
-                self.redemptions.control_key())
+                self.redemptions.key())
         return self.height, key
 
 
@@ -423,7 +407,7 @@ def with_payoff(state: ChainState, burned: int, parts: dict) -> ChainState:
     other part, and each named part whose contents equal its own."""
     s = state.draft()
     s.burned = burned
-    s._key = s._control = s._total = None
+    s._control = s._total = None
     s._written = {name: part for name, part in parts.items()
                   if part != getattr(state, name)}
     return s.seal()

@@ -558,10 +558,20 @@ def cmd_ttc(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors end as every other error does, in one
+    `error:` line and exit code 1 (exit code 2 means a failed verdict)."""
+
+    def error(self, message):
+        # repr() holds an argument with a line break to the one error line.
+        shown = message if message.isprintable() else repr(message)
+        raise ScenarioError(f"usage-error: {shown}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `arena` parser, built once: `parse_args` does not change it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arena",
         description="Deterministic HTLC bribery-game simulator and verifier")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -608,9 +618,8 @@ COMMANDS = {"simulate": cmd_simulate, "expect": cmd_expect,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_options(args)
         report, code = COMMANDS[args.subcommand](args)
         text = report.render()

@@ -67,6 +67,34 @@ def flat_schedule(scen, miner=M1):
     return Schedule((miner,) * scen.horizon)
 
 
+#: A chain state's parts, in `ChainState.__slots__` order.
+PARTS = ("balances", "live", "revealed", "mempool", "mint_log", "bribe_log",
+         "redemptions", "contracts", "known", "bribery", "window_blocks")
+
+
+def state_identity(state):
+    """The whole of a chain state, read from its part contents and not from
+    any key it caches: two states of one game are equal exactly when these
+    are.  Within one game a transaction id names its content, contracts
+    change only in status, and a bribery contract's `key` holds every field
+    a step changes."""
+    return (state.height, state.burned,
+            *(frozenset(getattr(state, name).items()) for name in (
+                "balances", "live", "revealed", "redemptions", "known",
+                "window_blocks")),
+            tuple(state.mint_log), tuple(state.bribe_log),
+            frozenset(state.mempool),
+            frozenset((cid, c.status) for cid, c in state.contracts.items()),
+            frozenset((cid, c.key()) for cid, c in state.bribery.items()))
+
+
+def same_parts(before, after):
+    """`after` holds each of `before`'s parts, the same objects, and its
+    burned total: the step between them wrote nothing."""
+    return after.burned == before.burned and all(
+        getattr(after, name) is getattr(before, name) for name in PARTS)
+
+
 @pytest.fixture
 def m1():
     return M1

@@ -32,7 +32,7 @@ from htlc_arena.runner import (TTC_PATHS, _completion_round, _ttc_profile,
                                ttc)
 
 from conftest import (demba_scenario, he_scenario, monte_carlo,
-                      naive_scenario)
+                      naive_scenario, same_parts, state_identity)
 from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 POOLS = _fuzz_pools()
@@ -172,7 +172,7 @@ def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
         mined[rnd, miner] += 1
         block, nxt = real_mine(scen, profile, state, rnd, miner)
         wrote.setdefault((rnd, miner), set()).add(
-            nxt.merge_key()[1] is not state.merge_key()[1])
+            not same_parts(state, nxt))
         return block, nxt
 
     monkeypatch.setattr(game, "_mine", mine)
@@ -229,12 +229,12 @@ def test_final_states_are_those_of_every_schedule(drawn):
     scen, profile, pin = drawn
     want = Counter()
     for schedule in enumerate_schedules(scen, pin):
-        want[play(scen, profile, schedule).state.merge_key()] += \
+        want[state_identity(play(scen, profile, schedule).state)] += \
             schedule.weight
     pairs, total = game.final_outcomes(scen, profile, pin)
     got = Counter()
     for out, n in pairs:
-        got[out.state.merge_key()] += Fraction(n, total)
+        got[state_identity(out.state)] += Fraction(n, total)
     assert len(got) == len(pairs)
     assert got == want
 

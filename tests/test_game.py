@@ -23,11 +23,11 @@ from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
 from htlc_arena.game import (MinerProfile, Scenario, Schedule,
                              StrategyProfile, dominance_check,
                              enumerate_schedules, expected_utilities, play)
-from htlc_arena.ledger import Block
 from htlc_arena.runner import TTC_PATHS, _ttc_profile
 
-from conftest import (M1, M2, demba_scenario, demba_schedule, flat_schedule,
-                      he_scenario, mad_scenario, monte_carlo, naive_scenario)
+from conftest import (M1, M2, PARTS, demba_scenario, demba_schedule,
+                      flat_schedule, he_scenario, mad_scenario, monte_carlo,
+                      naive_scenario, same_parts, state_identity)
 
 
 def honest_profile(scen, miner_policy=None):
@@ -352,7 +352,7 @@ class TestExpectations:
         def settled(out):
             return (tuple(out.deltas.items()), out.burned, out.minted,
                     tuple(out.bribe_income.items()), out.escrow_delta,
-                    out.terminal, out.state.merge_key())
+                    out.terminal, state_identity(out.state))
 
         # The reference: one `sample_schedule` and one `play` per trial.
         rng = np.random.default_rng(11)
@@ -555,46 +555,71 @@ class TestControlMerge:
         assert sum(mined.values()) <= 2 * scen.horizon
 
 
+def _staged_refund_game():
+    # The payer's staged refund redeems two contracts and pays fill and
+    # fees to two miners.
+    scen = he_scenario(T=3, l=2, f=1, f_dep_b=2, f_col_b=2, miners=(
+        MinerProfile(M1, Fraction(1, 2)), MinerProfile(M2, Fraction(1, 2))))
+    profile = StrategyProfile(AliceOffline(), BobHonest(),
+                              {M1: HonestFeeMax(), M2: HonestFeeMax()})
+    return scen, profile
+
+
+def _equal_split_pact_game():
+    # Both miners censor in the pact's window, each counting its window
+    # blocks, and one of them confiscates the collateral, a redemption
+    # whose miner the payoff records.
+    scen = he_scenario(v_col=60, T=4, l=2, f=0, m2mba_split="equal", miners=(
+        MinerProfile(M1, Fraction(1, 2), "active", True),
+        MinerProfile(M2, Fraction(1, 2), "active", True)))
+    profile = StrategyProfile(AliceHonest(), BobHonest(),
+                              {M1: M2MbaActive(), M2: M2MbaActive()})
+    return scen, profile
+
+
 class TestPayoffs:
     """A payoff group's key: what the payoff parts hold beyond setup."""
 
     def test_a_payoff_is_the_sum_of_its_steps(self):
-        # The payer's staged refund redeems two contracts and pays fill and
-        # fees to two miners: at every round the payoff read off the state
-        # equals the setup's with each step added.
-        scen = he_scenario(T=3, l=2, f=1, f_dep_b=2, f_col_b=2, miners=(
-            MinerProfile(M1, Fraction(1, 2)), MinerProfile(M2, Fraction(1, 2))))
-        profile = StrategyProfile(AliceOffline(), BobHonest(),
-                                  {M1: HonestFeeMax(), M2: HonestFeeMax()})
-        state = game._setup(scen, profile)[0]
-        payoffs = game._Payoffs(state)
-        payoff = payoffs.of(state)
-        for rnd in range(1, scen.horizon + 1):
-            _, mined = game._mine(scen, profile, state, rnd, (M1, M2)[rnd % 2])
-            payoff = payoffs.add(payoff, payoffs.step(state, mined))
-            state = game._act(scen, profile, mined, rnd, -1)[0]
-            assert payoff == payoffs.of(state), rnd
-        assert len(state.redemptions) == 2 and len(payoff[1][2]) == 2
-
-    def test_own_payoff_keys_a_group_only_while_it_is_alone(self):
-        # `_OWN` stands for the entry state's own payoff, so once another
-        # group arrives, in either order, both are keyed by their payoffs.
-        scen = naive_scenario(f=3)
-        state = game.build_genesis(scen)[0]
-        payoffs = game._Payoffs(state)
-        own = payoffs.of(state)
-        paid = payoffs.add(own, payoffs.step(state, game.apply_block(
-            state, Block(round=1, miner=M1, unrelated_fill=2,
-                         unrelated_fee=scen.f))))
-        assert paid != own
-        for first, second, want in (
-                (game._OWN, paid, {own: 1 + 4, paid: 2}),
-                (paid, game._OWN, {paid: 1, own: 2 + 4})):
-            entry = [state, 0, {}]
-            payoffs.put(entry, first, 1)
-            payoffs.put(entry, second, 2)
-            payoffs.put(entry, game._OWN, 4)
-            assert entry[2] == want
+        # The two miners mine in turn, in either order.  At every round the
+        # setup's zero payoff with each step added rebuilds the state that
+        # order reaches, part by part and in its burned total, on the state
+        # the other order reaches where both share a control state (so the
+        # redemption miners and balances come from the payoff alone), and
+        # on its own state elsewhere.  The staged refund's two orders share
+        # control states whose redemptions have other miners.
+        crossed = 0
+        for make, settled in (
+                (_staged_refund_game,
+                 lambda state, payoff: len(state.redemptions) == 2
+                 and len(payoff[1][2]) == 2),
+                (_equal_split_pact_game,
+                 lambda state, payoff: state.redemptions["col"][0] == "col-M"
+                 and len(state.window_blocks) == 2 and payoff[1][2])):
+            scen, profile = make()
+            setup = game._setup(scen, profile)[0]
+            payoffs = game._Payoffs(setup)
+            runs = []
+            for order in ((M1, M2), (M2, M1)):
+                state, payoff, run = setup, payoffs.zero, []
+                for rnd in range(1, scen.horizon + 1):
+                    _, mined = game._mine(scen, profile, state, rnd,
+                                          order[rnd % 2])
+                    payoff = payoffs.add(payoff, payoffs.step(state, mined))
+                    state = game._act(scen, profile, mined, rnd, -1)[0]
+                    run.append((state, payoff))
+                assert settled(state, payoff), (make, order)
+                runs.append(run)
+            for rnd, ((a, pa), (b, pb)) in enumerate(zip(*runs), 1):
+                shared = a.control_key() == b.control_key()
+                crossed += shared and a.redemptions != b.redemptions
+                for state, payoff, other in ((a, pa, b), (b, pb, a)):
+                    back = payoffs.state(other if shared else state, payoff)
+                    assert [name for name in PARTS if getattr(back, name)
+                            != getattr(state, name)] == [], (make, rnd)
+                    assert ((back.height, back.burned)
+                            == (state.height, state.burned)), (make, rnd)
+        assert crossed
 
 
 class PayingMiner(HonestFeeMax):
@@ -711,15 +736,14 @@ class TestIdleBlocks:
         real_apply = game.apply_block
 
         def apply_block(state, block):
-            body = state.merge_key()[1]
-            steps.append((block, body, real_apply(state, block)))
+            steps.append((block, state, real_apply(state, block)))
             return steps[-1][2]
 
         monkeypatch.setattr(game, "apply_block", apply_block)
         play(scen, profile, flat_schedule(scen))
         monkeypatch.undo()
-        assert any(block.txs and after.merge_key()[1] is body
-                   for block, body, after in steps)
+        assert any(block.txs and same_parts(before, after)
+                   for block, before, after in steps)
         mined = self.mined(monkeypatch, scen, profile)
         assert all(mined[rnd, M2] == mined[rnd, M1]
                    for rnd in range(1, scen.horizon + 1))

@@ -22,7 +22,8 @@ from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
 from htlc_arena.ledger import (Block, ChainState, TxRecord, Witness,
                                apply_block, broadcast, fee_split, validate_tx)
 
-from conftest import M1, M2, demba_scenario, he_scenario, naive_scenario
+from conftest import (M1, M2, PARTS, demba_scenario, he_scenario,
+                      naive_scenario, state_identity)
 from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 
@@ -278,10 +279,6 @@ class TestInvariants:
 
 
 #: Every part of a chain state, as the ledger names them.
-PARTS = ("balances", "live", "revealed", "mempool", "mint_log", "bribe_log",
-         "redemptions", "contracts", "known", "bribery", "window_blocks")
-
-
 def rebuilt(state):
     """A state built afresh from `state`'s part contents, so that none of
     its cached keys or sums is carried over."""
@@ -325,12 +322,12 @@ class TestParts:
     def test_block_that_changes_nothing_shares_every_part(self):
         scen = he_scenario(f=0)
         state, _, _ = build_genesis(scen)
-        key = state.merge_key()
+        key = state.control_key()
         after = apply_block(state, Block(round=1, miner=M1, unrelated_fill=8,
                                          unrelated_fee=0))
         assert all(getattr(after, n) is getattr(state, n) for n in PARTS)
-        assert after.merge_key() == (1, key[1])
-        assert after.merge_key()[1] is key[1]
+        assert after.control_key() == (1, key[1])
+        assert after.control_key()[1] is key[1]
 
     def test_control_key_keeps_only_a_confiscators_miner(self):
         # States that differ only in who mined a redemption play alike, so
@@ -345,7 +342,7 @@ class TestParts:
 
         by_m1, by_m2 = redeemed(DEP_B, M1), redeemed(DEP_B, M2)
         assert by_m1.control_key() == by_m2.control_key()
-        assert by_m1.merge_key() != by_m2.merge_key()
+        assert state_identity(by_m1) != state_identity(by_m2)
         assert (redeemed(COL_M, M1).control_key()
                 != redeemed(COL_M, M2).control_key())
 
@@ -382,7 +379,7 @@ class TestParts:
         state = apply_block(state, Block(
             round=1, miner=M1, txs=(state.mempool["tx.cbob.init"],),
             capacity=scen.capacity))
-        key, total = state.merge_key(), state.conservation_total()
+        key, total = state.control_key(), state.conservation_total()
         with pytest.raises(FrozenInstanceError):
             state.contracts["dep"].status = BURNED
         assert state.contracts["dep"].redeemable
@@ -393,11 +390,12 @@ class TestParts:
             cbob.reserved[M1] = 1
         assert (cbob.deposit, dict(cbob.reserved)) == (scen.v_dep, {})
         fresh = rebuilt(state)
-        assert (fresh.merge_key(), fresh.conservation_total()) == (key, total)
+        assert (fresh.control_key(),
+                fresh.conservation_total()) == (key, total)
         scen = he_scenario(miners=(MinerProfile(M1, Fraction(1), "active",
                                                 True),))
         state = M2MbaActive().setup(build_genesis(scen)[0], scen, M1)
-        key, total = state.merge_key(), state.conservation_total()
+        key, total = state.control_key(), state.conservation_total()
         pact = state.bribery[CM2M_ID]
         with pytest.raises(FrozenInstanceError):
             pact.settled = True
@@ -406,28 +404,31 @@ class TestParts:
                 getattr(pact, name)[M1] = 0
         assert dict(pact.locked) == {M1: scen.v_col} and not pact.settled
         fresh = rebuilt(state)
-        assert (fresh.merge_key(), fresh.conservation_total()) == (key, total)
+        assert (fresh.control_key(),
+                fresh.conservation_total()) == (key, total)
 
 
 def _checked(step):
     """`step` (apply_block or broadcast), checked on every call: the input
-    keeps its parts, contents, key and total; the output's cached key and
-    total equal a rebuilt state's; and the output refuses writes."""
+    keeps its parts, contents, control key and total; the output's cached
+    control key and total equal a rebuilt state's; and the output refuses
+    writes."""
 
     def run(state, arg):
         parts = {n: getattr(state, n) for n in PARTS}
         contents = {n: list(p) if isinstance(p, list) else dict(p)
                     for n, p in parts.items()}
-        key, total = state.merge_key(), state.conservation_total()
+        key, total = state.control_key(), state.conservation_total()
         out = step(state, arg)
         assert all(getattr(state, n) is p for n, p in parts.items())
         assert {n: list(p) if isinstance(p, list) else dict(p)
                 for n, p in parts.items()} == contents
-        assert (state.merge_key(), state.conservation_total()) == (key, total)
+        assert (state.control_key(), state.conservation_total()) == (key, total)
         again = rebuilt(state)
-        assert (again.merge_key(), again.conservation_total()) == (key, total)
+        assert (again.control_key(),
+                again.conservation_total()) == (key, total)
         fresh = rebuilt(out)
-        assert fresh.merge_key() == out.merge_key()
+        assert fresh.control_key() == out.control_key()
         assert fresh.conservation_total() == out.conservation_total()
         assert_read_only(out)
         return out
@@ -467,9 +468,9 @@ def test_steps_share_parts_keep_caches_and_refuse_writes(
 
 #: A sealed chain state's slots: its height, burned total, fixed meta and
 #: parts, the lowest balances of the step that made it, the caches of its
-#: keys and total, and the draft marker.
-STATE_SLOTS = ("height", "burned", "meta", *PARTS, "lows", "_key",
-               "_control", "_total", "_written")
+#: control key and total, and the draft marker.
+STATE_SLOTS = ("height", "burned", "meta", *PARTS, "lows", "_control",
+               "_total", "_written")
 
 
 @settings(max_examples=100, deadline=None)
@@ -497,7 +498,7 @@ def test_the_pass_leaves_every_state_it_reads_as_it_was(
 
     def recorded(half):
         def run(scen, profile, state, *args):
-            state.merge_key()  # fill both caches first: a later fill
+            state.control_key()  # fill both caches first: a later fill
             state.conservation_total()  # is no change of value
             received.append((state, [getattr(state, n) for n in STATE_SLOTS]))
             return half(scen, profile, state, *args)

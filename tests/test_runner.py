@@ -294,7 +294,7 @@ NAIVE = ["--scenario", str(SCENARIOS / "naive_bribery.json")]
 DEMBA = ["--scenario", str(SCENARIOS / "demba_honest.json")]
 
 # case -> (argv that runs cleanly but for one option, the field its error
-# names)
+# names, or None for a usage error)
 BAD_OVERRIDES = {
     "expect-negative-trials": (["expect", *NAIVE, "--trials", "-3"], "trials"),
     "expect-mc-zero-trials": (
@@ -317,6 +317,15 @@ BAD_OVERRIDES = {
         ["expect", *NAIVE, "--mode", "mc", "--trials", str(10 ** 12)],
         "trials"),
     "pool-huge-trials": (["pool", "--trials", str(10 ** 12)], "trials"),
+    # Past what numpy can address, where it would name no field.
+    "pool-2^62-trials": (["pool", "--trials", str(2 ** 62)], "trials"),
+    "pool-2^63-trials": (["pool", "--trials", str(2 ** 63)], "trials"),
+    # The parser's own errors: one line and exit 1 too, not its usage text
+    # and exit 2, which means a failed verdict.
+    "expect-trials-not-an-int": (["expect", *NAIVE, "--trials", "1e3"], None),
+    "ttc-missing-path": (["ttc", *NAIVE], None),
+    "unknown-subcommand": (["verify", *NAIVE], None),
+    "stray-argument-with-line-break": (["pool", "a\nb"], None),
     # Past 2^63 trials numpy cannot even address the draw.
     "ttc-overflow-trials": (
         ["ttc", *DEMBA, "--path", "alice-redeems", "--trials",
@@ -426,21 +435,80 @@ def mutated_samples(draw):
     return doc
 
 
+def assert_ends_cleanly(argv):
+    """`arena` on `argv` either exits 0 with a report whose every value is
+    finite and nothing on stderr, or exits 1 with one `error:` line and
+    nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), argv
+    if code == 1:
+        assert out.getvalue() == "", argv
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert err.getvalue() == "", argv
+        values = [v for rec in Report.parse(out.getvalue()).records
+                  for v in rec[2:]]
+        assert not {"nan", "inf", "-inf"} & set(values), (argv, values)
+
+
 @settings(max_examples=150, deadline=None)
 @given(doc=mutated_samples())
 def test_mutated_sample_scenario_fails_cleanly(tmp_path_factory, doc):
     scen = tmp_path_factory.getbasetemp() / "mutated.json"
     scen.write_text(json.dumps(doc), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["simulate", "--scenario", str(scen)])
-    assert code in (0, 1)
-    if code == 1:
-        assert out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    else:
-        assert err.getvalue() == ""
+    assert_ends_cleanly(["simulate", "--scenario", str(scen)])
+
+
+#: Option values a user may pass by mistake: signs, zero, ints past 2^63,
+#: floats too large, too small or not finite, booleans and odd strings.
+ODD_VALUES = ("-1", "0", str(2 ** 63), str(2 ** 64 + 1), "1e300", "1e-320",
+              "nan", "inf", "-inf", "true", "false", "", " ", "x", "1/0",
+              "-1/2", "m1\n", "--seed")
+#: Trial counts are small or past any allocation: one that fits in memory
+#: but is huge would run for minutes.
+TRIALS = ("1", "2", "7", "40", str(10 ** 12), str(2 ** 62), str(2 ** 63),
+          "999999999999999999999")
+#: Each subcommand's options beyond `--scenario` and `--out`, with the
+#: values that make sense for each; every option also draws `ODD_VALUES`.
+OPTIONS = {
+    "simulate": {},
+    "expect": {"--mode": ("exact", "mc"), "--trials": TRIALS},
+    "dominance": {"--player": ("alice", "bob", "m1", "m2", "m3")},
+    "lemmas": {},
+    "pool": {"--hash": ("1/10", "1/3", "1"), "--network-hash": ("1", "2"),
+             "--pool-size": ("1", "25"), "--reward": ("1", "5/2"),
+             "--pool-fee": ("0", "1/50"), "--lambda-net": ("100", "1/2"),
+             "--alpha-risk": ("1.0", "0.01"), "--trials": TRIALS},
+    "ttc": {"--variant": ("mad", "he", "demba"),
+            "--path": ("alice-redeems", "bob-collateral", "bob-both"),
+            "--trials": TRIALS},
+}
+
+
+@st.composite
+def argvs(draw):
+    """An `arena` command line: a subcommand on a sample scenario, each of
+    its options left out or given a sensible value (twice as often) or an
+    odd one, so that most lines get past the parser."""
+    sub = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [sub]
+    if sub != "pool":
+        argv += ["--scenario", str(SCENARIOS / draw(
+            st.sampled_from(SAMPLE_NAMES)))]
+    for option, values in {"--seed": ("0", "3"), **OPTIONS[sub]}.items():
+        how = draw(st.sampled_from((None, values, values, ODD_VALUES)))
+        if how is not None:
+            argv += [option, draw(st.sampled_from(how))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_every_command_line_ends_cleanly(argv):
+    assert_ends_cleanly(argv)
 
 
 class TestTtc:

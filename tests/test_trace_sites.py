@@ -1,22 +1,30 @@
-"""The benchmark tracer's call sites are still bound.
+"""The benchmark's call sites are still bound.
 
 `perfbench/spans.py` records layer spans by replacing engine names on their
 owners (module globals and policy methods).  A renamed or deleted name only
 shows when a traced benchmark runs; this reads the tracer's tables and checks
-every (owner, attribute) it patches is still there.  It patches nothing.
+every (owner, attribute) it patches is still there, and that the engine
+still answers the calls the tracer and the workloads make.  It patches
+nothing.
 """
 
 from __future__ import annotations
 
+import inspect
 import sys
 from pathlib import Path
 
 from htlc_arena import game
+from htlc_arena.agents import AliceHonest, BobHonest, HonestFeeMax
+from htlc_arena.game import StrategyProfile
+
+from conftest import flat_schedule, naive_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_every_traced_name_is_bound():
@@ -26,3 +34,17 @@ def test_every_traced_name_is_bound():
     missing = [f"{owner.__name__}.{attr}" for owner, attr in sites
                if attr not in vars(owner)]
     assert not missing, missing
+
+
+def test_every_called_name_answers():
+    # Beyond what it patches, the tracer notes each applied state by its
+    # `snapshot_key`, and play-fuzz plays with `check_invariants`.
+    assert "state.snapshot_key()" in inspect.getsource(
+        spans.Tracer._note_state)
+    assert "check_invariants=True" in inspect.getsource(
+        workloads.play_fuzz_units)
+    scen = naive_scenario()
+    profile = StrategyProfile(AliceHonest(), BobHonest(),
+                              {m.party: HonestFeeMax() for m in scen.miners})
+    out = game.play(scen, profile, flat_schedule(scen), check_invariants=True)
+    assert isinstance(out.state.snapshot_key(), tuple)
