@@ -13,15 +13,18 @@ that reach it.  Each round's two halves run once per distinct input: a
 block once per (control state, miner), and an idle block (no transaction
 or coinbase, the control state unchanged) once per control state and
 group of miners with equal policies; then the parties' broadcasts, the
-label and its check once per mined control state.  `final_outcomes`
-returns one outcome per (control state, payoff group), with the full
-chain state `play` reaches, an integer mass, and the total the masses sum
+label and its check once per mined control state.  `final_frontier`
+returns the pass's final frontier: each final control state with its
+payoff groups, each holding an integer mass, and the total the masses sum
 to.  In exact mode a mass is the summed schedule weight (the product of
 miner powers) over one common denominator, the product of each round's;
 its values are those of playing every schedule that `enumerate_schedules`
 yields, which is the reference the tests hold it to.  In Monte-Carlo mode
 a mass is the number of sampled trials that reach the state; its values
-are those of playing each sampled schedule.  Dominance checks brute-force
+are those of playing each sampled schedule.  `expected_utilities` and
+`runner.ttc` settle straight from the frontier, a payoff or a control
+state at a time; `final_outcomes` rebuilds, per group, the full chain
+state and the outcome `play` reaches.  Dominance checks brute-force
 finite policy spaces on top of the expectation machinery.
 
 Utilities carry no discounting: they are raw end-of-game token deltas from
@@ -39,7 +42,7 @@ import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -447,17 +450,26 @@ def _outcome(scen: Scenario, state: ChainState, baseline: dict, escrow0: int,
     for party in sorted(set(baseline) | set(state.balances)):
         deltas[party] = Fraction(state.balances.get(party, 0)
                                  - baseline.get(party, 0))
-    bribe_income: dict = {}
-    for party, amount, tag in state.bribe_log:
-        if tag == "censor-bribe":
-            bribe_income[party] = bribe_income.get(party, 0) + amount
-    _settle_equal_split(scen, state, deltas)
+    confiscator = _split_confiscator(scen, state)
+    if confiscator is not None:
+        for party, change in _split(scen, confiscator,
+                                    state.window_blocks).items():
+            deltas[party] += change
     escrow = state.live.total() + state.bribery.total()
     return Outcome(deltas=deltas, burned=state.burned,
                    minted=state.mint_log.total(),
                    trace=trace, terminal=_terminal_tag(state, scen),
-                   bribe_income=bribe_income,
+                   bribe_income=_censor_income(state.bribe_log),
                    escrow_delta=Fraction(escrow - escrow0), state=state)
+
+
+def _censor_income(bribe_log) -> dict:
+    """Each party's censor-bribe income in `bribe_log`'s entries."""
+    income: dict = {}
+    for party, amount, tag in bribe_log:
+        if tag == "censor-bribe":
+            income[party] = income.get(party, 0) + amount
+    return income
 
 
 def _terminal_tag(state: ChainState, scen: Scenario) -> str:
@@ -471,33 +483,39 @@ def _terminal_tag(state: ChainState, scen: Scenario) -> str:
     return entry[0] if entry else "pending"
 
 
-def _settle_equal_split(scen: Scenario, state: ChainState,
-                        deltas: dict) -> None:
+def _colluders(scen: Scenario) -> set:
+    return {m.party for m in scen.miners if m.colluding and m.kind == "active"}
+
+
+def _split_confiscator(scen: Scenario, state: ChainState):
+    """The miner whose confiscation the pact's equal split shares out, or
+    None.  It reads only the control part `redemptions`, which keeps a
+    col-M confiscator's miner (`ledger.Redemptions`)."""
+    if (scen.protocol != "he" or scen.m2mba_split != "equal"
+            or scen.T == scen.t_pub):
+        return None
+    confiscator = ChainView(state, state.height, None).confiscator()
+    return confiscator if confiscator in _colluders(scen) else None
+
+
+def _split(scen: Scenario, confiscator: Party, window_blocks) -> dict:
     """Reallocate a confiscation equally by censored blocks mined.
 
     Used by the miner-pact equal-split variant: the confiscator keeps
     v_col * k_i / k and pays every other censoring colluder v_col * k_j / k,
     where k counts the censored window blocks (the ledger counts each
-    miner's in `state.window_blocks`).  Pure reallocation, so the outcome
-    total is unchanged.
+    miner's in `window_blocks`).  Returns each party's change, which sum
+    to zero, so the outcome total is unchanged.
     """
-    if scen.protocol != "he" or scen.m2mba_split != "equal":
-        return
-    confiscator = ChainView(state, state.height, None).confiscator()
-    colluders = {m.party for m in scen.miners if m.colluding and m.kind == "active"}
-    if confiscator not in colluders:
-        return
     k = scen.T - scen.t_pub
-    if k == 0:
-        return
-    v_col = scen.v_col
-    for party, k_j in sorted(state.window_blocks.items(),
-                             key=lambda kv: kv[0].id):
-        if party == confiscator or party not in colluders:
-            continue
-        share = Fraction(v_col) * k_j / k
-        deltas[party] = deltas.get(party, Fraction(0)) + share
-        deltas[confiscator] -= share
+    colluders = _colluders(scen)
+    changes = {confiscator: Fraction(0)}
+    for party, k_j in sorted(window_blocks.items(), key=lambda kv: kv[0].id):
+        if party != confiscator and party in colluders:
+            share = Fraction(scen.v_col) * k_j / k
+            changes[party] = share
+            changes[confiscator] -= share
+    return changes
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +587,23 @@ class _Payoffs:
     scenario's miners.  So every state's balances list the setup parties
     in setup order, as a step copies the part and writes it in place, and
     `vec` reads them in that order.
+
+    A payoff is settled against the post-setup `baseline` balances and
+    escrow total `escrow0`.  Genesis takes the baseline from the balances
+    it funds, so every baseline party is a setup party.
     """
 
-    def __init__(self, setup: ChainState):
+    def __init__(self, setup: ChainState, baseline, escrow0: int):
         self.setup = setup
+        self.baseline = baseline
+        self.escrow0 = escrow0
         self.parties = tuple(setup.balances)
         self.start = tuple(setup.balances.values())
         self.slot = {p: i for i, p in enumerate(self.parties)}
         self.zero = ((0,) * (2 * len(self.parties) + 1), ((), (), ()))
+        #: Each party's delta at the zero payoff, in slot order.
+        self.offset = tuple(s - baseline.get(p, 0)
+                            for p, s in zip(self.parties, self.start))
 
     def _balances(self, state: ChainState):
         """`state`'s balances in slot order."""
@@ -650,16 +677,36 @@ class _Payoffs:
             held = (held[0] + logs[0], held[1] + logs[1], held[2] + logs[2])
         return vec, held
 
+    def _window(self, vec: tuple):
+        """The window-block counts of a payoff's `vec`."""
+        window = self.setup.window_blocks
+        counts = vec[len(self.parties) + 1:]
+        if any(counts):
+            window = dict(window)
+            for p, k in zip(self.parties, counts):
+                if k:
+                    window[p] = window.get(p, 0) + k
+        return window
+
+    def settle(self, scen: Scenario, confiscator, payoff: tuple) -> tuple:
+        """What `_outcome` settles on `payoff`'s full state, read from the
+        payoff alone: (each setup party's delta in slot order, the burned
+        total, the censor-bribe income).  `confiscator` is the control
+        state's `_split_confiscator`."""
+        vec, (_, bribes, _) = payoff
+        deltas = list(map(operator.add, self.offset, vec))
+        if confiscator is not None:
+            for party, change in _split(scen, confiscator,
+                                        self._window(vec)).items():
+                deltas[self.slot[party]] += change
+        return (deltas, self.setup.burned + vec[len(self.parties)],
+                _censor_income((*self.setup.bribe_log, *bribes)))
+
     def state(self, control: ChainState, payoff: tuple) -> ChainState:
         """The full chain state of `payoff` at `control`'s control state."""
         vec, (mints, bribes, redeemers) = payoff
         setup, n = self.setup, len(self.parties)
-        window = setup.window_blocks
-        if any(vec[n + 1:]):
-            window = dict(window)
-            for p, k in zip(self.parties, vec[n + 1:]):
-                if k:
-                    window[p] = window.get(p, 0) + k
+        window = self._window(vec)
         redemptions = control.redemptions
         if redeemers:
             miners = dict(redeemers)
@@ -679,7 +726,7 @@ _UNPAID = ((), None, ())
 
 
 def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
-             whole) -> list:
+             whole) -> tuple:
     """The forward pass over rounds that both expectation modes run.
 
     A frontier entry is a control state (`ChainState.control_key`): one
@@ -724,16 +771,16 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     label and the label rule, checked against that highest rank, so it
     raises exactly when some transition would.  It writes only control
     parts, so the groups carry over, and entries that reach one control
-    state merge their groups.  Returns (outcome, mass) for each (control
-    state, payoff group) at the horizon, with the full chain state that
-    `play` reaches, rebuilt from the group's payoff (`_Payoffs.state`).
+    state merge their groups.  Returns the pass's `_Payoffs` and its final
+    frontier as it stands: (control state, {payoff: mass}) for each control
+    state at the horizon, the state being the one full state it keeps.
     """
     state, baseline, escrow0 = _setup(scen, profile)
     expected_total = state.conservation_total()
     keys: dict = {}
     group = {party: keys.setdefault(policy_key(pol), len(keys))
              for party, pol in profile.miners.items()}
-    payoffs = _Payoffs(state)
+    payoffs = _Payoffs(state, baseline, escrow0)
     frontier = {state.control_key(): [state, -1, {payoffs.zero: mass}]}
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
@@ -802,10 +849,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
             for payoff, m in groups.items():
                 prev = held.get(payoff)
                 held[payoff] = m if prev is None else prev + m
-    return [(_outcome(scen, payoffs.state(state, payoff), baseline, escrow0,
-                      ()), m)
-            for state, _, groups in frontier.values()
-            for payoff, m in groups.items()]
+    return payoffs, [(state, groups) for state, _, groups in frontier.values()]
 
 
 def _pick_probs(scen: Scenario) -> np.ndarray:
@@ -817,7 +861,7 @@ def _pick_probs(scen: Scenario) -> np.ndarray:
 def sample_schedule(scen: Scenario, rng: np.random.Generator,
                     pin: Optional[dict] = None) -> Schedule:
     """One schedule drawn from `rng`: the first row of the draw that
-    `final_outcomes` makes for all its Monte-Carlo trials at once."""
+    `final_frontier` makes for all its Monte-Carlo trials at once."""
     pin = pin or {}
     parties = scen.miner_parties()
     picks = rng.choice(len(parties), size=scen.horizon, p=_pick_probs(scen))
@@ -826,10 +870,19 @@ def sample_schedule(scen: Scenario, rng: np.random.Generator,
     return Schedule(miners, Fraction(1))
 
 
-def final_outcomes(scen: Scenario, profile: StrategyProfile,
-                   pin: Optional[dict] = None) -> tuple:
-    """(pairs, total): each distinct final state's (outcome, integer mass),
-    and the total those masses sum to, in the scenario's mode.
+class Frontier(NamedTuple):
+    """The final frontier of a forward pass, in the scenario's mode."""
+
+    entries: list  # (control state, {payoff: integer mass}) per control state
+    total: int  # what the masses sum to
+    payoffs: _Payoffs  # the pass's payoffs, to settle each group's
+
+
+def final_frontier(scen: Scenario, profile: StrategyProfile,
+                   pin: Optional[dict] = None) -> Frontier:
+    """The forward pass's final frontier: each final control state, with
+    one full state of it and its payoff groups, each group's integer mass,
+    and the total those masses sum to, which is checked here.
 
     In exact mode a mass is a schedule weight over `total`, the product of
     the rounds' common denominators; zero-weight branches are kept, so the
@@ -847,23 +900,21 @@ def final_outcomes(scen: Scenario, profile: StrategyProfile,
         rounds = [_round_branches(scen, rnd, pin)
                   for rnd in range(1, scen.horizon + 1)]
         total = math.prod(scale for _, scale in rounds)
-        pairs = _forward(scen, profile, 1, lambda rnd, w: [
+        payoffs, entries = _forward(scen, profile, 1, lambda rnd, w: [
             (miner, w * power) for miner, power in rounds[rnd - 1][0]],
             lambda rnd, w: w * rounds[rnd - 1][1])
     else:
         parties = scen.miner_parties()
         total = scen.mode[1]
-        too_big = _invalid("trials", f"the draw of {total} trials x "
-                           f"{scen.horizon} rounds does not fit in memory")
         # Past what numpy can address the draw fails with a ValueError or
         # an OverflowError, not a MemoryError, so such a size never reaches it.
         if total * scen.horizon > np.iinfo(np.intp).max // 8:
-            raise too_big
+            raise _too_many_trials(scen)
         try:
             picks = np.random.default_rng(scen.seed).choice(
                 len(parties), size=(total, scen.horizon), p=_pick_probs(scen))
         except MemoryError as e:
-            raise too_big from e
+            raise _too_many_trials(scen) from e
         # Python ints group faster than numpy masks; one column at a time.
         column = functools.lru_cache(maxsize=1)(
             lambda rnd: picks[:, rnd - 1].tolist())
@@ -879,13 +930,32 @@ def final_outcomes(scen: Scenario, profile: StrategyProfile,
                 groups[col[t]].append(t)
             return [(party, g) for party, g in zip(parties, groups) if g]
 
-        pairs = [(out, len(trials)) for out, trials in
-                 _forward(scen, profile, list(range(total)), split,
-                          lambda rnd, trials: trials)]
-    mass = sum(m for _, m in pairs)
+        payoffs, entries = _forward(scen, profile, list(range(total)), split,
+                                    lambda rnd, trials: trials)
+        entries = [(state, {payoff: len(trials)
+                            for payoff, trials in groups.items()})
+                   for state, groups in entries]
+    mass = sum(m for _, groups in entries for m in groups.values())
     if mass != total:
         raise ArenaError(f"final masses sum to {Fraction(mass, total)}, not 1")
-    return pairs, total
+    return Frontier(entries, total, payoffs)
+
+
+def _too_many_trials(scen: Scenario) -> ScenarioError:
+    return _invalid("trials", f"the draw of {scen.mode[1]} trials x "
+                    f"{scen.horizon} rounds does not fit in memory")
+
+
+def final_outcomes(scen: Scenario, profile: StrategyProfile,
+                   pin: Optional[dict] = None) -> tuple:
+    """(pairs, total): each distinct final state's (outcome, integer mass),
+    and the total those masses sum to, in the scenario's mode
+    (`final_frontier`).  Each outcome is `play`'s, on the full chain state
+    rebuilt from its group's payoff."""
+    entries, total, payoffs = final_frontier(scen, profile, pin)
+    return [(_outcome(scen, payoffs.state(state, payoff), payoffs.baseline,
+                      payoffs.escrow0, ()), m)
+            for state, groups in entries for payoff, m in groups.items()], total
 
 
 def mean_half_width(total, total_sq, n: int) -> tuple:
@@ -898,30 +968,38 @@ def mean_half_width(total, total_sq, n: int) -> tuple:
 def expected_utilities(scen: Scenario, profile: StrategyProfile,
                        pin: Optional[dict] = None) -> ExpectedUtilities:
     """Exact rational expectation or seeded Monte-Carlo mean with 95% CI,
-    as the scenario's mode says: the mass-weighted mean of `final_outcomes`."""
-    pairs, total = final_outcomes(scen, profile, pin)
+    as the scenario's mode says: the mass-weighted mean of the outcomes
+    `final_outcomes` gives, settled from each payoff group of
+    `final_frontier` (`_Payoffs.settle`) without rebuilding its state."""
+    entries, total, payoffs = final_frontier(scen, profile, pin)
     sampled = scen.mode[0] == "monte-carlo"
-    sums, sq_sums, bribes = {}, {}, {}
+    n = len(payoffs.parties)
+    sums, sq_sums = [0] * n, [0] * n
+    bribes: dict = {}
     burned = 0
-    for out, n in pairs:
-        for party, d in out.deltas.items():
-            if d.denominator == 1:  # int arithmetic, far cheaper than Fraction's
-                d = d.numerator
-            sums[party] = sums.get(party, 0) + n * d
-            if sampled:
-                sq_sums[party] = sq_sums.get(party, 0) + n * d * d
-        for party, b in out.bribe_income.items():
-            bribes[party] = bribes.get(party, 0) + n * b
-        burned += n * out.burned
+    for control, groups in entries:
+        confiscator = _split_confiscator(scen, control)
+        for payoff, m in groups.items():
+            deltas, burn, income = payoffs.settle(scen, confiscator, payoff)
+            for i, d in enumerate(deltas):
+                sums[i] += m * d
+                if sampled:
+                    sq_sums[i] += m * d * d
+            for party, b in income.items():
+                bribes[party] = bribes.get(party, 0) + m * b
+            burned += m * burn
+    # In party order, as `_outcome` lists them.
+    order = sorted(range(n), key=payoffs.parties.__getitem__)
     ci = None
     if sampled:
         ci = {}
-        for party, s in sums.items():
-            mean, half = mean_half_width(s, sq_sums[party], total)
-            ci[party] = (mean - half, mean + half)
-    return ExpectedUtilities({p: Fraction(s, total) for p, s in sums.items()},
-                             {p: Fraction(b, total) for p, b in bribes.items()},
-                             Fraction(burned, total), scen.mode[0], ci)
+        for i in order:
+            mean, half = mean_half_width(sums[i], sq_sums[i], total)
+            ci[payoffs.parties[i]] = (mean - half, mean + half)
+    return ExpectedUtilities(
+        {payoffs.parties[i]: Fraction(sums[i], total) for i in order},
+        {p: Fraction(b, total) for p, b in bribes.items()},
+        Fraction(burned, total), scen.mode[0], ci)
 
 
 # ---------------------------------------------------------------------------

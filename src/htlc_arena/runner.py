@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .core import ArenaError, EXTERNAL, ScenarioError, miner_party
 from .contracts import (COL_B, COL_B_ID, COL_ID, DEP_A, DEP_ID, FeeSchedule,
                         PRE_A, PRE_A2, PRE_AA2, PRE_B)
 from .game import (MinerProfile, Scenario, StrategyProfile, check_field,
-                   dominance_check, expected_utilities, final_outcomes,
+                   dominance_check, expected_utilities, final_frontier,
                    mean_half_width, play, sample_schedule)
 from .agents import (AliceHonest, AliceOffline, BobHonest, HonestFeeMax,
                      make_miner_policy, make_party_policy)
@@ -44,10 +45,23 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
+#: A decimal exponent in a number string has at most three digits.
+#: `Fraction` expands the exponent into an exact power of ten before any
+#: range check, so '1e10000000' alone takes seconds and a longer exponent
+#: hours; no figure of a game or a pool needs one past what a float holds.
+_EXPONENT = re.compile(r"[eE][-+]?0*([0-9_]*)\s*\Z")
+
+
 def _frac(value, what: str) -> Fraction:
     # `type(...) is int` also turns away bools: `true` is never a number.
     try:
-        if isinstance(value, str) or type(value) is int:
+        if isinstance(value, str):
+            exponent = _EXPONENT.search(value)
+            if exponent and len(exponent[1].replace("_", "")) > 3:
+                raise ScenarioError(f"validation-error({what}): decimal "
+                                    "exponent past 999")
+            return Fraction(value)
+        if type(value) is int:
             return Fraction(value)
         if (isinstance(value, (list, tuple)) and len(value) == 2
                 and all(type(v) is int for v in value)):
@@ -393,8 +407,14 @@ def cmd_dominance(args) -> tuple:
         if key not in profile.miners:
             raise ScenarioError(f"validation-error(player): no miner {player!r}")
         candidate = profile.miners[key]
+    # Only the policies valid for the scenario's protocol compete.
     alternatives = [p for p in _default_spaces(scen, player)
-                    if p.name != candidate.name]
+                    if p.name != candidate.name
+                    and (p.protocols is None or scen.protocol in p.protocols)]
+    if not alternatives:
+        raise ScenarioError(
+            f"validation-error(player): no policy for {player} besides "
+            f"{candidate.name!r} is valid for protocol {scen.protocol!r}")
     verdict = dominance_check(scen, key, candidate,
                               [candidate] + alternatives, [profile])
     report = Report(_base_header(args, "dominance"))
@@ -448,19 +468,17 @@ def cmd_pool(args) -> tuple:
                         f_pool=_frac(args.pool_fee, "f_pool"),
                         lambda_net=_frac(args.lambda_net, "lambda_net"),
                         alpha_risk=args.alpha_risk)
+    report = Report(_base_header(args, "pool"))
     try:
         rep = pool_math(params)
         mc = pool_mc(params, args.trials, args.seed or 0) if args.trials else None
+        for name in ("E_solo", "E_pool", "ratio", "Var_solo", "Var_pool"):
+            report.add(name, "-", fmt_fraction(getattr(rep, name)))
     except (OverflowError, ValueError) as e:
         # OverflowError: a figure too large for a float; ValueError: a rate
-        # too large for the Poisson draw.
+        # too large for the Poisson draw, or an exact figure with more
+        # digits than an int may print.
         raise ScenarioError(f"validation-error(pool): {e}") from e
-    report = Report(_base_header(args, "pool"))
-    report.add("E_solo", "-", fmt_fraction(rep.E_solo))
-    report.add("E_pool", "-", fmt_fraction(rep.E_pool))
-    report.add("ratio", "-", fmt_fraction(rep.ratio))
-    report.add("Var_solo", "-", fmt_fraction(rep.Var_solo))
-    report.add("Var_pool", "-", fmt_fraction(rep.Var_pool))
     report.add("EU_solo", "-", rep.EU_solo)
     report.add("EU_pool", "-", rep.EU_pool)
     report.add("delta_U", "-", rep.delta_U)
@@ -488,7 +506,14 @@ def _ttc_profile(scen: Scenario, path: str) -> StrategyProfile:
 
 
 def _completion_round(out, scen: Scenario, path: str) -> Optional[int]:
-    red = out.state.redemptions
+    """The round an outcome's `path` completed in, or None."""
+    return _completed(out.state.redemptions, scen, path)
+
+
+def _completed(red, scen: Scenario, path: str) -> Optional[int]:
+    """The round `path` completed in, by the redemptions `red`, or None.
+    It reads each redemption's path and round, which the control key holds
+    (`ledger.Redemptions`), so every state of one control state agrees."""
 
     def landed(cid: str, via: Optional[str] = None) -> Optional[int]:
         """The round contract `cid` was redeemed in (through path `via`)."""
@@ -515,19 +540,21 @@ def _completion_round(out, scen: Scenario, path: str) -> Optional[int]:
 
 def ttc(scen: Scenario, path: str) -> dict:
     """Monte-Carlo rounds-to-final-transfer with a 95% half-width, over the
-    scenario's Monte-Carlo trials and seed."""
+    scenario's Monte-Carlo trials and seed: each final control state's
+    completion round, weighted by the trials of all its payoff groups."""
     if path not in TTC_PATHS:
         raise ScenarioError(f"validation-error(path): {path!r}")
     if scen.mode[0] != "monte-carlo":
         raise ScenarioError("validation-error(mode): sampling needs "
                             f"monte-carlo, got {scen.mode!r}")
-    pairs, trials = final_outcomes(scen, _ttc_profile(scen, path))
+    entries, trials, _ = final_frontier(scen, _ttc_profile(scen, path))
     total = total_sq = 0  # integer sums, exact when turned into floats
-    for out, n in pairs:
-        done = _completion_round(out, scen, path)
+    for state, groups in entries:
+        done = _completed(state.redemptions, scen, path)
         if done is None:
             raise ScenarioError(
                 f"validation-error: {path} never completed within the horizon")
+        n = sum(groups.values())
         total += n * done
         total_sq += n * done * done
     mean, half = mean_half_width(total, total_sq, trials)

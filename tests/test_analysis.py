@@ -21,16 +21,17 @@ from test_acceptance import _theorem_scenario
 
 
 def count_exact_expectations(monkeypatch) -> list:
-    """Record every exact expectation computed from now on."""
+    """Record every exact expectation computed from now on: every reader
+    of a pass's results reads its final frontier."""
     calls = []
-    final = game.final_outcomes
+    frontier = game.final_frontier
 
     def counted(scen, *args):
         if scen.mode[0] == "exact":
             calls.append((scen, *args))
-        return final(scen, *args)
+        return frontier(scen, *args)
 
-    monkeypatch.setattr(game, "final_outcomes", counted)
+    monkeypatch.setattr(game, "final_frontier", counted)
     return calls
 
 

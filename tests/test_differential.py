@@ -21,8 +21,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from htlc_arena.agents import (AliceCensoredFallback, AliceHonest, BobHonest,
-                               CensorRelated, HonestFeeMax, M2MbaActive,
-                               M2MbaPassive)
+                               BobNaiveBriber, CensorRelated, HonestFeeMax,
+                               M2MbaActive, M2MbaPassive)
 from htlc_arena import game
 from htlc_arena.core import LedgerError, ScenarioError, miner_party
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
@@ -140,6 +140,17 @@ def _demba_auto_resolution_game():
     profile = StrategyProfile(AliceCensoredFallback(), BobHonest(1), {
         p: CensorRelated(participate=False) for p in PARTIES[:2]})
     return scen, profile, {1: PARTIES[0]}
+
+
+def _censor_bribe_game():
+    # One miner takes the naive briber's bribe and censors, the other
+    # mines honestly, so censor-bribe income depends on the schedule.
+    miners = (MinerProfile(PARTIES[0], Fraction(2, 3)),
+              MinerProfile(PARTIES[1], Fraction(1, 3)))
+    scen = naive_scenario(T=4, br=2, miners=miners)
+    profile = StrategyProfile(AliceHonest(), BobNaiveBriber(), {
+        PARTIES[0]: CensorRelated(), PARTIES[1]: HonestFeeMax()})
+    return scen, profile, {}
 
 
 def _confiscated_after_a_shared_window(state):
@@ -308,3 +319,82 @@ def test_sampled_expectation_and_ttc_equal_one_by_one_plays(game, trials,
     for path in TTC_PATHS:
         assert result_or_error(ttc, scen, path) == result_or_error(
             ttc_one_by_one, scen, path)
+
+
+def settled_from_outcomes(scen, profile, pin):
+    """(utilities, bribe income, burned, ci): the mass-weighted sums over
+    the outcomes `final_outcomes` rebuilds for each payoff group."""
+    pairs, total = game.final_outcomes(scen, profile, pin)
+    sums, sq_sums, bribes = {}, {}, {}
+    burned = Fraction(0)
+    for out, m in pairs:
+        for party, d in out.deltas.items():
+            sums[party] = sums.get(party, Fraction(0)) + m * d
+            sq_sums[party] = sq_sums.get(party, Fraction(0)) + m * d * d
+        for party, b in out.bribe_income.items():
+            bribes[party] = bribes.get(party, Fraction(0)) + m * b
+        burned += m * out.burned
+    ci = None
+    if scen.mode[0] == "monte-carlo":
+        ci = {}
+        for party, s in sums.items():
+            mean, half = mean_half_width(s, sq_sums[party], total)
+            ci[party] = (mean - half, mean + half)
+    return ({p: s / total for p, s in sums.items()},
+            {p: b / total for p, b in bribes.items()}, burned / total, ci)
+
+
+def ttc_from_outcomes(scen, path):
+    """`ttc`'s result from the outcome of each final payoff group."""
+    pairs, trials = game.final_outcomes(scen, _ttc_profile(scen, path))
+    total = total_sq = 0
+    for out, m in pairs:
+        done = _completion_round(out, scen, path)
+        if done is None:
+            raise ScenarioError(
+                f"validation-error: {path} never completed within the horizon")
+        total += m * done
+        total_sq += m * done * done
+    mean, half = mean_half_width(total, total_sq, trials)
+    return {"mean": mean, "half_width": half, "trials": trials, "l": scen.l}
+
+
+@settings(max_examples=40, deadline=None)
+@given(game=games(fewest=1), sampled=st.one_of(st.none(), st.tuples(
+    st.integers(1, 40), st.integers(0, 2**32 - 1))))
+@example(game=_equal_split_game(), sampled=None)
+@example(game=_equal_split_game(), sampled=(40, 7))
+@example(game=_censor_bribe_game(), sampled=None)
+@example(game=(*_censor_bribe_game()[:2], {2: PARTIES[1]}), sampled=(40, 7))
+def test_frontier_settlement_equals_the_rebuilt_outcomes(game, sampled):
+    # `expected_utilities` and `ttc` settle each payoff group of the final
+    # frontier from its payoff alone, and `ttc` each control state once;
+    # both must give what the full outcomes of `final_outcomes` give.
+    scen, profile, pin = game
+    if sampled is not None:
+        scen = monte_carlo(scen, *sampled)
+    utilities, bribes, burned, ci = settled_from_outcomes(scen, profile, pin)
+    eu = expected_utilities(scen, profile, pin)
+    assert eu.utilities == utilities
+    assert list(eu.utilities) == list(utilities)  # in party order
+    assert eu.bribe_income == bribes
+    assert eu.burned == burned
+    assert eu.ci == ci
+    if sampled is not None:
+        for path in TTC_PATHS:
+            assert result_or_error(ttc, scen, path) == result_or_error(
+                ttc_from_outcomes, scen, path)
+
+
+def test_settlement_examples_reach_what_they_test():
+    # The censor-bribe game pays censor-bribe income, and the equal split
+    # shares a col-M confiscation among colluders with window blocks.
+    scen, profile, pin = _censor_bribe_game()
+    assert expected_utilities(scen, profile, pin).bribe_income[PARTIES[0]] > 0
+    scen, profile, pin = _equal_split_game()
+    entries, _, payoffs = game.final_frontier(scen, profile, pin)
+    shared = [payoff for state, groups in entries
+              if game._split_confiscator(scen, state) is not None
+              for payoff in groups
+              if sum(map(bool, payoffs._window(payoff[0]).values())) > 1]
+    assert shared

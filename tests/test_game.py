@@ -23,7 +23,7 @@ from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
 from htlc_arena.game import (MinerProfile, Scenario, Schedule,
                              StrategyProfile, dominance_check,
                              enumerate_schedules, expected_utilities, play)
-from htlc_arena.runner import TTC_PATHS, _ttc_profile
+from htlc_arena.runner import TTC_PATHS, _ttc_profile, ttc
 
 from conftest import (M1, M2, PARTS, demba_scenario, demba_schedule,
                       flat_schedule, he_scenario, mad_scenario, monte_carlo,
@@ -296,19 +296,32 @@ class TestExpectations:
 
     @pytest.mark.parametrize("trials", [None, 9])
     def test_lost_final_entry_fails_the_mass_check(self, monkeypatch, trials):
+        # The pass loses one payoff group of its final frontier: every
+        # reader of the frontier raises the mass check.
         scen = naive_scenario(miners=(MinerProfile(M1, Fraction(1, 2)),
                                       MinerProfile(M2, Fraction(1, 2))))
         if trials is not None:
             scen = monte_carlo(scen, trials)
         profile = StrategyProfile(AliceHonest(), BobNaiveBriber(),
                                   {M1: CensorRelated(), M2: HonestFeeMax()})
-        pairs, _ = game.final_outcomes(scen, profile)
-        assert len(pairs) > 1
+        readers = [lambda: expected_utilities(scen, profile),
+                   lambda: game.final_outcomes(scen, profile)]
+        if trials is not None:  # `ttc` samples only
+            readers.append(lambda: ttc(scen, "alice-redeems"))
         forward = game._forward
-        monkeypatch.setattr(game, "_forward",
-                            lambda *args: forward(*args)[1:])
-        with pytest.raises(ArenaError, match="final masses sum to"):
-            expected_utilities(scen, profile)
+
+        def lossy(*args):
+            payoffs, entries = forward(*args)
+            assert sum(len(groups) for _, groups in entries) > 1
+            (state, groups), *rest = entries
+            lost = next(iter(groups))
+            return payoffs, [(state, {payoff: m for payoff, m in groups.items()
+                                      if payoff != lost}), *rest]
+
+        monkeypatch.setattr(game, "_forward", lossy)
+        for read in readers:
+            with pytest.raises(ArenaError, match="final masses sum to"):
+                read()
 
     def test_exact_expectation_checks_conservation(self, monkeypatch):
         apply_block = game.apply_block
@@ -586,8 +599,9 @@ class TestPayoffs:
         # order reaches, part by part and in its burned total, on the state
         # the other order reaches where both share a control state (so the
         # redemption miners and balances come from the payoff alone), and
-        # on its own state elsewhere.  The staged refund's two orders share
-        # control states whose redemptions have other miners.
+        # on its own state elsewhere, and the payoff settles as that state
+        # does.  The staged refund's two orders share control states whose
+        # redemptions have other miners.
         crossed = 0
         for make, settled in (
                 (_staged_refund_game,
@@ -597,8 +611,8 @@ class TestPayoffs:
                  lambda state, payoff: state.redemptions["col"][0] == "col-M"
                  and len(state.window_blocks) == 2 and payoff[1][2])):
             scen, profile = make()
-            setup = game._setup(scen, profile)[0]
-            payoffs = game._Payoffs(setup)
+            setup, baseline, escrow0 = game._setup(scen, profile)
+            payoffs = game._Payoffs(setup, baseline, escrow0)
             runs = []
             for order in ((M1, M2), (M2, M1)):
                 state, payoff, run = setup, payoffs.zero, []
@@ -614,11 +628,17 @@ class TestPayoffs:
                 shared = a.control_key() == b.control_key()
                 crossed += shared and a.redemptions != b.redemptions
                 for state, payoff, other in ((a, pa, b), (b, pb, a)):
-                    back = payoffs.state(other if shared else state, payoff)
+                    control = other if shared else state
+                    back = payoffs.state(control, payoff)
                     assert [name for name in PARTS if getattr(back, name)
                             != getattr(state, name)] == [], (make, rnd)
                     assert ((back.height, back.burned)
                             == (state.height, state.burned)), (make, rnd)
+                    out = game._outcome(scen, back, baseline, escrow0, ())
+                    deltas, burned, income = payoffs.settle(
+                        scen, game._split_confiscator(scen, control), payoff)
+                    assert dict(zip(payoffs.parties, deltas)) == out.deltas
+                    assert (burned, income) == (out.burned, out.bribe_income)
         assert crossed
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -189,6 +190,46 @@ class TestCli:
         assert code == 0
         assert "dominance\tbob\t" in out
 
+    @pytest.mark.parametrize("protocol,records", [
+        ("naive", [("dominance", "none"),
+                   ("candidate", "naive-briber(br=scenario)"),
+                   ("witness-alternative", "honest(reveal=1)"),
+                   ("witness-candidate-utility", "88"),
+                   ("witness-alternative-utility", "99")]),
+        ("mad", [("dominance", "none"),
+                 ("candidate", "naive-briber(br=scenario)"),
+                 ("witness-alternative", "honest(reveal=1)"),
+                 ("witness-candidate-utility", "337/32"),
+                 ("witness-alternative-utility", "241/4")]),
+        ("he", None)])
+    def test_dominance_weighs_only_policies_valid_for_the_protocol(
+            self, tmp_path, capsys, protocol, records):
+        # Bob's naive briber is valid on naive and mad alone; on he no
+        # alternative to honest Bob is left, and the one error line says so.
+        if protocol == "naive":
+            path = SCENARIOS / "naive_bribery.json"
+        elif protocol == "he":
+            path = SCENARIOS / "he_m2mba.json"
+        else:
+            path = write_doc(tmp_path, minimal_naive(
+                protocol="mad", amounts={"v_dep": 100, "v_col": 50},
+                timing={"T": 3}, bribes={"br": 2},
+                miners=[{"id": "m1", "power": "1/2"},
+                        {"id": "m2", "power": "1/2"}],
+                policies={"bob": {"name": "naive-briber"},
+                          "miners": {"m1": {"name": "censor-related"}}}))
+        code = main(["dominance", "--scenario", str(path), "--player", "bob"])
+        captured = capsys.readouterr()
+        if records is None:
+            assert (code, captured.out) == (1, "")
+            assert captured.err == (
+                "error: validation-error(player): no policy for bob besides "
+                "'honest(reveal=1)' is valid for protocol 'he'\n")
+        else:
+            assert code == 0
+            assert [(rec[0], rec[2]) for rec in
+                    Report.parse(captured.out).records] == records
+
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.tsv"
         code = main(["pool", "--pool-fee", "0", "--out", str(target)])
@@ -240,6 +281,9 @@ MALFORMED = {
     "miner-id-line-break": (minimal_naive(
         miners=[{"id": "m\n1", "power": 1}],
         policies={"miners": {"m\n1": {"name": "nope"}}}), "id"),
+    # Refused before `Fraction` expands the exponent, which takes seconds.
+    "miner-power-huge-exponent": (minimal_naive(
+        miners=[{"id": "m1", "power": "1e10000000"}]), "miners[0].power"),
     "miner-power-negative": (minimal_naive(
         miners=[{"id": "m1", "power": 2}, {"id": "m2", "power": -1}]),
         "power"),
@@ -344,6 +388,12 @@ BAD_OVERRIDES = {
     # A reward too large for a float overflows the moments.
     "pool-huge-reward": (["pool", "--reward", "1e400", "--trials", "3"],
                          "pool"),
+    # Refused before `Fraction` expands the exponent, which takes seconds.
+    "pool-huge-exponent-reward": (["pool", "--reward", "1e10000000"], "R"),
+    # An exact figure with more digits than an int may print.
+    "pool-figure-past-the-digit-limit": (
+        ["pool", "--hash", "1e-999", "--network-hash", "1e999",
+         "--lambda-net", "1e-999", "--reward", "1e-999"], "pool"),
 }
 
 # case -> (subcommand and options, scenario document, the field its error
@@ -395,6 +445,15 @@ def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
     if field is not None:
         assert lines[0].startswith(f"error: validation-error({field}): "), \
             lines[0]
+
+
+@pytest.mark.parametrize("case", ["miner-power-huge-exponent",
+                                  "pool-huge-exponent-reward"])
+def test_huge_exponent_is_refused_at_once(case, tmp_path, capsys):
+    # `Fraction('1e10000000')` alone takes seconds.
+    start = time.perf_counter()
+    test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys)
+    assert time.perf_counter() - start < 1
 
 
 def _nodes(node, path=()):
