@@ -556,15 +556,19 @@ class M2MbaActive(MinerPolicy):
 
     role "race" confiscates at the first own block after the deadline;
     "accept" never confiscates (it sells its censorship and lets another
-    colluder redeem); "defer" waits until round `defer_to`.
+    colluder redeem).  With `defer_to` set, it confiscates no earlier than
+    round `defer_to`.
     """
 
     protocols = frozenset({"he"})
 
     def __init__(self, role: str = "race", defer_to: Optional[int] = None):
+        if role not in ("race", "accept"):
+            raise ValueError(f"role must be 'race' or 'accept', got {role!r}")
         self.role = role
         self.defer_to = defer_to
-        self.name = f"m2mba-active({role})"
+        self.name = (f"m2mba-active({role})" if defer_to is None
+                     else f"m2mba-active({role},defer_to={defer_to})")
 
     def setup(self, state, scen, party):
         if scen.m2mba_split == "equal":

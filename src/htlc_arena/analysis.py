@@ -298,6 +298,13 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
     # Lemma 5, per recipient: br_i = f_dep_a*(lam_col/lam_i)/delta + eps.
     # Token amounts are whole, so a fractional constant is rounded up,
     # which can only raise the income and never weakens the implication.
+    if delta == 0:
+        raise ScenarioError("validation-error(t_pub): lemma 5 spreads its "
+                            "bribe over the T - t_pub censored blocks, "
+                            "which needs t_pub < T")
+    if lam_i == 0:
+        raise ScenarioError(f"validation-error(power): lemma 5 needs a focal "
+                            f"colluder of positive power, {focal.id} has 0")
     ratio = lam_col / lam_i
     exact_br = Fraction(f_a) * ratio / delta + scen.epsilon
     br_i = math.ceil(exact_br)

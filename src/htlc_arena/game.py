@@ -7,25 +7,25 @@ stateless function of (chain state, round) that reads only the state's
 control parts (`ChainState.control_key`), so schedule prefixes that reach
 one control state are merged and played on once, whatever they were paid
 on the way.  What they were paid is summed apart, as payoff groups: each
-maps the payoff accumulated so far (balance changes, burn, mint and bribe
-log entries, window blocks, redemption miners) to the mass of the prefixes
-that reach it.  Each round's two halves run once per distinct input: a
-block once per (control state, miner), and an idle block (no transaction
-or coinbase, the control state unchanged) once per control state and
-group of miners with equal policies; then the parties' broadcasts, the
-label and its check once per mined control state.  `final_frontier`
-returns the pass's final frontier: each final control state with its
-payoff groups, each holding an integer mass, and the total the masses sum
-to.  In exact mode a mass is the summed schedule weight (the product of
+maps the payoff accumulated so far (balance changes, burn, window blocks
+and bribe-log entries, which is all that settles it) to the mass of the
+prefixes that reach it.  Each round's two halves run once per distinct
+input: a block once per (control state, miner), and an idle block (no
+transaction or coinbase, the control state unchanged) once per control
+state and group of miners with equal policies; then the parties'
+broadcasts, the label and its check once per mined control state.
+`final_frontier` returns the pass's final frontier: each final control
+state with its payoff groups, each holding an integer mass, and the total
+the masses sum to.  In exact mode a mass is the summed schedule weight (the product of
 miner powers) over one common denominator, the product of each round's;
 its values are those of playing every schedule that `enumerate_schedules`
 yields, which is the reference the tests hold it to.  In Monte-Carlo mode
 a mass is the number of sampled trials that reach the state; its values
 are those of playing each sampled schedule.  `expected_utilities` and
 `runner.ttc` settle straight from the frontier, a payoff or a control
-state at a time; `final_outcomes` rebuilds, per group, the full chain
-state and the outcome `play` reaches.  Dominance checks brute-force
-finite policy spaces on top of the expectation machinery.
+state at a time, and no final chain state is rebuilt; `play` and its
+`Outcome` stay as the oracle the tests hold them to.  Dominance checks
+brute-force finite policy spaces on top of the expectation machinery.
 
 Utilities carry no discounting: they are raw end-of-game token deltas from
 the post-setup baseline.  The one exception to pre-funded contracts is the
@@ -52,8 +52,7 @@ from .contracts import (COL_A_ID, COL_B_ID, COL_ID, DEP_A, DEP_ID,
                         FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B, SECRETS,
                         build_demba, build_he_htlc, build_mad_htlc,
                         build_naive_htlc, derive_he_delay)
-from .ledger import (ChainState, ChainView, Part, apply_block, broadcast,
-                     with_payoff)
+from .ledger import ChainState, ChainView, Part, apply_block, broadcast
 
 PROTOCOLS = ("naive", "mad", "he", "demba")
 
@@ -578,29 +577,27 @@ def _round_branches(scen: Scenario, rnd: int, pin: dict) -> tuple:
 class _Payoffs:
     """The payoffs of one forward pass, each the key of a payoff group.
 
-    A payoff is what the payoff parts hold beyond the setup state's, as a
-    pair of tuples (vec, logs): `vec` holds each setup party's balance
-    change, then the burned total's, then each party's window blocks, and
-    `logs` holds the appended mint-log and bribe-log entries and the
-    (cid, miner) of each redemption.  Every party a step pays holds a
-    balance from genesis: the payer, the payee, the external user and the
+    A payoff is what settles a group beyond the setup state, as a pair
+    (vec, bribes): `vec` holds each setup party's balance change, then the
+    burned total's, then each party's window blocks, and `bribes` holds
+    the appended bribe-log entries, kept as entries so that a censor bribe
+    of 0 still names its party.  Every party a step pays holds a balance
+    from genesis: the payer, the payee, the external user and the
     scenario's miners.  So every state's balances list the setup parties
     in setup order, as a step copies the part and writes it in place, and
     `vec` reads them in that order.
 
-    A payoff is settled against the post-setup `baseline` balances and
-    escrow total `escrow0`.  Genesis takes the baseline from the balances
-    it funds, so every baseline party is a setup party.
+    A payoff is settled against the post-setup `baseline` balances.
+    Genesis takes the baseline from the balances it funds, so every
+    baseline party is a setup party.
     """
 
-    def __init__(self, setup: ChainState, baseline, escrow0: int):
+    def __init__(self, setup: ChainState, baseline):
         self.setup = setup
-        self.baseline = baseline
-        self.escrow0 = escrow0
         self.parties = tuple(setup.balances)
         self.start = tuple(setup.balances.values())
         self.slot = {p: i for i, p in enumerate(self.parties)}
-        self.zero = ((0,) * (2 * len(self.parties) + 1), ((), (), ()))
+        self.zero = ((0,) * (2 * len(self.parties) + 1), ())
         #: Each party's delta at the zero payoff, in slot order.
         self.offset = tuple(s - baseline.get(p, 0)
                             for p, s in zip(self.parties, self.start))
@@ -613,20 +610,17 @@ class _Payoffs:
 
     def step(self, before: ChainState, after: ChainState) -> tuple:
         """What the step from `before` to `after` pays and draws, as
-        (adds, logs, draws): each (slot, change) of `vec`; the entries it
-        appends to `logs`, or None; and each (slot, draw) of a party whose
-        balance it took below its start, by the most it did (from
+        (adds, bribes, draws): each (slot, change) of `vec`; the bribe-log
+        entries it appends; and each (slot, draw) of a party whose balance
+        it took below its start, by the most it did (from
         `ChainState.lows`).  A payoff takes the same step exactly when its
         balance covers each draw: the step's debits and their checks are
         the same whatever the payoff, and only the start moves."""
         b0, b1 = before.balances, after.balances
         w0, w1 = before.window_blocks, after.window_blocks
-        r0, r1 = before.redemptions, after.redemptions
-        m0, m1 = before.mint_log, after.mint_log
         l0, l1 = before.bribe_log, after.bribe_log
         burn = after.burned - before.burned
-        if b1 is b0 and w1 is w0 and r1 is r0 and m1 is m0 and l1 is l0 \
-                and not burn:
+        if b1 is b0 and w1 is w0 and l1 is l0 and not burn:
             return _UNPAID
         slot, n = self.slot, len(self.parties)
         adds = [] if b1 is b0 else [
@@ -637,33 +631,28 @@ class _Payoffs:
         if w1 is not w0:
             adds += [(n + 1 + slot[p], k - w0.get(p, 0)) for p, k in w1.items()
                      if k != w0.get(p, 0)]
-        logs = None
-        if m1 is not m0 or l1 is not l0 or r1 is not r0:
-            logs = (tuple(m1[len(m0):]), tuple(l1[len(l0):]),
-                    tuple((cid, entry[2]) for cid, entry in r1.items()
-                          if cid not in r0))
-        return tuple(adds), logs, tuple(
+        return tuple(adds), tuple(l1[len(l0):]), tuple(
             (slot[p], b0[p] - low) for p, low in after.lows.items()
             if low < b0[p])
 
     def renamed(self, step: tuple, old: Party, new: Party) -> tuple:
         """An idle block's step for miner `new`: `old`'s, with `old`'s
         balance and window-block slots moved to `new`'s (an idle block
-        appends no log entry)."""
+        appends no bribe-log entry)."""
         if step is _UNPAID:
             return step
-        adds, logs, draws = step
+        adds, bribes, draws = step
         a, b = self.slot[old], self.slot[new]
         n = len(self.parties) + 1
         moved = {a: b, n + a: n + b}
-        return (tuple((moved.get(i, i), d) for i, d in adds), logs,
+        return (tuple((moved.get(i, i), d) for i, d in adds), bribes,
                 tuple((moved.get(i, i), d) for i, d in draws))
 
     def add(self, payoff: tuple, step: tuple):
         """`payoff` after `step`, or None if it cannot cover a draw."""
         if step is _UNPAID:
             return payoff
-        adds, logs, draws = step
+        adds, bribes, draws = step
         vec, held = payoff
         for i, draw in draws:
             if self.start[i] + vec[i] < draw:
@@ -673,9 +662,16 @@ class _Payoffs:
             for i, d in adds:
                 vec[i] += d
             vec = tuple(vec)
-        if logs is not None:
-            held = (held[0] + logs[0], held[1] + logs[1], held[2] + logs[2])
-        return vec, held
+        return vec, held + bribes
+
+    def replay(self, state: ChainState, payoff: tuple, block) -> None:
+        """Apply `block` to `state` with `payoff`'s balances, the one
+        payoff part the ledger's checks read: for a payoff that cannot
+        cover a draw, this raises the ledger's error."""
+        s = state.draft()
+        s.write("balances").update(zip(self.parties, map(
+            operator.add, self.start, payoff[0])))
+        apply_block(s.seal(), block)
 
     def _window(self, vec: tuple):
         """The window-block counts of a payoff's `vec`."""
@@ -693,7 +689,7 @@ class _Payoffs:
         payoff alone: (each setup party's delta in slot order, the burned
         total, the censor-bribe income).  `confiscator` is the control
         state's `_split_confiscator`."""
-        vec, (_, bribes, _) = payoff
+        vec, bribes = payoff
         deltas = list(map(operator.add, self.offset, vec))
         if confiscator is not None:
             for party, change in _split(scen, confiscator,
@@ -702,27 +698,9 @@ class _Payoffs:
         return (deltas, self.setup.burned + vec[len(self.parties)],
                 _censor_income((*self.setup.bribe_log, *bribes)))
 
-    def state(self, control: ChainState, payoff: tuple) -> ChainState:
-        """The full chain state of `payoff` at `control`'s control state."""
-        vec, (mints, bribes, redeemers) = payoff
-        setup, n = self.setup, len(self.parties)
-        window = self._window(vec)
-        redemptions = control.redemptions
-        if redeemers:
-            miners = dict(redeemers)
-            redemptions = {cid: (path, rnd, miners.get(cid, miner))
-                           for cid, (path, rnd, miner) in redemptions.items()}
-        return with_payoff(control, setup.burned + vec[n], {
-            "balances": dict(zip(self.parties, map(operator.add, self.start,
-                                                   vec))),
-            "mint_log": [*setup.mint_log, *mints] if mints else setup.mint_log,
-            "bribe_log": ([*setup.bribe_log, *bribes] if bribes
-                          else setup.bribe_log),
-            "window_blocks": window, "redemptions": redemptions})
-
 
 #: The step that pays and draws nothing.
-_UNPAID = ((), None, ())
+_UNPAID = ((), (), ())
 
 
 def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
@@ -762,10 +740,11 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     balance only to refuse a payment it cannot fund or a debit below zero,
     and a step does the same debits whatever the payoff, so a group passes
     exactly when it covers each of the step's draws; a group that does not
-    replays the block on its own full state, which raises the ledger's
-    error.  Conservation is checked once per step: the mined state's total
-    must be the setup state's, which holds exactly when the increment plus
-    the change in live deposits and bribery pools sums to zero.
+    replays the block with its own balances (`_Payoffs.replay`), which
+    raises the ledger's error.  Conservation is checked once per step: the
+    mined state's total must be the setup state's, which holds exactly
+    when the increment plus the change in live deposits and bribery pools
+    sums to zero.
 
     The party half runs once per mined control state: the broadcasts, the
     label and the label rule, checked against that highest rank, so it
@@ -775,12 +754,12 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     frontier as it stands: (control state, {payoff: mass}) for each control
     state at the horizon, the state being the one full state it keeps.
     """
-    state, baseline, escrow0 = _setup(scen, profile)
+    state, baseline, _ = _setup(scen, profile)
     expected_total = state.conservation_total()
     keys: dict = {}
     group = {party: keys.setdefault(policy_key(pol), len(keys))
              for party, pol in profile.miners.items()}
-    payoffs = _Payoffs(state, baseline, escrow0)
+    payoffs = _Payoffs(state, baseline)
     frontier = {state.control_key(): [state, -1, {payoffs.zero: mass}]}
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
@@ -823,8 +802,8 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
                     entry, block, paying = step
                     paid = payoffs.add(payoff, paying)
                     if paid is None:
-                        apply_block(payoffs.state(state, payoff),
-                                    block._replace(miner=miner))
+                        payoffs.replay(state, payoff,
+                                       block._replace(miner=miner))
                         raise ArenaError(f"round {rnd}: a payoff group fails "
                                          "a draw that the ledger allows")
                     held = entry[2]
@@ -946,18 +925,6 @@ def _too_many_trials(scen: Scenario) -> ScenarioError:
                     f"{scen.horizon} rounds does not fit in memory")
 
 
-def final_outcomes(scen: Scenario, profile: StrategyProfile,
-                   pin: Optional[dict] = None) -> tuple:
-    """(pairs, total): each distinct final state's (outcome, integer mass),
-    and the total those masses sum to, in the scenario's mode
-    (`final_frontier`).  Each outcome is `play`'s, on the full chain state
-    rebuilt from its group's payoff."""
-    entries, total, payoffs = final_frontier(scen, profile, pin)
-    return [(_outcome(scen, payoffs.state(state, payoff), payoffs.baseline,
-                      payoffs.escrow0, ()), m)
-            for state, groups in entries for payoff, m in groups.items()], total
-
-
 def mean_half_width(total, total_sq, n: int) -> tuple:
     """Sample mean and 95% normal half-width from a sum and a sum of squares."""
     mean = float(total) / n
@@ -969,8 +936,8 @@ def expected_utilities(scen: Scenario, profile: StrategyProfile,
                        pin: Optional[dict] = None) -> ExpectedUtilities:
     """Exact rational expectation or seeded Monte-Carlo mean with 95% CI,
     as the scenario's mode says: the mass-weighted mean of the outcomes
-    `final_outcomes` gives, settled from each payoff group of
-    `final_frontier` (`_Payoffs.settle`) without rebuilding its state."""
+    `play` reaches, settled from each payoff group of `final_frontier`
+    (`_Payoffs.settle`) without rebuilding its state."""
     entries, total, payoffs = final_frontier(scen, profile, pin)
     sampled = scen.mode[0] == "monte-carlo"
     n = len(payoffs.parties)

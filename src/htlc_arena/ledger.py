@@ -401,18 +401,6 @@ class ChainState:
         return self.height, key
 
 
-def with_payoff(state: ChainState, burned: int, parts: dict) -> ChainState:
-    """`state` with burned total `burned` and, for each payoff part that
-    `parts` names, those contents (a mapping or a list); it shares every
-    other part, and each named part whose contents equal its own."""
-    s = state.draft()
-    s.burned = burned
-    s._control = s._total = None
-    s._written = {name: part for name, part in parts.items()
-                  if part != getattr(state, name)}
-    return s.seal()
-
-
 def broadcast(state: ChainState, txs) -> ChainState:
     """Admit transactions to the mempool; preimages become common knowledge."""
     if not txs:

@@ -29,7 +29,7 @@ from .contracts import (COL_B, COL_B_ID, COL_ID, DEP_A, DEP_ID, FeeSchedule,
                         PRE_A, PRE_A2, PRE_AA2, PRE_B)
 from .game import (MinerProfile, Scenario, StrategyProfile, check_field,
                    dominance_check, expected_utilities, final_frontier,
-                   mean_half_width, play, sample_schedule)
+                   mean_half_width, play, policy_key, sample_schedule)
 from .agents import (AliceHonest, AliceOffline, BobHonest, HonestFeeMax,
                      make_miner_policy, make_party_policy)
 from . import analysis
@@ -407,9 +407,10 @@ def cmd_dominance(args) -> tuple:
         if key not in profile.miners:
             raise ScenarioError(f"validation-error(player): no miner {player!r}")
         candidate = profile.miners[key]
-    # Only the policies valid for the scenario's protocol compete.
+    # Only the policies valid for the scenario's protocol compete, told
+    # apart by their parameters and not by their names.
     alternatives = [p for p in _default_spaces(scen, player)
-                    if p.name != candidate.name
+                    if policy_key(p) != policy_key(candidate)
                     and (p.protocols is None or scen.protocol in p.protocols)]
     if not alternatives:
         raise ScenarioError(

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from htlc_arena import game
 from htlc_arena.core import miner_party
 from htlc_arena.contracts import FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B
 from htlc_arena.game import MinerProfile, Scenario, Schedule
@@ -86,6 +88,27 @@ def state_identity(state):
             frozenset(state.mempool),
             frozenset((cid, c.status) for cid, c in state.contracts.items()),
             frozenset((cid, c.key()) for cid, c in state.bribery.items()))
+
+
+def play_settlement(out):
+    """A play's final control key with what its outcome settles: each
+    party's delta, the burned total and the censor-bribe income."""
+    return (out.state.control_key(), frozenset(out.deltas.items()),
+            out.burned, frozenset(out.bribe_income.items()))
+
+
+def frontier_settlements(scen, frontier):
+    """Each final payoff group's key as `play_settlement` keys a play,
+    with the group's integer mass, summed over equal keys."""
+    entries, _, payoffs = frontier
+    got = Counter()
+    for control, groups in entries:
+        confiscator = game._split_confiscator(scen, control)
+        for payoff, m in groups.items():
+            deltas, burned, income = payoffs.settle(scen, confiscator, payoff)
+            got[control.control_key(), frozenset(zip(payoffs.parties, deltas)),
+                burned, frozenset(income.items())] += m
+    return got
 
 
 def same_parts(before, after):

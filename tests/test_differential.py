@@ -6,7 +6,7 @@ In exact mode, summing `play` over every schedule of `enumerate_schedules`
 is the reference; in Monte-Carlo mode, `play` on each schedule that
 `sample_schedule` draws in turn from the scenario's seed, for the
 expectation and for `ttc` alike.  Each pair must agree exactly, down to
-which parties appear in the result.
+which parties appear in the result and in what order.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
 from htlc_arena.runner import (TTC_PATHS, _completion_round, _ttc_profile,
                                ttc)
 
-from conftest import (demba_scenario, he_scenario, monte_carlo,
-                      naive_scenario, same_parts, state_identity)
+from conftest import (demba_scenario, frontier_settlements, he_scenario,
+                      monte_carlo, naive_scenario, play_settlement,
+                      same_parts)
 from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 POOLS = _fuzz_pools()
@@ -142,29 +143,30 @@ def _demba_auto_resolution_game():
     return scen, profile, {1: PARTIES[0]}
 
 
-def _censor_bribe_game():
+def _censor_bribe_game(br=2):
     # One miner takes the naive briber's bribe and censors, the other
-    # mines honestly, so censor-bribe income depends on the schedule.
+    # mines honestly, so censor-bribe income depends on the schedule.  A
+    # bribe of 0 still logs its entry, so its taker has an income of 0.
     miners = (MinerProfile(PARTIES[0], Fraction(2, 3)),
               MinerProfile(PARTIES[1], Fraction(1, 3)))
-    scen = naive_scenario(T=4, br=2, miners=miners)
+    scen = naive_scenario(T=4, br=br, miners=miners)
     profile = StrategyProfile(AliceHonest(), BobNaiveBriber(), {
         PARTIES[0]: CensorRelated(), PARTIES[1]: HonestFeeMax()})
     return scen, profile, {}
 
 
-def _confiscated_after_a_shared_window(state):
+def _confiscated_after_a_shared_window(state, window):
     return (state.redemptions.get("col", ("",))[0] == "col-M"
-            and len(state.window_blocks) > 1)
+            and sum(map(bool, window.values())) > 1)
 
 
 @pytest.mark.parametrize("make,rounds,writes_nothing,settled", [
     (_equal_split_game, range(2, 5), False,
      _confiscated_after_a_shared_window),
     (_fill_paid_game, (1, 3, 4, 5), False,
-     lambda state: state.redemptions.get("dep", ("",))[0] == "dep-A"),
+     lambda state, _: state.redemptions.get("dep", ("",))[0] == "dep-A"),
     (_demba_auto_resolution_game, range(3, 5), True,
-     lambda state: state.redemptions.get("dep", ("",))[0] == "dep-Burn")])
+     lambda state, _: state.redemptions.get("dep", ("",))[0] == "dep-Burn")])
 def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
                                                writes_nothing, settled):
     # Each one-policy example reaches the blocks it is there for.  In each
@@ -173,7 +175,8 @@ def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
     # and mines less often.  The equal split's censored-window blocks write
     # their miner's window count and the fill game's pay their miner, so
     # those two rename a paid increment; the demba censors' blocks write
-    # nothing.  Each game also settles as it says.
+    # nothing.  Each game also reaches a final payoff group that settles as
+    # it says, read from its control state and its window blocks.
     scen, profile, pin = make()
     mined = Counter()
     wrote: dict = {}
@@ -187,12 +190,13 @@ def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
         return block, nxt
 
     monkeypatch.setattr(game, "_mine", mine)
-    pairs, _ = game.final_outcomes(scen, profile, pin)
+    entries, _, payoffs = game.final_frontier(scen, profile, pin)
     first, second = (m.party for m in scen.miners[:2])
     for rnd in rounds:
         assert mined[rnd, second] < mined[rnd, first], rnd
         assert wrote[rnd, first] == {not writes_nothing}, rnd
-    assert any(settled(out.state) for out, _ in pairs)
+    assert any(settled(state, payoffs._window(payoff[0]))
+               for state, groups in entries for payoff in groups)
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,12 +224,16 @@ def test_no_play_overdraws_from_genesis(game, seed):
 @example(game=_unequal_denominators_game())
 @example(game=_fill_paid_game())
 @example(game=_demba_auto_resolution_game())
+@example(game=_censor_bribe_game())
+@example(game=(*_censor_bribe_game()[:2], {2: PARTIES[1]}))
+@example(game=_censor_bribe_game(br=0))
 def test_merged_expectation_equals_brute_force(game):
     scen, profile, pin = game
     utilities, bribes, burned = brute_force(scen, profile, pin)
     eu = expected_utilities(scen, profile, pin)
     assert eu.mode == "exact"
     assert eu.utilities == utilities
+    assert list(eu.utilities) == list(utilities)  # in party order
     assert eu.bribe_income == bribes
     assert eu.burned == burned
 
@@ -235,19 +243,19 @@ def test_merged_expectation_equals_brute_force(game):
 @example(drawn=_equal_split_game())
 @example(drawn=_fill_paid_game())
 def test_final_states_are_those_of_every_schedule(drawn):
-    # One pair per distinct final state: its full state is the one `play`
-    # reaches, and its mass the summed weight of the schedules reaching it.
+    # The final frontier's control states, each with what its payoff groups
+    # settle and their summed mass over the total, are those that `play`
+    # reaches and settles over every schedule, each with the summed weight
+    # of the schedules reaching it.
     scen, profile, pin = drawn
     want = Counter()
     for schedule in enumerate_schedules(scen, pin):
-        want[state_identity(play(scen, profile, schedule).state)] += \
+        want[play_settlement(play(scen, profile, schedule))] += \
             schedule.weight
-    pairs, total = game.final_outcomes(scen, profile, pin)
-    got = Counter()
-    for out, n in pairs:
-        got[state_identity(out.state)] += Fraction(n, total)
-    assert len(got) == len(pairs)
-    assert got == want
+    frontier = game.final_frontier(scen, profile, pin)
+    got = frontier_settlements(scen, frontier)
+    assert {key: Fraction(m, frontier.total) for key, m in got.items()} \
+        == want
 
 
 def sampled_one_by_one(scen, profile, pin=None):
@@ -305,6 +313,8 @@ def result_or_error(fn, *args):
 @example(game=_equal_split_game(), trials=40, seed=7)
 @example(game=_fill_paid_game(), trials=40, seed=7)
 @example(game=_demba_auto_resolution_game(), trials=40, seed=7)
+@example(game=_censor_bribe_game(), trials=40, seed=7)
+@example(game=(*_censor_bribe_game()[:2], {2: PARTIES[1]}), trials=40, seed=7)
 def test_sampled_expectation_and_ttc_equal_one_by_one_plays(game, trials,
                                                             seed):
     scen, profile, pin = game
@@ -313,6 +323,7 @@ def test_sampled_expectation_and_ttc_equal_one_by_one_plays(game, trials,
     eu = expected_utilities(scen, profile, pin)
     assert eu.mode == "monte-carlo"
     assert eu.utilities == utilities
+    assert list(eu.utilities) == list(utilities)  # in party order
     assert eu.bribe_income == bribes
     assert eu.burned == burned
     assert eu.ci == ci
@@ -321,76 +332,15 @@ def test_sampled_expectation_and_ttc_equal_one_by_one_plays(game, trials,
             ttc_one_by_one, scen, path)
 
 
-def settled_from_outcomes(scen, profile, pin):
-    """(utilities, bribe income, burned, ci): the mass-weighted sums over
-    the outcomes `final_outcomes` rebuilds for each payoff group."""
-    pairs, total = game.final_outcomes(scen, profile, pin)
-    sums, sq_sums, bribes = {}, {}, {}
-    burned = Fraction(0)
-    for out, m in pairs:
-        for party, d in out.deltas.items():
-            sums[party] = sums.get(party, Fraction(0)) + m * d
-            sq_sums[party] = sq_sums.get(party, Fraction(0)) + m * d * d
-        for party, b in out.bribe_income.items():
-            bribes[party] = bribes.get(party, Fraction(0)) + m * b
-        burned += m * out.burned
-    ci = None
-    if scen.mode[0] == "monte-carlo":
-        ci = {}
-        for party, s in sums.items():
-            mean, half = mean_half_width(s, sq_sums[party], total)
-            ci[party] = (mean - half, mean + half)
-    return ({p: s / total for p, s in sums.items()},
-            {p: b / total for p, b in bribes.items()}, burned / total, ci)
-
-
-def ttc_from_outcomes(scen, path):
-    """`ttc`'s result from the outcome of each final payoff group."""
-    pairs, trials = game.final_outcomes(scen, _ttc_profile(scen, path))
-    total = total_sq = 0
-    for out, m in pairs:
-        done = _completion_round(out, scen, path)
-        if done is None:
-            raise ScenarioError(
-                f"validation-error: {path} never completed within the horizon")
-        total += m * done
-        total_sq += m * done * done
-    mean, half = mean_half_width(total, total_sq, trials)
-    return {"mean": mean, "half_width": half, "trials": trials, "l": scen.l}
-
-
-@settings(max_examples=40, deadline=None)
-@given(game=games(fewest=1), sampled=st.one_of(st.none(), st.tuples(
-    st.integers(1, 40), st.integers(0, 2**32 - 1))))
-@example(game=_equal_split_game(), sampled=None)
-@example(game=_equal_split_game(), sampled=(40, 7))
-@example(game=_censor_bribe_game(), sampled=None)
-@example(game=(*_censor_bribe_game()[:2], {2: PARTIES[1]}), sampled=(40, 7))
-def test_frontier_settlement_equals_the_rebuilt_outcomes(game, sampled):
-    # `expected_utilities` and `ttc` settle each payoff group of the final
-    # frontier from its payoff alone, and `ttc` each control state once;
-    # both must give what the full outcomes of `final_outcomes` give.
-    scen, profile, pin = game
-    if sampled is not None:
-        scen = monte_carlo(scen, *sampled)
-    utilities, bribes, burned, ci = settled_from_outcomes(scen, profile, pin)
-    eu = expected_utilities(scen, profile, pin)
-    assert eu.utilities == utilities
-    assert list(eu.utilities) == list(utilities)  # in party order
-    assert eu.bribe_income == bribes
-    assert eu.burned == burned
-    assert eu.ci == ci
-    if sampled is not None:
-        for path in TTC_PATHS:
-            assert result_or_error(ttc, scen, path) == result_or_error(
-                ttc_from_outcomes, scen, path)
-
-
 def test_settlement_examples_reach_what_they_test():
-    # The censor-bribe game pays censor-bribe income, and the equal split
-    # shares a col-M confiscation among colluders with window blocks.
+    # The censor-bribe game pays censor-bribe income, at a bribe of 0 an
+    # income of 0, and the equal split shares a col-M confiscation among
+    # colluders with window blocks.
     scen, profile, pin = _censor_bribe_game()
     assert expected_utilities(scen, profile, pin).bribe_income[PARTIES[0]] > 0
+    scen, profile, pin = _censor_bribe_game(br=0)
+    assert expected_utilities(scen, profile, pin).bribe_income == {
+        PARTIES[0]: 0}
     scen, profile, pin = _equal_split_game()
     entries, _, payoffs = game.final_frontier(scen, profile, pin)
     shared = [payoff for state, groups in entries

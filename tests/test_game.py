@@ -25,9 +25,10 @@ from htlc_arena.game import (MinerProfile, Scenario, Schedule,
                              enumerate_schedules, expected_utilities, play)
 from htlc_arena.runner import TTC_PATHS, _ttc_profile, ttc
 
-from conftest import (M1, M2, PARTS, demba_scenario, demba_schedule,
-                      flat_schedule, he_scenario, mad_scenario, monte_carlo,
-                      naive_scenario, same_parts, state_identity)
+from conftest import (M1, M2, demba_scenario, demba_schedule,
+                      flat_schedule, frontier_settlements, he_scenario,
+                      mad_scenario, monte_carlo, naive_scenario,
+                      play_settlement, same_parts)
 
 
 def honest_profile(scen, miner_policy=None):
@@ -304,8 +305,7 @@ class TestExpectations:
             scen = monte_carlo(scen, trials)
         profile = StrategyProfile(AliceHonest(), BobNaiveBriber(),
                                   {M1: CensorRelated(), M2: HonestFeeMax()})
-        readers = [lambda: expected_utilities(scen, profile),
-                   lambda: game.final_outcomes(scen, profile)]
+        readers = [lambda: expected_utilities(scen, profile)]
         if trials is not None:  # `ttc` samples only
             readers.append(lambda: ttc(scen, "alice-redeems"))
         forward = game._forward
@@ -361,22 +361,14 @@ class TestExpectations:
             miners=(MinerProfile(M1, Fraction(1, 2)),
                     MinerProfile(M2, Fraction(1, 2)))), 7, seed=11)
         profile = honest_profile(scen)
-
-        def settled(out):
-            return (tuple(out.deltas.items()), out.burned, out.minted,
-                    tuple(out.bribe_income.items()), out.escrow_delta,
-                    out.terminal, state_identity(out.state))
-
         # The reference: one `sample_schedule` and one `play` per trial.
         rng = np.random.default_rng(11)
-        want = Counter(settled(play(scen, profile,
-                                    game.sample_schedule(scen, rng)))
+        want = Counter(play_settlement(play(scen, profile,
+                                            game.sample_schedule(scen, rng)))
                        for _ in range(7))
-        got = Counter()
-        pairs, total = game.final_outcomes(scen, profile)
-        for out, n in pairs:
-            got[settled(out)] += n
-        assert total == 7
+        frontier = game.final_frontier(scen, profile)
+        got = frontier_settlements(scen, frontier)
+        assert frontier.total == 7
         assert got == want and len(got) > 1
 
     def test_linearity_under_token_scaling(self):
@@ -560,8 +552,9 @@ class TestControlMerge:
 
         monkeypatch.setattr(game, "_mine", mine)
         monkeypatch.setattr(game, "_act", act)
-        pairs, total = game.final_outcomes(scen, profile)
-        assert sum(n for _, n in pairs) == total == 50 and len(pairs) > 1
+        entries, total, _ = game.final_frontier(scen, profile)
+        masses = [m for _, groups in entries for m in groups.values()]
+        assert sum(masses) == total == 50 and len(masses) > 1
         rounds = range(1, scen.horizon + 1)
         assert acted == {rnd: 1 for rnd in rounds}
         assert set(mined.values()) <= {1, len(miners)}
@@ -580,8 +573,8 @@ def _staged_refund_game():
 
 def _equal_split_pact_game():
     # Both miners censor in the pact's window, each counting its window
-    # blocks, and one of them confiscates the collateral, a redemption
-    # whose miner the payoff records.
+    # blocks, and one of them confiscates the collateral, which the equal
+    # split shares out.
     scen = he_scenario(v_col=60, T=4, l=2, f=0, m2mba_split="equal", miners=(
         MinerProfile(M1, Fraction(1, 2), "active", True),
         MinerProfile(M2, Fraction(1, 2), "active", True)))
@@ -590,56 +583,51 @@ def _equal_split_pact_game():
     return scen, profile
 
 
+def _censor_bribe_game():
+    # Both miners take the naive briber's bribe and censor.
+    scen = naive_scenario(T=4, miners=(MinerProfile(M1, Fraction(1, 2)),
+                                       MinerProfile(M2, Fraction(1, 2))))
+    profile = StrategyProfile(AliceHonest(), BobNaiveBriber(),
+                              {M1: CensorRelated(), M2: CensorRelated()})
+    return scen, profile
+
+
 class TestPayoffs:
-    """A payoff group's key: what the payoff parts hold beyond setup."""
+    """A payoff group's key: what settles it beyond setup."""
 
     def test_a_payoff_is_the_sum_of_its_steps(self):
         # The two miners mine in turn, in either order.  At every round the
-        # setup's zero payoff with each step added rebuilds the state that
-        # order reaches, part by part and in its burned total, on the state
-        # the other order reaches where both share a control state (so the
-        # redemption miners and balances come from the payoff alone), and
-        # on its own state elsewhere, and the payoff settles as that state
-        # does.  The staged refund's two orders share control states whose
-        # redemptions have other miners.
-        crossed = 0
-        for make, settled in (
+        # setup's zero payoff with each step added settles as `_outcome`
+        # settles the state that order reaches: each party's delta (with
+        # the equal split of a col-M confiscation), the burned total and
+        # the censor-bribe income.  Each order's last state reaches what
+        # its game is there for.
+        for make, reached in (
                 (_staged_refund_game,
-                 lambda state, payoff: len(state.redemptions) == 2
-                 and len(payoff[1][2]) == 2),
+                 lambda state, out: len(state.redemptions) == 2),
                 (_equal_split_pact_game,
-                 lambda state, payoff: state.redemptions["col"][0] == "col-M"
-                 and len(state.window_blocks) == 2 and payoff[1][2])):
+                 lambda state, out: state.redemptions["col"][0] == "col-M"
+                 and len(state.window_blocks) == 2),
+                (_censor_bribe_game,
+                 lambda state, out: len(out.bribe_income) == 2)):
             scen, profile = make()
             setup, baseline, escrow0 = game._setup(scen, profile)
-            payoffs = game._Payoffs(setup, baseline, escrow0)
-            runs = []
+            payoffs = game._Payoffs(setup, baseline)
             for order in ((M1, M2), (M2, M1)):
-                state, payoff, run = setup, payoffs.zero, []
+                state, payoff = setup, payoffs.zero
                 for rnd in range(1, scen.horizon + 1):
                     _, mined = game._mine(scen, profile, state, rnd,
                                           order[rnd % 2])
                     payoff = payoffs.add(payoff, payoffs.step(state, mined))
                     state = game._act(scen, profile, mined, rnd, -1)[0]
-                    run.append((state, payoff))
-                assert settled(state, payoff), (make, order)
-                runs.append(run)
-            for rnd, ((a, pa), (b, pb)) in enumerate(zip(*runs), 1):
-                shared = a.control_key() == b.control_key()
-                crossed += shared and a.redemptions != b.redemptions
-                for state, payoff, other in ((a, pa, b), (b, pb, a)):
-                    control = other if shared else state
-                    back = payoffs.state(control, payoff)
-                    assert [name for name in PARTS if getattr(back, name)
-                            != getattr(state, name)] == [], (make, rnd)
-                    assert ((back.height, back.burned)
-                            == (state.height, state.burned)), (make, rnd)
-                    out = game._outcome(scen, back, baseline, escrow0, ())
+                    out = game._outcome(scen, state, baseline, escrow0, ())
                     deltas, burned, income = payoffs.settle(
-                        scen, game._split_confiscator(scen, control), payoff)
-                    assert dict(zip(payoffs.parties, deltas)) == out.deltas
-                    assert (burned, income) == (out.burned, out.bribe_income)
-        assert crossed
+                        scen, game._split_confiscator(scen, state), payoff)
+                    assert dict(zip(payoffs.parties, deltas)) == out.deltas, \
+                        (make, rnd)
+                    assert ((burned, income) == (out.burned, out.bribe_income)
+                            ), (make, rnd)
+                assert reached(state, out), (make, order)
 
 
 class PayingMiner(HonestFeeMax):
@@ -688,7 +676,7 @@ class TestBalanceChecks:
         if trials is not None:
             scen = monte_carlo(scen, trials)
         with pytest.raises(LedgerError) as merged:
-            game.final_outcomes(scen, profile)
+            expected_utilities(scen, profile)
         assert str(merged.value) == str(refused.value)
 
     def test_a_group_that_can_fund_every_draw_plays_on(self):

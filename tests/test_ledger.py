@@ -460,10 +460,10 @@ def test_steps_share_parts_keep_caches_and_refuse_writes(
     with patch.object(game, "apply_block", _checked(game.apply_block)), \
             patch.object(game, "broadcast", _checked(game.broadcast)):
         out = play(scen, profile, schedule, check_invariants=True)
-        pairs, total = game.final_outcomes(
+        entries, total, _ = game.final_frontier(
             replace(scen, mode=("monte-carlo", 6), seed=seed % 1000), profile)
     assert out.conserves()
-    assert sum(n for _, n in pairs) == total
+    assert sum(m for _, groups in entries for m in groups.values()) == total
 
 
 #: A sealed chain state's slots: its height, burned total, fixed meta and
@@ -506,8 +506,8 @@ def test_the_pass_leaves_every_state_it_reads_as_it_was(
 
     with patch.object(game, "_mine", recorded(game._mine)), \
             patch.object(game, "_act", recorded(game._act)):
-        pairs, total = game.final_outcomes(scen, profile)
-    assert sum(m for _, m in pairs) == total
+        entries, total, _ = game.final_frontier(scen, profile)
+    assert sum(m for _, groups in entries for m in groups.values()) == total
     assert len(received) >= 2 * scen.horizon
     for state, slots in received:
         assert all(getattr(state, n) is v for n, v in zip(STATE_SLOTS, slots))

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from htlc_arena.core import ScenarioError
 from htlc_arena.runner import Report, load_scenario, main, ttc
@@ -30,6 +30,13 @@ def minimal_naive(**overrides):
     doc = {"protocol": "naive", "amounts": {"v_dep": 100},
            "timing": {"T": 5}, "miners": [{"id": "m1", "power": 1}]}
     doc.update(overrides)
+    return doc
+
+
+def he_sample(**sections):
+    """The he sample scenario with whole sections replaced."""
+    doc = json.loads((SCENARIOS / "he_m2mba.json").read_text(encoding="utf-8"))
+    doc.update(sections)
     return doc
 
 
@@ -230,6 +237,24 @@ class TestCli:
             assert [(rec[0], rec[2]) for rec in
                     Report.parse(captured.out).records] == records
 
+    def test_dominance_tells_policies_apart_by_their_parameters(
+            self, tmp_path, capsys):
+        # A racer that defers its confiscation shares its display role with
+        # the default racer, which must still compete, and wins against it.
+        doc = he_sample()
+        doc["policies"]["miners"]["m1"] = {"name": "m2mba-active",
+                                           "defer_to": 6}
+        path = write_doc(tmp_path, doc)
+        code = main(["dominance", "--scenario", str(path), "--player", "m1"])
+        assert code == 0
+        assert [(rec[0], rec[2]) for rec in
+                Report.parse(capsys.readouterr().out).records] == [
+            ("dominance", "none"),
+            ("candidate", "m2mba-active(race,defer_to=6)"),
+            ("witness-alternative", "m2mba-active(race)"),
+            ("witness-candidate-utility", "15"),
+            ("witness-alternative-utility", "100")]
+
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.tsv"
         code = main(["pool", "--pool-fee", "0", "--out", str(target)])
@@ -318,6 +343,12 @@ MALFORMED = {
     "policies-unknown-miner": (minimal_naive(
         policies={"miners": {"m2": {"name": "censor-related"}}}),
         "policies.miners.m2"),
+    "m2mba-active-unknown-role": (minimal_naive(
+        protocol="he", amounts={"v_dep": 100, "v_col": 50},
+        miners=[{"id": "m1", "power": 1, "kind": "active", "colluding": True}],
+        policies={"miners": {"m1": {"name": "m2mba-active",
+                                    "role": "bogus"}}}),
+        "policies.miners.m1"),
     "censor-related-until": (minimal_naive(
         policies={"miners": {"m1": {"name": "censor-related", "until": 3}}}),
         "policies.miners.m1"),
@@ -411,8 +442,23 @@ SHADOWED = {
 }
 
 
+# case -> (subcommand, a valid scenario document it cannot check, the
+# field its error line names)
+CANNOT_CHECK = {
+    # Lemma 5 spreads its bribe over the T - t_pub censored blocks.
+    "lemmas-t_pub-at-T": (["lemmas"], he_sample(
+        timing={"T": 3, "t_pub": 3, "l": 1}), "t_pub"),
+    # Lemma 5's bribe scales with the coalition's power over the focal
+    # colluder's, the first active one.
+    "lemmas-zero-power-focal-colluder": (["lemmas"], he_sample(miners=[
+        {"id": "m1", "power": 0, "kind": "active", "colluding": True},
+        {"id": "m2", "power": "4/5", "kind": "active", "colluding": True},
+        {"id": "m3", "power": "1/5", "kind": "passive"}]), "power"),
+}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(BAD_OVERRIDES)
-                         + sorted(SHADOWED) + [
+                         + sorted(SHADOWED) + sorted(CANNOT_CHECK) + [
     "not-utf8", "deeply-nested", "scenario-is-a-directory",
     "out-is-a-directory"])
 def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
@@ -423,8 +469,8 @@ def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
         write_doc(tmp_path, doc)
     elif case in BAD_OVERRIDES:
         argv, field = BAD_OVERRIDES[case]
-    elif case in SHADOWED:
-        options, doc, field = SHADOWED[case]
+    elif case in SHADOWED or case in CANNOT_CHECK:
+        options, doc, field = {**SHADOWED, **CANNOT_CHECK}[case]
         argv = [options[0], *argv[1:], *options[1:]]
         write_doc(tmp_path, doc)
     elif case == "not-utf8":
@@ -471,12 +517,15 @@ WRONG_VALUES = st.one_of(
     st.integers(max_value=-1), st.floats(), st.booleans(), st.none(),
     st.text(max_size=6), st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+#: Small counts: in range for most fields, so a document that holds them
+#: reaches each subcommand's own checks, such as a t_pub equal to T.
+NEAR_VALUES = st.integers(0, 4)
 
 
 @st.composite
 def mutated_samples(draw):
-    """A sample scenario with one to three values replaced by wrong ones and
-    up to two keys, known or not, added to its sections."""
+    """A sample scenario with one to three values replaced by wrong ones or
+    small counts and up to two keys, known or not, added to its sections."""
     doc = json.loads((SCENARIOS / draw(st.sampled_from(SAMPLE_NAMES)))
                      .read_text(encoding="utf-8"))
     for _ in range(draw(st.integers(1, 3))):
@@ -485,7 +534,7 @@ def mutated_samples(draw):
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        parent[path[-1]] = draw(WRONG_VALUES)
+        parent[path[-1]] = draw(st.one_of(WRONG_VALUES, NEAR_VALUES))
     sections = [doc] + [node for _, node in _nodes(doc)
                         if isinstance(node, dict)]
     for _ in range(draw(st.integers(0, 2))):
@@ -494,14 +543,14 @@ def mutated_samples(draw):
     return doc
 
 
-def assert_ends_cleanly(argv):
-    """`arena` on `argv` either exits 0 with a report whose every value is
-    finite and nothing on stderr, or exits 1 with one `error:` line and
-    nothing on stdout."""
+def assert_ends_cleanly(argv, reported=(0,)):
+    """`arena` on `argv` either exits with a code in `reported` and a report
+    whose every value is finite and nothing on stderr, or exits 1 with one
+    `error:` line and nothing on stdout."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1), argv
+    assert code in (1, *reported), argv
     if code == 1:
         assert out.getvalue() == "", argv
         lines = err.getvalue().splitlines()
@@ -515,10 +564,16 @@ def assert_ends_cleanly(argv):
 
 @settings(max_examples=150, deadline=None)
 @given(doc=mutated_samples())
+@example(doc=CANNOT_CHECK["lemmas-t_pub-at-T"][1])
+@example(doc=CANNOT_CHECK["lemmas-zero-power-focal-colluder"][1])
 def test_mutated_sample_scenario_fails_cleanly(tmp_path_factory, doc):
+    # `lemmas` exits 2 with its report where a verdict fails, as a
+    # mutated scenario may well make it.
     scen = tmp_path_factory.getbasetemp() / "mutated.json"
     scen.write_text(json.dumps(doc), encoding="utf-8")
-    assert_ends_cleanly(["simulate", "--scenario", str(scen)])
+    for argv, reported in ((["simulate"], (0,)), (["lemmas"], (0, 2)),
+                           (["dominance", "--player", "m1"], (0,))):
+        assert_ends_cleanly([*argv, "--scenario", str(scen)], reported)
 
 
 #: Option values a user may pass by mistake: signs, zero, ints past 2^63,
