@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .core import ALICE, BOB, BURN_SINK, EXTERNAL, Party, miner_party
+from .core import ALICE, BOB, EXTERNAL, Party, miner_party
 from .contracts import (FeeSchedule, build_demba, build_he_htlc,
                         build_mad_htlc, build_naive_htlc, check_fee_schedule,
                         resolve_demba_dep)
@@ -11,7 +11,7 @@ from .game import (MinerProfile, Outcome, Scenario, Schedule, StrategyProfile,
                    dominance_check, expected_utilities, play, state_label)
 
 __all__ = [
-    "ALICE", "BOB", "BURN_SINK", "EXTERNAL", "Party", "miner_party",
+    "ALICE", "BOB", "EXTERNAL", "Party", "miner_party",
     "FeeSchedule", "build_demba", "build_he_htlc", "build_mad_htlc",
     "build_naive_htlc", "check_fee_schedule", "resolve_demba_dep",
     "Block", "ChainState", "TxRecord", "Witness", "apply_block",

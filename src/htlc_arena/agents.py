@@ -18,8 +18,8 @@ of transactions and coinbase, or neither, and two such free blocks differ
 only in their miner.  The forward pass mines such an idle block once per
 group of equal policies (`game._forward`).  Every policy, miner or party,
 reads only a state's control parts (`ledger.ChainState.control_key`),
-never balances, logs or window blocks, so the pass builds blocks and
-broadcasts once per control state.
+never balances or logs, so the pass builds blocks and broadcasts once per
+control state.
 
 Every miner block that is not a bespoke attack block follows one assembly
 rule (`_assemble`): the policy's own head transactions, then the honest

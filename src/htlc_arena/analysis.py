@@ -144,6 +144,15 @@ def _view(scen: Scenario, miners: tuple, pact_bribes) -> Scenario:
                    m2mba_split="per-block", pact_bribes=pact_bribes)
 
 
+def _focal_power(scen: Scenario, focal: Party, kind: str) -> Fraction:
+    """`focal`'s power, once it is of `kind`: an active colluder or passive."""
+    m = scen.profile_of(focal)
+    if m.kind != kind or kind == "active" and not m.colluding:
+        raise ScenarioError(f"focal miner {focal.id} is not " + (
+            "an active colluder" if kind == "active" else "passive"))
+    return m.power
+
+
 def coalition_view(scen: Scenario, focal: Party,
                    pact_bribes: Optional[dict] = None) -> tuple:
     """Renormalise the colluding coalition to conditional shares.
@@ -154,10 +163,11 @@ def coalition_view(scen: Scenario, focal: Party,
     expectations take the form (T - t_pub) * br * lambda_i / lambda_col.
     `pact_bribes`, keyed by VIEW_MI and VIEW_REST, overrides the scenario's.
     """
+    lam_i = _focal_power(scen, focal, "active")
     lam_col = scen.lambda_col
-    lam_i = scen.profile_of(focal).power
-    if lam_col == 0 or lam_i > lam_col:
-        raise ScenarioError("focal miner must belong to the colluding coalition")
+    if lam_col == 0:
+        raise ScenarioError("validation-error(power): the colluding "
+                            "coalition has no power")
     share = lam_i / lam_col
     if share == 1:
         miners = (MinerProfile(VIEW_MI, Fraction(1), "active", True),)
@@ -178,7 +188,7 @@ def passive_view(scen: Scenario, focal: Party) -> tuple:
     which preserves the property that the collateral is confiscated at the
     first post-deadline block no matter who mines it.
     """
-    lam_i = scen.profile_of(focal).power
+    lam_i = _focal_power(scen, focal, "passive")
     if lam_i >= 1:
         raise ScenarioError("passive focal miner cannot own the whole network")
     miners = (MinerProfile(VIEW_MP, lam_i, "passive", False),
@@ -246,8 +256,8 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
     expect = _verdict_expectations()
 
     if n == 1:
-        hyp = pact_hypothesis(1, scen, lam_i)
         view, mi, rest = coalition_view(scen, focal)
+        hyp = pact_hypothesis(1, scen, lam_i)
         pin = {scen.T + 1: rest} if rest is not None else None
         base = _attack_profile(view)
         accept = M2MbaActive("accept")
@@ -261,8 +271,8 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
                             income - f_a, {"bribe_income": income,
                                            "verdict": verdict.verdict})
     if n == 2:
-        hyp = pact_hypothesis(2, scen, lam_i)
         view, mi, rest = coalition_view(scen, focal)
+        hyp = pact_hypothesis(2, scen, lam_i)
         offer = M2MbaActive("race")
         verdict = dominance_check(view, mi, offer,
                                   own_space=[offer, HonestFeeMax()],
@@ -271,8 +281,8 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
         return LemmaVerdict("lemma2", hyp, verdict.verdict == "strict",
                             detail={"verdict": verdict.verdict})
     if n == 3:
-        hyp = pact_hypothesis(3, scen, lam_i)
         view, mp, _ = passive_view(scen, focal)
+        hyp = pact_hypothesis(3, scen, lam_i)
         wait = M2MbaPassive()
         verdict = dominance_check(view, mp, wait,
                                   own_space=[wait, HonestFeeMax()],

@@ -13,7 +13,6 @@ ROLE_ALICE = "alice"
 ROLE_BOB = "bob"
 ROLE_MINER = "miner"
 ROLE_EXTERNAL = "external-user"
-ROLE_BURN = "burn-sink"
 
 
 class Party(NamedTuple):
@@ -33,7 +32,6 @@ class Party(NamedTuple):
 ALICE = Party("alice", ROLE_ALICE)
 BOB = Party("bob", ROLE_BOB)
 EXTERNAL = Party("ext", ROLE_EXTERNAL)
-BURN_SINK = Party("burn", ROLE_BURN)
 
 #: Sentinel destination resolved to the including block's miner at apply time.
 BLOCK_MINER = Party("block-miner", ROLE_MINER)

@@ -7,8 +7,9 @@ stateless function of (chain state, round) that reads only the state's
 control parts (`ChainState.control_key`), so schedule prefixes that reach
 one control state are merged and played on once, whatever they were paid
 on the way.  What they were paid is summed apart, as payoff groups: each
-maps the payoff accumulated so far (balance changes, burn, window blocks
-and bribe-log entries, which is all that settles it) to the mass of the
+maps the payoff accumulated so far (balance changes, burn, bribe-log
+entries and, for the pact's equal split, each miner's blocks in the
+censored window, which is all that settles it) to the mass of the
 prefixes that reach it.  Each round's two halves run once per distinct
 input: a block once per (control state, miner), and an idle block (no
 transaction or coinbase, the control state unchanged) once per control
@@ -39,6 +40,7 @@ import functools
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
@@ -280,9 +282,6 @@ def build_genesis(scen: Scenario) -> tuple:
 def _build_genesis(scen: Scenario) -> tuple:
     meta = {"T": scen.T, "l": scen.l, "target_contract": DEP_ID,
             "target_path": DEP_A, "fee_schedule": scen.fee_schedule}
-    if scen.protocol == "he" and scen.m2mba_split == "equal":
-        # The equal split shares a confiscation by censored-window blocks.
-        meta["split_window"] = (scen.t_pub + 1, scen.T)
     if scen.protocol == "naive":
         dep = build_naive_htlc(ALICE, BOB, scen.v_dep, SECRETS[PRE_A], scen.T)
         contracts = {DEP_ID: dep}
@@ -438,12 +437,12 @@ def play(scen: Scenario, profile: StrategyProfile, schedule: Schedule,
         trace.append(label)
         if check_invariants and state.conservation_total() != expected_total:
             raise ScenarioError(f"conservation violated at round {rnd}")
-    return _outcome(scen, state, baseline, escrow0, tuple(trace))
+    return _outcome(scen, state, baseline, escrow0, tuple(trace), schedule)
 
 
 def _outcome(scen: Scenario, state: ChainState, baseline: dict, escrow0: int,
-             trace: tuple) -> Outcome:
-    """Settle a final state against the post-setup baseline."""
+             trace: tuple, schedule: Schedule) -> Outcome:
+    """Settle the state `schedule` reached against the post-setup baseline."""
     deltas = {}
     # In party order, so results print alike whatever the hash seed.
     for party in sorted(set(baseline) | set(state.balances)):
@@ -451,8 +450,8 @@ def _outcome(scen: Scenario, state: ChainState, baseline: dict, escrow0: int,
                                  - baseline.get(party, 0))
     confiscator = _split_confiscator(scen, state)
     if confiscator is not None:
-        for party, change in _split(scen, confiscator,
-                                    state.window_blocks).items():
+        window = Counter(schedule.miners[scen.t_pub:scen.T])
+        for party, change in _split(scen, confiscator, window).items():
             deltas[party] += change
     escrow = state.live.total() + state.bribery.total()
     return Outcome(deltas=deltas, burned=state.burned,
@@ -486,30 +485,37 @@ def _colluders(scen: Scenario) -> set:
     return {m.party for m in scen.miners if m.colluding and m.kind == "active"}
 
 
+def _window_rounds(scen: Scenario) -> range:
+    """The censored rounds t_pub+1..T whose blocks the equal split counts."""
+    if scen.protocol == "he" and scen.m2mba_split == "equal":
+        return range(scen.t_pub + 1, scen.T + 1)
+    return range(0)
+
+
 def _split_confiscator(scen: Scenario, state: ChainState):
     """The miner whose confiscation the pact's equal split shares out, or
     None.  It reads only the control part `redemptions`, which keeps a
     col-M confiscator's miner (`ledger.Redemptions`)."""
-    if (scen.protocol != "he" or scen.m2mba_split != "equal"
-            or scen.T == scen.t_pub):
+    if not _window_rounds(scen):
         return None
     confiscator = ChainView(state, state.height, None).confiscator()
     return confiscator if confiscator in _colluders(scen) else None
 
 
-def _split(scen: Scenario, confiscator: Party, window_blocks) -> dict:
+def _split(scen: Scenario, confiscator: Party, window) -> dict:
     """Reallocate a confiscation equally by censored blocks mined.
 
     Used by the miner-pact equal-split variant: the confiscator keeps
     v_col * k_i / k and pays every other censoring colluder v_col * k_j / k,
-    where k counts the censored window blocks (the ledger counts each
-    miner's in `window_blocks`).  Returns each party's change, which sum
-    to zero, so the outcome total is unchanged.
+    where k counts the censored window's blocks and `window` maps each
+    miner to its k_j (`_window_rounds`), which the game counts: `play` from
+    its schedule, the forward pass in each payoff.  Returns each party's
+    change, which sum to zero, so the outcome total is unchanged.
     """
     k = scen.T - scen.t_pub
     colluders = _colluders(scen)
     changes = {confiscator: Fraction(0)}
-    for party, k_j in sorted(window_blocks.items(), key=lambda kv: kv[0].id):
+    for party, k_j in sorted(window.items(), key=lambda kv: kv[0].id):
         if party != confiscator and party in colluders:
             share = Fraction(scen.v_col) * k_j / k
             changes[party] = share
@@ -579,7 +585,8 @@ class _Payoffs:
 
     A payoff is what settles a group beyond the setup state, as a pair
     (vec, bribes): `vec` holds each setup party's balance change, then the
-    burned total's, then each party's window blocks, and `bribes` holds
+    burned total's, then each party's blocks in the equal split's censored
+    window (`_window_rounds`; none in other games), and `bribes` holds
     the appended bribe-log entries, kept as entries so that a censor bribe
     of 0 still names its party.  Every party a step pays holds a balance
     from genesis: the payer, the payee, the external user and the
@@ -592,8 +599,9 @@ class _Payoffs:
     baseline party is a setup party.
     """
 
-    def __init__(self, setup: ChainState, baseline):
+    def __init__(self, scen: Scenario, setup: ChainState, baseline):
         self.setup = setup
+        self.window = _window_rounds(scen)
         self.parties = tuple(setup.balances)
         self.start = tuple(setup.balances.values())
         self.slot = {p: i for i, p in enumerate(self.parties)}
@@ -608,19 +616,20 @@ class _Payoffs:
             raise ArenaError("a step paid a party with no balance at setup")
         return state.balances.values()
 
-    def step(self, before: ChainState, after: ChainState) -> tuple:
-        """What the step from `before` to `after` pays and draws, as
-        (adds, bribes, draws): each (slot, change) of `vec`; the bribe-log
-        entries it appends; and each (slot, draw) of a party whose balance
-        it took below its start, by the most it did (from
-        `ChainState.lows`).  A payoff takes the same step exactly when its
-        balance covers each draw: the step's debits and their checks are
-        the same whatever the payoff, and only the start moves."""
+    def step(self, before: ChainState, after: ChainState, block) -> tuple:
+        """What the step from `before` to `after` by `block` pays and
+        draws, as (adds, bribes, draws): each (slot, change) of `vec`, with
+        one window block for the block's miner if its round is a window
+        round; the bribe-log entries it appends; and each (slot, draw) of a
+        party whose balance it took below its start, by the most it did
+        (from `ChainState.lows`).  A payoff takes the same step exactly when
+        its balance covers each draw: the step's debits and their checks
+        are the same whatever the payoff, and only the start moves."""
         b0, b1 = before.balances, after.balances
-        w0, w1 = before.window_blocks, after.window_blocks
         l0, l1 = before.bribe_log, after.bribe_log
         burn = after.burned - before.burned
-        if b1 is b0 and w1 is w0 and l1 is l0 and not burn:
+        counted = block.round in self.window
+        if b1 is b0 and l1 is l0 and not burn and not counted:
             return _UNPAID
         slot, n = self.slot, len(self.parties)
         adds = [] if b1 is b0 else [
@@ -628,9 +637,8 @@ class _Payoffs:
                                                       b0.values())) if v != u]
         if burn:
             adds.append((n, burn))
-        if w1 is not w0:
-            adds += [(n + 1 + slot[p], k - w0.get(p, 0)) for p, k in w1.items()
-                     if k != w0.get(p, 0)]
+        if counted:
+            adds.append((n + 1 + slot[block.miner], 1))
         return tuple(adds), tuple(l1[len(l0):]), tuple(
             (slot[p], b0[p] - low) for p, low in after.lows.items()
             if low < b0[p])
@@ -673,16 +681,10 @@ class _Payoffs:
             operator.add, self.start, payoff[0])))
         apply_block(s.seal(), block)
 
-    def _window(self, vec: tuple):
-        """The window-block counts of a payoff's `vec`."""
-        window = self.setup.window_blocks
-        counts = vec[len(self.parties) + 1:]
-        if any(counts):
-            window = dict(window)
-            for p, k in zip(self.parties, counts):
-                if k:
-                    window[p] = window.get(p, 0) + k
-        return window
+    def _window(self, vec: tuple) -> dict:
+        """Each party's window blocks in a payoff's `vec`, where it has any."""
+        return {p: k for p, k in zip(self.parties, vec[len(self.parties) + 1:])
+                if k}
 
     def settle(self, scen: Scenario, confiscator, payoff: tuple) -> tuple:
         """What `_outcome` settles on `payoff`'s full state, read from the
@@ -728,13 +730,14 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     takes the same increment with the miner renamed, with no block built
     or applied.  This rests on the miner policy contract
     (`agents.MinerPolicy`): an equal policy builds that same block for any
-    miner, and such a block pays its miner and counts its window block
-    alike for any miner.  Once every miner group is known to take such a
-    block that pays nothing, each remaining group moves to its successor
-    whole, unsplit: `whole(rnd, mass)` is the sum of the parts
-    `split(rnd, mass)` yields.  Where blocks carry no fee most groups move
-    this way, and splitting their mass only to add the parts up again
-    would cost a Monte-Carlo job about a tenth of its speed.
+    miner, and such a block pays its miner alike for any miner, as its
+    increment counts a window block for its miner (`_Payoffs.step`).  Once
+    every miner group is known to take such a block that pays nothing,
+    each remaining group moves to its successor whole, unsplit:
+    `whole(rnd, mass)` is the sum of the parts `split(rnd, mass)` yields.
+    Where blocks carry no fee most groups move this way, and splitting
+    their mass only to add the parts up again would cost a Monte-Carlo
+    job about a tenth of its speed.
 
     The balance checks stay exact for every group.  The ledger reads a
     balance only to refuse a payment it cannot fund or a debit below zero,
@@ -759,7 +762,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     keys: dict = {}
     group = {party: keys.setdefault(policy_key(pol), len(keys))
              for party, pol in profile.miners.items()}
-    payoffs = _Payoffs(state, baseline)
+    payoffs = _Payoffs(scen, state, baseline)
     frontier = {state.control_key(): [state, -1, {payoffs.zero: mass}]}
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
@@ -794,7 +797,8 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
                                 entry = mined[key] = [nxt, rank, {}]
                             elif rank > entry[1]:
                                 entry[1] = rank
-                            step = (entry, block, payoffs.step(state, nxt))
+                            step = (entry, block,
+                                    payoffs.step(state, nxt, block))
                             if (key[1] == body and not block.txs
                                     and not block.coinbase):
                                 idle[group[miner]] = miner, step

@@ -8,22 +8,21 @@ constant across every block.
 
 A chain state is built from read-only parts (balances, live deposits,
 reveals, mempool, mint and bribe logs, redemptions, contracts, known
-preimages, bribery contracts and window blocks), shared by reference
-between a state and its successor.  Each part caches, on first use, the
-sum it adds to `ChainState.conservation_total` and, if it is a control
-part (below), its share of `ChainState.control_key`.  Every write goes
-through one step: `draft` a successor that shares every part, `write` a
-part (the draft's own copy, made on first write), `seal`.  A step shares
-every part it does not write, so a block that changes nothing copies
-nothing and shares its parent's control key and total.
+preimages and bribery contracts), shared by reference between a state
+and its successor.  Each part caches, on first use, the sum it adds to
+`ChainState.conservation_total` and, if it is a control part (below), its
+share of `ChainState.control_key`.  Every write goes through one step:
+`draft` a successor that shares every part, `write` a part (the draft's
+own copy, made on first write), `seal`.  A step shares every part it does
+not write, so a block that changes nothing copies nothing and shares its
+parent's control key and total.
 
 The parts split in two.  The control parts (live deposits, reveals,
 mempool, contracts, known preimages, bribery contracts and redemptions,
 whose miner counts only on a col-M confiscation) are all that a policy, a
 contract guard, a label or a terminal tag reads: `ChainState.control_key`.
 The payoff parts (balances, the burned total, the mint and bribe logs,
-window blocks, and the miner of every other redemption) are only ever
-added to.
+and the miner of every other redemption) are only ever added to.
 The ledger reads balances in two checks alone, the over-spend check on a
 payment and `debit`'s underflow check, and both fail exactly when a
 debit takes a balance below zero; so a step records each debited party's
@@ -41,14 +40,13 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .core import (BLOCK_MINER, BURN_SINK, EXTERNAL, LedgerError, Party,
-                   check_amount, credit, debit)
+from .core import (BLOCK_MINER, EXTERNAL, LedgerError, Party, check_amount,
+                   credit, debit)
 from .contracts import (BURNED, Burn, COL_ID, COL_M, CensorBriberyContract,
                         ContractInstance, Forward, REST, RedeemPath, Transfer,
                         bribery_contract_step, resolve_demba_dep)
 
 RELATED = "related"
-UNRELATED = "unrelated"
 CONTRACT_CALL = "contract-call"
 PAYMENT = "payment"
 
@@ -195,7 +193,7 @@ class Log(_Cached, list):
 _PART_TYPES = {"balances": Part, "live": Part, "revealed": Part,
                "mempool": Mempool, "mint_log": Log, "bribe_log": Log,
                "redemptions": Redemptions, "contracts": Contracts,
-               "known": Part, "bribery": Bribery, "window_blocks": Part}
+               "known": Part, "bribery": Bribery}
 #: Empty parts: read-only, so every state may share them.
 _EMPTY, _EMPTY_MEMPOOL, _EMPTY_LOG, _EMPTY_BRIBERY, _EMPTY_REDEMPTIONS = (
     Part.of(), Mempool.of(), Log.of(), Bribery.of(), Redemptions.of())
@@ -217,7 +215,7 @@ class ChainState:
     `revealed` ((cid, slot) -> (value, round)), `mempool`, `mint_log` and
     `bribe_log` ((party, amount, tag) entries), `redemptions`
     (cid -> (path, round, miner)), `contracts`, `known` ((cid, slot) ->
-    value, mempool-or-chain knowledge), `bribery` and `window_blocks`.
+    value, mempool-or-chain knowledge) and `bribery`.
     Each caches its share of `conservation_total` and, if it is a control
     part, of `control_key` (`Part`), and the state caches its total and its
     control key, so both cost nothing on a state whose parts are all its
@@ -237,9 +235,7 @@ class ChainState:
     transfer, `target_contract` and `target_path`.  It may also hold the
     `fee_schedule` (`fee_split`) and `auto_ids`, the contracts that have an
     automatic path, which are the only ones a block may resolve on its own;
-    either is taken as none when absent.  An equal-split pact game also sets
-    `split_window` (first, last): `window_blocks` counts the blocks each
-    miner mined in those rounds, and stays empty without it.
+    either is taken as none when absent.
     """
 
     __slots__ = ("height", "burned", "meta", *_PART_TYPES, "lows",
@@ -252,7 +248,7 @@ class ChainState:
         self.contracts = Contracts.of(contracts or ())
         self.live = Part.of(live or ())
         self.balances = Part.of(balances or ())
-        self.revealed = self.known = self.window_blocks = _EMPTY
+        self.revealed = self.known = _EMPTY
         self.redemptions = _EMPTY_REDEMPTIONS
         self.mempool = _EMPTY_MEMPOOL
         self.mint_log = self.bribe_log = _EMPTY_LOG
@@ -282,7 +278,6 @@ class ChainState:
         s.contracts = self.contracts
         s.known = self.known
         s.bribery = self.bribery
-        s.window_blocks = self.window_blocks
         s.lows = _NO_LOWS
         s._control = self._control
         s._total = self._total
@@ -452,10 +447,8 @@ def _path_outflow(path: RedeemPath, rnd: int) -> int:
 
 
 def validate_tx(state: ChainState, tx: TxRecord, rnd: int) -> None:
-    """Raise LedgerError unless `tx` is valid against `state` at `rnd`."""
-    if tx.kind == UNRELATED:
-        check_amount(tx.declared_fee, "fee")
-        return
+    """Raise LedgerError unless `tx` is valid against `state` at `rnd`; a
+    tx of a kind other than the three `apply_block` applies is invalid."""
     if tx.kind == CONTRACT_CALL:
         if tx.call is None or tx.call[0] not in state.bribery:
             raise LedgerError("unknown-output", "no such bribery contract")
@@ -467,6 +460,8 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int) -> None:
         if state.balances.get(tx.creator, 0) < need:
             raise LedgerError("over-spend", f"{tx.creator.id} cannot fund payment")
         return
+    if tx.kind != RELATED:
+        raise LedgerError("invalid-tx", f"unknown kind {tx.kind!r}")
     if not tx.consumes:
         raise LedgerError("unknown-output", "related tx consumes nothing")
     seen = set()
@@ -513,11 +508,7 @@ def _apply_redeem(s: ChainState, cid: str, path: RedeemPath, tx: TxRecord,
     for eff in path.effects:
         amt = rest if eff.amount == REST else eff.amount
         if isinstance(eff, Transfer):
-            to = block_miner if eff.to == BLOCK_MINER else eff.to
-            if to == BURN_SINK:
-                s.burn(amt)
-            else:
-                s.credit(to, amt)
+            s.credit(block_miner if eff.to == BLOCK_MINER else eff.to, amt)
         elif isinstance(eff, Burn):
             s.burn(amt)
         elif isinstance(eff, Forward):
@@ -675,15 +666,12 @@ def apply_block(state: ChainState, block: Block) -> ChainState:
                 path = s.contracts[cid].path(path_name)
                 _apply_redeem(s, cid, path, tx, block.round, block.miner)
                 consumed_this_block.add(cid)
-        elif tx.kind == UNRELATED:
-            s.debit(EXTERNAL, tx.declared_fee)
-            s.credit(block.miner, tx.declared_fee)
         elif tx.kind == PAYMENT:
             to, amount = tx.payment
             s.debit(tx.creator, amount + tx.declared_fee)
             s.credit(to, amount)
             s.credit(block.miner, tx.declared_fee)
-        else:
+        else:  # CONTRACT_CALL, the one kind left that validates
             _apply_call(s, tx, block.round, block.miner)
         if tx.tx_id in s.mempool:
             del s.write("mempool")[tx.tx_id]
@@ -700,9 +688,5 @@ def apply_block(state: ChainState, block: Block) -> ChainState:
         _resolve_auto_contracts(s, auto_ids, block.round, block.miner)
     if s.bribery:
         _auto_refund_bribery(s, block.round, block.miner)
-    window = s.meta.get("split_window")
-    if window is not None and window[0] <= block.round <= window[1]:
-        blocks = s.write("window_blocks")
-        blocks[block.miner] = blocks.get(block.miner, 0) + 1
     s.height = block.round
     return s.seal()

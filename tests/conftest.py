@@ -71,7 +71,7 @@ def flat_schedule(scen, miner=M1):
 
 #: A chain state's parts, in `ChainState.__slots__` order.
 PARTS = ("balances", "live", "revealed", "mempool", "mint_log", "bribe_log",
-         "redemptions", "contracts", "known", "bribery", "window_blocks")
+         "redemptions", "contracts", "known", "bribery")
 
 
 def state_identity(state):
@@ -82,8 +82,7 @@ def state_identity(state):
     a step changes."""
     return (state.height, state.burned,
             *(frozenset(getattr(state, name).items()) for name in (
-                "balances", "live", "revealed", "redemptions", "known",
-                "window_blocks")),
+                "balances", "live", "revealed", "redemptions", "known")),
             tuple(state.mint_log), tuple(state.bribe_log),
             frozenset(state.mempool),
             frozenset((cid, c.status) for cid, c in state.contracts.items()),

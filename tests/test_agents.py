@@ -12,21 +12,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from htlc_arena import agents, game
-from htlc_arena.core import ALICE, BOB, ScenarioError, miner_party
+from htlc_arena.core import ALICE, BOB, EXTERNAL, ScenarioError, miner_party
 from htlc_arena.agents import (AliceHonest, AliceOffline, B3aAccomplice,
                                BobB3a, BobHonest, BobHydraBriber,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
                                HydraAccomplice, M2MbaActive, M2MbaPassive,
                                MinerPolicy, SdrbaBriber, b3a_bob_policy,
                                honest_miner_select, make_miner_policy,
-                               make_party_policy, tx_col_b, tx_commit,
-                               tx_confiscate, tx_refund_dep_b,
+                               make_party_policy, payment_tx, tx_col_b,
+                               tx_commit, tx_confiscate, tx_refund_dep_b,
                                tx_reveal_dep_a)
 from htlc_arena.contracts import CM2M_ID, COL_B, COL_ID, COL_M, PRE_A2
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              build_genesis, expected_utilities, play)
-from htlc_arena.ledger import (CONTRACT_CALL, Block, TxRecord, apply_block,
-                               broadcast)
+from htlc_arena.ledger import CONTRACT_CALL, Block, apply_block, broadcast
 from htlc_arena.runner import main
 
 from conftest import (M1, M2, demba_scenario, flat_schedule, he_scenario,
@@ -37,6 +36,12 @@ from test_acceptance import _fuzz_pools, _fuzz_scenario
 def seeded_state(scen, txs=()):
     state, _, _ = build_genesis(scen)
     return broadcast(state, list(txs))
+
+
+def fee_tx(tx_id, creator, fee):
+    """A mempool entry that pays `fee` and spends no contract: a payment of
+    nothing to the external user."""
+    return replace(payment_tx(tx_id, creator, EXTERNAL, 0), declared_fee=fee)
 
 
 class TestHonestSelect:
@@ -54,8 +59,8 @@ class TestHonestSelect:
     def test_equal_fee_breaks_ties_by_tx_id(self):
         scen = naive_scenario(f=1)
         state = seeded_state(scen)
-        a = TxRecord("tx.b-second", ALICE, "unrelated", declared_fee=4)
-        b = TxRecord("tx.a-first", BOB, "unrelated", declared_fee=4)
+        a = fee_tx("tx.b-second", ALICE, 4)
+        b = fee_tx("tx.a-first", BOB, 4)
         state = broadcast(state, [a, b])
         picked = honest_miner_select(state, 1, scen)
         assert [t.tx_id for t in picked] == ["tx.a-first", "tx.b-second"]
@@ -69,7 +74,7 @@ class TestHonestSelect:
         # No single included/excluded swap can raise the earned fee.
         scen = naive_scenario(f=1, capacity=3)
         state = seeded_state(scen)
-        txs = [TxRecord(f"tx.u{i}", ALICE, "unrelated", declared_fee=fee)
+        txs = [fee_tx(f"tx.u{i}", ALICE, fee)
                for i, fee in enumerate((5, 4, 3, 2, 9))]
         state = broadcast(state, txs)
         picked = honest_miner_select(state, 1, scen)
@@ -101,7 +106,7 @@ class TestBlockAssembly:
             state = apply_block(state, Block(round=rnd, miner=M1))
         state = broadcast(state, [
             tx_reveal_dep_a(scen), tx_refund_dep_b(scen),
-            TxRecord("tx.u", ALICE, "unrelated", declared_fee=9)])
+            fee_tx("tx.u", ALICE, 9)])
         rnd = scen.T + 1
         roomy = CensorRelated().build_block(state, rnd, M1, scen)
         assert [t.tx_id for t in roomy.txs] == [

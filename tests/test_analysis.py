@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from htlc_arena import analysis, game
-from htlc_arena.core import ALICE, BOB, ScenarioError
+from htlc_arena.core import ALICE, BOB, ScenarioError, miner_party
 from htlc_arena.analysis import (PoolParams, closed_form, pool_math,
                                  pool_mc, verify_demba, verify_demba_lemma,
                                  verify_m2mba_lemma, verify_theorem_m2mba)
@@ -16,7 +16,8 @@ from htlc_arena.agents import (AliceHonest, BobHonest, M2MbaActive,
                                M2MbaPassive)
 from htlc_arena.game import MinerProfile, StrategyProfile
 
-from conftest import M1, M2, M3, demba_scenario, demba_schedule, he_scenario
+from conftest import (M1, M2, M3, M4, demba_scenario, demba_schedule,
+                      he_scenario)
 from test_acceptance import _theorem_scenario
 
 
@@ -157,6 +158,38 @@ class TestM2MbaLemmas:
     def test_protocol_mismatch(self):
         with pytest.raises(ScenarioError):
             verify_m2mba_lemma(1, demba_scenario())
+
+    @pytest.mark.parametrize("n,focal", [
+        (n, m) for n in (1, 2, 3, 4, 5)
+        for m in (("m1", "m4") if n == 3 else ("m3", "m4"))])
+    def test_a_focal_miner_of_the_wrong_kind_is_refused(self, n, focal):
+        # Lemmas 1, 2, 4 and 5 are about an active colluder, lemma 3 about
+        # a passive miner; M4 is active but outside the coalition.  Each
+        # wrong focal has no more power than the coalition.
+        scen = self.scen(miners=(
+            MinerProfile(M1, Fraction(3, 10), "active", True),
+            MinerProfile(M2, Fraction(3, 10), "active", True),
+            MinerProfile(M3, Fraction(1, 5), "passive"),
+            MinerProfile(M4, Fraction(1, 5), "active")))
+        with pytest.raises(ScenarioError,
+                           match=f"^focal miner {focal} is not "):
+            verify_m2mba_lemma(n, scen, miner_party(focal))
+
+    def test_a_lone_colluder_is_the_whole_coalition(self):
+        # The one active colluder keeps a share of 1: its view has no rest
+        # of the coalition to pin or bribe.  Every coalition lemma's verdict
+        # is consistent, and under lemma 5 it mines every censored block,
+        # each reserving its bribe f_dep_a / (T - t_pub) = 1/4, rounded up.
+        scen = self.scen(miners=(
+            MinerProfile(M1, Fraction(3, 5), "active", True),
+            MinerProfile(M3, Fraction(2, 5), "passive")))
+        view, mi, rest = analysis.coalition_view(scen, M1)
+        assert rest is None
+        assert view.miners == (MinerProfile(mi, Fraction(1), "active", True),)
+        verdicts = {n: verify_m2mba_lemma(n, scen) for n in (1, 2, 4, 5)}
+        assert all(v.consistent for v in verdicts.values())
+        assert verdicts[1].detail["verdict"] == "strict"
+        assert verdicts[5].detail["bribe_income"] == scen.T - scen.t_pub
 
     @pytest.mark.parametrize("n", [0, 6])
     def test_unknown_lemma_number(self, n):

@@ -290,6 +290,10 @@ class TestCensorBriberyContract:
         assert c.request_bribe(M1, M1, 4) is c  # past the deadline
         assert c.bal_left == 5
         assert c.request_bribe(M1, M1, 3) is c  # cannot reserve beyond budget
+        funded = c.init(25)  # room for one more request, in round 2
+        assert funded.request_bribe(M1, M1, 2) is not funded
+        settled = replace(funded, settled=True)
+        assert settled.request_bribe(M1, M1, 2) is settled
 
     def test_liquidity_under_random_call_sequences(self):
         rng = random.Random(42)
@@ -341,6 +345,37 @@ class TestMinerPactContract:
         c = c.lock_collateral(a, 50).request_bribe(a, a, 2)
         assert c.claim_bribe(a, "s-a", False, confiscator=outsider) == (c, [])
         assert not c.settled
+
+    def test_request_guards(self):
+        # As the censorship contract's, with a lock in place of a budget:
+        # each guard alone turns a request away.
+        a, b = miner_party("a"), miner_party("b")
+        c = MinerPactContract(T=3, pre_a_value="s-a", br={a: 2, b: 2})
+        c = c.lock_collateral(a, 50)
+        assert c.request_bribe(a, b, 2) is c  # not the block miner
+        assert c.request_bribe(b, b, 2) is c  # holds no lock
+        settled = replace(c, settled=True)
+        assert settled.request_bribe(a, a, 2) is settled
+        c = c.request_bribe(a, a, 2)
+        assert c.reserved == {a: 1}
+        assert c.request_bribe(a, a, 2) is c  # once per block
+        c = c.request_bribe(a, a, 3)
+        assert c.reserved == {a: 2}
+        assert c.request_bribe(a, a, 4) is c  # past the deadline
+
+    def test_claim_guards(self):
+        # A claim pays only on an unsettled pact, with the payee's
+        # preimage, once the target missed T: each guard alone refuses it.
+        a = miner_party("a")
+        c = MinerPactContract(T=5, pre_a_value="s-a", br={a: 2})
+        c = c.lock_collateral(a, 50).request_bribe(a, a, 2)
+        settled = replace(c, settled=True)
+        assert settled.claim_bribe(a, "s-a", False, confiscator=a) == (
+            settled, [])
+        assert c.claim_bribe(a, "nope", False, confiscator=a) == (c, [])
+        assert c.claim_bribe(a, "s-a", True, confiscator=a) == (c, [])
+        claimed, payouts = c.claim_bribe(a, "s-a", False, confiscator=a)
+        assert claimed.settled and payouts
 
     def test_refund_returns_all_locks(self):
         a, b = miner_party("a"), miner_party("b")

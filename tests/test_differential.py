@@ -22,9 +22,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from htlc_arena.agents import (AliceCensoredFallback, AliceHonest, BobHonest,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
-                               M2MbaActive, M2MbaPassive)
+                               M2MbaActive, M2MbaPassive, call_tx)
 from htlc_arena import game
-from htlc_arena.core import LedgerError, ScenarioError, miner_party
+from htlc_arena.contracts import CBOB_ID
+from htlc_arena.core import BOB, LedgerError, ScenarioError, miner_party
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              enumerate_schedules, expected_utilities,
                              mean_half_width, play, sample_schedule)
@@ -155,32 +156,59 @@ def _censor_bribe_game(br=2):
     return scen, profile, {}
 
 
+class _BobReInit(BobNaiveBriber):
+    """A naive briber that broadcasts its bribery contract's init again
+    every round."""
+
+    def broadcasts(self, state, rnd, scen):
+        return [*super().broadcasts(state, rnd, scen), call_tx(
+            "tx.cbob.init", BOB, CBOB_ID, "init", {"val": self.budget},
+            fee=scen.f_cbob_b)]
+
+
+def _party_merge_game():
+    # The censor mines the briber's init, a call with no budget that
+    # changes no contract; the honest miner leaves it, as its fee earns no
+    # more than a filler's.  The two round-1 blocks reach two control
+    # states that differ only in that mempool entry, and the briber's
+    # broadcast of it puts them back in one, merged in the party half.
+    miners = (MinerProfile(PARTIES[0], Fraction(1, 2)),
+              MinerProfile(PARTIES[1], Fraction(1, 2)))
+    scen = naive_scenario(T=3, miners=miners)
+    profile = StrategyProfile(AliceHonest(), _BobReInit(budget=0), {
+        PARTIES[0]: CensorRelated(), PARTIES[1]: HonestFeeMax()})
+    return scen, profile, {}
+
+
 def _confiscated_after_a_shared_window(state, window):
     return (state.redemptions.get("col", ("",))[0] == "col-M"
             and sum(map(bool, window.values())) > 1)
 
 
-@pytest.mark.parametrize("make,rounds,writes_nothing,settled", [
+@pytest.mark.parametrize("make,rounds,unpaid,settled,writes", [
     (_equal_split_game, range(2, 5), False,
-     _confiscated_after_a_shared_window),
+     _confiscated_after_a_shared_window, False),
     (_fill_paid_game, (1, 3, 4, 5), False,
-     lambda state, _: state.redemptions.get("dep", ("",))[0] == "dep-A"),
+     lambda state, _: state.redemptions.get("dep", ("",))[0] == "dep-A", True),
     (_demba_auto_resolution_game, range(3, 5), True,
-     lambda state, _: state.redemptions.get("dep", ("",))[0] == "dep-Burn")])
+     lambda state, _: state.redemptions.get("dep", ("",))[0] == "dep-Burn",
+     False)])
 def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
-                                               writes_nothing, settled):
+                                               unpaid, settled, writes):
     # Each one-policy example reaches the blocks it is there for.  In each
     # of `rounds` the first miner's block carries no transaction and leaves
     # the control state as it was, so the second miner takes it renamed
     # and mines less often.  The equal split's censored-window blocks write
-    # their miner's window count and the fill game's pay their miner, so
-    # those two rename a paid increment; the demba censors' blocks write
-    # nothing.  Each game also reaches a final payoff group that settles as
-    # it says, read from its control state and its window blocks.
+    # no part, but their increment counts their miner's window block; the
+    # fill game's write their miner's pay.  So those two rename a paid
+    # increment, and the demba censors' blocks write and pay nothing.  Each
+    # game also reaches a final payoff group that settles as it says, read
+    # from its control state and its window blocks.
     scen, profile, pin = make()
     mined = Counter()
     wrote: dict = {}
-    real_mine = game._mine
+    paid: dict = {}
+    real_mine, real_step = game._mine, game._Payoffs.step
 
     def mine(scen, profile, state, rnd, miner):
         mined[rnd, miner] += 1
@@ -189,12 +217,20 @@ def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
             not same_parts(state, nxt))
         return block, nxt
 
+    def step(self, before, after, block):
+        got = real_step(self, before, after, block)
+        paid.setdefault((block.round, block.miner), set()).add(
+            got is not game._UNPAID)
+        return got
+
     monkeypatch.setattr(game, "_mine", mine)
+    monkeypatch.setattr(game._Payoffs, "step", step)
     entries, _, payoffs = game.final_frontier(scen, profile, pin)
     first, second = (m.party for m in scen.miners[:2])
     for rnd in rounds:
         assert mined[rnd, second] < mined[rnd, first], rnd
-        assert wrote[rnd, first] == {not writes_nothing}, rnd
+        assert wrote[rnd, first] == {writes}, rnd
+        assert paid[rnd, first] == {not unpaid}, rnd
     assert any(settled(state, payoffs._window(payoff[0]))
                for state, groups in entries for payoff in groups)
 
@@ -227,6 +263,7 @@ def test_no_play_overdraws_from_genesis(game, seed):
 @example(game=_censor_bribe_game())
 @example(game=(*_censor_bribe_game()[:2], {2: PARTIES[1]}))
 @example(game=_censor_bribe_game(br=0))
+@example(game=_party_merge_game())
 def test_merged_expectation_equals_brute_force(game):
     scen, profile, pin = game
     utilities, bribes, burned = brute_force(scen, profile, pin)
@@ -332,10 +369,11 @@ def test_sampled_expectation_and_ttc_equal_one_by_one_plays(game, trials,
             ttc_one_by_one, scen, path)
 
 
-def test_settlement_examples_reach_what_they_test():
+def test_settlement_examples_reach_what_they_test(monkeypatch):
     # The censor-bribe game pays censor-bribe income, at a bribe of 0 an
-    # income of 0, and the equal split shares a col-M confiscation among
-    # colluders with window blocks.
+    # income of 0, the equal split shares a col-M confiscation among
+    # colluders with window blocks, and the party-merge game's party half
+    # takes two mined control states to one.
     scen, profile, pin = _censor_bribe_game()
     assert expected_utilities(scen, profile, pin).bribe_income[PARTIES[0]] > 0
     scen, profile, pin = _censor_bribe_game(br=0)
@@ -348,3 +386,14 @@ def test_settlement_examples_reach_what_they_test():
               for payoff in groups
               if sum(map(bool, payoffs._window(payoff[0]).values())) > 1]
     assert shared
+    acted: dict = {}  # round -> the control key of each party half's state
+    real_act = game._act
+
+    def act(scen, profile, state, rnd, rank):
+        nxt = real_act(scen, profile, state, rnd, rank)
+        acted.setdefault(rnd, []).append(nxt[0].control_key())
+        return nxt
+
+    monkeypatch.setattr(game, "_act", act)
+    game.final_frontier(*_party_merge_game())
+    assert any(len(set(keys)) < len(keys) for keys in acted.values())

@@ -572,9 +572,9 @@ def _staged_refund_game():
 
 
 def _equal_split_pact_game():
-    # Both miners censor in the pact's window, each counting its window
-    # blocks, and one of them confiscates the collateral, which the equal
-    # split shares out.
+    # Both miners censor in the pact's window, each mining window blocks,
+    # and one of them confiscates the collateral, which the equal split
+    # shares out by those blocks.
     scen = he_scenario(v_col=60, T=4, l=2, f=0, m2mba_split="equal", miners=(
         MinerProfile(M1, Fraction(1, 2), "active", True),
         MinerProfile(M2, Fraction(1, 2), "active", True)))
@@ -598,36 +598,42 @@ class TestPayoffs:
     def test_a_payoff_is_the_sum_of_its_steps(self):
         # The two miners mine in turn, in either order.  At every round the
         # setup's zero payoff with each step added settles as `_outcome`
-        # settles the state that order reaches: each party's delta (with
-        # the equal split of a col-M confiscation), the burned total and
-        # the censor-bribe income.  Each order's last state reaches what
-        # its game is there for.
+        # settles the state that order's schedule reaches: each party's
+        # delta (with the equal split of a col-M confiscation, by the
+        # schedule's window blocks), the burned total and the censor-bribe
+        # income.  Each order's last state reaches what its game is there
+        # for, the pact's with window blocks of both miners in its payoff.
         for make, reached in (
                 (_staged_refund_game,
-                 lambda state, out: len(state.redemptions) == 2),
+                 lambda state, out, window: len(state.redemptions) == 2),
                 (_equal_split_pact_game,
-                 lambda state, out: state.redemptions["col"][0] == "col-M"
-                 and len(state.window_blocks) == 2),
+                 lambda state, out, window:
+                 state.redemptions["col"][0] == "col-M" and len(window) == 2),
                 (_censor_bribe_game,
-                 lambda state, out: len(out.bribe_income) == 2)):
+                 lambda state, out, window: len(out.bribe_income) == 2)):
             scen, profile = make()
             setup, baseline, escrow0 = game._setup(scen, profile)
-            payoffs = game._Payoffs(setup, baseline)
+            payoffs = game._Payoffs(scen, setup, baseline)
             for order in ((M1, M2), (M2, M1)):
+                schedule = Schedule(tuple(order[rnd % 2] for rnd in
+                                          range(1, scen.horizon + 1)))
                 state, payoff = setup, payoffs.zero
-                for rnd in range(1, scen.horizon + 1):
-                    _, mined = game._mine(scen, profile, state, rnd,
-                                          order[rnd % 2])
-                    payoff = payoffs.add(payoff, payoffs.step(state, mined))
+                for rnd, miner in enumerate(schedule.miners, 1):
+                    block, mined = game._mine(scen, profile, state, rnd,
+                                              miner)
+                    payoff = payoffs.add(payoff,
+                                         payoffs.step(state, mined, block))
                     state = game._act(scen, profile, mined, rnd, -1)[0]
-                    out = game._outcome(scen, state, baseline, escrow0, ())
+                    out = game._outcome(scen, state, baseline, escrow0, (),
+                                        schedule)
                     deltas, burned, income = payoffs.settle(
                         scen, game._split_confiscator(scen, state), payoff)
                     assert dict(zip(payoffs.parties, deltas)) == out.deltas, \
                         (make, rnd)
                     assert ((burned, income) == (out.burned, out.bribe_income)
                             ), (make, rnd)
-                assert reached(state, out), (make, order)
+                assert reached(state, out, payoffs._window(payoff[0])), \
+                    (make, order)
 
 
 class PayingMiner(HonestFeeMax):

@@ -90,6 +90,18 @@ class TestValidate:
             validate_tx(state, tx, 3)
         assert "signature" in e.value.detail
 
+    def test_a_tx_of_unknown_kind_is_invalid(self):
+        # `apply_block` applies three kinds; any other never validates, so
+        # a block carrying one is refused before it is applied.
+        state = fresh_naive()
+        tx = replace(alice_tx(), kind="relatd")
+        with pytest.raises(LedgerError) as e:
+            validate_tx(state, tx, 3)
+        assert e.value.code == "invalid-tx" and "relatd" in e.value.detail
+        with pytest.raises(LedgerError) as e:
+            apply_block(state, Block(round=1, miner=M1, txs=(tx,)))
+        assert e.value.code == "invalid-tx"
+
 
 class TestApply:
     def test_empty_block_only_increments_height(self):

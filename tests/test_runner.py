@@ -454,6 +454,11 @@ CANNOT_CHECK = {
         {"id": "m1", "power": 0, "kind": "active", "colluding": True},
         {"id": "m2", "power": "4/5", "kind": "active", "colluding": True},
         {"id": "m3", "power": "1/5", "kind": "passive"}]), "power"),
+    # Lemmas 1, 2 and 4 take the focal colluder's share of the coalition.
+    "lemmas-powerless-coalition": (["lemmas"], he_sample(miners=[
+        {"id": "m1", "power": 0, "kind": "active", "colluding": True},
+        {"id": "m2", "power": 0, "kind": "active", "colluding": True},
+        {"id": "m3", "power": 1, "kind": "passive"}]), "power"),
 }
 
 

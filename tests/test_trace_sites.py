@@ -38,13 +38,18 @@ def test_every_traced_name_is_bound():
 
 def test_every_called_name_answers():
     # Beyond what it patches, the tracer notes each applied state by its
-    # `snapshot_key`, and play-fuzz plays with `check_invariants`.
+    # `snapshot_key`, and play-fuzz plays with `check_invariants` and
+    # checks each play's final state (`check_play`), reading the status of
+    # every contract it redeemed.
     assert "state.snapshot_key()" in inspect.getsource(
         spans.Tracer._note_state)
     assert "check_invariants=True" in inspect.getsource(
         workloads.play_fuzz_units)
+    assert "state.contracts[cid].redeemable" in inspect.getsource(
+        workloads.check_play)
     scen = naive_scenario()
     profile = StrategyProfile(AliceHonest(), BobHonest(),
                               {m.party: HonestFeeMax() for m in scen.miners})
     out = game.play(scen, profile, flat_schedule(scen), check_invariants=True)
     assert isinstance(out.state.snapshot_key(), tuple)
+    assert out.state.redemptions and workloads.check_play(out, None, 0)
