@@ -232,7 +232,9 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
 
     Hypotheses are the stated closed-form inequalities; conclusions are
     simulated dominance or income orderings.  Consistency means the
-    hypothesis never holds while the simulated conclusion fails.
+    hypothesis never holds while the simulated conclusion fails.  Lemmas 1
+    and 2 refuse a focal colluder that holds all of the coalition's power:
+    the rest that would pay their bribe by confiscating is empty.
     """
     kinds = {1: "active", 2: "active", 3: "passive", 4: "active", 5: "active"}
     if n not in kinds:
@@ -255,10 +257,19 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
     lam_col = scen.lambda_col
     expect = _verdict_expectations()
 
-    if n == 1:
+    if n in (1, 2):
         view, mi, rest = coalition_view(scen, focal)
+        if rest is None:
+            # Both lemmas weigh a bribe that the rest of the coalition pays
+            # by confiscating; a focal miner with all of its power has no
+            # rest, so the bribe the hypothesis counts is never paid.
+            raise ScenarioError(
+                f"validation-error(power): lemma {n} needs a coalition "
+                f"besides the focal miner, and {focal.id} holds all of "
+                "its power")
+    if n == 1:
         hyp = pact_hypothesis(1, scen, lam_i)
-        pin = {scen.T + 1: rest} if rest is not None else None
+        pin = {scen.T + 1: rest}
         base = _attack_profile(view)
         accept = M2MbaActive("accept")
         verdict = dominance_check(view, mi, accept,
@@ -271,7 +282,6 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
                             income - f_a, {"bribe_income": income,
                                            "verdict": verdict.verdict})
     if n == 2:
-        view, mi, rest = coalition_view(scen, focal)
         hyp = pact_hypothesis(2, scen, lam_i)
         offer = M2MbaActive("race")
         verdict = dominance_check(view, mi, offer,

@@ -844,7 +844,9 @@ def _pick_probs(scen: Scenario) -> np.ndarray:
 def sample_schedule(scen: Scenario, rng: np.random.Generator,
                     pin: Optional[dict] = None) -> Schedule:
     """One schedule drawn from `rng`: the first row of the draw that
-    `final_frontier` makes for all its Monte-Carlo trials at once."""
+    `final_frontier` makes for all its Monte-Carlo trials at once.  Where
+    one miner holds all the power every pick names it, so `final_frontier`
+    draws nothing then; this always draws."""
     pin = pin or {}
     parties = scen.miner_parties()
     picks = rng.choice(len(parties), size=scen.horizon, p=_pick_probs(scen))
@@ -870,11 +872,15 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     In exact mode a mass is a schedule weight over `total`, the product of
     the rounds' common denominators; zero-weight branches are kept, so the
     parties in the outcomes are those of every schedule.  In Monte-Carlo
-    mode a mass is a trial count over `total` = `scen.mode[1]`: all trials
-    are drawn in one call from a `scen.seed` generator, which reads its
-    stream exactly as one `sample_schedule` per trial would, and a state's
-    trials are grouped each round by their pick.  `pin` maps a 1-based
-    round to the party forced to mine it, overriding any draw.
+    mode a mass is a trial count over `total` = `scen.mode[1]`.  Where at
+    least two miners have power, all trials are drawn in one call from a
+    `scen.seed` generator, which reads its stream exactly as one
+    `sample_schedule` per trial would, and a state's trials are grouped
+    each round by their pick.  Where one miner holds all the power, every
+    pick would name it, so nothing is drawn and numpy's random module is
+    never loaded.  `pin` maps a 1-based round to the party forced to mine
+    it, overriding any draw.  A trial count whose trial list or draw
+    cannot be allocated is `validation-error(trials)`.
     """
     pin = pin or {}
     if scen.mode[0] == "exact":
@@ -888,14 +894,17 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
             lambda rnd, w: w * rounds[rnd - 1][1])
     else:
         parties = scen.miner_parties()
+        able = [m.party for m in scen.miners if m.power > 0]
         total = scen.mode[1]
         # Past what numpy can address the draw fails with a ValueError or
         # an OverflowError, not a MemoryError, so such a size never reaches it.
         if total * scen.horizon > np.iinfo(np.intp).max // 8:
             raise _too_many_trials(scen)
         try:
+            everyone = list(range(total))
             picks = np.random.default_rng(scen.seed).choice(
-                len(parties), size=(total, scen.horizon), p=_pick_probs(scen))
+                len(parties), size=(total, scen.horizon),
+                p=_pick_probs(scen)) if len(able) > 1 else None
         except MemoryError as e:
             raise _too_many_trials(scen) from e
         # Python ints group faster than numpy masks; one column at a time.
@@ -905,15 +914,15 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
         def split(rnd: int, trials: list):
             if rnd in pin:
                 return ((pin[rnd], trials),)
-            if len(parties) == 1:
-                return ((parties[0], trials),)
+            if picks is None:
+                return ((able[0], trials),)
             col = column(rnd)
             groups = [[] for _ in parties]
             for t in trials:
                 groups[col[t]].append(t)
             return [(party, g) for party, g in zip(parties, groups) if g]
 
-        payoffs, entries = _forward(scen, profile, list(range(total)), split,
+        payoffs, entries = _forward(scen, profile, everyone, split,
                                     lambda rnd, trials: trials)
         entries = [(state, {payoff: len(trials)
                             for payoff, trials in groups.items()})
@@ -925,8 +934,8 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
 
 
 def _too_many_trials(scen: Scenario) -> ScenarioError:
-    return _invalid("trials", f"the draw of {scen.mode[1]} trials x "
-                    f"{scen.horizon} rounds does not fit in memory")
+    return _invalid("trials", f"{scen.mode[1]} trials x {scen.horizon} "
+                    "rounds do not fit in memory")
 
 
 def mean_half_width(total, total_sq, n: int) -> tuple:

@@ -102,13 +102,19 @@ def _fee_schedule_from(doc: dict, T: int) -> FeeSchedule:
     return FeeSchedule(paid, _frac(doc.get("alpha", "1/2"), "fees.schedule.alpha"), T)
 
 
-def load_scenario(path, overrides=None) -> tuple:
+def load_scenario(source, overrides=None) -> tuple:
     """Parse and validate a scenario file; returns (Scenario, StrategyProfile).
 
-    `overrides` maps Scenario fields to values that replace the file's
+    `source` is the file's path or the bytes read from it, which are
+    decoded as a text-mode read of the path would.  `overrides` maps
+    Scenario fields to values that replace the file's
     (`scenario_from_doc`)."""
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        # Universal newlines, as `Path.read_text` reads: a parse error
+        # names the same line and column.
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"parse-error(line {e.lineno}, col {e.colno}): {e.msg}")
     except UnicodeDecodeError as e:
@@ -290,17 +296,14 @@ class Report:
         return Report(header, records, summary)
 
 
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-
-
-def _base_header(args, subcommand: str, scen=None) -> dict:
-    """Report header; the seed is the scenario's when a run reads one."""
+def _base_header(args, subcommand: str, scen=None, digest=None) -> dict:
+    """Report header; the seed is the scenario's when a run reads one, and
+    `digest` names the scenario bytes the job parsed (`_load`)."""
     header = {"subcommand": subcommand}
     header["seed"] = (scen.seed if scen is not None
                       else args.seed if args.seed is not None else 0)
-    if getattr(args, "scenario", None):
-        header["scenario-digest"] = _digest(args.scenario)
+    if digest is not None:
+        header["scenario-digest"] = digest
     return header
 
 
@@ -324,22 +327,30 @@ def _check_options(args) -> None:
                             f"int, got {trials}")
 
 
+def _load(args, overrides=None) -> tuple:
+    """The job's scenario, its file read once: (Scenario, StrategyProfile,
+    the digest of the very bytes that were parsed)."""
+    data = Path(args.scenario).read_bytes()
+    scen, profile = load_scenario(data, overrides)
+    return scen, profile, hashlib.sha256(data).hexdigest()[:16]
+
+
 def _load_overridden(args, mode: Optional[tuple] = None) -> tuple:
-    """Load the scenario with `--seed` and the given mode in place of the
-    file's, so that an override passes the checks a file value does and
-    the job builds one Scenario."""
+    """`_load` with `--seed` and the given mode in place of the file's, so
+    that an override passes the checks a file value does and the job
+    builds one Scenario."""
     overrides = {} if args.seed is None else {"seed": args.seed}
     if mode is not None:
         overrides["mode"] = mode
-    return load_scenario(args.scenario, overrides)
+    return _load(args, overrides)
 
 
 def cmd_simulate(args) -> tuple:
-    scen, profile = _load_overridden(args)
+    scen, profile, digest = _load_overridden(args)
     rng = np.random.default_rng(scen.seed)
     schedule = sample_schedule(scen, rng)
     out = play(scen, profile, schedule)
-    report = Report(_base_header(args, "simulate", scen))
+    report = Report(_base_header(args, "simulate", scen, digest))
     for party in sorted(out.deltas, key=lambda p: p.id):
         if party == EXTERNAL:
             continue
@@ -359,9 +370,9 @@ def cmd_expect(args) -> tuple:
         mode = ("exact",)
     elif args.mode == "mc" or args.trials is not None:
         mode = ("monte-carlo", args.trials or DEFAULT_TRIALS)
-    scen, profile = _load_overridden(args, mode)
+    scen, profile, digest = _load_overridden(args, mode)
     eu = expected_utilities(scen, profile)
-    report = Report(_base_header(args, "expect", scen))
+    report = Report(_base_header(args, "expect", scen, digest))
     report.header["mode"] = eu.mode
     for party in sorted(eu.utilities, key=lambda p: p.id):
         if party == EXTERNAL:
@@ -396,7 +407,7 @@ def _default_spaces(scen: Scenario, player: str) -> list:
 
 
 def cmd_dominance(args) -> tuple:
-    scen, profile = load_scenario(args.scenario)
+    scen, profile, digest = _load(args)
     player = args.player
     key = player if player in ("alice", "bob") else miner_party(player)
     if player == "alice":
@@ -418,7 +429,7 @@ def cmd_dominance(args) -> tuple:
             f"{candidate.name!r} is valid for protocol {scen.protocol!r}")
     verdict = dominance_check(scen, key, candidate,
                               [candidate] + alternatives, [profile])
-    report = Report(_base_header(args, "dominance"))
+    report = Report(_base_header(args, "dominance", digest=digest))
     report.add("dominance", player, verdict.verdict)
     report.add("candidate", player, candidate.name)
     if verdict.witness:
@@ -432,7 +443,7 @@ def cmd_dominance(args) -> tuple:
 
 
 def cmd_lemmas(args) -> tuple:
-    scen, _ = load_scenario(args.scenario)
+    scen, _, digest = _load(args)
     if scen.protocol == "he":
         verify, numbers, theorem = verify_m2mba_lemma, (1, 2, 3, 4, 5), "m2mba"
     elif scen.protocol == "demba":
@@ -440,7 +451,7 @@ def cmd_lemmas(args) -> tuple:
     else:
         raise ScenarioError(
             "validation-error(protocol): lemma checks need 'he' or 'demba'")
-    report = Report(_base_header(args, "lemmas"))
+    report = Report(_base_header(args, "lemmas", digest=digest))
     failed = False
     for n in numbers:
         v = verify(n, scen)
@@ -563,13 +574,13 @@ def ttc(scen: Scenario, path: str) -> dict:
 
 
 def cmd_ttc(args) -> tuple:
-    scen, _ = _load_overridden(args, ("monte-carlo", args.trials))
+    scen, _, digest = _load_overridden(args, ("monte-carlo", args.trials))
     variant = args.variant or scen.protocol
     if variant != scen.protocol:
         raise ScenarioError("validation-error(variant): scenario protocol is "
                             f"{scen.protocol!r}")
     result = ttc(scen, args.path)
-    report = Report(_base_header(args, "ttc", scen))
+    report = Report(_base_header(args, "ttc", scen, digest))
     report.add("ttc-mean-rounds", "-", result["mean"],
                result["mean"] - result["half_width"],
                result["mean"] + result["half_width"])

@@ -177,18 +177,25 @@ class TestM2MbaLemmas:
 
     def test_a_lone_colluder_is_the_whole_coalition(self):
         # The one active colluder keeps a share of 1: its view has no rest
-        # of the coalition to pin or bribe.  Every coalition lemma's verdict
-        # is consistent, and under lemma 5 it mines every censored block,
-        # each reserving its bribe f_dep_a / (T - t_pub) = 1/4, rounded up.
+        # of the coalition to pin or bribe.  Lemmas 1 and 2 weigh a bribe
+        # the rest pays by confiscating, which nobody would pay here, so
+        # they refuse the view.  Lemmas 4 and 5 keep their verdicts; under
+        # lemma 5 it mines every censored block, each reserving its bribe
+        # f_dep_a / (T - t_pub) = 1/4, rounded up.
         scen = self.scen(miners=(
             MinerProfile(M1, Fraction(3, 5), "active", True),
             MinerProfile(M3, Fraction(2, 5), "passive")))
         view, mi, rest = analysis.coalition_view(scen, M1)
         assert rest is None
         assert view.miners == (MinerProfile(mi, Fraction(1), "active", True),)
-        verdicts = {n: verify_m2mba_lemma(n, scen) for n in (1, 2, 4, 5)}
+        for n in (1, 2):
+            with pytest.raises(ScenarioError, match=(
+                    rf"^validation-error\(power\): lemma {n} needs a "
+                    "coalition besides the focal miner, and m1 holds all "
+                    "of its power$")):
+                verify_m2mba_lemma(n, scen)
+        verdicts = {n: verify_m2mba_lemma(n, scen) for n in (4, 5)}
         assert all(v.consistent for v in verdicts.values())
-        assert verdicts[1].detail["verdict"] == "strict"
         assert verdicts[5].detail["bribe_income"] == scen.T - scen.t_pub
 
     @pytest.mark.parametrize("n", [0, 6])

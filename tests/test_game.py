@@ -23,12 +23,17 @@ from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
 from htlc_arena.game import (MinerProfile, Scenario, Schedule,
                              StrategyProfile, dominance_check,
                              enumerate_schedules, expected_utilities, play)
-from htlc_arena.runner import TTC_PATHS, _ttc_profile, ttc
+from htlc_arena.runner import (TTC_PATHS, _completion_round,
+                               _ttc_profile, ttc)
 
 from conftest import (M1, M2, demba_scenario, demba_schedule,
                       flat_schedule, frontier_settlements, he_scenario,
                       mad_scenario, monte_carlo, naive_scenario,
                       play_settlement, same_parts)
+
+
+def _no_draw(seed):
+    raise AssertionError("drew a schedule")
 
 
 def honest_profile(scen, miner_policy=None):
@@ -370,6 +375,45 @@ class TestExpectations:
         got = frontier_settlements(scen, frontier)
         assert frontier.total == 7
         assert got == want and len(got) > 1
+
+    def test_one_miner_monte_carlo_draws_nothing(self, monkeypatch):
+        # Every pick would name the one miner with power, so neither
+        # sampler draws; the patched generator proves it by raising.
+        monkeypatch.setattr(game.np.random, "default_rng", _no_draw)
+        scen = monte_carlo(naive_scenario(), 30)
+        profile = StrategyProfile(AliceHonest(), BobNaiveBriber(),
+                                  {M1: CensorRelated()})
+        out = play(scen, profile, flat_schedule(scen))
+        eu = expected_utilities(scen, profile)
+        assert eu.utilities == out.deltas
+        path = "alice-redeems"
+        done = _completion_round(
+            play(scen, _ttc_profile(scen, path), flat_schedule(scen)),
+            scen, path)
+        assert ttc(scen, path) == {"mean": done, "half_width": 0.0,
+                                   "trials": 30, "l": scen.l}
+        two = replace(scen, miners=(MinerProfile(M1, Fraction(1, 2)),
+                                    MinerProfile(M2, Fraction(1, 2))))
+        with pytest.raises(AssertionError, match="drew a schedule"):
+            expected_utilities(two, honest_profile(two))
+
+    @pytest.mark.parametrize("pin", [None, {1: M2}, {6: M2}])
+    def test_a_powerless_miner_is_never_drawn(self, monkeypatch, pin):
+        # M2 has no power, so every trial plays the one schedule M1 mines
+        # (M2 where pinned): the sample mean is exact mode's value, with
+        # no spread.
+        monkeypatch.setattr(game.np.random, "default_rng", _no_draw)
+        scen = naive_scenario(miners=(MinerProfile(M1, Fraction(1)),
+                                      MinerProfile(M2, Fraction(0))))
+        profile = StrategyProfile(AliceHonest(), BobNaiveBriber(),
+                                  {M1: CensorRelated(), M2: HonestFeeMax()})
+        exact = expected_utilities(scen, profile, pin)
+        mc = expected_utilities(monte_carlo(scen, 40, seed=3), profile, pin)
+        assert mc.utilities == exact.utilities
+        assert mc.bribe_income == exact.bribe_income
+        assert mc.burned == exact.burned
+        assert mc.ci == {p: (float(u), float(u))
+                         for p, u in exact.utilities.items()}
 
     def test_linearity_under_token_scaling(self):
         # All integer amounts scaled by c scale every utility by exactly c.

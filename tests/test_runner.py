@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -12,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from htlc_arena import runner
 from htlc_arena.core import ScenarioError
 from htlc_arena.runner import Report, load_scenario, main, ttc
 
@@ -125,6 +130,30 @@ class TestCli:
         code = main(list(argv))
         out = capsys.readouterr().out
         return code, out
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["expect"], ["dominance", "--player", "m1"],
+        ["lemmas"], ["ttc", "--path", "alice-redeems", "--trials", "5"]],
+        ids=lambda argv: argv[0])
+    def test_digest_names_the_bytes_parsed(self, tmp_path, monkeypatch,
+                                           capsys, argv):
+        # The file changes once the job has parsed it: the report's digest
+        # still names the bytes the job read.
+        path = tmp_path / "scen.json"
+        original = (SCENARIOS / "he_m2mba.json").read_bytes()
+        path.write_bytes(original)
+        load = runner.load_scenario
+
+        def load_then_edit(*args):
+            loaded = load(*args)
+            path.write_bytes(original + b"\n")
+            return loaded
+
+        monkeypatch.setattr(runner, "load_scenario", load_then_edit)
+        assert main([argv[0], "--scenario", str(path), *argv[1:]]) == 0
+        header = Report.parse(capsys.readouterr().out).header
+        assert header["scenario-digest"] == \
+            hashlib.sha256(original).hexdigest()[:16]
 
     def test_simulate_deterministic_output(self, capsys):
         path = str(SCENARIOS / "naive_bribery.json")
@@ -459,6 +488,12 @@ CANNOT_CHECK = {
         {"id": "m1", "power": 0, "kind": "active", "colluding": True},
         {"id": "m2", "power": 0, "kind": "active", "colluding": True},
         {"id": "m3", "power": 1, "kind": "passive"}]), "power"),
+    # Lemma 1's bribe is paid by the rest of the coalition, which has no
+    # power when the focal colluder holds all of the coalition's.
+    "lemmas-lone-colluder": (["lemmas"], he_sample(miners=[
+        {"id": "m1", "power": "3/5", "kind": "active", "colluding": True},
+        {"id": "m2", "power": 0, "kind": "active", "colluding": True},
+        {"id": "m3", "power": "2/5", "kind": "passive"}]), "power"),
 }
 
 
@@ -663,6 +698,26 @@ class TestTtc:
     def test_exact_mode_scenario_is_rejected(self):
         with pytest.raises(ScenarioError, match=r"^validation-error\(mode\)"):
             ttc(demba_scenario(), "bob-both")
+
+    @pytest.mark.parametrize("name,loaded", [("naive_bribery.json", False),
+                                             ("he_m2mba.json", True)])
+    def test_numpy_random_loads_only_where_a_job_draws(self, tmp_path, name,
+                                                       loaded):
+        # numpy loads its random module on first use.  A one-miner job in a
+        # fresh interpreter draws nothing, so it must not load it; a job
+        # on three miners draws, which shows the check can see the load.
+        script = ("import sys\n"
+                  "from htlc_arena.runner import main\n"
+                  "assert main(sys.argv[1:]) == 0\n"
+                  "print('numpy.random' in sys.modules)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run(
+            [sys.executable, "-c", script, "ttc", "--scenario",
+             str(SCENARIOS / name), "--path", "alice-redeems", "--trials",
+             "20", "--out", str(tmp_path / "report.tsv")],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert run.stdout == f"{loaded}\n"
 
     def test_path_that_never_completes_is_one_error_line(self, capsys):
         # A censoring miner keeps Bob's refund out of every block.
