@@ -13,10 +13,10 @@ which never pass through the mempool.
 
 The miner policy contract: a miner policy reads its miner only to name
 its block and the transactions it creates.  So two miners with equal
-policies (`game.policy_key`) at one state build blocks that are both free
-of transactions and coinbase, or neither, and two such free blocks differ
-only in their miner.  The forward pass mines such an idle block once per
-group of equal policies (`game._forward`).  Every policy, miner or party,
+policies (`game.policy_key`) at one state build blocks that both name
+their miner only as the fee payee, or neither, and two such blocks differ
+only in their miner.  The forward pass mines such a block once per group
+of equal policies (`game._forward`).  Every policy, miner or party,
 reads only a state's control parts (`ledger.ChainState.control_key`),
 never balances or logs, so the pass builds blocks and broadcasts once per
 control state.
@@ -420,10 +420,10 @@ class MinerPolicy:
 
     The contract every policy keeps: it reads `miner` only to name its
     block and the transactions it creates, never to choose what goes in,
-    so an equal policy builds an equal transaction-free block for any
-    miner, and it reads only the state's control parts.  The forward pass
-    relies on it to build such a block once per control state and group
-    of equal policies.
+    so where its block names `miner` only as the fee payee, an equal
+    policy builds the same block for any miner; and it reads only the
+    state's control parts.  The forward pass relies on it to build such a
+    block once per control state and group of equal policies.
     """
 
     name = "miner"

@@ -11,10 +11,10 @@ maps the payoff accumulated so far (balance changes, burn, bribe-log
 entries and, for the pact's equal split, each miner's blocks in the
 censored window, which is all that settles it) to the mass of the
 prefixes that reach it.  Each round's two halves run once per distinct
-input: a block once per (control state, miner), and an idle block (no
-transaction or coinbase, the control state unchanged) once per control
-state and group of miners with equal policies; then the parties'
-broadcasts, the label and its check once per mined control state.
+input: a block once per (control state, miner), and a block that names
+its miner only as the fee payee (`_neutral`) once per control state and
+group of miners with equal policies; then the parties' broadcasts, the
+label and its check once per mined control state.
 `final_frontier` returns the pass's final frontier: each final control
 state with its payoff groups, each holding an integer mass, and the total
 the masses sum to.  In exact mode a mass is the summed schedule weight (the product of
@@ -50,11 +50,12 @@ import numpy as np
 
 from .core import (ALICE, BOB, EXTERNAL, ArenaError, ContractError, Party,
                    ScenarioError, debit)
-from .contracts import (COL_A_ID, COL_B_ID, COL_ID, DEP_A, DEP_ID,
+from .contracts import (COL_A_ID, COL_B_ID, COL_ID, COL_M, DEP_A, DEP_ID,
                         FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B, SECRETS,
                         build_demba, build_he_htlc, build_mad_htlc,
                         build_naive_htlc, derive_he_delay)
-from .ledger import ChainState, ChainView, Part, apply_block, broadcast
+from .ledger import (CONTRACT_CALL, ChainState, ChainView, Part, apply_block,
+                     broadcast)
 
 PROTOCOLS = ("naive", "mad", "he", "demba")
 
@@ -396,6 +397,19 @@ def _mine(scen: Scenario, profile: StrategyProfile, state: ChainState,
     return block, apply_block(state, block)
 
 
+def _neutral(state: ChainState, nxt: ChainState, block, miners) -> bool:
+    """Whether `block`, which took `state` to `nxt`, names its miner only
+    as the fee payee: no contract call, no transaction created by or
+    paying one of `miners`, no col-M spend (the one redemption whose miner
+    the control key keeps), and no write to the bribery part or the mint
+    log (which every coinbase writes)."""
+    return (nxt.bribery is state.bribery and nxt.mint_log is state.mint_log
+            and not any(tx.kind == CONTRACT_CALL or tx.creator in miners
+                        or tx.payment is not None and tx.payment[0] in miners
+                        or any(p == COL_M for _, p in tx.consumes)
+                        for tx in block.txs))
+
+
 def _act(scen: Scenario, profile: StrategyProfile, state: ChainState,
          rnd: int, prev_rank: int) -> tuple:
     """The party half of a round: the parties' broadcasts on a mined state.
@@ -644,9 +658,9 @@ class _Payoffs:
             if low < b0[p])
 
     def renamed(self, step: tuple, old: Party, new: Party) -> tuple:
-        """An idle block's step for miner `new`: `old`'s, with `old`'s
-        balance and window-block slots moved to `new`'s (an idle block
-        appends no bribe-log entry)."""
+        """A miner-neutral block's step for miner `new`: `old`'s, with
+        `old`'s balance and window-block slots moved to `new`'s (such a
+        block appends no bribe-log entry)."""
         if step is _UNPAID:
             return step
         adds, bribes, draws = step
@@ -725,15 +739,16 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     payoff increment (`_Payoffs.step`) is taken once, when its block is
     built; each group adds it and sends its part to the successor's group
     of that payoff.  Miners with equal policies (`policy_key`) form a miner
-    group: when a group's block carries no transaction and no coinbase and
-    leaves the control state as it was, every later miner of the group
-    takes the same increment with the miner renamed, with no block built
-    or applied.  This rests on the miner policy contract
-    (`agents.MinerPolicy`): an equal policy builds that same block for any
-    miner, and such a block pays its miner alike for any miner, as its
-    increment counts a window block for its miner (`_Payoffs.step`).  Once
-    every miner group is known to take such a block that pays nothing,
-    each remaining group moves to its successor whole, unsplit:
+    group: when a group's block names its miner only as the fee payee
+    (`_neutral`), every later miner of the group takes the same successor
+    and increment with the miner renamed, with no block built or applied.
+    This rests on the miner policy contract (`agents.MinerPolicy`): an
+    equal policy builds that same block for any miner, and the ledger
+    reads such a block's miner only to credit it fees, fill and
+    `BLOCK_MINER` transfers and to record a redemption that is not col-M.
+    A group of one takes its miner's step unchecked.  Once every miner
+    group's step is known to pay nothing and reach one successor, each
+    remaining group moves to it whole, unsplit:
     `whole(rnd, mass)` is the sum of the parts `split(rnd, mass)` yields.
     Where blocks carry no fee most groups move this way, and splitting
     their mass only to add the parts up again would cost a Monte-Carlo
@@ -762,15 +777,21 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     keys: dict = {}
     group = {party: keys.setdefault(policy_key(pol), len(keys))
              for party, pol in profile.miners.items()}
+    lone = {g for g, n in Counter(group.values()).items() if n == 1}
     payoffs = _Payoffs(scen, state, baseline)
     frontier = {state.control_key(): [state, -1, {payoffs.zero: mass}]}
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
-        for (_, body), (state, rank, groups) in frontier.items():
+        for state, rank, groups in frontier.values():
             steps: dict = {}  # miner -> (entry, block, increment)
-            idle: dict = {}  # miner group -> (miner, step) of its idle block
+            shared: dict = {}  # miner group -> (miner, step) its miners take
             unpaid = None  # the entry every miner reaches unpaid, or False
             for payoff, m in groups.items():
+                if unpaid is None and len(shared) == len(keys):
+                    firsts = [step for _, step in shared.values()]
+                    target = firsts[0][0]
+                    unpaid = all(step[0] is target and step[2] is _UNPAID
+                                 for step in firsts) and target
                 if unpaid:  # move the group whole
                     held, part = unpaid[2], whole(rnd, m)
                     prev = held.get(payoff)
@@ -779,7 +800,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
                 for miner, part in split(rnd, m):
                     step = steps.get(miner)
                     if step is None:
-                        first = idle.get(group[miner])
+                        first = shared.get(group[miner])
                         if first is not None:
                             # its entry already holds our rank
                             owner, (entry, block, paying) = first
@@ -799,9 +820,9 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
                                 entry[1] = rank
                             step = (entry, block,
                                     payoffs.step(state, nxt, block))
-                            if (key[1] == body and not block.txs
-                                    and not block.coinbase):
-                                idle[group[miner]] = miner, step
+                            if group[miner] in lone or _neutral(
+                                    state, nxt, block, profile.miners):
+                                shared[group[miner]] = miner, step
                         steps[miner] = step
                     entry, block, paying = step
                     paid = payoffs.add(payoff, paying)
@@ -813,11 +834,6 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
                     held = entry[2]
                     prev = held.get(paid)
                     held[paid] = part if prev is None else prev + part
-                if unpaid is None and len(idle) == len(keys):
-                    firsts = [step for _, step in idle.values()]
-                    target = firsts[0][0]
-                    unpaid = all(step[0] is target and step[2] is _UNPAID
-                                 for step in firsts) and target
         frontier = {}
         for state, rank, groups in mined.values():
             nxt, _, nxt_rank = _act(scen, profile, state, rnd, rank)

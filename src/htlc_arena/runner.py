@@ -27,9 +27,10 @@ from . import __version__
 from .core import ArenaError, EXTERNAL, ScenarioError, miner_party
 from .contracts import (COL_B, COL_B_ID, COL_ID, DEP_A, DEP_ID, FeeSchedule,
                         PRE_A, PRE_A2, PRE_AA2, PRE_B)
-from .game import (MinerProfile, Scenario, StrategyProfile, check_field,
-                   dominance_check, expected_utilities, final_frontier,
-                   mean_half_width, play, policy_key, sample_schedule)
+from .game import (MinerProfile, Scenario, Schedule, StrategyProfile,
+                   check_field, dominance_check, expected_utilities,
+                   final_frontier, mean_half_width, play, policy_key,
+                   sample_schedule)
 from .agents import (AliceHonest, AliceOffline, BobHonest, HonestFeeMax,
                      make_miner_policy, make_party_policy)
 from . import analysis
@@ -347,8 +348,10 @@ def _load_overridden(args, mode: Optional[tuple] = None) -> tuple:
 
 def cmd_simulate(args) -> tuple:
     scen, profile, digest = _load_overridden(args)
-    rng = np.random.default_rng(scen.seed)
-    schedule = sample_schedule(scen, rng)
+    able = [m.party for m in scen.miners if m.power > 0]
+    # Every pick would name a lone miner with power, so draw none for it.
+    schedule = (Schedule((able[0],) * scen.horizon) if len(able) == 1 else
+                sample_schedule(scen, np.random.default_rng(scen.seed)))
     out = play(scen, profile, schedule)
     report = Report(_base_header(args, "simulate", scen, digest))
     for party in sorted(out.deltas, key=lambda p: p.id):

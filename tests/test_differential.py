@@ -20,25 +20,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from htlc_arena.agents import (AliceCensoredFallback, AliceHonest, BobHonest,
+from htlc_arena.agents import (AliceCensoredFallback, AliceHonest,
+                               B3aAccomplice, BobB3a, BobHonest,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
                                M2MbaActive, M2MbaPassive, call_tx)
 from htlc_arena import game
-from htlc_arena.contracts import CBOB_ID
+from htlc_arena.contracts import CBOB_ID, COL_M, DEP_ID
 from htlc_arena.core import BOB, LedgerError, ScenarioError, miner_party
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              enumerate_schedules, expected_utilities,
                              mean_half_width, play, sample_schedule)
+from htlc_arena.ledger import CONTRACT_CALL
 from htlc_arena.runner import (TTC_PATHS, _completion_round, _ttc_profile,
                                ttc)
 
 from conftest import (demba_scenario, frontier_settlements, he_scenario,
-                      monte_carlo, naive_scenario, play_settlement,
-                      same_parts)
+                      mad_scenario, monte_carlo, naive_scenario,
+                      play_settlement, same_parts)
 from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 POOLS = _fuzz_pools()
 PARTIES = tuple(miner_party(f"d{i}") for i in range(1, 4))
+FOUR = (*PARTIES, miner_party("d4"))
 #: Free rounds are capped so that one reference sum plays at most this
 #: many schedules.
 MAX_SCHEDULES = 729
@@ -180,6 +183,68 @@ def _party_merge_game():
     return scen, profile, {}
 
 
+def _four_honest_game():
+    # The Monte-Carlo benchmark's shape: he, four equal miners with one
+    # fee-maximising policy, and the payee's redemption paying its fee to
+    # whoever mines it.  Two pinned rounds keep the reference at 4^4
+    # schedules.
+    miners = tuple(MinerProfile(p, Fraction(1, 4), kind, kind == "active")
+                   for p, kind in zip(FOUR, ("active", "active", "passive",
+                                             "passive")))
+    scen = he_scenario(v_dep=300, v_col=200, T=3, t_pub=1, l=1, br=30, f=0,
+                       f_dep_a=2, f_dep_b=2, f_col_b=2, miners=miners)
+    profile = StrategyProfile(AliceHonest(), BobHonest(1),
+                              {p: HonestFeeMax() for p in FOUR})
+    return scen, profile, {5: FOUR[2], 6: FOUR[3]}
+
+
+def _demba_shared_auto_game():
+    # Both miners share one fee-maximising policy.  The block that lands
+    # both commits pays their fees to its miner and fires the deposit's
+    # automatic path (dep-A), which records that miner too.
+    miners = (MinerProfile(PARTIES[0], Fraction(1, 3)),
+              MinerProfile(PARTIES[1], Fraction(2, 3)))
+    scen = demba_scenario(T=4, horizon=8, miners=miners)
+    profile = StrategyProfile(AliceHonest(), BobHonest(1), {
+        p: HonestFeeMax() for p in PARTIES[:2]})
+    return scen, profile, {}
+
+
+def _race_confiscation_game():
+    # Two racing colluders: the first block after the deadline lands the
+    # payer's refund and confiscates the collateral (col-M) in a
+    # transaction its miner creates.
+    miners = (MinerProfile(PARTIES[0], Fraction(1, 2), "active", True),
+              MinerProfile(PARTIES[1], Fraction(1, 2), "active", True))
+    scen = he_scenario(v_dep=100, v_col=60, T=3, t_pub=1, l=1, f=0,
+                       miners=miners, m2mba_split="equal")
+    profile = StrategyProfile(AliceHonest(), BobHonest(), {
+        p: M2MbaActive("race") for p in PARTIES[:2]})
+    return scen, profile, {}
+
+
+def _b3a_coinbase_game():
+    # Two accomplices: the first block after the deadline is the briber's
+    # partial block, with its coinbase.
+    miners = (MinerProfile(PARTIES[0], Fraction(1, 2), "active", True),
+              MinerProfile(PARTIES[1], Fraction(1, 2), "active", True))
+    scen = mad_scenario(T=3, miners=miners)
+    profile = StrategyProfile(AliceHonest(), BobB3a(case=1), {
+        p: B3aAccomplice(case=1) for p in PARTIES[:2]})
+    return scen, profile, {}
+
+
+def _bribe_request_game():
+    # Two censors: each censored block calls the bribery contract in a
+    # transaction its miner creates.
+    miners = (MinerProfile(PARTIES[0], Fraction(1, 2)),
+              MinerProfile(PARTIES[1], Fraction(1, 2)))
+    scen = naive_scenario(T=4, f=0, miners=miners)
+    profile = StrategyProfile(AliceHonest(), BobNaiveBriber(), {
+        p: CensorRelated() for p in PARTIES[:2]})
+    return scen, profile, {}
+
+
 def _confiscated_after_a_shared_window(state, window):
     return (state.redemptions.get("col", ("",))[0] == "col-M"
             and sum(map(bool, window.values())) > 1)
@@ -235,6 +300,69 @@ def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
                for state, groups in entries for payoff in groups)
 
 
+def _applied(monkeypatch, scen, profile, pin) -> dict:
+    """Each block the exact pass applies, as (block, state, successor), by
+    the control key of the state it is applied to."""
+    applied: dict = {}
+    real_apply = game.apply_block
+
+    def apply_block(state, block):
+        nxt = real_apply(state, block)
+        applied.setdefault(state.control_key(), []).append(
+            (block, state, nxt))
+        return nxt
+
+    with monkeypatch.context() as patched:
+        patched.setattr(game, "apply_block", apply_block)
+        game.final_frontier(scen, profile, pin)
+    return applied
+
+
+def _fires_auto_path(block, before, after):
+    # The deposit resolves in this block, though no transaction spends it.
+    return (DEP_ID not in before.redemptions and DEP_ID in after.redemptions
+            and all(cid != DEP_ID for tx in block.txs
+                    for cid, _ in tx.consumes))
+
+
+@pytest.mark.parametrize("make,fires", [
+    (_four_honest_game, False), (_demba_shared_auto_game, True)])
+def test_shared_block_games_reach_what_they_test(monkeypatch, make, fires):
+    # Every block of these games names its miner only as the fee payee, so
+    # each control state's block is applied once for all the miners that
+    # mine there.  Some such block in a round every miner may mine is not
+    # idle: it carries a transaction and pays its miner, and in the demba
+    # game it also fires the deposit's automatic path.
+    scen, profile, pin = make()
+    applied = _applied(monkeypatch, scen, profile, pin)
+    assert all(len(steps) == 1 for steps in applied.values())
+    shared = [(block, before, after) for [(block, before, after)]
+              in applied.values() if block.round not in pin and block.txs
+              and after.balances[block.miner] > before.balances[block.miner]]
+    assert shared
+    assert any(map(_fires_auto_path, *zip(*shared))) == fires
+
+
+@pytest.mark.parametrize("make,names", [
+    (_race_confiscation_game, lambda block: any(
+        path == COL_M for tx in block.txs for _, path in tx.consumes)),
+    (_b3a_coinbase_game, lambda block: bool(block.coinbase)),
+    (_bribe_request_game, lambda block: any(
+        tx.kind == CONTRACT_CALL for tx in block.txs))])
+def test_blocks_that_name_their_miner_are_applied_per_miner(monkeypatch,
+                                                           make, names):
+    # A col-M confiscation, a coinbase and a contract call each name their
+    # miner beyond the fee payee, so every miner applies its own such block
+    # at every control state it reaches.
+    scen, profile, pin = make()
+    applied = _applied(monkeypatch, scen, profile, pin)
+    named = [steps for steps in applied.values()
+             if any(names(block) for block, _, _ in steps)]
+    assert named
+    assert all({block.miner for block, _, _ in steps}
+               == set(scen.miner_parties()) for steps in named)
+
+
 @settings(max_examples=60, deadline=None)
 @given(game=games(fewest=1), seed=st.integers(0, 2**32 - 1))
 def test_no_play_overdraws_from_genesis(game, seed):
@@ -264,6 +392,11 @@ def test_no_play_overdraws_from_genesis(game, seed):
 @example(game=(*_censor_bribe_game()[:2], {2: PARTIES[1]}))
 @example(game=_censor_bribe_game(br=0))
 @example(game=_party_merge_game())
+@example(game=_four_honest_game())
+@example(game=_demba_shared_auto_game())
+@example(game=_race_confiscation_game())
+@example(game=_b3a_coinbase_game())
+@example(game=_bribe_request_game())
 def test_merged_expectation_equals_brute_force(game):
     scen, profile, pin = game
     utilities, bribes, burned = brute_force(scen, profile, pin)
@@ -352,6 +485,9 @@ def result_or_error(fn, *args):
 @example(game=_demba_auto_resolution_game(), trials=40, seed=7)
 @example(game=_censor_bribe_game(), trials=40, seed=7)
 @example(game=(*_censor_bribe_game()[:2], {2: PARTIES[1]}), trials=40, seed=7)
+@example(game=_four_honest_game(), trials=40, seed=7)
+@example(game=(*_four_honest_game()[:2], {}), trials=40, seed=7)
+@example(game=_demba_shared_auto_game(), trials=40, seed=7)
 def test_sampled_expectation_and_ttc_equal_one_by_one_plays(game, trials,
                                                             seed):
     scen, profile, pin = game

@@ -16,10 +16,11 @@ import pytest
 from htlc_arena import game
 from htlc_arena.core import (ALICE, BOB, ArenaError, LedgerError,
                              ScenarioError, miner_party)
-from htlc_arena.contracts import PRE_A, FeeSchedule
+from htlc_arena.contracts import CBOB_ID, COL_ID, COL_M, PRE_A, FeeSchedule
 from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
-                               M2MbaActive, payment_tx)
+                               M2MbaActive, call_tx, make_block, payment_tx,
+                               tx_reveal_dep_a)
 from htlc_arena.game import (MinerProfile, Scenario, Schedule,
                              StrategyProfile, dominance_check,
                              enumerate_schedules, expected_utilities, play)
@@ -541,8 +542,11 @@ class TestRoundHalves:
         assert real_label(first[2], scen.protocol) == "red"
 
     def test_parties_act_once_per_mined_state(self, monkeypatch):
+        # Unequal policies mine their own blocks, and in most rounds the
+        # two reach one control state.
         scen = self.two_miners()
-        profile = honest_profile(scen)
+        profile = StrategyProfile(AliceHonest(), BobHonest(),
+                                  {M1: HonestFeeMax(), M2: CensorRelated()})
         want = expected_utilities(scen, profile)
         mined, acted = [], Counter()
         real_apply = game.apply_block
@@ -572,9 +576,8 @@ class TestControlMerge:
             self, monkeypatch, path):
         # The Monte-Carlo benchmark's `ttc` jobs: he, four equal miners,
         # ten rounds, honest parties and honest miners, whose fees pay
-        # whoever mines.  Each round mines one block for the whole miner
-        # group, or one per miner in a round whose block carries a
-        # transaction, which happens at most twice.
+        # whoever mines.  Every block names its miner only as the fee
+        # payee, so each round mines one block for the whole miner group.
         miners = tuple(MinerProfile(miner_party(f"m{i}"), Fraction(1, 4),
                                     kind, kind == "active")
                        for i, kind in enumerate(
@@ -600,9 +603,7 @@ class TestControlMerge:
         masses = [m for _, groups in entries for m in groups.values()]
         assert sum(masses) == total == 50 and len(masses) > 1
         rounds = range(1, scen.horizon + 1)
-        assert acted == {rnd: 1 for rnd in rounds}
-        assert set(mined.values()) <= {1, len(miners)}
-        assert sum(mined.values()) <= 2 * scen.horizon
+        assert acted == mined == {rnd: 1 for rnd in rounds}
 
 
 def _staged_refund_game():
@@ -740,8 +741,9 @@ class TestBalanceChecks:
 
 
 class TestIdleBlocks:
-    """Miners with equal policies share an idle block: one with no
-    transaction and no coinbase that leaves the control state as it was."""
+    """Miners with equal policies share a miner-neutral block, which names
+    its miner only as the fee payee (`game._neutral`); a block that names
+    its miner otherwise, as a transaction's creator, is mined per miner."""
 
     def game(self, bob, first=None, second=None):
         scen = naive_scenario(f=0, T=4, miners=(
@@ -785,7 +787,26 @@ class TestIdleBlocks:
         assert all(mined[rnd, M2] == mined[rnd, M1]
                    for rnd in range(1, scen.horizon + 1))
 
-    def test_a_block_with_a_tx_is_never_shared(self, monkeypatch):
+    def test_each_clause_alone_names_the_miner(self):
+        # A block that pays the payee's redemption fee to its miner is
+        # neutral; one transaction or one part write more that names a
+        # miner otherwise makes it not.
+        scen, _ = self.game(BobHonest())
+        state, miners = game.build_genesis(scen)[0], {M1, M2}
+        fee_paying = make_block(1, M1, scen, [tx_reveal_dep_a(scen)])
+        assert game._neutral(state, state, fee_paying, miners)
+        col_m = replace(tx_reveal_dep_a(scen), consumes=((COL_ID, COL_M),))
+        for tx in (call_tx("call", BOB, CBOB_ID, "init"),
+                   payment_tx("from", M2, BOB, 1),
+                   payment_tx("to", BOB, M2, 1), col_m):
+            block = make_block(1, M1, scen, [*fee_paying.txs, tx])
+            assert not game._neutral(state, state, block, miners), tx.tx_id
+        for part in ("bribery", "mint_log"):
+            nxt = state.draft()
+            nxt.write(part)
+            assert not game._neutral(state, nxt.seal(), fee_paying, miners)
+
+    def test_a_block_that_names_its_miner_is_never_shared(self, monkeypatch):
         # A bribe request that the budget cannot cover changes nothing, so
         # its block writes nothing, but it names its miner: each miner
         # mines its own.

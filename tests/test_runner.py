@@ -45,6 +45,20 @@ def he_sample(**sections):
     return doc
 
 
+def loads_numpy_random(*argv) -> bool:
+    """Whether `arena argv` in a fresh interpreter loads numpy's random
+    module, which numpy loads on first use."""
+    script = ("import sys\n"
+              "from htlc_arena.runner import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print('numpy.random' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run([sys.executable, "-c", script, *argv],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    return {"True\n": True, "False\n": False}[run.stdout]
+
+
 class TestLoadScenario:
     def test_minimal_config_fills_defaults(self, tmp_path):
         scen, profile = load_scenario(write_doc(tmp_path, minimal_naive()))
@@ -154,6 +168,17 @@ class TestCli:
         header = Report.parse(capsys.readouterr().out).header
         assert header["scenario-digest"] == \
             hashlib.sha256(original).hexdigest()[:16]
+
+    @pytest.mark.parametrize("name,loaded", [("naive_bribery.json", False),
+                                             ("he_m2mba.json", True)])
+    def test_simulate_draws_only_where_two_miners_can_mine(self, tmp_path,
+                                                           name, loaded):
+        # A one-miner simulate gives its miner every round, as every draw
+        # would, without loading numpy's random module; a three-miner one
+        # draws, which shows the check can see the load.
+        assert loads_numpy_random(
+            "simulate", "--scenario", str(SCENARIOS / name), "--out",
+            str(tmp_path / "report.tsv")) is loaded
 
     def test_simulate_deterministic_output(self, capsys):
         path = str(SCENARIOS / "naive_bribery.json")
@@ -703,21 +728,12 @@ class TestTtc:
                                              ("he_m2mba.json", True)])
     def test_numpy_random_loads_only_where_a_job_draws(self, tmp_path, name,
                                                        loaded):
-        # numpy loads its random module on first use.  A one-miner job in a
-        # fresh interpreter draws nothing, so it must not load it; a job
-        # on three miners draws, which shows the check can see the load.
-        script = ("import sys\n"
-                  "from htlc_arena.runner import main\n"
-                  "assert main(sys.argv[1:]) == 0\n"
-                  "print('numpy.random' in sys.modules)\n")
-        src = Path(__file__).resolve().parent.parent / "src"
-        run = subprocess.run(
-            [sys.executable, "-c", script, "ttc", "--scenario",
-             str(SCENARIOS / name), "--path", "alice-redeems", "--trials",
-             "20", "--out", str(tmp_path / "report.tsv")],
-            capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH=str(src)))
-        assert run.stdout == f"{loaded}\n"
+        # A one-miner job draws nothing, so it must not load the module; a
+        # job on three miners draws, which shows the check can see the load.
+        assert loads_numpy_random(
+            "ttc", "--scenario", str(SCENARIOS / name), "--path",
+            "alice-redeems", "--trials", "20", "--out",
+            str(tmp_path / "report.tsv")) is loaded
 
     def test_path_that_never_completes_is_one_error_line(self, capsys):
         # A censoring miner keeps Bob's refund out of every block.
