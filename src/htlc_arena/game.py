@@ -22,11 +22,15 @@ miner powers) over one common denominator, the product of each round's;
 its values are those of playing every schedule that `enumerate_schedules`
 yields, which is the reference the tests hold it to.  In Monte-Carlo mode
 a mass is the number of sampled trials that reach the state; its values
-are those of playing each sampled schedule.  `expected_utilities` and
-`runner.ttc` settle straight from the frontier, a payoff or a control
-state at a time, and no final chain state is rebuilt; `play` and its
-`Outcome` stay as the oracle the tests hold them to.  Dominance checks
-brute-force finite policy spaces on top of the expectation machinery.
+are those of playing each sampled schedule, drawn when a round first
+splits the trials by pick.  `expected_utilities` and `runner.ttc` settle
+straight from the frontier, a payoff or a control state at a time, and
+no final chain state is rebuilt; `ttc` reads control states alone, so
+its groups keep balance floors (`_Floors`) in place of payoffs, and a
+round whose miners all share one neutral block moves them whole.  `play`
+and its `Outcome` stay as the oracle the tests hold them to.  Dominance
+checks brute-force finite policy spaces on top of the expectation
+machinery.
 
 Utilities carry no discounting: they are raw end-of-game token deltas from
 the post-setup baseline.  The one exception to pre-funded contracts is the
@@ -391,23 +395,31 @@ def _setup(scen: Scenario, profile: StrategyProfile) -> tuple:
 
 
 def _mine(scen: Scenario, profile: StrategyProfile, state: ChainState,
-          rnd: int, miner: Party) -> tuple:
-    """The block half of a round: (`miner`'s block, the state it makes)."""
-    block = profile.miners[miner].build_block(state, rnd, miner, scen)
+          rnd: int, miner: Party, block=None) -> tuple:
+    """The block half of a round: (`miner`'s block, the state it makes).
+    `block` is that block if it is built already."""
+    if block is None:
+        block = profile.miners[miner].build_block(state, rnd, miner, scen)
     return block, apply_block(state, block)
+
+
+def _names(block, miners) -> bool:
+    """Whether a transaction of `block` names one of `miners` beyond the
+    fee payee: a contract call, a transaction created by or paying one of
+    them, or a col-M spend (the one redemption whose miner the control key
+    keeps)."""
+    return any(tx.kind == CONTRACT_CALL or tx.creator in miners
+               or tx.payment is not None and tx.payment[0] in miners
+               or any(p == COL_M for _, p in tx.consumes) for tx in block.txs)
 
 
 def _neutral(state: ChainState, nxt: ChainState, block, miners) -> bool:
     """Whether `block`, which took `state` to `nxt`, names its miner only
-    as the fee payee: no contract call, no transaction created by or
-    paying one of `miners`, no col-M spend (the one redemption whose miner
-    the control key keeps), and no write to the bribery part or the mint
-    log (which every coinbase writes)."""
+    as the fee payee: no transaction names one of `miners` (`_names`), and
+    it writes neither the bribery part nor the mint log (which every
+    coinbase writes)."""
     return (nxt.bribery is state.bribery and nxt.mint_log is state.mint_log
-            and not any(tx.kind == CONTRACT_CALL or tx.creator in miners
-                        or tx.payment is not None and tx.payment[0] in miners
-                        or any(p == COL_M for _, p in tx.consumes)
-                        for tx in block.txs))
+            and not _names(block, miners))
 
 
 def _act(scen: Scenario, profile: StrategyProfile, state: ChainState,
@@ -719,18 +731,95 @@ class _Payoffs:
 _UNPAID = ((), (), ())
 
 
-def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
-             whole) -> tuple:
+class _Floors(_Payoffs):
+    """The balance floors of a pass whose reader settles control states
+    alone (`runner.ttc`), each the key of a payoff group in `vec`'s place:
+    each setup party's lowest balance change that any of the group's
+    prefixes can have.  A floor step keeps only the draws, each taken as a
+    debit, and drops credits, the burn, window blocks and bribe-log
+    entries.  A floor that covers a draw proves that every prefix of its
+    group covers it; one that falls short proves nothing, so `replay`
+    gives the pass up (`_ShortFloor`) for `final_frontier` to run again
+    with `_Payoffs`.  A floor settles nothing."""
+
+    def __init__(self, scen: Scenario, setup: ChainState, baseline):
+        super().__init__(scen, setup, baseline)
+        self.zero = ((0,) * len(self.parties), ())
+
+    def step(self, before: ChainState, after: ChainState, block) -> tuple:
+        self._balances(after)  # raises if a party without one was paid
+        b0 = before.balances
+        draws = after.lows and tuple((self.slot[p], b0[p] - low)
+                                     for p, low in after.lows.items()
+                                     if low < b0[p])
+        if not draws:
+            return _UNPAID
+        return tuple((i, -d) for i, d in draws), (), draws
+
+    def replay(self, state: ChainState, payoff: tuple, block) -> None:
+        raise _ShortFloor
+
+    def settle(self, scen: Scenario, confiscator, payoff: tuple) -> tuple:
+        raise ArenaError("a floor frontier settles no payoff")
+
+
+class _ShortFloor(Exception):
+    """A balance floor fell short of a draw (`_Floors`)."""
+
+
+def _enter(mined: dict, nxt: ChainState, rank: int, total: int,
+           rnd: int) -> list:
+    """`mined`'s entry for `nxt`'s control state, reached by some mass
+    from a state of label rank `rank`: made, or its rank raised, once
+    `nxt` keeps the setup state's conservation `total`."""
+    if nxt.conservation_total() != total:
+        raise ScenarioError(f"conservation violated at round {rnd}")
+    key = nxt.control_key()
+    entry = mined.get(key)
+    if entry is None:
+        entry = mined[key] = [nxt, rank, {}]
+    elif rank > entry[1]:
+        entry[1] = rank
+    return entry
+
+
+def _ahead(scen: Scenario, profile: StrategyProfile, payoffs: _Payoffs,
+           state: ChainState, rnd: int, able: tuple) -> tuple:
+    """The check made before a control state's first group splits, in a
+    round whose two or more miners that can mine it (`able`) form one
+    miner group: ((block, successor, increment) of `able[0]`'s step, each
+    None past where the check stopped, and whether every group may move
+    whole).
+    They may where the block names its miner only as the fee payee
+    (`_neutral`) and the increment touches none of its miner's slots, so
+    every miner of `able` takes that successor and increment.  A block
+    that names a miner otherwise is built but not applied, so a miner
+    that no mass takes raises no error."""
+    miner = able[0]
+    block = profile.miners[miner].build_block(state, rnd, miner, scen)
+    if _names(block, profile.miners):
+        return (block, None, None), False
+    block, nxt = _mine(scen, profile, state, rnd, miner, block)
+    if nxt.bribery is not state.bribery or nxt.mint_log is not state.mint_log:
+        return (block, nxt, None), False
+    paying = payoffs.step(state, nxt, block)
+    return (block, nxt, paying), payoffs.renamed(paying, miner,
+                                                 able[1]) == paying
+
+
+def _forward(scen: Scenario, profile: StrategyProfile, kind, mass, split,
+             whole, movers) -> tuple:
     """The forward pass over rounds that both expectation modes run.
 
     A frontier entry is a control state (`ChainState.control_key`): one
     full state of it, reached by one of its prefixes, to build blocks and
     broadcasts on (no policy, contract guard, label or tag reads its payoff
     parts); the highest label rank it came from; and its payoff groups,
-    each keyed by its payoff (`_Payoffs`) and holding the mass of the
-    schedule prefixes that reach it.  The pass starts from one group, the
-    setup state's zero payoff with all of `mass`.  Each round has two
-    halves, and each runs once per distinct input.
+    each keyed by its payoff (`kind`: `_Payoffs`, or `_Floors`) and
+    holding the mass of the schedule prefixes that reach it.  The pass
+    starts from one group, the setup state's zero payoff with all of
+    `mass`.  Each round has two halves, and each runs once per distinct
+    input.
 
     The block half runs at most once per (control state, miner):
     `split(rnd, mass)` yields (miner, part) for every way a group's mass
@@ -746,10 +835,16 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     equal policy builds that same block for any miner, and the ledger
     reads such a block's miner only to credit it fees, fill and
     `BLOCK_MINER` transfers and to record a redemption that is not col-M.
-    A group of one takes its miner's step unchecked.  Once every miner
-    group's step is known to pay nothing and reach one successor, each
-    remaining group moves to it whole, unsplit:
-    `whole(rnd, mass)` is the sum of the parts `split(rnd, mass)` yields.
+    A group of one takes its miner's step unchecked.
+
+    Groups move whole, unsplit, to one successor where every miner takes
+    one step there: `whole(rnd, mass)` is the sum of the parts
+    `split(rnd, mass)` yields.  Where one miner group holds the two or
+    more miners that can mine the round (`movers[rnd - 1]`), that is
+    checked before the first group splits (`_ahead`), so a Monte-Carlo
+    pass reads no trial's pick in a round taken whole; with `_Payoffs` it
+    holds where the step pays the miner nothing.  Otherwise it is known
+    once every miner group's step pays nothing and reaches one successor.
     Where blocks carry no fee most groups move this way, and splitting
     their mass only to add the parts up again would cost a Monte-Carlo
     job about a tenth of its speed.
@@ -768,7 +863,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     label and the label rule, checked against that highest rank, so it
     raises exactly when some transition would.  It writes only control
     parts, so the groups carry over, and entries that reach one control
-    state merge their groups.  Returns the pass's `_Payoffs` and its final
+    state merge their groups.  Returns the pass's payoffs and its final
     frontier as it stands: (control state, {payoff: mass}) for each control
     state at the horizon, the state being the one full state it keeps.
     """
@@ -778,27 +873,32 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
     group = {party: keys.setdefault(policy_key(pol), len(keys))
              for party, pol in profile.miners.items()}
     lone = {g for g, n in Counter(group.values()).items() if n == 1}
-    payoffs = _Payoffs(scen, state, baseline)
+    payoffs = kind(scen, state, baseline)
     frontier = {state.control_key(): [state, -1, {payoffs.zero: mass}]}
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
+        able = movers[rnd - 1]
+        sole = len(able) > 1 and len({group[m] for m in able}) == 1
         for state, rank, groups in frontier.values():
             steps: dict = {}  # miner -> (entry, block, increment)
             shared: dict = {}  # miner group -> (miner, step) its miners take
-            unpaid = None  # the entry every miner reaches unpaid, or False
+            ahead = moving = None  # moving: the step every group takes whole
+            if sole:
+                ahead, fires = _ahead(scen, profile, payoffs, state, rnd, able)
+                if fires:
+                    block, nxt, paying = ahead
+                    moving = (_enter(mined, nxt, rank, expected_total, rnd),
+                              block, paying)
             for payoff, m in groups.items():
-                if unpaid is None and len(shared) == len(keys):
+                if moving is None and len(shared) == len(keys):
                     firsts = [step for _, step in shared.values()]
                     target = firsts[0][0]
-                    unpaid = all(step[0] is target and step[2] is _UNPAID
-                                 for step in firsts) and target
-                if unpaid:  # move the group whole
-                    held, part = unpaid[2], whole(rnd, m)
-                    prev = held.get(payoff)
-                    held[payoff] = part if prev is None else prev + part
-                    continue
-                for miner, part in split(rnd, m):
-                    step = steps.get(miner)
+                    moving = all(step[0] is target and step[2] is _UNPAID
+                                 for step in firsts) and firsts[0]
+                parts = ((moving[1].miner, whole(rnd, m)),) if moving \
+                    else split(rnd, m)
+                for miner, part in parts:
+                    step = moving or steps.get(miner)
                     if step is None:
                         first = shared.get(group[miner])
                         if first is not None:
@@ -807,19 +907,16 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split,
                             step = (entry, block,
                                     payoffs.renamed(paying, owner, miner))
                         else:
-                            block, nxt = _mine(scen, profile, state, rnd,
-                                               miner)
-                            if nxt.conservation_total() != expected_total:
-                                raise ScenarioError(
-                                    f"conservation violated at round {rnd}")
-                            key = nxt.control_key()
-                            entry = mined.get(key)
-                            if entry is None:
-                                entry = mined[key] = [nxt, rank, {}]
-                            elif rank > entry[1]:
-                                entry[1] = rank
-                            step = (entry, block,
-                                    payoffs.step(state, nxt, block))
+                            block = nxt = paying = None
+                            if ahead and miner == able[0]:
+                                block, nxt, paying = ahead
+                            if nxt is None:
+                                block, nxt = _mine(scen, profile, state, rnd,
+                                                   miner, block)
+                            if paying is None:
+                                paying = payoffs.step(state, nxt, block)
+                            step = (_enter(mined, nxt, rank, expected_total,
+                                           rnd), block, paying)
                             if group[miner] in lone or _neutral(
                                     state, nxt, block, profile.miners):
                                 shared[group[miner]] = miner, step
@@ -860,9 +957,8 @@ def _pick_probs(scen: Scenario) -> np.ndarray:
 def sample_schedule(scen: Scenario, rng: np.random.Generator,
                     pin: Optional[dict] = None) -> Schedule:
     """One schedule drawn from `rng`: the first row of the draw that
-    `final_frontier` makes for all its Monte-Carlo trials at once.  Where
-    one miner holds all the power every pick names it, so `final_frontier`
-    draws nothing then; this always draws."""
+    `final_frontier` makes for all its Monte-Carlo trials at once, when a
+    round first splits them by pick; this always draws."""
     pin = pin or {}
     parties = scen.miner_parties()
     picks = rng.choice(len(parties), size=scen.horizon, p=_pick_probs(scen))
@@ -880,7 +976,8 @@ class Frontier(NamedTuple):
 
 
 def final_frontier(scen: Scenario, profile: StrategyProfile,
-                   pin: Optional[dict] = None) -> Frontier:
+                   pin: Optional[dict] = None,
+                   floors: bool = False) -> Frontier:
     """The forward pass's final frontier: each final control state, with
     one full state of it and its payoff groups, each group's integer mass,
     and the total those masses sum to, which is checked here.
@@ -888,15 +985,20 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     In exact mode a mass is a schedule weight over `total`, the product of
     the rounds' common denominators; zero-weight branches are kept, so the
     parties in the outcomes are those of every schedule.  In Monte-Carlo
-    mode a mass is a trial count over `total` = `scen.mode[1]`.  Where at
-    least two miners have power, all trials are drawn in one call from a
+    mode a mass is a trial count over `total` = `scen.mode[1]`, and a
+    state's trials are grouped each round by their pick.  The first round
+    that splits them by pick draws all trials in one call from a
     `scen.seed` generator, which reads its stream exactly as one
-    `sample_schedule` per trial would, and a state's trials are grouped
-    each round by their pick.  Where one miner holds all the power, every
-    pick would name it, so nothing is drawn and numpy's random module is
-    never loaded.  `pin` maps a 1-based round to the party forced to mine
+    `sample_schedule` per trial would; a pass that takes every round whole
+    or has one miner with power draws nothing and never loads numpy's
+    random module.  `pin` maps a 1-based round to the party forced to mine
     it, overriding any draw.  A trial count whose trial list or draw
     cannot be allocated is `validation-error(trials)`.
+
+    With `floors`, for a reader of the control states and their masses
+    alone, the groups hold balance floors (`_Floors`), which settle
+    nothing; where a floor falls short of a draw the pass runs again with
+    payoffs, which raises the ledger's error where a play would.
     """
     pin = pin or {}
     if scen.mode[0] == "exact":
@@ -905,41 +1007,64 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
         rounds = [_round_branches(scen, rnd, pin)
                   for rnd in range(1, scen.horizon + 1)]
         total = math.prod(scale for _, scale in rounds)
-        payoffs, entries = _forward(scen, profile, 1, lambda rnd, w: [
-            (miner, w * power) for miner, power in rounds[rnd - 1][0]],
-            lambda rnd, w: w * rounds[rnd - 1][1])
+        mass = 1
+        movers = [tuple(miner for miner, _ in branches)
+                  for branches, _ in rounds]
+        sums = [sum(power for _, power in branches) for branches, _ in rounds]
+
+        def split(rnd: int, w: int):
+            return [(miner, w * power) for miner, power in rounds[rnd - 1][0]]
+
+        def whole(rnd: int, w: int) -> int:
+            return w * sums[rnd - 1]
     else:
         parties = scen.miner_parties()
-        able = [m.party for m in scen.miners if m.power > 0]
+        able = tuple(m.party for m in scen.miners if m.power > 0)
+        movers = [(pin[rnd],) if rnd in pin else able
+                  for rnd in range(1, scen.horizon + 1)]
         total = scen.mode[1]
         # Past what numpy can address the draw fails with a ValueError or
         # an OverflowError, not a MemoryError, so such a size never reaches it.
         if total * scen.horizon > np.iinfo(np.intp).max // 8:
             raise _too_many_trials(scen)
         try:
-            everyone = list(range(total))
-            picks = np.random.default_rng(scen.seed).choice(
-                len(parties), size=(total, scen.horizon),
-                p=_pick_probs(scen)) if len(able) > 1 else None
+            mass = list(range(total))
         except MemoryError as e:
             raise _too_many_trials(scen) from e
+
+        drawn = []  # the draw, made on the first read of a column
+
         # Python ints group faster than numpy masks; one column at a time.
-        column = functools.lru_cache(maxsize=1)(
-            lambda rnd: picks[:, rnd - 1].tolist())
+        @functools.lru_cache(maxsize=1)
+        def column(rnd: int) -> list:
+            if not drawn:
+                try:
+                    drawn.append(np.random.default_rng(scen.seed).choice(
+                        len(parties), size=(total, scen.horizon),
+                        p=_pick_probs(scen)))
+                except MemoryError as e:
+                    raise _too_many_trials(scen) from e
+            return drawn[0][:, rnd - 1].tolist()
 
         def split(rnd: int, trials: list):
-            if rnd in pin:
-                return ((pin[rnd], trials),)
-            if picks is None:
-                return ((able[0], trials),)
+            if len(movers[rnd - 1]) == 1:
+                return ((movers[rnd - 1][0], trials),)
             col = column(rnd)
             groups = [[] for _ in parties]
             for t in trials:
                 groups[col[t]].append(t)
             return [(party, g) for party, g in zip(parties, groups) if g]
 
-        payoffs, entries = _forward(scen, profile, everyone, split,
-                                    lambda rnd, trials: trials)
+        def whole(rnd: int, trials: list) -> list:
+            return trials
+    try:
+        payoffs, entries = _forward(scen, profile,
+                                    _Floors if floors else _Payoffs,
+                                    mass, split, whole, movers)
+    except _ShortFloor:
+        payoffs, entries = _forward(scen, profile, _Payoffs, mass, split,
+                                    whole, movers)
+    if scen.mode[0] != "exact":
         entries = [(state, {payoff: len(trials)
                             for payoff, trials in groups.items()})
                    for state, groups in entries]

@@ -562,7 +562,8 @@ def ttc(scen: Scenario, path: str) -> dict:
     if scen.mode[0] != "monte-carlo":
         raise ScenarioError("validation-error(mode): sampling needs "
                             f"monte-carlo, got {scen.mode!r}")
-    entries, trials, _ = final_frontier(scen, _ttc_profile(scen, path))
+    entries, trials, _ = final_frontier(scen, _ttc_profile(scen, path),
+                                        floors=True)
     total = total_sq = 0  # integer sums, exact when turned into floats
     for state, groups in entries:
         done = _completed(state.redemptions, scen, path)

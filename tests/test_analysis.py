@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htlc_arena import analysis, game
 from htlc_arena.core import ALICE, BOB, ScenarioError, miner_party
@@ -40,6 +41,44 @@ def m2mba_miners(lam_i="3/10", lam_other="3/10", lam_passive="4/10"):
     return (MinerProfile(M1, Fraction(lam_i), "active", True),
             MinerProfile(M2, Fraction(lam_other), "active", True),
             MinerProfile(M3, Fraction(lam_passive), "passive"))
+
+
+@st.composite
+def solvent_pacts(draw):
+    """`he` scenarios with two active colluders, the focal m1 holding a
+    share in (0, 1) of the coalition, and maybe a passive miner, where the
+    pact can pay what it owes: v_col >= (T - t_pub + 1) * br, and
+    v_col > f_dep_a."""
+    T = draw(st.integers(2, 4))
+    t_pub = draw(st.integers(1, T - 1))
+    br, f_dep_a = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    v_col = max((T - t_pub + 1) * br, f_dep_a + 1) + draw(st.integers(0, 20))
+    weights = [draw(st.integers(1, 5)), draw(st.integers(1, 5)),
+               draw(st.integers(0, 5))]
+    miners = tuple(MinerProfile(party, Fraction(w, sum(weights)), kind,
+                                kind == "active")
+                   for party, w, kind in zip((M1, M2, M3), weights,
+                                             ("active", "active", "passive"))
+                   if w)
+    return he_scenario(v_dep=60, v_col=v_col, T=T, t_pub=t_pub,
+                       l=draw(st.integers(1, 2)), br=br, f_dep_a=f_dep_a,
+                       f_dep_b=1, f_col_b=1, epsilon=draw(st.integers(0, 3)),
+                       miners=miners)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scen=solvent_pacts())
+def test_solvent_pacts_pay_lemma_ones_closed_form(scen):
+    # Where the pact is solvent, lemma 1's simulated bribe income is its
+    # closed form delta * br * share exactly and its verdict consistent,
+    # and no verdict of lemma 1 or 5 holds on a negative margin.
+    delta = scen.T - scen.t_pub
+    share = scen.profile_of(M1).power / scen.lambda_col
+    one = verify_m2mba_lemma(1, scen, M1)
+    assert one.detail["bribe_income"] == delta * scen.br * share
+    assert one.consistent
+    for v in (one, verify_m2mba_lemma(5, scen, M1)):
+        assert not (v.hypothesis_holds and v.conclusion_holds and v.margin < 0)
 
 
 class TestClosedForm:

@@ -26,7 +26,8 @@ from htlc_arena.agents import (AliceCensoredFallback, AliceHonest,
                                M2MbaActive, M2MbaPassive, call_tx)
 from htlc_arena import game
 from htlc_arena.contracts import CBOB_ID, COL_M, DEP_ID
-from htlc_arena.core import BOB, LedgerError, ScenarioError, miner_party
+from htlc_arena.core import (BOB, ArenaError, LedgerError, ScenarioError,
+                             miner_party)
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              enumerate_schedules, expected_utilities,
                              mean_half_width, play, sample_schedule)
@@ -275,9 +276,9 @@ def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
     paid: dict = {}
     real_mine, real_step = game._mine, game._Payoffs.step
 
-    def mine(scen, profile, state, rnd, miner):
+    def mine(scen, profile, state, rnd, miner, *built):
         mined[rnd, miner] += 1
-        block, nxt = real_mine(scen, profile, state, rnd, miner)
+        block, nxt = real_mine(scen, profile, state, rnd, miner, *built)
         wrote.setdefault((rnd, miner), set()).add(
             not same_parts(state, nxt))
         return block, nxt
@@ -426,6 +427,44 @@ def test_final_states_are_those_of_every_schedule(drawn):
     got = frontier_settlements(scen, frontier)
     assert {key: Fraction(m, frontier.total) for key, m in got.items()} \
         == want
+
+
+def control_masses(scen, profile, pin, floors):
+    """Each final control key's summed mass over the total, from the pass
+    with or without floors, or the error it raises."""
+    try:
+        entries, total, _ = game.final_frontier(scen, profile, pin,
+                                                floors=floors)
+    except ArenaError as e:
+        return type(e), str(e)
+    masses = Counter()
+    for state, groups in entries:
+        masses[state.control_key()] += sum(groups.values())
+    return masses, total
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=games(fewest=1), trials=st.none() | st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(drawn=(*_four_honest_game()[:2], {}), trials=None, seed=0)
+@example(drawn=(*_four_honest_game()[:2], {}), trials=40, seed=7)
+@example(drawn=_race_confiscation_game(), trials=None, seed=0)
+@example(drawn=_race_confiscation_game(), trials=40, seed=7)
+@example(drawn=_equal_split_game(), trials=None, seed=0)
+@example(drawn=_equal_split_game(), trials=40, seed=7)
+def test_floors_reach_the_control_states_and_masses_of_payoffs(drawn, trials,
+                                                               seed):
+    # The floor pass that `ttc` reads reaches each final control state with
+    # the mass the payoff pass gives it, or raises the error it raises.
+    # The examples: four honest miners whose fees pay whoever mines, so
+    # the floor pass takes every round whole; two racing colluders, one
+    # miner group whose col-M blocks name their miner; and one pact group
+    # with a zero-power miner, which exact mode weighs and sampling skips.
+    scen, profile, pin = drawn
+    if trials is not None:
+        scen = monte_carlo(scen, trials, seed)
+    assert control_masses(scen, profile, pin, True) == control_masses(
+        scen, profile, pin, False)
 
 
 def sampled_one_by_one(scen, profile, pin=None):

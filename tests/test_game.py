@@ -303,8 +303,8 @@ class TestExpectations:
 
     @pytest.mark.parametrize("trials", [None, 9])
     def test_lost_final_entry_fails_the_mass_check(self, monkeypatch, trials):
-        # The pass loses one payoff group of its final frontier: every
-        # reader of the frontier raises the mass check.
+        # The pass loses part of one payoff group's mass from its final
+        # frontier: every reader of the frontier raises the mass check.
         scen = naive_scenario(miners=(MinerProfile(M1, Fraction(1, 2)),
                                       MinerProfile(M2, Fraction(1, 2))))
         if trials is not None:
@@ -318,11 +318,11 @@ class TestExpectations:
 
         def lossy(*args):
             payoffs, entries = forward(*args)
-            assert sum(len(groups) for _, groups in entries) > 1
             (state, groups), *rest = entries
-            lost = next(iter(groups))
-            return payoffs, [(state, {payoff: m for payoff, m in groups.items()
-                                      if payoff != lost}), *rest]
+            lost, m = next(iter(groups.items()))
+            assert m  # an int weight, or a list of trials
+            part = m[1:] if trials else m - 1
+            return payoffs, [(state, {**groups, lost: part}), *rest]
 
         monkeypatch.setattr(game, "_forward", lossy)
         for read in readers:
@@ -589,9 +589,9 @@ class TestControlMerge:
         mined, acted = Counter(), Counter()
         real_mine, real_act = game._mine, game._act
 
-        def mine(scen, profile, state, rnd, miner):
+        def mine(scen, profile, state, rnd, miner, *built):
             mined[rnd] += 1
-            return real_mine(scen, profile, state, rnd, miner)
+            return real_mine(scen, profile, state, rnd, miner, *built)
 
         def act(scen, profile, state, rnd, rank):
             acted[rnd] += 1
@@ -604,6 +604,15 @@ class TestControlMerge:
         assert sum(masses) == total == 50 and len(masses) > 1
         rounds = range(1, scen.horizon + 1)
         assert acted == mined == {rnd: 1 for rnd in rounds}
+        # `ttc`'s floor pass takes every round whole, so it draws nothing,
+        # and keeps one balance floor per control state.
+        mined.clear()
+        monkeypatch.setattr(game.np.random, "default_rng", _no_draw)
+        entries, total, floors = game.final_frontier(scen, profile,
+                                                     floors=True)
+        assert type(floors) is game._Floors
+        assert [list(groups.values()) for _, groups in entries] == [[50]]
+        assert mined == {rnd: 1 for rnd in rounds}
 
 
 def _staged_refund_game():
@@ -729,6 +738,9 @@ class TestBalanceChecks:
         with pytest.raises(LedgerError) as merged:
             expected_utilities(scen, profile)
         assert str(merged.value) == str(refused.value)
+        with pytest.raises(LedgerError) as floored:
+            game.final_frontier(scen, profile, floors=True)
+        assert str(floored.value) == str(refused.value)
 
     def test_a_group_that_can_fund_every_draw_plays_on(self):
         # At exactly m1's genesis balance every prefix funds the payment.
@@ -738,6 +750,66 @@ class TestBalanceChecks:
             for party, d in play(scen, profile, schedule).deltas.items():
                 want[party] += schedule.weight * d
         assert expected_utilities(scen, profile).utilities == dict(want)
+
+
+class RefundingPayee(HonestFeeMax):
+    """An honest miner whose round-1 block pays the payee `amount` from
+    the payer and whose round-2 block pays the payer `back` from the
+    payee, each in place of one filler."""
+
+    name = "refunding"
+
+    def __init__(self, amount, back):
+        self.amount, self.back = amount, back
+
+    def build_block(self, state, rnd, miner, scen):
+        block = super().build_block(state, rnd, miner, scen)
+        pay = {1: payment_tx("tx.pay", BOB, ALICE, self.amount),
+               2: payment_tx("tx.back", ALICE, BOB, self.back)}.get(rnd)
+        if pay is None:
+            return block
+        return block._replace(txs=(*block.txs, pay),
+                              unrelated_fill=block.unrelated_fill - 1)
+
+
+class TestFloors:
+    """`ttc`'s pass keys its groups by balance floors, which drop credits."""
+
+    @pytest.mark.parametrize("trials", [None, 20])
+    def test_a_floor_that_falls_short_reruns_with_payoffs(self, monkeypatch,
+                                                          trials):
+        # Round 2 takes more than the payee's genesis balance, which round
+        # 1's credit funds on every schedule.  The floor pass drops that
+        # credit, so its floor falls short and proves nothing; the pass
+        # runs again with payoffs, and that frontier is returned.
+        scen = naive_scenario(miners=(MinerProfile(M1, Fraction(1, 2)),
+                                      MinerProfile(M2, Fraction(1, 2))))
+        start = game.build_genesis(scen)[0].balances[ALICE]
+        profile = honest_profile(scen, RefundingPayee(start // 2,
+                                                      start + start // 4))
+        for schedule in enumerate_schedules(scen):
+            play(scen, profile, schedule)
+        if trials is not None:
+            scen = monte_carlo(scen, trials)
+        kinds = []
+        forward = game._forward
+
+        def spy(scen, profile, kind, *args):
+            kinds.append(kind)
+            return forward(scen, profile, kind, *args)
+
+        monkeypatch.setattr(game, "_forward", spy)
+        got = game.final_frontier(scen, profile, floors=True)
+        assert kinds == [game._Floors, game._Payoffs]
+        assert frontier_settlements(scen, got) == frontier_settlements(
+            scen, game.final_frontier(scen, profile))
+
+    def test_a_floor_frontier_settles_nothing(self):
+        scen = monte_carlo(naive_scenario(), 5)
+        frontier = game.final_frontier(scen, honest_profile(scen),
+                                       floors=True)
+        with pytest.raises(ArenaError, match="settles no payoff"):
+            frontier_settlements(scen, frontier)
 
 
 class TestIdleBlocks:
@@ -757,9 +829,9 @@ class TestIdleBlocks:
         mined = Counter()
         real_mine = game._mine
 
-        def mine(scen, profile, state, rnd, miner):
+        def mine(scen, profile, state, rnd, miner, *built):
             mined[rnd, miner] += 1
-            return real_mine(scen, profile, state, rnd, miner)
+            return real_mine(scen, profile, state, rnd, miner, *built)
 
         with monkeypatch.context() as patched:
             patched.setattr(game, "_mine", mine)

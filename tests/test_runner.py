@@ -724,16 +724,22 @@ class TestTtc:
         with pytest.raises(ScenarioError, match=r"^validation-error\(mode\)"):
             ttc(demba_scenario(), "bob-both")
 
-    @pytest.mark.parametrize("name,loaded", [("naive_bribery.json", False),
-                                             ("he_m2mba.json", True)])
+    @pytest.mark.parametrize("name,argv,loaded", [
+        pytest.param("naive_bribery.json", ("ttc", "--path", "alice-redeems"),
+                     False, id="naive_bribery.json-False"),
+        pytest.param("he_m2mba.json", ("ttc", "--path", "alice-redeems"),
+                     False, id="he_m2mba.json-ttc-False"),
+        pytest.param("he_m2mba.json", ("expect", "--mode", "mc"), True,
+                     id="he_m2mba.json-True")])
     def test_numpy_random_loads_only_where_a_job_draws(self, tmp_path, name,
-                                                       loaded):
-        # A one-miner job draws nothing, so it must not load the module; a
-        # job on three miners draws, which shows the check can see the load.
+                                                       argv, loaded):
+        # A one-miner job draws nothing, and neither does a `ttc` job whose
+        # honest miners take every round whole, so neither may load the
+        # module; `expect` on three miners with unequal policies splits its
+        # trials by pick and draws, which shows the check can see the load.
         assert loads_numpy_random(
-            "ttc", "--scenario", str(SCENARIOS / name), "--path",
-            "alice-redeems", "--trials", "20", "--out",
-            str(tmp_path / "report.tsv")) is loaded
+            argv[0], "--scenario", str(SCENARIOS / name), *argv[1:],
+            "--trials", "20", "--out", str(tmp_path / "report.tsv")) is loaded
 
     def test_path_that_never_completes_is_one_error_line(self, capsys):
         # A censoring miner keeps Bob's refund out of every block.
