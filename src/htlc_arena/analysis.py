@@ -26,9 +26,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .core import ALICE, BOB, Party, ScenarioError, miner_party
+from .core import (ALICE, BOB, MAX_DRAW_ITEMS, Party, ScenarioError,
+                   miner_party)
 from .contracts import PRE_A2, PRE_AA2
 from .game import (MinerProfile, Scenario, StrategyProfile, dominance_check,
                    expected_utilities, policy_key)
@@ -234,7 +233,11 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
     simulated dominance or income orderings.  Consistency means the
     hypothesis never holds while the simulated conclusion fails.  Lemmas 1
     and 2 refuse a focal colluder that holds all of the coalition's power:
-    the rest that would pay their bribe by confiscating is empty.
+    the rest that would pay their bribe by confiscating is empty.  Lemmas
+    1 and 5 assume a solvent pact, v_col >= (T - t_pub + 1) * br (for
+    lemma 5, the larger of its own bribes br_i and br_rest) and
+    v_col > f_dep_a: outside it `MinerPactContract.claim_bribe` pays
+    nothing, and their verdicts can be inconsistent.
     """
     kinds = {1: "active", 2: "active", 3: "passive", 4: "active", 5: "active"}
     if n not in kinds:
@@ -641,10 +644,9 @@ def pool_mc(p: PoolParams, trials: int, seed: int) -> dict:
         raise ScenarioError("trials must be at least 1")
     too_big = ScenarioError(f"validation-error(trials): the draw of {trials} "
                             "trials does not fit in memory")
-    # Past what numpy can address the draw fails with a ValueError, not a
-    # MemoryError, so such a size never reaches it.
-    if trials > np.iinfo(np.intp).max // 8:
+    if trials > MAX_DRAW_ITEMS:
         raise too_big
+    import numpy as np
     rng = np.random.default_rng(seed)
     lam_i = float(p.h / p.H * p.lambda_net)
     R = float(p.R)

@@ -7,7 +7,14 @@ wrap-around can never be observed anywhere in the engine.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
+
+#: The most items a Monte-Carlo draw may hold.  numpy addresses at most
+#: `intp`'s max bytes, which is CPython's `sys.maxsize`, and each item
+#: takes 8; past that a draw fails with a ValueError or an OverflowError,
+#: not a MemoryError, so a larger size is refused before numpy is loaded.
+MAX_DRAW_ITEMS = sys.maxsize // 8
 
 ROLE_ALICE = "alice"
 ROLE_BOB = "bob"

@@ -48,18 +48,19 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-import numpy as np
-
-from .core import (ALICE, BOB, EXTERNAL, ArenaError, ContractError, Party,
-                   ScenarioError, debit)
+from .core import (ALICE, BOB, EXTERNAL, MAX_DRAW_ITEMS, ArenaError,
+                   ContractError, Party, ScenarioError, debit)
 from .contracts import (COL_A_ID, COL_B_ID, COL_ID, COL_M, DEP_A, DEP_ID,
                         FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B, SECRETS,
                         build_demba, build_he_htlc, build_mad_htlc,
                         build_naive_htlc, derive_he_delay)
 from .ledger import (CONTRACT_CALL, ChainState, ChainView, Part, apply_block,
                      broadcast)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PROTOCOLS = ("naive", "mad", "he", "demba")
 
@@ -950,6 +951,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, kind, mass, split,
 
 def _pick_probs(scen: Scenario) -> np.ndarray:
     """Each miner's chance to mine a round, as the sampler draws it."""
+    import numpy as np
     probs = np.array([float(m.power) for m in scen.miners])
     return probs / probs.sum()
 
@@ -990,10 +992,10 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     that splits them by pick draws all trials in one call from a
     `scen.seed` generator, which reads its stream exactly as one
     `sample_schedule` per trial would; a pass that takes every round whole
-    or has one miner with power draws nothing and never loads numpy's
-    random module.  `pin` maps a 1-based round to the party forced to mine
-    it, overriding any draw.  A trial count whose trial list or draw
-    cannot be allocated is `validation-error(trials)`.
+    or has one miner with power draws nothing and never loads numpy.
+    `pin` maps a 1-based round to the party forced to mine it, overriding
+    any draw.  A trial count whose trial list or draw cannot be allocated
+    is `validation-error(trials)`.
 
     With `floors`, for a reader of the control states and their masses
     alone, the groups hold balance floors (`_Floors`), which settle
@@ -1023,9 +1025,7 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
         movers = [(pin[rnd],) if rnd in pin else able
                   for rnd in range(1, scen.horizon + 1)]
         total = scen.mode[1]
-        # Past what numpy can address the draw fails with a ValueError or
-        # an OverflowError, not a MemoryError, so such a size never reaches it.
-        if total * scen.horizon > np.iinfo(np.intp).max // 8:
+        if total * scen.horizon > MAX_DRAW_ITEMS:
             raise _too_many_trials(scen)
         try:
             mass = list(range(total))
@@ -1038,6 +1038,7 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
         @functools.lru_cache(maxsize=1)
         def column(rnd: int) -> list:
             if not drawn:
+                import numpy as np
                 try:
                     drawn.append(np.random.default_rng(scen.seed).choice(
                         len(parties), size=(total, scen.horizon),

@@ -38,8 +38,6 @@ from .analysis import (PoolParams, pool_math, pool_mc, verify_demba,
                        verify_demba_lemma, verify_m2mba_lemma,
                        verify_theorem_m2mba)
 
-import numpy as np
-
 
 # ---------------------------------------------------------------------------
 # Scenario loading.
@@ -350,8 +348,11 @@ def cmd_simulate(args) -> tuple:
     scen, profile, digest = _load_overridden(args)
     able = [m.party for m in scen.miners if m.power > 0]
     # Every pick would name a lone miner with power, so draw none for it.
-    schedule = (Schedule((able[0],) * scen.horizon) if len(able) == 1 else
-                sample_schedule(scen, np.random.default_rng(scen.seed)))
+    if len(able) == 1:
+        schedule = Schedule((able[0],) * scen.horizon)
+    else:
+        import numpy as np
+        schedule = sample_schedule(scen, np.random.default_rng(scen.seed))
     out = play(scen, profile, schedule)
     report = Report(_base_header(args, "simulate", scen, digest))
     for party in sorted(out.deltas, key=lambda p: p.id):

@@ -44,17 +44,25 @@ def m2mba_miners(lam_i="3/10", lam_other="3/10", lam_passive="4/10"):
 
 
 @st.composite
-def solvent_pacts(draw):
+def solvent_pacts(draw, lemma5=False):
     """`he` scenarios with two active colluders, the focal m1 holding a
     share in (0, 1) of the coalition, and maybe a passive miner, where the
     pact can pay what it owes: v_col >= (T - t_pub + 1) * br, and
-    v_col > f_dep_a."""
+    v_col > f_dep_a.  With `lemma5`, br is the larger of the two bribes
+    lemma 5 sets, br_i and br_rest, which replace the scenario's."""
     T = draw(st.integers(2, 4))
     t_pub = draw(st.integers(1, T - 1))
     br, f_dep_a = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    v_col = max((T - t_pub + 1) * br, f_dep_a + 1) + draw(st.integers(0, 20))
+    epsilon = draw(st.integers(0, 3))
     weights = [draw(st.integers(1, 5)), draw(st.integers(1, 5)),
                draw(st.integers(0, 5))]
+    if lemma5:
+        # f_dep_a * (lambda_col / lambda) / delta + epsilon, rounded up,
+        # for the focal miner and for the rest of the coalition.
+        col = weights[0] + weights[1]
+        br = max(math.ceil(Fraction(f_dep_a * col, w * (T - t_pub)) + epsilon)
+                 for w in weights[:2])
+    v_col = max((T - t_pub + 1) * br, f_dep_a + 1) + draw(st.integers(0, 20))
     miners = tuple(MinerProfile(party, Fraction(w, sum(weights)), kind,
                                 kind == "active")
                    for party, w, kind in zip((M1, M2, M3), weights,
@@ -62,8 +70,7 @@ def solvent_pacts(draw):
                    if w)
     return he_scenario(v_dep=60, v_col=v_col, T=T, t_pub=t_pub,
                        l=draw(st.integers(1, 2)), br=br, f_dep_a=f_dep_a,
-                       f_dep_b=1, f_col_b=1, epsilon=draw(st.integers(0, 3)),
-                       miners=miners)
+                       f_dep_b=1, f_col_b=1, epsilon=epsilon, miners=miners)
 
 
 @settings(max_examples=25, deadline=None)
@@ -79,6 +86,22 @@ def test_solvent_pacts_pay_lemma_ones_closed_form(scen):
     assert one.consistent
     for v in (one, verify_m2mba_lemma(5, scen, M1)):
         assert not (v.hypothesis_holds and v.conclusion_holds and v.margin < 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scen=solvent_pacts(lemma5=True))
+def test_solvent_pacts_pay_lemma_fives_closed_form(scen):
+    # Where the pact can pay lemma 5's own bribes, the focal colluder earns
+    # its share of delta blocks' bribe, the exact constant rounded up:
+    # never less than `predicted`, and exactly it when nothing is rounded.
+    five = verify_m2mba_lemma(5, scen, M1)
+    income, constant = (five.detail["bribe_income"],
+                        five.detail["exact_constant"])
+    share = scen.profile_of(M1).power / scen.lambda_col
+    assert income == share * (scen.T - scen.t_pub) * math.ceil(constant)
+    assert income >= five.detail["predicted"]
+    if constant.denominator == 1:
+        assert income == five.detail["predicted"]
 
 
 class TestClosedForm:

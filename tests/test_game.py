@@ -380,7 +380,7 @@ class TestExpectations:
     def test_one_miner_monte_carlo_draws_nothing(self, monkeypatch):
         # Every pick would name the one miner with power, so neither
         # sampler draws; the patched generator proves it by raising.
-        monkeypatch.setattr(game.np.random, "default_rng", _no_draw)
+        monkeypatch.setattr(np.random, "default_rng", _no_draw)
         scen = monte_carlo(naive_scenario(), 30)
         profile = StrategyProfile(AliceHonest(), BobNaiveBriber(),
                                   {M1: CensorRelated()})
@@ -403,7 +403,7 @@ class TestExpectations:
         # M2 has no power, so every trial plays the one schedule M1 mines
         # (M2 where pinned): the sample mean is exact mode's value, with
         # no spread.
-        monkeypatch.setattr(game.np.random, "default_rng", _no_draw)
+        monkeypatch.setattr(np.random, "default_rng", _no_draw)
         scen = naive_scenario(miners=(MinerProfile(M1, Fraction(1)),
                                       MinerProfile(M2, Fraction(0))))
         profile = StrategyProfile(AliceHonest(), BobNaiveBriber(),
@@ -607,7 +607,7 @@ class TestControlMerge:
         # `ttc`'s floor pass takes every round whole, so it draws nothing,
         # and keeps one balance floor per control state.
         mined.clear()
-        monkeypatch.setattr(game.np.random, "default_rng", _no_draw)
+        monkeypatch.setattr(np.random, "default_rng", _no_draw)
         entries, total, floors = game.final_frontier(scen, profile,
                                                      floors=True)
         assert type(floors) is game._Floors

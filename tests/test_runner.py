@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from htlc_arena import runner
-from htlc_arena.core import ScenarioError
+from htlc_arena.core import MAX_DRAW_ITEMS, ScenarioError
 from htlc_arena.runner import Report, load_scenario, main, ttc
 
 from conftest import demba_scenario, he_scenario, monte_carlo, naive_scenario
@@ -45,18 +45,21 @@ def he_sample(**sections):
     return doc
 
 
-def loads_numpy_random(*argv) -> bool:
-    """Whether `arena argv` in a fresh interpreter loads numpy's random
-    module, which numpy loads on first use."""
+def loads(module: str, *argv, code: int = 0) -> bool:
+    """Whether a fresh interpreter that imports the engine and, given an
+    argv, runs `arena argv` to exit code `code` has loaded `module`."""
     script = ("import sys\n"
+              "import htlc_arena, htlc_arena.analysis\n"
               "from htlc_arena.runner import main\n"
-              "assert main(sys.argv[1:]) == 0\n"
-              "print('numpy.random' in sys.modules)\n")
+              "module, code, argv = sys.argv[1], int(sys.argv[2]), "
+              "sys.argv[3:]\n"
+              "assert not argv or main(argv) == code\n"
+              "print(module in sys.modules)\n")
     src = Path(__file__).resolve().parent.parent / "src"
-    run = subprocess.run([sys.executable, "-c", script, *argv],
-                         capture_output=True, text=True, check=True,
+    run = subprocess.run([sys.executable, "-c", script, module, str(code),
+                          *argv], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
-    return {"True\n": True, "False\n": False}[run.stdout]
+    return {"True": True, "False": False}[run.stdout.splitlines()[-1]]
 
 
 class TestLoadScenario:
@@ -176,9 +179,9 @@ class TestCli:
         # A one-miner simulate gives its miner every round, as every draw
         # would, without loading numpy's random module; a three-miner one
         # draws, which shows the check can see the load.
-        assert loads_numpy_random(
-            "simulate", "--scenario", str(SCENARIOS / name), "--out",
-            str(tmp_path / "report.tsv")) is loaded
+        assert loads(
+            "numpy.random", "simulate", "--scenario", str(SCENARIOS / name),
+            "--out", str(tmp_path / "report.tsv")) is loaded
 
     def test_simulate_deterministic_output(self, capsys):
         path = str(SCENARIOS / "naive_bribery.json")
@@ -567,6 +570,69 @@ def test_huge_exponent_is_refused_at_once(case, tmp_path, capsys):
     assert time.perf_counter() - start < 1
 
 
+# case -> the exact error line of a trial count too large to draw
+TRIAL_REFUSALS = {
+    "ttc-huge-trials": "1000000000000 trials x 6 rounds do not fit in memory",
+    "expect-mc-huge-trials":
+        "1000000000000 trials x 7 rounds do not fit in memory",
+    "pool-huge-trials":
+        "the draw of 1000000000000 trials does not fit in memory",
+    "pool-2^62-trials":
+        "the draw of 4611686018427387904 trials does not fit in memory",
+    "pool-2^63-trials":
+        "the draw of 9223372036854775808 trials does not fit in memory",
+    "ttc-overflow-trials":
+        "999999999999999999999 trials x 8 rounds do not fit in memory",
+    "expect-mc-overflow-trials":
+        "999999999999999999999 trials x 8 rounds do not fit in memory",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRIAL_REFUSALS))
+def test_trial_refusals_keep_their_lines(case, capsys):
+    assert main(BAD_OVERRIDES[case][0]) == 1
+    assert capsys.readouterr().err == \
+        f"error: validation-error(trials): {TRIAL_REFUSALS[case]}\n"
+
+
+def test_draw_bound_is_numpys():
+    # numpy addresses at most `intp`'s max bytes, 8 per drawn item; the
+    # engine reads the same bound from `sys.maxsize` without loading it.
+    import numpy as np
+    assert MAX_DRAW_ITEMS == np.iinfo(np.intp).max // 8
+
+
+@pytest.mark.parametrize("case", ["pool-2^62-trials", "pool-2^63-trials",
+                                  "ttc-overflow-trials",
+                                  "expect-mc-overflow-trials"])
+def test_trials_past_the_draw_bound_load_no_numpy(case):
+    assert not loads("numpy", *BAD_OVERRIDES[case][0], code=1)
+
+
+HE = ["--scenario", str(SCENARIOS / "he_m2mba.json")]
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    pytest.param((), False, id="import"),
+    pytest.param(("lemmas", *HE), False, id="lemmas"),
+    pytest.param(("expect", *HE, "--mode", "exact"), False,
+                 id="expect-exact"),
+    pytest.param(("dominance", *NAIVE, "--player", "bob"), False,
+                 id="dominance"),
+    pytest.param(("simulate", *NAIVE), False, id="simulate-one-miner"),
+    pytest.param(("ttc", *HE, "--path", "alice-redeems", "--trials", "20"),
+                 False, id="ttc-honest"),
+    pytest.param(("pool",), False, id="pool"),
+    pytest.param(("expect", *HE, "--mode", "mc", "--trials", "20"), True,
+                 id="expect-mc-three-miners"),
+    pytest.param(("pool", "--trials", "10"), True, id="pool-trials")])
+def test_numpy_loads_only_where_a_job_draws(argv, loaded, tmp_path):
+    # Only a Monte-Carlo draw and `pool --trials` import numpy; the two
+    # that do show the check can see the load.
+    out = ("--out", str(tmp_path / "report.tsv")) if argv else ()
+    assert loads("numpy", *argv, *out) is loaded
+
+
 def _nodes(node, path=()):
     """Every (path, value) in a JSON document, sections and leaves alike."""
     if path:
@@ -737,9 +803,10 @@ class TestTtc:
         # honest miners take every round whole, so neither may load the
         # module; `expect` on three miners with unequal policies splits its
         # trials by pick and draws, which shows the check can see the load.
-        assert loads_numpy_random(
-            argv[0], "--scenario", str(SCENARIOS / name), *argv[1:],
-            "--trials", "20", "--out", str(tmp_path / "report.tsv")) is loaded
+        assert loads(
+            "numpy.random", argv[0], "--scenario", str(SCENARIOS / name),
+            *argv[1:], "--trials", "20", "--out",
+            str(tmp_path / "report.tsv")) is loaded
 
     def test_path_that_never_completes_is_one_error_line(self, capsys):
         # A censoring miner keeps Bob's refund out of every block.
