@@ -176,10 +176,10 @@ def make_block(rnd: int, miner: Party, scen: Scenario, txs,
                coinbase: tuple = ()) -> Block:
     """The block `miner` mines in round `rnd`: `txs`, then unrelated
     traffic paying `scen.f` each in the room the block has left."""
-    return Block(round=rnd, miner=miner, txs=tuple(txs),
-                 unrelated_fill=max(0, scen.capacity - len(txs)),
-                 unrelated_fee=scen.f, capacity=scen.capacity,
-                 coinbase=coinbase)
+    # Positional: a named tuple binds keywords in Python, at twice the cost.
+    capacity = scen.capacity
+    return Block(rnd, miner, tuple(txs), max(0, capacity - len(txs)), scen.f,
+                 capacity, coinbase)
 
 
 def _assemble(state, rnd: int, miner: Party, scen: Scenario, head=(),
@@ -444,10 +444,14 @@ class HonestFeeMax(MinerPolicy):
         return _assemble(state, rnd, miner, scen)
 
 
+#: The protected transfer's transaction id, as `tx_commit` and
+#: `tx_reveal_dep_a` name it, on demba and on the other protocols.
+_DEMBA_TARGET = frozenset({f"tx.col.{PRE_A}"})
+_HTLC_TARGET = frozenset({"tx.depA"})
+
+
 def _target_tx_ids(scen: Scenario) -> frozenset:
-    if scen.protocol == "demba":
-        return frozenset({f"tx.col.{PRE_A}"})
-    return frozenset({"tx.depA"})
+    return _DEMBA_TARGET if scen.protocol == "demba" else _HTLC_TARGET
 
 
 class CensorRelated(MinerPolicy):

@@ -20,10 +20,10 @@ is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import BLOCK_MINER, ContractError, Party, check_amount
 
@@ -57,19 +57,26 @@ REST = "rest"
 Amount = Union[int, str]
 
 
-@dataclass(frozen=True, slots=True)
-class Transfer:
+class Transfer(NamedTuple):
+    """Pay `amount` to a party (`core.BLOCK_MINER`: the including miner).
+    A named tuple, as every record a contract builder makes: each genesis
+    builds its paths and effects afresh, and a tuple builds in about half
+    a frozen dataclass's time."""
+
     to: Party
     amount: Amount
 
 
-@dataclass(frozen=True, slots=True)
-class Burn:
+class Burn(NamedTuple):
+    """Burn `amount`.  A named tuple, as `Transfer` is."""
+
     amount: Amount
 
 
-@dataclass(frozen=True, slots=True)
-class Forward:
+class Forward(NamedTuple):
+    """Move `amount` into another contract's live deposit.  A named
+    tuple, as `Transfer` is."""
+
     to_contract: str
     amount: Amount
 
@@ -77,9 +84,9 @@ class Forward:
 Effect = Union[Transfer, Burn, Forward]
 
 
-@dataclass(frozen=True, slots=True)
-class CrossRead:
-    """Condition over another contract's on-chain revealed slots."""
+class CrossRead(NamedTuple):
+    """Condition over another contract's on-chain revealed slots.  A named
+    tuple, as `Transfer` is."""
 
     contract_id: str
     must_have: frozenset
@@ -92,8 +99,9 @@ class CrossRead:
         return self.must_have <= have and not have & self.must_not
 
 
-@dataclass(frozen=True, slots=True)
-class RedeemPath:
+class RedeemPath(NamedTuple):
+    """One way to spend a contract.  A named tuple, as `Transfer` is."""
+
     name: str
     effects: tuple
     required_preimages: frozenset = frozenset()
@@ -218,12 +226,14 @@ def check_fee_schedule(schedule: FeeSchedule) -> None:
     if not (p[PRE_A] < p[PRE_A2] < p[PRE_AA2]):
         raise invalid(f"paid ordering violated: need {p[PRE_A]} < "
                       f"{p[PRE_A2]} < {p[PRE_AA2]}")
-    a = schedule.alpha
-    if a <= 0:
+    # In integers: alpha = n/d with d > 0, so the ordering is scaled by d^2.
+    n, d = schedule.alpha.as_integer_ratio()
+    if n <= 0:
         raise invalid("alpha must be positive")
-    if a > 1:
+    if n > d:
         raise invalid("alpha above 1 would grow fees")
-    if a < 1 and not (p[PRE_A] > a * p[PRE_A2] > a * a * p[PRE_AA2]):
+    if n < d and not (p[PRE_A] * d * d > n * d * p[PRE_A2]
+                      > n * n * p[PRE_AA2]):
         raise invalid("earned ordering violated: decayed fees do not "
                       "decrease across paths")
 
@@ -327,8 +337,8 @@ def derive_he_delay(v_dep: int, v_col: int, f: int) -> int:
     """Smallest refund delay satisfying v_col >= v_dep/(kappa-1) + f, l = ceil(kappa)."""
     if v_col <= f:
         raise ContractError("collateral must exceed the unrelated fee", "v_col")
-    kappa = Fraction(v_dep, v_col - f) + 1
-    return max(1, math.ceil(kappa))
+    # l = ceil(kappa) = ceil(v_dep / (v_col - f)) + 1, in integers.
+    return max(1, -(-v_dep // (v_col - f)) + 1)
 
 
 def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
@@ -421,6 +431,10 @@ class BriberyCall:
     args: dict = field(default_factory=dict)
 
 
+#: The read-only empty map a settled contract holds.
+_NO_ENTRIES = MappingProxyType({})
+
+
 def _freeze(contract, *names) -> None:
     """Hold each named map of a frozen `contract` as a read-only copy,
     which no write can reach; a read-only map is kept as it is."""
@@ -443,7 +457,8 @@ class CensorBriberyContract:
 
     Frozen, with a read-only `reserved`, so a chain state's cached key and
     total cannot go stale: each step returns the contract after it, and
-    the contract itself when a guard fails.
+    the contract itself when a guard fails.  A step builds the contract
+    after it directly: `dataclasses.replace` costs twice as much.
     """
 
     owner: Party
@@ -475,7 +490,9 @@ class CensorBriberyContract:
     def init(self, val: int) -> "CensorBriberyContract":
         """The contract funded with a bribe budget of `val`."""
         check_amount(val, "bribe budget")
-        return replace(self, deposit=val, bal_left=val)
+        return CensorBriberyContract(
+            self.owner, self.br, self.T, self.pre_a_value, val, val,
+            self.reserved, self.settled, self.last_request_round)
 
     def request_bribe(self, caller: Party, block_miner: Party,
                       rnd: int) -> "CensorBriberyContract":
@@ -485,8 +502,6 @@ class CensorBriberyContract:
             return self
         reserved = dict(self.reserved)
         reserved[caller] = reserved.get(caller, 0) + 1
-        # Built directly: a request is the step a censored block takes, and
-        # `replace` costs twice as much.
         return CensorBriberyContract(
             self.owner, self.br, self.T, self.pre_a_value, self.deposit,
             self.bal_left - self.br, MappingProxyType(reserved), self.settled,
@@ -509,15 +524,19 @@ class CensorBriberyContract:
         remainder = self.deposit - (count + 1) * self.br
         if remainder > 0:
             payouts.append((self.owner, remainder, "remainder"))
-        return replace(self, settled=True, reserved={}), payouts
+        return self._settled(), payouts
 
     def refund_owner(self, target_included: bool) -> tuple:
         # Once the target tx lands at any height, bribes are unclaimable and
         # the whole budget returns to the payer.
         if self.settled or not target_included:
             return self, []
-        return (replace(self, settled=True, reserved={}),
-                [(self.owner, self.deposit, "refund")])
+        return self._settled(), [(self.owner, self.deposit, "refund")]
+
+    def _settled(self) -> "CensorBriberyContract":
+        return CensorBriberyContract(
+            self.owner, self.br, self.T, self.pre_a_value, self.deposit,
+            self.bal_left, _NO_ENTRIES, True, self.last_request_round)
 
 
 @dataclass(frozen=True, slots=True)
@@ -531,7 +550,7 @@ class MinerPactContract:
     every remaining lock.  refund_all returns locks when the attack is dead.
 
     Frozen like `CensorBriberyContract`, with read-only maps: each step
-    returns the contract after it (a request builds it directly, as there).
+    returns the contract after it, built directly, as there.
     """
 
     T: int
@@ -557,7 +576,9 @@ class MinerPactContract:
     def lock_collateral(self, caller: Party, val: int) -> "MinerPactContract":
         locked = dict(self.locked)
         locked[caller] = locked.get(caller, 0) + check_amount(val)
-        return replace(self, locked=locked)
+        return MinerPactContract(self.T, self.pre_a_value, self.br,
+                                 MappingProxyType(locked), self.reserved,
+                                 self.settled, self.last_request_round)
 
     def request_bribe(self, caller: Party, block_miner: Party,
                       rnd: int) -> "MinerPactContract":
@@ -602,7 +623,9 @@ class MinerPactContract:
         return self._settled(), out
 
     def _settled(self) -> "MinerPactContract":
-        return replace(self, locked={}, reserved={}, settled=True)
+        return MinerPactContract(self.T, self.pre_a_value, self.br,
+                                 _NO_ENTRIES, _NO_ENTRIES, True,
+                                 self.last_request_round)
 
 
 def bribery_contract_step(contract, call: BriberyCall, rnd: int, chain) -> tuple:

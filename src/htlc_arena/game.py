@@ -85,7 +85,11 @@ class MinerProfile:
         if not self.party.id.isprintable():
             # Error lines name miner ids raw, so a line break would split them.
             raise _invalid("id", f"must be printable, got {self.party.id!r}")
-        if self.power < 0:
+        # A Fraction or an int; the sign is its numerator's.
+        if type(getattr(self.power, "numerator", None)) is not int:
+            raise _invalid("power", f"expected a rational number, "
+                           f"got {self.power!r}")
+        if self.power.numerator < 0:
             raise _invalid("power", f"must not be negative, got {self.power}")
         if self.kind not in ("passive", "active"):
             raise _invalid("kind", f"expected 'passive' or 'active', "
@@ -136,13 +140,19 @@ class Scenario:
         if self.protocol not in PROTOCOLS:
             raise _invalid("protocol", f"got {self.protocol!r}")
         for name in _INT_FIELDS:
-            _require_count(name, getattr(self, name))
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                _require_count(name, value)  # raises, naming the field
         if self.capacity < 1:
             raise _invalid("capacity", "must be at least 1")
-        total = sum((m.power for m in self.miners), Fraction(0))
-        if total != 1:
-            raise _invalid("power-sum",
-                           f"miner powers sum to {total}, need exactly 1")
+        # In integers over the powers' common denominator, as
+        # `_round_branches` weighs them.
+        scale = math.lcm(*(m.power.denominator for m in self.miners))
+        total = sum(m.power.numerator * (scale // m.power.denominator)
+                    for m in self.miners)
+        if total != scale:
+            raise _invalid("power-sum", f"miner powers sum to "
+                           f"{Fraction(total, scale)}, need exactly 1")
         ids = [m.party.id for m in self.miners]
         if len(set(ids)) != len(ids):
             raise _invalid("miners", f"duplicate miner id in {ids}")

@@ -12,10 +12,12 @@ preimages and bribery contracts), shared by reference between a state
 and its successor.  Each part caches, on first use, the sum it adds to
 `ChainState.conservation_total` and, if it is a control part (below), its
 share of `ChainState.control_key`.  Every write goes through one step:
-`draft` a successor that shares every part, `write` a part (the draft's
-own copy, made on first write), `seal`.  A step shares every part it does
-not write, so a block that changes nothing copies nothing and shares its
-parent's control key and total.
+`draft` a successor that shares every part, `write` a part, which copies
+it on its first write into the part type's writable twin, and `seal`,
+which turns each written twin into its read-only type in place.  So a
+step copies each part it writes once and every part it does not write
+not at all: a block that changes nothing shares its parent's parts,
+control key and total.
 
 The parts split in two.  The control parts (live deposits, reveals,
 mempool, contracts, known preimages, bribery contracts and redemptions,
@@ -36,7 +38,6 @@ them as a count rather than as objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -51,9 +52,10 @@ CONTRACT_CALL = "contract-call"
 PAYMENT = "payment"
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
-    """Exact-witness evidence: asserted signers and bit-exact preimages."""
+class Witness(NamedTuple):
+    """Exact-witness evidence: asserted signers and bit-exact preimages.
+    A named tuple, as `TxRecord` is: a party's transactions carry a
+    witness built afresh each time a policy broadcasts them."""
 
     preimages: frozenset = frozenset()  # (contract_id, slot, value)
     signers: frozenset = frozenset()  # Party
@@ -62,8 +64,11 @@ class Witness:
 EMPTY_WITNESS = Witness()
 
 
-@dataclass(frozen=True, slots=True)
-class TxRecord:
+class TxRecord(NamedTuple):
+    """One transaction.  A named tuple: policies build a transaction each
+    time they broadcast or mine one, and a tuple builds in a third of a
+    frozen dataclass's time or less."""
+
     tx_id: str
     creator: Party
     kind: str = RELATED
@@ -189,11 +194,25 @@ class Log(_Cached, list):
         return sum(entry[1] for entry in self)
 
 
+def _writable(cls):
+    """The writable twin of part type `cls`: a subclass that puts back
+    every write `cls` refuses.  It adds no slot, so `seal` can turn a twin
+    into a `cls` in place by assigning its class."""
+    base = dict if issubclass(cls, dict) else list
+    writes = {name: getattr(base, name) for name in dir(cls)
+              if getattr(cls, name) is _refuse}
+    return type(f"Writable{cls.__name__}", (cls,), {"__slots__": (), **writes})
+
+
 #: The type each part is sealed as.
 _PART_TYPES = {"balances": Part, "live": Part, "revealed": Part,
                "mempool": Mempool, "mint_log": Log, "bribe_log": Log,
                "redemptions": Redemptions, "contracts": Contracts,
                "known": Part, "bribery": Bribery}
+#: The writable twin of each part's type, which `ChainState.write` hands out.
+_TWINS = {cls: _writable(cls) for cls in (Part, Mempool, Contracts, Bribery,
+                                          Redemptions, Log)}
+_WRITABLE = {name: _TWINS[cls] for name, cls in _PART_TYPES.items()}
 #: Empty parts: read-only, so every state may share them.
 _EMPTY, _EMPTY_MEMPOOL, _EMPTY_LOG, _EMPTY_BRIBERY, _EMPTY_REDEMPTIONS = (
     Part.of(), Mempool.of(), Log.of(), Bribery.of(), Redemptions.of())
@@ -223,10 +242,14 @@ class ChainState:
 
     A state is written only as a draft: `draft()` returns a successor that
     shares every part, `write(name)` hands out the draft's own writable
-    copy of one part (copied on its first write, which drops the cached
-    total or control key that the part is in), `credit`, `debit` and
-    `burn` write through it, and `seal()` freezes the written parts.  A
-    sealed state refuses writes.  A draft starts with no `lows`; each debit
+    copy of one part, and `credit`, `debit` and `burn` write through it.
+    The copy is made on the part's first write in the draft, as the writable
+    twin of the part's type (`_writable`), and that write drops the cached
+    total or control key the part is in.  `seal()` turns each written twin
+    into its read-only type in place, with empty caches, so the sealed
+    state holds the very object `write` handed out, now refusing writes,
+    and a step copies each part it writes once.  A sealed state refuses
+    writes.  A draft starts with no `lows`; each debit
     records the debited party's balance after it if that is the lowest so
     far.
 
@@ -285,14 +308,14 @@ class ChainState:
         return s
 
     def write(self, name: str):
-        """This draft's own writable copy of part `name`: a plain dict or
-        list, made on the part's first write in this draft."""
+        """This draft's own writable copy of part `name`, the twin of the
+        part's type, made on the part's first write in this draft."""
         written = self._written
         if written is None:
             raise TypeError("a sealed chain state is read-only")
         part = written.get(name)
         if part is None:
-            part = written[name] = getattr(self, name).copy()
+            part = written[name] = _WRITABLE[name](getattr(self, name))
             setattr(self, name, part)
             if name in _SUMMED:
                 self._total = None
@@ -303,7 +326,7 @@ class ChainState:
     def credit(self, party: Party, amount: int) -> None:
         """Credit `party`; a zero credit to a holder writes nothing."""
         balances = self.balances
-        if type(balances) is not dict:
+        if type(balances) is Part:  # not written yet in this draft
             if not amount and party in balances:
                 return
             balances = self.write("balances")
@@ -313,7 +336,7 @@ class ChainState:
         """Debit `party` (never below 0) and keep its lowest balance in
         `lows`; a zero debit writes nothing."""
         balances = self.balances
-        if type(balances) is not dict:
+        if type(balances) is Part:  # not written yet in this draft
             if not amount and party in balances:
                 return
             balances = self.write("balances")
@@ -334,11 +357,11 @@ class ChainState:
             self._total = None
 
     def seal(self) -> "ChainState":
-        """Freeze the parts this draft wrote; returns the finished state."""
+        """Make the parts this draft wrote read-only, in place and with
+        empty caches; returns the finished state."""
         for name, part in self._written.items():
-            part = _PART_TYPES[name](part)
-            part._key = part._total = None  # as `of` does, without the call
-            setattr(self, name, part)
+            part.__class__ = _PART_TYPES[name]
+            part._key = part._total = None  # as `of` does
         self._written = None
         return self
 
@@ -424,11 +447,12 @@ def _check_path_predicate(state: ChainState, contract: ContractInstance,
         raise LedgerError("predicate-failed", "timelock")
     if not path.required_signers <= witness.signers:
         raise LedgerError("predicate-failed", "signature")
-    supplied = {slot: value for (cid, slot, value) in witness.preimages
-                if cid == contract.contract_id}
-    for slot in path.required_preimages:
-        if supplied.get(slot) != contract.digests.get(slot):
-            raise LedgerError("predicate-failed", f"hashlock:{slot}")
+    if path.required_preimages:
+        supplied = {slot: value for (cid, slot, value) in witness.preimages
+                    if cid == contract.contract_id}
+        for slot in path.required_preimages:
+            if supplied.get(slot) != contract.digests.get(slot):
+                raise LedgerError("predicate-failed", f"hashlock:{slot}")
     if path.cross_reads:
         slots = state.revealed_slots()
         if not all(cr.holds(slots) for cr in path.cross_reads):

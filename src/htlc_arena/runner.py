@@ -239,7 +239,7 @@ def fmt_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        return repr(v) if v else "0.0"  # a negative zero prints unsigned
     return str(v)
 
 

@@ -41,7 +41,7 @@ def seeded_state(scen, txs=()):
 def fee_tx(tx_id, creator, fee):
     """A mempool entry that pays `fee` and spends no contract: a payment of
     nothing to the external user."""
-    return replace(payment_tx(tx_id, creator, EXTERNAL, 0), declared_fee=fee)
+    return payment_tx(tx_id, creator, EXTERNAL, 0)._replace(declared_fee=fee)
 
 
 class TestHonestSelect:

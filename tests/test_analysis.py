@@ -19,7 +19,7 @@ from htlc_arena.game import MinerProfile, StrategyProfile
 
 from conftest import (M1, M2, M3, M4, demba_scenario, demba_schedule,
                       he_scenario)
-from test_acceptance import _theorem_scenario
+from test_acceptance import _m2mba_schedule, _theorem_scenario
 
 
 def count_exact_expectations(monkeypatch) -> list:
@@ -102,6 +102,46 @@ def test_solvent_pacts_pay_lemma_fives_closed_form(scen):
     assert income >= five.detail["predicted"]
     if constant.denominator == 1:
         assert income == five.detail["predicted"]
+
+
+@st.composite
+def solvent_perblock_pacts(draw):
+    """Criterion 3's game with its grid drawn instead: four equal active
+    colluders on `he`, a deadline T, a bribe br, a solvent collateral
+    (v_col >= (k + 1) * br with k = T - t_pub, and v_col > f_dep_a), the
+    miner of each censored round t_pub+1..T, and the confiscator, who
+    mines round T+1.  Returns (scenario, window miners, confiscator)."""
+    T, br = draw(st.integers(2, 6)), draw(st.integers(0, 6))
+    k = T - 1
+    v_col = max((k + 1) * br, 4) + draw(st.integers(0, 30))
+    window = draw(st.lists(st.sampled_from((M1, M2, M3, M4)),
+                           min_size=k, max_size=k))
+    miners = tuple(MinerProfile(p, Fraction(1, 4), "active", True)
+                   for p in (M1, M2, M3, M4))
+    scen = he_scenario(v_dep=100, v_col=v_col, T=T, t_pub=1, l=2, br=br,
+                       f=0, f_dep_a=3, f_dep_b=2, miners=miners)
+    return scen, window, draw(st.sampled_from((M1, M2, M3, M4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pact=solvent_perblock_pacts())
+def test_solvent_perblock_pacts_pay_their_closed_form(pact):
+    # Where the pact is solvent, the confiscator nets the closed form's
+    # v_col - (k - k_mi) * br and every other colluder k_j * br, whether
+    # or not the confiscator mined a censored block.
+    scen, window, confiscator = pact
+    parties = (M1, M2, M3, M4)
+    out = game.play(scen, StrategyProfile(
+        AliceHonest(), BobHonest(), {p: M2MbaActive() for p in parties}),
+        _m2mba_schedule(parties, scen.t_pub, scen.T, scen.horizon, window,
+                        confiscator))
+    predicted = closed_form("m2mba-perblock", {
+        "v_col": scen.v_col, "k": len(window),
+        "k_mi": window.count(confiscator), "br": scen.br})["bribing-miner"]
+    assert out.delta(confiscator) == predicted
+    for p in parties:
+        if p != confiscator:
+            assert out.delta(p) == window.count(p) * scen.br
 
 
 class TestClosedForm:

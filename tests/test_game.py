@@ -72,6 +72,26 @@ class TestScenario:
         assert str(e.value).startswith("validation-error(mode): ")
         assert "\n" not in str(e.value)
 
+    @pytest.mark.parametrize("power,why", [
+        (0.5, "expected a rational number, got 0.5"),
+        ("1/2", "expected a rational number, got '1/2'"),
+        (Fraction(-1, 2), "must not be negative, got -1/2")])
+    def test_a_power_is_a_non_negative_rational(self, power, why):
+        # A float power used to pass and fail in exact mode's first round.
+        with pytest.raises(ScenarioError) as e:
+            MinerProfile(M1, power)
+        assert str(e.value) == f"validation-error(power): {why}"
+
+    @pytest.mark.parametrize("powers,total", [
+        ((Fraction(1, 2), Fraction(1, 3)), "5/6"), ((1, 1), "2")])
+    def test_power_sum_line_names_the_exact_sum(self, powers, total):
+        miners = tuple(MinerProfile(miner_party(f"m{i}"), p)
+                       for i, p in enumerate(powers))
+        with pytest.raises(ScenarioError) as e:
+            naive_scenario(miners=miners)
+        assert str(e.value) == (f"validation-error(power-sum): miner powers "
+                                f"sum to {total}, need exactly 1")
+
     def test_fee_schedule_deadline_must_match(self):
         with pytest.raises(ScenarioError,
                            match=r"^validation-error\(fee_schedule\): "):
@@ -867,7 +887,7 @@ class TestIdleBlocks:
         state, miners = game.build_genesis(scen)[0], {M1, M2}
         fee_paying = make_block(1, M1, scen, [tx_reveal_dep_a(scen)])
         assert game._neutral(state, state, fee_paying, miners)
-        col_m = replace(tx_reveal_dep_a(scen), consumes=((COL_ID, COL_M),))
+        col_m = tx_reveal_dep_a(scen)._replace(consumes=((COL_ID, COL_M),))
         for tx in (call_tx("call", BOB, CBOB_ID, "init"),
                    payment_tx("from", M2, BOB, 1),
                    payment_tx("to", BOB, M2, 1), col_m):

@@ -94,7 +94,7 @@ class TestValidate:
         # `apply_block` applies three kinds; any other never validates, so
         # a block carrying one is refused before it is applied.
         state = fresh_naive()
-        tx = replace(alice_tx(), kind="relatd")
+        tx = alice_tx()._replace(kind="relatd")
         with pytest.raises(LedgerError) as e:
             validate_tx(state, tx, 3)
         assert e.value.code == "invalid-tx" and "relatd" in e.value.detail
@@ -418,6 +418,63 @@ class TestParts:
         fresh = rebuilt(state)
         assert (fresh.control_key(),
                 fresh.conservation_total()) == (key, total)
+
+    def test_seal_keeps_the_written_part_and_makes_it_read_only(self):
+        # A step copies each part it writes once: the sealed state holds
+        # the very object `write` handed out, which now refuses every write,
+        # and a later draft's write copies it again.
+        state = fresh_naive()
+        before = dict(state.balances), list(state.mint_log)
+        draft = state.draft()
+        balances, mint_log = draft.write("balances"), draft.write("mint_log")
+        balances[M2] = 5
+        mint_log.append((M2, 5, "test"))
+        after = draft.seal()
+        assert after.balances is balances and after.mint_log is mint_log
+        writes = {
+            "balances": [lambda p: p.__setitem__(M2, 0),
+                         lambda p: p.__delitem__(M2), lambda p: p.clear(),
+                         lambda p: p.pop(M2), lambda p: p.popitem(),
+                         lambda p: p.setdefault(M1, 0),
+                         lambda p: p.update({M1: 0}),
+                         lambda p: p.__ior__({M1: 0})],
+            "mint_log": [lambda p: p.__setitem__(0, None),
+                         lambda p: p.__delitem__(0), lambda p: p.clear(),
+                         lambda p: p.append(None), lambda p: p.extend([None]),
+                         lambda p: p.insert(0, None), lambda p: p.pop(),
+                         lambda p: p.remove(p[0]), lambda p: p.reverse(),
+                         lambda p: p.sort(), lambda p: p.__iadd__([None]),
+                         lambda p: p.__imul__(2)]}
+        for name, part in (("balances", balances), ("mint_log", mint_log)):
+            for write in writes[name]:
+                with pytest.raises(TypeError):
+                    write(part)
+        assert (dict(balances), list(mint_log)) == (
+            {**before[0], M2: 5}, [*before[1], (M2, 5, "test")])
+        later = after.draft()
+        again = later.write("balances")
+        assert again is not balances
+        again[M2] = 7
+        assert balances[M2] == 5 and later.seal().balances[M2] == 7
+        assert (dict(state.balances), list(state.mint_log)) == before
+
+    def test_records_refuse_attribute_writes(self):
+        tx = alice_tx()
+        dep = build_he_htlc(ALICE, BOB, 100, 50, {PRE_A: "a", PRE_B: "b"},
+                            4, 2)[0]
+        demba_dep = build_genesis(demba_scenario())[0].contracts[DEP_ID]
+        records = [tx, tx.witness, *dep.paths,
+                   *(e for p in dep.paths for e in p.effects),
+                   *(e for p in demba_dep.paths for e in p.effects),
+                   *(r for p in demba_dep.paths for r in p.cross_reads)]
+        assert {type(r).__name__ for r in records} == {
+            "TxRecord", "Witness", "RedeemPath", "Transfer", "Burn",
+            "Forward", "CrossRead"}
+        for record in records:
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+            with pytest.raises(AttributeError):
+                record.extra = None
 
 
 def _checked(step):

@@ -247,6 +247,15 @@ class TestCli:
         assert code == 0
         assert "ratio\t-\t1/1" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("pool", "--pool-fee", "0", "--pool-size", "1"),  # a pool that is solo
+        ("pool", "--lambda-net", "0")])
+    def test_pool_prints_a_zero_delta_unsigned(self, capsys, argv):
+        # Both figures are a negative float zero before they are printed.
+        code, out = self.run(capsys, *argv)
+        assert code == 0
+        assert "delta_U\t-\t0.0\t" in out and "-0.0" not in out
+
     def test_dominance_subcommand(self, capsys):
         code, out = self.run(capsys, "dominance", "--scenario",
                              str(SCENARIOS / "naive_bribery.json"),
