@@ -14,23 +14,25 @@ prefixes that reach it.  Each round's two halves run once per distinct
 input: a block once per (control state, miner), and a block that names
 its miner only as the fee payee (`_neutral`) once per control state and
 group of miners with equal policies; then the parties' broadcasts, the
-label and its check once per mined control state.
+label and its check once per mined control state.  One rule moves a
+round's payoff groups whole, unsplit: every miner that can mine the round
+takes a step to the same successor with the same increment.
 `final_frontier` returns the pass's final frontier: each final control
 state with its payoff groups, each holding an integer mass, and the total
-the masses sum to.  In exact mode a mass is the summed schedule weight (the product of
-miner powers) over one common denominator, the product of each round's;
-its values are those of playing every schedule that `enumerate_schedules`
-yields, which is the reference the tests hold it to.  In Monte-Carlo mode
+the masses sum to.  In exact mode a mass is the summed schedule weight
+(the product of miner powers) over one common denominator, the product of
+each round's; its values are those of playing every schedule that
+`enumerate_schedules` yields, which is the reference the tests hold it
+to.  In Monte-Carlo mode
 a mass is the number of sampled trials that reach the state; its values
 are those of playing each sampled schedule, drawn when a round first
 splits the trials by pick.  `expected_utilities` and `runner.ttc` settle
 straight from the frontier, a payoff or a control state at a time, and
 no final chain state is rebuilt; `ttc` reads control states alone, so
-its groups keep balance floors (`_Floors`) in place of payoffs, and a
-round whose miners all share one neutral block moves them whole.  `play`
-and its `Outcome` stay as the oracle the tests hold them to.  Dominance
-checks brute-force finite policy spaces on top of the expectation
-machinery.
+its groups keep balance floors (`_Floors`) in place of payoffs, which
+lets more rounds move whole.  `play` and its `Outcome` stay as the oracle
+the tests hold them to.  Dominance checks brute-force finite policy
+spaces on top of the expectation machinery.
 
 Utilities carry no discounting: they are raw end-of-game token deltas from
 the post-setup baseline.  The one exception to pre-funded contracts is the
@@ -406,31 +408,24 @@ def _setup(scen: Scenario, profile: StrategyProfile) -> tuple:
 
 
 def _mine(scen: Scenario, profile: StrategyProfile, state: ChainState,
-          rnd: int, miner: Party, block=None) -> tuple:
-    """The block half of a round: (`miner`'s block, the state it makes).
-    `block` is that block if it is built already."""
-    if block is None:
-        block = profile.miners[miner].build_block(state, rnd, miner, scen)
+          rnd: int, miner: Party) -> tuple:
+    """The block half of a round: (`miner`'s block, the state it makes)."""
+    block = profile.miners[miner].build_block(state, rnd, miner, scen)
     return block, apply_block(state, block)
-
-
-def _names(block, miners) -> bool:
-    """Whether a transaction of `block` names one of `miners` beyond the
-    fee payee: a contract call, a transaction created by or paying one of
-    them, or a col-M spend (the one redemption whose miner the control key
-    keeps)."""
-    return any(tx.kind == CONTRACT_CALL or tx.creator in miners
-               or tx.payment is not None and tx.payment[0] in miners
-               or any(p == COL_M for _, p in tx.consumes) for tx in block.txs)
 
 
 def _neutral(state: ChainState, nxt: ChainState, block, miners) -> bool:
     """Whether `block`, which took `state` to `nxt`, names its miner only
-    as the fee payee: no transaction names one of `miners` (`_names`), and
-    it writes neither the bribery part nor the mint log (which every
-    coinbase writes)."""
+    as the fee payee: it writes neither the bribery part nor the mint log
+    (which every coinbase writes), and no transaction names one of
+    `miners` beyond the fee payee, as a contract call, a transaction
+    created by or paying one of them, or a col-M spend (the one redemption
+    whose miner the control key keeps)."""
     return (nxt.bribery is state.bribery and nxt.mint_log is state.mint_log
-            and not _names(block, miners))
+            and not any(tx.kind == CONTRACT_CALL or tx.creator in miners
+                        or tx.payment is not None and tx.payment[0] in miners
+                        or any(p == COL_M for _, p in tx.consumes)
+                        for tx in block.txs))
 
 
 def _act(scen: Scenario, profile: StrategyProfile, state: ChainState,
@@ -657,9 +652,8 @@ class _Payoffs:
         """What the step from `before` to `after` by `block` pays and
         draws, as (adds, bribes, draws): each (slot, change) of `vec`, with
         one window block for the block's miner if its round is a window
-        round; the bribe-log entries it appends; and each (slot, draw) of a
-        party whose balance it took below its start, by the most it did
-        (from `ChainState.lows`).  A payoff takes the same step exactly when
+        round; the bribe-log entries it appends; and its draws (`_draws`).
+        A payoff takes the same step exactly when
         its balance covers each draw: the step's debits and their checks
         are the same whatever the payoff, and only the start moves."""
         b0, b1 = before.balances, after.balances
@@ -676,16 +670,22 @@ class _Payoffs:
             adds.append((n, burn))
         if counted:
             adds.append((n + 1 + slot[block.miner], 1))
-        return tuple(adds), tuple(l1[len(l0):]), tuple(
-            (slot[p], b0[p] - low) for p, low in after.lows.items()
-            if low < b0[p])
+        return tuple(adds), tuple(l1[len(l0):]), self._draws(before, after)
+
+    def _draws(self, before: ChainState, after: ChainState) -> tuple:
+        """Each (slot, draw) of a party whose balance the step from
+        `before` to `after` took below its start, by the most it did
+        (`ChainState.lows`)."""
+        if not after.lows:
+            return ()
+        b0, slot = before.balances, self.slot
+        return tuple((slot[p], b0[p] - low) for p, low in after.lows.items()
+                     if low < b0[p])
 
     def renamed(self, step: tuple, old: Party, new: Party) -> tuple:
         """A miner-neutral block's step for miner `new`: `old`'s, with
         `old`'s balance and window-block slots moved to `new`'s (such a
         block appends no bribe-log entry)."""
-        if step is _UNPAID:
-            return step
         adds, bribes, draws = step
         a, b = self.slot[old], self.slot[new]
         n = len(self.parties) + 1
@@ -759,10 +759,7 @@ class _Floors(_Payoffs):
 
     def step(self, before: ChainState, after: ChainState, block) -> tuple:
         self._balances(after)  # raises if a party without one was paid
-        b0 = before.balances
-        draws = after.lows and tuple((self.slot[p], b0[p] - low)
-                                     for p, low in after.lows.items()
-                                     if low < b0[p])
+        draws = self._draws(before, after)
         if not draws:
             return _UNPAID
         return tuple((i, -d) for i, d in draws), (), draws
@@ -792,30 +789,6 @@ def _enter(mined: dict, nxt: ChainState, rank: int, total: int,
     elif rank > entry[1]:
         entry[1] = rank
     return entry
-
-
-def _ahead(scen: Scenario, profile: StrategyProfile, payoffs: _Payoffs,
-           state: ChainState, rnd: int, able: tuple) -> tuple:
-    """The check made before a control state's first group splits, in a
-    round whose two or more miners that can mine it (`able`) form one
-    miner group: ((block, successor, increment) of `able[0]`'s step, each
-    None past where the check stopped, and whether every group may move
-    whole).
-    They may where the block names its miner only as the fee payee
-    (`_neutral`) and the increment touches none of its miner's slots, so
-    every miner of `able` takes that successor and increment.  A block
-    that names a miner otherwise is built but not applied, so a miner
-    that no mass takes raises no error."""
-    miner = able[0]
-    block = profile.miners[miner].build_block(state, rnd, miner, scen)
-    if _names(block, profile.miners):
-        return (block, None, None), False
-    block, nxt = _mine(scen, profile, state, rnd, miner, block)
-    if nxt.bribery is not state.bribery or nxt.mint_log is not state.mint_log:
-        return (block, nxt, None), False
-    paying = payoffs.step(state, nxt, block)
-    return (block, nxt, paying), payoffs.renamed(paying, miner,
-                                                 able[1]) == paying
 
 
 def _forward(scen: Scenario, profile: StrategyProfile, kind, mass, split,
@@ -848,17 +821,19 @@ def _forward(scen: Scenario, profile: StrategyProfile, kind, mass, split,
     `BLOCK_MINER` transfers and to record a redemption that is not col-M.
     A group of one takes its miner's step unchecked.
 
-    Groups move whole, unsplit, to one successor where every miner takes
-    one step there: `whole(rnd, mass)` is the sum of the parts
-    `split(rnd, mass)` yields.  Where one miner group holds the two or
-    more miners that can mine the round (`movers[rnd - 1]`), that is
-    checked before the first group splits (`_ahead`), so a Monte-Carlo
-    pass reads no trial's pick in a round taken whole; with `_Payoffs` it
-    holds where the step pays the miner nothing.  Otherwise it is known
-    once every miner group's step pays nothing and reaches one successor.
-    Where blocks carry no fee most groups move this way, and splitting
-    their mass only to add the parts up again would cost a Monte-Carlo
-    job about a tenth of its speed.
+    One rule decides whether a round moves every group whole, unsplit:
+    before any group moves, the miners that can mine the round
+    (`movers[rnd - 1]`) take their steps in order, up to the first whose
+    successor or increment differs from the first miner's.  If none
+    differs, every group goes to that one successor with `whole(rnd,
+    mass)`, the sum of the parts `split(rnd, mass)` yields, so a
+    Monte-Carlo pass reads no trial's pick in that round.  Exact mode
+    takes every mover's step anyway, so the rule builds no further
+    block; a Monte-Carlo pass may take a step that no trial there takes,
+    and a mined control state that no mass reaches is dropped before the
+    party half.  Where blocks carry no fee most groups move whole, and
+    splitting their mass only to add the parts up again would cost a
+    Monte-Carlo job about a tenth of its speed.
 
     The balance checks stay exact for every group.  The ledger reads a
     balance only to refuse a payment it cannot fund or a debit below zero,
@@ -885,54 +860,47 @@ def _forward(scen: Scenario, profile: StrategyProfile, kind, mass, split,
              for party, pol in profile.miners.items()}
     lone = {g for g, n in Counter(group.values()).items() if n == 1}
     payoffs = kind(scen, state, baseline)
+
+    def take(state, rank, steps, shared, miner) -> tuple:
+        """`miner`'s step from `state` in round `rnd`, cached in `steps`:
+        (successor's `mined` entry, block, increment).  A miner whose
+        group's first block is miner-neutral (`shared`) takes it renamed."""
+        first = shared.get(group[miner])
+        if first is not None:  # its entry already holds our rank
+            owner, step = first
+            if step[2] is not _UNPAID:
+                entry, block, paying = step
+                step = entry, block, payoffs.renamed(paying, owner, miner)
+        else:
+            block, nxt = _mine(scen, profile, state, rnd, miner)
+            step = (_enter(mined, nxt, rank, expected_total, rnd), block,
+                    payoffs.step(state, nxt, block))
+            if group[miner] not in lone and _neutral(state, nxt, block,
+                                                     profile.miners):
+                shared[group[miner]] = miner, step
+        steps[miner] = step
+        return step
+
     frontier = {state.control_key(): [state, -1, {payoffs.zero: mass}]}
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
         able = movers[rnd - 1]
-        sole = len(able) > 1 and len({group[m] for m in able}) == 1
         for state, rank, groups in frontier.values():
             steps: dict = {}  # miner -> (entry, block, increment)
             shared: dict = {}  # miner group -> (miner, step) its miners take
-            ahead = moving = None  # moving: the step every group takes whole
-            if sole:
-                ahead, fires = _ahead(scen, profile, payoffs, state, rnd, able)
-                if fires:
-                    block, nxt, paying = ahead
-                    moving = (_enter(mined, nxt, rank, expected_total, rnd),
-                              block, paying)
+            entry, _, paying = take(state, rank, steps, shared, able[0])
+            together = True  # the one whole-round rule
+            for miner in able[1:]:
+                step = take(state, rank, steps, shared, miner)
+                if step[0] is not entry or step[2] != paying:
+                    together = False
+                    break
             for payoff, m in groups.items():
-                if moving is None and len(shared) == len(keys):
-                    firsts = [step for _, step in shared.values()]
-                    target = firsts[0][0]
-                    moving = all(step[0] is target and step[2] is _UNPAID
-                                 for step in firsts) and firsts[0]
-                parts = ((moving[1].miner, whole(rnd, m)),) if moving \
+                parts = ((able[0], whole(rnd, m)),) if together \
                     else split(rnd, m)
                 for miner, part in parts:
-                    step = moving or steps.get(miner)
-                    if step is None:
-                        first = shared.get(group[miner])
-                        if first is not None:
-                            # its entry already holds our rank
-                            owner, (entry, block, paying) = first
-                            step = (entry, block,
-                                    payoffs.renamed(paying, owner, miner))
-                        else:
-                            block = nxt = paying = None
-                            if ahead and miner == able[0]:
-                                block, nxt, paying = ahead
-                            if nxt is None:
-                                block, nxt = _mine(scen, profile, state, rnd,
-                                                   miner, block)
-                            if paying is None:
-                                paying = payoffs.step(state, nxt, block)
-                            step = (_enter(mined, nxt, rank, expected_total,
-                                           rnd), block, paying)
-                            if group[miner] in lone or _neutral(
-                                    state, nxt, block, profile.miners):
-                                shared[group[miner]] = miner, step
-                        steps[miner] = step
-                    entry, block, paying = step
+                    entry, block, paying = steps.get(miner) or take(
+                        state, rank, steps, shared, miner)
                     paid = payoffs.add(payoff, paying)
                     if paid is None:
                         payoffs.replay(state, payoff,
@@ -944,6 +912,8 @@ def _forward(scen: Scenario, profile: StrategyProfile, kind, mass, split,
                     held[paid] = part if prev is None else prev + part
         frontier = {}
         for state, rank, groups in mined.values():
+            if not groups:  # a step that no trial takes
+                continue
             nxt, _, nxt_rank = _act(scen, profile, state, rnd, rank)
             if nxt.conservation_total() != expected_total:
                 raise ScenarioError(f"conservation violated at round {rnd}")
@@ -1058,8 +1028,6 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
             return drawn[0][:, rnd - 1].tolist()
 
         def split(rnd: int, trials: list):
-            if len(movers[rnd - 1]) == 1:
-                return ((movers[rnd - 1][0], trials),)
             col = column(rnd)
             groups = [[] for _ in parties]
             for t in trials:

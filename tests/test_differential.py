@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from htlc_arena.agents import (AliceCensoredFallback, AliceHonest,
                                B3aAccomplice, BobB3a, BobHonest,
@@ -276,9 +276,9 @@ def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
     paid: dict = {}
     real_mine, real_step = game._mine, game._Payoffs.step
 
-    def mine(scen, profile, state, rnd, miner, *built):
+    def mine(scen, profile, state, rnd, miner):
         mined[rnd, miner] += 1
-        block, nxt = real_mine(scen, profile, state, rnd, miner, *built)
+        block, nxt = real_mine(scen, profile, state, rnd, miner)
         wrote.setdefault((rnd, miner), set()).add(
             not same_parts(state, nxt))
         return block, nxt
@@ -429,6 +429,40 @@ def test_final_states_are_those_of_every_schedule(drawn):
         == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(drawn=games(fewest=1), data=st.data())
+def test_splitting_a_miner_splits_only_its_own_share(drawn, data):
+    # Only a miner's share of power matters: a miner that no pin names,
+    # split into two of its policy with powers q * p and (1 - q) * p and
+    # listed in any order, leaves every other party's utility and bribe
+    # income and the burn as they were, and each half gets its share of
+    # the miner's.  The merged pass renames miner-neutral steps between
+    # miners of one policy, which this holds to an outside reference.
+    scen, profile, pin = drawn
+    free = [m for m in scen.miners if m.party not in pin.values()]
+    assume(free)
+    whole = data.draw(st.sampled_from(free))
+    q = data.draw(st.sampled_from((Fraction(1, 5), Fraction(1, 3),
+                                   Fraction(1, 2))))
+    half = miner_party("d5")
+    halves = (replace(whole, power=q * whole.power),
+              replace(whole, party=half, power=(1 - q) * whole.power))
+    miners = [m for m in scen.miners if m is not whole] + list(halves)
+    split = replace(scen, miners=tuple(data.draw(st.permutations(miners))))
+    split_profile = StrategyProfile(profile.alice, profile.bob, {
+        **profile.miners, half: profile.miners[whole.party]})
+    before = expected_utilities(scen, profile, pin)
+    after = expected_utilities(split, split_profile, pin)
+    assert after.burned == before.burned
+    for got, had in ((after.utilities, before.utilities),
+                     (after.bribe_income, before.bribe_income)):
+        share = had.get(whole.party, 0)
+        assert got.get(whole.party, 0) == q * share
+        assert got.get(half, 0) == (1 - q) * share
+        assert {p: v for p, v in got.items() if p not in (whole.party, half)} \
+            == {p: v for p, v in had.items() if p != whole.party}
+
+
 def control_masses(scen, profile, pin, floors):
     """Each final control key's summed mass over the total, from the pass
     with or without floors, or the error it raises."""
@@ -437,6 +471,7 @@ def control_masses(scen, profile, pin, floors):
                                                 floors=floors)
     except ArenaError as e:
         return type(e), str(e)
+    assert all(groups for _, groups in entries)  # no entry without mass
     masses = Counter()
     for state, groups in entries:
         masses[state.control_key()] += sum(groups.values())

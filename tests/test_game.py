@@ -609,9 +609,9 @@ class TestControlMerge:
         mined, acted = Counter(), Counter()
         real_mine, real_act = game._mine, game._act
 
-        def mine(scen, profile, state, rnd, miner, *built):
+        def mine(scen, profile, state, rnd, miner):
             mined[rnd] += 1
-            return real_mine(scen, profile, state, rnd, miner, *built)
+            return real_mine(scen, profile, state, rnd, miner)
 
         def act(scen, profile, state, rnd, rank):
             acted[rnd] += 1
@@ -633,6 +633,28 @@ class TestControlMerge:
         assert type(floors) is game._Floors
         assert [list(groups.values()) for _, groups in entries] == [[50]]
         assert mined == {rnd: 1 for rnd in rounds}
+
+    def test_unequal_policies_with_equal_steps_take_rounds_whole(
+            self, monkeypatch):
+        # Two censors whose policies differ build the same blocks here: the
+        # payee stays offline and no fee pays a miner, so every round's
+        # two steps reach one successor with one increment, and the
+        # sampled pass moves its trials whole and draws nothing.
+        scen = monte_carlo(naive_scenario(
+            f=0, f_dep_b=0, miners=(MinerProfile(M1, Fraction(1, 2)),
+                                    MinerProfile(M2, Fraction(1, 2)))),
+            30, seed=3)
+        profile = StrategyProfile(AliceOffline(), BobHonest(), {
+            M1: CensorRelated(), M2: CensorRelated(participate=False)})
+        rng = np.random.default_rng(3)
+        want = Counter()
+        for _ in range(30):
+            out = play(scen, profile, game.sample_schedule(scen, rng))
+            want.update(out.deltas)
+        monkeypatch.setattr(np.random, "default_rng", _no_draw)
+        eu = expected_utilities(scen, profile)
+        assert eu.utilities == {p: Fraction(d, 30) for p, d in want.items()}
+        assert eu.utilities[BOB] > 0
 
 
 def _staged_refund_game():
@@ -849,9 +871,9 @@ class TestIdleBlocks:
         mined = Counter()
         real_mine = game._mine
 
-        def mine(scen, profile, state, rnd, miner, *built):
+        def mine(scen, profile, state, rnd, miner):
             mined[rnd, miner] += 1
-            return real_mine(scen, profile, state, rnd, miner, *built)
+            return real_mine(scen, profile, state, rnd, miner)
 
         with monkeypatch.context() as patched:
             patched.setattr(game, "_mine", mine)
