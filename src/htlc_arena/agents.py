@@ -153,7 +153,10 @@ def honest_miner_select(state, rnd: int, scen: Scenario,
     """
     candidates = []
     for tx in state.mempool.values():
-        if tx.tx_id in exclude or not _valid(state, tx, rnd):
+        # A spent contract's transaction is skipped before `_valid` raises
+        # and formats the ledger's error for it.
+        if (tx.tx_id in exclude or not _if_open(state, tx)
+                or not _valid(state, tx, rnd)):
             continue
         earned = _earned_fee(state, tx, rnd)
         if earned > scen.f:

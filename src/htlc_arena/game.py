@@ -28,11 +28,11 @@ a mass is the number of sampled trials that reach the state; its values
 are those of playing each sampled schedule, drawn when a round first
 splits the trials by pick.  `expected_utilities` and `runner.ttc` settle
 straight from the frontier, a payoff or a control state at a time, and
-no final chain state is rebuilt; `ttc` reads control states alone, so
-its groups keep balance floors (`_Floors`) in place of payoffs, which
-lets more rounds move whole.  `play` and its `Outcome` stay as the oracle
-the tests hold them to.  Dominance checks brute-force finite policy
-spaces on top of the expectation machinery.
+no final chain state is rebuilt; `ttc` reads control states alone, on a
+pass with every round pinned to one miner, since its honest traffic
+completes in the same round whoever mines.  `play` and its `Outcome`
+stay as the oracle the tests hold them to.  Dominance checks brute-force
+finite policy spaces on top of the expectation machinery.
 
 Utilities carry no discounting: they are raw end-of-game token deltas from
 the post-setup baseline.  The one exception to pre-funded contracts is the
@@ -642,18 +642,13 @@ class _Payoffs:
         self.offset = tuple(s - baseline.get(p, 0)
                             for p, s in zip(self.parties, self.start))
 
-    def _balances(self, state: ChainState):
-        """`state`'s balances in slot order."""
-        if len(state.balances) != len(self.parties):
-            raise ArenaError("a step paid a party with no balance at setup")
-        return state.balances.values()
-
     def step(self, before: ChainState, after: ChainState, block) -> tuple:
         """What the step from `before` to `after` by `block` pays and
         draws, as (adds, bribes, draws): each (slot, change) of `vec`, with
         one window block for the block's miner if its round is a window
-        round; the bribe-log entries it appends; and its draws (`_draws`).
-        A payoff takes the same step exactly when
+        round; the bribe-log entries it appends; and each (slot, draw) of a
+        party whose balance the step took below its start, by the most it
+        did (`ChainState.lows`).  A payoff takes the same step exactly when
         its balance covers each draw: the step's debits and their checks
         are the same whatever the payoff, and only the start moves."""
         b0, b1 = before.balances, after.balances
@@ -663,24 +658,20 @@ class _Payoffs:
         if b1 is b0 and l1 is l0 and not burn and not counted:
             return _UNPAID
         slot, n = self.slot, len(self.parties)
-        adds = [] if b1 is b0 else [
-            (i, v - u) for i, (v, u) in enumerate(zip(self._balances(after),
-                                                      b0.values())) if v != u]
+        adds = []
+        if b1 is not b0:
+            if len(b1) != n:
+                raise ArenaError("a step paid a party with no balance at setup")
+            adds = [(i, v - u) for i, (v, u) in enumerate(zip(b1.values(),
+                                                              b0.values()))
+                    if v != u]
         if burn:
             adds.append((n, burn))
         if counted:
             adds.append((n + 1 + slot[block.miner], 1))
-        return tuple(adds), tuple(l1[len(l0):]), self._draws(before, after)
-
-    def _draws(self, before: ChainState, after: ChainState) -> tuple:
-        """Each (slot, draw) of a party whose balance the step from
-        `before` to `after` took below its start, by the most it did
-        (`ChainState.lows`)."""
-        if not after.lows:
-            return ()
-        b0, slot = before.balances, self.slot
-        return tuple((slot[p], b0[p] - low) for p, low in after.lows.items()
-                     if low < b0[p])
+        draws = tuple((slot[p], b0[p] - low) for p, low in after.lows.items()
+                      if low < b0[p])
+        return tuple(adds), tuple(l1[len(l0):]), draws
 
     def renamed(self, step: tuple, old: Party, new: Party) -> tuple:
         """A miner-neutral block's step for miner `new`: `old`'s, with
@@ -742,39 +733,6 @@ class _Payoffs:
 _UNPAID = ((), (), ())
 
 
-class _Floors(_Payoffs):
-    """The balance floors of a pass whose reader settles control states
-    alone (`runner.ttc`), each the key of a payoff group in `vec`'s place:
-    each setup party's lowest balance change that any of the group's
-    prefixes can have.  A floor step keeps only the draws, each taken as a
-    debit, and drops credits, the burn, window blocks and bribe-log
-    entries.  A floor that covers a draw proves that every prefix of its
-    group covers it; one that falls short proves nothing, so `replay`
-    gives the pass up (`_ShortFloor`) for `final_frontier` to run again
-    with `_Payoffs`.  A floor settles nothing."""
-
-    def __init__(self, scen: Scenario, setup: ChainState, baseline):
-        super().__init__(scen, setup, baseline)
-        self.zero = ((0,) * len(self.parties), ())
-
-    def step(self, before: ChainState, after: ChainState, block) -> tuple:
-        self._balances(after)  # raises if a party without one was paid
-        draws = self._draws(before, after)
-        if not draws:
-            return _UNPAID
-        return tuple((i, -d) for i, d in draws), (), draws
-
-    def replay(self, state: ChainState, payoff: tuple, block) -> None:
-        raise _ShortFloor
-
-    def settle(self, scen: Scenario, confiscator, payoff: tuple) -> tuple:
-        raise ArenaError("a floor frontier settles no payoff")
-
-
-class _ShortFloor(Exception):
-    """A balance floor fell short of a draw (`_Floors`)."""
-
-
 def _enter(mined: dict, nxt: ChainState, rank: int, total: int,
            rnd: int) -> list:
     """`mined`'s entry for `nxt`'s control state, reached by some mass
@@ -791,19 +749,18 @@ def _enter(mined: dict, nxt: ChainState, rank: int, total: int,
     return entry
 
 
-def _forward(scen: Scenario, profile: StrategyProfile, kind, mass, split,
-             whole, movers) -> tuple:
+def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
+             movers) -> tuple:
     """The forward pass over rounds that both expectation modes run.
 
     A frontier entry is a control state (`ChainState.control_key`): one
     full state of it, reached by one of its prefixes, to build blocks and
     broadcasts on (no policy, contract guard, label or tag reads its payoff
     parts); the highest label rank it came from; and its payoff groups,
-    each keyed by its payoff (`kind`: `_Payoffs`, or `_Floors`) and
-    holding the mass of the schedule prefixes that reach it.  The pass
-    starts from one group, the setup state's zero payoff with all of
-    `mass`.  Each round has two halves, and each runs once per distinct
-    input.
+    each keyed by its payoff (`_Payoffs`) and holding the mass of the
+    schedule prefixes that reach it.  The pass starts from one group, the
+    setup state's zero payoff with all of `mass`.  Each round has two
+    halves, and each runs once per distinct input.
 
     The block half runs at most once per (control state, miner):
     `split(rnd, mass)` yields (miner, part) for every way a group's mass
@@ -859,7 +816,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, kind, mass, split,
     group = {party: keys.setdefault(policy_key(pol), len(keys))
              for party, pol in profile.miners.items()}
     lone = {g for g, n in Counter(group.values()).items() if n == 1}
-    payoffs = kind(scen, state, baseline)
+    payoffs = _Payoffs(scen, state, baseline)
 
     def take(state, rank, steps, shared, miner) -> tuple:
         """`miner`'s step from `state` in round `rnd`, cached in `steps`:
@@ -958,8 +915,7 @@ class Frontier(NamedTuple):
 
 
 def final_frontier(scen: Scenario, profile: StrategyProfile,
-                   pin: Optional[dict] = None,
-                   floors: bool = False) -> Frontier:
+                   pin: Optional[dict] = None) -> Frontier:
     """The forward pass's final frontier: each final control state, with
     one full state of it and its payoff groups, each group's integer mass,
     and the total those masses sum to, which is checked here.
@@ -976,11 +932,6 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     `pin` maps a 1-based round to the party forced to mine it, overriding
     any draw.  A trial count whose trial list or draw cannot be allocated
     is `validation-error(trials)`.
-
-    With `floors`, for a reader of the control states and their masses
-    alone, the groups hold balance floors (`_Floors`), which settle
-    nothing; where a floor falls short of a draw the pass runs again with
-    payoffs, which raises the ledger's error where a play would.
     """
     pin = pin or {}
     if scen.mode[0] == "exact":
@@ -1036,13 +987,7 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
 
         def whole(rnd: int, trials: list) -> list:
             return trials
-    try:
-        payoffs, entries = _forward(scen, profile,
-                                    _Floors if floors else _Payoffs,
-                                    mass, split, whole, movers)
-    except _ShortFloor:
-        payoffs, entries = _forward(scen, profile, _Payoffs, mass, split,
-                                    whole, movers)
+    payoffs, entries = _forward(scen, profile, mass, split, whole, movers)
     if scen.mode[0] != "exact":
         entries = [(state, {payoff: len(trials)
                             for payoff, trials in groups.items()})

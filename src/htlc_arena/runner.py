@@ -556,15 +556,24 @@ def _completed(red, scen: Scenario, path: str) -> Optional[int]:
 
 def ttc(scen: Scenario, path: str) -> dict:
     """Monte-Carlo rounds-to-final-transfer with a 95% half-width, over the
-    scenario's Monte-Carlo trials and seed: each final control state's
-    completion round, weighted by the trials of all its payoff groups."""
+    scenario's Monte-Carlo trials: each final control state's completion
+    round, weighted by the trials of all its payoff groups.
+
+    Under `_ttc_profile` every schedule completes in one round: each
+    miner runs `HonestFeeMax`, whose block names its miner only as the
+    fee payee, so every schedule reaches the same control state each
+    round.  The pass therefore pins every round to the first miner with
+    power and draws nothing; its one final state holds all the trials,
+    and the half-width is 0.0.  The pinned pass still allocates the
+    trials and keeps the pass's conservation, label and balance checks."""
     if path not in TTC_PATHS:
         raise ScenarioError(f"validation-error(path): {path!r}")
     if scen.mode[0] != "monte-carlo":
         raise ScenarioError("validation-error(mode): sampling needs "
                             f"monte-carlo, got {scen.mode!r}")
-    entries, trials, _ = final_frontier(scen, _ttc_profile(scen, path),
-                                        floors=True)
+    miner = next(m.party for m in scen.miners if m.power > 0)
+    pin = dict.fromkeys(range(1, scen.horizon + 1), miner)
+    entries, trials, _ = final_frontier(scen, _ttc_profile(scen, path), pin)
     total = total_sq = 0  # integer sums, exact when turned into floats
     for state, groups in entries:
         done = _completed(state.redemptions, scen, path)

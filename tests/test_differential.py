@@ -26,14 +26,13 @@ from htlc_arena.agents import (AliceCensoredFallback, AliceHonest,
                                M2MbaActive, M2MbaPassive, call_tx)
 from htlc_arena import game
 from htlc_arena.contracts import CBOB_ID, COL_M, DEP_ID
-from htlc_arena.core import (BOB, ArenaError, LedgerError, ScenarioError,
-                             miner_party)
+from htlc_arena.core import BOB, LedgerError, ScenarioError, miner_party
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              enumerate_schedules, expected_utilities,
                              mean_half_width, play, sample_schedule)
 from htlc_arena.ledger import CONTRACT_CALL
-from htlc_arena.runner import (TTC_PATHS, _completion_round, _ttc_profile,
-                               ttc)
+from htlc_arena.runner import (TTC_PATHS, _completed, _completion_round,
+                               _ttc_profile, ttc)
 
 from conftest import (demba_scenario, frontier_settlements, he_scenario,
                       mad_scenario, monte_carlo, naive_scenario,
@@ -463,45 +462,6 @@ def test_splitting_a_miner_splits_only_its_own_share(drawn, data):
             == {p: v for p, v in had.items() if p != whole.party}
 
 
-def control_masses(scen, profile, pin, floors):
-    """Each final control key's summed mass over the total, from the pass
-    with or without floors, or the error it raises."""
-    try:
-        entries, total, _ = game.final_frontier(scen, profile, pin,
-                                                floors=floors)
-    except ArenaError as e:
-        return type(e), str(e)
-    assert all(groups for _, groups in entries)  # no entry without mass
-    masses = Counter()
-    for state, groups in entries:
-        masses[state.control_key()] += sum(groups.values())
-    return masses, total
-
-
-@settings(max_examples=40, deadline=None)
-@given(drawn=games(fewest=1), trials=st.none() | st.integers(1, 40),
-       seed=st.integers(0, 2**32 - 1))
-@example(drawn=(*_four_honest_game()[:2], {}), trials=None, seed=0)
-@example(drawn=(*_four_honest_game()[:2], {}), trials=40, seed=7)
-@example(drawn=_race_confiscation_game(), trials=None, seed=0)
-@example(drawn=_race_confiscation_game(), trials=40, seed=7)
-@example(drawn=_equal_split_game(), trials=None, seed=0)
-@example(drawn=_equal_split_game(), trials=40, seed=7)
-def test_floors_reach_the_control_states_and_masses_of_payoffs(drawn, trials,
-                                                               seed):
-    # The floor pass that `ttc` reads reaches each final control state with
-    # the mass the payoff pass gives it, or raises the error it raises.
-    # The examples: four honest miners whose fees pay whoever mines, so
-    # the floor pass takes every round whole; two racing colluders, one
-    # miner group whose col-M blocks name their miner; and one pact group
-    # with a zero-power miner, which exact mode weighs and sampling skips.
-    scen, profile, pin = drawn
-    if trials is not None:
-        scen = monte_carlo(scen, trials, seed)
-    assert control_masses(scen, profile, pin, True) == control_masses(
-        scen, profile, pin, False)
-
-
 def sampled_one_by_one(scen, profile, pin=None):
     """The outcome of each Monte-Carlo trial, drawn and played in turn."""
     rng = np.random.default_rng(scen.seed)
@@ -549,6 +509,45 @@ def result_or_error(fn, *args):
         return fn(*args)
     except ScenarioError as e:
         return f"error: {e}"
+
+
+def completion_rounds(scen, path):
+    """The completion round of each final control state of the exact,
+    unpinned pass under `ttc`'s profile, or the error it raises."""
+    try:
+        entries, _, _ = game.final_frontier(scen, _ttc_profile(scen, path))
+        return {_completed(state.redemptions, scen, path)
+                for state, _ in entries}
+    except ScenarioError as e:
+        return {f"error: {e}"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=games(fewest=1), trials=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(drawn=_four_honest_game(), trials=40, seed=7)
+@example(drawn=_equal_split_game(), trials=40, seed=7)
+@example(drawn=_demba_auto_resolution_game(), trials=40, seed=7)
+def test_every_ttc_schedule_completes_in_one_round(drawn, trials, seed):
+    # The premise `ttc`'s pinned pass rests on: under `_ttc_profile`
+    # every schedule, over every miner, completes its path in one round,
+    # or every final state raises one error.  So `ttc` on a Monte-Carlo
+    # copy reports that round with a half-width of 0.0, or that error.
+    # The examples: four he miners whose fees pay whoever mines, a he
+    # game with a zero-power miner, and a demba game.
+    scen, _, _ = drawn
+    sampled = monte_carlo(scen, trials, seed)
+    for path in TTC_PATHS:
+        rounds = completion_rounds(scen, path)
+        assert len(rounds) == 1, (path, rounds)
+        (done,) = rounds
+        if done is None:
+            done = (f"error: validation-error: {path} never completed "
+                    "within the horizon")
+        want = done if isinstance(done, str) else {
+            "mean": float(done), "half_width": 0.0, "trials": trials,
+            "l": scen.l}
+        assert result_or_error(ttc, sampled, path) == want, path
 
 
 @settings(max_examples=40, deadline=None)

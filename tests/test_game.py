@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from htlc_arena import game
+from htlc_arena import game, runner
 from htlc_arena.core import (ALICE, BOB, ArenaError, LedgerError,
                              ScenarioError, miner_party)
 from htlc_arena.contracts import CBOB_ID, COL_ID, COL_M, PRE_A, FeeSchedule
@@ -624,13 +624,20 @@ class TestControlMerge:
         assert sum(masses) == total == 50 and len(masses) > 1
         rounds = range(1, scen.horizon + 1)
         assert acted == mined == {rnd: 1 for rnd in rounds}
-        # `ttc`'s floor pass takes every round whole, so it draws nothing,
-        # and keeps one balance floor per control state.
+        # `ttc` pins every round to one miner, so its pass draws nothing
+        # and keeps all the trials in one group.
         mined.clear()
         monkeypatch.setattr(np.random, "default_rng", _no_draw)
-        entries, total, floors = game.final_frontier(scen, profile,
-                                                     floors=True)
-        assert type(floors) is game._Floors
+        passes = []
+        real_frontier = runner.final_frontier
+
+        def frontier(*args):
+            passes.append(real_frontier(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(runner, "final_frontier", frontier)
+        ttc(scen, path)
+        [(entries, _, _)] = passes
         assert [list(groups.values()) for _, groups in entries] == [[50]]
         assert mined == {rnd: 1 for rnd in rounds}
 
@@ -780,9 +787,6 @@ class TestBalanceChecks:
         with pytest.raises(LedgerError) as merged:
             expected_utilities(scen, profile)
         assert str(merged.value) == str(refused.value)
-        with pytest.raises(LedgerError) as floored:
-            game.final_frontier(scen, profile, floors=True)
-        assert str(floored.value) == str(refused.value)
 
     def test_a_group_that_can_fund_every_draw_plays_on(self):
         # At exactly m1's genesis balance every prefix funds the payment.
@@ -814,44 +818,34 @@ class RefundingPayee(HonestFeeMax):
                               unrelated_fill=block.unrelated_fill - 1)
 
 
-class TestFloors:
-    """`ttc`'s pass keys its groups by balance floors, which drop credits."""
+class TestCredits:
+    """A group's draw is checked against its payoff, credits included."""
 
     @pytest.mark.parametrize("trials", [None, 20])
-    def test_a_floor_that_falls_short_reruns_with_payoffs(self, monkeypatch,
-                                                          trials):
+    def test_a_credit_funds_a_later_draw_past_genesis(self, trials):
         # Round 2 takes more than the payee's genesis balance, which round
-        # 1's credit funds on every schedule.  The floor pass drops that
-        # credit, so its floor falls short and proves nothing; the pass
-        # runs again with payoffs, and that frontier is returned.
+        # 1's credit funds on every schedule, so the pass plays on and
+        # settles as the plays of its schedules do.
         scen = naive_scenario(miners=(MinerProfile(M1, Fraction(1, 2)),
                                       MinerProfile(M2, Fraction(1, 2))))
         start = game.build_genesis(scen)[0].balances[ALICE]
         profile = honest_profile(scen, RefundingPayee(start // 2,
                                                       start + start // 4))
-        for schedule in enumerate_schedules(scen):
-            play(scen, profile, schedule)
-        if trials is not None:
+        if trials is None:
+            plays = [(s.weight, play(scen, profile, s))
+                     for s in enumerate_schedules(scen)]
+        else:
             scen = monte_carlo(scen, trials)
-        kinds = []
-        forward = game._forward
-
-        def spy(scen, profile, kind, *args):
-            kinds.append(kind)
-            return forward(scen, profile, kind, *args)
-
-        monkeypatch.setattr(game, "_forward", spy)
-        got = game.final_frontier(scen, profile, floors=True)
-        assert kinds == [game._Floors, game._Payoffs]
-        assert frontier_settlements(scen, got) == frontier_settlements(
-            scen, game.final_frontier(scen, profile))
-
-    def test_a_floor_frontier_settles_nothing(self):
-        scen = monte_carlo(naive_scenario(), 5)
-        frontier = game.final_frontier(scen, honest_profile(scen),
-                                       floors=True)
-        with pytest.raises(ArenaError, match="settles no payoff"):
-            frontier_settlements(scen, frontier)
+            rng = np.random.default_rng(scen.seed)
+            plays = [(Fraction(1, trials), play(
+                scen, profile, game.sample_schedule(scen, rng)))
+                for _ in range(trials)]
+        want = Counter()
+        for w, out in plays:
+            for party, d in out.deltas.items():
+                want[party] += w * d
+        assert expected_utilities(scen, profile).utilities == dict(want)
+        assert want[ALICE] < 0  # the round-2 refund outweighs the credit
 
 
 class TestIdleBlocks:
