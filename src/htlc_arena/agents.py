@@ -16,10 +16,12 @@ its block and the transactions it creates.  So two miners with equal
 policies (`game.policy_key`) at one state build blocks that both name
 their miner only as the fee payee, or neither, and two such blocks differ
 only in their miner.  The forward pass mines such a block once per group
-of equal policies (`game._forward`).  Every policy, miner or party,
-reads only a state's control parts (`ledger.ChainState.control_key`),
-never balances or logs, so the pass builds blocks and broadcasts once per
-control state.
+of equal policies (`game._forward`).  A miner policy's `round_key` tells
+apart what it does in one round, so a verdict's passes build a block once
+for policies that build it alike there (`game.StepMemo`).  Every policy,
+miner or party, reads only a state's control parts
+(`ledger.ChainState.control_key`), never balances or logs, so the pass
+builds blocks and broadcasts once per control state.
 
 Every miner block that is not a bespoke attack block follows one assembly
 rule (`_assemble`): the policy's own head transactions, then the honest
@@ -44,7 +46,7 @@ from .contracts import (BriberyCall, CBOB_ID, CM2M_ID, COL_A_ID, COL_B,
                         PRE_AA2, PRE_B, SECRETS)
 from .ledger import (CONTRACT_CALL, PAYMENT, RELATED, Block, ChainView,
                      TxRecord, Witness, broadcast, fee_split, validate_tx)
-from .game import Scenario
+from .game import Scenario, policy_key
 
 
 def _known_value(state, slot: str) -> Optional[str]:
@@ -426,7 +428,10 @@ class MinerPolicy:
     so where its block names `miner` only as the fee payee, an equal
     policy builds the same block for any miner; and it reads only the
     state's control parts.  The forward pass relies on it to build such a
-    block once per control state and group of equal policies.
+    block once per control state and group of equal policies.  Two
+    policies with equal `round_key(rnd, scen)` build the same block for
+    the same miner at every state of round `rnd`, so a verdict's passes
+    build such a block once (`game.StepMemo`).
     """
 
     name = "miner"
@@ -438,6 +443,11 @@ class MinerPolicy:
     def build_block(self, state, rnd: int, miner: Party,
                     scen: Scenario) -> Block:
         raise NotImplementedError
+
+    def round_key(self, rnd: int, scen: Scenario) -> tuple:
+        """What tells this policy's blocks in round `rnd` apart: by
+        default the policy itself (`game.policy_key`)."""
+        return policy_key(self)
 
 
 class HonestFeeMax(MinerPolicy):
@@ -591,6 +601,16 @@ class M2MbaActive(MinerPolicy):
         s.debit(party, scen.v_col)
         return s.seal()
 
+    def _claim_only(self, rnd: int) -> bool:
+        """Whether a block after the deadline leaves the confiscation."""
+        return self.role == "accept" or (
+            self.defer_to is not None and rnd < self.defer_to)
+
+    def round_key(self, rnd, scen):
+        # Up to T the block reads neither `role` nor `defer_to`; after T
+        # it reads them only through `_claim_only`.
+        return type(self), rnd > scen.T and self._claim_only(rnd)
+
     def build_block(self, state, rnd, miner, scen):
         if rnd <= scen.T:
             head = []
@@ -602,11 +622,9 @@ class M2MbaActive(MinerPolicy):
                                         "requestBribe"))
             return _assemble(state, rnd, miner, scen, head,
                              exclude=_target_tx_ids(scen))
-        claim_only = self.role == "accept" or (
-            self.defer_to is not None and rnd < self.defer_to)
         return _confiscation_block(state, rnd, miner, scen,
                                    pact=scen.m2mba_split != "equal",
-                                   claim_only=claim_only)
+                                   claim_only=self._claim_only(rnd))
 
 
 class B3aAccomplice(MinerPolicy):

@@ -13,9 +13,12 @@ the measure the per-block bribe arithmetic lives in.
 
 Each verifier call computes each distinct (scenario, profile, pin)
 expectation once: policies are stateless, so a profile is keyed by each
-policy's class and constructor parameters.  The memo lives for that one
-call and no longer.  (The two-phase lemmas 6 and 7 ask for no expectation
-twice and call `expected_utilities` directly.)
+policy's class and constructor parameters.  Its passes on one scenario
+share their steps through one step memo (`game.StepMemo`), since the
+profiles a verdict compares differ in one player's policy.  Both memos
+live for that one call and no longer.  (Pact lemma 5 and the two-phase
+lemmas 6 and 7 ask for no expectation twice and call `expected_utilities`
+directly.)
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from typing import Optional
 from .core import (ALICE, BOB, MAX_DRAW_ITEMS, Party, ScenarioError,
                    miner_party)
 from .contracts import PRE_A2, PRE_AA2
-from .game import (MinerProfile, Scenario, StrategyProfile, dominance_check,
-                   expected_utilities, policy_key)
+from .game import (MinerProfile, Scenario, StepMemo, StrategyProfile,
+                   dominance_check, expected_utilities, policy_key)
 from .agents import (AliceCensoredFallback, AliceGrief, AliceHonest,
                      AliceOffline, BobDelay, BobHonest, CensorRelated,
                      HonestFeeMax, M2MbaActive, M2MbaPassive)
@@ -95,8 +98,12 @@ def closed_form(attack: str, params: dict) -> dict:
 
 def _verdict_expectations():
     """`expected_utilities` for one verdict, computing each distinct
-    (scenario, profile, pin) once; scenarios are told apart by identity."""
+    (scenario, profile, pin) once; scenarios are told apart by identity.
+    The passes on one scenario share one step memo (`game.StepMemo`), so
+    a pass builds only the steps that no earlier pass of the verdict
+    took; the memo goes with the verdict's expectations."""
     done: dict = {}
+    memos: dict = {}  # id(scenario) -> (scenario, its step memo)
 
     def expect(scen: Scenario, profile: StrategyProfile,
                pin: Optional[dict] = None):
@@ -106,7 +113,10 @@ def _verdict_expectations():
                tuple(sorted((pin or {}).items())))
         if key not in done:
             # Holding the scenario keeps its id from being reused.
-            done[key] = scen, expected_utilities(scen, profile, pin)
+            if id(scen) not in memos:
+                memos[id(scen)] = scen, StepMemo()
+            done[key] = scen, expected_utilities(scen, profile, pin,
+                                                 memos[id(scen)][1])
         return done[key][1]
     return expect
 
@@ -339,7 +349,7 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
             + scen.epsilon
         bribes[VIEW_REST] = math.ceil(rest_br)
     view, mi, _ = coalition_view(scen, focal, bribes)
-    income = expect(view, _attack_profile(view)) \
+    income = expected_utilities(view, _attack_profile(view)) \
         .bribe_income.get(mi, Fraction(0))
     concl = income > f_a
     return LemmaVerdict("lemma5", hyp, concl, income - f_a,

@@ -14,9 +14,13 @@ prefixes that reach it.  Each round's two halves run once per distinct
 input: a block once per (control state, miner), and a block that names
 its miner only as the fee payee (`_neutral`) once per control state and
 group of miners with equal policies; then the parties' broadcasts, the
-label and its check once per mined control state.  One rule moves a
-round's payoff groups whole, unsplit: every miner that can mine the round
-takes a step to the same successor with the same increment.
+label and its check once per mined control state.  A verdict's passes
+share their steps too (`StepMemo`): a block once per (control state,
+miner, what the miner's policy does that round), the parties' half once
+per (mined control state, party policies), whichever pass takes it
+first.  One rule moves a round's payoff groups whole, unsplit: every
+miner that can mine the round takes a step to the same successor with
+the same increment.
 `final_frontier` returns the pass's final frontier: each final control
 state with its payoff groups, each holding an integer mass, and the total
 the masses sum to.  In exact mode a mass is the summed schedule weight
@@ -442,9 +446,14 @@ def _act(scen: Scenario, profile: StrategyProfile, state: ChainState,
         state = broadcast(state, emissions)
     label = state_label(state, scen.protocol)
     rank = _LABEL_ORDER[label]
+    _label_rule(label, rank, prev_rank, rnd)
+    return state, label, rank
+
+
+def _label_rule(label: str, rank: int, prev_rank: int, rnd: int) -> None:
+    """Raise if round `rnd`'s `label` falls back to red from `prev_rank`."""
     if rank < prev_rank and label in ("red", "all-red"):
         raise ScenarioError(f"state label regressed to {label} at {rnd}")
-    return state, label, rank
 
 
 def _play_round(scen: Scenario, profile: StrategyProfile, state: ChainState,
@@ -749,8 +758,31 @@ def _enter(mined: dict, nxt: ChainState, rank: int, total: int,
     return entry
 
 
+class StepMemo:
+    """The steps that one verdict's forward passes on one scenario share.
+
+    `blocks` holds a block step by the pass's `_Payoffs.parties`, then the
+    control key of the state it leaves, then (miner, the miner policy's
+    `round_key`): (block, the full state the pass keeps for the
+    successor's control state, increment, whether the block is
+    miner-neutral).  `acts` holds a party half by Alice's and Bob's
+    `policy_key`s, then the mined state's control key: `_act`'s result
+    with no earlier rank.  A control key holds the height, so the round
+    too.  Every entry is a function of its keys on one scenario, whatever
+    the profile around it, so passes whose profiles differ in one policy
+    build only the steps that differ.  `analysis` makes one per verdict
+    and scenario and drops it with the verdict's expectations.
+    """
+
+    __slots__ = ("blocks", "acts")
+
+    def __init__(self):
+        self.blocks: dict = {}
+        self.acts: dict = {}
+
+
 def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
-             movers) -> tuple:
+             movers, memo: Optional[StepMemo] = None) -> tuple:
     """The forward pass over rounds that both expectation modes run.
 
     A frontier entry is a control state (`ChainState.control_key`): one
@@ -809,6 +841,17 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     state merge their groups.  Returns the pass's payoffs and its final
     frontier as it stands: (control state, {payoff: mass}) for each control
     state at the horizon, the state being the one full state it keeps.
+
+    With a verdict's `memo` (`StepMemo`), either half first looks its step
+    up there, and only a step no pass of the verdict took yet is built; a
+    block step is keyed by its miner policy's `round_key`, so policies
+    that build one block in a round share it.  A step found there still
+    enters its successor with the conservation check, and a party half
+    found there still meets the label rule against this pass's rank and
+    the conservation check.  The full state a control state keeps may then
+    come from an earlier pass of the verdict; only the ledger's refusal of
+    a block at that state reads its payoff parts, and each group's own
+    draws are checked as above.
     """
     state, baseline, _ = _setup(scen, profile)
     expected_total = state.conservation_total()
@@ -817,32 +860,57 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
              for party, pol in profile.miners.items()}
     lone = {g for g, n in Counter(group.values()).items() if n == 1}
     payoffs = _Payoffs(scen, state, baseline)
+    if memo is not None:
+        built_at = memo.blocks.setdefault(payoffs.parties, {})
+        acted_at = memo.acts.setdefault(
+            (policy_key(profile.alice), policy_key(profile.bob)), {})
 
     def take(state, rank, steps, shared, miner) -> tuple:
         """`miner`'s step from `state` in round `rnd`, cached in `steps`:
         (successor's `mined` entry, block, increment).  A miner whose
-        group's first block is miner-neutral (`shared`) takes it renamed."""
+        group's first block is miner-neutral (`shared`) takes it renamed;
+        any other takes the memo's step (`built`) where a pass of the
+        verdict built it."""
         first = shared.get(group[miner])
         if first is not None:  # its entry already holds our rank
             owner, step = first
             if step[2] is not _UNPAID:
                 entry, block, paying = step
                 step = entry, block, payoffs.renamed(paying, owner, miner)
-        else:
+            steps[miner] = step
+            return step
+        done = None if built is None else built.get(step_keys[miner])
+        if done is None:
             block, nxt = _mine(scen, profile, state, rnd, miner)
-            step = (_enter(mined, nxt, rank, expected_total, rnd), block,
-                    payoffs.step(state, nxt, block))
-            if group[miner] not in lone and _neutral(state, nxt, block,
-                                                     profile.miners):
-                shared[group[miner]] = miner, step
-        steps[miner] = step
+            entry = _enter(mined, nxt, rank, expected_total, rnd)
+            paying = payoffs.step(state, nxt, block)
+            # The memo's entry serves every later group, lone or not.
+            neutral = (built is not None or group[miner] not in lone) and \
+                _neutral(state, nxt, block, profile.miners)
+            if built is not None:  # keeping the state the pass keeps
+                built[step_keys[miner]] = block, entry[0], paying, neutral
+        else:
+            block, nxt, paying, neutral = done
+            entry = _enter(mined, nxt, rank, expected_total, rnd)
+        step = steps[miner] = entry, block, paying
+        if neutral and group[miner] not in lone:
+            shared[group[miner]] = miner, step
         return step
 
+    built = None  # the memo's steps from the state `take` leaves
     frontier = {state.control_key(): [state, -1, {payoffs.zero: mass}]}
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
         able = movers[rnd - 1]
-        for state, rank, groups in frontier.values():
+        if memo is not None:
+            # Each miner's key in `built` this round.
+            step_keys = {party: (party, pol.round_key(rnd, scen))
+                         for party, pol in profile.miners.items()}
+        for key, (state, rank, groups) in frontier.items():
+            if memo is not None:
+                built = built_at.get(key)
+                if built is None:
+                    built = built_at[key] = {}
             steps: dict = {}  # miner -> (entry, block, increment)
             shared: dict = {}  # miner group -> (miner, step) its miners take
             entry, _, paying = take(state, rank, steps, shared, able[0])
@@ -868,10 +936,17 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
                     prev = held.get(paid)
                     held[paid] = part if prev is None else prev + part
         frontier = {}
-        for state, rank, groups in mined.values():
+        for key, (state, rank, groups) in mined.items():
             if not groups:  # a step that no trial takes
                 continue
-            nxt, _, nxt_rank = _act(scen, profile, state, rnd, rank)
+            if memo is None:
+                nxt, _, nxt_rank = _act(scen, profile, state, rnd, rank)
+            else:
+                acted = acted_at.get(key)
+                if acted is None:
+                    acted = acted_at[key] = _act(scen, profile, state, rnd, -1)
+                nxt, label, nxt_rank = acted
+                _label_rule(label, nxt_rank, rank, rnd)
             if nxt.conservation_total() != expected_total:
                 raise ScenarioError(f"conservation violated at round {rnd}")
             key = nxt.control_key()
@@ -915,7 +990,8 @@ class Frontier(NamedTuple):
 
 
 def final_frontier(scen: Scenario, profile: StrategyProfile,
-                   pin: Optional[dict] = None) -> Frontier:
+                   pin: Optional[dict] = None,
+                   memo: Optional[StepMemo] = None) -> Frontier:
     """The forward pass's final frontier: each final control state, with
     one full state of it and its payoff groups, each group's integer mass,
     and the total those masses sum to, which is checked here.
@@ -931,7 +1007,8 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     or has one miner with power draws nothing and never loads numpy.
     `pin` maps a 1-based round to the party forced to mine it, overriding
     any draw.  A trial count whose trial list or draw cannot be allocated
-    is `validation-error(trials)`.
+    is `validation-error(trials)`.  `memo` is a verdict's step memo
+    (`StepMemo`), which only `analysis` passes.
     """
     pin = pin or {}
     if scen.mode[0] == "exact":
@@ -987,7 +1064,8 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
 
         def whole(rnd: int, trials: list) -> list:
             return trials
-    payoffs, entries = _forward(scen, profile, mass, split, whole, movers)
+    payoffs, entries = _forward(scen, profile, mass, split, whole, movers,
+                                memo)
     if scen.mode[0] != "exact":
         entries = [(state, {payoff: len(trials)
                             for payoff, trials in groups.items()})
@@ -1011,12 +1089,14 @@ def mean_half_width(total, total_sq, n: int) -> tuple:
 
 
 def expected_utilities(scen: Scenario, profile: StrategyProfile,
-                       pin: Optional[dict] = None) -> ExpectedUtilities:
+                       pin: Optional[dict] = None,
+                       memo: Optional[StepMemo] = None) -> ExpectedUtilities:
     """Exact rational expectation or seeded Monte-Carlo mean with 95% CI,
     as the scenario's mode says: the mass-weighted mean of the outcomes
     `play` reaches, settled from each payoff group of `final_frontier`
-    (`_Payoffs.settle`) without rebuilding its state."""
-    entries, total, payoffs = final_frontier(scen, profile, pin)
+    (`_Payoffs.settle`) without rebuilding its state.  `memo` is a
+    verdict's step memo (`StepMemo`), which only `analysis` passes."""
+    entries, total, payoffs = final_frontier(scen, profile, pin, memo)
     sampled = scen.mode[0] == "monte-carlo"
     n = len(payoffs.parties)
     sums, sq_sums = [0] * n, [0] * n

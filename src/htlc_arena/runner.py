@@ -432,7 +432,8 @@ def cmd_dominance(args) -> tuple:
             f"validation-error(player): no policy for {player} besides "
             f"{candidate.name!r} is valid for protocol {scen.protocol!r}")
     verdict = dominance_check(scen, key, candidate,
-                              [candidate] + alternatives, [profile])
+                              [candidate] + alternatives, [profile],
+                              expect=analysis._verdict_expectations())
     report = Report(_base_header(args, "dominance", digest=digest))
     report.add("dominance", player, verdict.verdict)
     report.add("candidate", player, candidate.name)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from htlc_arena import analysis, game
 from htlc_arena.core import ALICE, BOB, ScenarioError, miner_party
@@ -105,6 +107,50 @@ def test_solvent_pacts_pay_lemma_fives_closed_form(scen):
 
 
 @st.composite
+def shared_verdicts(draw):
+    """(verifier, args) of one verdict whose passes share a step memo: a
+    pact lemma on a solvent pact (lemma 3 on its passive miner), the pact
+    theorem on three miners, or the two-phase theorem on one or two
+    miners."""
+    kind = draw(st.sampled_from((1, 2, 3, 4, 5, "theorem", "demba")))
+    if kind == "demba":
+        T = draw(st.integers(2, 4))
+        powers = draw(st.sampled_from(((1,), (Fraction(1, 2),) * 2,
+                                       (Fraction(1, 3), Fraction(2, 3)))))
+        miners = tuple(MinerProfile(p, Fraction(w))
+                       for p, w in zip((M1, M2), powers))
+        sched = demba_schedule(T, alpha=draw(st.sampled_from(
+            (Fraction(1, 2), Fraction(1, 10), Fraction(1, 3)))))
+        return verify_demba, (demba_scenario(
+            T=T, horizon=T + 4, v_ded=draw(st.sampled_from((1, 3, 7))),
+            schedule=sched, miners=miners),)
+    scen = draw(solvent_pacts(lemma5=kind == 5))
+    if kind == "theorem":
+        assume(len(scen.miners) == 3)
+        return verify_theorem_m2mba, (scen,)
+    if kind == 3:
+        assume(len(scen.miners) == 3)
+        return verify_m2mba_lemma, (3, scen, M3)
+    return verify_m2mba_lemma, (kind, scen, M1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(point=shared_verdicts())
+def test_step_memo_leaves_every_verdict_as_fresh_passes_give_it(point):
+    # A verdict's passes share their steps (`game.StepMemo`); the verdict
+    # must equal, field for field, the one computed with a fresh pass per
+    # expectation.
+    verify, args = point
+    shared = verify(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "expected_utilities",
+                   lambda scen, profile, pin=None, memo=None:
+                   game.expected_utilities(scen, profile, pin))
+        fresh = verify(*args)
+    assert shared == fresh
+
+
+@st.composite
 def solvent_perblock_pacts(draw):
     """Criterion 3's game with its grid drawn instead: four equal active
     colluders on `he`, a deadline T, a bribe br, a solvent collateral
@@ -175,6 +221,17 @@ class TestClosedForm:
                                         "br": 2, "f_cbob_b": 1})
         assert not got["profitable"]  # needs epsilon > 11 at k = 4
 
+    def test_hydra_alice_on_both_sides_of_its_threshold(self):
+        # gain = v_dep + eps - ((k + 1) * br + f_calice_a), profitable
+        # exactly when eps > (k + 1) * br + f_calice_a = 4 * 2 + 1 = 9.
+        p = {"v_dep": 100, "k": 3, "br": 2, "f_calice_a": 1}
+        above = closed_form("hydra-alice", {**p, "epsilon": 10})
+        assert above == {"alice": 101, "profitable": True}
+        at = closed_form("hydra-alice", {**p, "epsilon": 9})
+        assert at == {"alice": 100, "profitable": False}
+        below = closed_form("hydra-alice", {**p, "epsilon": 2})
+        assert below == {"alice": 93, "profitable": False}
+
     def test_missing_parameter(self):
         with pytest.raises(ScenarioError) as e:
             closed_form("naive-bribery", {"v_dep": 100})
@@ -227,6 +284,49 @@ class TestM2MbaLemmas:
         expect(scen, profile(M2MbaActive()), {2: M3})
         expect(scen, profile(M2MbaActive(defer_to=5)))
         assert len(calls) == 3
+
+    def test_step_memo_lives_for_one_verdict_and_scenario(self, monkeypatch):
+        # Lemma 4's three deferrals share their steps up to the deadline,
+        # so its verdict builds fewer blocks than its fresh passes would.
+        # The memo is gone once the verdict returns, and a second verdict,
+        # or a second expectation on an equal but distinct scenario,
+        # reuses no step and builds them all again.
+        builds = []
+        mine = game._mine
+
+        def counted(*args):
+            builds.append(args[4])
+            return mine(*args)
+
+        memos = []
+
+        class Recorded(game.StepMemo):
+            def __init__(self):
+                super().__init__()
+                memos.append(weakref.ref(self))
+
+        monkeypatch.setattr(game, "_mine", counted)
+        monkeypatch.setattr(analysis, "StepMemo", Recorded)
+        scen = self.scen(T=3, l=1)
+        verify_m2mba_lemma(4, scen, M1)
+        shared = len(builds)
+        assert len(memos) == 1 and memos[0]() is None
+        verify_m2mba_lemma(4, replace(scen), M1)
+        assert len(builds) == 2 * shared
+        with monkeypatch.context() as mp:
+            mp.setattr(analysis, "expected_utilities",
+                       lambda scen, profile, pin=None, memo=None:
+                       game.expected_utilities(scen, profile, pin))
+            verify_m2mba_lemma(4, scen, M1)
+        assert shared < len(builds) - 2 * shared
+        expect = analysis._verdict_expectations()
+        profile = StrategyProfile(AliceHonest(), BobHonest(), {
+            M1: M2MbaActive(), M2: M2MbaActive(), M3: M2MbaPassive()})
+        del builds[:]
+        expect(scen, profile)
+        one = len(builds)
+        expect(replace(scen), profile)
+        assert one > 0 and len(builds) == 2 * one
 
     def test_lemma1_inverted_bribe_gives_none(self):
         scen = self.scen(T=3, br=0, f_dep_a=8, f_dep_b=8)

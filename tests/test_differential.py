@@ -11,6 +11,7 @@ which parties appear in the result and in what order.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -63,11 +64,11 @@ def brute_force(scen, profile, pin):
 
 
 @st.composite
-def games(draw, fewest=2):
-    """(scenario, profile, pin): criterion-9 scenarios and policy pools on
-    `fewest` to three miners, one of them with power 0 unless there is only
-    one, and random pins."""
-    protocol = draw(st.sampled_from(sorted(POOLS)))
+def games(draw, fewest=2, protocols=tuple(sorted(POOLS))):
+    """(scenario, profile, pin): criterion-9 scenarios and policy pools of
+    `protocols` on `fewest` to three miners, one of them with power 0
+    unless there is only one, and random pins."""
+    protocol = draw(st.sampled_from(protocols))
     n = draw(st.integers(fewest, 3))
     powers = [Fraction(1)] if n <= 2 else [
         draw(st.sampled_from((Fraction(1, 3), Fraction(1, 2))))]
@@ -460,6 +461,46 @@ def test_splitting_a_miner_splits_only_its_own_share(drawn, data):
         assert got.get(half, 0) == (1 - q) * share
         assert {p: v for p, v in got.items() if p not in (whole.party, half)} \
             == {p: v for p, v in had.items() if p != whole.party}
+
+
+def _round_key_pool(scen):
+    """The criterion-9 miner pool of `scen`'s protocol, with lemma 4's
+    deferred racers on `he`."""
+    pool = list(POOLS[scen.protocol][2])
+    if scen.protocol == "he":
+        pool += [M2MbaActive("race", defer_to=scen.T + d) for d in (2, 3)]
+    return pool
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=games(fewest=1, protocols=("he",)), seed=st.integers(0, 999))
+@example(drawn=_race_confiscation_game(), seed=0)
+@example(drawn=(replace(_race_confiscation_game()[0],
+                        m2mba_split="per-block"),
+                *_race_confiscation_game()[1:]), seed=0)
+def test_equal_round_keys_build_equal_blocks(drawn, seed):
+    # A verdict's step memo keys a block step by its miner policy's
+    # `round_key`, so two pool policies whose round keys are equal in a
+    # round must build the same block for the same miner at every state
+    # that `play` reaches in that round.  The racer and the acceptor share
+    # one key up to the deadline; after it a deferred racer shares the
+    # acceptor's until its round, then the racer's.
+    scen, profile, _ = drawn
+    pool = _round_key_pool(scen)
+    parties = scen.miner_parties()
+    schedule = random.Random(seed).choices(parties, k=scen.horizon)
+    state, rank = game._setup(scen, profile)[0], -1
+    for rnd, mines in enumerate(schedule, 1):
+        keys = [pol.round_key(rnd, scen) for pol in pool]
+        for (a, key_a), (b, key_b) in itertools.combinations(
+                zip(pool, keys), 2):
+            if key_a == key_b:
+                for miner in parties:
+                    assert a.build_block(state, rnd, miner, scen) \
+                        == b.build_block(state, rnd, miner, scen), \
+                        (a.name, b.name, rnd)
+        state, _, rank = game._play_round(scen, profile, state, rnd, mines,
+                                          rank)
 
 
 def sampled_one_by_one(scen, profile, pin=None):

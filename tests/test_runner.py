@@ -20,7 +20,8 @@ from htlc_arena import runner
 from htlc_arena.core import MAX_DRAW_ITEMS, ScenarioError
 from htlc_arena.runner import Report, load_scenario, main, ttc
 
-from conftest import demba_scenario, he_scenario, monte_carlo, naive_scenario
+from conftest import (demba_scenario, he_scenario, mad_scenario, monte_carlo,
+                      naive_scenario)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -786,6 +787,18 @@ class TestTtc:
         b = ttc(monte_carlo(he_scenario(v_dep=40, v_col=10, l=0, f=0, T=3),
                             32, seed=3), "alice-redeems")
         assert a["mean"] == b["mean"]
+
+    def test_mad_bob_both_completes_with_its_later_redemption(self):
+        # perfbench's ttc-mad-x1 game with room for one transaction a
+        # block.  Bob broadcasts the deposit refund (fee 1) and the
+        # collateral spend (fee 2) at T = 3; the fee-maximising miner lands
+        # the collateral in round 4 and the refund in round 5, and the
+        # payer's path completes with the later one.
+        scen = monte_carlo(mad_scenario(v_dep=10, v_col=10, T=3, br=2,
+                                        capacity=1), 10)
+        assert ttc(scen, "bob-both")["mean"] == 5.0
+        roomy = monte_carlo(mad_scenario(v_dep=10, v_col=10, T=3, br=2), 10)
+        assert ttc(roomy, "bob-both")["mean"] == 4.0
 
     def test_bad_path_rejected(self):
         with pytest.raises(ScenarioError):
