@@ -12,16 +12,17 @@ transactions its miner creates (confiscations, bribery-contract calls),
 which never pass through the mempool.
 
 The miner policy contract: a miner policy reads its miner only to name
-its block and the transactions it creates.  So two miners with equal
-policies (`game.policy_key`) at one state build blocks that both name
-their miner only as the fee payee, or neither, and two such blocks differ
-only in their miner.  The forward pass mines such a block once per group
-of equal policies (`game._forward`).  A miner policy's `round_key` tells
-apart what it does in one round, so a verdict's passes build a block once
-for policies that build it alike there (`game.StepMemo`).  Every policy,
-miner or party, reads only a state's control parts
-(`ledger.ChainState.control_key`), never balances or logs, so the pass
-builds blocks and broadcasts once per control state.
+its block and the transactions it creates, and its `round_key` tells
+apart what it does in one round.  So two miners whose policies have equal
+round keys at one state build blocks that differ only in the miner they
+name, and both name their miner only as the fee payee, or neither.  The
+forward pass builds a block that names its miner only as the fee payee
+once per control state and round key, and renames it for the other miners
+of that key, in the one step cache that a verdict's passes share
+(`game._forward`, `game.StepMemo`).  Every policy, miner or party, reads
+only a state's control parts (`ledger.ChainState.control_key`), never
+balances or logs, so the pass builds blocks and broadcasts once per
+control state.
 
 Every miner block that is not a bespoke attack block follows one assembly
 rule (`_assemble`): the policy's own head transactions, then the honest
@@ -425,13 +426,12 @@ class MinerPolicy:
 
     The contract every policy keeps: it reads `miner` only to name its
     block and the transactions it creates, never to choose what goes in,
-    so where its block names `miner` only as the fee payee, an equal
-    policy builds the same block for any miner; and it reads only the
-    state's control parts.  The forward pass relies on it to build such a
-    block once per control state and group of equal policies.  Two
-    policies with equal `round_key(rnd, scen)` build the same block for
-    the same miner at every state of round `rnd`, so a verdict's passes
-    build such a block once (`game.StepMemo`).
+    and it reads only the state's control parts.  Two policies with equal
+    `round_key(rnd, scen)` build, at any state of round `rnd` and for any
+    two miners, blocks that differ only in the miner they name: both
+    name their miner only as the fee payee, or neither.  The forward
+    pass relies on it to build such a block once per control state and
+    round key (`game.StepMemo`).
     """
 
     name = "miner"

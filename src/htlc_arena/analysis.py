@@ -14,11 +14,14 @@ the measure the per-block bribe arithmetic lives in.
 Each verifier call computes each distinct (scenario, profile, pin)
 expectation once: policies are stateless, so a profile is keyed by each
 policy's class and constructor parameters.  Its passes on one scenario
-share their steps through one step memo (`game.StepMemo`), since the
-profiles a verdict compares differ in one player's policy.  Both memos
-live for that one call and no longer.  (Pact lemma 5 and the two-phase
-lemmas 6 and 7 ask for no expectation twice and call `expected_utilities`
-directly.)
+share one block-step cache (`game.StepMemo`), the one a pass otherwise
+keeps for itself, since the profiles a verdict compares differ in one
+player's policy: a pass builds only the blocks that no earlier pass
+built, and takes a block that names its miner only as the fee payee
+renamed for any miner of that block's round key.  The expectations and the
+cache live for that one call and no longer.  (Pact lemma 5 and the
+two-phase lemmas 6 and 7 ask for no expectation twice and call
+`expected_utilities` directly.)
 """
 
 from __future__ import annotations
@@ -99,11 +102,11 @@ def closed_form(attack: str, params: dict) -> dict:
 def _verdict_expectations():
     """`expected_utilities` for one verdict, computing each distinct
     (scenario, profile, pin) once; scenarios are told apart by identity.
-    The passes on one scenario share one step memo (`game.StepMemo`), so
-    a pass builds only the steps that no earlier pass of the verdict
-    took; the memo goes with the verdict's expectations."""
+    The passes on one scenario share one step cache (`game.StepMemo`), so
+    a pass builds only the blocks that no earlier pass of the verdict
+    built; the cache goes with the verdict's expectations."""
     done: dict = {}
-    memos: dict = {}  # id(scenario) -> (scenario, its step memo)
+    memos: dict = {}  # id(scenario) -> (scenario, its step cache)
 
     def expect(scen: Scenario, profile: StrategyProfile,
                pin: Optional[dict] = None):

@@ -11,16 +11,16 @@ maps the payoff accumulated so far (balance changes, burn, bribe-log
 entries and, for the pact's equal split, each miner's blocks in the
 censored window, which is all that settles it) to the mass of the
 prefixes that reach it.  Each round's two halves run once per distinct
-input: a block once per (control state, miner), and a block that names
-its miner only as the fee payee (`_neutral`) once per control state and
-group of miners with equal policies; then the parties' broadcasts, the
-label and its check once per mined control state.  A verdict's passes
-share their steps too (`StepMemo`): a block once per (control state,
-miner, what the miner's policy does that round), the parties' half once
-per (mined control state, party policies), whichever pass takes it
-first.  One rule moves a round's payoff groups whole, unsplit: every
-miner that can mine the round takes a step to the same successor with
-the same increment.
+input.  A block is built once per (control state, miner, what the miner's
+policy does that round, `agents.MinerPolicy.round_key`), and one that
+names its miner only as the fee payee (`_neutral`) once per control state
+and round key: every other miner of that key takes its step renamed.  Then
+the parties' broadcasts, the label and its check run once per mined
+control state.  One step cache holds the block steps (`StepMemo`): each
+pass keeps its own, and a verdict's passes share one, so a pass builds
+only the blocks that no earlier pass of the verdict built.  One rule moves
+a round's payoff groups whole, unsplit: every miner that can mine the
+round takes a step to the same successor with the same increment.
 `final_frontier` returns the pass's final frontier: each final control
 state with its payoff groups, each holding an integer mass, and the total
 the masses sum to.  In exact mode a mass is the summed schedule weight
@@ -384,8 +384,8 @@ _LABEL_ORDER = {name: i for i, name in enumerate(
 def policy_key(policy) -> tuple:
     """What tells policies apart: a stateless policy is its class and its
     constructor's parameters, so two policies with equal keys act alike.
-    The verdict memo and the forward pass's miner groups both read it, so
-    a policy's attributes must be hashable."""
+    A verdict's expectations and a miner policy's default `round_key`
+    read it, so a policy's attributes must be hashable."""
     return type(policy), tuple(sorted(vars(policy).items()))
 
 
@@ -446,14 +446,9 @@ def _act(scen: Scenario, profile: StrategyProfile, state: ChainState,
         state = broadcast(state, emissions)
     label = state_label(state, scen.protocol)
     rank = _LABEL_ORDER[label]
-    _label_rule(label, rank, prev_rank, rnd)
-    return state, label, rank
-
-
-def _label_rule(label: str, rank: int, prev_rank: int, rnd: int) -> None:
-    """Raise if round `rnd`'s `label` falls back to red from `prev_rank`."""
     if rank < prev_rank and label in ("red", "all-red"):
         raise ScenarioError(f"state label regressed to {label} at {rnd}")
+    return state, label, rank
 
 
 def _play_round(scen: Scenario, profile: StrategyProfile, state: ChainState,
@@ -686,6 +681,8 @@ class _Payoffs:
         """A miner-neutral block's step for miner `new`: `old`'s, with
         `old`'s balance and window-block slots moved to `new`'s (such a
         block appends no bribe-log entry)."""
+        if step is _UNPAID:
+            return step
         adds, bribes, draws = step
         a, b = self.slot[old], self.slot[new]
         n = len(self.parties) + 1
@@ -759,30 +756,30 @@ def _enter(mined: dict, nxt: ChainState, rank: int, total: int,
 
 
 class StepMemo:
-    """The steps that one verdict's forward passes on one scenario share.
+    """The block steps that forward passes on one scenario share.
 
-    `blocks` holds a block step by the pass's `_Payoffs.parties`, then the
-    control key of the state it leaves, then (miner, the miner policy's
-    `round_key`): (block, the full state the pass keeps for the
-    successor's control state, increment, whether the block is
-    miner-neutral).  `acts` holds a party half by Alice's and Bob's
-    `policy_key`s, then the mined state's control key: `_act`'s result
-    with no earlier rank.  A control key holds the height, so the round
-    too.  Every entry is a function of its keys on one scenario, whatever
-    the profile around it, so passes whose profiles differ in one policy
-    build only the steps that differ.  `analysis` makes one per verdict
-    and scenario and drops it with the verdict's expectations.
+    `blocks` holds them by the pass's `_Payoffs.parties`, then the control
+    key of the state a step leaves (which holds the height, so the round
+    too), then (the miner policy's `round_key` for that round, miner):
+    the step of each miner whose block was built, as (block, the full
+    state the pass keeps for the successor's control state, increment),
+    and under (round key, None) the first miner-neutral one of that key,
+    as (its miner, step).  Every entry is a function of its keys on one
+    scenario, whatever the profile around it (`agents.MinerPolicy`), so
+    passes whose profiles differ in one policy build only the blocks that
+    differ.  Every pass keeps one: `analysis` makes one per verdict and
+    scenario and drops it with the verdict's expectations, and any other
+    pass makes its own.
     """
 
-    __slots__ = ("blocks", "acts")
+    __slots__ = ("blocks",)
 
     def __init__(self):
         self.blocks: dict = {}
-        self.acts: dict = {}
 
 
 def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
-             movers, memo: Optional[StepMemo] = None) -> tuple:
+             movers, memo: StepMemo) -> tuple:
     """The forward pass over rounds that both expectation modes run.
 
     A frontier entry is a control state (`ChainState.control_key`): one
@@ -792,23 +789,29 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     each keyed by its payoff (`_Payoffs`) and holding the mass of the
     schedule prefixes that reach it.  The pass starts from one group, the
     setup state's zero payoff with all of `mass`.  Each round has two
-    halves, and each runs once per distinct input.
+    halves.
 
-    The block half runs at most once per (control state, miner):
+    The block half takes each miner's step from a control state once:
     `split(rnd, mass)` yields (miner, part) for every way a group's mass
     goes that round, and each mined state merges with those of equal
     control key, keeping the highest label rank it came from.  The step's
-    payoff increment (`_Payoffs.step`) is taken once, when its block is
-    built; each group adds it and sends its part to the successor's group
-    of that payoff.  Miners with equal policies (`policy_key`) form a miner
-    group: when a group's block names its miner only as the fee payee
-    (`_neutral`), every later miner of the group takes the same successor
-    and increment with the miner renamed, with no block built or applied.
-    This rests on the miner policy contract (`agents.MinerPolicy`): an
-    equal policy builds that same block for any miner, and the ledger
-    reads such a block's miner only to credit it fees, fill and
-    `BLOCK_MINER` transfers and to record a redemption that is not col-M.
-    A group of one takes its miner's step unchecked.
+    payoff increment (`_Payoffs.step`) is taken when its block is built;
+    each group adds it and sends its part to the successor's group of
+    that payoff.  Steps are kept in `memo` (`StepMemo`) by the control
+    state they leave and the miner policy's `round_key` for the round.  A
+    miner takes its own step there if one is kept; otherwise, if a block
+    of its round key names its miner only as the fee payee (`_neutral`),
+    it takes that block's successor and increment with the miner renamed
+    (`_Payoffs.renamed`); only otherwise is a block built.  This rests on
+    the miner policy contract (`agents.MinerPolicy`): policies with equal
+    round keys build blocks that differ only in the miner they name, and
+    the ledger reads such a block's miner only to credit it fees, fill
+    and `BLOCK_MINER` transfers and to record a redemption that is not
+    col-M.  A step found in `memo` still enters its successor with the
+    conservation check.  A verdict's passes share one memo, so the full
+    state a control state keeps may come from an earlier pass; only the
+    ledger's refusal of a block at that state reads its payoff parts, and
+    each group's own draws are checked as below.
 
     One rule decides whether a round moves every group whole, unsplit:
     before any group moves, the miners that can mine the round
@@ -841,82 +844,48 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     state merge their groups.  Returns the pass's payoffs and its final
     frontier as it stands: (control state, {payoff: mass}) for each control
     state at the horizon, the state being the one full state it keeps.
-
-    With a verdict's `memo` (`StepMemo`), either half first looks its step
-    up there, and only a step no pass of the verdict took yet is built; a
-    block step is keyed by its miner policy's `round_key`, so policies
-    that build one block in a round share it.  A step found there still
-    enters its successor with the conservation check, and a party half
-    found there still meets the label rule against this pass's rank and
-    the conservation check.  The full state a control state keeps may then
-    come from an earlier pass of the verdict; only the ledger's refusal of
-    a block at that state reads its payoff parts, and each group's own
-    draws are checked as above.
     """
     state, baseline, _ = _setup(scen, profile)
     expected_total = state.conservation_total()
-    keys: dict = {}
-    group = {party: keys.setdefault(policy_key(pol), len(keys))
-             for party, pol in profile.miners.items()}
-    lone = {g for g, n in Counter(group.values()).items() if n == 1}
     payoffs = _Payoffs(scen, state, baseline)
-    if memo is not None:
-        built_at = memo.blocks.setdefault(payoffs.parties, {})
-        acted_at = memo.acts.setdefault(
-            (policy_key(profile.alice), policy_key(profile.bob)), {})
+    built_at = memo.blocks.setdefault(payoffs.parties, {})
 
-    def take(state, rank, steps, shared, miner) -> tuple:
-        """`miner`'s step from `state` in round `rnd`, cached in `steps`:
-        (successor's `mined` entry, block, increment).  A miner whose
-        group's first block is miner-neutral (`shared`) takes it renamed;
-        any other takes the memo's step (`built`) where a pass of the
-        verdict built it."""
-        first = shared.get(group[miner])
-        if first is not None:  # its entry already holds our rank
-            owner, step = first
-            if step[2] is not _UNPAID:
-                entry, block, paying = step
-                step = entry, block, payoffs.renamed(paying, owner, miner)
-            steps[miner] = step
-            return step
-        done = None if built is None else built.get(step_keys[miner])
+    def take(state, rank, steps, built, miner) -> tuple:
+        """`miner`'s step from `state` in round `rnd`, kept in `steps`:
+        (successor's `mined` entry, block, increment).  `built` holds the
+        memo's steps from `state`'s control state."""
+        round_key = keys[miner]
+        done = built.get((round_key, miner))
+        if done is None and (round_key, None) in built:
+            owner, (block, nxt, paying) = built[round_key, None]
+            done = block, nxt, payoffs.renamed(paying, owner, miner)
         if done is None:
             block, nxt = _mine(scen, profile, state, rnd, miner)
             entry = _enter(mined, nxt, rank, expected_total, rnd)
             paying = payoffs.step(state, nxt, block)
-            # The memo's entry serves every later group, lone or not.
-            neutral = (built is not None or group[miner] not in lone) and \
-                _neutral(state, nxt, block, profile.miners)
-            if built is not None:  # keeping the state the pass keeps
-                built[step_keys[miner]] = block, entry[0], paying, neutral
+            # Keeping the state the pass keeps, not one more.
+            done = built[round_key, miner] = block, entry[0], paying
+            if _neutral(state, nxt, block, profile.miners):
+                built[round_key, None] = miner, done
         else:
-            block, nxt, paying, neutral = done
+            block, nxt, paying = done
             entry = _enter(mined, nxt, rank, expected_total, rnd)
         step = steps[miner] = entry, block, paying
-        if neutral and group[miner] not in lone:
-            shared[group[miner]] = miner, step
         return step
 
-    built = None  # the memo's steps from the state `take` leaves
     frontier = {state.control_key(): [state, -1, {payoffs.zero: mass}]}
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
         able = movers[rnd - 1]
-        if memo is not None:
-            # Each miner's key in `built` this round.
-            step_keys = {party: (party, pol.round_key(rnd, scen))
-                         for party, pol in profile.miners.items()}
+        keys = {miner: profile.miners[miner].round_key(rnd, scen)
+                for miner in able}
         for key, (state, rank, groups) in frontier.items():
-            if memo is not None:
-                built = built_at.get(key)
-                if built is None:
-                    built = built_at[key] = {}
+            built = built_at.setdefault(key, {})
             steps: dict = {}  # miner -> (entry, block, increment)
-            shared: dict = {}  # miner group -> (miner, step) its miners take
-            entry, _, paying = take(state, rank, steps, shared, able[0])
+            entry, _, paying = take(state, rank, steps, built, able[0])
             together = True  # the one whole-round rule
             for miner in able[1:]:
-                step = take(state, rank, steps, shared, miner)
+                step = take(state, rank, steps, built, miner)
                 if step[0] is not entry or step[2] != paying:
                     together = False
                     break
@@ -925,7 +894,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
                     else split(rnd, m)
                 for miner, part in parts:
                     entry, block, paying = steps.get(miner) or take(
-                        state, rank, steps, shared, miner)
+                        state, rank, steps, built, miner)
                     paid = payoffs.add(payoff, paying)
                     if paid is None:
                         payoffs.replay(state, payoff,
@@ -936,17 +905,10 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
                     prev = held.get(paid)
                     held[paid] = part if prev is None else prev + part
         frontier = {}
-        for key, (state, rank, groups) in mined.items():
+        for state, rank, groups in mined.values():
             if not groups:  # a step that no trial takes
                 continue
-            if memo is None:
-                nxt, _, nxt_rank = _act(scen, profile, state, rnd, rank)
-            else:
-                acted = acted_at.get(key)
-                if acted is None:
-                    acted = acted_at[key] = _act(scen, profile, state, rnd, -1)
-                nxt, label, nxt_rank = acted
-                _label_rule(label, nxt_rank, rank, rnd)
+            nxt, _, nxt_rank = _act(scen, profile, state, rnd, rank)
             if nxt.conservation_total() != expected_total:
                 raise ScenarioError(f"conservation violated at round {rnd}")
             key = nxt.control_key()
@@ -1007,8 +969,9 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     or has one miner with power draws nothing and never loads numpy.
     `pin` maps a 1-based round to the party forced to mine it, overriding
     any draw.  A trial count whose trial list or draw cannot be allocated
-    is `validation-error(trials)`.  `memo` is a verdict's step memo
-    (`StepMemo`), which only `analysis` passes.
+    is `validation-error(trials)`.  `memo` is a verdict's step cache
+    (`StepMemo`), which only `analysis` passes; without it the pass keeps
+    its own.
     """
     pin = pin or {}
     if scen.mode[0] == "exact":
@@ -1065,7 +1028,7 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
         def whole(rnd: int, trials: list) -> list:
             return trials
     payoffs, entries = _forward(scen, profile, mass, split, whole, movers,
-                                memo)
+                                memo or StepMemo())
     if scen.mode[0] != "exact":
         entries = [(state, {payoff: len(trials)
                             for payoff, trials in groups.items()})
@@ -1095,7 +1058,7 @@ def expected_utilities(scen: Scenario, profile: StrategyProfile,
     as the scenario's mode says: the mass-weighted mean of the outcomes
     `play` reaches, settled from each payoff group of `final_frontier`
     (`_Payoffs.settle`) without rebuilding its state.  `memo` is a
-    verdict's step memo (`StepMemo`), which only `analysis` passes."""
+    verdict's step cache (`StepMemo`), which only `analysis` passes."""
     entries, total, payoffs = final_frontier(scen, profile, pin, memo)
     sampled = scen.mode[0] == "monte-carlo"
     n = len(payoffs.parties)

@@ -1,0 +1,146 @@
+"""Kept mutants: shortcuts of the engine, each broken on purpose, and the
+tests that must kill them.
+
+    python tests/mutants.py [mutant-id ...]
+
+A mutant rewrites one exact snippet of one file.  The runner applies each
+named mutant (every one by default) in a temporary copy of the repository
+and runs the tests named for it there, one pytest process each; every one
+of them must fail.  It prints one line per mutant and exits 1 if any test
+survived.  The file name keeps it out of the repository's own test
+collection; `test_mutants.py` checks that every snippet still matches its
+file exactly once, so a mutant cannot go stale unnoticed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str  # relative to the repository root
+    old: str  # the snippet, which must occur in `file` exactly once
+    new: str  # what the mutant puts in its place
+    killers: tuple  # pytest node ids, each of which must fail
+
+
+GAME = "src/htlc_arena/game.py"
+
+MUTANTS = (
+    Mutant("cache-key-without-round-key", GAME,
+           "round_key = keys[miner]",
+           "round_key = None",
+           ("tests/test_game.py::TestIdleBlocks::"
+            "test_unequal_policies_mine_their_own_blocks",
+            "tests/test_game.py::TestRoundHalves::"
+            "test_parties_act_once_per_mined_state",
+            "tests/test_analysis.py::TestM2MbaLemmas::"
+            "test_lemma4_deferral_strictly_decays",
+            "tests/test_golden.py::"
+            "test_report_bytes_match_golden[he_m2mba.lemmas]")),
+    # Any miner of a round key takes another's stored step, unrenamed.
+    Mutant("cache-key-without-miner", GAME,
+           "done = built.get((round_key, miner))",
+           "done = built.get((round_key, miner)) or next(\n"
+           "            (step for (k, m), step in built.items()\n"
+           "             if k == round_key and m is not None), None)",
+           ("tests/test_game.py::TestIdleBlocks::"
+            "test_a_block_that_names_its_miner_is_never_shared",
+            "tests/test_differential.py::"
+            "test_blocks_that_name_their_miner_are_applied_per_miner",
+            "tests/test_golden.py::"
+            "test_report_bytes_match_golden[he_m2mba.expect]")),
+    Mutant("rename-non-neutral-step", GAME,
+           "if _neutral(state, nxt, block, profile.miners):",
+           "if True:",
+           ("tests/test_game.py::TestIdleBlocks::"
+            "test_a_block_that_names_its_miner_is_never_shared",
+            "tests/test_differential.py::"
+            "test_blocks_that_name_their_miner_are_applied_per_miner",
+            "tests/test_analysis.py::TestTheoremM2Mba::"
+            "test_attack_dominates_when_hypotheses_hold")),
+    Mutant("rename-keeps-balance-slot", GAME,
+           "moved = {a: b, n + a: n + b}",
+           "moved = {n + a: n + b}",
+           ("tests/test_game.py::TestIdleBlocks::"
+            "test_idle_blocks_are_mined_once_per_state",
+            "tests/test_game.py::TestControlMerge::"
+            "test_four_equal_miners_keep_one_control_state_per_round",
+            "tests/test_reference_sweep.py::"
+            "test_every_exact_verify_reference_matches")),
+    Mutant("no-label-rule", GAME,
+           '    if rank < prev_rank and label in ("red", "all-red"):\n'
+           '        raise ScenarioError(f"state label regressed to {label} '
+           'at {rnd}")\n',
+           "",
+           ("tests/test_game.py::TestExpectations::"
+            "test_exact_expectation_checks_label_order",
+            "tests/test_game.py::TestRoundHalves::"
+            "test_merged_predecessors_keep_the_higher_label_rank")),
+    # A miner policy that reads its miner to choose what goes in: only a
+    # colluder asks the pact for its bribe.  Blocks of one round key then
+    # differ across miners by more than the miner they name.
+    Mutant("pact-request-reads-miner", "src/htlc_arena/agents.py",
+           "                        and any(t in state.mempool for t in "
+           "_target_tx_ids(scen))):\n",
+           "                        and scen.profile_of(miner).colluding\n"
+           "                        and any(t in state.mempool for t in "
+           "_target_tx_ids(scen))):\n",
+           ("tests/test_differential.py::"
+            "test_equal_round_keys_build_equal_blocks",)),
+)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Rewrite `mutant`'s snippet in the tree at `root`."""
+    path = root / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"error: {mutant.id}: its snippet does not occur "
+                         f"exactly once in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def survivors(mutant: Mutant) -> list:
+    """The killers of `mutant` that pass on a mutated copy of the tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", ".bench_build", ".hypothesis", ".pytest_cache",
+            "__pycache__"))
+        apply(mutant, copy)
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        return [test for test in mutant.killers if subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", test], cwd=copy, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0]
+
+
+def main(argv: list) -> int:
+    known = {m.id: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        print(f"error: no mutant {', '.join(unknown)}", file=sys.stderr)
+        return 1
+    survived = False
+    for mutant in [known[name] for name in argv] or MUTANTS:
+        alive = survivors(mutant)
+        survived = survived or bool(alive)
+        print(f"{mutant.id}: {len(mutant.killers) - len(alive)}/"
+              f"{len(mutant.killers)} killers failed"
+              + (f"; survived: {' '.join(alive)}" if alive else ""))
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,9 +6,10 @@ import math
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from htlc_arena import analysis, game
 from htlc_arena.core import ALICE, BOB, ScenarioError, miner_party
@@ -18,10 +19,13 @@ from htlc_arena.analysis import (PoolParams, closed_form, pool_math,
 from htlc_arena.agents import (AliceHonest, BobHonest, M2MbaActive,
                                M2MbaPassive)
 from htlc_arena.game import MinerProfile, StrategyProfile
+from htlc_arena.runner import load_scenario
 
 from conftest import (M1, M2, M3, M4, demba_scenario, demba_schedule,
                       he_scenario)
 from test_acceptance import _m2mba_schedule, _theorem_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def count_exact_expectations(monkeypatch) -> list:
@@ -134,12 +138,28 @@ def shared_verdicts(draw):
     return verify_m2mba_lemma, (kind, scen, M1)
 
 
+#: `scenarios/he_m2mba.json`'s game: two active colluders whose policies
+#: share a round key, and a passive miner.
+M2MBA_FILE = load_scenario(SCENARIOS / "he_m2mba.json")[0]
+#: Lemma 4's game on four miners, two active colluders and two passive.
+FOUR_MINERS = he_scenario(
+    v_dep=60, v_col=40, T=2, t_pub=1, l=1, br=3, f_dep_a=2, f_dep_b=1,
+    f_col_b=1, miners=tuple(
+        MinerProfile(party, Fraction(1, 4), kind, kind == "active")
+        for party, kind in zip((M1, M2, M3, M4),
+                               ("active", "active", "passive", "passive"))))
+
+
 @settings(max_examples=30, deadline=None)
 @given(point=shared_verdicts())
+@example(point=(verify_m2mba_lemma, (4, M2MBA_FILE, M1)))
+@example(point=(verify_theorem_m2mba, (M2MBA_FILE,)))
+@example(point=(verify_m2mba_lemma, (4, FOUR_MINERS, M1)))
 def test_step_memo_leaves_every_verdict_as_fresh_passes_give_it(point):
-    # A verdict's passes share their steps (`game.StepMemo`); the verdict
-    # must equal, field for field, the one computed with a fresh pass per
-    # expectation.
+    # A verdict's passes share one step cache (`game.StepMemo`), so a
+    # pass takes steps, renamed ones included, that an earlier pass of
+    # the verdict kept; the verdict must equal, field for field, the one
+    # computed with a fresh pass per expectation.
     verify, args = point
     shared = verify(*args)
     with pytest.MonkeyPatch.context() as mp:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,13 +28,14 @@ from htlc_arena.agents import (AliceCensoredFallback, AliceHonest,
                                M2MbaActive, M2MbaPassive, call_tx)
 from htlc_arena import game
 from htlc_arena.contracts import CBOB_ID, COL_M, DEP_ID
-from htlc_arena.core import BOB, LedgerError, ScenarioError, miner_party
+from htlc_arena.core import (BOB, LedgerError, Party, ScenarioError,
+                             miner_party)
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              enumerate_schedules, expected_utilities,
                              mean_half_width, play, sample_schedule)
-from htlc_arena.ledger import CONTRACT_CALL
+from htlc_arena.ledger import CONTRACT_CALL, apply_block
 from htlc_arena.runner import (TTC_PATHS, _completed, _completion_round,
-                               _ttc_profile, ttc)
+                               _ttc_profile, load_scenario, ttc)
 
 from conftest import (demba_scenario, frontier_settlements, he_scenario,
                       mad_scenario, monte_carlo, naive_scenario,
@@ -41,6 +43,7 @@ from conftest import (demba_scenario, frontier_settlements, he_scenario,
 from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 POOLS = _fuzz_pools()
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PARTIES = tuple(miner_party(f"d{i}") for i in range(1, 4))
 FOUR = (*PARTIES, miner_party("d4"))
 #: Free rounds are capped so that one reference sum plays at most this
@@ -472,19 +475,46 @@ def _round_key_pool(scen):
     return pool
 
 
+def _renamed(obj, old, new):
+    """`obj` with miner `old` named `new` wherever a block names its
+    miner: as a party, in a signer set or a call, and as a dot-separated
+    part of a transaction id (`agents.tx_confiscate`)."""
+    if isinstance(obj, Party):
+        return new if obj == old else obj
+    if isinstance(obj, str):
+        return ".".join(new.id if part == old.id else part
+                        for part in obj.split("."))
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return type(obj)(*(_renamed(x, old, new) for x in obj))
+    if isinstance(obj, (tuple, frozenset)):
+        return type(obj)(_renamed(x, old, new) for x in obj)
+    if isinstance(obj, dict):
+        return {_renamed(k, old, new): _renamed(v, old, new)
+                for k, v in obj.items()}
+    if is_dataclass(obj):
+        return replace(obj, **{f.name: _renamed(getattr(obj, f.name), old, new)
+                               for f in fields(obj)})
+    return obj
+
+
 @settings(max_examples=60, deadline=None)
 @given(drawn=games(fewest=1, protocols=("he",)), seed=st.integers(0, 999))
 @example(drawn=_race_confiscation_game(), seed=0)
 @example(drawn=(replace(_race_confiscation_game()[0],
                         m2mba_split="per-block"),
                 *_race_confiscation_game()[1:]), seed=0)
+@example(drawn=(*load_scenario(SCENARIOS / "he_m2mba.json"), {}), seed=0)
 def test_equal_round_keys_build_equal_blocks(drawn, seed):
-    # A verdict's step memo keys a block step by its miner policy's
-    # `round_key`, so two pool policies whose round keys are equal in a
-    # round must build the same block for the same miner at every state
-    # that `play` reaches in that round.  The racer and the acceptor share
-    # one key up to the deadline; after it a deferred racer shares the
-    # acceptor's until its round, then the racer's.
+    # The forward pass keys a block step by its miner policy's
+    # `round_key` and hands a block that names its miner only as the fee
+    # payee to every other miner of that key, renamed.  So two pool
+    # policies whose round keys are equal in a round, a policy and itself
+    # included, must build blocks for any two miners, at every state that
+    # `play` reaches in that round, that differ only in the miner they
+    # name, and both miner-neutral (`game._neutral`) or neither.  The
+    # racer and the acceptor share one key up to the deadline; after it a
+    # deferred racer shares the acceptor's until its round, then the
+    # racer's.
     scen, profile, _ = drawn
     pool = _round_key_pool(scen)
     parties = scen.miner_parties()
@@ -492,13 +522,19 @@ def test_equal_round_keys_build_equal_blocks(drawn, seed):
     state, rank = game._setup(scen, profile)[0], -1
     for rnd, mines in enumerate(schedule, 1):
         keys = [pol.round_key(rnd, scen) for pol in pool]
-        for (a, key_a), (b, key_b) in itertools.combinations(
-                zip(pool, keys), 2):
-            if key_a == key_b:
-                for miner in parties:
-                    assert a.build_block(state, rnd, miner, scen) \
-                        == b.build_block(state, rnd, miner, scen), \
-                        (a.name, b.name, rnd)
+        blocks = {(i, miner): pol.build_block(state, rnd, miner, scen)
+                  for i, pol in enumerate(pool) for miner in parties}
+        neutral = {at: game._neutral(state, apply_block(state, block),
+                                     block, parties)
+                   for at, block in blocks.items()}
+        for i, j in itertools.combinations_with_replacement(
+                range(len(pool)), 2):
+            if keys[i] != keys[j]:
+                continue
+            for miner, other in itertools.product(parties, repeat=2):
+                assert _renamed(blocks[i, miner], miner, other) \
+                    == blocks[j, other], (pool[i].name, pool[j].name, rnd)
+                assert neutral[i, miner] == neutral[j, other]
         state, _, rank = game._play_round(scen, profile, state, rnd, mines,
                                           rank)
 

@@ -594,10 +594,12 @@ class TestControlMerge:
     @pytest.mark.parametrize("path", TTC_PATHS)
     def test_four_equal_miners_keep_one_control_state_per_round(
             self, monkeypatch, path):
-        # The Monte-Carlo benchmark's `ttc` jobs: he, four equal miners,
-        # ten rounds, honest parties and honest miners, whose fees pay
-        # whoever mines.  Every block names its miner only as the fee
-        # payee, so each round mines one block for the whole miner group.
+        # An unpinned Monte-Carlo pass, as `arena expect --mode mc` runs
+        # one, on the scenario of the benchmark's `ttc` jobs: he, four
+        # equal miners, ten rounds, the `ttc` path's honest parties and
+        # honest miners, whose fees pay whoever mines.  Every block names
+        # its miner only as the fee payee, so each round mines one block
+        # for all four miners, whose policies share one round key.
         miners = tuple(MinerProfile(miner_party(f"m{i}"), Fraction(1, 4),
                                     kind, kind == "active")
                        for i, kind in enumerate(
