@@ -14,10 +14,10 @@ the measure the per-block bribe arithmetic lives in.
 Each verifier call computes each distinct (scenario, profile, pin)
 expectation once: policies are stateless, so a profile is keyed by each
 policy's class and constructor parameters.  Its passes on one scenario
-share one block-step cache (`game.StepMemo`), the one a pass otherwise
-keeps for itself, since the profiles a verdict compares differ in one
-player's policy: a pass builds only the blocks that no earlier pass
-built, and takes a block that names its miner only as the fee payee
+share one block-step cache (`game.StepMemo`), keyed as a lone pass keys
+its own, since the profiles a verdict compares differ in one player's
+policy: a pass builds only the blocks that no earlier pass built, in
+every round, and takes a block that names its miner only as the fee payee
 renamed for any miner of that block's round key.  The expectations and the
 cache live for that one call and no longer.  (Pact lemma 5 and the
 two-phase lemmas 6 and 7 ask for no expectation twice and call

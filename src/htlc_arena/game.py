@@ -16,11 +16,14 @@ policy does that round, `agents.MinerPolicy.round_key`), and one that
 names its miner only as the fee payee (`_neutral`) once per control state
 and round key: every other miner of that key takes its step renamed.  Then
 the parties' broadcasts, the label and its check run once per mined
-control state.  One step cache holds the block steps (`StepMemo`): each
-pass keeps its own, and a verdict's passes share one, so a pass builds
-only the blocks that no earlier pass of the verdict built.  One rule moves
-a round's payoff groups whole, unsplit: every miner that can mine the
-round takes a step to the same successor with the same increment.
+control state.  A verdict's passes share one cache of block steps
+(`StepMemo`), so a pass builds only the blocks that no earlier pass of
+the verdict built.  Any other pass keeps a control state's steps only for
+its round, and keys nothing in a round that one miner mines: it keeps no
+step there, and from one control state it builds no control key.  One
+rule moves a round's payoff groups whole, unsplit: every miner that can
+mine the round takes a step to the same successor with the same
+increment.
 `final_frontier` returns the pass's final frontier: each final control
 state with its payoff groups, each holding an integer mass, and the total
 the masses sum to.  In exact mode a mass is the summed schedule weight
@@ -740,13 +743,14 @@ _UNPAID = ((), (), ())
 
 
 def _enter(mined: dict, nxt: ChainState, rank: int, total: int,
-           rnd: int) -> list:
+           rnd: int, keyed: bool) -> list:
     """`mined`'s entry for `nxt`'s control state, reached by some mass
     from a state of label rank `rank`: made, or its rank raised, once
-    `nxt` keeps the setup state's conservation `total`."""
+    `nxt` keeps the setup state's conservation `total`.  Unless `keyed`,
+    `mined` holds one entry, keyed None."""
     if nxt.conservation_total() != total:
         raise ScenarioError(f"conservation violated at round {rnd}")
-    key = nxt.control_key()
+    key = nxt.control_key() if keyed else None
     entry = mined.get(key)
     if entry is None:
         entry = mined[key] = [nxt, rank, {}]
@@ -767,9 +771,9 @@ class StepMemo:
     as (its miner, step).  Every entry is a function of its keys on one
     scenario, whatever the profile around it (`agents.MinerPolicy`), so
     passes whose profiles differ in one policy build only the blocks that
-    differ.  Every pass keeps one: `analysis` makes one per verdict and
-    scenario and drops it with the verdict's expectations, and any other
-    pass makes its own.
+    differ.  `analysis` makes one per verdict and scenario and drops it
+    with the verdict's expectations; a pass without one keeps each control
+    state's steps only for its round (`_forward`).
     """
 
     __slots__ = ("blocks",)
@@ -779,7 +783,7 @@ class StepMemo:
 
 
 def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
-             movers, memo: StepMemo) -> tuple:
+             movers, memo: Optional[StepMemo]) -> tuple:
     """The forward pass over rounds that both expectation modes run.
 
     A frontier entry is a control state (`ChainState.control_key`): one
@@ -797,21 +801,29 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     control key, keeping the highest label rank it came from.  The step's
     payoff increment (`_Payoffs.step`) is taken when its block is built;
     each group adds it and sends its part to the successor's group of
-    that payoff.  Steps are kept in `memo` (`StepMemo`) by the control
-    state they leave and the miner policy's `round_key` for the round.  A
-    miner takes its own step there if one is kept; otherwise, if a block
-    of its round key names its miner only as the fee payee (`_neutral`),
-    it takes that block's successor and increment with the miner renamed
+    that payoff.  Steps are cached by the control state they leave and
+    the miner policy's `round_key` for the round.  A miner takes its own
+    step there if one is cached; otherwise, if a block of its round key
+    names its miner only as the fee payee (`_neutral`), it takes that
+    block's successor and increment with the miner renamed
     (`_Payoffs.renamed`); only otherwise is a block built.  This rests on
     the miner policy contract (`agents.MinerPolicy`): policies with equal
     round keys build blocks that differ only in the miner they name, and
     the ledger reads such a block's miner only to credit it fees, fill
     and `BLOCK_MINER` transfers and to record a redemption that is not
-    col-M.  A step found in `memo` still enters its successor with the
-    conservation check.  A verdict's passes share one memo, so the full
-    state a control state keeps may come from an earlier pass; only the
-    ledger's refusal of a block at that state reads its payoff parts, and
-    each group's own draws are checked as below.
+    col-M.  A cached step still enters its successor with the
+    conservation check.  A verdict's passes share one cache, its `memo`
+    (`StepMemo`), so the full state a control state keeps may come from an
+    earlier pass; only the ledger's refusal of a block at that state reads
+    its payoff parts, and each group's own draws are checked as below.
+
+    A pass without `memo` keys a round only where a key can be read.  Its
+    cache holds one control state's steps for the round, since a control
+    key holds the height and no later round reads them.  In a round with
+    one mover it keeps no step, asks no round key and makes no neutral
+    check, since no second miner and no later pass can take that step;
+    and where that round also starts from one control state, it builds no
+    control key, for `mined` or the next frontier, since nothing can merge.
 
     One rule decides whether a round moves every group whole, unsplit:
     before any group moves, the miners that can mine the round
@@ -840,36 +852,43 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     The party half runs once per mined control state: the broadcasts, the
     label and the label rule, checked against that highest rank, so it
     raises exactly when some transition would.  It writes only control
-    parts, so the groups carry over, and entries that reach one control
-    state merge their groups.  Returns the pass's payoffs and its final
-    frontier as it stands: (control state, {payoff: mass}) for each control
-    state at the horizon, the state being the one full state it keeps.
+    parts, the mempool and preimage knowledge (`broadcast`), so the
+    groups carry over and the state keeps the total that `_enter`
+    checked; entries that reach one control state merge their groups.
+    Returns the pass's payoffs and its final frontier as it stands:
+    (control state, {payoff: mass}) for each control state at the horizon,
+    the state being the one full state it keeps.
     """
     state, baseline, _ = _setup(scen, profile)
     expected_total = state.conservation_total()
     payoffs = _Payoffs(scen, state, baseline)
-    built_at = memo.blocks.setdefault(payoffs.parties, {})
+    if memo is not None:
+        built_at = memo.blocks.setdefault(payoffs.parties, {})
 
     def take(state, rank, steps, built, miner) -> tuple:
         """`miner`'s step from `state` in round `rnd`, kept in `steps`:
         (successor's `mined` entry, block, increment).  `built` holds the
-        memo's steps from `state`'s control state."""
-        round_key = keys[miner]
-        done = built.get((round_key, miner))
-        if done is None and (round_key, None) in built:
-            owner, (block, nxt, paying) = built[round_key, None]
-            done = block, nxt, payoffs.renamed(paying, owner, miner)
+        cached steps from `state`'s control state, or is None where no
+        other step can read one."""
+        done = None
+        if built is not None:
+            round_key = keys[miner]
+            done = built.get((round_key, miner))
+            if done is None and (round_key, None) in built:
+                owner, (block, nxt, paying) = built[round_key, None]
+                done = block, nxt, payoffs.renamed(paying, owner, miner)
         if done is None:
             block, nxt = _mine(scen, profile, state, rnd, miner)
-            entry = _enter(mined, nxt, rank, expected_total, rnd)
+            entry = _enter(mined, nxt, rank, expected_total, rnd, keyed)
             paying = payoffs.step(state, nxt, block)
-            # Keeping the state the pass keeps, not one more.
-            done = built[round_key, miner] = block, entry[0], paying
-            if _neutral(state, nxt, block, profile.miners):
-                built[round_key, None] = miner, done
+            if built is not None:
+                # Keeping the state the pass keeps, not one more.
+                done = built[round_key, miner] = block, entry[0], paying
+                if _neutral(state, nxt, block, profile.miners):
+                    built[round_key, None] = miner, done
         else:
             block, nxt, paying = done
-            entry = _enter(mined, nxt, rank, expected_total, rnd)
+            entry = _enter(mined, nxt, rank, expected_total, rnd, keyed)
         step = steps[miner] = entry, block, paying
         return step
 
@@ -877,12 +896,22 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
         able = movers[rnd - 1]
-        keys = {miner: profile.miners[miner].round_key(rnd, scen)
-                for miner in able}
+        # A step is read again only by a second miner or a later pass, and
+        # a mined state merges only with another one.
+        cached = memo is not None or len(able) > 1
+        keyed = cached or len(frontier) > 1
+        if cached:
+            keys = {miner: profile.miners[miner].round_key(rnd, scen)
+                    for miner in able}
         for key, (state, rank, groups) in frontier.items():
-            built = built_at.setdefault(key, {})
+            built = None
+            if cached:  # a private cache holds one control state's steps
+                built = {} if memo is None else built_at.setdefault(key, {})
             steps: dict = {}  # miner -> (entry, block, increment)
-            entry, _, paying = take(state, rank, steps, built, able[0])
+            # Bound on every entry: a `step` left from an earlier round
+            # would keep that round's state alive.
+            step = take(state, rank, steps, built, able[0])
+            entry, paying = step[0], step[2]
             together = True  # the one whole-round rule
             for miner in able[1:]:
                 step = take(state, rank, steps, built, miner)
@@ -909,9 +938,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
             if not groups:  # a step that no trial takes
                 continue
             nxt, _, nxt_rank = _act(scen, profile, state, rnd, rank)
-            if nxt.conservation_total() != expected_total:
-                raise ScenarioError(f"conservation violated at round {rnd}")
-            key = nxt.control_key()
+            key = nxt.control_key() if keyed else None
             entry = frontier.get(key)
             if entry is None:
                 frontier[key] = [nxt, nxt_rank, groups]
@@ -971,7 +998,8 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     any draw.  A trial count whose trial list or draw cannot be allocated
     is `validation-error(trials)`.  `memo` is a verdict's step cache
     (`StepMemo`), which only `analysis` passes; without it the pass keeps
-    its own.
+    a round's steps only for that round, and none in a round that one
+    miner mines (`_forward`).
     """
     pin = pin or {}
     if scen.mode[0] == "exact":
@@ -1028,7 +1056,7 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
         def whole(rnd: int, trials: list) -> list:
             return trials
     payoffs, entries = _forward(scen, profile, mass, split, whole, movers,
-                                memo or StepMemo())
+                                memo)
     if scen.mode[0] != "exact":
         entries = [(state, {payoff: len(trials)
                             for payoff, trials in groups.items()})

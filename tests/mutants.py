@@ -86,6 +86,27 @@ MUTANTS = (
             "test_exact_expectation_checks_label_order",
             "tests/test_game.py::TestRoundHalves::"
             "test_merged_predecessors_keep_the_higher_label_rank")),
+    # A one-mover round skips the cache under a verdict's memo too, so a
+    # later pass of the verdict builds that round's steps again.
+    Mutant("cache-skipped-under-shared-memo", GAME,
+           "cached = memo is not None or len(able) > 1",
+           "cached = len(able) > 1",
+           ("tests/test_analysis.py::TestM2MbaLemmas::"
+            "test_a_verdict_builds_each_step_once",)),
+    # A one-mover round from two control states merges every mined state.
+    Mutant("control-keys-skipped-on-a-split-frontier", GAME,
+           "keyed = cached or len(frontier) > 1",
+           "keyed = cached",
+           ("tests/test_differential.py::"
+            "test_merged_expectation_equals_brute_force",)),
+    # A round that two miners mine keeps no step and asks no round key.
+    Mutant("round-keys-skipped-for-two-movers", GAME,
+           "cached = memo is not None or len(able) > 1",
+           "cached = memo is not None or len(able) > 2",
+           ("tests/test_game.py::TestIdleBlocks::"
+            "test_idle_blocks_are_mined_once_per_state",
+            "tests/test_differential.py::"
+            "test_merged_expectation_equals_brute_force")),
     # A miner policy that reads its miner to choose what goes in: only a
     # colluder asks the pact for its bribe.  Blocks of one round key then
     # differ across miners by more than the miner they name.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -347,6 +348,26 @@ class TestM2MbaLemmas:
         one = len(builds)
         expect(replace(scen), profile)
         assert one > 0 and len(builds) == 2 * one
+
+    def test_a_verdict_builds_each_step_once(self, monkeypatch):
+        # Every pass of a verdict reads and writes the verdict's step
+        # cache, one-mover rounds included: lemma 4 pins round T+1 to the
+        # focal colluder, and its two deferring passes share that round's
+        # key.  No (setup parties, control key, round key, miner) is
+        # built twice; every state's balances list the setup parties.
+        built = Counter()
+        mine = game._mine
+
+        def counted(scen, profile, state, rnd, miner):
+            built[id(scen), tuple(state.balances), state.control_key(),
+                  profile.miners[miner].round_key(rnd, scen), miner] += 1
+            return mine(scen, profile, state, rnd, miner)
+
+        monkeypatch.setattr(game, "_mine", counted)
+        verify_m2mba_lemma(4, M2MBA_FILE, M1)
+        assert max(built.values()) == 1
+        # Round T+1 leaves states of height T.
+        assert any(key[2][0] == M2MBA_FILE.T for key in built)
 
     def test_lemma1_inverted_bribe_gives_none(self):
         scen = self.scen(T=3, br=0, f_dep_a=8, f_dep_b=8)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from htlc_arena import game, runner
+from htlc_arena import agents, game, runner
 from htlc_arena.core import (ALICE, BOB, ArenaError, LedgerError,
                              ScenarioError, miner_party)
 from htlc_arena.contracts import CBOB_ID, COL_ID, COL_M, PRE_A, FeeSchedule
@@ -24,13 +25,16 @@ from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
 from htlc_arena.game import (MinerProfile, Scenario, Schedule,
                              StrategyProfile, dominance_check,
                              enumerate_schedules, expected_utilities, play)
+from htlc_arena.ledger import ChainState
 from htlc_arena.runner import (TTC_PATHS, _completion_round,
                                _ttc_profile, ttc)
 
-from conftest import (M1, M2, demba_scenario, demba_schedule,
+from conftest import (M1, M2, M3, demba_scenario, demba_schedule,
                       flat_schedule, frontier_settlements, he_scenario,
                       mad_scenario, monte_carlo, naive_scenario,
                       play_settlement, same_parts)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _no_draw(seed):
@@ -664,6 +668,67 @@ class TestControlMerge:
         eu = expected_utilities(scen, profile)
         assert eu.utilities == {p: Fraction(d, 30) for p, d in want.items()}
         assert eu.utilities[BOB] > 0
+
+
+class TestOneMoverRounds:
+    """A pass without a verdict's memo keys a round only where a key can
+    be read: a round that one miner mines keeps no step, asks no round key
+    and checks no block for neutrality, and from one control state it
+    builds no control key.  Its cache holds the steps of one round."""
+
+    @pytest.mark.parametrize("argv", [
+        ["expect", "--scenario", str(SCENARIOS / "naive_bribery.json"),
+         "--mode", "mc", "--trials", "50"],
+        ["ttc", "--scenario", str(SCENARIOS / "he_m2mba.json"),
+         "--path", "bob-both", "--trials", "50"]])
+    def test_a_one_miner_job_keys_nothing(self, monkeypatch, argv):
+        # A one-miner Monte-Carlo `expect` and a `ttc` job, whose pass
+        # pins every round: one block a round, and one control key, the
+        # setup state's.
+        calls = Counter()
+
+        def counted(name, fn):
+            def run(*args):
+                calls[name] += 1
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr(game, "_mine", counted("blocks", game._mine))
+        monkeypatch.setattr(game, "_neutral",
+                            counted("neutral", game._neutral))
+        monkeypatch.setattr(ChainState, "control_key", counted(
+            "control_key", ChainState.control_key))
+        for cls in vars(agents).values():
+            if isinstance(cls, type) and "round_key" in vars(cls):
+                monkeypatch.setattr(cls, "round_key",
+                                    counted("round_key", cls.round_key))
+        assert runner.main(argv) == 0
+        horizon = runner.load_scenario(argv[2])[0].horizon
+        assert calls == Counter(blocks=horizon, control_key=1)
+
+    @pytest.mark.parametrize("pin", [None, {4: M3}])
+    def test_a_pass_keeps_no_state_of_an_earlier_round(self, monkeypatch,
+                                                       pin):
+        # Exact mode on three miners, with a one-mover round where pinned:
+        # when round `rnd` starts mining, the states the pass still holds
+        # are the setup's and those of round `rnd - 1`.  A control key
+        # holds the height, so no later round could read an earlier
+        # round's steps.
+        scen, profile = runner.load_scenario(SCENARIOS / "he_m2mba.json")
+        meta = game.build_genesis(scen)[0].meta
+        held = {}
+        real_mine = game._mine
+
+        def mine(scen, profile, state, rnd, miner):
+            if rnd not in held:
+                held[rnd] = {s.height for s in gc.get_objects()
+                             if type(s) is ChainState and s.meta is meta}
+            return real_mine(scen, profile, state, rnd, miner)
+
+        monkeypatch.setattr(game, "_mine", mine)
+        expected_utilities(scen, profile, pin)
+        assert held == {rnd: {0, rnd - 1}
+                        for rnd in range(1, scen.horizon + 1)}
 
 
 def _staged_refund_game():

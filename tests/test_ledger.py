@@ -535,6 +535,55 @@ def test_steps_share_parts_keep_caches_and_refuse_writes(
     assert sum(m for _, groups in entries for m in groups.values()) == total
 
 
+@settings(max_examples=60, deadline=None)
+@given(protocol=st.sampled_from(("naive", "mad", "he", "demba")),
+       n_miners=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_broadcast_writes_only_the_mempool_and_knowledge(protocol, n_miners,
+                                                         seed):
+    # The premise on which the forward pass checks conservation once per
+    # step, on the mined state (`game._enter`), and not again after the
+    # parties' broadcasts: on the states of a criterion-9 play, a
+    # broadcast of any of the game's transactions (the parties' and those
+    # in blocks) keeps every other part, the height and the burned total,
+    # so the conservation total too.
+    rng = random.Random(seed)
+    alice_pool, bob_pool, miner_pool = _fuzz_pools()[protocol]
+    parties = tuple(miner_party(f"f{i}") for i in range(1, n_miners + 1))
+    kind = "active" if protocol in ("mad", "he") else "passive"
+    miners = tuple(MinerProfile(p, Fraction(1, n_miners), kind, True)
+                   for p in parties)
+    scen = _fuzz_scenario(protocol, rng, miners)
+    profile = StrategyProfile(rng.choice(alice_pool), rng.choice(bob_pool),
+                              {p: rng.choice(miner_pool) for p in parties})
+    schedule = Schedule(tuple(rng.choice(parties)
+                              for _ in range(scen.horizon)))
+    states, txs = [], []
+
+    def apply_block(state, block):
+        txs.extend(block.txs)
+        states.append(real_apply(state, block))
+        return states[-1]
+
+    def sent(state, emitted):
+        txs.extend(emitted)
+        states.append(broadcast(state, emitted))
+        return states[-1]
+
+    real_apply = game.apply_block
+    with patch.object(game, "apply_block", apply_block), \
+            patch.object(game, "broadcast", sent):
+        play(scen, profile, schedule)
+    kept = [n for n in PARTS if n not in ("mempool", "known")]
+    for state in states:
+        total = state.conservation_total()
+        out = broadcast(state, rng.sample(txs, min(len(txs), 4)))
+        assert (out.height, out.burned) == (state.height, state.burned)
+        assert out.meta is state.meta
+        assert all(getattr(out, n) is getattr(state, n) for n in kept)
+        assert rebuilt(out).conservation_total() == total
+        assert out.conservation_total() == total
+
+
 #: A sealed chain state's slots: its height, burned total, fixed meta and
 #: parts, the lowest balances of the step that made it, the caches of its
 #: control key and total, and the draft marker.
