@@ -18,12 +18,12 @@ and round key: every other miner of that key takes its step renamed.  Then
 the parties' broadcasts, the label and its check run once per mined
 control state.  A verdict's passes share one cache of block steps
 (`StepMemo`), so a pass builds only the blocks that no earlier pass of
-the verdict built.  Any other pass keeps a control state's steps only for
-its round, and keys nothing in a round that one miner mines: it keeps no
-step there, and from one control state it builds no control key.  One
-rule moves a round's payoff groups whole, unsplit: every miner that can
-mine the round takes a step to the same successor with the same
-increment.
+the verdict built.  Any other pass keeps a control state's miner-neutral
+steps only for its round, and keys nothing in a round that one miner
+mines: it keeps no step there, and from one control state it builds no
+control key.  One rule moves a round's payoff groups whole, unsplit:
+every miner that can mine the round takes a step to the same successor
+with the same increment.
 `final_frontier` returns the pass's final frontier: each final control
 state with its payoff groups, each holding an integer mass, and the total
 the masses sum to.  In exact mode a mass is the summed schedule weight
@@ -49,7 +49,6 @@ both collaterals exist, so its funding lands inside the measured window.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -773,7 +772,7 @@ class StepMemo:
     passes whose profiles differ in one policy build only the blocks that
     differ.  `analysis` makes one per verdict and scenario and drops it
     with the verdict's expectations; a pass without one keeps each control
-    state's steps only for its round (`_forward`).
+    state's miner-neutral steps only for its round (`_forward`).
     """
 
     __slots__ = ("blocks",)
@@ -818,12 +817,13 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     its payoff parts, and each group's own draws are checked as below.
 
     A pass without `memo` keys a round only where a key can be read.  Its
-    cache holds one control state's steps for the round, since a control
-    key holds the height and no later round reads them.  In a round with
-    one mover it keeps no step, asks no round key and makes no neutral
-    check, since no second miner and no later pass can take that step;
-    and where that round also starts from one control state, it builds no
-    control key, for `mined` or the next frontier, since nothing can merge.
+    cache holds one control state's miner-neutral steps for the round: a
+    control key holds the height, and a miner steps from it once.  In a
+    round with one mover it keeps no step, asks no round key and makes no
+    neutral check, since no second miner and no later pass can take that
+    step; and where that round also starts from one control state, it
+    builds no control key, for `mined` or the next frontier, since nothing
+    can merge.
 
     One rule decides whether a round moves every group whole, unsplit:
     before any group moves, the miners that can mine the round
@@ -873,7 +873,8 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
         done = None
         if built is not None:
             round_key = keys[miner]
-            done = built.get((round_key, miner))
+            if memo is not None:  # only a later pass takes its own step
+                done = built.get((round_key, miner))
             if done is None and (round_key, None) in built:
                 owner, (block, nxt, paying) = built[round_key, None]
                 done = block, nxt, payoffs.renamed(paying, owner, miner)
@@ -883,7 +884,9 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
             paying = payoffs.step(state, nxt, block)
             if built is not None:
                 # Keeping the state the pass keeps, not one more.
-                done = built[round_key, miner] = block, entry[0], paying
+                done = block, entry[0], paying
+                if memo is not None:
+                    built[round_key, miner] = done
                 if _neutral(state, nxt, block, profile.miners):
                     built[round_key, None] = miner, done
         else:
@@ -992,14 +995,15 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     state's trials are grouped each round by their pick.  The first round
     that splits them by pick draws all trials in one call from a
     `scen.seed` generator, which reads its stream exactly as one
-    `sample_schedule` per trial would; a pass that takes every round whole
-    or has one miner with power draws nothing and never loads numpy.
+    `sample_schedule` per trial would, and each round's column of it
+    becomes a list once; a pass that takes every round whole or has one
+    miner with power draws nothing and never loads numpy.
     `pin` maps a 1-based round to the party forced to mine it, overriding
     any draw.  A trial count whose trial list or draw cannot be allocated
     is `validation-error(trials)`.  `memo` is a verdict's step cache
     (`StepMemo`), which only `analysis` passes; without it the pass keeps
-    a round's steps only for that round, and none in a round that one
-    miner mines (`_forward`).
+    a round's miner-neutral steps only for that round, and none in a round
+    that one miner mines (`_forward`).
     """
     pin = pin or {}
     if scen.mode[0] == "exact":
@@ -1020,7 +1024,7 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
             return w * sums[rnd - 1]
     else:
         parties = scen.miner_parties()
-        able = tuple(m.party for m in scen.miners if m.power > 0)
+        able = tuple(m.party for m in scen.miners if m.power)  # powers >= 0
         movers = [(pin[rnd],) if rnd in pin else able
                   for rnd in range(1, scen.horizon + 1)]
         total = scen.mode[1]
@@ -1031,23 +1035,24 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
         except MemoryError as e:
             raise _too_many_trials(scen) from e
 
-        drawn = []  # the draw, made on the first read of a column
-
-        # Python ints group faster than numpy masks; one column at a time.
-        @functools.lru_cache(maxsize=1)
-        def column(rnd: int) -> list:
-            if not drawn:
-                import numpy as np
-                try:
-                    drawn.append(np.random.default_rng(scen.seed).choice(
-                        len(parties), size=(total, scen.horizon),
-                        p=_pick_probs(scen)))
-                except MemoryError as e:
-                    raise _too_many_trials(scen) from e
-            return drawn[0][:, rnd - 1].tolist()
+        # The draw is made on the first split.  Python ints group faster
+        # than numpy masks, so the round split last keeps its column as a
+        # list: (round, picks).
+        draw, column = None, (0, None)
 
         def split(rnd: int, trials: list):
-            col = column(rnd)
+            nonlocal draw, column
+            if column[0] != rnd:
+                if draw is None:
+                    import numpy as np
+                    try:
+                        draw = np.random.default_rng(scen.seed).choice(
+                            len(parties), size=(total, scen.horizon),
+                            p=_pick_probs(scen))
+                    except MemoryError as e:
+                        raise _too_many_trials(scen) from e
+                column = rnd, draw[:, rnd - 1].tolist()
+            col = column[1]
             groups = [[] for _ in parties]
             for t in trials:
                 groups[col[t]].append(t)

@@ -55,6 +55,12 @@ def _frac(value, what: str) -> Fraction:
     # `type(...) is int` also turns away bools: `true` is never a number.
     try:
         if isinstance(value, str):
+            # A plain ASCII 'p' or 'p/q' skips `Fraction`'s regexes; `int`
+            # would refuse a digit such as '²' with a message of its own.
+            num, slash, den = value.partition("/")
+            if value.isascii() and num.isdigit() and (
+                    den.isdigit() or not slash):
+                return Fraction(int(num), int(den) if slash else 1)
             exponent = _EXPONENT.search(value)
             if exponent and len(exponent[1].replace("_", "")) > 3:
                 raise ScenarioError(f"validation-error({what}): decimal "
@@ -167,7 +173,9 @@ def _scenario_from_doc(doc: dict, overrides: dict) -> Scenario:
     for section, names in _SECTIONS.items():
         part = doc if section is None else _object(
             doc.get(section, {}), section, names + _EXTRA_KEYS.get(section, ()))
-        values.update((name, part[name]) for name in names if name in part)
+        for name in names:
+            if name in part:
+                values[name] = part[name]
     # A missing required field reaches the Scenario's checks as None.
     for name in ("protocol", "v_dep", "T"):
         values.setdefault(name, None)
@@ -572,7 +580,7 @@ def ttc(scen: Scenario, path: str) -> dict:
     if scen.mode[0] != "monte-carlo":
         raise ScenarioError("validation-error(mode): sampling needs "
                             f"monte-carlo, got {scen.mode!r}")
-    miner = next(m.party for m in scen.miners if m.power > 0)
+    miner = next(m.party for m in scen.miners if m.power)  # powers are >= 0
     pin = dict.fromkeys(range(1, scen.horizon + 1), miner)
     entries, trials, _ = final_frontier(scen, _ttc_profile(scen, path), pin)
     total = total_sq = 0  # integer sums, exact when turned into floats
@@ -624,11 +632,13 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `arena` parser, built once: `parse_args` does not change it."""
+    """The `arena` parser, built once: `parse_args` does not change it.
+    Its `commands` map each subcommand to its own parser (`main`)."""
     parser = _Parser(
         prog="arena",
         description="Deterministic HTLC bribery-game simulator and verifier")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.commands = sub.choices
 
     def common(p, scenario=True):
         if scenario:
@@ -672,8 +682,19 @@ COMMANDS = {"simulate": cmd_simulate, "expect": cmd_expect,
 
 
 def main(argv=None) -> int:
+    """Run one `arena` job on `argv` (default `sys.argv[1:]`); returns its
+    exit code.  A line that starts with a subcommand goes straight to that
+    subcommand's parser, as the top-level parser would pass it on whole;
+    the top-level parser reads any other line, for its own errors and help."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
+            args.subcommand = argv[0]
         _check_options(args)
         report, code = COMMANDS[args.subcommand](args)
         text = report.render()

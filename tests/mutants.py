@@ -47,18 +47,20 @@ MUTANTS = (
             "test_lemma4_deferral_strictly_decays",
             "tests/test_golden.py::"
             "test_report_bytes_match_golden[he_m2mba.lemmas]")),
-    # Any miner of a round key takes another's stored step, unrenamed.
+    # Under a verdict's memo, any miner of a round key takes another's
+    # stored step, unrenamed.  A pass without one stores no miner's own
+    # step, so only a verdict's passes can read one.
     Mutant("cache-key-without-miner", GAME,
            "done = built.get((round_key, miner))",
            "done = built.get((round_key, miner)) or next(\n"
-           "            (step for (k, m), step in built.items()\n"
-           "             if k == round_key and m is not None), None)",
-           ("tests/test_game.py::TestIdleBlocks::"
-            "test_a_block_that_names_its_miner_is_never_shared",
-            "tests/test_differential.py::"
-            "test_blocks_that_name_their_miner_are_applied_per_miner",
+           "                    (step for (k, m), step in built.items()\n"
+           "                     if k == round_key and m is not None), None)",
+           ("tests/test_analysis.py::"
+            "test_step_memo_leaves_every_verdict_as_fresh_passes_give_it",
+            "tests/test_analysis.py::TestM2MbaLemmas::"
+            "test_lemma4_deferral_strictly_decays",
             "tests/test_golden.py::"
-            "test_report_bytes_match_golden[he_m2mba.expect]")),
+            "test_report_bytes_match_golden[he_m2mba.lemmas]")),
     Mutant("rename-non-neutral-step", GAME,
            "if _neutral(state, nxt, block, profile.miners):",
            "if True:",
@@ -107,6 +109,33 @@ MUTANTS = (
             "test_idle_blocks_are_mined_once_per_state",
             "tests/test_differential.py::"
             "test_merged_expectation_equals_brute_force")),
+    # A payoff group takes a step whatever its balance, so a group that
+    # cannot fund a draw reaches a payoff no play reaches.
+    Mutant("payoff-draw-unchecked", GAME,
+           "if self.start[i] + vec[i] < draw:",
+           "if False:",
+           ("tests/test_game.py::TestBalanceChecks::"
+            "test_one_overdrawn_group_raises_the_ledgers_error",)),
+    # A merged control state keeps the label rank of its first arrival.
+    Mutant("enter-keeps-first-rank", GAME,
+           "    elif rank > entry[1]:\n"
+           "        entry[1] = rank\n",
+           "",
+           ("tests/test_game.py::TestRoundHalves::"
+            "test_merged_predecessors_keep_the_higher_label_rank",)),
+    # Control states that differ only in their mempool merge.
+    Mutant("control-key-without-mempool", "src/htlc_arena/ledger.py",
+           "self.revealed.key(), self.mempool.key(),",
+           "self.revealed.key(),",
+           ("tests/test_differential.py::"
+            "test_settlement_examples_reach_what_they_test",)),
+    # The scenario loader's plain-number shortcut takes any Unicode digit,
+    # which `int` and `Fraction` refuse with different messages.
+    Mutant("plain-number-without-ascii-test", "src/htlc_arena/runner.py",
+           "value.isascii() and ",
+           "",
+           ("tests/test_runner.py::"
+            "test_plain_numbers_parse_as_fraction_does",)),
     # A miner policy that reads its miner to choose what goes in: only a
     # colluder asks the pact for its bribe.  Blocks of one round key then
     # differ across miners by more than the miner they name.

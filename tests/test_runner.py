@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -580,6 +583,39 @@ def test_huge_exponent_is_refused_at_once(case, tmp_path, capsys):
     assert time.perf_counter() - start < 1
 
 
+#: Number strings: digits, signs, `/`, `_`, spaces, decimal points and
+#: exponents, and digits that are not ASCII ('٣' is one to `Fraction`, '²'
+#: is not).  Seven characters hold at most a five-digit exponent, which
+#: `Fraction` expands in milliseconds.
+NUMBER_STRINGS = st.text(st.sampled_from("0123456789/_+- .eE٣²"),
+                         max_size=7)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=NUMBER_STRINGS)
+@example(text="²")
+@example(text="1/²")
+@example(text="٣/4")
+@example(text="0/0")
+@example(text="007/14")
+@example(text="1e1000")
+def test_plain_numbers_parse_as_fraction_does(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        want = f"validation-error(x): {e}"
+    try:
+        got = runner._frac(text, "x")
+    except ScenarioError as e:
+        got = str(e)
+    if got == "validation-error(x): decimal exponent past 999":
+        # The refusal `MALFORMED` pins: a final exponent past three digits.
+        exponent = re.search(r"[eE][-+]?0*([0-9_]*) *\Z", text)
+        assert len(exponent[1].replace("_", "")) > 3, text
+    else:
+        assert (type(got), got) == (type(want), want), text
+
+
 # case -> the exact error line of a trial count too large to draw
 TRIAL_REFUSALS = {
     "ttc-huge-trials": "1000000000000 trials x 6 rounds do not fit in memory",
@@ -764,6 +800,100 @@ def argvs(draw):
 @given(argv=argvs())
 def test_every_command_line_ends_cleanly(argv):
     assert_ends_cleanly(argv)
+
+
+class _Parsed(Exception):
+    """Raised in place of `main`'s option checks, with the namespace that
+    `main` parsed."""
+
+
+def _shown(args) -> dict:
+    """A namespace's values by name, as `repr`s: a NaN equals its twin."""
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
+def parsed_by_main(argv):
+    """`main`'s namespace for `argv` (`_shown`), or the exit code and the
+    stderr of the job that refused it."""
+    def stop(args):
+        raise _Parsed(args)
+
+    err = io.StringIO()
+    with mock.patch.object(runner, "_check_options", stop), \
+            redirect_stderr(err):
+        try:
+            return main(argv), err.getvalue()
+        except _Parsed as stopped:
+            return _shown(stopped.args[0])
+
+
+def parsed_by_parser(argv):
+    """The top-level parser's namespace for `argv` (`_shown`), or the exit
+    code and the error line of `main` for the usage error it raised."""
+    try:
+        return _shown(runner.build_parser().parse_args(argv))
+    except ScenarioError as e:
+        return 1, f"error: {e}\n"
+
+
+TTC = ["--scenario", str(SCENARIOS / "naive_bribery.json"), "--path",
+       "alice-redeems"]
+#: Lines at the edges of the parsers: no or an unknown subcommand, an
+#: option before the subcommand, abbreviations, `=`, a repeated option and
+#: the `--` separator.
+EDGE_LINES = {
+    "empty": [],
+    "unknown-subcommand": ["verify", *NAIVE],
+    "option-first": ["--seed", "3", "ttc", *TTC],
+    "abbreviations": ["ttc", "--scen", TTC[1], "--pa", "bob-both", "--tr",
+                      "4"],
+    "ambiguous-abbreviation": ["expect", "--scen", NAIVE[1], "--s", "1"],
+    "seed-with-equals": ["ttc", *TTC, "--seed=3"],
+    "repeated-option": ["ttc", *TTC, "--seed", "1", "--seed", "2"],
+    "separator-then-stray": ["ttc", *TTC, "--", "x"],
+    "separator-first": ["ttc", "--", *TTC],
+    "subcommand-twice": ["ttc", "ttc", *TTC],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_LINES))
+def test_main_parses_an_edge_line_as_the_parser_does(case):
+    argv = EDGE_LINES[case]
+    assert parsed_by_main(argv) == parsed_by_parser(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_main_parses_every_line_as_the_parser_does(argv):
+    assert parsed_by_main(argv) == parsed_by_parser(argv)
+
+
+@pytest.mark.parametrize("argv", [["ttc", "--help"], ["-h"]])
+def test_help_prints_the_parsers_text(argv, capsys):
+    with pytest.raises(SystemExit) as direct:
+        runner.build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as job:
+        main(argv)
+    assert (job.value.code, capsys.readouterr()) == (0, want)
+    assert direct.value.code == 0 and want.out.startswith("usage: arena")
+
+
+def test_a_job_parses_its_line_once(monkeypatch, capsys):
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(["ttc", *TTC, "--trials", "5"]) == 0
+    assert calls == ["arena ttc"]
+
+
+def test_every_command_is_a_subcommand():
+    assert set(runner.build_parser().commands) == set(runner.COMMANDS)
 
 
 class TestTtc:
