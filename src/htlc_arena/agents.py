@@ -592,9 +592,8 @@ class M2MbaActive(MinerPolicy):
             return state
         pact = state.bribery.get(CM2M_ID)
         if pact is None:
-            bribes = scen.pact_bribes or {
-                m.party: scen.br for m in scen.miners
-                if m.colluding and m.kind == "active"}
+            bribes = scen.pact_bribes or dict.fromkeys(scen.coalition,
+                                                       scen.br)
             pact = MinerPactContract(scen.T, SECRETS[PRE_A], bribes)
         s = state.draft()
         s.write("bribery")[CM2M_ID] = pact.lock_collateral(party, scen.v_col)

@@ -7,9 +7,9 @@ hypothesis inequality and the simulated conclusion so that implication
 (hypothesis => conclusion) can be asserted across parameter grids without
 ever reconciling the two sides silently.
 
-Active-miner checks run on the coalition view: colluding miners
-renormalised to their conditional shares lambda_i / lambda_col, which is
-the measure the per-block bribe arithmetic lives in.
+Active-miner checks run on the coalition view: the pact's members
+(`Scenario.coalition`) renormalised to their conditional shares
+lambda_i / lambda_col, the measure the per-block bribe arithmetic uses.
 
 Each verifier call computes each distinct (scenario, profile, pin)
 expectation once: policies are stateless, so a profile is keyed by each
@@ -159,7 +159,7 @@ def _view(scen: Scenario, miners: tuple, pact_bribes) -> Scenario:
 def _focal_power(scen: Scenario, focal: Party, kind: str) -> Fraction:
     """`focal`'s power, once it is of `kind`: an active colluder or passive."""
     m = scen.profile_of(focal)
-    if m.kind != kind or kind == "active" and not m.colluding:
+    if m.kind != kind or kind == "active" and focal not in scen.coalition:
         raise ScenarioError(f"focal miner {focal.id} is not " + (
             "an active colluder" if kind == "active" else "passive"))
     return m.power
@@ -225,14 +225,10 @@ def pact_hypothesis(n: int, scen: Scenario, power: Fraction) -> bool:
 
 
 def _attack_profile(scen: Scenario, overrides: Optional[dict] = None) -> StrategyProfile:
-    miners = {}
-    for m in scen.miners:
-        if m.kind == "active" and m.colluding:
-            miners[m.party] = M2MbaActive("race")
-        elif m.kind == "passive":
-            miners[m.party] = M2MbaPassive()
-        else:
-            miners[m.party] = HonestFeeMax()
+    coalition = scen.coalition
+    miners = {m.party: M2MbaActive("race") if m.party in coalition
+              else M2MbaPassive() if m.kind == "passive" else HonestFeeMax()
+              for m in scen.miners}
     if overrides:
         miners.update(overrides)
     return StrategyProfile(AliceHonest(), BobHonest(), miners)
@@ -260,15 +256,11 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
     delta = scen.T - scen.t_pub
     f_a = scen.f_dep_a
     if focal is None:
-        for m in scen.miners:
-            if kinds[n] == "active" and m.colluding and m.kind == "active":
-                focal = m.party
-                break
-            if kinds[n] == "passive" and m.kind == "passive":
-                focal = m.party
-                break
-        if focal is None:
+        candidates = scen.coalition if kinds[n] == "active" else tuple(
+            m.party for m in scen.miners if m.kind == "passive")
+        if not candidates:
             raise ScenarioError("no miner of the required kind")
+        focal = candidates[0]
     lam_i = scen.profile_of(focal).power
     lam_col = scen.lambda_col
     expect = _verdict_expectations()
@@ -381,9 +373,11 @@ def m2mba_policy_space(kind: str) -> list:
 def verify_theorem_m2mba(scen: Scenario) -> TheoremReport:
     """Brute-force the full-attack dominance claim, one miner at a time.
 
-    For every passive miner the wait-then-confiscate policy must dominate
-    both honest alternatives; for every colluding active both the
-    offer-and-confiscate and accept-bribe policies must.  Hypothesis
+    It judges the pact's members (`Scenario.coalition`) and the passive
+    miners; an active miner outside the pact plays `honest-fee-max` and
+    gets no verdict.  For every passive miner the wait-then-confiscate
+    policy must dominate both honest alternatives; for every member both
+    the offer-and-confiscate and accept-bribe policies must.  Hypothesis
     inequalities are reported per miner; a violated hypothesis does not
     stop the dominance run.
     """
@@ -396,6 +390,8 @@ def verify_theorem_m2mba(scen: Scenario) -> TheoremReport:
     all_dominant = True
     for m in scen.miners:
         party = m.party
+        if m.kind == "active" and party not in scen.coalition:
+            continue
         lemmas = (3,) if m.kind == "passive" else (1, 2)
         checks = {f"lemma{n}": pact_hypothesis(n, scen, m.power)
                   for n in lemmas}

@@ -153,11 +153,13 @@ class Scenario:
                 _require_count(name, value)  # raises, naming the field
         if self.capacity < 1:
             raise _invalid("capacity", "must be at least 1")
-        # In integers over the powers' common denominator, as
-        # `_round_branches` weighs them.
+        # Each miner's integer weight over the powers' common denominator:
+        # a free round's branches (`_round_branches`).
         scale = math.lcm(*(m.power.denominator for m in self.miners))
-        total = sum(m.power.numerator * (scale // m.power.denominator)
-                    for m in self.miners)
+        weights = tuple((m.party, m.power.numerator
+                         * (scale // m.power.denominator))
+                        for m in self.miners)
+        total = sum(w for _, w in weights)
         if total != scale:
             raise _invalid("power-sum", f"miner powers sum to "
                            f"{Fraction(total, scale)}, need exactly 1")
@@ -187,13 +189,20 @@ class Scenario:
         if self.pact_bribes is not None:  # a copy that no write can reach
             object.__setattr__(self, "pact_bribes",
                                MappingProxyType(dict(self.pact_bribes)))
-        # A plain attribute, not a field: replace() builds a fresh one.
+        # Plain attributes, not fields: replace() builds fresh ones.
+        object.__setattr__(self, "_weights", (weights, scale))
         object.__setattr__(self, "_genesis", _built(_build_genesis, self))
 
     @property
+    def coalition(self) -> tuple:
+        """The pact's members: the active colluders, in miner order."""
+        return tuple(m.party for m in self.miners
+                     if m.kind == "active" and m.colluding)
+
+    @property
     def lambda_col(self) -> Fraction:
-        return sum((m.power for m in self.miners
-                    if m.colluding and m.kind == "active"), Fraction(0))
+        return sum((self.profile_of(p).power for p in self.coalition),
+                   Fraction(0))
 
     def miner_parties(self) -> tuple:
         return tuple(m.party for m in self.miners)
@@ -519,10 +528,6 @@ def _terminal_tag(state: ChainState, scen: Scenario) -> str:
     return entry[0] if entry else "pending"
 
 
-def _colluders(scen: Scenario) -> set:
-    return {m.party for m in scen.miners if m.colluding and m.kind == "active"}
-
-
 def _window_rounds(scen: Scenario) -> range:
     """The censored rounds t_pub+1..T whose blocks the equal split counts."""
     if scen.protocol == "he" and scen.m2mba_split == "equal":
@@ -537,7 +542,7 @@ def _split_confiscator(scen: Scenario, state: ChainState):
     if not _window_rounds(scen):
         return None
     confiscator = ChainView(state, state.height, None).confiscator()
-    return confiscator if confiscator in _colluders(scen) else None
+    return confiscator if confiscator in scen.coalition else None
 
 
 def _split(scen: Scenario, confiscator: Party, window) -> dict:
@@ -551,10 +556,10 @@ def _split(scen: Scenario, confiscator: Party, window) -> dict:
     change, which sum to zero, so the outcome total is unchanged.
     """
     k = scen.T - scen.t_pub
-    colluders = _colluders(scen)
+    coalition = scen.coalition
     changes = {confiscator: Fraction(0)}
     for party, k_j in sorted(window.items(), key=lambda kv: kv[0].id):
-        if party != confiscator and party in colluders:
+        if party != confiscator and party in coalition:
             share = Fraction(scen.v_col) * k_j / k
             changes[party] = share
             changes[confiscator] -= share
@@ -613,9 +618,7 @@ def _round_branches(scen: Scenario, rnd: int, pin: dict) -> tuple:
     weighs its power, or the pinned miner weighs 1/1."""
     if rnd in pin:
         return ((pin[rnd], 1),), 1
-    scale = math.lcm(*(m.power.denominator for m in scen.miners))
-    return tuple((m.party, m.power.numerator * (scale // m.power.denominator))
-                 for m in scen.miners), scale
+    return scen._weights
 
 
 class _Payoffs:

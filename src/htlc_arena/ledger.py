@@ -439,8 +439,9 @@ def broadcast(state: ChainState, txs) -> ChainState:
 # ---------------------------------------------------------------------------
 
 
-def _check_path_predicate(state: ChainState, contract: ContractInstance,
-                          path: RedeemPath, witness: Witness, rnd: int) -> None:
+def _check_path_predicate(contract: ContractInstance, path: RedeemPath,
+                          witness: Witness, rnd: int) -> None:
+    # Only auto-only paths have `cross_reads`; `resolve_demba_dep` reads them.
     if path.auto_only:
         raise LedgerError("predicate-failed", "manual-redeem-disabled")
     if not path.in_window(rnd):
@@ -453,10 +454,6 @@ def _check_path_predicate(state: ChainState, contract: ContractInstance,
         for slot in path.required_preimages:
             if supplied.get(slot) != contract.digests.get(slot):
                 raise LedgerError("predicate-failed", f"hashlock:{slot}")
-    if path.cross_reads:
-        slots = state.revealed_slots()
-        if not all(cr.holds(slots) for cr in path.cross_reads):
-            raise LedgerError("predicate-failed", "cross-read")
 
 
 def _path_outflow(path: RedeemPath, rnd: int) -> int:
@@ -499,7 +496,7 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int) -> None:
         if not contract.redeemable:
             raise LedgerError("unknown-output", f"{cid} already {contract.status}")
         path = contract.path(path_name)
-        _check_path_predicate(state, contract, path, tx.witness, rnd)
+        _check_path_predicate(contract, path, tx.witness, rnd)
         value = state.live.get(cid, 0)
         if _path_outflow(path, rnd) + tx.declared_fee > value:
             raise LedgerError("over-spend",

@@ -241,12 +241,13 @@ def _profile_from_doc(doc: dict, scen: Scenario) -> StrategyProfile:
 
 
 def fmt_value(v) -> str:
-    if isinstance(v, Fraction):
+    # By exact type: `isinstance` against the ABC `Fraction` is slow.
+    if type(v) is Fraction:
         return f"{v.numerator}/{v.denominator}" if v.denominator != 1 \
             else str(v.numerator)
-    if isinstance(v, bool):
+    if type(v) is bool:
         return "true" if v else "false"
-    if isinstance(v, float):
+    if type(v) is float:
         return repr(v) if v else "0.0"  # a negative zero prints unsigned
     return str(v)
 

@@ -34,6 +34,7 @@ class Mutant(NamedTuple):
 
 
 GAME = "src/htlc_arena/game.py"
+ANALYSIS = "src/htlc_arena/analysis.py"
 
 MUTANTS = (
     Mutant("cache-key-without-round-key", GAME,
@@ -136,6 +137,80 @@ MUTANTS = (
            "",
            ("tests/test_runner.py::"
             "test_plain_numbers_parse_as_fraction_does",)),
+    # Two miners whose steps reach one state but pay differently are moved
+    # whole, so one miner's increment settles the other's branch.
+    Mutant("whole-round-ignores-increments", GAME,
+           "if step[0] is not entry or step[2] != paying:",
+           "if step[0] is not entry:",
+           ("tests/test_game.py::TestBalanceChecks::"
+            "test_a_group_that_can_fund_every_draw_plays_on",
+            "tests/test_game.py::TestIdleBlocks::"
+            "test_unequal_policies_mine_their_own_blocks",
+            "tests/test_reference_sweep.py::"
+            "test_every_exact_verify_reference_matches")),
+    # A col-M confiscation, whose miner the control key keeps, counts as
+    # miner-neutral.
+    Mutant("neutral-without-col-m", GAME,
+           "                        or any(p == COL_M for _, p in "
+           "tx.consumes)\n",
+           "",
+           ("tests/test_game.py::TestIdleBlocks::"
+            "test_each_clause_alone_names_the_miner",)),
+    # A block that writes the bribery part (a pact request names its
+    # miner inside the contract) counts as miner-neutral.
+    Mutant("neutral-without-bribery", GAME,
+           "return (nxt.bribery is state.bribery and "
+           "nxt.mint_log is state.mint_log",
+           "return (nxt.mint_log is state.mint_log",
+           ("tests/test_game.py::TestIdleBlocks::"
+            "test_each_clause_alone_names_the_miner",
+            "tests/test_analysis.py::TestTheoremM2Mba::"
+            "test_bribe_flip_breaks_accept_dominance",
+            "tests/test_reference_sweep.py::"
+            "test_every_exact_verify_reference_matches")),
+    # The forward pass counts no censored-window block, so the equal
+    # split pays no colluder a share.
+    Mutant("window-blocks-uncounted", GAME,
+           "counted = block.round in self.window",
+           "counted = False",
+           ("tests/test_game.py::TestPayoffs::"
+            "test_a_payoff_is_the_sum_of_its_steps",
+            "tests/test_differential.py::"
+            "test_settlement_examples_reach_what_they_test")),
+    # Control states that differ only in their bribery contracts merge.
+    Mutant("control-key-without-bribery", "src/htlc_arena/ledger.py",
+           "self.contracts.key(), self.known.key(), self.bribery.key(),",
+           "self.contracts.key(), self.known.key(),",
+           ("tests/test_analysis.py::TestM2MbaLemmas::"
+            "test_lemma1_worked_instance",
+            "tests/test_game.py::TestExpectations::"
+            "test_conditional_bribe_income_is_exact",
+            "tests/test_golden.py::"
+            "test_report_bytes_match_golden[he_m2mba.lemmas]")),
+    # The equal split divides the confiscation over one block too many.
+    Mutant("equal-split-share", GAME,
+           "share = Fraction(scen.v_col) * k_j / k",
+           "share = Fraction(scen.v_col) * k_j / (k + 1)",
+           ("tests/test_game.py::TestPlay::test_m2mba_equal_split",
+            "tests/test_acceptance.py::test_criterion_3_m2mba_oracles")),
+    # The pact admits every active miner, colluding or not.
+    Mutant("coalition-counts-independents", GAME,
+           'if m.kind == "active" and m.colluding)',
+           'if m.kind == "active")',
+           ("tests/test_analysis.py::"
+            "test_the_coalition_is_the_active_colluders_everywhere",
+            *(f"tests/test_analysis.py::TestM2MbaLemmas::"
+              f"test_a_focal_miner_of_the_wrong_kind_is_refused[{n}-m4]"
+              for n in (1, 2, 4, 5)),
+            "tests/test_analysis.py::TestTheoremM2Mba::"
+            "test_an_active_miner_outside_the_pact_gets_no_verdict")),
+    # The pact theorem judges an active miner outside the pact.
+    Mutant("theorem-judges-independents", ANALYSIS,
+           '        if m.kind == "active" and party not in scen.coalition:\n'
+           "            continue\n",
+           "",
+           ("tests/test_analysis.py::TestTheoremM2Mba::"
+            "test_an_active_miner_outside_the_pact_gets_no_verdict",)),
     # A miner policy that reads its miner to choose what goes in: only a
     # colluder asks the pact for its bribe.  Blocks of one round key then
     # differ across miners by more than the miner they name.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import weakref
 from collections import Counter
@@ -19,8 +20,9 @@ from htlc_arena.analysis import (PoolParams, closed_form, pool_math,
                                  verify_m2mba_lemma, verify_theorem_m2mba)
 from htlc_arena.agents import (AliceHonest, BobHonest, M2MbaActive,
                                M2MbaPassive)
-from htlc_arena.game import MinerProfile, StrategyProfile
-from htlc_arena.runner import load_scenario
+from htlc_arena.contracts import CM2M_ID
+from htlc_arena.game import MinerProfile, StrategyProfile, policy_key
+from htlc_arena.runner import load_scenario, main
 
 from conftest import (M1, M2, M3, M4, demba_scenario, demba_schedule,
                       he_scenario)
@@ -209,6 +211,74 @@ def test_solvent_perblock_pacts_pay_their_closed_form(pact):
     for p in parties:
         if p != confiscator:
             assert out.delta(p) == window.count(p) * scen.br
+
+
+@st.composite
+def miner_splits(draw):
+    """`he` scenarios of 1-4 miners, each of any kind and colluding flag,
+    whose powers sum to 1 (a zero power included)."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                   .filter(any))
+    miners = tuple(MinerProfile(party, Fraction(w, sum(weights)),
+                                draw(st.sampled_from(("active", "passive"))),
+                                draw(st.booleans()))
+                   for party, w in zip((M1, M2, M3, M4), weights))
+    return he_scenario(v_dep=60, v_col=30, T=3, t_pub=1, l=1, br=2,
+                       miners=miners)
+
+
+class _Focal(Exception):
+    pass
+
+
+def _default_focal(n: int, scen):
+    """The miner lemma `n` takes when none is named, or None."""
+    def stop(scen, focal, *args):
+        raise _Focal(focal)
+
+    name = "passive_view" if n == 3 else "coalition_view"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, name, stop)
+        try:
+            verify_m2mba_lemma(n, scen)
+        except _Focal as e:
+            return e.args[0]
+        except ScenarioError as e:
+            assert str(e) == "no miner of the required kind"
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(scen=miner_splits())
+@example(scen=he_scenario(v_dep=60, v_col=30, T=3, t_pub=1, l=1, br=2,
+                          miners=(MinerProfile(M1, Fraction(0), "active",
+                                               True),
+                                  MinerProfile(M2, Fraction(1, 2), "passive",
+                                               True),
+                                  MinerProfile(M3, Fraction(1, 2), "active"))))
+def test_the_coalition_is_the_active_colluders_everywhere(scen):
+    # One rule decides who is in the pact: the scenario's coalition, its
+    # power, the attack profile, the pact's default bribes and the lemmas'
+    # default focal miners all read it.
+    members = tuple(m.party for m in scen.miners
+                    if m.kind == "active" and m.colluding)
+    passive = tuple(m.party for m in scen.miners if m.kind == "passive")
+    assert scen.coalition == members
+    assert scen.lambda_col == sum((m.power for m in scen.miners
+                                   if m.party in members), Fraction(0))
+    profile = analysis._attack_profile(scen).miners
+    assert {p for p, pol in profile.items()
+            if policy_key(pol) == policy_key(M2MbaActive("race"))} \
+        == set(members)
+    assert {p for p, pol in profile.items()
+            if isinstance(pol, M2MbaPassive)} == set(passive)
+    state = M2MbaActive().setup(game.build_genesis(scen)[0], scen,
+                                scen.miners[0].party)
+    assert tuple(state.bribery[CM2M_ID].br.items()) \
+        == tuple((p, scen.br) for p in members)
+    assert _default_focal(1, scen) == (members[0] if members else None)
+    assert _default_focal(3, scen) == (passive[0] if passive else None)
 
 
 class TestClosedForm:
@@ -488,6 +558,36 @@ class TestTheoremM2Mba:
     def test_protocol_mismatch(self):
         with pytest.raises(ScenarioError):
             verify_theorem_m2mba(demba_scenario())
+
+    def test_an_active_miner_outside_the_pact_gets_no_verdict(
+            self, tmp_path, capsys):
+        # The theorem judges the pact's members and the passive miners.
+        # m4 is active but does not collude: it plays honest-fee-max in the
+        # attack profile, and the lemmas' coalition shares do not apply to
+        # it, so it is neither judged nor given a hypothesis.
+        doc = json.loads((SCENARIOS / "he_m2mba.json").read_text())
+        doc["miners"] = [
+            {"id": "m1", "power": "3/10", "kind": "active", "colluding": True},
+            {"id": "m2", "power": "3/10", "kind": "active", "colluding": True},
+            {"id": "m3", "power": "1/5", "kind": "passive"},
+            {"id": "m4", "power": "1/5", "kind": "active"}]
+        path = tmp_path / "he_m2mba_independent.json"
+        path.write_text(json.dumps(doc))
+        scen, _ = load_scenario(path)
+        rep = verify_theorem_m2mba(scen)
+        assert M4 not in rep.per_miner and M4 not in rep.hypothesis
+        assert set(rep.per_miner) == set(rep.hypothesis) == {M1, M2, M3}
+        assert rep.all_dominant
+        assert main(["lemmas", "--scenario", str(path)]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")]
+        assert rows == [
+            "lemma1\t-\tconsistent=true\thypothesis=True\tconclusion=True",
+            "lemma2\t-\tconsistent=true\thypothesis=True\tconclusion=True",
+            "lemma3\t-\tconsistent=true\thypothesis=True\tconclusion=True",
+            "lemma4\t-\tconsistent=true\thypothesis=True\tconclusion=True",
+            "lemma5\t-\tconsistent=true\thypothesis=False\tconclusion=False",
+            "theorem-m2mba\t-\tdominant\t-\t-"]
 
 
 class TestDembaVerification:

@@ -82,6 +82,27 @@ class TestBuilders:
         assert {p.name for p in col_a.paths} == {PRE_A, PRE_A2, PRE_AA2}
         assert col_b.path(PRE_B).late_burn == (4, 7)
 
+    @pytest.mark.parametrize("T,alpha,fees", [
+        (1, Fraction(1, 2), (8, 12, 20, 8)),
+        (3, Fraction(1, 3), (2, 3, 5, 1)),
+        (4, Fraction(9, 10), (10, 11, 12, 2)),
+        (6, Fraction(1, 10), (10, 15, 40, 9))])
+    def test_only_auto_only_paths_read_other_contracts(self, T, alpha, fees):
+        # The ledger refuses a manual redeem of an auto-only path before
+        # any other predicate, so it never checks a path's cross-reads:
+        # `resolve_demba_dep` alone evaluates them.  That holds only while
+        # every path that reads another contract is auto-only.
+        schedule = demba_schedule(T, *fees, alpha=alpha)
+        check_fee_schedule(schedule)
+        contracts = [build_naive_htlc(ALICE, BOB, 100, "s-a", T),
+                     *build_mad_htlc(ALICE, BOB, 100, 40, DIGESTS, T),
+                     *build_he_htlc(ALICE, BOB, 100, 40, DIGESTS, T, l=2),
+                     *build_demba(ALICE, BOB, 100, 50, 40, 7, DIGESTS, T,
+                                  schedule)]
+        reading = [p for c in contracts for p in c.paths if p.cross_reads]
+        assert {p.name for p in reading} == {DEP_A, DEP_B, DEP_BURN}
+        assert all(p.auto_only for p in reading)
+
 
 class TestDembaResolution:
     T = 4
