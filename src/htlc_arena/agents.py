@@ -746,3 +746,34 @@ MINER_POLICIES = {"honest-fee-max": HonestFeeMax,
 
 def make_miner_policy(name: str, **params) -> MinerPolicy:
     return _build_policy(MINER_POLICIES, "miner policy", name, params)
+
+
+def policy_space(scen: Scenario, player) -> list:
+    """The policies `player` ("alice", "bob" or a miner's `Party`) may play
+    on `scen`, in the order a dominance verdict weighs them
+    (`game.dominance_check` names the first that beats its candidate).
+
+    On he a miner in the pact (`Scenario.coalition`) is offered the pact's
+    policies and any other miner the passive attack; no player is offered
+    a policy whose `protocols` exclude the scenario's protocol.
+    """
+    demba = scen.protocol == "demba"
+    late = max(1, scen.T - 1)
+    if player == "alice":
+        space = ([AliceHonest(), AliceHonest(min(scen.t_pub + 1, scen.T)),
+                  AliceOffline(), AliceGrief(), AliceCensoredFallback(),
+                  AliceHonest(late)] if demba
+                 else [AliceHonest(), AliceOffline()])
+    elif player == "bob":
+        space = ([BobHonest(1), BobHonest(late), BobDelay(1), BobDelay(2)]
+                 if demba else [BobHonest(), BobNaiveBriber(), BobB3a(),
+                                BobHydraBriber()])
+    elif scen.protocol in ("naive", "mad"):
+        space = [HonestFeeMax(), CensorRelated()]
+    else:
+        space = [HonestFeeMax(), CensorRelated(participate=False)]
+        if scen.protocol == "he":
+            space[:0] = ([M2MbaActive("race"), M2MbaActive("accept")]
+                         if player in scen.coalition else [M2MbaPassive()])
+    return [p for p in space
+            if p.protocols is None or scen.protocol in p.protocols]

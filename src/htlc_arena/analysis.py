@@ -37,9 +37,9 @@ from .core import (ALICE, BOB, MAX_DRAW_ITEMS, Party, ScenarioError,
 from .contracts import PRE_A2, PRE_AA2
 from .game import (MinerProfile, Scenario, StepMemo, StrategyProfile,
                    dominance_check, expected_utilities, policy_key)
-from .agents import (AliceCensoredFallback, AliceGrief, AliceHonest,
-                     AliceOffline, BobDelay, BobHonest, CensorRelated,
-                     HonestFeeMax, M2MbaActive, M2MbaPassive)
+from .agents import (AliceGrief, AliceHonest, AliceOffline, BobDelay,
+                     BobHonest, HonestFeeMax, M2MbaActive, M2MbaPassive,
+                     policy_space)
 
 
 def _need(params: dict, *names):
@@ -363,13 +363,6 @@ class TheoremReport:
         return all(h["holds"] for h in self.hypothesis.values())
 
 
-def m2mba_policy_space(kind: str) -> list:
-    if kind == "passive":
-        return [M2MbaPassive(), HonestFeeMax(), CensorRelated(participate=False)]
-    return [M2MbaActive("race"), M2MbaActive("accept"), HonestFeeMax(),
-            CensorRelated(participate=False)]
-
-
 def verify_theorem_m2mba(scen: Scenario) -> TheoremReport:
     """Brute-force the full-attack dominance claim, one miner at a time.
 
@@ -397,7 +390,7 @@ def verify_theorem_m2mba(scen: Scenario) -> TheoremReport:
                   for n in lemmas}
         hypothesis[party] = {"holds": all(checks.values()), "checks": checks}
         # The attack policies first, then the two honest alternatives.
-        space = m2mba_policy_space(m.kind)
+        space = policy_space(scen, party)
         candidates, honest_alts = space[:-2], space[-2:]
         results = []
         for cand in candidates:
@@ -435,17 +428,6 @@ class DembaReport:
                 and self.collusion_bounds_hold)
 
 
-def demba_deviation_spaces(scen: Scenario) -> dict:
-    reveal_late = max(1, scen.T - 1)
-    return {
-        "alice": [AliceHonest(), AliceHonest(min(scen.t_pub + 1, scen.T)),
-                  AliceOffline(), AliceGrief(), AliceCensoredFallback(),
-                  AliceHonest(reveal_late)],
-        "bob": [BobHonest(1), BobHonest(reveal_late), BobDelay(1), BobDelay(2)],
-        "miners": [HonestFeeMax(), CensorRelated(participate=False)],
-    }
-
-
 def _single_miner_play(scen: Scenario, alice, bob, miner_policy=None,
                        expect=None):
     m = scen.miner_parties()[0]
@@ -468,7 +450,9 @@ def verify_demba(scen: Scenario) -> DembaReport:
     """
     if scen.protocol != "demba":
         raise ScenarioError("protocol-mismatch")
-    spaces = demba_deviation_spaces(scen)
+    miner = scen.miner_parties()[0]
+    alice_space, bob_space, miner_space = (
+        policy_space(scen, player) for player in ("alice", "bob", miner))
     expect = _verdict_expectations()
 
     def uniform(alice, bob, miner_policy):
@@ -479,7 +463,7 @@ def verify_demba(scen: Scenario) -> DembaReport:
     # rows are every profile that (a), (b) and (d) read back from the memo.
     bounds_ok = True
     for a_pol, b_pol, m_pol in itertools.product(
-            spaces["alice"], spaces["bob"], spaces["miners"]):
+            alice_space, bob_space, miner_space):
         eu = uniform(a_pol, b_pol, m_pol)
         bounds_ok &= (eu.of(ALICE) <= scen.v_dep + scen.v_col_a
                       and eu.of(BOB) <= scen.v_col_b)
@@ -508,14 +492,13 @@ def verify_demba(scen: Scenario) -> DembaReport:
 
     # (d) unilateral deviations; a miner deviates alone, the others honest.
     deviations = []
-    for pol in spaces["alice"]:
+    for pol in alice_space:
         u = honest_miners(pol, BobHonest(1)).of(ALICE)
         deviations.append(("alice", pol.name, u, u_alice_honest))
-    for pol in spaces["bob"]:
+    for pol in bob_space:
         u = honest_miners(AliceHonest(), pol).of(BOB)
         deviations.append(("bob", pol.name, u, u_bob_honest))
-    miner = scen.miner_parties()[0]
-    for pol in spaces["miners"]:
+    for pol in miner_space:
         u = _single_miner_play(scen, AliceHonest(), BobHonest(1), pol,
                                expect).of(miner)
         deviations.append(("miner", pol.name, u, honest.of(miner)))

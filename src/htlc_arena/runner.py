@@ -32,7 +32,7 @@ from .game import (MinerProfile, Scenario, Schedule, StrategyProfile,
                    final_frontier, mean_half_width, play, policy_key,
                    sample_schedule)
 from .agents import (AliceHonest, AliceOffline, BobHonest, HonestFeeMax,
-                     make_miner_policy, make_party_policy)
+                     make_miner_policy, make_party_policy, policy_space)
 from . import analysis
 from .analysis import (PoolParams, pool_math, pool_mc, verify_demba,
                        verify_demba_lemma, verify_m2mba_lemma,
@@ -403,22 +403,6 @@ def cmd_expect(args) -> tuple:
     return report, 0
 
 
-def _default_spaces(scen: Scenario, player: str) -> list:
-    if scen.protocol == "demba":
-        spaces = analysis.demba_deviation_spaces(scen)
-        if player in ("alice", "bob"):
-            return spaces[player]
-        return spaces["miners"]
-    if player == "alice":
-        return [AliceHonest(), AliceOffline()]
-    if player == "bob":
-        return [BobHonest(), make_party_policy("bob", "naive-briber")]
-    kind = next((m.kind for m in scen.miners if m.party.id == player), "passive")
-    if scen.protocol == "he":
-        return analysis.m2mba_policy_space(kind)
-    return [HonestFeeMax(), make_miner_policy("censor-related")]
-
-
 def cmd_dominance(args) -> tuple:
     scen, profile, digest = _load(args)
     player = args.player
@@ -431,11 +415,9 @@ def cmd_dominance(args) -> tuple:
         if key not in profile.miners:
             raise ScenarioError(f"validation-error(player): no miner {player!r}")
         candidate = profile.miners[key]
-    # Only the policies valid for the scenario's protocol compete, told
-    # apart by their parameters and not by their names.
-    alternatives = [p for p in _default_spaces(scen, player)
-                    if policy_key(p) != policy_key(candidate)
-                    and (p.protocols is None or scen.protocol in p.protocols)]
+    # Alternatives are told apart by their parameters, not their names.
+    alternatives = [p for p in policy_space(scen, key)
+                    if policy_key(p) != policy_key(candidate)]
     if not alternatives:
         raise ScenarioError(
             f"validation-error(player): no policy for {player} besides "

@@ -1,15 +1,17 @@
-"""Kept mutants: shortcuts of the engine, each broken on purpose, and the
-tests that must kill them.
+"""Kept mutants: shortcuts of the engine and rules of the protocols, each
+broken on purpose, and the tests that must kill them.
 
     python tests/mutants.py [mutant-id ...]
 
 A mutant rewrites one exact snippet of one file.  The runner applies each
 named mutant (every one by default) in a temporary copy of the repository
 and runs the tests named for it there, one pytest process each; every one
-of them must fail.  It prints one line per mutant and exits 1 if any test
-survived.  The file name keeps it out of the repository's own test
-collection; `test_mutants.py` checks that every snippet still matches its
-file exactly once, so a mutant cannot go stale unnoticed.
+of them must fail.  An equivalent mutant names no test but the argument
+why no play can tell it apart, and is not run.  The runner prints one line
+per mutant and exits 1 if any test survived.  The file name keeps it out
+of the repository's own test collection; `test_mutants.py` checks that
+every snippet still matches its file exactly once, so a mutant cannot go
+stale unnoticed.
 """
 
 from __future__ import annotations
@@ -31,10 +33,13 @@ class Mutant(NamedTuple):
     old: str  # the snippet, which must occur in `file` exactly once
     new: str  # what the mutant puts in its place
     killers: tuple  # pytest node ids, each of which must fail
+    equivalent: str = ""  # why no test can kill it, for a mutant with none
 
 
 GAME = "src/htlc_arena/game.py"
 ANALYSIS = "src/htlc_arena/analysis.py"
+AGENTS = "src/htlc_arena/agents.py"
+CONTRACTS = "src/htlc_arena/contracts.py"
 
 MUTANTS = (
     Mutant("cache-key-without-round-key", GAME,
@@ -214,7 +219,7 @@ MUTANTS = (
     # A miner policy that reads its miner to choose what goes in: only a
     # colluder asks the pact for its bribe.  Blocks of one round key then
     # differ across miners by more than the miner they name.
-    Mutant("pact-request-reads-miner", "src/htlc_arena/agents.py",
+    Mutant("pact-request-reads-miner", AGENTS,
            "                        and any(t in state.mempool for t in "
            "_target_tx_ids(scen))):\n",
            "                        and scen.profile_of(miner).colluding\n"
@@ -222,6 +227,35 @@ MUTANTS = (
            "_target_tx_ids(scen))):\n",
            ("tests/test_differential.py::"
             "test_equal_round_keys_build_equal_blocks",)),
+    # Every active miner is offered the pact's policies, in the pact or not.
+    Mutant("space-offers-pact-by-kind", AGENTS,
+           "if player in scen.coalition",
+           'if scen.profile_of(player).kind == "active"',
+           ("tests/test_analysis.py::"
+            "test_every_player_has_one_space_valid_for_its_protocol",
+            "tests/test_analysis.py::TestTheoremM2Mba::"
+            "test_a_miner_outside_the_pact_is_offered_no_pact_policy")),
+    # A late fee's decayed share rounds up, so the miner earns more of it
+    # and less is burned than DEMBA's Eq. 1/Eq. 2 rule says.
+    Mutant("fee-decay-rounds-up", CONTRACTS,
+           "math.floor(decay * base)",
+           "math.ceil(decay * base)",
+           ("tests/test_contracts.py::TestFeeSplit::"
+            "test_decayed_share_rounds_down",)),
+    # A fee included at round T itself starts to decay.
+    Mutant("fee-decay-from-round-T", CONTRACTS,
+           "inclusion_round <= self.T:",
+           "inclusion_round < self.T:",
+           (),
+           "at round T the decay is alpha ** 0 = 1, so the miner earns "
+           "min(fee, floor(fee)) = fee and nothing burns, as before"),
+    # A protected transfer that lands at round T counts as late, for the
+    # bribery contracts' guards and the policies that read them.
+    Mutant("deadline-excludes-round-T", "src/htlc_arena/ledger.py",
+           'and entry[1] <= self._s.meta["T"])',
+           'and entry[1] < self._s.meta["T"])',
+           ("tests/test_ledger.py::TestChainView::"
+            "test_a_target_landing_at_the_deadline_is_in_time",)),
 )
 
 
@@ -259,6 +293,9 @@ def main(argv: list) -> int:
         return 1
     survived = False
     for mutant in [known[name] for name in argv] or MUTANTS:
+        if mutant.equivalent:
+            print(f"{mutant.id}: equivalent: {mutant.equivalent}")
+            continue
         alive = survivors(mutant)
         survived = survived or bool(alive)
         print(f"{mutant.id}: {len(mutant.killers) - len(alive)}/"

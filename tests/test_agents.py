@@ -19,8 +19,9 @@ from htlc_arena.agents import (AliceHonest, AliceOffline, B3aAccomplice,
                                HydraAccomplice, M2MbaActive, M2MbaPassive,
                                MinerPolicy, SdrbaBriber, b3a_bob_policy,
                                honest_miner_select, make_miner_policy,
-                               make_party_policy, payment_tx, tx_col_b,
-                               tx_commit, tx_confiscate, tx_refund_dep_b,
+                               make_party_policy, payment_tx,
+                               policy_space, tx_col_b, tx_commit,
+                               tx_confiscate, tx_refund_dep_b,
                                tx_reveal_dep_a)
 from htlc_arena.contracts import CM2M_ID, COL_B, COL_ID, COL_M, PRE_A2
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
@@ -456,3 +457,14 @@ class TestProtocolGuards:
     def test_factory_rejects_unknown_miner_policy(self):
         with pytest.raises(ValueError):
             make_miner_policy("nope")
+
+    @pytest.mark.parametrize("build,bobs", [
+        (naive_scenario, ["honest(reveal=1)", "naive-briber(br=scenario)"]),
+        (mad_scenario, ["honest(reveal=1)", "naive-briber(br=scenario)",
+                        "b3a(case=1)", "hydra-briber"]),
+        (he_scenario, ["honest(reveal=1)"])])
+    def test_bob_is_offered_every_briber_valid_for_the_protocol(self, build,
+                                                                bobs):
+        # The space drops exactly the policies whose protocols exclude the
+        # scenario's, so on mad Bob may also weigh B3a and the hydra.
+        assert [pol.name for pol in policy_space(build(), "bob")] == bobs

@@ -18,14 +18,14 @@ from htlc_arena.core import ALICE, BOB, ScenarioError, miner_party
 from htlc_arena.analysis import (PoolParams, closed_form, pool_math,
                                  pool_mc, verify_demba, verify_demba_lemma,
                                  verify_m2mba_lemma, verify_theorem_m2mba)
-from htlc_arena.agents import (AliceHonest, BobHonest, M2MbaActive,
-                               M2MbaPassive)
+from htlc_arena.agents import (AliceHonest, BobHonest, HonestFeeMax,
+                               M2MbaActive, M2MbaPassive, policy_space)
 from htlc_arena.contracts import CM2M_ID
 from htlc_arena.game import MinerProfile, StrategyProfile, policy_key
 from htlc_arena.runner import load_scenario, main
 
 from conftest import (M1, M2, M3, M4, demba_scenario, demba_schedule,
-                      he_scenario)
+                      he_scenario, mad_scenario, naive_scenario)
 from test_acceptance import _m2mba_schedule, _theorem_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -279,6 +279,77 @@ def test_the_coalition_is_the_active_colluders_everywhere(scen):
         == tuple((p, scen.br) for p in members)
     assert _default_focal(1, scen) == (members[0] if members else None)
     assert _default_focal(3, scen) == (passive[0] if passive else None)
+
+
+#: Every miner type: a (kind, colluding) pair.
+MINER_TYPES = (("active", True), ("active", False), ("passive", True),
+               ("passive", False))
+BUILDERS = {"naive": naive_scenario, "mad": mad_scenario, "he": he_scenario,
+            "demba": demba_scenario}
+
+
+@st.composite
+def any_protocol_games(draw):
+    """A scenario of any protocol on 1-4 miners of positive power, each of
+    any kind and colluding flag."""
+    types = draw(st.lists(st.sampled_from(MINER_TYPES), min_size=1,
+                          max_size=4))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(types),
+                            max_size=len(types)))
+    miners = tuple(MinerProfile(party, Fraction(w, sum(weights)), *kind)
+                   for party, w, kind in zip((M1, M2, M3, M4), weights, types))
+    return BUILDERS[draw(st.sampled_from(sorted(BUILDERS)))](miners=miners)
+
+
+def _theorem_spaces(scen) -> dict:
+    """Each miner the pact theorem judges, with the policies it weighs for
+    it: its attack candidates in order, then their honest alternatives."""
+    weighed: dict = {}
+
+    def record(scen, player, candidate, own_space, *args, **kwargs):
+        assert own_space[0] is candidate
+        weighed.setdefault(player, []).append(own_space)
+        return game.DominanceVerdict("strict")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "dominance_check", record)
+        verify_theorem_m2mba(scen)
+    spaces = {}
+    for party, own_spaces in weighed.items():
+        honest = {tuple(map(policy_key, space[1:])) for space in own_spaces}
+        assert len(honest) == 1, party
+        spaces[party] = [space[0] for space in own_spaces] + own_spaces[0][1:]
+    return spaces
+
+
+@settings(max_examples=80, deadline=None)
+@given(scen=any_protocol_games())
+@example(scen=he_scenario(miners=tuple(
+    MinerProfile(party, Fraction(1, 4), *kind)
+    for party, kind in zip((M1, M2, M3, M4), MINER_TYPES))))
+def test_every_player_has_one_space_valid_for_its_protocol(scen):
+    # `policy_space` is every verdict's space: each policy in it is valid
+    # for the protocol, only the pact's members are offered the pact's
+    # policies, and the pact theorem weighs exactly it for every miner it
+    # judges.
+    honest = StrategyProfile(AliceHonest(), BobHonest(), {
+        p: HonestFeeMax() for p in scen.miner_parties()})
+    for player in ("alice", "bob", *scen.miner_parties()):
+        space = policy_space(scen, player)
+        assert space, player
+        for pol in space:
+            game._check_profile(scen, game._profile_with(honest, player, pol))
+        if scen.protocol == "he" and player not in ("alice", "bob"):
+            assert any(isinstance(pol, M2MbaActive) for pol in space) \
+                == (player in scen.coalition)
+    if scen.protocol != "he":
+        return
+    spaces = _theorem_spaces(scen)
+    assert set(spaces) == {m.party for m in scen.miners
+                           if m.party in scen.coalition or m.kind == "passive"}
+    for party, space in spaces.items():
+        assert list(map(policy_key, space)) \
+            == list(map(policy_key, policy_space(scen, party)))
 
 
 class TestClosedForm:
@@ -559,12 +630,10 @@ class TestTheoremM2Mba:
         with pytest.raises(ScenarioError):
             verify_theorem_m2mba(demba_scenario())
 
-    def test_an_active_miner_outside_the_pact_gets_no_verdict(
-            self, tmp_path, capsys):
-        # The theorem judges the pact's members and the passive miners.
-        # m4 is active but does not collude: it plays honest-fee-max in the
-        # attack profile, and the lemmas' coalition shares do not apply to
-        # it, so it is neither judged nor given a hypothesis.
+    @staticmethod
+    def independent_m4_file(tmp_path):
+        """`scenarios/he_m2mba.json` with m1 and m2 colluding at 3/10, m3
+        passive at 1/5 and m4 active but outside the pact at 1/5."""
         doc = json.loads((SCENARIOS / "he_m2mba.json").read_text())
         doc["miners"] = [
             {"id": "m1", "power": "3/10", "kind": "active", "colluding": True},
@@ -573,6 +642,15 @@ class TestTheoremM2Mba:
             {"id": "m4", "power": "1/5", "kind": "active"}]
         path = tmp_path / "he_m2mba_independent.json"
         path.write_text(json.dumps(doc))
+        return path
+
+    def test_an_active_miner_outside_the_pact_gets_no_verdict(
+            self, tmp_path, capsys):
+        # The theorem judges the pact's members and the passive miners.
+        # m4 is active but does not collude: it plays honest-fee-max in the
+        # attack profile, and the lemmas' coalition shares do not apply to
+        # it, so it is neither judged nor given a hypothesis.
+        path = self.independent_m4_file(tmp_path)
         scen, _ = load_scenario(path)
         rep = verify_theorem_m2mba(scen)
         assert M4 not in rep.per_miner and M4 not in rep.hypothesis
@@ -588,6 +666,22 @@ class TestTheoremM2Mba:
             "lemma4\t-\tconsistent=true\thypothesis=True\tconclusion=True",
             "lemma5\t-\tconsistent=true\thypothesis=False\tconclusion=False",
             "theorem-m2mba\t-\tdominant\t-\t-"]
+
+    def test_a_miner_outside_the_pact_is_offered_no_pact_policy(
+            self, tmp_path, capsys):
+        # m4 is active but outside the pact: `dominance --player m4` weighs
+        # its policy against the passive attack and honest play, never
+        # against a pact that would lock its collateral and owe it nothing.
+        path = self.independent_m4_file(tmp_path)
+        scen, _ = load_scenario(path)
+        assert [pol.name for pol in policy_space(scen, M4)] == [
+            "m2mba-passive", "honest-fee-max", "censor-related"]
+        assert [pol.name for pol in policy_space(scen, M1)] == [
+            "m2mba-active(race)", "m2mba-active(accept)", "honest-fee-max",
+            "censor-related"]
+        assert main(["dominance", "--scenario", str(path),
+                     "--player", "m4"]) == 0
+        assert "m2mba-passive is strict for m4" in capsys.readouterr().out
 
 
 class TestDembaVerification:

@@ -173,6 +173,11 @@ class TestFeeSplit:
         # alpha = 1/2, base 8, two rounds late: floor(8/4) = 2 earned.
         assert self.schedule().split(PRE_A, 8, 7) == (2, 6)
 
+    def test_decayed_share_rounds_down(self):
+        # `scenarios/demba_honest.json`'s schedule (T = 4): pre_A' three
+        # rounds late earns floor(12/8) = 1 and burns the rest.
+        assert demba_schedule(4).split(PRE_A2, 12, 7) == (1, 11)
+
     def test_zero_fee_stays_zero(self):
         sched = FeeSchedule({PRE_A: 0, PRE_A2: 12, PRE_AA2: 20, PRE_B: 6},
                             Fraction(1, 2), T=5)

@@ -13,14 +13,16 @@ from hypothesis import given, settings, strategies as st
 from htlc_arena import game
 from htlc_arena.core import (ALICE, BOB, EXTERNAL, LedgerError, credit, debit,
                              miner_party)
-from htlc_arena.agents import BobNaiveBriber, M2MbaActive, tx_commit
+from htlc_arena.agents import (AliceHonest, BobHonest, BobNaiveBriber,
+                               HonestFeeMax, M2MbaActive, tx_commit)
 from htlc_arena.contracts import (BURNED, CBOB_ID, CM2M_ID, COL_M, DEP_A,
                                   DEP_B, DEP_ID, PRE_A, PRE_A2, PRE_B,
                                   build_he_htlc, build_naive_htlc)
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              build_genesis, play)
-from htlc_arena.ledger import (Block, ChainState, TxRecord, Witness,
-                               apply_block, broadcast, fee_split, validate_tx)
+from htlc_arena.ledger import (Block, ChainState, ChainView, TxRecord,
+                               Witness, apply_block, broadcast, fee_split,
+                               validate_tx)
 
 from conftest import (M1, M2, PARTS, demba_scenario, he_scenario,
                       naive_scenario, state_identity)
@@ -248,6 +250,20 @@ class TestFeeSplit:
         assert state.burned == 9
         assert state.conservation_total() == total
 
+
+
+class TestChainView:
+    def test_a_target_landing_at_the_deadline_is_in_time(self):
+        # Alice reveals at t_pub = 2, so dep-A lands in round 3, which is
+        # T itself: the protected transfer made the deadline.
+        scen = he_scenario(T=3, t_pub=2)
+        out = play(scen, StrategyProfile(AliceHonest(), BobHonest(),
+                                         {M1: HonestFeeMax()}),
+                   Schedule((M1,) * scen.horizon))
+        assert out.state.redemptions[DEP_ID][:2] == (DEP_A, scen.T)
+        view = ChainView(out.state, scen.horizon, M1)
+        assert view.target_included_by_deadline()
+        assert view.target_included_ever() and not view.settlement_landed()
 
 class TestInvariants:
     def test_replay_determinism(self):
