@@ -46,7 +46,7 @@ from .contracts import (BriberyCall, CBOB_ID, CM2M_ID, COL_A_ID, COL_B,
                         DEP_B, DEP_ID, DEP_M, MinerPactContract, PRE_A, PRE_A2,
                         PRE_AA2, PRE_B, SECRETS)
 from .ledger import (CONTRACT_CALL, PAYMENT, RELATED, Block, ChainView,
-                     TxRecord, Witness, broadcast, fee_split, validate_tx)
+                     TxRecord, Witness, broadcast, validate_tx)
 from .game import Scenario, policy_key
 
 
@@ -130,19 +130,13 @@ def payment_tx(tx_id: str, creator: Party, to: Party, amount: int) -> TxRecord:
 # ---------------------------------------------------------------------------
 
 
-def _earned_fee(state, tx: TxRecord, rnd: int) -> int:
-    if tx.kind != RELATED:
-        return tx.declared_fee
-    return sum(fee_split(state, path, tx.declared_fee, rnd)[0]
-               for (_, path) in tx.consumes)
-
-
-def _valid(state, tx: TxRecord, rnd: int) -> bool:
+def _spends(state, tx: TxRecord, rnd: int):
+    """What `validate_tx` returns for `tx` (its priced spends), or None
+    where the ledger refuses it."""
     try:
-        validate_tx(state, tx, rnd)
+        return validate_tx(state, tx, rnd)
     except LedgerError:
-        return False
-    return True
+        return None
 
 
 def honest_miner_select(state, rnd: int, scen: Scenario,
@@ -154,14 +148,20 @@ def honest_miner_select(state, rnd: int, scen: Scenario,
     skips anything that conflicts with an earlier pick.  At most
     `scen.capacity` transactions are picked.
     """
+    if not state.mempool:
+        return []
     candidates = []
     for tx in state.mempool.values():
-        # A spent contract's transaction is skipped before `_valid` raises
-        # and formats the ledger's error for it.
-        if (tx.tx_id in exclude or not _if_open(state, tx)
-                or not _valid(state, tx, rnd)):
+        # A spent contract's transaction is skipped before the ledger
+        # raises and formats its error for it.
+        if tx.tx_id in exclude or not _open(state, tx):
             continue
-        earned = _earned_fee(state, tx, rnd)
+        spends = _spends(state, tx, rnd)
+        if spends is None:
+            continue
+        # A related tx earns its fee's split on each spend (`fee_split`).
+        earned = (sum(spend[3] for spend in spends) if tx.kind == RELATED
+                  else tx.declared_fee)
         if earned > scen.f:
             candidates.append((-earned, tx.tx_id, tx))
     candidates.sort()
@@ -195,10 +195,12 @@ def _assemble(state, rnd: int, miner: Party, scen: Scenario, head=(),
 
     `head` ids never enter the honest picks, nor do the `exclude` ids.
     """
-    spent: set = set()
-    if head:
-        exclude = exclude | {tx.tx_id for tx in head}
-        spent = {cid for tx in head for (cid, _) in tx.consumes}
+    if not head:
+        picked = honest_miner_select(state, rnd, scen, exclude)
+        return make_block(rnd, miner, scen,
+                          [*picked, *tail][:scen.capacity] if tail else picked)
+    exclude = exclude | {tx.tx_id for tx in head}
+    spent = {cid for tx in head for (cid, _) in tx.consumes}
     picked = honest_miner_select(state, rnd, scen, exclude)
     if spent:
         picked = [tx for tx in picked
@@ -211,11 +213,20 @@ def _assemble(state, rnd: int, miner: Party, scen: Scenario, head=(),
 # ---------------------------------------------------------------------------
 
 
+def _open(state, tx: TxRecord) -> bool:
+    """The open-contract rule: whether every contract `tx` spends is still
+    redeemable."""
+    contracts = state.contracts
+    for (cid, _) in tx.consumes:
+        if not contracts[cid].redeemable:
+            return False
+    return True
+
+
 def _if_open(state, *txs) -> list:
     """The open-contract broadcast rule: of `txs`, those whose spent
-    contracts are all still redeemable."""
-    return [tx for tx in txs
-            if all(state.contracts[cid].redeemable for (cid, _) in tx.consumes)]
+    contracts are all still redeemable (`_open`)."""
+    return [tx for tx in txs if _open(state, tx)]
 
 
 class PartyPolicy:
@@ -399,7 +410,8 @@ def make_party_policy(role: str, name: str, **params) -> PartyPolicy:
 def _build_policy(table: dict, what: str, name: str, params: dict):
     """Construct the named policy, holding each parameter to one its
     constructor takes and to the type of its default (an int where that
-    default is None)."""
+    default is None), and an int to 0 or more: every int parameter is an
+    amount, a round or a case number."""
     if name not in table:
         raise ValueError(f"unknown {what} {name!r}")
     cls = table[name]
@@ -412,6 +424,8 @@ def _build_policy(table: dict, what: str, name: str, params: dict):
         want = int if default is None else type(default)
         if type(value) is not want:
             raise ValueError(f"{key} must be {want.__name__}, got {value!r}")
+        if want is int and value < 0:
+            raise ValueError(f"{key} must be 0 or more, got {value!r}")
     return cls(**params)
 
 
@@ -488,7 +502,7 @@ class CensorRelated(MinerPolicy):
         refund = state.mempool.get("tx.depB")
         settled_now = (rnd > scen.T and refund is not None
                        and state.contracts[DEP_ID].redeemable
-                       and _valid(state, refund, rnd))
+                       and _spends(state, refund, rnd) is not None)
         if settled_now:
             head.append(refund)
         if cbob is not None and not cbob.settled:
@@ -533,7 +547,8 @@ def _confiscation_block(state, rnd, miner, scen, pact: bool,
     if scen.protocol == "mad" and dep_open and both_known and not claim_only:
         # Confiscation beats letting the payer spend the deposit.
         head.append(tx_confiscate(state, miner, DEP_ID, DEP_M))
-    elif dep_open and refund is not None and _valid(state, refund, rnd):
+    elif (dep_open and refund is not None
+          and _spends(state, refund, rnd) is not None):
         # In he the staged refund must land before the collateral pot is
         # spendable.
         head.append(refund)

@@ -451,8 +451,10 @@ def _act(scen: Scenario, profile: StrategyProfile, state: ChainState,
     red once the game has left it; `prev_rank` is the highest rank of the
     states the mined state came from, -1 before round 1.
     """
-    emissions = list(profile.alice.broadcasts(state, rnd, scen))
-    emissions += profile.bob.broadcasts(state, rnd, scen)
+    emissions = profile.alice.broadcasts(state, rnd, scen)
+    more = profile.bob.broadcasts(state, rnd, scen)
+    if more:
+        emissions = [*emissions, *more]
     if emissions:
         state = broadcast(state, emissions)
     label = state_label(state, scen.protocol)

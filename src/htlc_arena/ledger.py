@@ -34,6 +34,14 @@ the step took each balance.
 Unrelated traffic is modelled as an inexhaustible supply of filler
 transactions, each paying exactly the scenario's base fee; blocks carry
 them as a count rather than as objects.
+
+`validate_tx` checks a transaction and returns the spends it checked: for
+a related transaction, per contract it consumes, the contract id, the
+`RedeemPath`, the path's outflow and the fee's (earned, burned) split.
+`apply_block` validates each transaction of a block and applies exactly
+those spends, so each spend's path lookup, outflow and fee split happen
+once; a block without transactions skips that walk.  Miner policies probe
+a transaction's validity and earned fee through the same call.
 """
 
 from __future__ import annotations
@@ -467,24 +475,36 @@ def _path_outflow(path: RedeemPath, rnd: int) -> int:
     return total
 
 
-def validate_tx(state: ChainState, tx: TxRecord, rnd: int) -> None:
+def validate_tx(state: ChainState, tx: TxRecord, rnd: int):
     """Raise LedgerError unless `tx` is valid against `state` at `rnd`; a
-    tx of a kind other than the three `apply_block` applies is invalid."""
+    tx of a kind other than the three `apply_block` applies is invalid.
+
+    Returns the spends it checked, which `apply_block` applies as they
+    are: for a related tx one (contract id, `RedeemPath`, outflow, earned
+    fee, burned fee) tuple per contract it consumes, in order, where the
+    outflow is what the path pays out besides the fee and rest (its fixed
+    effects and any late burn) and the fee split is `fee_split`'s; for the
+    other kinds, which spend no contract, ().
+    """
     if tx.kind == CONTRACT_CALL:
         if tx.call is None or tx.call[0] not in state.bribery:
             raise LedgerError("unknown-output", "no such bribery contract")
-        return
+        return ()
     if tx.kind == PAYMENT:
         if tx.payment is None:
             raise LedgerError("invalid-tx", "payment without destination")
-        need = tx.payment[1] + tx.declared_fee
-        if state.balances.get(tx.creator, 0) < need:
+        amount = tx.payment[1]
+        if amount < 0:
+            raise LedgerError("invalid-tx", f"negative payment amount {amount}")
+        if state.balances.get(tx.creator, 0) < amount + tx.declared_fee:
             raise LedgerError("over-spend", f"{tx.creator.id} cannot fund payment")
-        return
+        return ()
     if tx.kind != RELATED:
         raise LedgerError("invalid-tx", f"unknown kind {tx.kind!r}")
     if not tx.consumes:
         raise LedgerError("unknown-output", "related tx consumes nothing")
+    fee = tx.declared_fee
+    spends = []
     seen = set()
     for (cid, path_name) in tx.consumes:
         if cid in seen:
@@ -498,9 +518,13 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int) -> None:
         path = contract.path(path_name)
         _check_path_predicate(contract, path, tx.witness, rnd)
         value = state.live.get(cid, 0)
-        if _path_outflow(path, rnd) + tx.declared_fee > value:
+        outflow = _path_outflow(path, rnd)
+        if outflow + fee > value:
             raise LedgerError("over-spend",
                               f"{cid} holds {value}, tx needs more")
+        spends.append((cid, path, outflow, *fee_split(state, path_name, fee,
+                                                      rnd)))
+    return spends
 
 
 # ---------------------------------------------------------------------------
@@ -510,47 +534,56 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int) -> None:
 
 def fee_split(state: ChainState, path: str, fee: int, rnd: int) -> tuple:
     """(earned, burned) of a `fee` paid on `path` and included at `rnd`:
-    the fee schedule's split on a path it lists, else all to the miner."""
+    the fee schedule's split on a path it lists, else all to the miner.
+    A fee other than the one the schedule lists for its path is refused
+    with the schedule's detail."""
     schedule = state.meta.get("fee_schedule")
     if schedule is None or path not in schedule.paid:
         return fee, 0
+    paid = schedule.paid[path]
+    if fee != paid:
+        raise LedgerError("fee-mismatch",
+                          f"path {path!r} pays {paid}, declared {fee}")
     return schedule.split(path, fee, rnd)
 
 
-def _apply_redeem(s: ChainState, cid: str, path: RedeemPath, tx: TxRecord,
+def _apply_redeem(s: ChainState, spend: tuple, fee: int, preimages,
                   rnd: int, block_miner: Party) -> None:
+    """Apply one spend as `validate_tx` returned it, paying `fee` and
+    publishing `preimages`; the path's effects decide the contract's new
+    status in the same pass that applies them."""
+    cid, path, outflow, earned, fee_burn = spend
     live = s.write("live")
-    value = live.pop(cid)
-    fee = tx.declared_fee
-    earned, fee_burn = fee_split(s, path.name, fee, rnd)
-    rest = value - fee - _path_outflow(path, rnd)
+    rest = live.pop(cid) - fee - outflow
     if path.late_burn and rnd > path.late_burn[0]:
         s.burn(path.late_burn[1])
+    burns_only = True
     for eff in path.effects:
         amt = rest if eff.amount == REST else eff.amount
         if isinstance(eff, Transfer):
             s.credit(block_miner if eff.to == BLOCK_MINER else eff.to, amt)
         elif isinstance(eff, Burn):
             s.burn(amt)
+            continue
         elif isinstance(eff, Forward):
             if eff.to_contract not in live:
                 raise LedgerError("unknown-output", f"forward to {eff.to_contract}")
             live[eff.to_contract] += amt
         else:  # pragma: no cover - effect union is closed
             raise LedgerError("invalid-tx", f"unknown effect {eff!r}")
+        burns_only = False
     s.credit(block_miner, earned)
     s.burn(fee_burn)
-    status = (BURNED if all(isinstance(e, Burn) for e in path.effects)
-              else ("redeemed", path.name))
     c = s.contracts[cid]
     s.write("contracts")[cid] = ContractInstance(
-        c.contract_id, c.deposit, c.digests, c.paths, status)
+        c.contract_id, c.deposit, c.digests, c.paths,
+        BURNED if burns_only else ("redeemed", path.name))
     s.write("redemptions")[cid] = (path.name, rnd, block_miner)
-    for (c, slot, value_) in tx.witness.preimages:
+    for (c, slot, value) in preimages:
         if (c, slot) not in s.revealed:
-            s.write("revealed")[(c, slot)] = (value_, rnd)
-            if s.known.get((c, slot)) != value_:
-                s.write("known")[(c, slot)] = value_
+            s.write("revealed")[(c, slot)] = (value, rnd)
+            if s.known.get((c, slot)) != value:
+                s.write("known")[(c, slot)] = value
 
 
 def _apply_call(s: ChainState, tx: TxRecord, rnd: int, block_miner: Party) -> None:
@@ -618,6 +651,33 @@ class ChainView:
         return self._rnd > meta["T"] + meta["l"] + 1
 
 
+def _apply_txs(s: ChainState, txs: tuple, rnd: int, block_miner: Party) -> None:
+    """Validate and apply a block's transactions, in order, to draft `s`."""
+    spent: set = set()
+    for i, tx in enumerate(txs):
+        for (cid, _) in tx.consumes:
+            if cid in spent:
+                raise LedgerError("duplicate-spend-in-block", f"tx {i}: {cid}")
+        try:
+            spends = validate_tx(s, tx, rnd)
+        except LedgerError as e:
+            raise LedgerError("invalid-tx", f"tx {i} ({tx.tx_id}): {e}") from e
+        if tx.kind == RELATED:
+            for spend in spends:
+                _apply_redeem(s, spend, tx.declared_fee, tx.witness.preimages,
+                              rnd, block_miner)
+                spent.add(spend[0])
+        elif tx.kind == PAYMENT:
+            to, amount = tx.payment
+            s.debit(tx.creator, amount + tx.declared_fee)
+            s.credit(to, amount)
+            s.credit(block_miner, tx.declared_fee)
+        else:  # CONTRACT_CALL, the one kind left that validates
+            _apply_call(s, tx, rnd, block_miner)
+        if tx.tx_id in s.mempool:
+            del s.write("mempool")[tx.tx_id]
+
+
 def _resolve_auto_contracts(s: ChainState, auto_ids: tuple, rnd: int,
                             block_miner: Party) -> None:
     """Fire the automatic path of each contract in `auto_ids` that is
@@ -631,8 +691,10 @@ def _resolve_auto_contracts(s: ChainState, auto_ids: tuple, rnd: int,
             slots = s.revealed_slots()
         path = resolve_demba_dep(contract, slots, rnd)
         if path is not None:
-            auto_tx = TxRecord(f"auto.{cid}.{rnd}", block_miner)
-            _apply_redeem(s, cid, path, auto_tx, rnd, block_miner)
+            # An automatic path is taken by no transaction: it pays no fee
+            # and publishes nothing.
+            _apply_redeem(s, (cid, path, _path_outflow(path, rnd), 0, 0), 0,
+                          (), rnd, block_miner)
 
 
 def _auto_refund_bribery(s: ChainState, rnd: int, block_miner: Party) -> None:
@@ -666,36 +728,23 @@ def _auto_refund_bribery(s: ChainState, rnd: int, block_miner: Party) -> None:
 
 
 def apply_block(state: ChainState, block: Block) -> ChainState:
-    """Validate and apply one block; returns the successor state."""
-    if block.round != state.height + 1:
+    """Validate and apply one block; returns the successor state.
+
+    Each transaction is validated against the state the block's earlier
+    transactions left, then applied as `validate_tx` checked it, so each
+    spend's path, outflow and fee split are found once.  A block without
+    transactions skips that walk.
+    """
+    rnd = block.round
+    if rnd != state.height + 1:
         raise LedgerError("stale-round",
-                          f"block {block.round} onto height {state.height}")
-    if len(block.txs) + block.unrelated_fill > block.capacity:
+                          f"block {rnd} onto height {state.height}")
+    txs = block.txs
+    if len(txs) + block.unrelated_fill > block.capacity:
         raise LedgerError("invalid-tx", "block over capacity")
     s = state.draft()
-    consumed_this_block: set = set()
-    for i, tx in enumerate(block.txs):
-        for (cid, _) in tx.consumes:
-            if cid in consumed_this_block:
-                raise LedgerError("duplicate-spend-in-block", f"tx {i}: {cid}")
-        try:
-            validate_tx(s, tx, block.round)
-        except LedgerError as e:
-            raise LedgerError("invalid-tx", f"tx {i} ({tx.tx_id}): {e}") from e
-        if tx.kind == RELATED:
-            for (cid, path_name) in tx.consumes:
-                path = s.contracts[cid].path(path_name)
-                _apply_redeem(s, cid, path, tx, block.round, block.miner)
-                consumed_this_block.add(cid)
-        elif tx.kind == PAYMENT:
-            to, amount = tx.payment
-            s.debit(tx.creator, amount + tx.declared_fee)
-            s.credit(to, amount)
-            s.credit(block.miner, tx.declared_fee)
-        else:  # CONTRACT_CALL, the one kind left that validates
-            _apply_call(s, tx, block.round, block.miner)
-        if tx.tx_id in s.mempool:
-            del s.write("mempool")[tx.tx_id]
+    if txs:
+        _apply_txs(s, txs, rnd, block.miner)
     if block.unrelated_fill:
         total = block.unrelated_fill * block.unrelated_fee
         s.debit(EXTERNAL, total)
@@ -706,8 +755,8 @@ def apply_block(state: ChainState, block: Block) -> ChainState:
         s.write("mint_log").append((party, amount, reason))
     auto_ids = s.meta.get("auto_ids")
     if auto_ids:
-        _resolve_auto_contracts(s, auto_ids, block.round, block.miner)
+        _resolve_auto_contracts(s, auto_ids, rnd, block.miner)
     if s.bribery:
-        _auto_refund_bribery(s, block.round, block.miner)
-    s.height = block.round
+        _auto_refund_bribery(s, rnd, block.miner)
+    s.height = rnd
     return s.seal()

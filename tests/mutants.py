@@ -40,6 +40,7 @@ GAME = "src/htlc_arena/game.py"
 ANALYSIS = "src/htlc_arena/analysis.py"
 AGENTS = "src/htlc_arena/agents.py"
 CONTRACTS = "src/htlc_arena/contracts.py"
+LEDGER = "src/htlc_arena/ledger.py"
 
 MUTANTS = (
     Mutant("cache-key-without-round-key", GAME,
@@ -130,7 +131,7 @@ MUTANTS = (
            ("tests/test_game.py::TestRoundHalves::"
             "test_merged_predecessors_keep_the_higher_label_rank",)),
     # Control states that differ only in their mempool merge.
-    Mutant("control-key-without-mempool", "src/htlc_arena/ledger.py",
+    Mutant("control-key-without-mempool", LEDGER,
            "self.revealed.key(), self.mempool.key(),",
            "self.revealed.key(),",
            ("tests/test_differential.py::"
@@ -183,7 +184,7 @@ MUTANTS = (
             "tests/test_differential.py::"
             "test_settlement_examples_reach_what_they_test")),
     # Control states that differ only in their bribery contracts merge.
-    Mutant("control-key-without-bribery", "src/htlc_arena/ledger.py",
+    Mutant("control-key-without-bribery", LEDGER,
            "self.contracts.key(), self.known.key(), self.bribery.key(),",
            "self.contracts.key(), self.known.key(),",
            ("tests/test_analysis.py::TestM2MbaLemmas::"
@@ -251,11 +252,111 @@ MUTANTS = (
            "min(fee, floor(fee)) = fee and nothing burns, as before"),
     # A protected transfer that lands at round T counts as late, for the
     # bribery contracts' guards and the policies that read them.
-    Mutant("deadline-excludes-round-T", "src/htlc_arena/ledger.py",
+    Mutant("deadline-excludes-round-T", LEDGER,
            'and entry[1] <= self._s.meta["T"])',
            'and entry[1] < self._s.meta["T"])',
            ("tests/test_ledger.py::TestChainView::"
             "test_a_target_landing_at_the_deadline_is_in_time",)),
+    # The rules of one spend, as `validate_tx` checks and `apply_block`
+    # applies it.  A timelocked path opens a round before its window.
+    Mutant("timelock-opens-early", CONTRACTS,
+           "if rnd < self.earliest:",
+           "if rnd < self.earliest - 1:",
+           ("tests/test_ledger.py::TestValidate::"
+            "test_a_timelock_window_holds_both_its_ends",)),
+    # A path closes at its last round instead of after it.
+    Mutant("timelock-closes-early", CONTRACTS,
+           "return self.latest is None or rnd <= self.latest",
+           "return self.latest is None or rnd < self.latest",
+           ("tests/test_ledger.py::TestValidate::"
+            "test_a_timelock_window_holds_both_its_ends",)),
+    # A spend that the deposit funds exactly counts as an over-spend.
+    Mutant("overspend-at-exact-funding", LEDGER,
+           "if outflow + fee > value:",
+           "if outflow + fee >= value:",
+           ("tests/test_ledger.py::TestValidate::"
+            "test_a_fee_of_the_whole_deposit_is_no_overspend",)),
+    # One transaction may spend one contract twice.
+    Mutant("duplicate-spend-in-tx", LEDGER,
+           "        if cid in seen:\n",
+           "        if False:\n",
+           ("tests/test_ledger.py::test_each_refusal_keeps_its_code_and_detail"
+            "[double-spend-in-one-tx]",)),
+    # A block may carry two transactions that spend one contract.
+    Mutant("duplicate-spend-in-block", LEDGER,
+           "            if cid in spent:\n",
+           "            if False:\n",
+           ("tests/test_ledger.py::TestApply::"
+            "test_duplicate_spend_in_block",)),
+    Mutant("signature-unchecked", LEDGER,
+           "if not path.required_signers <= witness.signers:",
+           "if False:",
+           ("tests/test_ledger.py::TestValidate::"
+            "test_missing_signer_fails",)),
+    Mutant("hashlock-unchecked", LEDGER,
+           "if supplied.get(slot) != contract.digests.get(slot):",
+           "if False:",
+           ("tests/test_ledger.py::TestValidate::"
+            "test_wrong_preimage_fails_hashlock",)),
+    # Validation prices a late burn from its bound round on, which
+    # application does not burn: the payee's rest shrinks and the tokens
+    # vanish.
+    Mutant("outflow-late-burn-at-its-round", LEDGER,
+           "    if path.late_burn and rnd > path.late_burn[0]:\n"
+           "        total += path.late_burn[1]\n",
+           "    if path.late_burn and rnd >= path.late_burn[0]:\n"
+           "        total += path.late_burn[1]\n",
+           ("tests/test_ledger.py::TestFeeSplit::"
+            "test_a_late_burn_starts_the_round_after_its_bound",)),
+    # An all-burn path leaves its contract redeemed, not burned.
+    Mutant("burn-path-counts-as-redeemed", LEDGER,
+           "            s.burn(amt)\n            continue\n",
+           "            s.burn(amt)\n",
+           ("tests/test_ledger.py::TestApply::"
+            "test_demba_deposit_burns_when_both_payee_slots_land",)),
+    # A preimage that lands on chain without passing the mempool stays
+    # unknown: after the payer's refund is mined straight into a block, no
+    # miner knows pre_B to confiscate with.
+    Mutant("reveal-leaves-knowledge", LEDGER,
+           "            if s.known.get((c, slot)) != value:\n"
+           "                s.write(\"known\")[(c, slot)] = value\n",
+           "",
+           tuple("tests/test_agents.py::TestPactAutoRefund::"
+                 "test_only_a_non_member_confiscation_refunds_the_locks"
+                 f"[confiscator{i}]" for i in (0, 1))),
+    # Honest selection takes a transaction that earns only the unrelated
+    # fee.
+    Mutant("honest-fee-floor-inclusive", AGENTS,
+           "if earned > scen.f:",
+           "if earned >= scen.f:",
+           ("tests/test_agents.py::TestHonestSelect::"
+            "test_fee_at_or_below_unrelated_not_taken",)),
+    # Equal fees keep mempool order instead of falling back to tx ids.
+    Mutant("honest-tie-break-by-arrival", AGENTS,
+           "    candidates.sort()\n",
+           "    candidates.sort(key=lambda c: c[0])\n",
+           ("tests/test_agents.py::TestHonestSelect::"
+            "test_equal_fee_breaks_ties_by_tx_id",)),
+    # The refusals that keep a balance from going below zero and a
+    # scheduled fee from escaping as a contract error.
+    Mutant("negative-payment-accepted", LEDGER,
+           "        if amount < 0:\n",
+           "        if False:\n",
+           ("tests/test_ledger.py::TestValidate::"
+            "test_a_negative_payment_is_refused",)),
+    Mutant("fee-mismatch-unchecked", LEDGER,
+           "    if fee != paid:\n",
+           "    if False:\n",
+           ("tests/test_ledger.py::TestFeeSplit::"
+            "test_a_fee_off_the_schedule_is_refused_by_the_ledger",)),
+    Mutant("negative-policy-parameter", AGENTS,
+           "if want is int and value < 0:",
+           "if False:",
+           tuple(f"tests/test_runner.py::test_bad_input_exits_one_with_one_"
+                 f"error_line[{case}]" for case in (
+                     "naive-briber-negative-br",
+                     "naive-briber-negative-budget",
+                     "sdrba-briber-negative-epsilon"))),
 )
 
 

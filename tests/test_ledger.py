@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from unittest.mock import patch
@@ -10,19 +11,22 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from htlc_arena import game
+from htlc_arena import game, ledger
 from htlc_arena.core import (ALICE, BOB, EXTERNAL, LedgerError, credit, debit,
                              miner_party)
 from htlc_arena.agents import (AliceHonest, BobHonest, BobNaiveBriber,
-                               HonestFeeMax, M2MbaActive, tx_commit)
+                               HonestFeeMax, M2MbaActive, call_tx,
+                               honest_miner_select, payment_tx, tx_commit)
 from htlc_arena.contracts import (BURNED, CBOB_ID, CM2M_ID, COL_M, DEP_A,
-                                  DEP_B, DEP_ID, PRE_A, PRE_A2, PRE_B,
-                                  build_he_htlc, build_naive_htlc)
+                                  DEP_B, DEP_BURN, DEP_ID, PRE_A, PRE_A2,
+                                  PRE_AA2, PRE_B,
+                                  ContractInstance, build_he_htlc,
+                                  build_naive_htlc)
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              build_genesis, play)
-from htlc_arena.ledger import (Block, ChainState, ChainView, TxRecord,
-                               Witness, apply_block, broadcast, fee_split,
-                               validate_tx)
+from htlc_arena.ledger import (CONTRACT_CALL, PAYMENT, Block, ChainState,
+                               ChainView, TxRecord, Witness, apply_block,
+                               broadcast, fee_split, validate_tx)
 
 from conftest import (M1, M2, PARTS, demba_scenario, he_scenario,
                       naive_scenario, state_identity)
@@ -61,12 +65,31 @@ class TestValidate:
         assert e.value.code == "predicate-failed"
         assert "timelock" in e.value.detail
 
+    def test_a_timelock_window_holds_both_its_ends(self):
+        # dep-A is open through round T = 10 and dep-B from round 11 on.
+        state = fresh_naive(T=10)
+        validate_tx(state, alice_tx(), 10)
+        validate_tx(state, bob_tx(), 11)
+        for tx, rnd in ((alice_tx(), 11), (bob_tx(), 10)):
+            with pytest.raises(LedgerError) as e:
+                validate_tx(state, tx, rnd)
+            assert (e.value.code, e.value.detail) == ("predicate-failed",
+                                                      "timelock")
+
     def test_overspend_rejected(self):
         state = fresh_naive(v_dep=100)
         tx = alice_tx(fee=101)
         with pytest.raises(LedgerError) as e:
             validate_tx(state, tx, 3)
         assert e.value.code == "over-spend"
+
+    def test_a_fee_of_the_whole_deposit_is_no_overspend(self):
+        # The bound is the deposit itself: a fee of all 100 leaves the
+        # payee a rest of 0.
+        state = fresh_naive(v_dep=100)
+        after = apply_block(state, Block(round=1, miner=M1,
+                                         txs=(alice_tx(fee=100),)))
+        assert (after.balances[ALICE], after.balances[M1]) == (50, 100)
 
     def test_unknown_output(self):
         state = fresh_naive()
@@ -92,6 +115,16 @@ class TestValidate:
             validate_tx(state, tx, 3)
         assert "signature" in e.value.detail
 
+    def test_a_negative_payment_is_refused(self):
+        # A payment of -5 would credit its payer and drive the payee below
+        # zero, as a briber's negative epsilon once did.
+        state = fresh_naive()
+        tx = payment_tx("tx.pay", ALICE, BOB, -5)
+        with pytest.raises(LedgerError) as e:
+            validate_tx(state, tx, 1)
+        assert (e.value.code, e.value.detail) == (
+            "invalid-tx", "negative payment amount -5")
+
     def test_a_tx_of_unknown_kind_is_invalid(self):
         # `apply_block` applies three kinds; any other never validates, so
         # a block carrying one is refused before it is applied.
@@ -103,6 +136,98 @@ class TestValidate:
         with pytest.raises(LedgerError) as e:
             apply_block(state, Block(round=1, miner=M1, txs=(tx,)))
         assert e.value.code == "invalid-tx"
+
+
+def _refuse_manual_auto_path():
+    scen = demba_scenario(T=4)
+    state = build_genesis(scen)[0]
+    path = next(p for p in state.contracts[DEP_ID].paths if p.auto_only)
+    return state, TxRecord("tx.auto", ALICE, consumes=((DEP_ID, path.name),))
+
+
+def _refuse_spent_contract():
+    state = apply_block(fresh_naive(), Block(round=1, miner=M1,
+                                             txs=(alice_tx(),)))
+    return state, alice_tx(0)
+
+
+def _refuse_double_spend_in_one_tx():
+    tx = alice_tx()
+    return fresh_naive(), tx._replace(consumes=tx.consumes * 2)
+
+
+#: case -> (a maker of the (state, tx) pair, the code and the exact detail
+#: of the ledger's refusal), the transaction offered in the round after
+#: the state's.  No other test holds these refusals to their exact line.
+REFUSALS = {
+    "manual-redeem-disabled": (
+        _refuse_manual_auto_path, "predicate-failed", "manual-redeem-disabled"),
+    "payment-without-destination": (
+        lambda: (fresh_naive(), TxRecord("tx.pay", ALICE, PAYMENT)),
+        "invalid-tx", "payment without destination"),
+    "call-without-contract": (
+        lambda: (fresh_naive(), TxRecord("tx.call", M1, CONTRACT_CALL)),
+        "unknown-output", "no such bribery contract"),
+    "call-to-unknown-contract": (
+        lambda: (fresh_naive(), call_tx("tx.call", M1, CBOB_ID,
+                                        "requestBribe")),
+        "unknown-output", "no such bribery contract"),
+    "related-consumes-nothing": (
+        lambda: (fresh_naive(), TxRecord("tx.none", ALICE)),
+        "unknown-output", "related tx consumes nothing"),
+    "payment-over-balance": (
+        lambda: (fresh_naive(), payment_tx("tx.pay", ALICE, BOB, 51)),
+        "over-spend", "alice cannot fund payment"),
+    "contract-already-redeemed": (
+        _refuse_spent_contract, "unknown-output",
+        "dep already ('redeemed', 'dep-A')"),
+    "double-spend-in-one-tx": (
+        _refuse_double_spend_in_one_tx, "duplicate-spend-in-block", "dep"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_each_refusal_keeps_its_code_and_detail(case):
+    make, code, detail = REFUSALS[case]
+    state, tx = make()
+    rnd = state.height + 1
+    with pytest.raises(LedgerError) as e:
+        validate_tx(state, tx, rnd)
+    assert (e.value.code, e.value.detail) == (code, detail)
+    # A block carrying the transaction is refused with the same line,
+    # wrapped as an invalid transaction.
+    with pytest.raises(LedgerError) as e:
+        apply_block(state, Block(round=rnd, miner=M1, txs=(tx,)))
+    assert (e.value.code, e.value.detail) == (
+        "invalid-tx", f"tx 0 ({tx.tx_id}): {code}({detail})")
+
+
+def test_a_block_over_capacity_is_refused_whole():
+    with pytest.raises(LedgerError) as e:
+        apply_block(fresh_naive(), Block(round=1, miner=M1, txs=(alice_tx(),),
+                                         unrelated_fill=8, capacity=8))
+    assert (e.value.code, e.value.detail) == ("invalid-tx",
+                                              "block over capacity")
+
+
+def he_confiscation():
+    """An he state at height 5 and the block of round 6 that spends both of
+    its contracts: the payer's forward of the deposit, then a miner's
+    confiscation of the collateral pot."""
+    dep, col = build_he_htlc(ALICE, BOB, 100, 50,
+                             {PRE_A: "s-a", PRE_B: "s-b"}, T=5, l=2)
+    state = ChainState(contracts={"dep": dep, "col": col},
+                       live={"dep": 150, "col": 0},
+                       balances={ALICE: 0, BOB: 0, EXTERNAL: 100, M1: 0},
+                       meta={"T": 5})
+    state.height = 5
+    w_b = Witness(frozenset({("dep", PRE_B, "s-b")}), frozenset({BOB}))
+    fwd = TxRecord("tx.depB", BOB, consumes=(("dep", DEP_B),), witness=w_b,
+                   declared_fee=2)
+    w_m = Witness(frozenset({("col", PRE_A, "s-a"), ("col", PRE_B, "s-b")}))
+    confiscate = TxRecord("tx.colM", M1, consumes=(("col", COL_M),),
+                          witness=w_m, declared_fee=0)
+    return state, Block(round=6, miner=M1, txs=(fwd, confiscate))
 
 
 class TestApply:
@@ -125,25 +250,38 @@ class TestApply:
         assert after.contracts["dep"].status == ("redeemed", DEP_A)
 
     def test_he_collateral_confiscation_burns_deposit(self):
-        dep, col = build_he_htlc(ALICE, BOB, 100, 50,
-                                 {PRE_A: "s-a", PRE_B: "s-b"}, T=5, l=2)
-        state = ChainState(contracts={"dep": dep, "col": col},
-                           live={"dep": 150, "col": 0},
-                           balances={ALICE: 0, BOB: 0, EXTERNAL: 100, M1: 0},
-                           meta={"T": 5})
-        state.height = 5
-        w_b = Witness(frozenset({("dep", PRE_B, "s-b")}), frozenset({BOB}))
-        fwd = TxRecord("tx.depB", BOB, consumes=(("dep", DEP_B),), witness=w_b,
-                       declared_fee=2)
-        w_m = Witness(frozenset({("col", PRE_A, "s-a"), ("col", PRE_B, "s-b")}))
-        confiscate = TxRecord("tx.colM", M1, consumes=(("col", COL_M),),
-                              witness=w_m, declared_fee=0)
+        state, block = he_confiscation()
         total = state.conservation_total()
-        after = apply_block(state, Block(round=6, miner=M1,
-                                         txs=(fwd, confiscate)))
+        after = apply_block(state, block)
         assert after.burned == 100
         assert after.balances[M1] == 2 + (150 - 2 - 100)
         assert after.conservation_total() == total
+
+    @pytest.mark.parametrize("spends", [1, 2])
+    def test_a_block_walks_each_spend_once(self, monkeypatch, spends):
+        # Validation looks each spent path up and prices it; application
+        # applies what validation returned, so a block of k spends asks
+        # for k paths and k outflows.
+        if spends == 1:
+            state = fresh_naive()
+            block = Block(round=1, miner=M1, txs=(alice_tx(),))
+        else:
+            state, block = he_confiscation()
+        calls = Counter()
+        path, outflow = ContractInstance.path, ledger._path_outflow
+
+        def counted_path(contract, name):
+            calls["path"] += 1
+            return path(contract, name)
+
+        def counted_outflow(path, rnd):
+            calls["outflow"] += 1
+            return outflow(path, rnd)
+
+        monkeypatch.setattr(ContractInstance, "path", counted_path)
+        monkeypatch.setattr(ledger, "_path_outflow", counted_outflow)
+        apply_block(state, block)
+        assert calls == Counter(path=spends, outflow=spends)
 
     def test_stale_round_rejected(self):
         state = fresh_naive()
@@ -194,6 +332,21 @@ class TestApply:
         assert later.redemptions is after.redemptions
         assert later.contracts is after.contracts
 
+    def test_demba_deposit_burns_when_both_payee_slots_land(self):
+        # The payee's double reveal after T publishes pre_A and pre_A'
+        # together, so the deposit's all-burn path fires: the contract is
+        # burned, not redeemed.
+        scen = demba_scenario(T=4)
+        state, _, _ = build_genesis(scen)
+        total = state.conservation_total()
+        for rnd in range(1, scen.T + 1):
+            state = apply_block(state, Block(round=rnd, miner=M1))
+        state = apply_block(state, Block(round=scen.T + 1, miner=M1, txs=(
+            tx_commit(scen, PRE_AA2),)))
+        assert state.redemptions[DEP_ID][0] == DEP_BURN
+        assert state.contracts[DEP_ID].status == BURNED
+        assert state.conservation_total() == total
+
 
 def coinbase_block(rnd, party, amount, reason):
     return Block(round=rnd, miner=M1, coinbase=((party, amount, reason),))
@@ -236,6 +389,38 @@ class TestFeeSplit:
         assert fee_split(state, DEP_A, 5, 9) == (5, 0)
         assert fee_split(state, PRE_A2, 12, 4) == (12, 0)
         assert fee_split(state, PRE_A2, 12, 6) == (3, 9)
+
+    def test_a_fee_off_the_schedule_is_refused_by_the_ledger(self):
+        # The payee's commit declares 9 where the schedule says 8: the
+        # ledger refuses it with the schedule's detail, the honest probe
+        # skips it, and a block carrying it is refused in one line.
+        scen = demba_scenario(T=4)
+        state, _, _ = build_genesis(scen)
+        tx = tx_commit(scen, PRE_A)._replace(declared_fee=9)
+        line = ("fee-mismatch", "path 'pre_A' pays 8, declared 9")
+        with pytest.raises(LedgerError) as e:
+            validate_tx(state, tx, 1)
+        assert (e.value.code, e.value.detail) == line
+        assert honest_miner_select(broadcast(state, [tx]), 1, scen) == []
+        with pytest.raises(LedgerError) as e:
+            apply_block(state, Block(round=1, miner=M1, txs=(tx,)))
+        assert (e.value.code, e.value.detail) == (
+            "invalid-tx", "tx 0 (tx.col.pre_A): fee-mismatch(path 'pre_A' "
+            "pays 8, declared 9)")
+
+    def test_a_late_burn_starts_the_round_after_its_bound(self):
+        # Bob's commit burns v_ded = 7 when it lands after T = 4, not at T.
+        scen = demba_scenario(T=4)
+        genesis, _, _ = build_genesis(scen)
+        total = genesis.conservation_total()
+        for rnd, burned in ((scen.T, 0), (scen.T + 1, 7 + 4)):
+            state = genesis
+            for r in range(1, rnd):
+                state = apply_block(state, Block(round=r, miner=M1))
+            state = apply_block(state, Block(round=rnd, miner=M1, txs=(
+                tx_commit(scen, PRE_B),)))
+            assert state.burned == burned  # the decayed fee burns 4 of 8
+            assert state.conservation_total() == total
 
     def test_late_commit_burns_the_decayed_remainder(self):
         scen = demba_scenario(T=4)

@@ -385,6 +385,17 @@ MALFORMED = {
     "policy-param-type": (minimal_naive(
         policies={"alice": {"name": "honest", "t_pub": "x"}}),
         "policies.alice"),
+    # A negative amount would pay the wrong way or drive a balance below 0.
+    "sdrba-briber-negative-epsilon": (minimal_naive(
+        protocol="mad", amounts={"v_dep": 100, "v_col": 50},
+        policies={"miners": {"m1": {"name": "sdrba-briber",
+                                    "epsilon": -1000000}}}),
+        "policies.miners.m1"),
+    "naive-briber-negative-br": (minimal_naive(
+        policies={"bob": {"name": "naive-briber", "br": -3}}), "policies.bob"),
+    "naive-briber-negative-budget": (minimal_naive(
+        policies={"bob": {"name": "naive-briber", "budget": -3}}),
+        "policies.bob"),
     "mc-trials-string": (minimal_naive(mode={"monte-carlo": "5"}), "mode"),
     # A key that no section knows, typically a misspelt one.
     "top-level-unknown-key": (minimal_naive(bribe={"br": 2}), "bribe"),
