@@ -20,8 +20,8 @@ forward pass builds a block that names its miner only as the fee payee
 once per control state and round key, and renames it for the other miners
 of that key, in the one step cache that a verdict's passes share
 (`game._forward`, `game.StepMemo`).  Every policy, miner or party, reads
-only a state's control parts (`ledger.ChainState.control_key`), never
-balances or logs, so the pass builds blocks and broadcasts once per
+only what a state's control key fixes (`ledger.ChainState.control_key`),
+never balances or logs, so the pass builds blocks and broadcasts once per
 control state.
 
 Every miner block that is not a bespoke attack block follows one assembly
@@ -214,11 +214,11 @@ def _assemble(state, rnd: int, miner: Party, scen: Scenario, head=(),
 
 
 def _open(state, tx: TxRecord) -> bool:
-    """The open-contract rule: whether every contract `tx` spends is still
-    redeemable."""
+    """The open-contract rule: whether every contract `tx` spends exists
+    and is still redeemable."""
     contracts = state.contracts
     for (cid, _) in tx.consumes:
-        if not contracts[cid].redeemable:
+        if cid not in contracts or not contracts[cid].redeemable:
             return False
     return True
 
@@ -440,10 +440,10 @@ class MinerPolicy:
 
     The contract every policy keeps: it reads `miner` only to name its
     block and the transactions it creates, never to choose what goes in,
-    and it reads only the state's control parts.  Two policies with equal
-    `round_key(rnd, scen)` build, at any state of round `rnd` and for any
-    two miners, blocks that differ only in the miner they name: both
-    name their miner only as the fee payee, or neither.  The forward
+    and it reads only what the state's control key fixes.  Policies with
+    equal `round_key(rnd, scen)` build, at any state of round `rnd` and
+    for any two miners, blocks that differ only in the miner they name:
+    both name their miner only as the fee payee, or neither.  The forward
     pass relies on it to build such a block once per control state and
     round key (`game.StepMemo`).
     """

@@ -19,7 +19,6 @@ is built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -128,8 +127,8 @@ BURNED = "burned"
 class ContractInstance:
     """A single deposit output with one-shot redemption.
 
-    Frozen, so a chain state's cached key and derived values cannot go
-    stale: a redemption replaces the instance with one of the new status.
+    Frozen, so a chain state that shares it cannot see it change: a
+    redemption replaces the instance with one of the new status.
     """
 
     contract_id: str
@@ -138,11 +137,11 @@ class ContractInstance:
     paths: tuple
     status: object = REDEEMABLE  # REDEEMABLE | ("redeemed", path) | BURNED
 
-    def path(self, name: str) -> RedeemPath:
+    def path(self, name: str) -> Optional[RedeemPath]:
         for p in self.paths:
             if p.name == name:
                 return p
-        raise ContractError(f"{self.contract_id} has no path {name!r}")
+        return None
 
     @property
     def redeemable(self) -> bool:
@@ -184,8 +183,9 @@ class FeeSchedule:
             )
         if declared_fee == 0 or inclusion_round <= self.T:
             return declared_fee, 0
-        decay = self.alpha ** (inclusion_round - self.T)
-        earned = min(declared_fee, math.floor(decay * base))
+        k = inclusion_round - self.T
+        n, d = self.alpha.as_integer_ratio()
+        earned = min(declared_fee, base * n**k // d**k)
         return earned, declared_fee - earned
 
 

@@ -3,8 +3,8 @@
 A play is fully determined by (scenario, strategy profile, miner schedule).
 Expected utilities are either exact or Monte-Carlo with a seeded generator,
 and both modes run the same forward pass over rounds.  Every policy is a
-stateless function of (chain state, round) that reads only the state's
-control parts (`ChainState.control_key`), so schedule prefixes that reach
+stateless function of (chain state, round) that reads only what the
+state's control key fixes (`ChainState.control_key`), so prefixes that reach
 one control state are merged and played on once, whatever they were paid
 on the way.  What they were paid is summed apart, as payoff groups: each
 maps the payoff accumulated so far (balance changes, burn, bribe-log

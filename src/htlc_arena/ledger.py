@@ -19,10 +19,14 @@ step copies each part it writes once and every part it does not write
 not at all: a block that changes nothing shares its parent's parts,
 control key and total.
 
-The parts split in two.  The control parts (live deposits, reveals,
-mempool, contracts, known preimages, bribery contracts and redemptions,
-whose miner counts only on a col-M confiscation) are all that a policy, a
-contract guard, a label or a terminal tag reads: `ChainState.control_key`.
+The six control parts (live deposits, reveals, mempool, known preimages,
+bribery contracts and redemptions, whose miner counts only on a col-M
+confiscation) fix all that a policy, a contract guard, a label or a
+terminal tag reads: `ChainState.control_key`.  Contract statuses are read
+too, but the redemptions imply them: at genesis every status is
+`REDEEMABLE` and no contract is redeemed, and the one status write, in
+`_apply_redeem`, comes with the contract's redemption, whose path fixes
+it: `BURNED` if every effect of the path burns, else `("redeemed", path)`.
 The payoff parts (balances, the burned total, the mint and bribe logs,
 and the miner of every other redemption) are only ever added to.
 The ledger reads balances in two checks alone, the over-spend check on a
@@ -154,16 +158,6 @@ class Mempool(Part):
         return frozenset(self)
 
 
-class Contracts(Part):
-    """cid -> ContractInstance, frozen, so a redemption replaces one.
-    Contracts change only in status, so the key holds statuses."""
-
-    __slots__ = ()
-
-    def _make_key(self):
-        return frozenset((cid, c.status) for cid, c in self.items())
-
-
 class Bribery(Part):
     """cid -> bribery contract.  The contracts are frozen: a step that
     changes one puts the contract it returns in its place."""
@@ -215,12 +209,10 @@ def _writable(cls):
 #: The type each part is sealed as.
 _PART_TYPES = {"balances": Part, "live": Part, "revealed": Part,
                "mempool": Mempool, "mint_log": Log, "bribe_log": Log,
-               "redemptions": Redemptions, "contracts": Contracts,
+               "redemptions": Redemptions, "contracts": Part,
                "known": Part, "bribery": Bribery}
 #: The writable twin of each part's type, which `ChainState.write` hands out.
-_TWINS = {cls: _writable(cls) for cls in (Part, Mempool, Contracts, Bribery,
-                                          Redemptions, Log)}
-_WRITABLE = {name: _TWINS[cls] for name, cls in _PART_TYPES.items()}
+_WRITABLE = {name: _writable(cls) for name, cls in _PART_TYPES.items()}
 #: Empty parts: read-only, so every state may share them.
 _EMPTY, _EMPTY_MEMPOOL, _EMPTY_LOG, _EMPTY_BRIBERY, _EMPTY_REDEMPTIONS = (
     Part.of(), Mempool.of(), Log.of(), Bribery.of(), Redemptions.of())
@@ -229,8 +221,8 @@ _NO_LOWS = MappingProxyType({})
 #: The parts `conservation_total` sums.
 _SUMMED = frozenset({"balances", "live", "mint_log", "bribery"})
 #: The parts `control_key` reads.
-_CONTROL = frozenset({"live", "revealed", "mempool", "contracts", "known",
-                      "bribery", "redemptions"})
+_CONTROL = frozenset({"live", "revealed", "mempool", "known", "bribery",
+                      "redemptions"})
 
 
 class ChainState:
@@ -276,7 +268,7 @@ class ChainState:
         self.height = 0
         self.burned = 0
         self.meta = MappingProxyType(dict(meta or {}))
-        self.contracts = Contracts.of(contracts or ())
+        self.contracts = Part.of(contracts or ())
         self.live = Part.of(live or ())
         self.balances = Part.of(balances or ())
         self.revealed = self.known = _EMPTY
@@ -413,17 +405,18 @@ class ChainState:
         carry the same labels from the same round on, whatever their payoff
         parts hold.
 
-        It is (height, body key), and the body key is the control parts'
-        cached keys, with a redemption's miner kept only on a col-M
+        It is (height, body key), and the body key is the six control
+        parts' cached keys, with a redemption's miner kept only on a col-M
         confiscation (`Redemptions`); meta never changes after genesis.  A
         successor that writes no control part keeps its parent's body key.
+        Contract statuses are left out: `_apply_redeem` writes one only
+        with the redemption that implies it (see the module docstring).
         """
         key = self._control
         if key is None:
             key = self._control = (
                 self.live.key(), self.revealed.key(), self.mempool.key(),
-                self.contracts.key(), self.known.key(), self.bribery.key(),
-                self.redemptions.key())
+                self.known.key(), self.bribery.key(), self.redemptions.key())
         return self.height, key
 
 
@@ -476,8 +469,8 @@ def _path_outflow(path: RedeemPath, rnd: int) -> int:
 
 
 def validate_tx(state: ChainState, tx: TxRecord, rnd: int):
-    """Raise LedgerError unless `tx` is valid against `state` at `rnd`; a
-    tx of a kind other than the three `apply_block` applies is invalid.
+    """Raise LedgerError unless `tx` is valid against `state` at `rnd`: a
+    fee below 0, or a kind other than `apply_block`'s three, is invalid.
 
     Returns the spends it checked, which `apply_block` applies as they
     are: for a related tx one (contract id, `RedeemPath`, outflow, earned
@@ -486,6 +479,9 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int):
     effects and any late burn) and the fee split is `fee_split`'s; for the
     other kinds, which spend no contract, ().
     """
+    fee = tx.declared_fee
+    if fee < 0:
+        raise LedgerError("invalid-tx", f"negative fee {fee}")
     if tx.kind == CONTRACT_CALL:
         if tx.call is None or tx.call[0] not in state.bribery:
             raise LedgerError("unknown-output", "no such bribery contract")
@@ -496,14 +492,13 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int):
         amount = tx.payment[1]
         if amount < 0:
             raise LedgerError("invalid-tx", f"negative payment amount {amount}")
-        if state.balances.get(tx.creator, 0) < amount + tx.declared_fee:
+        if state.balances.get(tx.creator, 0) < amount + fee:
             raise LedgerError("over-spend", f"{tx.creator.id} cannot fund payment")
         return ()
     if tx.kind != RELATED:
         raise LedgerError("invalid-tx", f"unknown kind {tx.kind!r}")
     if not tx.consumes:
         raise LedgerError("unknown-output", "related tx consumes nothing")
-    fee = tx.declared_fee
     spends = []
     seen = set()
     for (cid, path_name) in tx.consumes:
@@ -516,6 +511,9 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int):
         if not contract.redeemable:
             raise LedgerError("unknown-output", f"{cid} already {contract.status}")
         path = contract.path(path_name)
+        if path is None:
+            raise LedgerError("unknown-output",
+                              f"{cid} has no path {path_name!r}")
         _check_path_predicate(contract, path, tx.witness, rnd)
         value = state.live.get(cid, 0)
         outflow = _path_outflow(path, rnd)

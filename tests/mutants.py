@@ -135,7 +135,9 @@ MUTANTS = (
            "self.revealed.key(), self.mempool.key(),",
            "self.revealed.key(),",
            ("tests/test_differential.py::"
-            "test_settlement_examples_reach_what_they_test",)),
+            "test_settlement_examples_reach_what_they_test",
+            "tests/test_differential.py::"
+            "test_equal_control_keys_read_alike")),
     # The scenario loader's plain-number shortcut takes any Unicode digit,
     # which `int` and `Fraction` refuse with different messages.
     Mutant("plain-number-without-ascii-test", "src/htlc_arena/runner.py",
@@ -185,14 +187,24 @@ MUTANTS = (
             "test_settlement_examples_reach_what_they_test")),
     # Control states that differ only in their bribery contracts merge.
     Mutant("control-key-without-bribery", LEDGER,
-           "self.contracts.key(), self.known.key(), self.bribery.key(),",
-           "self.contracts.key(), self.known.key(),",
-           ("tests/test_analysis.py::TestM2MbaLemmas::"
+           "self.known.key(), self.bribery.key(), self.redemptions.key())",
+           "self.known.key(), self.redemptions.key())",
+           ("tests/test_differential.py::"
+            "test_equal_control_keys_read_alike",
+            "tests/test_analysis.py::TestM2MbaLemmas::"
             "test_lemma1_worked_instance",
             "tests/test_game.py::TestExpectations::"
             "test_conditional_bribe_income_is_exact",
             "tests/test_golden.py::"
             "test_report_bytes_match_golden[he_m2mba.lemmas]")),
+    # Control states that differ only in their redemptions merge: with
+    # the statuses out of the key, the redemptions alone tell which
+    # contracts are spent, and by which path.
+    Mutant("control-key-without-redemptions", LEDGER,
+           "self.bribery.key(), self.redemptions.key())",
+           "self.bribery.key())",
+           ("tests/test_differential.py::"
+            "test_equal_control_keys_read_alike",)),
     # The equal split divides the confiscation over one block too many.
     Mutant("equal-split-share", GAME,
            "share = Fraction(scen.v_col) * k_j / k",
@@ -239,8 +251,8 @@ MUTANTS = (
     # A late fee's decayed share rounds up, so the miner earns more of it
     # and less is burned than DEMBA's Eq. 1/Eq. 2 rule says.
     Mutant("fee-decay-rounds-up", CONTRACTS,
-           "math.floor(decay * base)",
-           "math.ceil(decay * base)",
+           "base * n**k // d**k",
+           "-(-base * n**k // d**k)",
            ("tests/test_contracts.py::TestFeeSplit::"
             "test_decayed_share_rounds_down",)),
     # A fee included at round T itself starts to decay.
@@ -249,7 +261,7 @@ MUTANTS = (
            "inclusion_round < self.T:",
            (),
            "at round T the decay is alpha ** 0 = 1, so the miner earns "
-           "min(fee, floor(fee)) = fee and nothing burns, as before"),
+           "min(fee, fee * 1 // 1) = fee and nothing burns, as before"),
     # A protected transfer that lands at round T counts as late, for the
     # bribery contracts' guards and the policies that read them.
     Mutant("deadline-excludes-round-T", LEDGER,
@@ -324,6 +336,13 @@ MUTANTS = (
            tuple("tests/test_agents.py::TestPactAutoRefund::"
                  "test_only_a_non_member_confiscation_refunds_the_locks"
                  f"[confiscator{i}]" for i in (0, 1))),
+    # A redemption writes a status that its path does not imply, which
+    # the control key, holding the redemptions alone, cannot tell apart.
+    Mutant("status-disagrees-with-redemption", LEDGER,
+           'BURNED if burns_only else ("redeemed", path.name))',
+           "BURNED)",
+           ("tests/test_differential.py::"
+            "test_equal_control_keys_read_alike",)),
     # Honest selection takes a transaction that earns only the unrelated
     # fee.
     Mutant("honest-fee-floor-inclusive", AGENTS,
@@ -349,6 +368,22 @@ MUTANTS = (
            "    if False:\n",
            ("tests/test_ledger.py::TestFeeSplit::"
             "test_a_fee_off_the_schedule_is_refused_by_the_ledger",)),
+    # A spend that names a path its contract lacks escapes validation
+    # as an AttributeError, which no builder's probe catches.
+    Mutant("unknown-path-unrefused", LEDGER,
+           "        if path is None:\n",
+           "        if False:\n",
+           ("tests/test_ledger.py::test_each_refusal_keeps_its_code_and_detail"
+            "[unknown-path]",
+            "tests/test_agents.py::TestHonestSelect::"
+            "test_a_spend_the_ledger_refuses_is_skipped")),
+    # A negative fee pays a transaction's creator out of its miner.
+    Mutant("negative-fee-accepted", LEDGER,
+           "    if fee < 0:\n",
+           "    if False:\n",
+           tuple("tests/test_ledger.py::test_each_refusal_keeps_its_code_and_"
+                 f"detail[negative-fee-{kind}]"
+                 for kind in ("related", "call", "payment"))),
     Mutant("negative-policy-parameter", AGENTS,
            "if want is int and value < 0:",
            "if False:",

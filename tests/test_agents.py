@@ -23,7 +23,8 @@ from htlc_arena.agents import (AliceHonest, AliceOffline, B3aAccomplice,
                                policy_space, tx_col_b, tx_commit,
                                tx_confiscate, tx_refund_dep_b,
                                tx_reveal_dep_a)
-from htlc_arena.contracts import CM2M_ID, COL_B, COL_ID, COL_M, PRE_A2
+from htlc_arena.contracts import (CM2M_ID, COL_B, COL_ID, COL_M, DEP_A,
+                                  PRE_A2)
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              build_genesis, expected_utilities, play)
 from htlc_arena.ledger import CONTRACT_CALL, Block, apply_block, broadcast
@@ -82,6 +83,20 @@ class TestHonestSelect:
         fees = sorted((t.declared_fee for t in picked), reverse=True)
         assert fees == [9, 5, 4]
 
+    def test_a_spend_the_ledger_refuses_is_skipped(self):
+        # Transactions that name a path their contract lacks, or a contract
+        # the game lacks, pay more than the reveal; the ledger refuses both
+        # (`unknown-output`), so the builder leaves them out.
+        scen = naive_scenario(f=1, f_dep_a=3)
+        reveal = tx_reveal_dep_a(scen)
+        bad = [reveal._replace(tx_id="tx.nopath", consumes=(("dep", "nope"),),
+                               declared_fee=9),
+               reveal._replace(tx_id="tx.nocontract",
+                               consumes=(("nope", DEP_A),), declared_fee=9)]
+        state = seeded_state(scen, [*bad, reveal])
+        assert honest_miner_select(state, 2, scen) == [reveal]
+        block = HonestFeeMax().build_block(state, 2, M1, scen)
+        assert block.txs == (reveal,)
 
     def test_late_scheduled_fee_counts_what_the_miner_earns(self):
         # pre_A' pays 12: earned 6 one round late, 1 three rounds late.

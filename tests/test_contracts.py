@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htlc_arena.core import (ALICE, BOB, ContractError, ScenarioError,
                              miner_party)
@@ -177,6 +179,17 @@ class TestFeeSplit:
         # `scenarios/demba_honest.json`'s schedule (T = 4): pre_A' three
         # rounds late earns floor(12/8) = 1 and burns the rest.
         assert demba_schedule(4).split(PRE_A2, 12, 7) == (1, 11)
+
+    @settings(deadline=None)
+    @given(data=st.data(), d=st.integers(1, 10**6), k=st.integers(1, 64),
+           base=st.integers(0, 10**9))
+    def test_integer_decay_is_the_exact_floor(self, data, d, k, base):
+        # The split decays in integers; its earned share is the floor of
+        # the exact product alpha^k * base for every 0 < alpha <= 1.
+        n = data.draw(st.integers(1, d))
+        sched = FeeSchedule({PRE_A: base}, Fraction(n, d), T=5)
+        earned = math.floor(Fraction(n, d) ** k * base)
+        assert sched.split(PRE_A, base, 5 + k) == (earned, base - earned)
 
     def test_zero_fee_stays_zero(self):
         sched = FeeSchedule({PRE_A: 0, PRE_A2: 12, PRE_AA2: 20, PRE_B: 6},

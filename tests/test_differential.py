@@ -27,7 +27,8 @@ from htlc_arena.agents import (AliceCensoredFallback, AliceHonest,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
                                M2MbaActive, M2MbaPassive, call_tx)
 from htlc_arena import game
-from htlc_arena.contracts import CBOB_ID, COL_M, DEP_ID
+from htlc_arena.contracts import (BURNED, CBOB_ID, COL_M, DEP_ID,
+                                  REDEEMABLE, Burn)
 from htlc_arena.core import (BOB, LedgerError, Party, ScenarioError,
                              miner_party)
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
@@ -39,7 +40,7 @@ from htlc_arena.runner import (TTC_PATHS, _completed, _completion_round,
 
 from conftest import (demba_scenario, frontier_settlements, he_scenario,
                       mad_scenario, monte_carlo, naive_scenario,
-                      play_settlement, same_parts)
+                      play_settlement, same_parts, state_identity)
 from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 POOLS = _fuzz_pools()
@@ -537,6 +538,82 @@ def test_equal_round_keys_build_equal_blocks(drawn, seed):
                 assert neutral[i, miner] == neutral[j, other]
         state, _, rank = game._play_round(scen, profile, state, rnd, mines,
                                           rank)
+
+
+def _implied_status(contract, redemption):
+    """The status that a contract's `redemptions` entry implies: none
+    leaves it redeemable, and a path whose every effect burns burns it."""
+    if redemption is None:
+        return REDEEMABLE
+    path = contract.path(redemption[0])
+    if all(isinstance(effect, Burn) for effect in path.effects):
+        return BURNED
+    return ("redeemed", path.name)
+
+
+def _control_reads(scen, profile, pool, state):
+    """All that the forward pass reads of `state`: the block of every
+    policy of `pool` for every miner in the next round (before the
+    horizon) with the control key it leads to, the parties' broadcasts,
+    the label, and what a final state settles by: the terminal tag, the
+    equal split's confiscator and each `ttc` path's completion round."""
+    rnd = state.height
+    blocks = [] if rnd == scen.horizon else [
+        pol.build_block(state, rnd + 1, miner, scen)
+        for pol in pool for miner in scen.miner_parties()]
+    return ([(block, apply_block(state, block).control_key())
+             for block in blocks],
+            profile.alice.broadcasts(state, rnd, scen),
+            profile.bob.broadcasts(state, rnd, scen),
+            game.state_label(state, scen.protocol),
+            game._terminal_tag(state, scen),
+            game._split_confiscator(scen, state),
+            [result_or_error(_completed, state.redemptions, scen, path)
+             for path in TTC_PATHS])
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=games(fewest=1), seed=st.integers(0, 2**32 - 1))
+@example(drawn=_demba_auto_resolution_game(), seed=0)
+@example(drawn=_race_confiscation_game(), seed=0)
+@example(drawn=_b3a_coinbase_game(), seed=0)
+@example(drawn=_party_merge_game(), seed=0)
+def test_equal_control_keys_read_alike(drawn, seed):
+    # The forward pass keeps one state per control key, so the key must
+    # fix all that the pass reads.  It leaves the contracts' statuses out
+    # because the redemptions imply them: on every state that eight random
+    # schedules reach, each status is the one its redemption implies, and
+    # any two states of the game with equal keys give equal blocks from
+    # every pool miner policy for each miner, leading to equal keys, equal
+    # party broadcasts, equal labels and equal settlements.
+    scen, profile, _ = drawn
+    pool = _round_key_pool(scen)
+    rng = random.Random(seed)
+    reached: dict = {}  # control key -> {state identity: state}
+
+    def reach(state):
+        assert set(state.redemptions) <= set(state.contracts)
+        for cid, contract in state.contracts.items():
+            assert contract.status == _implied_status(
+                contract, state.redemptions.get(cid)), (cid, state.height)
+        reached.setdefault(state.control_key(), {}).setdefault(
+            state_identity(state), state)
+
+    start = game._setup(scen, profile)[0]
+    reach(start)
+    for _ in range(8):
+        state, rank = start, -1
+        for rnd in range(1, scen.horizon + 1):
+            mined = game._mine(scen, profile, state, rnd,
+                               rng.choice(scen.miner_parties()))[1]
+            state, _, rank = game._act(scen, profile, mined, rnd, rank)
+            reach(mined)
+            reach(state)
+    for states in reached.values():
+        first, *others = states.values()
+        reads = _control_reads(scen, profile, pool, first)
+        for other in others:
+            assert _control_reads(scen, profile, pool, other) == reads
 
 
 def sampled_one_by_one(scen, profile, pin=None):

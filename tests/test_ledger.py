@@ -151,6 +151,11 @@ def _refuse_spent_contract():
     return state, alice_tx(0)
 
 
+def _refuse_unknown_path():
+    return fresh_naive(), TxRecord("tx.nope", ALICE,
+                                   consumes=(("dep", "nope"),))
+
+
 def _refuse_double_spend_in_one_tx():
     tx = alice_tx()
     return fresh_naive(), tx._replace(consumes=tx.consumes * 2)
@@ -183,6 +188,21 @@ REFUSALS = {
         "dep already ('redeemed', 'dep-A')"),
     "double-spend-in-one-tx": (
         _refuse_double_spend_in_one_tx, "duplicate-spend-in-block", "dep"),
+    "unknown-path": (
+        _refuse_unknown_path, "unknown-output", "dep has no path 'nope'"),
+    # A negative fee would pay its creator: at -5 the naive dep-A reveal
+    # would pay Alice 105 from a deposit of 100 and leave its miner at -5.
+    "negative-fee-related": (
+        lambda: (fresh_naive(), alice_tx(fee=-5)),
+        "invalid-tx", "negative fee -5"),
+    "negative-fee-call": (
+        lambda: (fresh_naive(), call_tx("tx.call", M1, CBOB_ID,
+                                        "requestBribe", fee=-5)),
+        "invalid-tx", "negative fee -5"),
+    "negative-fee-payment": (
+        lambda: (fresh_naive(), payment_tx("tx.pay", ALICE, BOB, 5)._replace(
+            declared_fee=-5)),
+        "invalid-tx", "negative fee -5"),
 }
 
 
