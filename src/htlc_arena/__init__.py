@@ -8,7 +8,8 @@ from .contracts import (FeeSchedule, build_demba, build_he_htlc,
                         resolve_demba_dep)
 from .ledger import Block, ChainState, TxRecord, Witness, apply_block, validate_tx
 from .game import (MinerProfile, Outcome, Scenario, Schedule, StrategyProfile,
-                   dominance_check, expected_utilities, play, state_label)
+                   expected_utilities, play, state_label)
+from .analysis import dominance_check
 
 __all__ = [
     "ALICE", "BOB", "EXTERNAL", "Party", "miner_party",

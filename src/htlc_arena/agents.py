@@ -766,7 +766,7 @@ def make_miner_policy(name: str, **params) -> MinerPolicy:
 def policy_space(scen: Scenario, player) -> list:
     """The policies `player` ("alice", "bob" or a miner's `Party`) may play
     on `scen`, in the order a dominance verdict weighs them
-    (`game.dominance_check` names the first that beats its candidate).
+    (`analysis.dominance_check` names the first that beats its candidate).
 
     On he a miner in the pact (`Scenario.coalition`) is offered the pact's
     policies and any other miner the passive attack; no player is offered

@@ -11,17 +11,19 @@ Active-miner checks run on the coalition view: the pact's members
 (`Scenario.coalition`) renormalised to their conditional shares
 lambda_i / lambda_col, the measure the per-block bribe arithmetic uses.
 
-Each verifier call computes each distinct (scenario, profile, pin)
-expectation once: policies are stateless, so a profile is keyed by each
-policy's class and constructor parameters.  Its passes on one scenario
-share one block-step cache (`game.StepMemo`), keyed as a lone pass keys
-its own, since the profiles a verdict compares differ in one player's
-policy: a pass builds only the blocks that no earlier pass built, in
-every round, and takes a block that names its miner only as the fee payee
-renamed for any miner of that block's round key.  The expectations and the
-cache live for that one call and no longer.  (Pact lemma 5 and the
-two-phase lemmas 6 and 7 ask for no expectation twice and call
-`expected_utilities` directly.)
+Every verdict, `dominance_check` included, asks its expectations of one
+memo (`_verdict_expectations`), which computes each distinct (scenario,
+profile, pin) expectation once: policies are stateless, so a profile is
+keyed by each policy's class and constructor parameters.  Its passes on
+one scenario share one block-step cache (`game.StepMemo`), keyed as a
+lone pass keys its own, since the profiles a verdict compares differ in
+one player's policy: a pass builds only the blocks that no earlier pass
+built, in every round, and takes a block that names its miner only as the
+fee payee renamed for any miner of that block's round key.  The
+expectations and the cache live for that one verdict and no longer.
+(Pact lemma 5 asks a single expectation, and calls `expected_utilities`
+directly: a cache kept in every round costs a lone pass more than it
+saves.)
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .core import (ALICE, BOB, MAX_DRAW_ITEMS, Party, ScenarioError,
                    miner_party)
 from .contracts import PRE_A2, PRE_AA2
 from .game import (MinerProfile, Scenario, StepMemo, StrategyProfile,
-                   dominance_check, expected_utilities, policy_key)
+                   expected_utilities, policy_key)
 from .agents import (AliceGrief, AliceHonest, AliceOffline, BobDelay,
                      BobHonest, HonestFeeMax, M2MbaActive, M2MbaPassive,
                      policy_space)
@@ -95,7 +97,7 @@ def closed_form(attack: str, params: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# One verdict's expectations.
+# Dominance verdicts.
 # ---------------------------------------------------------------------------
 
 
@@ -122,6 +124,70 @@ def _verdict_expectations():
                                                  memos[id(scen)][1])
         return done[key][1]
     return expect
+
+
+@dataclass
+class DominanceVerdict:
+    verdict: str  # strict | weak | none
+    witness: Optional[dict] = None
+
+    def __str__(self):
+        return self.verdict
+
+
+def _profile_with(base: StrategyProfile, player, policy) -> StrategyProfile:
+    if player == "alice":
+        return StrategyProfile(policy, base.bob, base.miners)
+    if player == "bob":
+        return StrategyProfile(base.alice, policy, base.miners)
+    miners = dict(base.miners)
+    miners[player] = policy
+    return StrategyProfile(base.alice, base.bob, miners)
+
+
+def _player_party(player) -> Party:
+    if player == "alice":
+        return ALICE
+    if player == "bob":
+        return BOB
+    return player
+
+
+def dominance_check(scen: Scenario, player, candidate, alternatives,
+                    profile: StrategyProfile, pin: Optional[dict] = None, *,
+                    expect=None) -> DominanceVerdict:
+    """Brute-force pure-strategy dominance of `candidate` over each of
+    `alternatives` for `player`, every other player playing as `profile`
+    says (its `player` slot is overwritten).
+
+    Returns strict if the candidate beats every alternative, weak if it
+    never loses and wins somewhere, none otherwise; the witness pins down
+    the comparison that was tight or violated.  `expect` is the verdict's
+    memo (`_verdict_expectations`) for a caller that shares it with other
+    checks; by default the check makes its own.
+    """
+    expect = expect or _verdict_expectations()
+    party = _player_party(player)
+    cand_u = expect(scen, _profile_with(profile, player, candidate),
+                    pin).of(party)
+
+    def row(alt, alt_u) -> dict:
+        return {"opponents": profile.describe(), "alternative": alt.name,
+                "candidate_utility": cand_u, "alternative_utility": alt_u}
+
+    strict_somewhere = False
+    tight_witness = None
+    for alt in alternatives:
+        alt_u = expect(scen, _profile_with(profile, player, alt), pin).of(party)
+        if cand_u > alt_u:
+            strict_somewhere = True
+        elif cand_u == alt_u:
+            tight_witness = row(alt, alt_u)
+        else:
+            return DominanceVerdict("none", row(alt, alt_u))
+    if tight_witness is None:
+        return DominanceVerdict("strict")
+    return DominanceVerdict("weak" if strict_somewhere else "none", tight_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +346,8 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
         pin = {scen.T + 1: rest}
         base = _attack_profile(view)
         accept = M2MbaActive("accept")
-        verdict = dominance_check(view, mi, accept,
-                                  own_space=[accept, HonestFeeMax()],
-                                  opponent_space=[base], pin=pin,
-                                  expect=expect)
+        verdict = dominance_check(view, mi, accept, [HonestFeeMax()], base,
+                                  pin, expect=expect)
         income = expect(view, _attack_profile(view, {mi: accept}),
                         pin=pin).bribe_income.get(mi, Fraction(0))
         return LemmaVerdict("lemma1", hyp, verdict.verdict == "strict",
@@ -292,20 +356,16 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
     if n == 2:
         hyp = pact_hypothesis(2, scen, lam_i)
         offer = M2MbaActive("race")
-        verdict = dominance_check(view, mi, offer,
-                                  own_space=[offer, HonestFeeMax()],
-                                  opponent_space=[_attack_profile(view)],
-                                  expect=expect)
+        verdict = dominance_check(view, mi, offer, [HonestFeeMax()],
+                                  _attack_profile(view), expect=expect)
         return LemmaVerdict("lemma2", hyp, verdict.verdict == "strict",
                             detail={"verdict": verdict.verdict})
     if n == 3:
         view, mp, _ = passive_view(scen, focal)
         hyp = pact_hypothesis(3, scen, lam_i)
         wait = M2MbaPassive()
-        verdict = dominance_check(view, mp, wait,
-                                  own_space=[wait, HonestFeeMax()],
-                                  opponent_space=[_attack_profile(view)],
-                                  expect=expect)
+        verdict = dominance_check(view, mp, wait, [HonestFeeMax()],
+                                  _attack_profile(view), expect=expect)
         return LemmaVerdict("lemma3", hyp, verdict.verdict == "strict",
                             detail={"verdict": verdict.verdict})
     if n == 4:
@@ -394,7 +454,7 @@ def verify_theorem_m2mba(scen: Scenario) -> TheoremReport:
         candidates, honest_alts = space[:-2], space[-2:]
         results = []
         for cand in candidates:
-            v = dominance_check(scen, party, cand, [cand] + honest_alts, [base],
+            v = dominance_check(scen, party, cand, honest_alts, base,
                                 expect=expect)
             results.append((cand.name, v))
             if v.verdict != "strict":
@@ -428,13 +488,13 @@ class DembaReport:
                 and self.collusion_bounds_hold)
 
 
-def _single_miner_play(scen: Scenario, alice, bob, miner_policy=None,
-                       expect=None):
+def _single_miner_play(expect, scen: Scenario, alice, bob,
+                       miner_policy=None):
     m = scen.miner_parties()[0]
     profile = StrategyProfile(alice, bob, {
         p: (miner_policy or HonestFeeMax()) if p == m else HonestFeeMax()
         for p in scen.miner_parties()})
-    return (expect or expected_utilities)(scen, profile)
+    return expect(scen, profile)
 
 
 def verify_demba(scen: Scenario) -> DembaReport:
@@ -499,8 +559,8 @@ def verify_demba(scen: Scenario) -> DembaReport:
         u = honest_miners(AliceHonest(), pol).of(BOB)
         deviations.append(("bob", pol.name, u, u_bob_honest))
     for pol in miner_space:
-        u = _single_miner_play(scen, AliceHonest(), BobHonest(1), pol,
-                               expect).of(miner)
+        u = _single_miner_play(expect, scen, AliceHonest(), BobHonest(1),
+                               pol).of(miner)
         deviations.append(("miner", pol.name, u, honest.of(miner)))
     no_profit = all(u <= u_honest for _, _, u, u_honest in deviations)
     return DembaReport(honest_best_alice, honest_best_bob,
@@ -513,11 +573,12 @@ def verify_demba_lemma(n: int, scen: Scenario) -> LemmaVerdict:
     """Per-party dominance checks for the two-phase protocol (6, 7, 8)."""
     if scen.protocol != "demba":
         raise ScenarioError("protocol-mismatch")
+    expect = _verdict_expectations()
     if n == 6:
         hyp = scen.v_ded > 0
-        honest = _single_miner_play(scen, AliceHonest(), BobHonest(1)).of(ALICE)
-        offline = _single_miner_play(scen, AliceOffline(), BobHonest(1)).of(ALICE)
-        grief = _single_miner_play(scen, AliceGrief(), BobHonest(1)).of(ALICE)
+        honest, offline, grief = (
+            _single_miner_play(expect, scen, alice, BobHonest(1)).of(ALICE)
+            for alice in (AliceHonest(), AliceOffline(), AliceGrief()))
         # The double reveal must lose the deduction on top of the fee gap
         # relative to the plain late return.
         fee_gap = scen.fee_schedule.paid[PRE_AA2] - scen.fee_schedule.paid[PRE_A2]
@@ -528,8 +589,9 @@ def verify_demba_lemma(n: int, scen: Scenario) -> LemmaVerdict:
                                     "grief": grief})
     if n == 7:
         hyp = scen.v_ded > 0
-        honest = _single_miner_play(scen, AliceHonest(), BobHonest(1)).of(BOB)
-        delayed = _single_miner_play(scen, AliceHonest(), BobDelay(1)).of(BOB)
+        honest, delayed = (
+            _single_miner_play(expect, scen, AliceHonest(), bob).of(BOB)
+            for bob in (BobHonest(1), BobDelay(1)))
         concl = honest - delayed == scen.v_ded
         return LemmaVerdict("lemma7", hyp, concl,
                             detail={"honest": honest, "delayed": delayed})

@@ -38,8 +38,8 @@ straight from the frontier, a payoff or a control state at a time, and
 no final chain state is rebuilt; `ttc` reads control states alone, on a
 pass with every round pinned to one miner, since its honest traffic
 completes in the same round whoever mines.  `play` and its `Outcome`
-stay as the oracle the tests hold them to.  Dominance checks brute-force
-finite policy spaces on top of the expectation machinery.
+stay as the oracle the tests hold them to.  Dominance verdicts, which
+weigh expectations against each other, live in `analysis`.
 
 Utilities carry no discounting: they are raw end-of-game token deltas from
 the post-setup baseline.  The one exception to pre-funded contracts is the
@@ -1126,78 +1126,3 @@ def expected_utilities(scen: Scenario, profile: StrategyProfile,
         {payoffs.parties[i]: Fraction(sums[i], total) for i in order},
         {p: Fraction(b, total) for p, b in bribes.items()},
         Fraction(burned, total), scen.mode[0], ci)
-
-
-# ---------------------------------------------------------------------------
-# Dominance.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DominanceVerdict:
-    verdict: str  # strict | weak | none
-    witness: Optional[dict] = None
-
-    def __str__(self):
-        return self.verdict
-
-
-def _profile_with(base: StrategyProfile, player, policy) -> StrategyProfile:
-    if player == "alice":
-        return StrategyProfile(policy, base.bob, base.miners)
-    if player == "bob":
-        return StrategyProfile(base.alice, policy, base.miners)
-    miners = dict(base.miners)
-    miners[player] = policy
-    return StrategyProfile(base.alice, base.bob, miners)
-
-
-def _player_party(player) -> Party:
-    if player == "alice":
-        return ALICE
-    if player == "bob":
-        return BOB
-    return player
-
-
-def dominance_check(scen: Scenario, player, candidate, own_space,
-                    opponent_space, pin: Optional[dict] = None, *,
-                    expect=None) -> DominanceVerdict:
-    """Brute-force pure-strategy dominance of `candidate` over `own_space`.
-
-    `opponent_space` is a list of StrategyProfile templates giving every
-    other player's policy (the `player` slot is overwritten).  Returns
-    strict if the candidate beats every alternative against every opponent
-    profile, weak if it never loses and wins somewhere, none otherwise; the
-    witness pins down the comparison that was tight or violated.  `expect`
-    computes each expectation, `expected_utilities` unless a caller that
-    shares its results across checks passes its own.
-    """
-    if not own_space or not opponent_space:
-        raise ScenarioError("empty strategy space")
-    expect = expect or expected_utilities
-    party = _player_party(player)
-    alternatives = [p for p in own_space if p is not candidate]
-    if not alternatives:
-        return DominanceVerdict("strict")
-    strict_somewhere = False
-    tight_witness = None
-    for opp in opponent_space:
-        cand_u = expect(
-            scen, _profile_with(opp, player, candidate), pin).of(party)
-        for alt in alternatives:
-            alt_u = expect(scen, _profile_with(opp, player, alt), pin).of(party)
-            if cand_u > alt_u:
-                strict_somewhere = True
-            elif cand_u == alt_u:
-                tight_witness = {"opponents": opp.describe(),
-                                 "alternative": alt.name,
-                                 "candidate_utility": cand_u,
-                                 "alternative_utility": alt_u}
-            else:
-                return DominanceVerdict("none", {
-                    "opponents": opp.describe(), "alternative": alt.name,
-                    "candidate_utility": cand_u, "alternative_utility": alt_u})
-    if tight_witness is None:
-        return DominanceVerdict("strict")
-    return DominanceVerdict("weak" if strict_somewhere else "none", tight_witness)

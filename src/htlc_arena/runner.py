@@ -28,14 +28,12 @@ from .core import ArenaError, EXTERNAL, ScenarioError, miner_party
 from .contracts import (COL_B, COL_B_ID, COL_ID, DEP_A, DEP_ID, FeeSchedule,
                         PRE_A, PRE_A2, PRE_AA2, PRE_B)
 from .game import (MinerProfile, Scenario, Schedule, StrategyProfile,
-                   check_field, dominance_check, expected_utilities,
-                   final_frontier, mean_half_width, play, policy_key,
-                   sample_schedule)
+                   check_field, expected_utilities, final_frontier,
+                   mean_half_width, play, policy_key, sample_schedule)
 from .agents import (AliceHonest, AliceOffline, BobHonest, HonestFeeMax,
                      make_miner_policy, make_party_policy, policy_space)
-from . import analysis
-from .analysis import (PoolParams, pool_math, pool_mc, verify_demba,
-                       verify_demba_lemma, verify_m2mba_lemma,
+from .analysis import (PoolParams, dominance_check, pool_math, pool_mc,
+                       verify_demba, verify_demba_lemma, verify_m2mba_lemma,
                        verify_theorem_m2mba)
 
 
@@ -100,10 +98,9 @@ _PAID_KEYS = {"pre_A": PRE_A, "pre_A'": PRE_A2, "pre_AA'": PRE_AA2,
 
 def _fee_schedule_from(doc: dict, T: int) -> FeeSchedule:
     paid_doc = _object(doc.get("paid", {}), "fees.schedule.paid", _PAID_KEYS)
-    try:
-        paid = {path: paid_doc[key] for key, path in _PAID_KEYS.items()}
-    except KeyError as e:
-        raise ScenarioError(f"validation-error(fees.schedule.paid): missing {e}")
+    # A missing fee is the contract check's to refuse.
+    paid = {path: paid_doc[key] for key, path in _PAID_KEYS.items()
+            if key in paid_doc}
     return FeeSchedule(paid, _frac(doc.get("alpha", "1/2"), "fees.schedule.alpha"), T)
 
 
@@ -245,8 +242,6 @@ def fmt_value(v) -> str:
     if type(v) is Fraction:
         return f"{v.numerator}/{v.denominator}" if v.denominator != 1 \
             else str(v.numerator)
-    if type(v) is bool:
-        return "true" if v else "false"
     if type(v) is float:
         return repr(v) if v else "0.0"  # a negative zero prints unsigned
     return str(v)
@@ -422,9 +417,7 @@ def cmd_dominance(args) -> tuple:
         raise ScenarioError(
             f"validation-error(player): no policy for {player} besides "
             f"{candidate.name!r} is valid for protocol {scen.protocol!r}")
-    verdict = dominance_check(scen, key, candidate,
-                              [candidate] + alternatives, [profile],
-                              expect=analysis._verdict_expectations())
+    verdict = dominance_check(scen, key, candidate, alternatives, profile)
     report = Report(_base_header(args, "dominance", digest=digest))
     report.add("dominance", player, verdict.verdict)
     report.add("candidate", player, candidate.name)

@@ -384,6 +384,40 @@ MUTANTS = (
            tuple("tests/test_ledger.py::test_each_refusal_keeps_its_code_and_"
                  f"detail[negative-fee-{kind}]"
                  for kind in ("related", "call", "payment"))),
+    # The verdict layer.  A tie counts as a win, so a candidate that only
+    # ties its alternatives dominates them.
+    Mutant("dominance-tie-counts-as-win", ANALYSIS,
+           "if cand_u > alt_u:",
+           "if cand_u >= alt_u:",
+           ("tests/test_game.py::TestDominance::test_a_tie_is_no_win",)),
+    # A verdict's memo hands a pass pinned to one miner the expectation
+    # of the unpinned profile.
+    Mutant("memo-key-without-pin", ANALYSIS,
+           "tuple(sorted((pin or {}).items())))",
+           "())",
+           ("tests/test_analysis.py::TestM2MbaLemmas::"
+            "test_memo_keys_on_pin_and_policy_parameters",)),
+    # A verdict's memo hands one scenario the expectation of another.
+    Mutant("memo-key-without-scenario", ANALYSIS,
+           "key = (id(scen), policy_key(profile.alice)",
+           "key = (policy_key(profile.alice)",
+           ("tests/test_analysis.py::TestM2MbaLemmas::"
+            "test_step_memo_lives_for_one_verdict_and_scenario",)),
+    # A verdict's memo knows a miner policy by its name alone, so two
+    # parametrisations of one policy share an expectation.
+    Mutant("memo-key-miner-by-name", ANALYSIS,
+           "tuple(sorted((p, policy_key(pol))",
+           "tuple(sorted((p, pol.name)",
+           ("tests/test_analysis.py::TestM2MbaLemmas::"
+            "test_memo_keys_on_pin_and_policy_parameters",)),
+    # A verdict's passes share no step cache: each builds all its blocks.
+    Mutant("verdict-passes-share-no-steps", ANALYSIS,
+           "done[key] = scen, expected_utilities(scen, profile, pin,\n"
+           "                                                 memos[id(scen)][1])",
+           "done[key] = scen, expected_utilities(scen, profile, pin)",
+           ("tests/test_analysis.py::TestDembaVerification::"
+            "test_lemma_6_builds_fewer_blocks_than_its_fresh_passes"
+            "[one-miner]",)),
     Mutant("negative-policy-parameter", AGENTS,
            "if want is int and value < 0:",
            "if False:",

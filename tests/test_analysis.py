@@ -18,8 +18,9 @@ from htlc_arena.core import ALICE, BOB, ScenarioError, miner_party
 from htlc_arena.analysis import (PoolParams, closed_form, pool_math,
                                  pool_mc, verify_demba, verify_demba_lemma,
                                  verify_m2mba_lemma, verify_theorem_m2mba)
-from htlc_arena.agents import (AliceHonest, BobHonest, HonestFeeMax,
-                               M2MbaActive, M2MbaPassive, policy_space)
+from htlc_arena.agents import (AliceHonest, BobHonest, CensorRelated,
+                               HonestFeeMax, M2MbaActive, M2MbaPassive,
+                               policy_space)
 from htlc_arena.contracts import CM2M_ID
 from htlc_arena.game import MinerProfile, StrategyProfile, policy_key
 from htlc_arena.runner import load_scenario, main
@@ -117,10 +118,10 @@ def test_solvent_pacts_pay_lemma_fives_closed_form(scen):
 def shared_verdicts(draw):
     """(verifier, args) of one verdict whose passes share a step memo: a
     pact lemma on a solvent pact (lemma 3 on its passive miner), the pact
-    theorem on three miners, or the two-phase theorem on one or two
-    miners."""
-    kind = draw(st.sampled_from((1, 2, 3, 4, 5, "theorem", "demba")))
-    if kind == "demba":
+    theorem on three miners, or the two-phase theorem or lemma 6 or 7 on
+    one or two miners."""
+    kind = draw(st.sampled_from((1, 2, 3, 4, 5, "theorem", "demba", 6, 7)))
+    if kind in ("demba", 6, 7):
         T = draw(st.integers(2, 4))
         powers = draw(st.sampled_from(((1,), (Fraction(1, 2),) * 2,
                                        (Fraction(1, 3), Fraction(2, 3)))))
@@ -128,9 +129,12 @@ def shared_verdicts(draw):
                        for p, w in zip((M1, M2), powers))
         sched = demba_schedule(T, alpha=draw(st.sampled_from(
             (Fraction(1, 2), Fraction(1, 10), Fraction(1, 3)))))
-        return verify_demba, (demba_scenario(
+        scen = demba_scenario(
             T=T, horizon=T + 4, v_ded=draw(st.sampled_from((1, 3, 7))),
-            schedule=sched, miners=miners),)
+            schedule=sched, miners=miners)
+        if kind == "demba":
+            return verify_demba, (scen,)
+        return verify_demba_lemma, (kind, scen)
     scen = draw(solvent_pacts(lemma5=kind == 5))
     if kind == "theorem":
         assume(len(scen.miners) == 3)
@@ -151,6 +155,9 @@ FOUR_MINERS = he_scenario(
         MinerProfile(party, Fraction(1, 4), kind, kind == "active")
         for party, kind in zip((M1, M2, M3, M4),
                                ("active", "active", "passive", "passive"))))
+#: The two-phase game on two miners of unequal power.
+TWO_DEMBA_MINERS = demba_scenario(miners=(
+    MinerProfile(M1, Fraction(1, 3)), MinerProfile(M2, Fraction(2, 3))))
 
 
 @settings(max_examples=30, deadline=None)
@@ -158,6 +165,8 @@ FOUR_MINERS = he_scenario(
 @example(point=(verify_m2mba_lemma, (4, M2MBA_FILE, M1)))
 @example(point=(verify_theorem_m2mba, (M2MBA_FILE,)))
 @example(point=(verify_m2mba_lemma, (4, FOUR_MINERS, M1)))
+@example(point=(verify_demba_lemma, (6, TWO_DEMBA_MINERS)))
+@example(point=(verify_demba_lemma, (7, TWO_DEMBA_MINERS)))
 def test_step_memo_leaves_every_verdict_as_fresh_passes_give_it(point):
     # A verdict's passes share one step cache (`game.StepMemo`), so a
     # pass takes steps, renamed ones included, that an earlier pass of
@@ -306,10 +315,10 @@ def _theorem_spaces(scen) -> dict:
     it: its attack candidates in order, then their honest alternatives."""
     weighed: dict = {}
 
-    def record(scen, player, candidate, own_space, *args, **kwargs):
-        assert own_space[0] is candidate
-        weighed.setdefault(player, []).append(own_space)
-        return game.DominanceVerdict("strict")
+    def record(scen, player, candidate, alternatives, *args, **kwargs):
+        assert all(alt is not candidate for alt in alternatives)
+        weighed.setdefault(player, []).append([candidate, *alternatives])
+        return analysis.DominanceVerdict("strict")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "dominance_check", record)
@@ -338,7 +347,7 @@ def test_every_player_has_one_space_valid_for_its_protocol(scen):
         space = policy_space(scen, player)
         assert space, player
         for pol in space:
-            game._check_profile(scen, game._profile_with(honest, player, pol))
+            game._check_profile(scen, analysis._profile_with(honest, player, pol))
         if scen.protocol == "he" and player not in ("alice", "bob"):
             assert any(isinstance(pol, M2MbaActive) for pol in space) \
                 == (player in scen.coalition)
@@ -446,6 +455,10 @@ class TestM2MbaLemmas:
         expect(scen, profile(M2MbaActive()), {2: M3})
         expect(scen, profile(M2MbaActive(defer_to=5)))
         assert len(calls) == 3
+        # Two parametrisations that share a display name are two policies.
+        expect(scen, profile(CensorRelated()))
+        expect(scen, profile(CensorRelated(participate=False)))
+        assert len(calls) == 5
 
     def test_step_memo_lives_for_one_verdict_and_scenario(self, monkeypatch):
         # Lemma 4's three deferrals share their steps up to the deadline,
@@ -723,6 +736,31 @@ class TestDembaVerification:
         assert v.consistent
         rep = verify_demba(scen)
         assert not rep.miner_timely_dominant and not rep.all_hold
+
+    @pytest.mark.parametrize("scen", [demba_scenario(), TWO_DEMBA_MINERS],
+                             ids=["one-miner", "two-miners"])
+    def test_lemma_6_builds_fewer_blocks_than_its_fresh_passes(
+            self, scen, monkeypatch):
+        # Lemma 6's three passes differ only in the payee's policy and
+        # share one verdict memo, so each block that an earlier pass built
+        # is taken from its step cache instead of built again.
+        builds = []
+        mine = game._mine
+
+        def counted(*args):
+            builds.append(args)
+            return mine(*args)
+
+        monkeypatch.setattr(game, "_mine", counted)
+        shared = verify_demba_lemma(6, scen)
+        memo_builds = len(builds)
+        with monkeypatch.context() as mp:
+            mp.setattr(analysis, "expected_utilities",
+                       lambda scen, profile, pin=None, memo=None:
+                       game.expected_utilities(scen, profile, pin))
+            fresh = verify_demba_lemma(6, scen)
+        assert shared == fresh
+        assert 0 < memo_builds < len(builds) - memo_builds
 
     def test_lemma_6_and_7_exact_losses(self):
         scen = demba_scenario(v_ded=9)

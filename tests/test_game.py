@@ -22,9 +22,10 @@ from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
                                M2MbaActive, call_tx, make_block, payment_tx,
                                tx_reveal_dep_a)
+from htlc_arena.analysis import dominance_check
 from htlc_arena.game import (MinerProfile, Scenario, Schedule,
-                             StrategyProfile, dominance_check,
-                             enumerate_schedules, expected_utilities, play)
+                             StrategyProfile, enumerate_schedules,
+                             expected_utilities, play)
 from htlc_arena.ledger import ChainState
 from htlc_arena.runner import (TTC_PATHS, _completion_round,
                                _ttc_profile, ttc)
@@ -456,8 +457,25 @@ class TestDominance:
         scen = naive_scenario()
         profile = honest_profile(scen)
         candidate = profile.miners[M1]
-        verdict = dominance_check(scen, M1, candidate, [candidate], [profile])
+        verdict = dominance_check(scen, M1, candidate, [], profile)
         assert verdict.verdict == "strict"
+
+    def test_a_tie_is_no_win(self):
+        # Against honest parties the fee-max miner earns the same as an
+        # equal policy and more than a censor: a tie alone is none, and a
+        # tie beside a win is weak.
+        scen = naive_scenario()
+        profile = honest_profile(scen)
+        fee_max = profile.miners[M1]
+        tie = dominance_check(scen, M1, fee_max, [HonestFeeMax()], profile)
+        assert tie.verdict == "none"
+        assert (tie.witness["candidate_utility"]
+                == tie.witness["alternative_utility"])
+        assert dominance_check(scen, M1, fee_max, [CensorRelated()],
+                               profile).verdict == "strict"
+        assert dominance_check(scen, M1, fee_max,
+                               [CensorRelated(), HonestFeeMax()],
+                               profile).verdict == "weak"
 
     def test_accept_bribe_dominates_when_hypothesis_holds(self):
         mi, rest = miner_party("mi"), miner_party("rest")
@@ -468,8 +486,8 @@ class TestDominance:
         base = StrategyProfile(AliceHonest(), BobHonest(),
                                {mi: M2MbaActive(), rest: M2MbaActive()})
         accept = M2MbaActive("accept")
-        verdict = dominance_check(scen, mi, accept, [accept, HonestFeeMax()],
-                                  [base], pin={scen.T + 1: rest})
+        verdict = dominance_check(scen, mi, accept, [HonestFeeMax()], base,
+                                  pin={scen.T + 1: rest})
         assert verdict.verdict == "strict"
 
     def test_tiny_bribe_flips_to_none_with_witness(self):
@@ -482,8 +500,8 @@ class TestDominance:
         base = StrategyProfile(AliceHonest(), BobHonest(),
                                {mi: M2MbaActive(), rest: M2MbaActive()})
         accept = M2MbaActive("accept")
-        verdict = dominance_check(scen, mi, accept, [accept, HonestFeeMax()],
-                                  [base], pin={scen.T + 1: rest})
+        verdict = dominance_check(scen, mi, accept, [HonestFeeMax()], base,
+                                  pin={scen.T + 1: rest})
         assert verdict.verdict == "none"
         assert verdict.witness["alternative"] == "honest-fee-max"
         assert (verdict.witness["alternative_utility"]

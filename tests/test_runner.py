@@ -379,6 +379,9 @@ MALFORMED = {
     # Refused before `Fraction` expands the exponent, which takes seconds.
     "miner-power-huge-exponent": (minimal_naive(
         miners=[{"id": "m1", "power": "1e10000000"}]), "miners[0].power"),
+    # The pair form [p, q] of a power with q = 0.
+    "miner-power-zero-denominator": (minimal_naive(
+        miners=[{"id": "m1", "power": [1, 0]}]), "miners[0].power"),
     "miner-power-negative": (minimal_naive(
         miners=[{"id": "m1", "power": 2}, {"id": "m2", "power": -1}]),
         "power"),
@@ -440,6 +443,12 @@ MALFORMED = {
         amounts={"v_dep": 100, "v_col_a": 50, "v_col_b": 40, "v_ded": 7},
         fees={"schedule": {"paid": {"pre_A": 3, "pre_A'": 3, "pre_AA'": 5,
                                     "pre_B": 2}}}), "fee_schedule"),
+    # The contract check refuses a missing paid fee.
+    "demba-paid-missing-pre-B": (minimal_naive(
+        protocol="demba",
+        amounts={"v_dep": 100, "v_col_a": 50, "v_col_b": 40, "v_ded": 7},
+        fees={"schedule": {"paid": {"pre_A": 8, "pre_A'": 12,
+                                    "pre_AA'": 20}}}), "fee_schedule"),
     "naive-with-fee-schedule": (minimal_naive(
         fees={"schedule": {"paid": {"pre_A": 9, "pre_A'": 3, "pre_AA'": 1,
                                     "pre_B": 2}, "alpha": "7/2"}}),
@@ -598,6 +607,25 @@ def test_huge_exponent_is_refused_at_once(case, tmp_path, capsys):
 #: exponents, and digits that are not ASCII ('٣' is one to `Fraction`, '²'
 #: is not).  Seven characters hold at most a five-digit exponent, which
 #: `Fraction` expands in milliseconds.
+@pytest.mark.parametrize("job", [["simulate"], ["expect"],
+                                 ["dominance", "--player", "m2"]],
+                         ids=lambda job: job[0])
+def test_a_power_pair_reads_as_its_fraction(job, tmp_path, capsys):
+    # `[p, q]` is the power p/q: two miners of power [1, 2] and two of
+    # power "1/2" give one report, but for the digest of the file's bytes.
+    reports = []
+    for power in ([1, 2], "1/2"):
+        path = write_doc(tmp_path, minimal_naive(miners=[
+            {"id": "m1", "power": power}, {"id": "m2", "power": power}]))
+        assert main([job[0], "--scenario", str(path), *job[1:]]) == 0
+        reports.append(capsys.readouterr().out.splitlines())
+    pair, text = reports
+    assert len(pair) == len(text)
+    differ = [(a, b) for a, b in zip(pair, text) if a != b]
+    assert len(differ) == 1
+    assert all(line.startswith("# scenario-digest: ") for line in differ[0])
+
+
 NUMBER_STRINGS = st.text(st.sampled_from("0123456789/_+- .eE٣²"),
                          max_size=7)
 

@@ -14,7 +14,8 @@ import inspect
 import sys
 from pathlib import Path
 
-from htlc_arena import game
+import htlc_arena
+from htlc_arena import analysis, game, runner
 from htlc_arena.agents import AliceHonest, BobHonest, HonestFeeMax
 from htlc_arena.game import StrategyProfile
 
@@ -34,6 +35,13 @@ def test_every_traced_name_is_bound():
     missing = [f"{owner.__name__}.{attr}" for owner, attr in sites
                if attr not in vars(owner)]
     assert not missing, missing
+
+
+def test_one_dominance_check_under_every_traced_name():
+    # The tracer wraps the check where `analysis` and `runner` call it;
+    # the package exports the same function.
+    assert runner.dominance_check is analysis.dominance_check \
+        is htlc_arena.dominance_check
 
 
 def test_every_called_name_answers():
