@@ -50,15 +50,8 @@ from .ledger import (CONTRACT_CALL, PAYMENT, RELATED, Block, ChainView,
 from .game import Scenario, policy_key
 
 
-def _known_value(state, slot: str) -> Optional[str]:
-    for (_, s), value in state.known.items():
-        if s == slot:
-            return value
-    return None
-
-
 def _preimages_known(state, slots) -> bool:
-    return all(_known_value(state, s) is not None for s in slots)
+    return all(s in state.known for s in slots)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +86,7 @@ def tx_confiscate(state, creator: Party, cid: str, path: str,
     Confiscators normally know only what was broadcast; an accomplice
     colluding with the payer holds pre_B off-chain as well.
     """
-    values = {s: _known_value(state, s) for s in (PRE_A, PRE_B)}
+    values = {s: state.known.get(s) for s in (PRE_A, PRE_B)}
     if collude_bob:
         values[PRE_B] = SECRETS[PRE_B]
     pre = frozenset({(cid, s, v) for s, v in values.items()})
@@ -180,12 +173,12 @@ def honest_miner_select(state, rnd: int, scen: Scenario,
 
 def make_block(rnd: int, miner: Party, scen: Scenario, txs,
                coinbase: tuple = ()) -> Block:
-    """The block `miner` mines in round `rnd`: `txs`, then unrelated
-    traffic paying `scen.f` each in the room the block has left."""
+    """The block `miner` mines in round `rnd`: `txs`, then as many
+    fillers as the block has room left for under `scen.capacity`, which
+    the ledger pays at the game's fee `f`."""
     # Positional: a named tuple binds keywords in Python, at twice the cost.
-    capacity = scen.capacity
-    return Block(rnd, miner, tuple(txs), max(0, capacity - len(txs)), scen.f,
-                 capacity, coinbase)
+    return Block(rnd, miner, tuple(txs), max(0, scen.capacity - len(txs)),
+                 coinbase)
 
 
 def _assemble(state, rnd: int, miner: Party, scen: Scenario, head=(),
@@ -507,7 +500,7 @@ class CensorRelated(MinerPolicy):
             head.append(refund)
         if cbob is not None and not cbob.settled:
             view = ChainView(state, rnd, miner)
-            pre_a = _known_value(state, PRE_A)
+            pre_a = state.known.get(PRE_A)
             if rnd <= scen.T:
                 if any(t in state.mempool for t in _target_tx_ids(scen)):
                     head.append(call_tx(f"tx.cbob.req.{rnd}", miner, CBOB_ID,
@@ -570,7 +563,7 @@ def _confiscation_block(state, rnd, miner, scen, pact: bool,
     pact_obj = state.bribery.get(CM2M_ID) if pact else None
     if pact_obj is not None and not pact_obj.settled:
         view = ChainView(state, rnd, miner)
-        pre_a = _known_value(state, PRE_A)
+        pre_a = state.known.get(PRE_A)
         if pre_a is not None and (can_confiscate
                                   or view.confiscator() is not None):
             head.append(call_tx(f"tx.cm2m.claim.{rnd}", miner, CM2M_ID,
@@ -658,7 +651,7 @@ class B3aAccomplice(MinerPolicy):
         self.name = f"b3a-accomplice(case={self.case})"
 
     def build_block(self, state, rnd, miner, scen):
-        pre_a = _known_value(state, PRE_A)
+        pre_a = state.known.get(PRE_A)
         if (rnd <= scen.T or pre_a is None
                 or not state.contracts[DEP_ID].redeemable):
             return CensorRelated().build_block(state, rnd, miner, scen)
@@ -712,7 +705,7 @@ class SdrbaBriber(MinerPolicy):
     def build_block(self, state, rnd, miner, scen):
         eps = self.epsilon if self.epsilon is not None else scen.epsilon
         dep = state.contracts[DEP_ID]
-        if dep.redeemable and _known_value(state, PRE_A) is not None:
+        if dep.redeemable and PRE_A in state.known:
             txs = [tx_confiscate(state, miner, DEP_ID, DEP_M,
                                  collude_bob=True),
                    payment_tx(f"tx.sdrba.pay.{rnd}", miner, BOB,
@@ -732,7 +725,7 @@ class HydraAccomplice(MinerPolicy):
         self.name = "hydra-accomplice"
 
     def build_block(self, state, rnd, miner, scen):
-        pre_a = _known_value(state, PRE_A)
+        pre_a = state.known.get(PRE_A)
         if (rnd > scen.T and pre_a is not None
                 and state.contracts[DEP_ID].redeemable):
             eps = self.epsilon if self.epsilon is not None else scen.epsilon

@@ -607,9 +607,9 @@ def _timely_inclusion_dominant(scen: Scenario) -> bool:
     for path, paid in sched.paid.items():
         if paid == 0:
             continue
-        on_time = sched.split(path, paid, sched.T)[0]
+        on_time = sched.split(path, sched.T)[0]
         for t in range(sched.T + 1, scen.horizon + 1):
-            if sched.split(path, paid, t)[0] >= on_time:
+            if sched.split(path, t)[0] >= on_time:
                 return False
     return True
 

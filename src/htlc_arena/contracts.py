@@ -1,18 +1,19 @@
 """Predicate-guarded deposit contracts for the four protocol variants.
 
-A contract is a deposit plus a list of redeem paths.  Each path names the
-hashlock slots and signers it requires, an inclusion window, and an ordered
-effect list.  Exactly one effect per path carries the REST sentinel: it
-receives whatever is left of the deposit after fixed effects and the
-transaction fee, which is how a UTXO-style "fee = inputs - outputs" model
-falls out of the data.
+A contract is a deposit, whose value the chain state holds, plus a list
+of redeem paths.  Each path names the hashlock slots and signers it
+requires, an inclusion window, and an ordered effect list.  Exactly one
+effect per path carries the REST sentinel: it receives whatever is left
+of the deposit after fixed effects and the transaction fee, which is how
+a UTXO-style "fee = inputs - outputs" model falls out of the data.
 
 Also here: the fee schedule of the two-phase commit protocol and the two
 adversarial bribery contracts miners and payers use to coordinate
 censorship.  The fee rule: a commit on a scheduled path pays exactly its
 scheduled fee; a miner including it at round t <= T earns all of it, and
 after T earns floor(alpha^(t-T) * fee) while the rest burns
-(`FeeSchedule.split`; `ledger.fee_split` applies it to any fee).
+(`FeeSchedule.split`; `ledger.fee_split` refuses any other fee on a
+scheduled path and splits the paid one).
 `check_fee_schedule` holds a schedule to Eq.1/Eq.2 when a demba deposit
 is built.
 """
@@ -125,14 +126,14 @@ BURNED = "burned"
 
 @dataclass(frozen=True, slots=True)
 class ContractInstance:
-    """A single deposit output with one-shot redemption.
+    """A single deposit output with one-shot redemption; what it holds
+    is the chain state's `live` part alone.
 
     Frozen, so a chain state that shares it cannot see it change: a
     redemption replaces the instance with one of the new status.
     """
 
     contract_id: str
-    deposit: int
     digests: dict  # slot -> expected preimage value (exact-witness model)
     paths: tuple
     status: object = REDEEMABLE  # REDEEMABLE | ("redeemed", path) | BURNED
@@ -153,15 +154,11 @@ class ContractInstance:
 # ---------------------------------------------------------------------------
 
 
-class FeeError(ContractError):
-    pass
-
-
 @dataclass(frozen=True)
 class FeeSchedule:
     """Paid fees per commit path, with earned fees decaying after round T.
 
-    For a tx landing at round t <= T the miner earns the full declared fee.
+    For a tx landing at round t <= T the miner earns the full paid fee.
     After T the miner earns floor(alpha^(t-T) * paid) and the remainder is
     burned.  The alpha exponent restarts at T so the honest era has a zero
     paid/earned gap.
@@ -174,19 +171,16 @@ class FeeSchedule:
     def __post_init__(self):
         object.__setattr__(self, "paid", MappingProxyType(dict(self.paid)))
 
-    def split(self, path: str, declared_fee: int, inclusion_round: int) -> tuple:
-        """Return (miner_earned, burned) for a tx on a scheduled `path`."""
+    def split(self, path: str, inclusion_round: int) -> tuple:
+        """(miner_earned, burned) of `path`'s paid fee at `inclusion_round`;
+        `ledger.fee_split` refuses a transaction that declares another."""
         base = self.paid[path]
-        if declared_fee != base:
-            raise FeeError(
-                f"fee-mismatch: path {path!r} pays {base}, declared {declared_fee}"
-            )
-        if declared_fee == 0 or inclusion_round <= self.T:
-            return declared_fee, 0
+        if base == 0 or inclusion_round <= self.T:
+            return base, 0
         k = inclusion_round - self.T
         n, d = self.alpha.as_integer_ratio()
-        earned = min(declared_fee, base * n**k // d**k)
-        return earned, declared_fee - earned
+        earned = min(base, base * n**k // d**k)
+        return earned, base - earned
 
 
 def check_fee_schedule(schedule: FeeSchedule) -> None:
@@ -257,8 +251,8 @@ def build_naive_htlc(alice: Party, bob: Party, v_dep: int, digest_a: str,
         RedeemPath(DEP_B, (Transfer(bob, REST),),
                    required_signers=frozenset({bob}), earliest=T + 1),
     )
-    return ContractInstance(DEP_ID, check_amount(v_dep, "v_dep"),
-                            {PRE_A: digest_a}, paths)
+    check_amount(v_dep, "v_dep")
+    return ContractInstance(DEP_ID, {PRE_A: digest_a}, paths)
 
 
 def _require_positive(v_dep: int, v_col: int) -> None:
@@ -274,7 +268,7 @@ def build_mad_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
     _require_positive(v_dep, v_col)
     both = frozenset({PRE_A, PRE_B})
     dep = ContractInstance(
-        DEP_ID, v_dep, dict(digests),
+        DEP_ID, dict(digests),
         (
             RedeemPath(DEP_A, (Transfer(alice, REST),),
                        required_preimages=frozenset({PRE_A}),
@@ -286,7 +280,7 @@ def build_mad_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
         ),
     )
     col = ContractInstance(
-        COL_ID, v_col, dict(digests),
+        COL_ID, dict(digests),
         (
             RedeemPath(COL_B, (Transfer(bob, REST),),
                        required_signers=frozenset({bob}), earliest=T + 1),
@@ -310,7 +304,7 @@ def build_he_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
         raise ContractError("delay l must be at least 1", "l")
     both = frozenset({PRE_A, PRE_B})
     dep = ContractInstance(
-        DEP_ID, v_dep + v_col, dict(digests),
+        DEP_ID, dict(digests),
         (
             RedeemPath(DEP_A, (Transfer(bob, v_col), Transfer(alice, REST)),
                        required_preimages=frozenset({PRE_A}),
@@ -322,7 +316,7 @@ def build_he_htlc(alice: Party, bob: Party, v_dep: int, v_col: int,
     )
     # The collateral pot starts empty; dep-B funds it.
     col = ContractInstance(
-        COL_ID, 0, dict(digests),
+        COL_ID, dict(digests),
         (
             RedeemPath(COL_B, (Transfer(bob, REST),),
                        required_signers=frozenset({bob}), earliest=T + l + 1),
@@ -354,9 +348,11 @@ def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
     # meaningless.
     check_amount(v_ded, "v_ded")
     check_fee_schedule(schedule)
+    check_amount(v_col_a, "v_col_a")
+    check_amount(v_col_b, "v_col_b")
+    check_amount(v_dep, "v_dep")
     col_a = ContractInstance(
-        COL_A_ID, check_amount(v_col_a, "v_col_a"),
-        {PRE_A: digests[PRE_A], PRE_A2: digests[PRE_A2]},
+        COL_A_ID, {PRE_A: digests[PRE_A], PRE_A2: digests[PRE_A2]},
         (
             RedeemPath(PRE_A, (Transfer(alice, REST),),
                        required_preimages=frozenset({PRE_A}),
@@ -370,8 +366,7 @@ def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
         ),
     )
     col_b = ContractInstance(
-        COL_B_ID, check_amount(v_col_b, "v_col_b"),
-        {PRE_B: digests[PRE_B]},
+        COL_B_ID, {PRE_B: digests[PRE_B]},
         (
             RedeemPath(PRE_B, (Transfer(bob, REST),),
                        required_preimages=frozenset({PRE_B}),
@@ -379,7 +374,7 @@ def build_demba(alice: Party, bob: Party, v_dep: int, v_col_a: int,
         ),
     )
     dep = ContractInstance(
-        DEP_ID, check_amount(v_dep, "v_dep"), {},
+        DEP_ID, {},
         (
             RedeemPath(DEP_A, (Transfer(alice, REST),), auto_only=True,
                        cross_reads=(

@@ -313,8 +313,9 @@ def build_genesis(scen: Scenario) -> tuple:
 
 
 def _build_genesis(scen: Scenario) -> tuple:
-    meta = {"T": scen.T, "l": scen.l, "target_contract": DEP_ID,
-            "target_path": DEP_A, "fee_schedule": scen.fee_schedule}
+    meta = {"T": scen.T, "l": scen.l, "capacity": scen.capacity,
+            "f": scen.f, "target_contract": DEP_ID, "target_path": DEP_A,
+            "fee_schedule": scen.fee_schedule}
     if scen.protocol == "naive":
         dep = build_naive_htlc(ALICE, BOB, scen.v_dep, SECRETS[PRE_A], scen.T)
         contracts = {DEP_ID: dep}
@@ -377,8 +378,7 @@ def state_label(state: ChainState, protocol: str) -> str:
         return "red"
     if entry[0] == DEP_A:
         return "nred-A"
-    pre_a_known = any(slot == PRE_A for (_, slot) in state.known)
-    return "nred-rev" if pre_a_known else "nred-nrev"
+    return "nred-rev" if PRE_A in state.known else "nred-nrev"
 
 
 _LABEL_ORDER = {name: i for i, name in enumerate(

@@ -36,8 +36,8 @@ lowest balance (`ChainState.lows`), which tells how far below its start
 the step took each balance.
 
 Unrelated traffic is modelled as an inexhaustible supply of filler
-transactions, each paying exactly the scenario's base fee; blocks carry
-them as a count rather than as objects.
+transactions, each paying exactly the game's base fee `meta["f"]`; blocks
+carry them as a count, held with their transactions to `meta["capacity"]`.
 
 `validate_tx` checks a transaction and returns the spends it checked: for
 a related transaction, per contract it consumes, the contract id, the
@@ -92,15 +92,15 @@ class TxRecord(NamedTuple):
 
 
 class Block(NamedTuple):
-    """One round's block.  A named tuple: blocks are built once per mined
-    branch, and a tuple builds in about half a frozen dataclass's time."""
+    """One round's block: only what its miner chooses, as the game's
+    capacity and filler fee are the chain state's (`meta`).  A named tuple:
+    blocks are built once per mined branch, and a tuple builds in about
+    half a frozen dataclass's time."""
 
     round: int
     miner: Party
     txs: tuple = ()
     unrelated_fill: int = 0
-    unrelated_fee: int = 0
-    capacity: int = 8
     coinbase: tuple = ()  # ((party, amount, reason), ...)
 
 
@@ -233,8 +233,8 @@ class ChainState:
     The parts are `balances` (Party -> tokens), `live` (cid -> deposit),
     `revealed` ((cid, slot) -> (value, round)), `mempool`, `mint_log` and
     `bribe_log` ((party, amount, tag) entries), `redemptions`
-    (cid -> (path, round, miner)), `contracts`, `known` ((cid, slot) ->
-    value, mempool-or-chain knowledge) and `bribery`.
+    (cid -> (path, round, miner)), `contracts`, `known` (slot -> value,
+    mempool-or-chain knowledge) and `bribery`.
     Each caches its share of `conservation_total` and, if it is a control
     part, of `control_key` (`Part`), and the state caches its total and its
     control key, so both cost nothing on a state whose parts are all its
@@ -254,11 +254,11 @@ class ChainState:
     far.
 
     `meta` holds the game's fixed parameters, set by genesis: the deadline
-    `T`, the refund delay `l`, and the contract and path of the protected
-    transfer, `target_contract` and `target_path`.  It may also hold the
-    `fee_schedule` (`fee_split`) and `auto_ids`, the contracts that have an
-    automatic path, which are the only ones a block may resolve on its own;
-    either is taken as none when absent.
+    `T`, the refund delay `l`, the block `capacity`, the filler fee `f` and
+    the protected transfer's `target_contract` and `target_path`.  It may
+    also hold the `fee_schedule` (`fee_split`) and `auto_ids`, the contracts
+    that have an automatic path, which are the only ones a block may
+    resolve on its own; either is taken as none when absent.
     """
 
     __slots__ = ("height", "burned", "meta", *_PART_TYPES, "lows",
@@ -429,9 +429,9 @@ def broadcast(state: ChainState, txs) -> ChainState:
         held = s.mempool.get(tx.tx_id)
         if held is None or held != tx:
             s.write("mempool")[tx.tx_id] = tx
-        for (cid, slot, value) in tx.witness.preimages:
-            if s.known.get((cid, slot)) != value:
-                s.write("known")[(cid, slot)] = value
+        for (_, slot, value) in tx.witness.preimages:
+            if s.known.get(slot) != value:
+                s.write("known")[slot] = value
     return s.seal()
 
 
@@ -534,7 +534,7 @@ def fee_split(state: ChainState, path: str, fee: int, rnd: int) -> tuple:
     """(earned, burned) of a `fee` paid on `path` and included at `rnd`:
     the fee schedule's split on a path it lists, else all to the miner.
     A fee other than the one the schedule lists for its path is refused
-    with the schedule's detail."""
+    here alone, with the schedule's detail."""
     schedule = state.meta.get("fee_schedule")
     if schedule is None or path not in schedule.paid:
         return fee, 0
@@ -542,7 +542,7 @@ def fee_split(state: ChainState, path: str, fee: int, rnd: int) -> tuple:
     if fee != paid:
         raise LedgerError("fee-mismatch",
                           f"path {path!r} pays {paid}, declared {fee}")
-    return schedule.split(path, fee, rnd)
+    return schedule.split(path, rnd)
 
 
 def _apply_redeem(s: ChainState, spend: tuple, fee: int, preimages,
@@ -574,14 +574,14 @@ def _apply_redeem(s: ChainState, spend: tuple, fee: int, preimages,
     s.burn(fee_burn)
     c = s.contracts[cid]
     s.write("contracts")[cid] = ContractInstance(
-        c.contract_id, c.deposit, c.digests, c.paths,
+        c.contract_id, c.digests, c.paths,
         BURNED if burns_only else ("redeemed", path.name))
     s.write("redemptions")[cid] = (path.name, rnd, block_miner)
     for (c, slot, value) in preimages:
         if (c, slot) not in s.revealed:
             s.write("revealed")[(c, slot)] = (value, rnd)
-            if s.known.get((c, slot)) != value:
-                s.write("known")[(c, slot)] = value
+            if s.known.get(slot) != value:
+                s.write("known")[slot] = value
 
 
 def _apply_call(s: ChainState, tx: TxRecord, rnd: int, block_miner: Party) -> None:
@@ -737,14 +737,16 @@ def apply_block(state: ChainState, block: Block) -> ChainState:
     if rnd != state.height + 1:
         raise LedgerError("stale-round",
                           f"block {rnd} onto height {state.height}")
-    txs = block.txs
-    if len(txs) + block.unrelated_fill > block.capacity:
+    txs, fill = block.txs, block.unrelated_fill
+    if fill < 0:
+        raise LedgerError("invalid-tx", f"negative fill {fill}")
+    if len(txs) + fill > state.meta["capacity"]:
         raise LedgerError("invalid-tx", "block over capacity")
     s = state.draft()
     if txs:
         _apply_txs(s, txs, rnd, block.miner)
-    if block.unrelated_fill:
-        total = block.unrelated_fill * block.unrelated_fee
+    if fill:
+        total = fill * s.meta["f"]
         s.debit(EXTERNAL, total)
         s.credit(block.miner, total)
     for party, amount, reason in block.coinbase:

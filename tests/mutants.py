@@ -6,9 +6,11 @@ broken on purpose, and the tests that must kill them.
 A mutant rewrites one exact snippet of one file.  The runner applies each
 named mutant (every one by default) in a temporary copy of the repository
 and runs the tests named for it there, one pytest process each; every one
-of them must fail.  An equivalent mutant names no test but the argument
-why no play can tell it apart, and is not run.  The runner prints one line
-per mutant and exits 1 if any test survived.  The file name keeps it out
+of them must fail (`outcome`: only pytest's exit 1 is a kill, and a run
+that found or collected no test is an error).  An equivalent mutant names
+no test but the argument why no play can tell it apart, and is not run.
+The runner prints one line per mutant and exits 1 if any test survived or
+any run was an error.  The file name keeps it out
 of the repository's own test collection; `test_mutants.py` checks that
 every snippet still matches its file exactly once, so a mutant cannot go
 stale unnoticed.
@@ -330,9 +332,10 @@ MUTANTS = (
     # unknown: after the payer's refund is mined straight into a block, no
     # miner knows pre_B to confiscate with.
     Mutant("reveal-leaves-knowledge", LEDGER,
-           "            if s.known.get((c, slot)) != value:\n"
-           "                s.write(\"known\")[(c, slot)] = value\n",
-           "",
+           "            s.write(\"revealed\")[(c, slot)] = (value, rnd)\n"
+           "            if s.known.get(slot) != value:\n"
+           "                s.write(\"known\")[slot] = value\n",
+           "            s.write(\"revealed\")[(c, slot)] = (value, rnd)\n",
            tuple("tests/test_agents.py::TestPactAutoRefund::"
                  "test_only_a_non_member_confiscation_refunds_the_locks"
                  f"[confiscator{i}]" for i in (0, 1))),
@@ -418,6 +421,103 @@ MUTANTS = (
            ("tests/test_analysis.py::TestDembaVerification::"
             "test_lemma_6_builds_fewer_blocks_than_its_fresh_passes"
             "[one-miner]",)),
+    # The ledger holds a block to a capacity that is not the game's, as it
+    # did when a block declared its own.
+    Mutant("capacity-not-the-games", LEDGER,
+           'if len(txs) + fill > state.meta["capacity"]:',
+           "if len(txs) + fill > 8:",
+           ("tests/test_ledger.py::test_each_refusal_keeps_its_code_and_detail"
+            "[block-over-capacity]",)),
+    # Filler pays a fee that is not the game's.
+    Mutant("filler-fee-not-the-games", LEDGER,
+           'total = fill * s.meta["f"]',
+           "total = fill",
+           ("tests/test_ledger.py::TestApply::"
+            "test_filler_pays_the_games_fee",)),
+    # A negative fill moves tokens from the miner to the external traffic,
+    # below zero if it asks enough.
+    Mutant("negative-fill-accepted", LEDGER,
+           "    if fill < 0:\n",
+           "    if False:\n",
+           ("tests/test_ledger.py::test_each_refusal_keeps_its_code_and_detail"
+            "[negative-fill]",)),
+    # The protocols' own rules.  The pact's attack window closes a round
+    # early, so its locks return before a confiscation could still land.
+    Mutant("attack-window-closes-early", LEDGER,
+           'return self._rnd > meta["T"] + meta["l"] + 1',
+           'return self._rnd >= meta["T"] + meta["l"] + 1',
+           ("tests/test_agents.py::TestPactRefundToMiners::"
+            "test_race_miners_refund_their_locks_after_an_idle_window",)),
+    # He-HTLC's refund delay drops the + 1 of l = ceil(kappa).
+    Mutant("he-delay-without-the-plus-one", CONTRACTS,
+           "return max(1, -(-v_dep // (v_col - f)) + 1)",
+           "return max(1, -(-v_dep // (v_col - f)))",
+           ("tests/test_contracts.py::TestBuilders::"
+            "test_he_delay_derivation",)),
+    # The payer's collateral path opens at T + l, a round into the
+    # confiscation window.
+    Mutant("he-col-b-opens-a-round-early", CONTRACTS,
+           "required_signers=frozenset({bob}), earliest=T + l + 1),",
+           "required_signers=frozenset({bob}), earliest=T + l),",
+           ("tests/test_contracts.py::TestBuilders::"
+            "test_he_requires_delay",)),
+    # He-HTLC's confiscation burns nothing of the deposit.
+    Mutant("he-confiscation-burns-nothing", CONTRACTS,
+           "RedeemPath(COL_M, (Burn(v_dep), Transfer(BLOCK_MINER, REST)),",
+           "RedeemPath(COL_M, (Transfer(BLOCK_MINER, REST),),",
+           ("tests/test_ledger.py::TestApply::"
+            "test_he_collateral_confiscation_burns_deposit",)),
+    # DEMBA's double commit (pre_AA') forfeits nothing.
+    Mutant("demba-double-commit-burns-nothing", CONTRACTS,
+           "RedeemPath(PRE_AA2, (Burn(v_ded), Transfer(alice, REST)),",
+           "RedeemPath(PRE_AA2, (Transfer(alice, REST),),",
+           ("tests/test_analysis.py::TestDembaVerification::"
+            "test_lemma_6_and_7_exact_losses",)),
+    # A miner that locked nothing reserves a pact bribe.
+    Mutant("pact-request-without-lock", CONTRACTS,
+           "if rnd > self.T or caller not in self.locked:",
+           "if rnd > self.T:",
+           ("tests/test_contracts.py::TestMinerPactContract::"
+            "test_request_guards",)),
+    # A pact bribe is reserved one round past the deadline.
+    Mutant("pact-request-after-T", CONTRACTS,
+           "if rnd > self.T or caller not in self.locked:",
+           "if rnd > self.T + 1 or caller not in self.locked:",
+           ("tests/test_contracts.py::TestMinerPactContract::"
+            "test_request_guards",)),
+    # A censorship bribe is reserved after the deadline.
+    Mutant("censor-request-after-T", CONTRACTS,
+           "if rnd > self.T or self.bal_left < self.br:",
+           "if self.bal_left < self.br:",
+           ("tests/test_contracts.py::TestCensorBriberyContract::"
+            "test_request_guards",)),
+    # A pact claim pays more than the confiscator's stake holds.
+    Mutant("pact-claim-overdraws-stake", CONTRACTS,
+           "if stake - owed - caller_cut < 0:",
+           "if False:",
+           ("tests/test_contracts.py::TestMinerPactContract::"
+            "test_claim_blocked_for_outside_confiscator",)),
+    # A censorship claim pays more than the budget holds.
+    Mutant("censor-claim-overdraws-budget", CONTRACTS,
+           "if self.deposit - (count + 1) * self.br < 0:",
+           "if False:",
+           ("tests/test_contracts.py::TestCensorBriberyContract::"
+            "test_liquidity_under_random_call_sequences",)),
+    # The pact's locks return on any confiscation, a member's included.
+    Mutant("pact-refund-on-any-confiscation", LEDGER,
+           "                    and contract.locked.get(view.confiscator(), "
+           "0) == 0)):",
+           "                    )):",
+           ("tests/test_agents.py::TestPactAutoRefund::"
+            "test_only_a_non_member_confiscation_refunds_the_locks"
+            "[confiscator0]",)),
+    # A censorship budget that was never funded is refunded, and settles
+    # before the funding lands.
+    Mutant("censor-refund-of-unfunded", LEDGER,
+           "if not (view.target_included_ever() and contract.deposit > 0):",
+           "if not view.target_included_ever():",
+           ("tests/test_agents.py::TestCensorAutoRefund::"
+            "test_an_unfunded_budget_waits_for_its_funding",)),
     Mutant("negative-policy-parameter", AGENTS,
            "if want is int and value < 0:",
            "if False:",
@@ -439,8 +539,16 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def survivors(mutant: Mutant) -> list:
-    """The killers of `mutant` that pass on a mutated copy of the tree."""
+def outcome(returncode: int) -> str:
+    """What one killer's pytest exit code says: 1, a test failed, is a
+    kill and 0 a survival; any other code is an error, such as 4 for a
+    node id that pytest cannot find or 5 for one that collects no test."""
+    return {1: "killed", 0: "survived"}.get(returncode, "error")
+
+
+def outcomes(mutant: Mutant) -> dict:
+    """Each killer of `mutant` -> its `outcome` on a mutated copy of the
+    tree."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -449,10 +557,11 @@ def survivors(mutant: Mutant) -> list:
         apply(mutant, copy)
         env = {**os.environ, "PYTHONPATH": str(copy / "src"),
                "PYTHONDONTWRITEBYTECODE": "1"}
-        return [test for test in mutant.killers if subprocess.run(
+        return {test: outcome(subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
              "no:cacheprovider", test], cwd=copy, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0]
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode)
+            for test in mutant.killers}
 
 
 def main(argv: list) -> int:
@@ -461,17 +570,21 @@ def main(argv: list) -> int:
     if unknown:
         print(f"error: no mutant {', '.join(unknown)}", file=sys.stderr)
         return 1
-    survived = False
+    failed = False
     for mutant in [known[name] for name in argv] or MUTANTS:
         if mutant.equivalent:
             print(f"{mutant.id}: equivalent: {mutant.equivalent}")
             continue
-        alive = survivors(mutant)
-        survived = survived or bool(alive)
-        print(f"{mutant.id}: {len(mutant.killers) - len(alive)}/"
-              f"{len(mutant.killers)} killers failed"
-              + (f"; survived: {' '.join(alive)}" if alive else ""))
-    return 1 if survived else 0
+        got = outcomes(mutant)
+        line = (f"{mutant.id}: {list(got.values()).count('killed')}/"
+                f"{len(got)} killers failed")
+        for kind in ("survived", "error"):
+            tests = [test for test, seen in got.items() if seen == kind]
+            if tests:
+                failed = True
+                line += f"; {kind}: {' '.join(tests)}"
+        print(line)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ from htlc_arena.agents import (AliceHonest, AliceOffline, B3aAccomplice,
                                policy_space, tx_col_b, tx_commit,
                                tx_confiscate, tx_refund_dep_b,
                                tx_reveal_dep_a)
-from htlc_arena.contracts import (CM2M_ID, COL_B, COL_ID, COL_M, DEP_A,
-                                  PRE_A2)
+from htlc_arena.contracts import (CBOB_ID, CM2M_ID, COL_B, COL_ID, COL_M,
+                                  DEP_A, PRE_A2)
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              build_genesis, expected_utilities, play)
 from htlc_arena.ledger import CONTRACT_CALL, Block, apply_block, broadcast
@@ -173,6 +173,24 @@ class TestPactAutoRefund:
                                    else [(M1, scen.v_col, "refund")])
 
 
+class TestCensorAutoRefund:
+    def test_an_unfunded_budget_waits_for_its_funding(self):
+        # The payee's reveal lands before the payer funds the censorship
+        # budget: the ledger refunds nothing from the empty contract, and
+        # refunds the budget in the block that funds it.
+        scen = naive_scenario()
+        state = BobNaiveBriber().setup(build_genesis(scen)[0], scen)
+        total = state.conservation_total()
+        state = apply_block(state, Block(round=1, miner=M1, txs=(
+            tx_reveal_dep_a(scen),)))
+        assert not state.bribery[CBOB_ID].settled and not state.bribe_log
+        state = apply_block(state, Block(round=2, miner=M1, txs=(
+            state.mempool["tx.cbob.init"],)))
+        assert state.bribery[CBOB_ID].settled
+        assert state.bribe_log == [(BOB, scen.v_dep, "refund")]
+        assert state.conservation_total() == total
+
+
 class TestPactRefundToMiners:
     def test_race_miners_refund_their_locks_after_an_idle_window(
             self, monkeypatch):
@@ -217,9 +235,7 @@ class CheckedMiner(MinerPolicy):
         block = self.inner.build_block(state, rnd, miner, scen)
         assert isinstance(block, Block)
         assert (block.round, block.miner) == (rnd, miner)
-        assert block.capacity == scen.capacity
         assert len(block.txs) + block.unrelated_fill == scen.capacity
-        assert block.unrelated_fee == scen.f
         self.blocks += 1
         return block
 
@@ -406,8 +422,7 @@ class TestB3a:
         for rnd in range(1, scen.T + 1):
             plan = acc.build_block(state, rnd, M1, scen)
             from htlc_arena.ledger import Block, apply_block
-            block = Block(round=rnd, miner=M1, txs=tuple(plan.txs),
-                          capacity=scen.capacity)
+            block = Block(round=rnd, miner=M1, txs=tuple(plan.txs))
             state = apply_block(state, block)
         plan = acc.build_block(state, scen.T + 1, M1, scen)
         assert b3a_bob_policy(plan, scen, case=1)

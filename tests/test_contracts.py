@@ -15,14 +15,15 @@ from htlc_arena.core import (ALICE, BOB, ContractError, ScenarioError,
                              miner_party)
 from htlc_arena.contracts import (CensorBriberyContract, COL_A_ID, COL_B,
                                   COL_B_ID, COL_M, DEP_A, DEP_B, DEP_BURN,
-                                  DEP_M, FeeError, FeeSchedule,
+                                  DEP_ID, DEP_M, FeeSchedule,
                                   MinerPactContract, PRE_A, PRE_A2, PRE_AA2,
                                   PRE_B, build_demba, build_he_htlc,
                                   build_mad_htlc, build_naive_htlc,
                                   check_fee_schedule, derive_he_delay,
                                   resolve_demba_dep)
+from htlc_arena.game import build_genesis
 
-from conftest import M1, demba_scenario, demba_schedule
+from conftest import M1, demba_scenario, demba_schedule, he_scenario
 
 DIGESTS = {PRE_A: "s-a", PRE_A2: "s-a2", PRE_B: "s-b"}
 
@@ -55,7 +56,9 @@ class TestBuilders:
         with pytest.raises(ContractError):
             build_he_htlc(ALICE, BOB, 100, 40, DIGESTS, T=5, l=0)
         dep, col = build_he_htlc(ALICE, BOB, 100, 40, DIGESTS, T=5, l=3)
-        assert dep.deposit == 140
+        # The deposit holds both stakes; the chain state holds its value.
+        genesis = build_genesis(he_scenario(v_dep=100, v_col=40, T=5, l=3))[0]
+        assert genesis.live[DEP_ID] == 140
         assert col.path(COL_B).earliest == 5 + 3 + 1
         assert dep.path(DEP_B).required_preimages == {PRE_B}
 
@@ -168,17 +171,17 @@ class TestFeeSplit:
                            Fraction(1, 2), T=5)
 
     def test_full_fee_before_deadline(self):
-        assert self.schedule().split(PRE_B, 6, 4) == (6, 0)
-        assert self.schedule().split(PRE_A, 8, 5) == (8, 0)
+        assert self.schedule().split(PRE_B, 4) == (6, 0)
+        assert self.schedule().split(PRE_A, 5) == (8, 0)
 
     def test_decay_after_deadline(self):
         # alpha = 1/2, base 8, two rounds late: floor(8/4) = 2 earned.
-        assert self.schedule().split(PRE_A, 8, 7) == (2, 6)
+        assert self.schedule().split(PRE_A, 7) == (2, 6)
 
     def test_decayed_share_rounds_down(self):
         # `scenarios/demba_honest.json`'s schedule (T = 4): pre_A' three
         # rounds late earns floor(12/8) = 1 and burns the rest.
-        assert demba_schedule(4).split(PRE_A2, 12, 7) == (1, 11)
+        assert demba_schedule(4).split(PRE_A2, 7) == (1, 11)
 
     @settings(deadline=None)
     @given(data=st.data(), d=st.integers(1, 10**6), k=st.integers(1, 64),
@@ -189,16 +192,12 @@ class TestFeeSplit:
         n = data.draw(st.integers(1, d))
         sched = FeeSchedule({PRE_A: base}, Fraction(n, d), T=5)
         earned = math.floor(Fraction(n, d) ** k * base)
-        assert sched.split(PRE_A, base, 5 + k) == (earned, base - earned)
+        assert sched.split(PRE_A, 5 + k) == (earned, base - earned)
 
     def test_zero_fee_stays_zero(self):
         sched = FeeSchedule({PRE_A: 0, PRE_A2: 12, PRE_AA2: 20, PRE_B: 6},
                             Fraction(1, 2), T=5)
-        assert sched.split(PRE_A, 0, 9) == (0, 0)
-
-    def test_fee_mismatch(self):
-        with pytest.raises(FeeError):
-            self.schedule().split(PRE_A, 7, 3)
+        assert sched.split(PRE_A, 9) == (0, 0)
 
 
 class TestFeeScheduleCheck:
@@ -246,7 +245,7 @@ class TestFeeScheduleCheck:
         for path, paid in sched.paid.items():
             prev = 0
             for rnd in range(0, 12):
-                _, burned = sched.split(path, paid, rnd)
+                _, burned = sched.split(path, rnd)
                 if rnd <= 5:
                     assert burned == 0
                 assert burned >= prev
@@ -331,6 +330,8 @@ class TestCensorBriberyContract:
         assert c.request_bribe(M1, M1, 3) is c  # cannot reserve beyond budget
         funded = c.init(25)  # room for one more request, in round 2
         assert funded.request_bribe(M1, M1, 2) is not funded
+        # Past the deadline with budget left: the deadline alone refuses.
+        assert funded.request_bribe(M1, M1, 4) is funded
         settled = replace(funded, settled=True)
         assert settled.request_bribe(M1, M1, 2) is settled
 

@@ -33,11 +33,11 @@ from conftest import (M1, M2, PARTS, demba_scenario, he_scenario,
 from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 
-def fresh_naive(v_dep=100, T=10):
+def fresh_naive(v_dep=100, T=10, capacity=8, f=0):
     dep = build_naive_htlc(ALICE, BOB, v_dep, "s-a", T)
     state = ChainState(contracts={"dep": dep}, live={"dep": v_dep},
                        balances={ALICE: 50, BOB: 50, EXTERNAL: 1000, M1: 0},
-                       meta={"T": T})
+                       meta={"T": T, "capacity": capacity, "f": f})
     return state
 
 
@@ -161,10 +161,27 @@ def _refuse_double_spend_in_one_tx():
     return fresh_naive(), tx._replace(consumes=tx.consumes * 2)
 
 
-#: case -> (a maker of the (state, tx) pair, the code and the exact detail
-#: of the ledger's refusal), the transaction offered in the round after
-#: the state's.  No other test holds these refusals to their exact line.
+def _refuse_block_over_capacity():
+    # A block declares no capacity of its own: one transaction and two
+    # fillers overfill a game of capacity 2, whatever the block says.
+    return fresh_naive(capacity=2), Block(round=1, miner=M1,
+                                          txs=(alice_tx(),), unrelated_fill=2)
+
+
+def _refuse_negative_fill():
+    # A fill of -3 at f = 1 would pay the external traffic 3 of the
+    # miner's tokens, and drive a miner holding fewer below zero.
+    return fresh_naive(f=1), Block(round=1, miner=M1, unrelated_fill=-3)
+
+
+#: case -> (a maker of the (state, offer) pair, the code and the exact
+#: detail of the ledger's refusal), the offer being a transaction or a
+#: whole block, offered in the round after the state's.  No other test
+#: holds these refusals to their exact line.
 REFUSALS = {
+    "block-over-capacity": (
+        _refuse_block_over_capacity, "invalid-tx", "block over capacity"),
+    "negative-fill": (_refuse_negative_fill, "invalid-tx", "negative fill -3"),
     "manual-redeem-disabled": (
         _refuse_manual_auto_path, "predicate-failed", "manual-redeem-disabled"),
     "payment-without-destination": (
@@ -209,23 +226,28 @@ REFUSALS = {
 @pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_each_refusal_keeps_its_code_and_detail(case):
     make, code, detail = REFUSALS[case]
-    state, tx = make()
+    state, offer = make()
     rnd = state.height + 1
+    if isinstance(offer, Block):
+        # The block is refused whole, in one line.
+        block, line = offer, (code, detail)
+    else:
+        with pytest.raises(LedgerError) as e:
+            validate_tx(state, offer, rnd)
+        assert (e.value.code, e.value.detail) == (code, detail)
+        # A block carrying the transaction is refused with the same line,
+        # wrapped as an invalid transaction.
+        block = Block(round=rnd, miner=M1, txs=(offer,))
+        line = ("invalid-tx", f"tx 0 ({offer.tx_id}): {code}({detail})")
     with pytest.raises(LedgerError) as e:
-        validate_tx(state, tx, rnd)
-    assert (e.value.code, e.value.detail) == (code, detail)
-    # A block carrying the transaction is refused with the same line,
-    # wrapped as an invalid transaction.
-    with pytest.raises(LedgerError) as e:
-        apply_block(state, Block(round=rnd, miner=M1, txs=(tx,)))
-    assert (e.value.code, e.value.detail) == (
-        "invalid-tx", f"tx 0 ({tx.tx_id}): {code}({detail})")
+        apply_block(state, block)
+    assert (e.value.code, e.value.detail) == line
 
 
 def test_a_block_over_capacity_is_refused_whole():
     with pytest.raises(LedgerError) as e:
-        apply_block(fresh_naive(), Block(round=1, miner=M1, txs=(alice_tx(),),
-                                         unrelated_fill=8, capacity=8))
+        apply_block(fresh_naive(capacity=8), Block(
+            round=1, miner=M1, txs=(alice_tx(),), unrelated_fill=8))
     assert (e.value.code, e.value.detail) == ("invalid-tx",
                                               "block over capacity")
 
@@ -239,7 +261,7 @@ def he_confiscation():
     state = ChainState(contracts={"dep": dep, "col": col},
                        live={"dep": 150, "col": 0},
                        balances={ALICE: 0, BOB: 0, EXTERNAL: 100, M1: 0},
-                       meta={"T": 5})
+                       meta={"T": 5, "capacity": 8, "f": 0})
     state.height = 5
     w_b = Witness(frozenset({("dep", PRE_B, "s-b")}), frozenset({BOB}))
     fwd = TxRecord("tx.depB", BOB, consumes=(("dep", DEP_B),), witness=w_b,
@@ -276,6 +298,20 @@ class TestApply:
         assert after.burned == 100
         assert after.balances[M1] == 2 + (150 - 2 - 100)
         assert after.conservation_total() == total
+
+    def test_a_confiscation_of_known_preimages_writes_no_knowledge(self):
+        # `known` maps a slot to its value: once the payee's and payer's
+        # deposit reveals are broadcast, the col-M confiscation that
+        # repeats both slots on the collateral teaches nothing, so the
+        # block keeps the parent's part.
+        state, block = he_confiscation()
+        w_a = Witness(frozenset({("dep", PRE_A, "s-a")}), frozenset({ALICE}))
+        state = broadcast(state, [block.txs[0], TxRecord(
+            "tx.depA", ALICE, consumes=(("dep", DEP_A),), witness=w_a)])
+        assert dict(state.known) == {PRE_A: "s-a", PRE_B: "s-b"}
+        after = apply_block(state, block)
+        assert after.redemptions["col"][0] == COL_M
+        assert after.known is state.known
 
     @pytest.mark.parametrize("spends", [1, 2])
     def test_a_block_walks_each_spend_once(self, monkeypatch, spends):
@@ -323,17 +359,28 @@ class TestApply:
             validate_tx(state, alice_tx(0), 2)
 
     def test_unrelated_fill_pays_miner(self):
-        state = fresh_naive()
-        after = apply_block(state, Block(round=1, miner=M1, unrelated_fill=8,
-                                         unrelated_fee=2))
+        state = fresh_naive(f=2)
+        after = apply_block(state, Block(round=1, miner=M1, unrelated_fill=8))
         assert after.balances[M1] == 16
         assert after.balances[EXTERNAL] == 1000 - 16
 
+    def test_filler_pays_the_games_fee(self):
+        # The fee is genesis's `f`, not the block's to declare: two
+        # fillers at f = 3 pay the miner 6.
+        state, _, _ = build_genesis(naive_scenario(f=3))
+        after = apply_block(state, Block(round=1, miner=M1, unrelated_fill=2))
+        assert after.balances[M1] - state.balances[M1] == 6
+        assert after.conservation_total() == state.conservation_total()
+
+    def test_a_block_holds_only_what_its_miner_chooses(self):
+        assert Block._fields == ("round", "miner", "txs", "unrelated_fill",
+                                 "coinbase")
+
     def test_capacity_enforced(self):
-        state = fresh_naive()
+        state = fresh_naive(capacity=8)
         with pytest.raises(LedgerError):
             apply_block(state, Block(round=1, miner=M1, txs=(alice_tx(),),
-                                     unrelated_fill=8, capacity=8))
+                                     unrelated_fill=8))
 
     def test_demba_deposit_resolves_in_the_block_both_commits_land(self):
         # The deposit is the one contract with automatic paths; it fires
@@ -472,12 +519,12 @@ class TestChainView:
 
 class TestInvariants:
     def test_replay_determinism(self):
-        blocks = [Block(round=1, miner=M1, unrelated_fill=3, unrelated_fee=1),
+        blocks = [Block(round=1, miner=M1, unrelated_fill=3),
                   Block(round=2, miner=M1, txs=(alice_tx(),)),
                   Block(round=3, miner=M1)]
 
         def run():
-            s = fresh_naive()
+            s = fresh_naive(f=1)
             for b in blocks:
                 s = apply_block(s, b)
             return s
@@ -505,7 +552,7 @@ class TestInvariants:
     def test_broadcast_updates_knowledge_not_chain(self):
         state = fresh_naive()
         after = broadcast(state, [alice_tx()])
-        assert ("dep", PRE_A) in after.known
+        assert PRE_A in after.known
         assert ("dep", PRE_A) not in after.revealed
         assert "tx.depA" in after.mempool
         assert "tx.depA" not in state.mempool
@@ -556,8 +603,7 @@ class TestParts:
         scen = he_scenario(f=0)
         state, _, _ = build_genesis(scen)
         key = state.control_key()
-        after = apply_block(state, Block(round=1, miner=M1, unrelated_fill=8,
-                                         unrelated_fee=0))
+        after = apply_block(state, Block(round=1, miner=M1, unrelated_fill=8))
         assert all(getattr(after, n) is getattr(state, n) for n in PARTS)
         assert after.control_key() == (1, key[1])
         assert after.control_key()[1] is key[1]
@@ -591,9 +637,8 @@ class TestParts:
         assert state.balances.get(M2) is None
 
     def test_step_writes_only_its_parts(self):
-        state = fresh_naive()
-        after = apply_block(state, Block(round=1, miner=M1, unrelated_fill=2,
-                                         unrelated_fee=3))
+        state = fresh_naive(f=3)
+        after = apply_block(state, Block(round=1, miner=M1, unrelated_fill=2))
         shared = [n for n in PARTS if getattr(after, n) is getattr(state, n)]
         assert shared == [n for n in PARTS if n != "balances"]
         assert after.conservation_total() == state.conservation_total()
@@ -610,8 +655,7 @@ class TestParts:
         scen = naive_scenario()
         state = BobNaiveBriber().setup(build_genesis(scen)[0], scen)
         state = apply_block(state, Block(
-            round=1, miner=M1, txs=(state.mempool["tx.cbob.init"],),
-            capacity=scen.capacity))
+            round=1, miner=M1, txs=(state.mempool["tx.cbob.init"],)))
         key, total = state.control_key(), state.conservation_total()
         with pytest.raises(FrozenInstanceError):
             state.contracts["dep"].status = BURNED

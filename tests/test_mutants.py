@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from mutants import MUTANTS, ROOT
+import mutants
+from mutants import MUTANTS, ROOT, outcome
 
 
 def test_every_snippet_matches_exactly_once():
@@ -20,3 +21,23 @@ def test_every_mutant_names_its_killers():
             path, *_, name = test.split("::")
             source = (ROOT / path).read_text(encoding="utf-8")
             assert f"def {name.split('[')[0]}(" in source, (m.id, test)
+
+
+def test_only_a_failing_run_kills():
+    # pytest exits 1 when a test failed.  It exits 4 for a node id it
+    # cannot find and 5 when it collects no test: neither tested the
+    # mutant, so neither is a kill.
+    assert [outcome(code) for code in (1, 0, 4, 5, 2, 3)] == [
+        "killed", "survived", "error", "error", "error", "error"]
+
+
+def test_a_run_that_tested_nothing_fails_the_catalogue(monkeypatch, capsys):
+    mutant = next(m for m in MUTANTS if m.killers)
+    seen = {"killed": 0, "error": 1, "survived": 1}
+    for kind, code in seen.items():
+        monkeypatch.setattr(mutants, "outcomes",
+                            lambda m, kind=kind: {t: kind for t in m.killers})
+        assert mutants.main([mutant.id]) == code, kind
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == (f"{mutant.id}: 0/{len(mutant.killers)} killers "
+                        f"failed; error: {' '.join(mutant.killers)}")

@@ -33,12 +33,12 @@ def test_fee_split_conserves_and_burn_is_shaped(base, alpha, path, t_offset,
                          PRE_B: base + 3}, alpha, T)
     paid = sched.paid[path]
     rnd = T - 1 + t_offset
-    earned, burned = sched.split(path, paid, rnd)
+    earned, burned = sched.split(path, rnd)
     assert earned + burned == paid
     assert 0 <= earned <= paid
     if rnd <= T:
         assert burned == 0
-    later_earned, later_burned = sched.split(path, paid, rnd + 1)
+    later_earned, later_burned = sched.split(path, rnd + 1)
     assert later_earned <= earned
     assert later_burned >= burned
 
