@@ -448,7 +448,10 @@ class CensorBriberyContract:
     confiscation) lands without the target tx ever having been included, any
     knower of the payee's preimage can call claim_bribe: every reservation
     pays out, the caller's includer earns one extra `br`, and the remainder
-    returns to the payer.  Failed guards are silent no-ops.
+    returns to the payer.  Failed guards are silent no-ops, and an
+    unfunded contract (deposit 0) has nothing to claim or refund: it stays
+    open for its init, which the ledger refuses once the contract is
+    funded (`ledger.validate_tx`).
 
     Frozen, with a read-only `reserved`, so a chain state's cached key and
     total cannot go stale: each step returns the contract after it, and
@@ -506,7 +509,7 @@ class CensorBriberyContract:
                     settlement_landed: bool) -> tuple:
         """(contract, [(party, amount, tag)] payouts); no payouts when a
         guard fails."""
-        if self.settled or preimage != self.pre_a_value:
+        if self.settled or not self.deposit or preimage != self.pre_a_value:
             return self, []
         if target_included or not settlement_landed:
             return self, []
@@ -524,7 +527,7 @@ class CensorBriberyContract:
     def refund_owner(self, target_included: bool) -> tuple:
         # Once the target tx lands at any height, bribes are unclaimable and
         # the whole budget returns to the payer.
-        if self.settled or not target_included:
+        if self.settled or not self.deposit or not target_included:
             return self, []
         return self._settled(), [(self.owner, self.deposit, "refund")]
 

@@ -23,7 +23,9 @@ steps only for its round, and keys nothing in a round that one miner
 mines: it keeps no step there, and from one control state it builds no
 control key.  One rule moves a round's payoff groups whole, unsplit:
 every miner that can mine the round takes a step to the same successor
-with the same increment.
+with the same increment.  A pass without a memo whose every round has
+one miner that can mine it has one schedule, so it walks it, a block a
+round, and reads its one payoff group from the final state.
 `final_frontier` returns the pass's final frontier: each final control
 state with its payoff groups, each holding an integer mass, and the total
 the masses sum to.  In exact mode a mass is the summed schedule weight
@@ -37,9 +39,10 @@ splits the trials by pick.  `expected_utilities` and `runner.ttc` settle
 straight from the frontier, a payoff or a control state at a time, and
 no final chain state is rebuilt; `ttc` reads control states alone, on a
 pass with every round pinned to one miner, since its honest traffic
-completes in the same round whoever mines.  `play` and its `Outcome`
-stay as the oracle the tests hold them to.  Dominance verdicts, which
-weigh expectations against each other, live in `analysis`.
+completes in the same round whoever mines, so it walks one schedule.
+`play` and its `Outcome` stay as the oracle the tests hold them to.
+Dominance verdicts, which weigh expectations against each other, live in
+`analysis`.
 
 Utilities carry no discounting: they are raw end-of-game token deltas from
 the post-setup baseline.  The one exception to pre-funded contracts is the
@@ -722,6 +725,20 @@ class _Payoffs:
             operator.add, self.start, payoff[0])))
         apply_block(s.seal(), block)
 
+    def walked(self, state: ChainState, window: Counter) -> tuple:
+        """The one payoff of a pass that walks one schedule, read from its
+        final `state`, whose `window` counts each miner's window blocks:
+        the zero payoff with every step added (`step`, `add`), as their
+        balance, burn and window changes sum to the final state's change
+        since setup, and their bribe-log entries are those appended since."""
+        balances = state.balances
+        if len(balances) != len(self.parties):
+            raise ArenaError("a step paid a party with no balance at setup")
+        vec = (*map(operator.sub, balances.values(), self.start),
+               state.burned - self.setup.burned,
+               *(window[p] for p in self.parties))
+        return vec, tuple(state.bribe_log[len(self.setup.bribe_log):])
+
     def _window(self, vec: tuple) -> dict:
         """Each party's window blocks in a payoff's `vec`, where it has any."""
         return {p: k for p, k in zip(self.parties, vec[len(self.parties) + 1:])
@@ -830,6 +847,19 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     builds no control key, for `mined` or the next frontier, since nothing
     can merge.
 
+    A pass without `memo` whose every round has one mover walks its one
+    schedule instead: every `ttc` pass, a Monte-Carlo pass with one miner
+    of non-zero power, and an exact pass on a one-miner game or with every
+    round pinned.  Nothing can merge and no step is read twice, so it
+    builds no control key and keeps no step.  Each round it mines, checks
+    the mined state's conservation total as `_enter` does, counts the
+    miner's window blocks and runs the party half with the label rule.
+    Its one group's payoff is read from the final state
+    (`_Payoffs.walked`), which is the sum of the increments the loop below
+    would add; its balance checks are the ledger's own, as the group's
+    balances are the state's.  A verdict's passes hold a memo, which a
+    later pass reads, so they take the loop below.
+
     One rule decides whether a round moves every group whole, unsplit:
     before any group moves, the miners that can mine the round
     (`movers[rnd - 1]`) take their steps in order, up to the first whose
@@ -867,6 +897,18 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     state, baseline, _ = _setup(scen, profile)
     expected_total = state.conservation_total()
     payoffs = _Payoffs(scen, state, baseline)
+    if memo is None and all(len(able) == 1 for able in movers):
+        # One schedule: its one group's balances are the state's.
+        window, rank = Counter(), -1
+        for rnd, able in enumerate(movers, 1):
+            state = _mine(scen, profile, state, rnd, able[0])[1]
+            if state.conservation_total() != expected_total:
+                raise ScenarioError(f"conservation violated at round {rnd}")
+            if rnd in payoffs.window:
+                window[able[0]] += 1
+            mass = whole(rnd, mass)
+            state, _, rank = _act(scen, profile, state, rnd, rank)
+        return payoffs, [(state, {payoffs.walked(state, window): mass})]
     if memo is not None:
         built_at = memo.blocks.setdefault(payoffs.parties, {})
 
@@ -1004,8 +1046,11 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     becomes a list once; a pass that takes every round whole or has one
     miner with power draws nothing and never loads numpy.
     `pin` maps a 1-based round to the party forced to mine it, overriding
-    any draw.  A trial count whose trial list or draw cannot be allocated
-    is `validation-error(trials)`.  `memo` is a verdict's step cache
+    any draw.  A pass without `memo` in which one miner can mine each
+    round (it is pinned, it is the game's one miner, or in Monte-Carlo
+    mode the one miner with power) walks that one schedule (`_forward`).
+    A trial count whose trial list or draw cannot be allocated is
+    `validation-error(trials)`.  `memo` is a verdict's step cache
     (`StepMemo`), which only `analysis` passes; without it the pass keeps
     a round's miner-neutral steps only for that round, and none in a round
     that one miner mines (`_forward`).

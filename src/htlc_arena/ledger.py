@@ -470,7 +470,8 @@ def _path_outflow(path: RedeemPath, rnd: int) -> int:
 
 def validate_tx(state: ChainState, tx: TxRecord, rnd: int):
     """Raise LedgerError unless `tx` is valid against `state` at `rnd`: a
-    fee below 0, or a kind other than `apply_block`'s three, is invalid.
+    fee below 0, a kind other than `apply_block`'s three, or an init of a
+    censorship bribery contract that is already funded is invalid.
 
     Returns the spends it checked, which `apply_block` applies as they
     are: for a related tx one (contract id, `RedeemPath`, outflow, earned
@@ -485,6 +486,15 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int):
     if tx.kind == CONTRACT_CALL:
         if tx.call is None or tx.call[0] not in state.bribery:
             raise LedgerError("unknown-output", "no such bribery contract")
+        cid, call = tx.call
+        contract = state.bribery[cid]
+        # `_apply_call` debits every init, and an init sets the deposit.
+        # Only a funded contract settles, and a settled one keeps its
+        # deposit, so this refuses an init of a settled contract too.
+        if (call.method == "init"
+                and isinstance(contract, CensorBriberyContract)
+                and contract.deposit):
+            raise LedgerError("invalid-tx", f"{cid} already funded")
         return ()
     if tx.kind == PAYMENT:
         if tx.payment is None:
@@ -710,9 +720,11 @@ def _auto_refund_bribery(s: ChainState, rnd: int, block_miner: Party) -> None:
         if view is None:
             view = ChainView(s, rnd, block_miner)
         if isinstance(contract, CensorBriberyContract):
-            if not (view.target_included_ever() and contract.deposit > 0):
+            if not view.target_included_ever():
                 continue
             fresh, payouts = contract.refund_owner(True)
+            if fresh is contract:  # an unfunded budget waits for its funding
+                continue
         else:  # MinerPactContract
             # Dead once the target landed, or once the collateral went to
             # the payer or to a non-member: neither holds a lock.

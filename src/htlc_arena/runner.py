@@ -549,8 +549,11 @@ def ttc(scen: Scenario, path: str) -> dict:
     fee payee, so every schedule reaches the same control state each
     round.  The pass therefore pins every round to the first miner with
     power and draws nothing; its one final state holds all the trials,
-    and the half-width is 0.0.  The pinned pass still allocates the
-    trials and keeps the pass's conservation, label and balance checks."""
+    and the half-width is 0.0.  The pinned pass walks its one schedule
+    (`game._forward`): it still allocates the trials and checks each
+    round's conservation and label as every pass does, and its balance
+    checks are the ledger's own, as its one payoff group's balances are
+    the state's."""
     if path not in TTC_PATHS:
         raise ScenarioError(f"validation-error(path): {path!r}")
     if scen.mode[0] != "monte-carlo":

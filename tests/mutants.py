@@ -132,6 +132,47 @@ MUTANTS = (
            "",
            ("tests/test_game.py::TestRoundHalves::"
             "test_merged_predecessors_keep_the_higher_label_rank",)),
+    # A merging pass enters a mined state that holds more or fewer tokens
+    # than the setup state.
+    Mutant("enter-skips-conservation", GAME,
+           "    if nxt.conservation_total() != total:\n"
+           '        raise ScenarioError(f"conservation violated at round '
+           '{rnd}")\n',
+           "",
+           ("tests/test_game.py::TestExpectations::"
+            "test_exact_expectation_checks_conservation[two-miners]",)),
+    # A pass that walks one schedule goes on from a mined state that holds
+    # more or fewer tokens than the setup state.
+    Mutant("walk-skips-conservation", GAME,
+           "if state.conservation_total() != expected_total:",
+           "if False:",
+           ("tests/test_game.py::TestExpectations::"
+            "test_exact_expectation_checks_conservation[one-miner]",
+            "tests/test_game.py::TestExpectations::"
+            "test_exact_expectation_checks_conservation"
+            "[one-powered-miner-mc]")),
+    # A walked pass counts no censored-window block, so the equal split
+    # pays no colluder a share.
+    Mutant("walk-skips-window-blocks", GAME,
+           "                window[able[0]] += 1",
+           "                pass",
+           ("tests/test_differential.py::"
+            "test_settlement_examples_reach_what_they_test",)),
+    # A verdict's passes walk their one-mover schedules too, so a later
+    # pass of the verdict builds every block again.
+    Mutant("walk-under-memo", GAME,
+           "if memo is None and all(len(able) == 1 for able in movers):",
+           "if all(len(able) == 1 for able in movers):",
+           ("tests/test_analysis.py::TestDembaVerification::"
+            "test_lemma_6_builds_fewer_blocks_than_its_fresh_passes"
+            "[one-miner]",)),
+    # A pass with a one-mover round walks the schedule of each round's
+    # first mover, as if no other miner could mine.
+    Mutant("walk-with-two-movers", GAME,
+           "all(len(able) == 1 for able in movers)",
+           "any(len(able) == 1 for able in movers)",
+           ("tests/test_differential.py::"
+            "test_merged_expectation_equals_brute_force",)),
     # Control states that differ only in their mempool merge.
     Mutant("control-key-without-mempool", LEDGER,
            "self.revealed.key(), self.mempool.key(),",
@@ -511,13 +552,34 @@ MUTANTS = (
            ("tests/test_agents.py::TestPactAutoRefund::"
             "test_only_a_non_member_confiscation_refunds_the_locks"
             "[confiscator0]",)),
-    # A censorship budget that was never funded is refunded, and settles
-    # before the funding lands.
-    Mutant("censor-refund-of-unfunded", LEDGER,
-           "if not (view.target_included_ever() and contract.deposit > 0):",
-           "if not view.target_included_ever():",
+    # A censorship budget that was never funded is refunded, by the
+    # ledger or by a call, and settles before the funding lands.
+    Mutant("censor-refund-of-unfunded", CONTRACTS,
+           "if self.settled or not self.deposit or not target_included:",
+           "if self.settled or not target_included:",
            ("tests/test_agents.py::TestCensorAutoRefund::"
-            "test_an_unfunded_budget_waits_for_its_funding",)),
+            "test_an_unfunded_budget_waits_for_its_funding",
+            "tests/test_agents.py::TestCensorAutoRefund::"
+            "test_a_call_before_the_funding_leaves_the_contract_open"
+            "[refundToBob]")),
+    # At a bribe of 0, a claim on a budget that was never funded settles
+    # the contract before the funding lands.
+    Mutant("censor-claim-of-unfunded", CONTRACTS,
+           "if self.settled or not self.deposit or preimage != "
+           "self.pre_a_value:",
+           "if self.settled or preimage != self.pre_a_value:",
+           ("tests/test_agents.py::TestCensorAutoRefund::"
+            "test_a_call_before_the_funding_leaves_the_contract_open"
+            "[claimBribe]",)),
+    # A funded or settled censorship contract takes a second init, whose
+    # budget it never holds.
+    Mutant("censor-init-of-funded", LEDGER,
+           "                and contract.deposit):",
+           "                and False):",
+           tuple(f"tests/test_ledger.py::test_each_refusal_keeps_its_code_"
+                 f"and_detail[{case}]" for case in (
+                     "init-mined-again", "init-copy-in-one-block",
+                     "init-of-settled-contract"))),
     Mutant("negative-policy-parameter", AGENTS,
            "if want is int and value < 0:",
            "if False:",

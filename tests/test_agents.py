@@ -24,7 +24,7 @@ from htlc_arena.agents import (AliceHonest, AliceOffline, B3aAccomplice,
                                tx_confiscate, tx_refund_dep_b,
                                tx_reveal_dep_a)
 from htlc_arena.contracts import (CBOB_ID, CM2M_ID, COL_B, COL_ID, COL_M,
-                                  DEP_A, PRE_A2)
+                                  DEP_A, PRE_A, PRE_A2, SECRETS)
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              build_genesis, expected_utilities, play)
 from htlc_arena.ledger import CONTRACT_CALL, Block, apply_block, broadcast
@@ -188,6 +188,28 @@ class TestCensorAutoRefund:
             state.mempool["tx.cbob.init"],)))
         assert state.bribery[CBOB_ID].settled
         assert state.bribe_log == [(BOB, scen.v_dep, "refund")]
+        assert state.conservation_total() == total
+
+    @pytest.mark.parametrize("call", ["refundToBob", "claimBribe"])
+    def test_a_call_before_the_funding_leaves_the_contract_open(self, call):
+        # A refund once the payee's reveal has landed, or a claim (at a
+        # bribe of 0, which no liquidity guard stops) once the payer's
+        # refund has, is mined before the init: it settles nothing, and
+        # the init then funds the open contract, so no budget is lost.
+        scen = naive_scenario(br=0)
+        state = BobNaiveBriber().setup(build_genesis(scen)[0], scen)
+        total = state.conservation_total()
+        settle, rnd = ((tx_reveal_dep_a(scen), 1) if call == "refundToBob"
+                       else (tx_refund_dep_b(scen), scen.T + 1))
+        for idle in range(1, rnd):
+            state = apply_block(state, Block(round=idle, miner=M1))
+        state = apply_block(state, Block(round=rnd, miner=M1, txs=(
+            settle, agents.call_tx(f"tx.cbob.{call}", M1, CBOB_ID, call,
+                                   {"preimage": SECRETS[PRE_A]}))))
+        assert not state.bribery[CBOB_ID].settled and not state.bribe_log
+        state = apply_block(state, Block(round=rnd + 1, miner=M1, txs=(
+            state.mempool["tx.cbob.init"],)))
+        assert state.bribery[CBOB_ID].deposit == scen.v_dep
         assert state.conservation_total() == total
 
 

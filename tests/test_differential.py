@@ -250,6 +250,37 @@ def _bribe_request_game():
     return scen, profile, {}
 
 
+def _pinned(make):
+    """`make`'s game with every round pinned, the two miners taking turns
+    from the first: its exact pass walks that one schedule."""
+    scen, profile, _ = make()
+    first, second = scen.miner_parties()[:2]
+    return scen, profile, {rnd: (first, second)[rnd % 2]
+                           for rnd in range(1, scen.horizon + 1)}
+
+
+def _pinned_equal_split_game():
+    # Two racing colluders both mine the censored window, and one of them
+    # confiscates the collateral, which the equal split shares out.
+    return _pinned(_race_confiscation_game)
+
+
+def _pinned_mad_game():
+    # Two accomplices take turns; one lands the briber's partial block.
+    return _pinned(_b3a_coinbase_game)
+
+
+def _zero_power_game():
+    # One censor mines every round, beside a miner of power 0: a
+    # Monte-Carlo pass walks its one schedule, an exact one merges both.
+    miners = (MinerProfile(PARTIES[0], Fraction(1)),
+              MinerProfile(PARTIES[1], Fraction(0)))
+    scen = naive_scenario(T=4, miners=miners)
+    profile = StrategyProfile(AliceHonest(), BobNaiveBriber(), {
+        PARTIES[0]: CensorRelated(), PARTIES[1]: HonestFeeMax()})
+    return scen, profile, {}
+
+
 def _confiscated_after_a_shared_window(state, window):
     return (state.redemptions.get("col", ("",))[0] == "col-M"
             and sum(map(bool, window.values())) > 1)
@@ -402,6 +433,9 @@ def test_no_play_overdraws_from_genesis(game, seed):
 @example(game=_race_confiscation_game())
 @example(game=_b3a_coinbase_game())
 @example(game=_bribe_request_game())
+@example(game=_pinned_equal_split_game())
+@example(game=_pinned_mad_game())
+@example(game=_zero_power_game())
 def test_merged_expectation_equals_brute_force(game):
     scen, profile, pin = game
     utilities, bribes, burned = brute_force(scen, profile, pin)
@@ -715,6 +749,9 @@ def test_every_ttc_schedule_completes_in_one_round(drawn, trials, seed):
 @example(game=_four_honest_game(), trials=40, seed=7)
 @example(game=(*_four_honest_game()[:2], {}), trials=40, seed=7)
 @example(game=_demba_shared_auto_game(), trials=40, seed=7)
+@example(game=_pinned_equal_split_game(), trials=40, seed=7)
+@example(game=_pinned_mad_game(), trials=40, seed=7)
+@example(game=_zero_power_game(), trials=40, seed=7)
 def test_sampled_expectation_and_ttc_equal_one_by_one_plays(game, trials,
                                                             seed):
     scen, profile, pin = game
@@ -735,20 +772,29 @@ def test_sampled_expectation_and_ttc_equal_one_by_one_plays(game, trials,
 def test_settlement_examples_reach_what_they_test(monkeypatch):
     # The censor-bribe game pays censor-bribe income, at a bribe of 0 an
     # income of 0, the equal split shares a col-M confiscation among
-    # colluders with window blocks, and the party-merge game's party half
-    # takes two mined control states to one.
+    # colluders with window blocks, whether merged or walked, and the
+    # party-merge game's party half takes two mined control states to one.
     scen, profile, pin = _censor_bribe_game()
     assert expected_utilities(scen, profile, pin).bribe_income[PARTIES[0]] > 0
     scen, profile, pin = _censor_bribe_game(br=0)
     assert expected_utilities(scen, profile, pin).bribe_income == {
         PARTIES[0]: 0}
-    scen, profile, pin = _equal_split_game()
-    entries, _, payoffs = game.final_frontier(scen, profile, pin)
-    shared = [payoff for state, groups in entries
-              if game._split_confiscator(scen, state) is not None
-              for payoff in groups
-              if sum(map(bool, payoffs._window(payoff[0]).values())) > 1]
-    assert shared
+    for make in (_equal_split_game, _pinned_equal_split_game):
+        scen, profile, pin = make()
+        entries, _, payoffs = game.final_frontier(scen, profile, pin)
+        shared = [payoff for state, groups in entries
+                  if game._split_confiscator(scen, state) is not None
+                  for payoff in groups
+                  if sum(map(bool, payoffs._window(payoff[0]).values())) > 1]
+        assert shared, make
+    # The pinned mad game lands the briber's partial block, and the
+    # zero-power game's censor earns its bribes.
+    scen, profile, pin = _pinned_mad_game()
+    (state, _), = game.final_frontier(scen, profile, pin).entries
+    assert state.mint_log
+    scen, profile, pin = _zero_power_game()
+    assert expected_utilities(monte_carlo(scen, 5), profile, pin
+                              ).bribe_income[PARTIES[0]] > 0
     acted: dict = {}  # round -> the control key of each party half's state
     real_act = game._act
 

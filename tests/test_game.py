@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htlc_arena import agents, game, runner
 from htlc_arena.core import (ALICE, BOB, ArenaError, LedgerError,
@@ -354,7 +355,19 @@ class TestExpectations:
             with pytest.raises(ArenaError, match="final masses sum to"):
                 read()
 
-    def test_exact_expectation_checks_conservation(self, monkeypatch):
+    #: Both shapes of the pass: a one-miner game and a one-powered-miner
+    #: Monte-Carlo job walk their one schedule, and a two-miner game
+    #: merges its prefixes.
+    PASS_SHAPES = {
+        "one-miner": naive_scenario(),
+        "two-miners": naive_scenario(miners=tuple(
+            MinerProfile(m, Fraction(1, 2)) for m in (M1, M2))),
+        "one-powered-miner-mc": monte_carlo(naive_scenario(miners=(
+            MinerProfile(M1, Fraction(1)), MinerProfile(M2, Fraction(0)))), 5),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PASS_SHAPES))
+    def test_exact_expectation_checks_conservation(self, monkeypatch, shape):
         apply_block = game.apply_block
 
         def leaky(state, block):
@@ -363,14 +376,16 @@ class TestExpectations:
             return state.seal()
 
         monkeypatch.setattr(game, "apply_block", leaky)
-        scen = naive_scenario()
-        with pytest.raises(ScenarioError, match="conservation violated"):
+        scen = self.PASS_SHAPES[shape]
+        with pytest.raises(ScenarioError,
+                           match="conservation violated at round 1"):
             expected_utilities(scen, honest_profile(scen))
 
-    def test_exact_expectation_checks_label_order(self, monkeypatch):
+    @pytest.mark.parametrize("shape", sorted(PASS_SHAPES))
+    def test_exact_expectation_checks_label_order(self, monkeypatch, shape):
         monkeypatch.setattr(game, "state_label", lambda state, protocol:
                             "red" if state.height == 3 else "nred-A")
-        scen = naive_scenario()
+        scen = self.PASS_SHAPES[shape]
         with pytest.raises(ScenarioError, match="regressed to red at 3"):
             expected_utilities(scen, honest_profile(scen))
 
@@ -692,7 +707,9 @@ class TestOneMoverRounds:
     """A pass without a verdict's memo keys a round only where a key can
     be read: a round that one miner mines keeps no step, asks no round key
     and checks no block for neutrality, and from one control state it
-    builds no control key.  Its cache holds the steps of one round."""
+    builds no control key.  Its cache holds the steps of one round.  A pass
+    whose every round has one mover walks its one schedule, and builds no
+    control key at all."""
 
     @pytest.mark.parametrize("argv", [
         ["expect", "--scenario", str(SCENARIOS / "naive_bribery.json"),
@@ -701,8 +718,8 @@ class TestOneMoverRounds:
          "--path", "bob-both", "--trials", "50"]])
     def test_a_one_miner_job_keys_nothing(self, monkeypatch, argv):
         # A one-miner Monte-Carlo `expect` and a `ttc` job, whose pass
-        # pins every round: one block a round, and one control key, the
-        # setup state's.
+        # pins every round: each walks its one schedule, one block a
+        # round, and keys nothing.
         calls = Counter()
 
         def counted(name, fn):
@@ -722,7 +739,7 @@ class TestOneMoverRounds:
                                     counted("round_key", cls.round_key))
         assert runner.main(argv) == 0
         horizon = runner.load_scenario(argv[2])[0].horizon
-        assert calls == Counter(blocks=horizon, control_key=1)
+        assert calls == Counter(blocks=horizon)
 
     @pytest.mark.parametrize("pin", [None, {4: M3}])
     def test_a_pass_keeps_no_state_of_an_earlier_round(self, monkeypatch,
@@ -822,6 +839,27 @@ class TestPayoffs:
                             ), (make, rnd)
                 assert reached(state, out, payoffs._window(payoff[0])), \
                     (make, order)
+
+    @settings(max_examples=30, deadline=None)
+    @given(make=st.sampled_from((_staged_refund_game, _equal_split_pact_game,
+                                 _censor_bribe_game)), data=st.data())
+    def test_a_walked_payoff_is_the_fold_of_its_steps(self, make, data):
+        # A fixed schedule's payoff, read from its final state and its
+        # window blocks, is the setup's zero payoff with each step added.
+        scen, profile = make()
+        schedule = data.draw(st.lists(st.sampled_from((M1, M2)),
+                                      min_size=scen.horizon,
+                                      max_size=scen.horizon))
+        setup, baseline, _ = game._setup(scen, profile)
+        payoffs = game._Payoffs(scen, setup, baseline)
+        state, payoff = setup, payoffs.zero
+        for rnd, miner in enumerate(schedule, 1):
+            block, mined = game._mine(scen, profile, state, rnd, miner)
+            payoff = payoffs.add(payoff, payoffs.step(state, mined, block))
+            state = game._act(scen, profile, mined, rnd, -1)[0]
+        window = Counter(schedule[rnd - 1]
+                         for rnd in game._window_rounds(scen))
+        assert payoffs.walked(state, window) == payoff
 
 
 class PayingMiner(HonestFeeMax):

@@ -16,7 +16,8 @@ from htlc_arena.core import (ALICE, BOB, EXTERNAL, LedgerError, credit, debit,
                              miner_party)
 from htlc_arena.agents import (AliceHonest, BobHonest, BobNaiveBriber,
                                HonestFeeMax, M2MbaActive, call_tx,
-                               honest_miner_select, payment_tx, tx_commit)
+                               honest_miner_select, payment_tx, tx_commit,
+                               tx_reveal_dep_a)
 from htlc_arena.contracts import (BURNED, CBOB_ID, CM2M_ID, COL_M, DEP_A,
                                   DEP_B, DEP_BURN, DEP_ID, PRE_A, PRE_A2,
                                   PRE_AA2, PRE_B,
@@ -174,6 +175,39 @@ def _refuse_negative_fill():
     return fresh_naive(f=1), Block(round=1, miner=M1, unrelated_fill=-3)
 
 
+def _briber_setup():
+    """A naive game's state after the naive briber's setup, and the init
+    of its censorship bribery contract, which waits in the mempool."""
+    scen = naive_scenario()
+    state = BobNaiveBriber().setup(build_genesis(scen)[0], scen)
+    return scen, state, state.mempool["tx.cbob.init"]
+
+
+def _refuse_init_mined_again():
+    # `tx.cbob.init` left the mempool in round 1; mined again in round 2
+    # it would debit a second budget that the contract does not hold.
+    _, state, init = _briber_setup()
+    return apply_block(state, Block(round=1, miner=M1, txs=(init,))), init
+
+
+def _refuse_init_copy_in_one_block():
+    # A copy of the init under another id, mined after it in one block.
+    _, state, init = _briber_setup()
+    return state, Block(round=1, miner=M1,
+                        txs=(init, init._replace(tx_id="tx.cbob.init.2")))
+
+
+def _refuse_init_of_settled_contract():
+    # The payee's reveal lands in the round the budget is funded, and the
+    # ledger refunds it at once: the settled contract, which keeps its
+    # deposit, takes no new budget.
+    scen, state, init = _briber_setup()
+    state = apply_block(state, Block(round=1, miner=M1, txs=(
+        init, tx_reveal_dep_a(scen))))
+    assert state.bribery[CBOB_ID].settled
+    return state, init
+
+
 #: case -> (a maker of the (state, offer) pair, the code and the exact
 #: detail of the ledger's refusal), the offer being a transaction or a
 #: whole block, offered in the round after the state's.  No other test
@@ -216,6 +250,13 @@ REFUSALS = {
         lambda: (fresh_naive(), call_tx("tx.call", M1, CBOB_ID,
                                         "requestBribe", fee=-5)),
         "invalid-tx", "negative fee -5"),
+    "init-mined-again": (
+        _refuse_init_mined_again, "invalid-tx", "cbob already funded"),
+    "init-copy-in-one-block": (
+        _refuse_init_copy_in_one_block, "invalid-tx",
+        "tx 1 (tx.cbob.init.2): invalid-tx(cbob already funded)"),
+    "init-of-settled-contract": (
+        _refuse_init_of_settled_contract, "invalid-tx", "cbob already funded"),
     "negative-fee-payment": (
         lambda: (fresh_naive(), payment_tx("tx.pay", ALICE, BOB, 5)._replace(
             declared_fee=-5)),
