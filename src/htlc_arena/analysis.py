@@ -21,9 +21,6 @@ one player's policy: a pass builds only the blocks that no earlier pass
 built, in every round, and takes a block that names its miner only as the
 fee payee renamed for any miner of that block's round key.  The
 expectations and the cache live for that one verdict and no longer.
-(Pact lemma 5 asks a single expectation, and calls `expected_utilities`
-directly: a cache kept in every round costs a lone pass more than it
-saves.)
 """
 
 from __future__ import annotations
@@ -404,8 +401,8 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
             + scen.epsilon
         bribes[VIEW_REST] = math.ceil(rest_br)
     view, mi, _ = coalition_view(scen, focal, bribes)
-    income = expected_utilities(view, _attack_profile(view)) \
-        .bribe_income.get(mi, Fraction(0))
+    income = expect(view, _attack_profile(view)).bribe_income.get(
+        mi, Fraction(0))
     concl = income > f_a
     return LemmaVerdict("lemma5", hyp, concl, income - f_a,
                         {"bribe_income": income, "predicted": predicted,

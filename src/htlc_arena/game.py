@@ -18,10 +18,8 @@ and round key: every other miner of that key takes its step renamed.  Then
 the parties' broadcasts, the label and its check run once per mined
 control state.  A verdict's passes share one cache of block steps
 (`StepMemo`), so a pass builds only the blocks that no earlier pass of
-the verdict built.  Any other pass keeps a control state's miner-neutral
-steps only for its round, and keys nothing in a round that one miner
-mines: it keeps no step there, and from one control state it builds no
-control key.  One rule moves a round's payoff groups whole, unsplit:
+the verdict built.  Any other pass keeps a control state's steps only
+for its round.  One rule moves a round's payoff groups whole, unsplit:
 every miner that can mine the round takes a step to the same successor
 with the same increment.  A pass without a memo whose every round has
 one miner that can mine it has one schedule, so it walks it, a block a
@@ -764,14 +762,13 @@ _UNPAID = ((), (), ())
 
 
 def _enter(mined: dict, nxt: ChainState, rank: int, total: int,
-           rnd: int, keyed: bool) -> list:
+           rnd: int) -> list:
     """`mined`'s entry for `nxt`'s control state, reached by some mass
     from a state of label rank `rank`: made, or its rank raised, once
-    `nxt` keeps the setup state's conservation `total`.  Unless `keyed`,
-    `mined` holds one entry, keyed None."""
+    `nxt` keeps the setup state's conservation `total`."""
     if nxt.conservation_total() != total:
         raise ScenarioError(f"conservation violated at round {rnd}")
-    key = nxt.control_key() if keyed else None
+    key = nxt.control_key()
     entry = mined.get(key)
     if entry is None:
         entry = mined[key] = [nxt, rank, {}]
@@ -794,7 +791,7 @@ class StepMemo:
     passes whose profiles differ in one policy build only the blocks that
     differ.  `analysis` makes one per verdict and scenario and drops it
     with the verdict's expectations; a pass without one keeps each control
-    state's miner-neutral steps only for its round (`_forward`).
+    state's steps only for its round (`_forward`).
     """
 
     __slots__ = ("blocks",)
@@ -838,14 +835,10 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     earlier pass; only the ledger's refusal of a block at that state reads
     its payoff parts, and each group's own draws are checked as below.
 
-    A pass without `memo` keys a round only where a key can be read.  Its
-    cache holds one control state's miner-neutral steps for the round: a
-    control key holds the height, and a miner steps from it once.  In a
-    round with one mover it keeps no step, asks no round key and makes no
-    neutral check, since no second miner and no later pass can take that
-    step; and where that round also starts from one control state, it
-    builds no control key, for `mined` or the next frontier, since nothing
-    can merge.
+    A pass without `memo` keeps a private cache for each control state
+    and round: a control key holds the height, and a miner steps from it
+    once, so only the round's other miners read it, for a miner-neutral
+    step.
 
     A pass without `memo` whose every round has one mover walks its one
     schedule instead: every `ttc` pass, a Monte-Carlo pass with one miner
@@ -915,30 +908,23 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     def take(state, rank, steps, built, miner) -> tuple:
         """`miner`'s step from `state` in round `rnd`, kept in `steps`:
         (successor's `mined` entry, block, increment).  `built` holds the
-        cached steps from `state`'s control state, or is None where no
-        other step can read one."""
-        done = None
-        if built is not None:
-            round_key = keys[miner]
-            if memo is not None:  # only a later pass takes its own step
-                done = built.get((round_key, miner))
-            if done is None and (round_key, None) in built:
-                owner, (block, nxt, paying) = built[round_key, None]
-                done = block, nxt, payoffs.renamed(paying, owner, miner)
+        cached steps from `state`'s control state."""
+        round_key = keys[miner]
+        done = built.get((round_key, miner))
+        if done is None and (round_key, None) in built:
+            owner, (block, nxt, paying) = built[round_key, None]
+            done = block, nxt, payoffs.renamed(paying, owner, miner)
         if done is None:
             block, nxt = _mine(scen, profile, state, rnd, miner)
-            entry = _enter(mined, nxt, rank, expected_total, rnd, keyed)
+            entry = _enter(mined, nxt, rank, expected_total, rnd)
             paying = payoffs.step(state, nxt, block)
-            if built is not None:
-                # Keeping the state the pass keeps, not one more.
-                done = block, entry[0], paying
-                if memo is not None:
-                    built[round_key, miner] = done
-                if _neutral(state, nxt, block, profile.miners):
-                    built[round_key, None] = miner, done
+            # Keeping the state the pass keeps, not one more.
+            done = built[round_key, miner] = block, entry[0], paying
+            if _neutral(state, nxt, block, profile.miners):
+                built[round_key, None] = miner, done
         else:
             block, nxt, paying = done
-            entry = _enter(mined, nxt, rank, expected_total, rnd, keyed)
+            entry = _enter(mined, nxt, rank, expected_total, rnd)
         step = steps[miner] = entry, block, paying
         return step
 
@@ -946,17 +932,11 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
         able = movers[rnd - 1]
-        # A step is read again only by a second miner or a later pass, and
-        # a mined state merges only with another one.
-        cached = memo is not None or len(able) > 1
-        keyed = cached or len(frontier) > 1
-        if cached:
-            keys = {miner: profile.miners[miner].round_key(rnd, scen)
-                    for miner in able}
+        keys = {miner: profile.miners[miner].round_key(rnd, scen)
+                for miner in able}
         for key, (state, rank, groups) in frontier.items():
-            built = None
-            if cached:  # a private cache holds one control state's steps
-                built = {} if memo is None else built_at.setdefault(key, {})
+            # A private cache holds one control state's steps for a round.
+            built = {} if memo is None else built_at.setdefault(key, {})
             steps: dict = {}  # miner -> (entry, block, increment)
             # Bound on every entry: a `step` left from an earlier round
             # would keep that round's state alive.
@@ -988,7 +968,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
             if not groups:  # a step that no trial takes
                 continue
             nxt, _, nxt_rank = _act(scen, profile, state, rnd, rank)
-            key = nxt.control_key() if keyed else None
+            key = nxt.control_key()
             entry = frontier.get(key)
             if entry is None:
                 frontier[key] = [nxt, nxt_rank, groups]
@@ -1052,8 +1032,7 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     A trial count whose trial list or draw cannot be allocated is
     `validation-error(trials)`.  `memo` is a verdict's step cache
     (`StepMemo`), which only `analysis` passes; without it the pass keeps
-    a round's miner-neutral steps only for that round, and none in a round
-    that one miner mines (`_forward`).
+    a round's steps only for that round (`_forward`).
     """
     pin = pin or {}
     if scen.mode[0] == "exact":

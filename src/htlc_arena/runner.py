@@ -24,7 +24,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .core import ArenaError, EXTERNAL, ScenarioError, miner_party
+from .core import (ArenaError, EXTERNAL, MAX_DRAW_ITEMS, ScenarioError,
+                   miner_party)
 from .contracts import (COL_B, COL_B_ID, COL_ID, DEP_A, DEP_ID, FeeSchedule,
                         PRE_A, PRE_A2, PRE_AA2, PRE_B)
 from .game import (MinerProfile, Scenario, Schedule, StrategyProfile,
@@ -351,12 +352,18 @@ def _load_overridden(args, mode: Optional[tuple] = None) -> tuple:
 def cmd_simulate(args) -> tuple:
     scen, profile, digest = _load_overridden(args)
     able = [m.party for m in scen.miners if m.power > 0]
-    # Every pick would name a lone miner with power, so draw none for it.
-    if len(able) == 1:
-        schedule = Schedule((able[0],) * scen.horizon)
-    else:
-        import numpy as np
-        schedule = sample_schedule(scen, np.random.default_rng(scen.seed))
+    # A schedule holds an item a round, as a draw does.
+    if scen.horizon > MAX_DRAW_ITEMS:
+        raise _schedule_too_long(scen)
+    try:
+        # Every pick would name a lone miner with power, so draw none for it.
+        if len(able) == 1:
+            schedule = Schedule((able[0],) * scen.horizon)
+        else:
+            import numpy as np
+            schedule = sample_schedule(scen, np.random.default_rng(scen.seed))
+    except MemoryError as e:
+        raise _schedule_too_long(scen) from e
     out = play(scen, profile, schedule)
     report = Report(_base_header(args, "simulate", scen, digest))
     for party in sorted(out.deltas, key=lambda p: p.id):
@@ -370,6 +377,11 @@ def cmd_simulate(args) -> tuple:
     report.summary.append(f"terminal resolution: {out.terminal}")
     report.summary.append("schedule: " + ",".join(p.id for p in schedule.miners))
     return report, 0
+
+
+def _schedule_too_long(scen: Scenario) -> ScenarioError:
+    return ScenarioError(f"validation-error(horizon): a schedule of "
+                         f"{scen.horizon} rounds does not fit in memory")
 
 
 def cmd_expect(args) -> tuple:

@@ -56,9 +56,7 @@ MUTANTS = (
             "test_lemma4_deferral_strictly_decays",
             "tests/test_golden.py::"
             "test_report_bytes_match_golden[he_m2mba.lemmas]")),
-    # Under a verdict's memo, any miner of a round key takes another's
-    # stored step, unrenamed.  A pass without one stores no miner's own
-    # step, so only a verdict's passes can read one.
+    # Any miner of a round key takes another's stored step, unrenamed.
     Mutant("cache-key-without-miner", GAME,
            "done = built.get((round_key, miner))",
            "done = built.get((round_key, miner)) or next(\n"
@@ -97,27 +95,29 @@ MUTANTS = (
             "test_exact_expectation_checks_label_order",
             "tests/test_game.py::TestRoundHalves::"
             "test_merged_predecessors_keep_the_higher_label_rank")),
-    # A one-mover round skips the cache under a verdict's memo too, so a
-    # later pass of the verdict builds that round's steps again.
-    Mutant("cache-skipped-under-shared-memo", GAME,
-           "cached = memo is not None or len(able) > 1",
-           "cached = len(able) > 1",
+    # A verdict's passes keep private caches, as a pass without a memo
+    # does, so a later pass of the verdict builds every step again.
+    Mutant("memo-left-unread", GAME,
+           "built = {} if memo is None else built_at.setdefault(key, {})",
+           "built = {}",
            ("tests/test_analysis.py::TestM2MbaLemmas::"
             "test_a_verdict_builds_each_step_once",)),
-    # A one-mover round from two control states merges every mined state.
-    Mutant("control-keys-skipped-on-a-split-frontier", GAME,
-           "keyed = cached or len(frontier) > 1",
-           "keyed = cached",
+    # Mined states that reach different control states merge once their
+    # parties have acted: the frontier keeps one entry.
+    Mutant("frontier-merges-every-state", GAME,
+           "            key = nxt.control_key()\n"
+           "            entry = frontier.get(key)\n",
+           "            key = None\n"
+           "            entry = frontier.get(key)\n",
            ("tests/test_differential.py::"
             "test_merged_expectation_equals_brute_force",)),
-    # A round that two miners mine keeps no step and asks no round key.
-    Mutant("round-keys-skipped-for-two-movers", GAME,
-           "cached = memo is not None or len(able) > 1",
-           "cached = memo is not None or len(able) > 2",
+    # No step is kept as miner-neutral, so every miner of a round key
+    # builds its own block.
+    Mutant("neutral-step-never-shared", GAME,
+           "if _neutral(state, nxt, block, profile.miners):",
+           "if False:",
            ("tests/test_game.py::TestIdleBlocks::"
-            "test_idle_blocks_are_mined_once_per_state",
-            "tests/test_differential.py::"
-            "test_merged_expectation_equals_brute_force")),
+            "test_idle_blocks_are_mined_once_per_state",)),
     # A payoff group takes a step whatever its balance, so a group that
     # cannot fund a draw reaches a payoff no play reaches.
     Mutant("payoff-draw-unchecked", GAME,
@@ -265,6 +265,12 @@ MUTANTS = (
               for n in (1, 2, 4, 5)),
             "tests/test_analysis.py::TestTheoremM2Mba::"
             "test_an_active_miner_outside_the_pact_gets_no_verdict")),
+    # Pact lemma 5 asks its one expectation without the verdict's memo.
+    Mutant("lemma-5-skips-the-memo", ANALYSIS,
+           "income = expect(view, _attack_profile(view))",
+           "income = expected_utilities(view, _attack_profile(view))",
+           ("tests/test_analysis.py::"
+            "test_every_pass_of_a_verdict_holds_its_memo[lemma-5]",)),
     # The pact theorem judges an active miner outside the pact.
     Mutant("theorem-judges-independents", ANALYSIS,
            '        if m.kind == "active" and party not in scen.coalition:\n'

@@ -182,6 +182,33 @@ def test_step_memo_leaves_every_verdict_as_fresh_passes_give_it(point):
     assert shared == fresh
 
 
+@pytest.mark.parametrize("verify,args", [
+    *((verify_m2mba_lemma, (n, M2MBA_FILE, focal))
+      for n, focal in ((1, M1), (2, M1), (3, M3), (4, M1), (5, M1))),
+    (verify_theorem_m2mba, (M2MBA_FILE,)),
+    (verify_demba_lemma, (6, TWO_DEMBA_MINERS)),
+    (verify_demba_lemma, (7, TWO_DEMBA_MINERS)),
+    (verify_demba, (TWO_DEMBA_MINERS,))], ids=[
+    *(f"lemma-{n}" for n in range(1, 6)), "theorem", "lemma-6", "lemma-7",
+    "demba"])
+def test_every_pass_of_a_verdict_holds_its_memo(verify, args, monkeypatch):
+    # Every verdict asks its expectations one way, through its memo
+    # (`_verdict_expectations`): each pass it runs on one scenario holds
+    # that scenario's one step cache.
+    held = []
+    frontier = game.final_frontier
+
+    def spied(scen, profile, pin=None, memo=None):
+        held.append((id(scen), memo))
+        return frontier(scen, profile, pin, memo)
+
+    monkeypatch.setattr(game, "final_frontier", spied)
+    verify(*args)
+    assert held and all(isinstance(memo, game.StepMemo) for _, memo in held)
+    assert len({(scen, id(memo)) for scen, memo in held}) == len(
+        {scen for scen, _ in held})
+
+
 @st.composite
 def solvent_perblock_pacts(draw):
     """Criterion 3's game with its grid drawn instead: four equal active

@@ -704,12 +704,10 @@ class TestControlMerge:
 
 
 class TestOneMoverRounds:
-    """A pass without a verdict's memo keys a round only where a key can
-    be read: a round that one miner mines keeps no step, asks no round key
-    and checks no block for neutrality, and from one control state it
-    builds no control key.  Its cache holds the steps of one round.  A pass
-    whose every round has one mover walks its one schedule, and builds no
-    control key at all."""
+    """A pass without a verdict's memo whose every round has one mover
+    walks its one schedule: one block a round, and no step cache, round
+    key, neutral check or control key.  Any other pass without a memo
+    keeps its steps for one round."""
 
     @pytest.mark.parametrize("argv", [
         ["expect", "--scenario", str(SCENARIOS / "naive_bribery.json"),

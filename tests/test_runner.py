@@ -400,6 +400,16 @@ MALFORMED = {
         policies={"bob": {"name": "naive-briber", "budget": -3}}),
         "policies.bob"),
     "mc-trials-string": (minimal_naive(mode={"monte-carlo": "5"}), "mode"),
+    # A schedule of the horizon's length, one miner's or drawn, that
+    # cannot be allocated; past a draw's most items, none is tried.
+    "horizon-schedule-does-not-fit": (minimal_naive(
+        timing={"T": 5, "horizon": 10**12}), "horizon"),
+    "horizon-draw-does-not-fit": (minimal_naive(
+        timing={"T": 5, "horizon": 10**12},
+        miners=[{"id": "m1", "power": "1/2"}, {"id": "m2", "power": "1/2"}]),
+        "horizon"),
+    "horizon-past-any-draw": (minimal_naive(
+        timing={"T": 5, "horizon": 2**63}), "horizon"),
     # A key that no section knows, typically a misspelt one.
     "top-level-unknown-key": (minimal_naive(bribe={"br": 2}), "bribe"),
     "amounts-unknown-key": (
