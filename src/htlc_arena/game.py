@@ -23,7 +23,7 @@ for its round.  One rule moves a round's payoff groups whole, unsplit:
 every miner that can mine the round takes a step to the same successor
 with the same increment.  A pass without a memo whose every round has
 one miner that can mine it has one schedule, so it walks it, a block a
-round, and reads its one payoff group from the final state.
+round (`walk`), and reads its one payoff group from the final state.
 `final_frontier` returns the pass's final frontier: each final control
 state with its payoff groups, each holding an integer mass, and the total
 the masses sum to.  In exact mode a mass is the summed schedule weight
@@ -33,12 +33,12 @@ each round's; its values are those of playing every schedule that
 to.  In Monte-Carlo mode
 a mass is the number of sampled trials that reach the state; its values
 are those of playing each sampled schedule, drawn when a round first
-splits the trials by pick.  `expected_utilities` and `runner.ttc` settle
-straight from the frontier, a payoff or a control state at a time, and
-no final chain state is rebuilt; `ttc` reads control states alone, on a
-pass with every round pinned to one miner, since its honest traffic
-completes in the same round whoever mines, so it walks one schedule.
-`play` and its `Outcome` stay as the oracle the tests hold them to.
+splits the trials by pick.  `expected_utilities` settles straight from
+the frontier, a payoff at a time, and no final chain state is rebuilt.
+`runner.ttc` needs no frontier: its honest traffic completes in the same
+round whoever mines, so it walks the one schedule pinned to one miner and
+reads the completion round from the final state.  `play` and its
+`Outcome` stay as the oracle the tests hold them to.
 Dominance verdicts, which weigh expectations against each other, live in
 `analysis`.
 
@@ -490,6 +490,32 @@ def play(scen: Scenario, profile: StrategyProfile, schedule: Schedule,
     return _outcome(scen, state, baseline, escrow0, tuple(trace), schedule)
 
 
+def walk(scen: Scenario, profile: StrategyProfile, miners) -> tuple:
+    """Play one fixed schedule from setup, one block a round, where
+    `miners` names each round's miner in turn from round 1.
+
+    Each round mines, checks that the mined state keeps the setup state's
+    conservation total (as `_enter` does) and runs the party half with
+    the label rule (`_act`).  At the end every party the final state
+    holds must have held a balance at setup, as `_Payoffs.step` requires
+    of each step.  Returns (the setup state, its baseline, the final
+    state).  A pass without a memo whose every round has one mover walks
+    (`_forward`), and so does `runner.ttc`; `play`, the oracle, keeps its
+    own loop.
+    """
+    setup, baseline, _ = _setup(scen, profile)
+    expected_total = setup.conservation_total()
+    state, rank = setup, -1
+    for rnd, miner in enumerate(miners, 1):
+        state = _mine(scen, profile, state, rnd, miner)[1]
+        if state.conservation_total() != expected_total:
+            raise ScenarioError(f"conservation violated at round {rnd}")
+        state, _, rank = _act(scen, profile, state, rnd, rank)
+    if len(state.balances) != len(setup.balances):
+        raise ArenaError("a step paid a party with no balance at setup")
+    return setup, baseline, state
+
+
 def _outcome(scen: Scenario, state: ChainState, baseline: dict, escrow0: int,
              trace: tuple, schedule: Schedule) -> Outcome:
     """Settle the state `schedule` reached against the post-setup baseline."""
@@ -728,11 +754,10 @@ class _Payoffs:
         final `state`, whose `window` counts each miner's window blocks:
         the zero payoff with every step added (`step`, `add`), as their
         balance, burn and window changes sum to the final state's change
-        since setup, and their bribe-log entries are those appended since."""
-        balances = state.balances
-        if len(balances) != len(self.parties):
-            raise ArenaError("a step paid a party with no balance at setup")
-        vec = (*map(operator.sub, balances.values(), self.start),
+        since setup, and their bribe-log entries are those appended since.
+        `walk` has checked that every party the state holds held a balance
+        at setup."""
+        vec = (*map(operator.sub, state.balances.values(), self.start),
                state.burned - self.setup.burned,
                *(window[p] for p in self.parties))
         return vec, tuple(state.bribe_log[len(self.setup.bribe_log):])
@@ -841,17 +866,20 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     step.
 
     A pass without `memo` whose every round has one mover walks its one
-    schedule instead: every `ttc` pass, a Monte-Carlo pass with one miner
-    of non-zero power, and an exact pass on a one-miner game or with every
+    schedule instead (`walk`): a Monte-Carlo pass with one miner of
+    non-zero power, and an exact pass on a one-miner game or with every
     round pinned.  Nothing can merge and no step is read twice, so it
-    builds no control key and keeps no step.  Each round it mines, checks
-    the mined state's conservation total as `_enter` does, counts the
-    miner's window blocks and runs the party half with the label rule.
-    Its one group's payoff is read from the final state
-    (`_Payoffs.walked`), which is the sum of the increments the loop below
-    would add; its balance checks are the ledger's own, as the group's
-    balances are the state's.  A verdict's passes hold a memo, which a
-    later pass reads, so they take the loop below.
+    builds no control key and keeps no step, and every round moves the
+    one group whole at weight 1 (its one branch is the pinned miner's 1/1
+    or the lone miner's power 1; its trials are all the trials).  The
+    walk checks each mined state's conservation total as `_enter` does
+    and runs the party half with the label rule.  The one group's payoff
+    is read from the final state, with each miner's window blocks counted
+    from the schedule (`_Payoffs.walked`), which is the sum of the
+    increments the loop below would add; its balance checks are the
+    ledger's own, as the group's balances are the state's.  A verdict's
+    passes hold a memo, which a later pass reads, so they take the loop
+    below.
 
     One rule decides whether a round moves every group whole, unsplit:
     before any group moves, the miners that can mine the round
@@ -887,21 +915,16 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     (control state, {payoff: mass}) for each control state at the horizon,
     the state being the one full state it keeps.
     """
+    if memo is None and all(len(able) == 1 for able in movers):
+        # One schedule: its one group's balances are the state's.
+        setup, baseline, state = walk(scen, profile,
+                                      (able[0] for able in movers))
+        payoffs = _Payoffs(scen, setup, baseline)
+        window = Counter(movers[rnd - 1][0] for rnd in payoffs.window)
+        return payoffs, [(state, {payoffs.walked(state, window): mass})]
     state, baseline, _ = _setup(scen, profile)
     expected_total = state.conservation_total()
     payoffs = _Payoffs(scen, state, baseline)
-    if memo is None and all(len(able) == 1 for able in movers):
-        # One schedule: its one group's balances are the state's.
-        window, rank = Counter(), -1
-        for rnd, able in enumerate(movers, 1):
-            state = _mine(scen, profile, state, rnd, able[0])[1]
-            if state.conservation_total() != expected_total:
-                raise ScenarioError(f"conservation violated at round {rnd}")
-            if rnd in payoffs.window:
-                window[able[0]] += 1
-            mass = whole(rnd, mass)
-            state, _, rank = _act(scen, profile, state, rnd, rank)
-        return payoffs, [(state, {payoffs.walked(state, window): mass})]
     if memo is not None:
         built_at = memo.blocks.setdefault(payoffs.parties, {})
 
@@ -1028,9 +1051,11 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     `pin` maps a 1-based round to the party forced to mine it, overriding
     any draw.  A pass without `memo` in which one miner can mine each
     round (it is pinned, it is the game's one miner, or in Monte-Carlo
-    mode the one miner with power) walks that one schedule (`_forward`).
-    A trial count whose trial list or draw cannot be allocated is
-    `validation-error(trials)`.  `memo` is a verdict's step cache
+    mode the one miner with power) walks that one schedule (`walk`) and
+    builds one payoff group.  A trial count whose trial list
+    (`trial_list`) or draw cannot be allocated is
+    `validation-error(trials)`.  `runner.ttc` walks its pinned schedule
+    itself and reads no frontier.  `memo` is a verdict's step cache
     (`StepMemo`), which only `analysis` passes; without it the pass keeps
     a round's steps only for that round (`_forward`).
     """
@@ -1056,13 +1081,8 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
         able = tuple(m.party for m in scen.miners if m.power)  # powers >= 0
         movers = [(pin[rnd],) if rnd in pin else able
                   for rnd in range(1, scen.horizon + 1)]
-        total = scen.mode[1]
-        if total * scen.horizon > MAX_DRAW_ITEMS:
-            raise _too_many_trials(scen)
-        try:
-            mass = list(range(total))
-        except MemoryError as e:
-            raise _too_many_trials(scen) from e
+        mass = trial_list(scen)
+        total = len(mass)
 
         # The draw is made on the first split.  Python ints group faster
         # than numpy masks, so the round split last keeps its column as a
@@ -1099,6 +1119,19 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     if mass != total:
         raise ArenaError(f"final masses sum to {Fraction(mass, total)}, not 1")
     return Frontier(entries, total, payoffs)
+
+
+def trial_list(scen: Scenario) -> list:
+    """The scenario's Monte-Carlo trials, numbered from 0.  A count whose
+    draw (trials x horizon items) numpy could not address, or whose list
+    cannot be allocated, is `validation-error(trials)`; every Monte-Carlo
+    job holds this list, so each refuses one count alike."""
+    if scen.mode[1] * scen.horizon > MAX_DRAW_ITEMS:
+        raise _too_many_trials(scen)
+    try:
+        return list(range(scen.mode[1]))
+    except MemoryError as e:
+        raise _too_many_trials(scen) from e
 
 
 def _too_many_trials(scen: Scenario) -> ScenarioError:

@@ -29,8 +29,8 @@ from .core import (ArenaError, EXTERNAL, MAX_DRAW_ITEMS, ScenarioError,
 from .contracts import (COL_B, COL_B_ID, COL_ID, DEP_A, DEP_ID, FeeSchedule,
                         PRE_A, PRE_A2, PRE_AA2, PRE_B)
 from .game import (MinerProfile, Scenario, Schedule, StrategyProfile,
-                   check_field, expected_utilities, final_frontier,
-                   mean_half_width, play, policy_key, sample_schedule)
+                   check_field, expected_utilities, mean_half_width, play,
+                   policy_key, sample_schedule, trial_list, walk)
 from .agents import (AliceHonest, AliceOffline, BobHonest, HonestFeeMax,
                      make_miner_policy, make_party_policy, policy_space)
 from .analysis import (PoolParams, dominance_check, pool_math, pool_mc,
@@ -553,37 +553,40 @@ def _completed(red, scen: Scenario, path: str) -> Optional[int]:
 
 def ttc(scen: Scenario, path: str) -> dict:
     """Monte-Carlo rounds-to-final-transfer with a 95% half-width, over the
-    scenario's Monte-Carlo trials: each final control state's completion
-    round, weighted by the trials of all its payoff groups.
+    scenario's Monte-Carlo trials.
 
     Under `_ttc_profile` every schedule completes in one round: each
     miner runs `HonestFeeMax`, whose block names its miner only as the
     fee payee, so every schedule reaches the same control state each
-    round.  The pass therefore pins every round to the first miner with
-    power and draws nothing; its one final state holds all the trials,
-    and the half-width is 0.0.  The pinned pass walks its one schedule
-    (`game._forward`): it still allocates the trials and checks each
-    round's conservation and label as every pass does, and its balance
-    checks are the ledger's own, as its one payoff group's balances are
-    the state's."""
+    round, and the control state holds each redemption's round
+    (`_completed`).  So every trial completes in the round that the
+    schedule pinned to the first miner with power completes in, and the
+    half-width is 0.0.  `ttc` walks that one schedule (`game.walk`), with
+    each round's conservation check and label rule, and reads the round
+    from its final state; it draws nothing and builds no frontier.  It
+    refuses a horizon whose schedule cannot be allocated, as `simulate`
+    does, and then a trial count whose trial list cannot be, as every
+    Monte-Carlo pass does (`game.trial_list`)."""
     if path not in TTC_PATHS:
         raise ScenarioError(f"validation-error(path): {path!r}")
     if scen.mode[0] != "monte-carlo":
         raise ScenarioError("validation-error(mode): sampling needs "
                             f"monte-carlo, got {scen.mode!r}")
+    if scen.horizon > MAX_DRAW_ITEMS:
+        raise _schedule_too_long(scen)
     miner = next(m.party for m in scen.miners if m.power)  # powers are >= 0
-    pin = dict.fromkeys(range(1, scen.horizon + 1), miner)
-    entries, trials, _ = final_frontier(scen, _ttc_profile(scen, path), pin)
-    total = total_sq = 0  # integer sums, exact when turned into floats
-    for state, groups in entries:
-        done = _completed(state.redemptions, scen, path)
-        if done is None:
-            raise ScenarioError(
-                f"validation-error: {path} never completed within the horizon")
-        n = sum(groups.values())
-        total += n * done
-        total_sq += n * done * done
-    mean, half = mean_half_width(total, total_sq, trials)
+    try:
+        schedule = (miner,) * scen.horizon
+    except MemoryError as e:
+        raise _schedule_too_long(scen) from e
+    trials = len(trial_list(scen))
+    state = walk(scen, _ttc_profile(scen, path), schedule)[2]
+    done = _completed(state.redemptions, scen, path)
+    if done is None:
+        raise ScenarioError(
+            f"validation-error: {path} never completed within the horizon")
+    # The integer sum and sum of squares over trials that all took `done`.
+    mean, half = mean_half_width(trials * done, trials * done * done, trials)
     return {"mean": mean, "half_width": half, "trials": trials, "l": scen.l}
 
 

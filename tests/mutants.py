@@ -43,6 +43,7 @@ ANALYSIS = "src/htlc_arena/analysis.py"
 AGENTS = "src/htlc_arena/agents.py"
 CONTRACTS = "src/htlc_arena/contracts.py"
 LEDGER = "src/htlc_arena/ledger.py"
+RUNNER = "src/htlc_arena/runner.py"
 
 MUTANTS = (
     Mutant("cache-key-without-round-key", GAME,
@@ -141,23 +142,49 @@ MUTANTS = (
            "",
            ("tests/test_game.py::TestExpectations::"
             "test_exact_expectation_checks_conservation[two-miners]",)),
-    # A pass that walks one schedule goes on from a mined state that holds
-    # more or fewer tokens than the setup state.
+    # A walk goes on from a mined state that holds more or fewer tokens
+    # than the setup state.
     Mutant("walk-skips-conservation", GAME,
            "if state.conservation_total() != expected_total:",
            "if False:",
-           ("tests/test_game.py::TestExpectations::"
+           ("tests/test_game.py::TestTtcWalk::test_it_checks_conservation",
+            "tests/test_game.py::TestExpectations::"
             "test_exact_expectation_checks_conservation[one-miner]",
             "tests/test_game.py::TestExpectations::"
             "test_exact_expectation_checks_conservation"
             "[one-powered-miner-mc]")),
+    # A walk forgets the label rank each round reached, so a label may
+    # fall back to red.
+    Mutant("walk-forgets-label-rank", GAME,
+           "state, _, rank = _act(scen, profile, state, rnd, rank)",
+           "state = _act(scen, profile, state, rnd, -1)[0]",
+           ("tests/test_game.py::TestTtcWalk::test_it_checks_the_label_rule",
+            "tests/test_game.py::TestExpectations::"
+            "test_exact_expectation_checks_label_order[one-miner]")),
+    # A walk lets a step pay a party that held no balance at setup, whose
+    # change the walked payoff drops.
+    Mutant("walk-pays-a-stranger", GAME,
+           "    if len(state.balances) != len(setup.balances):\n"
+           '        raise ArenaError("a step paid a party with no balance '
+           'at setup")\n'
+           "    return setup, baseline, state\n",
+           "    return setup, baseline, state\n",
+           ("tests/test_game.py::TestTtcWalk::"
+            "test_a_party_with_no_setup_balance_fails_the_walk",)),
     # A walked pass counts no censored-window block, so the equal split
     # pays no colluder a share.
     Mutant("walk-skips-window-blocks", GAME,
-           "                window[able[0]] += 1",
-           "                pass",
+           "window = Counter(movers[rnd - 1][0] for rnd in payoffs.window)",
+           "window = Counter()",
            ("tests/test_differential.py::"
             "test_settlement_examples_reach_what_they_test",)),
+    # `ttc` pins its schedule to the first miner, which may have no power
+    # and so mine no schedule that a trial draws.
+    Mutant("ttc-pins-a-powerless-miner", RUNNER,
+           "miner = next(m.party for m in scen.miners if m.power)",
+           "miner = scen.miners[0].party",
+           ("tests/test_game.py::TestTtcWalk::"
+            "test_it_mines_every_round_with_the_first_miner_with_power",)),
     # A verdict's passes walk their one-mover schedules too, so a later
     # pass of the verdict builds every block again.
     Mutant("walk-under-memo", GAME,
@@ -183,7 +210,7 @@ MUTANTS = (
             "test_equal_control_keys_read_alike")),
     # The scenario loader's plain-number shortcut takes any Unicode digit,
     # which `int` and `Fraction` refuse with different messages.
-    Mutant("plain-number-without-ascii-test", "src/htlc_arena/runner.py",
+    Mutant("plain-number-without-ascii-test", RUNNER,
            "value.isascii() and ",
            "",
            ("tests/test_runner.py::"
@@ -582,10 +609,12 @@ MUTANTS = (
     Mutant("censor-init-of-funded", LEDGER,
            "                and contract.deposit):",
            "                and False):",
-           tuple(f"tests/test_ledger.py::test_each_refusal_keeps_its_code_"
-                 f"and_detail[{case}]" for case in (
-                     "init-mined-again", "init-copy-in-one-block",
-                     "init-of-settled-contract"))),
+           (*(f"tests/test_ledger.py::test_each_refusal_keeps_its_code_"
+              f"and_detail[{case}]" for case in (
+                  "init-mined-again", "init-copy-in-one-block",
+                  "init-of-settled-contract")),
+            "tests/test_properties.py::"
+            "test_a_block_no_policy_builds_is_refused_or_conserves")),
     Mutant("negative-policy-parameter", AGENTS,
            "if want is int and value < 0:",
            "if False:",

@@ -717,7 +717,7 @@ def completion_rounds(scen, path):
 @example(drawn=_equal_split_game(), trials=40, seed=7)
 @example(drawn=_demba_auto_resolution_game(), trials=40, seed=7)
 def test_every_ttc_schedule_completes_in_one_round(drawn, trials, seed):
-    # The premise `ttc`'s pinned pass rests on: under `_ttc_profile`
+    # The premise `ttc`'s pinned walk rests on: under `_ttc_profile`
     # every schedule, over every miner, completes its path in one round,
     # or every final state raises one error.  So `ttc` on a Monte-Carlo
     # copy reports that round with a half-width of 0.0, or that error.
@@ -736,6 +736,32 @@ def test_every_ttc_schedule_completes_in_one_round(drawn, trials, seed):
             "mean": float(done), "half_width": 0.0, "trials": trials,
             "l": scen.l}
         assert result_or_error(ttc, sampled, path) == want, path
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in SCENARIOS.glob("*.json")))
+def test_ttc_is_the_completion_round_of_the_pinned_play(name):
+    # On every sample scenario, `ttc` reports the round in which `play`
+    # on the schedule pinned to the first miner with power completes each
+    # path, or refuses as that play's completion round says.
+    scen = monte_carlo(load_scenario(SCENARIOS / name)[0], 7, seed=1)
+    miner = next(m.party for m in scen.miners if m.power)
+    schedule = Schedule((miner,) * scen.horizon)
+    completed = []
+    for path in TTC_PATHS:
+        done = result_or_error(_completion_round, play(
+            scen, _ttc_profile(scen, path), schedule), scen, path)
+        if isinstance(done, int):
+            completed.append(path)
+            want = {"mean": float(done), "half_width": 0.0, "trials": 7,
+                    "l": scen.l}
+        elif done is None:
+            want = (f"error: validation-error: {path} never completed "
+                    "within the horizon")
+        else:
+            want = done
+        assert result_or_error(ttc, scen, path) == want, path
+    assert completed, name
 
 
 @settings(max_examples=40, deadline=None)

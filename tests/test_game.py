@@ -43,6 +43,10 @@ def _no_draw(seed):
     raise AssertionError("drew a schedule")
 
 
+def _no_pass(*args):
+    raise AssertionError("ran a forward pass")
+
+
 def honest_profile(scen, miner_policy=None):
     miners = {m.party: (miner_policy or HonestFeeMax())
               for m in scen.miners}
@@ -330,16 +334,13 @@ class TestExpectations:
     @pytest.mark.parametrize("trials", [None, 9])
     def test_lost_final_entry_fails_the_mass_check(self, monkeypatch, trials):
         # The pass loses part of one payoff group's mass from its final
-        # frontier: every reader of the frontier raises the mass check.
+        # frontier: the expectation read from it raises the mass check.
         scen = naive_scenario(miners=(MinerProfile(M1, Fraction(1, 2)),
                                       MinerProfile(M2, Fraction(1, 2))))
         if trials is not None:
             scen = monte_carlo(scen, trials)
         profile = StrategyProfile(AliceHonest(), BobNaiveBriber(),
                                   {M1: CensorRelated(), M2: HonestFeeMax()})
-        readers = [lambda: expected_utilities(scen, profile)]
-        if trials is not None:  # `ttc` samples only
-            readers.append(lambda: ttc(scen, "alice-redeems"))
         forward = game._forward
 
         def lossy(*args):
@@ -351,9 +352,8 @@ class TestExpectations:
             return payoffs, [(state, {**groups, lost: part}), *rest]
 
         monkeypatch.setattr(game, "_forward", lossy)
-        for read in readers:
-            with pytest.raises(ArenaError, match="final masses sum to"):
-                read()
+        with pytest.raises(ArenaError, match="final masses sum to"):
+            expected_utilities(scen, profile)
 
     #: Both shapes of the pass: a one-miner game and a one-powered-miner
     #: Monte-Carlo job walk their one schedule, and a two-miner game
@@ -663,22 +663,15 @@ class TestControlMerge:
         assert sum(masses) == total == 50 and len(masses) > 1
         rounds = range(1, scen.horizon + 1)
         assert acted == mined == {rnd: 1 for rnd in rounds}
-        # `ttc` pins every round to one miner, so its pass draws nothing
-        # and keeps all the trials in one group.
+        # `ttc` walks the one schedule pinned to one miner: one block and
+        # one party half a round, no draw, and no forward pass or payoff.
         mined.clear()
+        acted.clear()
         monkeypatch.setattr(np.random, "default_rng", _no_draw)
-        passes = []
-        real_frontier = runner.final_frontier
-
-        def frontier(*args):
-            passes.append(real_frontier(*args))
-            return passes[-1]
-
-        monkeypatch.setattr(runner, "final_frontier", frontier)
-        ttc(scen, path)
-        [(entries, _, _)] = passes
-        assert [list(groups.values()) for _, groups in entries] == [[50]]
-        assert mined == {rnd: 1 for rnd in rounds}
+        for name in ("final_frontier", "_forward", "_Payoffs"):
+            monkeypatch.setattr(game, name, _no_pass)
+        assert ttc(scen, path)["half_width"] == 0.0
+        assert acted == mined == {rnd: 1 for rnd in rounds}
 
     def test_unequal_policies_with_equal_steps_take_rounds_whole(
             self, monkeypatch):
@@ -715,9 +708,9 @@ class TestOneMoverRounds:
         ["ttc", "--scenario", str(SCENARIOS / "he_m2mba.json"),
          "--path", "bob-both", "--trials", "50"]])
     def test_a_one_miner_job_keys_nothing(self, monkeypatch, argv):
-        # A one-miner Monte-Carlo `expect` and a `ttc` job, whose pass
-        # pins every round: each walks its one schedule, one block a
-        # round, and keys nothing.
+        # A one-miner Monte-Carlo `expect` job, whose pass has one mover
+        # a round, and a `ttc` job, which walks its pinned schedule: each
+        # walks one schedule, one block a round, and keys nothing.
         calls = Counter()
 
         def counted(name, fn):
@@ -762,6 +755,72 @@ class TestOneMoverRounds:
         expected_utilities(scen, profile, pin)
         assert held == {rnd: {0, rnd - 1}
                         for rnd in range(1, scen.horizon + 1)}
+
+
+class TestTtcWalk:
+    """`ttc` walks the schedule pinned to the first miner with power, with
+    the checks of every pass: conservation and the label rule each round,
+    and no party paid that held no balance at setup."""
+
+    #: The first miner has no power, so the pin passes it over.
+    SCEN = monte_carlo(naive_scenario(miners=(
+        MinerProfile(M1, Fraction(0)), MinerProfile(M2, Fraction(1, 2)),
+        MinerProfile(M3, Fraction(1, 2)))), 5)
+
+    def test_it_mines_every_round_with_the_first_miner_with_power(
+            self, monkeypatch):
+        miners = []
+        real_mine = game._mine
+
+        def mine(scen, profile, state, rnd, miner):
+            miners.append(miner)
+            return real_mine(scen, profile, state, rnd, miner)
+
+        monkeypatch.setattr(game, "_mine", mine)
+        assert ttc(self.SCEN, "alice-redeems")["trials"] == 5
+        assert miners == [M2] * self.SCEN.horizon
+
+    def test_it_checks_conservation(self, monkeypatch):
+        apply_block = game.apply_block
+
+        def leaky(state, block):
+            state = apply_block(state, block).draft()
+            state.credit(M2, 1)  # a token from nowhere
+            return state.seal()
+
+        monkeypatch.setattr(game, "apply_block", leaky)
+        with pytest.raises(ScenarioError,
+                           match="conservation violated at round 1"):
+            ttc(self.SCEN, "alice-redeems")
+
+    def test_it_checks_the_label_rule(self, monkeypatch):
+        monkeypatch.setattr(game, "state_label", lambda state, protocol:
+                            "red" if state.height == 3 else "nred-A")
+        with pytest.raises(ScenarioError, match="regressed to red at 3"):
+            ttc(self.SCEN, "alice-redeems")
+
+    @pytest.mark.parametrize("read", ["ttc", "expect"])
+    def test_a_party_with_no_setup_balance_fails_the_walk(self, monkeypatch,
+                                                          read):
+        # A step moves one token to a party that genesis never funded: the
+        # total is kept, but no payoff could hold the new party.
+        apply_block = game.apply_block
+        stranger = miner_party("stranger")
+
+        def paying(state, block):
+            state = apply_block(state, block).draft()
+            state.debit(M2, 1)
+            state.credit(stranger, 1)
+            return state.seal()
+
+        monkeypatch.setattr(game, "apply_block", paying)
+        with pytest.raises(ArenaError, match="^a step paid a party with no "
+                           "balance at setup$"):
+            if read == "ttc":
+                ttc(self.SCEN, "alice-redeems")
+            else:
+                pin = dict.fromkeys(range(1, self.SCEN.horizon + 1), M2)
+                expected_utilities(self.SCEN, honest_profile(self.SCEN), pin)
 
 
 def _staged_refund_game():

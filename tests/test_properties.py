@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from htlc_arena.core import ALICE, BOB, LedgerError, credit, debit
+from htlc_arena import game
+from htlc_arena.core import (ALICE, BOB, LedgerError, credit, debit,
+                             miner_party)
 from htlc_arena.contracts import (BriberyCall, CensorBriberyContract,
                                   FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B,
                                   bribery_contract_step)
 from htlc_arena.agents import AliceHonest, BobHonest, HonestFeeMax
-from htlc_arena.game import StrategyProfile, play
+from htlc_arena.game import MinerProfile, StrategyProfile, play
+from htlc_arena.ledger import Block, apply_block
 from htlc_arena.runner import Report
 
 from conftest import M1, flat_schedule, naive_scenario
+from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 
 fees = st.integers(min_value=0, max_value=50)
@@ -127,3 +132,75 @@ def test_bribery_step_dispatch_never_overpays(calls, br, budget):
         paid += sum(amount for _, amount, _ in payouts)
         assert contract.bal_left >= 0
     assert paid <= budget
+
+
+FORGERS = (miner_party("f1"), miner_party("f2"))
+POOLS = _fuzz_pools()
+
+
+def _forged_game(data) -> tuple:
+    """One criterion-9 game in which every round mines a block that no
+    policy need build: transactions drawn, in any order and with repeats,
+    from all the game has seen (the mempool, the block of every pool
+    policy for every miner, and what earlier rounds mined), any fill up to
+    capacity, and a coinbase some pool block carried or none.  A block
+    the ledger refuses gives way to an empty one.  Returns (blocks
+    accepted, blocks refused)."""
+    protocol = data.draw(st.sampled_from(sorted(POOLS)))
+    alice_pool, bob_pool, miner_pool = POOLS[protocol]
+    kind = "active" if protocol in ("mad", "he") else "passive"
+    scen = _fuzz_scenario(protocol, random.Random(data.draw(
+        st.integers(0, 2**32 - 1))), tuple(
+            MinerProfile(p, Fraction(1, 2), kind, True) for p in FORGERS))
+    profile = StrategyProfile(
+        data.draw(st.sampled_from(alice_pool)),
+        data.draw(st.sampled_from(bob_pool)),
+        {p: data.draw(st.sampled_from(miner_pool)) for p in FORGERS})
+    state = game._setup(scen, profile)[0]
+    total = state.conservation_total()
+    seen: dict = {}  # tx_id -> each distinct transaction of that id
+
+    def hear(txs) -> None:
+        for tx in txs:
+            kept = seen.setdefault(tx.tx_id, [])
+            if tx not in kept:  # a call's arguments are not hashable
+                kept.append(tx)
+
+    coinbases = {()}
+    accepted = refused = 0
+    for rnd in range(1, scen.horizon + 1):
+        blocks = [pol.build_block(state, rnd, p, scen)
+                  for pol in miner_pool for p in FORGERS]
+        hear(state.mempool.values())
+        hear(tx for block in blocks for tx in block.txs)
+        coinbases.update(block.coinbase for block in blocks)
+        heard = [tx for kept in seen.values() for tx in kept]
+        txs = data.draw(st.lists(st.sampled_from(heard),
+                                 max_size=scen.capacity)) if heard else []
+        miner = data.draw(st.sampled_from(FORGERS))
+        block = Block(rnd, miner, tuple(txs),
+                      data.draw(st.integers(0, scen.capacity - len(txs))),
+                      data.draw(st.sampled_from(sorted(coinbases, key=repr))))
+        try:
+            mined = apply_block(state, block)
+        except LedgerError:
+            refused += 1
+            mined = apply_block(state, Block(rnd, miner))
+        else:
+            accepted += 1
+        assert mined.conservation_total() == total, (protocol, rnd, block)
+        # Nor may a part go below zero to keep the total: no double spend.
+        assert min((*mined.balances.values(), *mined.live.values(),
+                    *(c.pool_total() for c in mined.bribery.values())),
+                   default=0) >= 0, (protocol, rnd, block)
+        state = game._act(scen, profile, mined, rnd, -1)[0]
+    return accepted, refused
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_block_no_policy_builds_is_refused_or_conserves(data):
+    # A miner chooses its block, so the ledger must hold any block to the
+    # game's conservation total: `apply_block` refuses it with one
+    # `LedgerError` or returns a state that keeps the setup's total.
+    _forged_game(data)

@@ -565,7 +565,31 @@ CANNOT_CHECK = {
         {"id": "m1", "power": "3/5", "kind": "active", "colluding": True},
         {"id": "m2", "power": 0, "kind": "active", "colluding": True},
         {"id": "m3", "power": "2/5", "kind": "passive"}]), "power"),
+    # `ttc`'s pinned schedule of the horizon's length cannot be
+    # allocated; past a draw's most items, none is tried.  Both come
+    # before the trial count's check, which one trial passes.
+    "ttc-horizon-schedule-does-not-fit": (
+        ["ttc", "--path", "alice-redeems", "--trials", "1"],
+        he_sample(timing={"T": 3, "t_pub": 1, "l": 1, "horizon": 10**12}),
+        "horizon"),
+    "ttc-horizon-past-any-draw": (
+        ["ttc", "--path", "alice-redeems", "--trials", "1"],
+        he_sample(timing={"T": 3, "t_pub": 1, "l": 1, "horizon": 2**63}),
+        "horizon"),
 }
+
+
+@pytest.mark.parametrize("case,horizon", [
+    ("ttc-horizon-schedule-does-not-fit", 10**12),
+    ("ttc-horizon-past-any-draw", 2**63)])
+def test_ttc_refuses_a_horizon_it_cannot_walk(case, horizon, tmp_path,
+                                              capsys):
+    options, doc, _ = CANNOT_CHECK[case]
+    path = write_doc(tmp_path, doc)
+    assert main([options[0], "--scenario", str(path), *options[1:]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: validation-error(horizon): a schedule of {horizon} rounds "
+        "does not fit in memory\n")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(BAD_OVERRIDES)
