@@ -11,17 +11,14 @@ fills the free room with unrelated traffic at fee `f`; a block may carry
 transactions its miner creates (confiscations, bribery-contract calls),
 which never pass through the mempool.
 
-The miner policy contract: a miner policy reads its miner only to name
-its block and the transactions it creates, and its `round_key` tells
-apart what it does in one round.  So two miners whose policies have equal
-round keys at one state build blocks that differ only in the miner they
-name, and both name their miner only as the fee payee, or neither.  The
-forward pass builds a block that names its miner only as the fee payee
-once per control state and round key, and renames it for the other miners
-of that key, in the one step cache that a verdict's passes share
-(`game._forward`, `game.StepMemo`).  Every policy, miner or party, reads
-only what a state's control key fixes (`ledger.ChainState.control_key`),
-never balances or logs, so the pass builds blocks and broadcasts once per
+The miner policy contract: a miner policy's `round_key` tells apart what
+it does in one round, so at one control state and round, policies with
+equal round keys build equal blocks for the same miner.  The forward pass
+builds each miner's block once per control state and round key, in the
+one step cache that a verdict's passes share (`game._forward`,
+`game.StepMemo`).  Every policy, miner or party, reads only what a
+state's control key fixes (`ledger.ChainState.control_key`), never
+balances or logs, so the pass builds blocks and broadcasts once per
 control state.
 
 Every miner block that is not a bespoke attack block follows one assembly
@@ -29,8 +26,9 @@ rule (`_assemble`): the policy's own head transactions, then the honest
 fee-maximal picks that spend no contract the head spends, then its tail
 transactions, cut to the block capacity, so a full block drops its tail
 first.  A bespoke attack block (B3a, Hydra, SDRBA) is mined whole or not
-at all: one that does not fit the capacity gives way to the policy's
-ordinary block, as a B3a block does when the briber rejects it.  Policies
+at all: one that does not fit the capacity or spends a contract that is
+no longer open (`_whole`) gives way to the policy's ordinary block, as a
+B3a block does when the briber rejects it.  Policies
 read settlement facts through `ledger.ChainView`, the view bribery
 contracts see.
 """
@@ -214,6 +212,12 @@ def _open(state, tx: TxRecord) -> bool:
         if cid not in contracts or not contracts[cid].redeemable:
             return False
     return True
+
+
+def _whole(state, scen: Scenario, txs) -> bool:
+    """Whether a bespoke attack block of `txs` can be mined whole: it fits
+    the capacity and every contract it spends is open (`_open`)."""
+    return len(txs) <= scen.capacity and all(_open(state, tx) for tx in txs)
 
 
 def _if_open(state, *txs) -> list:
@@ -431,14 +435,11 @@ class MinerPolicy:
     """A miner's block rule: `build_block` returns the block `miner` mines
     at `state` in round `rnd`.
 
-    The contract every policy keeps: it reads `miner` only to name its
-    block and the transactions it creates, never to choose what goes in,
-    and it reads only what the state's control key fixes.  Policies with
-    equal `round_key(rnd, scen)` build, at any state of round `rnd` and
-    for any two miners, blocks that differ only in the miner they name:
-    both name their miner only as the fee payee, or neither.  The forward
-    pass relies on it to build such a block once per control state and
-    round key (`game.StepMemo`).
+    The contract every policy keeps: it reads only what the state's
+    control key fixes, and policies with equal `round_key(rnd, scen)`
+    build, at any state of round `rnd`, equal blocks for the same miner.
+    The forward pass relies on it to build a miner's block once per
+    control state and round key (`game.StepMemo`).
     """
 
     name = "miner"
@@ -671,7 +672,7 @@ class B3aAccomplice(MinerPolicy):
         if self.defective:
             coinbase = ()
         block = make_block(rnd, miner, scen, txs, coinbase)
-        if (len(txs) > scen.capacity
+        if (not _whole(state, scen, txs)
                 or not b3a_bob_policy(block, scen, self.case)):
             return CensorRelated().build_block(state, rnd, miner, scen)
         return block
@@ -710,7 +711,7 @@ class SdrbaBriber(MinerPolicy):
                                  collude_bob=True),
                    payment_tx(f"tx.sdrba.pay.{rnd}", miner, BOB,
                               scen.v_col + eps)]
-            if len(txs) <= scen.capacity:
+            if _whole(state, scen, txs):
                 return make_block(rnd, miner, scen, txs)
         return _assemble(state, rnd, miner, scen)
 
@@ -739,7 +740,7 @@ class HydraAccomplice(MinerPolicy):
             if cbob is not None and not cbob.settled:
                 txs.append(call_tx(f"tx.cbob.claim.{rnd}", miner, CBOB_ID,
                                    "claimBribe", {"preimage": pre_a}))
-            if len(txs) <= scen.capacity:
+            if _whole(state, scen, txs):
                 return make_block(rnd, miner, scen, txs)
         return CensorRelated().build_block(state, rnd, miner, scen)
 

@@ -18,9 +18,8 @@ keyed by each policy's class and constructor parameters.  Its passes on
 one scenario share one block-step cache (`game.StepMemo`), keyed as a
 lone pass keys its own, since the profiles a verdict compares differ in
 one player's policy: a pass builds only the blocks that no earlier pass
-built, in every round, and takes a block that names its miner only as the
-fee payee renamed for any miner of that block's round key.  The
-expectations and the cache live for that one verdict and no longer.
+built, in every round.  The expectations and the cache live for that one
+verdict and no longer.
 """
 
 from __future__ import annotations

@@ -12,18 +12,16 @@ entries and, for the pact's equal split, each miner's blocks in the
 censored window, which is all that settles it) to the mass of the
 prefixes that reach it.  Each round's two halves run once per distinct
 input.  A block is built once per (control state, miner, what the miner's
-policy does that round, `agents.MinerPolicy.round_key`), and one that
-names its miner only as the fee payee (`_neutral`) once per control state
-and round key: every other miner of that key takes its step renamed.  Then
-the parties' broadcasts, the label and its check run once per mined
-control state.  A verdict's passes share one cache of block steps
-(`StepMemo`), so a pass builds only the blocks that no earlier pass of
-the verdict built.  Any other pass keeps a control state's steps only
-for its round.  One rule moves a round's payoff groups whole, unsplit:
-every miner that can mine the round takes a step to the same successor
-with the same increment.  A pass without a memo whose every round has
-one miner that can mine it has one schedule, so it walks it, a block a
-round (`walk`), and reads its one payoff group from the final state.
+policy does that round, `agents.MinerPolicy.round_key`).  Then the
+parties' broadcasts, the label and its check run once per mined control
+state.  A verdict's passes share one cache of block steps (`StepMemo`),
+so a pass builds only the blocks that no earlier pass of the verdict
+built.  Any other pass keeps a control state's steps only for its round.
+One rule moves a round's payoff groups whole, unsplit: every miner that
+can mine the round takes a step to the same successor with the same
+increment.  A pass whose every round has one miner that can mine it has
+one schedule, so it walks it, a block a round (`walk`), and reads its
+one payoff group from the final state.
 `final_frontier` returns the pass's final frontier: each final control
 state with its payoff groups, each holding an integer mass, and the total
 the masses sum to.  In exact mode a mass is the summed schedule weight
@@ -61,12 +59,11 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .core import (ALICE, BOB, EXTERNAL, MAX_DRAW_ITEMS, ArenaError,
                    ContractError, Party, ScenarioError, debit)
-from .contracts import (COL_A_ID, COL_B_ID, COL_ID, COL_M, DEP_A, DEP_ID,
+from .contracts import (COL_A_ID, COL_B_ID, COL_ID, DEP_A, DEP_ID,
                         FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B, SECRETS,
                         build_demba, build_he_htlc, build_mad_htlc,
                         build_naive_htlc, derive_he_delay)
-from .ledger import (CONTRACT_CALL, ChainState, ChainView, Part, apply_block,
-                     broadcast)
+from .ledger import ChainState, ChainView, Part, apply_block, broadcast
 
 if TYPE_CHECKING:
     import numpy as np
@@ -155,7 +152,7 @@ class Scenario:
         if self.capacity < 1:
             raise _invalid("capacity", "must be at least 1")
         # Each miner's integer weight over the powers' common denominator:
-        # a free round's branches (`_round_branches`).
+        # a free round's branches (`final_frontier`).
         scale = math.lcm(*(m.power.denominator for m in self.miners))
         weights = tuple((m.party, m.power.numerator
                          * (scale // m.power.denominator))
@@ -430,20 +427,6 @@ def _mine(scen: Scenario, profile: StrategyProfile, state: ChainState,
     return block, apply_block(state, block)
 
 
-def _neutral(state: ChainState, nxt: ChainState, block, miners) -> bool:
-    """Whether `block`, which took `state` to `nxt`, names its miner only
-    as the fee payee: it writes neither the bribery part nor the mint log
-    (which every coinbase writes), and no transaction names one of
-    `miners` beyond the fee payee, as a contract call, a transaction
-    created by or paying one of them, or a col-M spend (the one redemption
-    whose miner the control key keeps)."""
-    return (nxt.bribery is state.bribery and nxt.mint_log is state.mint_log
-            and not any(tx.kind == CONTRACT_CALL or tx.creator in miners
-                        or tx.payment is not None and tx.payment[0] in miners
-                        or any(p == COL_M for _, p in tx.consumes)
-                        for tx in block.txs))
-
-
 def _act(scen: Scenario, profile: StrategyProfile, state: ChainState,
          rnd: int, prev_rank: int) -> tuple:
     """The party half of a round: the parties' broadcasts on a mined state.
@@ -499,9 +482,8 @@ def walk(scen: Scenario, profile: StrategyProfile, miners) -> tuple:
     the label rule (`_act`).  At the end every party the final state
     holds must have held a balance at setup, as `_Payoffs.step` requires
     of each step.  Returns (the setup state, its baseline, the final
-    state).  A pass without a memo whose every round has one mover walks
-    (`_forward`), and so does `runner.ttc`; `play`, the oracle, keeps its
-    own loop.
+    state).  A pass whose every round has one mover walks (`_forward`),
+    and so does `runner.ttc`; `play`, the oracle, keeps its own loop.
     """
     setup, baseline, _ = _setup(scen, profile)
     expected_total = setup.conservation_total()
@@ -635,19 +617,31 @@ def enumerate_schedules(scen: Scenario, pin: Optional[dict] = None):
 
 def _check_enumeration_cap(scen: Scenario, free_rounds: int) -> None:
     n = len(scen.miners)
-    if n ** free_rounds > ENUM_CAP:
+    # A power of two or more past the cap's bit length is past the cap, so
+    # the power built stays small however many rounds are free.
+    if n ** min(free_rounds, ENUM_CAP.bit_length()) > ENUM_CAP:
         raise ScenarioError(
             f"enumeration-cap-exceeded: {n}^{free_rounds} schedules;"
             " use monte-carlo mode")
 
 
-def _round_branches(scen: Scenario, rnd: int, pin: dict) -> tuple:
-    """Each way round `rnd` can go, with integer weights over their common
-    denominator: (((miner, numerator), ...), denominator).  Every miner
-    weighs its power, or the pinned miner weighs 1/1."""
-    if rnd in pin:
-        return ((pin[rnd], 1),), 1
-    return scen._weights
+def each_round(scen: Scenario, item) -> list:
+    """`item` once for each round of the horizon, in one list: a pass's
+    per-round lists, and the schedules that `runner` plays.  A horizon
+    past `MAX_DRAW_ITEMS`, which no draw could hold either, or whose list
+    cannot be allocated is one `validation-error(horizon)` line, so every
+    job refuses such a horizon alike, before it iterates a round."""
+    if scen.horizon > MAX_DRAW_ITEMS:
+        raise _schedule_too_long(scen)
+    try:
+        return [item] * scen.horizon
+    except MemoryError as e:
+        raise _schedule_too_long(scen) from e
+
+
+def _schedule_too_long(scen: Scenario) -> ScenarioError:
+    return _invalid("horizon", f"a schedule of {scen.horizon} rounds does "
+                    "not fit in memory")
 
 
 class _Payoffs:
@@ -710,19 +704,6 @@ class _Payoffs:
         draws = tuple((slot[p], b0[p] - low) for p, low in after.lows.items()
                       if low < b0[p])
         return tuple(adds), tuple(l1[len(l0):]), draws
-
-    def renamed(self, step: tuple, old: Party, new: Party) -> tuple:
-        """A miner-neutral block's step for miner `new`: `old`'s, with
-        `old`'s balance and window-block slots moved to `new`'s (such a
-        block appends no bribe-log entry)."""
-        if step is _UNPAID:
-            return step
-        adds, bribes, draws = step
-        a, b = self.slot[old], self.slot[new]
-        n = len(self.parties) + 1
-        moved = {a: b, n + a: n + b}
-        return (tuple((moved.get(i, i), d) for i, d in adds), bribes,
-                tuple((moved.get(i, i), d) for i, d in draws))
 
     def add(self, payoff: tuple, step: tuple):
         """`payoff` after `step`, or None if it cannot cover a draw."""
@@ -809,14 +790,13 @@ class StepMemo:
     key of the state a step leaves (which holds the height, so the round
     too), then (the miner policy's `round_key` for that round, miner):
     the step of each miner whose block was built, as (block, the full
-    state the pass keeps for the successor's control state, increment),
-    and under (round key, None) the first miner-neutral one of that key,
-    as (its miner, step).  Every entry is a function of its keys on one
-    scenario, whatever the profile around it (`agents.MinerPolicy`), so
-    passes whose profiles differ in one policy build only the blocks that
-    differ.  `analysis` makes one per verdict and scenario and drops it
-    with the verdict's expectations; a pass without one keeps each control
-    state's steps only for its round (`_forward`).
+    state the pass keeps for the successor's control state, increment).
+    Every entry is a function of its keys on one scenario, whatever the
+    profile around it (`agents.MinerPolicy`), so passes whose profiles
+    differ in one policy build only the blocks that differ.  `analysis`
+    makes one per verdict and scenario and drops it with the verdict's
+    expectations; a pass without one keeps each control state's steps
+    only for its round (`_forward`), and a pass that walks keeps none.
     """
 
     __slots__ = ("blocks",)
@@ -844,42 +824,34 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     control key, keeping the highest label rank it came from.  The step's
     payoff increment (`_Payoffs.step`) is taken when its block is built;
     each group adds it and sends its part to the successor's group of
-    that payoff.  Steps are cached by the control state they leave and
-    the miner policy's `round_key` for the round.  A miner takes its own
-    step there if one is cached; otherwise, if a block of its round key
-    names its miner only as the fee payee (`_neutral`), it takes that
-    block's successor and increment with the miner renamed
-    (`_Payoffs.renamed`); only otherwise is a block built.  This rests on
-    the miner policy contract (`agents.MinerPolicy`): policies with equal
-    round keys build blocks that differ only in the miner they name, and
-    the ledger reads such a block's miner only to credit it fees, fill
-    and `BLOCK_MINER` transfers and to record a redemption that is not
-    col-M.  A cached step still enters its successor with the
-    conservation check.  A verdict's passes share one cache, its `memo`
-    (`StepMemo`), so the full state a control state keeps may come from an
-    earlier pass; only the ledger's refusal of a block at that state reads
-    its payoff parts, and each group's own draws are checked as below.
+    that payoff.  Steps are cached by the control state they leave, the
+    miner policy's `round_key` for the round and the miner: a miner takes
+    its step there if one is cached, and only otherwise is a block built.
+    This rests on the miner policy contract (`agents.MinerPolicy`): at one
+    control state and round, policies with equal round keys build equal
+    blocks for the same miner.  A cached step still enters its successor
+    with the conservation check.  A verdict's passes share one cache, its
+    `memo` (`StepMemo`), so the full state a control state keeps may come
+    from an earlier pass; only the ledger's refusal of a block at that
+    state reads its payoff parts, and each group's own draws are checked
+    as below.
 
     A pass without `memo` keeps a private cache for each control state
-    and round: a control key holds the height, and a miner steps from it
-    once, so only the round's other miners read it, for a miner-neutral
-    step.
+    and round: a control key holds the height, so no later round reads it.
 
-    A pass without `memo` whose every round has one mover walks its one
-    schedule instead (`walk`): a Monte-Carlo pass with one miner of
-    non-zero power, and an exact pass on a one-miner game or with every
-    round pinned.  Nothing can merge and no step is read twice, so it
-    builds no control key and keeps no step, and every round moves the
-    one group whole at weight 1 (its one branch is the pinned miner's 1/1
-    or the lone miner's power 1; its trials are all the trials).  The
-    walk checks each mined state's conservation total as `_enter` does
-    and runs the party half with the label rule.  The one group's payoff
-    is read from the final state, with each miner's window blocks counted
-    from the schedule (`_Payoffs.walked`), which is the sum of the
-    increments the loop below would add; its balance checks are the
-    ledger's own, as the group's balances are the state's.  A verdict's
-    passes hold a memo, which a later pass reads, so they take the loop
-    below.
+    A pass whose every round has one mover walks its one schedule instead
+    (`walk`), with a verdict's memo or without: a Monte-Carlo pass with
+    one miner of non-zero power, and an exact pass on a one-miner game or
+    with every round pinned.  Nothing can merge, so it builds no control
+    key, and it neither reads nor fills a verdict's memo.  Every round
+    moves the one group whole at weight 1 (its one branch is the pinned
+    miner's 1/1 or the lone miner's power 1; its trials are all the
+    trials).  The walk checks each mined state's conservation total as
+    `_enter` does and runs the party half with the label rule.  The one
+    group's payoff is read from the final state, with each miner's window
+    blocks counted from the schedule (`_Payoffs.walked`), which is the sum
+    of the increments the loop below would add; its balance checks are
+    the ledger's own, as the group's balances are the state's.
 
     One rule decides whether a round moves every group whole, unsplit:
     before any group moves, the miners that can mine the round
@@ -915,7 +887,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     (control state, {payoff: mass}) for each control state at the horizon,
     the state being the one full state it keeps.
     """
-    if memo is None and all(len(able) == 1 for able in movers):
+    if all(len(able) == 1 for able in movers):
         # One schedule: its one group's balances are the state's.
         setup, baseline, state = walk(scen, profile,
                                       (able[0] for able in movers))
@@ -934,17 +906,12 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
         cached steps from `state`'s control state."""
         round_key = keys[miner]
         done = built.get((round_key, miner))
-        if done is None and (round_key, None) in built:
-            owner, (block, nxt, paying) = built[round_key, None]
-            done = block, nxt, payoffs.renamed(paying, owner, miner)
         if done is None:
             block, nxt = _mine(scen, profile, state, rnd, miner)
             entry = _enter(mined, nxt, rank, expected_total, rnd)
             paying = payoffs.step(state, nxt, block)
             # Keeping the state the pass keeps, not one more.
-            done = built[round_key, miner] = block, entry[0], paying
-            if _neutral(state, nxt, block, profile.miners):
-                built[round_key, None] = miner, done
+            built[round_key, miner] = block, entry[0], paying
         else:
             block, nxt, paying = done
             entry = _enter(mined, nxt, rank, expected_total, rnd)
@@ -979,8 +946,7 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
                         state, rank, steps, built, miner)
                     paid = payoffs.add(payoff, paying)
                     if paid is None:
-                        payoffs.replay(state, payoff,
-                                       block._replace(miner=miner))
+                        payoffs.replay(state, payoff, block)
                         raise ArenaError(f"round {rnd}: a payoff group fails "
                                          "a draw that the ledger allows")
                     held = entry[2]
@@ -1049,27 +1015,36 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
     becomes a list once; a pass that takes every round whole or has one
     miner with power draws nothing and never loads numpy.
     `pin` maps a 1-based round to the party forced to mine it, overriding
-    any draw.  A pass without `memo` in which one miner can mine each
-    round (it is pinned, it is the game's one miner, or in Monte-Carlo
-    mode the one miner with power) walks that one schedule (`walk`) and
-    builds one payoff group.  A trial count whose trial list
-    (`trial_list`) or draw cannot be allocated is
+    any draw.  A pass in which one miner can mine each round (it is
+    pinned, it is the game's one miner, or in Monte-Carlo mode the one
+    miner with power) walks that one schedule (`walk`) and builds one
+    payoff group.  Each per-round list is one repetition (`each_round`),
+    so a horizon that no list of its length fits is
+    `validation-error(horizon)` before any round is iterated, and the
+    enumeration cap counts free rounds from the pin.  A trial count whose
+    trial list (`trial_list`) or draw cannot be allocated is
     `validation-error(trials)`.  `runner.ttc` walks its pinned schedule
     itself and reads no frontier.  `memo` is a verdict's step cache
     (`StepMemo`), which only `analysis` passes; without it the pass keeps
     a round's steps only for that round (`_forward`).
     """
-    pin = pin or {}
+    pin = {rnd: miner for rnd, miner in (pin or {}).items()
+           if 1 <= rnd <= scen.horizon}
     if scen.mode[0] == "exact":
-        _check_enumeration_cap(
-            scen, sum(1 for r in range(1, scen.horizon + 1) if r not in pin))
-        rounds = [_round_branches(scen, rnd, pin)
-                  for rnd in range(1, scen.horizon + 1)]
-        total = math.prod(scale for _, scale in rounds)
+        _check_enumeration_cap(scen, scen.horizon - len(pin))
+        # Each round's branches, with integer weights over their common
+        # denominator: (((miner, numerator), ...), denominator).  Every
+        # miner weighs its power, or the pinned miner weighs 1/1.
+        branches, scale = scen._weights
+        rounds = each_round(scen, (branches, scale))
+        movers = each_round(scen, scen.miner_parties())
+        sums = each_round(scen, sum(power for _, power in branches))
+        for rnd, miner in pin.items():
+            rounds[rnd - 1] = ((miner, 1),), 1
+            movers[rnd - 1] = (miner,)
+            sums[rnd - 1] = 1
+        total = scale ** (scen.horizon - len(pin))
         mass = 1
-        movers = [tuple(miner for miner, _ in branches)
-                  for branches, _ in rounds]
-        sums = [sum(power for _, power in branches) for branches, _ in rounds]
 
         def split(rnd: int, w: int):
             return [(miner, w * power) for miner, power in rounds[rnd - 1][0]]
@@ -1078,9 +1053,10 @@ def final_frontier(scen: Scenario, profile: StrategyProfile,
             return w * sums[rnd - 1]
     else:
         parties = scen.miner_parties()
-        able = tuple(m.party for m in scen.miners if m.power)  # powers >= 0
-        movers = [(pin[rnd],) if rnd in pin else able
-                  for rnd in range(1, scen.horizon + 1)]
+        movers = each_round(scen, tuple(m.party for m in scen.miners
+                                        if m.power))  # powers are >= 0
+        for rnd, miner in pin.items():
+            movers[rnd - 1] = (miner,)
         mass = trial_list(scen)
         total = len(mass)
 

@@ -24,13 +24,13 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .core import (ArenaError, EXTERNAL, MAX_DRAW_ITEMS, ScenarioError,
-                   miner_party)
+from .core import ArenaError, EXTERNAL, ScenarioError, miner_party
 from .contracts import (COL_B, COL_B_ID, COL_ID, DEP_A, DEP_ID, FeeSchedule,
                         PRE_A, PRE_A2, PRE_AA2, PRE_B)
 from .game import (MinerProfile, Scenario, Schedule, StrategyProfile,
-                   check_field, expected_utilities, mean_half_width, play,
-                   policy_key, sample_schedule, trial_list, walk)
+                   check_field, each_round, expected_utilities,
+                   mean_half_width, play, policy_key, sample_schedule,
+                   trial_list, walk)
 from .agents import (AliceHonest, AliceOffline, BobHonest, HonestFeeMax,
                      make_miner_policy, make_party_policy, policy_space)
 from .analysis import (PoolParams, dominance_check, pool_math, pool_mc,
@@ -352,18 +352,13 @@ def _load_overridden(args, mode: Optional[tuple] = None) -> tuple:
 def cmd_simulate(args) -> tuple:
     scen, profile, digest = _load_overridden(args)
     able = [m.party for m in scen.miners if m.power > 0]
-    # A schedule holds an item a round, as a draw does.
-    if scen.horizon > MAX_DRAW_ITEMS:
-        raise _schedule_too_long(scen)
-    try:
-        # Every pick would name a lone miner with power, so draw none for it.
-        if len(able) == 1:
-            schedule = Schedule((able[0],) * scen.horizon)
-        else:
-            import numpy as np
-            schedule = sample_schedule(scen, np.random.default_rng(scen.seed))
-    except MemoryError as e:
-        raise _schedule_too_long(scen) from e
+    # A schedule holds an item a round, as a draw does, so `each_round`
+    # refuses a horizon that none fits.  Every pick would name a lone
+    # miner with power, so draw none for it.
+    schedule = Schedule(tuple(each_round(scen, able[0])))
+    if len(able) > 1:
+        import numpy as np
+        schedule = sample_schedule(scen, np.random.default_rng(scen.seed))
     out = play(scen, profile, schedule)
     report = Report(_base_header(args, "simulate", scen, digest))
     for party in sorted(out.deltas, key=lambda p: p.id):
@@ -377,11 +372,6 @@ def cmd_simulate(args) -> tuple:
     report.summary.append(f"terminal resolution: {out.terminal}")
     report.summary.append("schedule: " + ",".join(p.id for p in schedule.miners))
     return report, 0
-
-
-def _schedule_too_long(scen: Scenario) -> ScenarioError:
-    return ScenarioError(f"validation-error(horizon): a schedule of "
-                         f"{scen.horizon} rounds does not fit in memory")
 
 
 def cmd_expect(args) -> tuple:
@@ -564,21 +554,16 @@ def ttc(scen: Scenario, path: str) -> dict:
     half-width is 0.0.  `ttc` walks that one schedule (`game.walk`), with
     each round's conservation check and label rule, and reads the round
     from its final state; it draws nothing and builds no frontier.  It
-    refuses a horizon whose schedule cannot be allocated, as `simulate`
-    does, and then a trial count whose trial list cannot be, as every
-    Monte-Carlo pass does (`game.trial_list`)."""
+    refuses a horizon whose schedule cannot be allocated, as every job
+    does (`game.each_round`), and then a trial count whose trial list
+    cannot be, as every Monte-Carlo pass does (`game.trial_list`)."""
     if path not in TTC_PATHS:
         raise ScenarioError(f"validation-error(path): {path!r}")
     if scen.mode[0] != "monte-carlo":
         raise ScenarioError("validation-error(mode): sampling needs "
                             f"monte-carlo, got {scen.mode!r}")
-    if scen.horizon > MAX_DRAW_ITEMS:
-        raise _schedule_too_long(scen)
     miner = next(m.party for m in scen.miners if m.power)  # powers are >= 0
-    try:
-        schedule = (miner,) * scen.horizon
-    except MemoryError as e:
-        raise _schedule_too_long(scen) from e
+    schedule = each_round(scen, miner)
     trials = len(trial_list(scen))
     state = walk(scen, _ttc_profile(scen, path), schedule)[2]
     done = _completed(state.redemptions, scen, path)

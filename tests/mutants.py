@@ -46,47 +46,26 @@ LEDGER = "src/htlc_arena/ledger.py"
 RUNNER = "src/htlc_arena/runner.py"
 
 MUTANTS = (
+    # A verdict's passes share a step of one miner whatever its policy.
     Mutant("cache-key-without-round-key", GAME,
            "round_key = keys[miner]",
            "round_key = None",
-           ("tests/test_game.py::TestIdleBlocks::"
-            "test_unequal_policies_mine_their_own_blocks",
-            "tests/test_game.py::TestRoundHalves::"
-            "test_parties_act_once_per_mined_state",
-            "tests/test_analysis.py::TestM2MbaLemmas::"
+           ("tests/test_analysis.py::TestM2MbaLemmas::"
             "test_lemma4_deferral_strictly_decays",
             "tests/test_golden.py::"
             "test_report_bytes_match_golden[he_m2mba.lemmas]")),
-    # Any miner of a round key takes another's stored step, unrenamed.
+    # Any miner of a round key takes another's stored step.
     Mutant("cache-key-without-miner", GAME,
            "done = built.get((round_key, miner))",
            "done = built.get((round_key, miner)) or next(\n"
-           "                    (step for (k, m), step in built.items()\n"
-           "                     if k == round_key and m is not None), None)",
+           "                    (step for (k, _), step in built.items()\n"
+           "                     if k == round_key), None)",
            ("tests/test_analysis.py::"
             "test_step_memo_leaves_every_verdict_as_fresh_passes_give_it",
             "tests/test_analysis.py::TestM2MbaLemmas::"
             "test_lemma4_deferral_strictly_decays",
             "tests/test_golden.py::"
             "test_report_bytes_match_golden[he_m2mba.lemmas]")),
-    Mutant("rename-non-neutral-step", GAME,
-           "if _neutral(state, nxt, block, profile.miners):",
-           "if True:",
-           ("tests/test_game.py::TestIdleBlocks::"
-            "test_a_block_that_names_its_miner_is_never_shared",
-            "tests/test_differential.py::"
-            "test_blocks_that_name_their_miner_are_applied_per_miner",
-            "tests/test_analysis.py::TestTheoremM2Mba::"
-            "test_attack_dominates_when_hypotheses_hold")),
-    Mutant("rename-keeps-balance-slot", GAME,
-           "moved = {a: b, n + a: n + b}",
-           "moved = {n + a: n + b}",
-           ("tests/test_game.py::TestIdleBlocks::"
-            "test_idle_blocks_are_mined_once_per_state",
-            "tests/test_game.py::TestControlMerge::"
-            "test_four_equal_miners_keep_one_control_state_per_round",
-            "tests/test_reference_sweep.py::"
-            "test_every_exact_verify_reference_matches")),
     Mutant("no-label-rule", GAME,
            '    if rank < prev_rank and label in ("red", "all-red"):\n'
            '        raise ScenarioError(f"state label regressed to {label} '
@@ -112,13 +91,6 @@ MUTANTS = (
            "            entry = frontier.get(key)\n",
            ("tests/test_differential.py::"
             "test_merged_expectation_equals_brute_force",)),
-    # No step is kept as miner-neutral, so every miner of a round key
-    # builds its own block.
-    Mutant("neutral-step-never-shared", GAME,
-           "if _neutral(state, nxt, block, profile.miners):",
-           "if False:",
-           ("tests/test_game.py::TestIdleBlocks::"
-            "test_idle_blocks_are_mined_once_per_state",)),
     # A payoff group takes a step whatever its balance, so a group that
     # cannot fund a draw reaches a payoff no play reaches.
     Mutant("payoff-draw-unchecked", GAME,
@@ -185,14 +157,13 @@ MUTANTS = (
            "miner = scen.miners[0].party",
            ("tests/test_game.py::TestTtcWalk::"
             "test_it_mines_every_round_with_the_first_miner_with_power",)),
-    # A verdict's passes walk their one-mover schedules too, so a later
-    # pass of the verdict builds every block again.
-    Mutant("walk-under-memo", GAME,
-           "if memo is None and all(len(able) == 1 for able in movers):",
-           "if all(len(able) == 1 for able in movers):",
-           ("tests/test_analysis.py::TestDembaVerification::"
-            "test_lemma_6_builds_fewer_blocks_than_its_fresh_passes"
-            "[one-miner]",)),
+    # A verdict's one-mover passes take the merging loop, keying every
+    # round for a memo that no later pass of the verdict reads.
+    Mutant("memo-blocks-the-walk", GAME,
+           "    if all(len(able) == 1 for able in movers):",
+           "    if memo is None and all(len(able) == 1 for able in movers):",
+           ("tests/test_game.py::TestOneMoverRounds::"
+            "test_a_one_miner_verdict_walks_under_its_memo",)),
     # A pass with a one-mover round walks the schedule of each round's
     # first mover, as if no other miner could mine.
     Mutant("walk-with-two-movers", GAME,
@@ -200,6 +171,25 @@ MUTANTS = (
            "any(len(able) == 1 for able in movers)",
            ("tests/test_differential.py::"
             "test_merged_expectation_equals_brute_force",)),
+    # A horizon past a draw's most items is tried, which overflows a
+    # list's size instead of ending in one line.
+    Mutant("horizon-past-any-draw-tried", GAME,
+           "    if scen.horizon > MAX_DRAW_ITEMS:\n"
+           "        raise _schedule_too_long(scen)\n",
+           "",
+           tuple("tests/test_runner.py::test_every_job_refuses_a_horizon_it_"
+                 f"cannot_hold[{job}-horizon-past-any-draw]"
+                 for job in ("expect", "lemmas"))),
+    # A per-round list that cannot be allocated ends in a traceback.
+    Mutant("horizon-allocation-uncaught", GAME,
+           "    try:\n"
+           "        return [item] * scen.horizon\n"
+           "    except MemoryError as e:\n"
+           "        raise _schedule_too_long(scen) from e\n",
+           "    return [item] * scen.horizon\n",
+           tuple("tests/test_runner.py::test_every_job_refuses_a_horizon_it_"
+                 f"cannot_hold[{job}-horizon-does-not-fit]"
+                 for job in ("expect-mc", "dominance"))),
     # Control states that differ only in their mempool merge.
     Mutant("control-key-without-mempool", LEDGER,
            "self.revealed.key(), self.mempool.key(),",
@@ -224,26 +214,6 @@ MUTANTS = (
             "test_a_group_that_can_fund_every_draw_plays_on",
             "tests/test_game.py::TestIdleBlocks::"
             "test_unequal_policies_mine_their_own_blocks",
-            "tests/test_reference_sweep.py::"
-            "test_every_exact_verify_reference_matches")),
-    # A col-M confiscation, whose miner the control key keeps, counts as
-    # miner-neutral.
-    Mutant("neutral-without-col-m", GAME,
-           "                        or any(p == COL_M for _, p in "
-           "tx.consumes)\n",
-           "",
-           ("tests/test_game.py::TestIdleBlocks::"
-            "test_each_clause_alone_names_the_miner",)),
-    # A block that writes the bribery part (a pact request names its
-    # miner inside the contract) counts as miner-neutral.
-    Mutant("neutral-without-bribery", GAME,
-           "return (nxt.bribery is state.bribery and "
-           "nxt.mint_log is state.mint_log",
-           "return (nxt.mint_log is state.mint_log",
-           ("tests/test_game.py::TestIdleBlocks::"
-            "test_each_clause_alone_names_the_miner",
-            "tests/test_analysis.py::TestTheoremM2Mba::"
-            "test_bribe_flip_breaks_accept_dominance",
             "tests/test_reference_sweep.py::"
             "test_every_exact_verify_reference_matches")),
     # The forward pass counts no censored-window block, so the equal
@@ -305,17 +275,32 @@ MUTANTS = (
            "",
            ("tests/test_analysis.py::TestTheoremM2Mba::"
             "test_an_active_miner_outside_the_pact_gets_no_verdict",)),
-    # A miner policy that reads its miner to choose what goes in: only a
-    # colluder asks the pact for its bribe.  Blocks of one round key then
-    # differ across miners by more than the miner they name.
-    Mutant("pact-request-reads-miner", AGENTS,
-           "                        and any(t in state.mempool for t in "
-           "_target_tx_ids(scen))):\n",
-           "                        and scen.profile_of(miner).colluding\n"
-           "                        and any(t in state.mempool for t in "
-           "_target_tx_ids(scen))):\n",
+    # A round key that leaves out what a policy reads: after the deadline
+    # the racer and the acceptor share a key, though only the racer
+    # confiscates, so one miner's blocks of one key differ.
+    Mutant("round-key-ignores-claim-only", AGENTS,
+           "return type(self), rnd > scen.T and self._claim_only(rnd)",
+           "return type(self), False",
            ("tests/test_differential.py::"
             "test_equal_round_keys_build_equal_blocks",)),
+    # An attack block spends a contract that another block already
+    # redeemed, which the ledger refuses.
+    Mutant("b3a-spends-a-closed-contract", AGENTS,
+           "        if (not _whole(state, scen, txs)\n",
+           "        if (len(txs) > scen.capacity\n",
+           tuple("tests/test_agents.py::TestAttackBlocksSpendOpenContracts::"
+                 "test_a_redeemed_collateral_gives_way_to_the_ordinary_block"
+                 f"[b3a-case-{case}]" for case in (1, 2))),
+    Mutant("hydra-spends-a-closed-contract", AGENTS,
+           "            if _whole(state, scen, txs):\n"
+           "                return make_block(rnd, miner, scen, txs)\n"
+           "        return CensorRelated()",
+           "            if len(txs) <= scen.capacity:\n"
+           "                return make_block(rnd, miner, scen, txs)\n"
+           "        return CensorRelated()",
+           ("tests/test_agents.py::TestAttackBlocksSpendOpenContracts::"
+            "test_a_redeemed_collateral_gives_way_to_the_ordinary_block"
+            "[hydra]",)),
     # Every active miner is offered the pact's policies, in the pact or not.
     Mutant("space-offers-pact-by-kind", AGENTS,
            "if player in scen.coalition",
@@ -494,7 +479,7 @@ MUTANTS = (
            "done[key] = scen, expected_utilities(scen, profile, pin)",
            ("tests/test_analysis.py::TestDembaVerification::"
             "test_lemma_6_builds_fewer_blocks_than_its_fresh_passes"
-            "[one-miner]",)),
+            "[two-miners]",)),
     # The ledger holds a block to a capacity that is not the game's, as it
     # did when a block declared its own.
     Mutant("capacity-not-the-games", LEDGER,

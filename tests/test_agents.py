@@ -498,6 +498,38 @@ class TestAttackBlocksFitCapacity:
             assert out.conserves()
 
 
+class TestAttackBlocksSpendOpenContracts:
+    """A bespoke attack block that spends a contract no longer open is not
+    mined: the policy builds its ordinary block instead."""
+
+    @pytest.mark.parametrize("bob,attacker", [
+        (BobB3a(case=1), B3aAccomplice(case=1)),
+        (BobB3a(case=2), B3aAccomplice(case=2)),
+        (BobHydraBriber(), HydraAccomplice())],
+        ids=["b3a-case-1", "b3a-case-2", "hydra"])
+    def test_a_redeemed_collateral_gives_way_to_the_ordinary_block(
+            self, bob, attacker):
+        # The lone miner's own blocks fund the briber's budget in round 1
+        # and redeem the collateral through col-B at T+1, and then the
+        # payee's reveal is broadcast.  The deposit is still open, but
+        # each attack block would spend the collateral again (B3a case 1
+        # through tx.colB, case 2 and the hydra through col-M), which the
+        # ledger refuses.
+        scen = mad_scenario()
+        state = bob.setup(build_genesis(scen)[0], scen)
+        state = apply_block(state, Block(1, M1, (
+            state.mempool["tx.cbob.init"],)))
+        for rnd in range(2, scen.T + 1):
+            state = apply_block(state, Block(rnd, M1, ()))
+        state = apply_block(state, Block(scen.T + 1, M1, (tx_col_b(scen),)))
+        state = broadcast(state, [tx_reveal_dep_a(scen)])
+        assert state.bribery[CBOB_ID].deposit == scen.v_dep
+        rnd = scen.T + 2
+        block = attacker.build_block(state, rnd, M1, scen)
+        assert block == CensorRelated().build_block(state, rnd, M1, scen)
+        apply_block(state, block)
+
+
 class TestProtocolGuards:
     def test_policy_protocol_mismatch_raises(self):
         scen = naive_scenario()

@@ -169,9 +169,9 @@ TWO_DEMBA_MINERS = demba_scenario(miners=(
 @example(point=(verify_demba_lemma, (7, TWO_DEMBA_MINERS)))
 def test_step_memo_leaves_every_verdict_as_fresh_passes_give_it(point):
     # A verdict's passes share one step cache (`game.StepMemo`), so a
-    # pass takes steps, renamed ones included, that an earlier pass of
-    # the verdict kept; the verdict must equal, field for field, the one
-    # computed with a fresh pass per expectation.
+    # pass takes steps that an earlier pass of the verdict kept; the
+    # verdict must equal, field for field, the one computed with a fresh
+    # pass per expectation.
     verify, args = point
     shared = verify(*args)
     with pytest.MonkeyPatch.context() as mp:
@@ -764,13 +764,13 @@ class TestDembaVerification:
         rep = verify_demba(scen)
         assert not rep.miner_timely_dominant and not rep.all_hold
 
-    @pytest.mark.parametrize("scen", [demba_scenario(), TWO_DEMBA_MINERS],
-                             ids=["one-miner", "two-miners"])
+    @pytest.mark.parametrize("scen", [TWO_DEMBA_MINERS], ids=["two-miners"])
     def test_lemma_6_builds_fewer_blocks_than_its_fresh_passes(
             self, scen, monkeypatch):
         # Lemma 6's three passes differ only in the payee's policy and
         # share one verdict memo, so each block that an earlier pass built
-        # is taken from its step cache instead of built again.
+        # is taken from its step cache instead of built again.  (A pass
+        # on one miner walks its one schedule and keeps no step.)
         builds = []
         mine = game._mine
 

@@ -1,9 +1,12 @@
-"""Byte-identity battery: 117 `arena` jobs whose bytes never drift.
+"""Byte-identity battery: 153 `arena` jobs whose bytes never drift.
 
 For each of seeds 0, 1 and 7 and each file in `scenarios/`, the battery
 runs `simulate`; `expect`; `expect --mode mc --trials 300`; `lemmas`;
 `dominance` for alice, bob, m1, m2, m3 and an unknown player; and
-`ttc --trials 300` on each of `runner.TTC_PATHS`.  Jobs that end in an
+`ttc --trials 300` on each of `runner.TTC_PATHS`.  Then, on a Monte-Carlo
+copy of each file (its `mode` set to 300 trials, written to `mc/` under
+a temporary directory), it runs `lemmas` and `dominance` for alice, bob
+and m1, the verdicts that take no `--mode` option.  Jobs that end in an
 error line (a path a protocol lacks, a player a scenario lacks) are kept:
 their exit code and error bytes are part of the contract too.
 
@@ -24,6 +27,7 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from htlc_arena.runner import TTC_PATHS, main
@@ -32,13 +36,17 @@ ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden" / "battery.json"
 SEEDS = (0, 1, 7)
 PLAYERS = ("alice", "bob", "m1", "m2", "m3", "nobody")
+MC_PLAYERS = ("alice", "bob", "m1")
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 
 
 def jobs() -> list:
-    """Every battery argv, scenario paths relative to the repository root."""
+    """Every battery argv: scenario paths under `scenarios/` are relative
+    to the repository root, those under `mc/` to `write_mc_copies`'s
+    directory."""
     out = []
     for seed in SEEDS:
-        for path in sorted((ROOT / "scenarios").glob("*.json")):
+        for path in SCENARIOS:
             common = ["--scenario", f"scenarios/{path.name}",
                       "--seed", str(seed)]
             out += [["simulate", *common], ["expect", *common],
@@ -47,7 +55,28 @@ def jobs() -> list:
             out += [["dominance", *common, "--player", p] for p in PLAYERS]
             out += [["ttc", *common, "--path", p, "--trials", "300"]
                     for p in TTC_PATHS]
+    for seed in SEEDS:
+        for path in SCENARIOS:
+            common = ["--scenario", f"mc/{path.name}", "--seed", str(seed)]
+            out += [["lemmas", *common]]
+            out += [["dominance", *common, "--player", p] for p in MC_PLAYERS]
     return out
+
+
+def write_mc_copies(directory: Path) -> None:
+    """Write each `scenarios/` file to `directory/mc/` with its mode set
+    to 300 Monte-Carlo trials."""
+    (directory / "mc").mkdir()
+    for path in SCENARIOS:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["mode"] = {"monte-carlo": 300}
+        (directory / "mc" / path.name).write_text(
+            json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def _workdir(argv: list, copies: Path) -> Path:
+    """The directory `argv`'s scenario path is relative to."""
+    return copies if argv[2].startswith("mc/") else ROOT
 
 
 def _sha(text: str) -> str:
@@ -63,17 +92,23 @@ def run(argv: list) -> dict:
             "stderr": _sha(err.getvalue())}
 
 
-def test_battery_bytes_match_manifest(monkeypatch):
-    monkeypatch.chdir(ROOT)
+def test_battery_bytes_match_manifest(monkeypatch, tmp_path):
+    write_mc_copies(tmp_path)
     expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
     assert [e["argv"] for e in expected] == jobs()
     for entry in expected:
+        monkeypatch.chdir(_workdir(entry["argv"], tmp_path))
         assert run(entry["argv"]) == entry
 
 
 if __name__ == "__main__":
-    os.chdir(ROOT)
-    entries = [run(argv) for argv in jobs()]
+    entries = []
+    with tempfile.TemporaryDirectory() as tmp:
+        write_mc_copies(Path(tmp))
+        for argv in jobs():
+            os.chdir(_workdir(argv, Path(tmp)))
+            entries.append(run(argv))
+        os.chdir(ROOT)
     lines = ",\n".join(json.dumps(e) for e in entries)
     MANIFEST.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
     codes = [e["exit"] for e in entries]

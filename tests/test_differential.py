@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,8 +29,7 @@ from htlc_arena.agents import (AliceCensoredFallback, AliceHonest,
 from htlc_arena import game
 from htlc_arena.contracts import (BURNED, CBOB_ID, COL_M, DEP_ID,
                                   REDEEMABLE, Burn)
-from htlc_arena.core import (BOB, LedgerError, Party, ScenarioError,
-                             miner_party)
+from htlc_arena.core import BOB, LedgerError, ScenarioError, miner_party
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
                              enumerate_schedules, expected_utilities,
                              mean_half_width, play, sample_schedule)
@@ -130,8 +129,7 @@ def _unequal_denominators_game():
 
 def _fill_paid_game():
     # Every miner shares one policy at f >= 1: each block's fill pays its
-    # own miner, so a later miner takes the first's block with the payment
-    # renamed to it.
+    # own miner.
     miners = (MinerProfile(PARTIES[0], Fraction(2, 3)),
               MinerProfile(PARTIES[1], Fraction(1, 3)))
     scen = naive_scenario(T=3, f=2, miners=miners)
@@ -142,8 +140,8 @@ def _fill_paid_game():
 
 def _demba_auto_resolution_game():
     # Every miner shares one censoring policy, so the censored rounds are
-    # idle blocks mined once for both miners; the payee's fallback commit
-    # then lands after T and the deposit resolves on its own (dep-Burn).
+    # idle blocks; the payee's fallback commit then lands after T and the
+    # deposit resolves on its own (dep-Burn).
     miners = (MinerProfile(PARTIES[0], Fraction(1, 4)),
               MinerProfile(PARTIES[1], Fraction(3, 4)))
     scen = demba_scenario(T=4, horizon=8, miners=miners)
@@ -297,14 +295,12 @@ def _confiscated_after_a_shared_window(state, window):
 def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
                                                unpaid, settled, writes):
     # Each one-policy example reaches the blocks it is there for.  In each
-    # of `rounds` the first miner's block carries no transaction and leaves
-    # the control state as it was, so the second miner takes it renamed
-    # and mines less often.  The equal split's censored-window blocks write
-    # no part, but their increment counts their miner's window block; the
-    # fill game's write their miner's pay.  So those two rename a paid
-    # increment, and the demba censors' blocks write and pay nothing.  Each
-    # game also reaches a final payoff group that settles as it says, read
-    # from its control state and its window blocks.
+    # of `rounds` the equal split's censored-window blocks write no part,
+    # but their increment counts their miner's window block; the fill
+    # game's write their miner's pay; and the demba censors' blocks write
+    # and pay nothing.  Each game also reaches a final payoff group that
+    # settles as it says, read from its control state and its window
+    # blocks.
     scen, profile, pin = make()
     mined = Counter()
     wrote: dict = {}
@@ -327,9 +323,8 @@ def test_one_policy_games_reach_what_they_test(monkeypatch, make, rounds,
     monkeypatch.setattr(game, "_mine", mine)
     monkeypatch.setattr(game._Payoffs, "step", step)
     entries, _, payoffs = game.final_frontier(scen, profile, pin)
-    first, second = (m.party for m in scen.miners[:2])
+    first = scen.miners[0].party
     for rnd in rounds:
-        assert mined[rnd, second] < mined[rnd, first], rnd
         assert wrote[rnd, first] == {writes}, rnd
         assert paid[rnd, first] == {not unpaid}, rnd
     assert any(settled(state, payoffs._window(payoff[0]))
@@ -364,16 +359,15 @@ def _fires_auto_path(block, before, after):
 @pytest.mark.parametrize("make,fires", [
     (_four_honest_game, False), (_demba_shared_auto_game, True)])
 def test_shared_block_games_reach_what_they_test(monkeypatch, make, fires):
-    # Every block of these games names its miner only as the fee payee, so
-    # each control state's block is applied once for all the miners that
-    # mine there.  Some such block in a round every miner may mine is not
-    # idle: it carries a transaction and pays its miner, and in the demba
-    # game it also fires the deposit's automatic path.
+    # Every miner of these games shares one policy.  Some block in a round
+    # every miner may mine is not idle: it carries a transaction and pays
+    # its miner, and in the demba game it also fires the deposit's
+    # automatic path.
     scen, profile, pin = make()
     applied = _applied(monkeypatch, scen, profile, pin)
-    assert all(len(steps) == 1 for steps in applied.values())
-    shared = [(block, before, after) for [(block, before, after)]
-              in applied.values() if block.round not in pin and block.txs
+    shared = [(block, before, after) for steps in applied.values()
+              for block, before, after in steps
+              if block.round not in pin and block.txs
               and after.balances[block.miner] > before.balances[block.miner]]
     assert shared
     assert any(map(_fires_auto_path, *zip(*shared))) == fires
@@ -388,8 +382,8 @@ def test_shared_block_games_reach_what_they_test(monkeypatch, make, fires):
 def test_blocks_that_name_their_miner_are_applied_per_miner(monkeypatch,
                                                            make, names):
     # A col-M confiscation, a coinbase and a contract call each name their
-    # miner beyond the fee payee, so every miner applies its own such block
-    # at every control state it reaches.
+    # miner, and every miner applies its own such block at every control
+    # state it reaches.
     scen, profile, pin = make()
     applied = _applied(monkeypatch, scen, profile, pin)
     named = [steps for steps in applied.values()
@@ -474,8 +468,8 @@ def test_splitting_a_miner_splits_only_its_own_share(drawn, data):
     # split into two of its policy with powers q * p and (1 - q) * p and
     # listed in any order, leaves every other party's utility and bribe
     # income and the burn as they were, and each half gets its share of
-    # the miner's.  The merged pass renames miner-neutral steps between
-    # miners of one policy, which this holds to an outside reference.
+    # the miner's.  This holds the merged pass's miners of one policy to
+    # an outside reference.
     scen, profile, pin = drawn
     free = [m for m in scen.miners if m.party not in pin.values()]
     assume(free)
@@ -510,28 +504,6 @@ def _round_key_pool(scen):
     return pool
 
 
-def _renamed(obj, old, new):
-    """`obj` with miner `old` named `new` wherever a block names its
-    miner: as a party, in a signer set or a call, and as a dot-separated
-    part of a transaction id (`agents.tx_confiscate`)."""
-    if isinstance(obj, Party):
-        return new if obj == old else obj
-    if isinstance(obj, str):
-        return ".".join(new.id if part == old.id else part
-                        for part in obj.split("."))
-    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
-        return type(obj)(*(_renamed(x, old, new) for x in obj))
-    if isinstance(obj, (tuple, frozenset)):
-        return type(obj)(_renamed(x, old, new) for x in obj)
-    if isinstance(obj, dict):
-        return {_renamed(k, old, new): _renamed(v, old, new)
-                for k, v in obj.items()}
-    if is_dataclass(obj):
-        return replace(obj, **{f.name: _renamed(getattr(obj, f.name), old, new)
-                               for f in fields(obj)})
-    return obj
-
-
 @settings(max_examples=60, deadline=None)
 @given(drawn=games(fewest=1, protocols=("he",)), seed=st.integers(0, 999))
 @example(drawn=_race_confiscation_game(), seed=0)
@@ -540,16 +512,14 @@ def _renamed(obj, old, new):
                 *_race_confiscation_game()[1:]), seed=0)
 @example(drawn=(*load_scenario(SCENARIOS / "he_m2mba.json"), {}), seed=0)
 def test_equal_round_keys_build_equal_blocks(drawn, seed):
-    # The forward pass keys a block step by its miner policy's
-    # `round_key` and hands a block that names its miner only as the fee
-    # payee to every other miner of that key, renamed.  So two pool
-    # policies whose round keys are equal in a round, a policy and itself
-    # included, must build blocks for any two miners, at every state that
-    # `play` reaches in that round, that differ only in the miner they
-    # name, and both miner-neutral (`game._neutral`) or neither.  The
-    # racer and the acceptor share one key up to the deadline; after it a
-    # deferred racer shares the acceptor's until its round, then the
-    # racer's.
+    # A verdict's step cache keys a block step by its miner policy's
+    # `round_key` and its miner, so the passes of policies that differ
+    # elsewhere share it.  So two pool policies whose round keys are
+    # equal in a round, a policy and itself included, must build the same
+    # block for each miner at every state that `play` reaches in that
+    # round.  The racer and the acceptor share one key up to the
+    # deadline; after it a deferred racer shares the acceptor's until its
+    # round, then the racer's.
     scen, profile, _ = drawn
     pool = _round_key_pool(scen)
     parties = scen.miner_parties()
@@ -559,17 +529,13 @@ def test_equal_round_keys_build_equal_blocks(drawn, seed):
         keys = [pol.round_key(rnd, scen) for pol in pool]
         blocks = {(i, miner): pol.build_block(state, rnd, miner, scen)
                   for i, pol in enumerate(pool) for miner in parties}
-        neutral = {at: game._neutral(state, apply_block(state, block),
-                                     block, parties)
-                   for at, block in blocks.items()}
         for i, j in itertools.combinations_with_replacement(
                 range(len(pool)), 2):
             if keys[i] != keys[j]:
                 continue
-            for miner, other in itertools.product(parties, repeat=2):
-                assert _renamed(blocks[i, miner], miner, other) \
-                    == blocks[j, other], (pool[i].name, pool[j].name, rnd)
-                assert neutral[i, miner] == neutral[j, other]
+            for miner in parties:
+                assert blocks[i, miner] == blocks[j, miner], \
+                    (pool[i].name, pool[j].name, rnd)
         state, _, rank = game._play_round(scen, profile, state, rnd, mines,
                                           rank)
 

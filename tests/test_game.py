@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from htlc_arena import agents, game, runner
+from htlc_arena import agents, analysis, game, runner
 from htlc_arena.core import (ALICE, BOB, ArenaError, LedgerError,
                              ScenarioError, miner_party)
-from htlc_arena.contracts import CBOB_ID, COL_ID, COL_M, PRE_A, FeeSchedule
+from htlc_arena.contracts import PRE_A, FeeSchedule
 from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
-                               M2MbaActive, call_tx, make_block, payment_tx,
-                               tx_reveal_dep_a)
+                               M2MbaActive, payment_tx)
 from htlc_arena.analysis import dominance_check
 from htlc_arena.game import (MinerProfile, Scenario, Schedule,
                              StrategyProfile, enumerate_schedules,
@@ -326,8 +325,7 @@ class TestExpectations:
     def test_weight_sum_check_survives_optimised_mode(self, monkeypatch):
         scen = naive_scenario()
         # Every round's only branch carries weight 1/2 instead of 1.
-        monkeypatch.setattr(game, "_round_branches",
-                            lambda scen, rnd, pin: (((M1, 1),), 2))
+        object.__setattr__(scen, "_weights", (((M1, 1),), 2))
         with pytest.raises(ArenaError):
             expected_utilities(scen, honest_profile(scen))
 
@@ -634,9 +632,9 @@ class TestControlMerge:
         # An unpinned Monte-Carlo pass, as `arena expect --mode mc` runs
         # one, on the scenario of the benchmark's `ttc` jobs: he, four
         # equal miners, ten rounds, the `ttc` path's honest parties and
-        # honest miners, whose fees pay whoever mines.  Every block names
-        # its miner only as the fee payee, so each round mines one block
-        # for all four miners, whose policies share one round key.
+        # honest miners, whose fees pay whoever mines.  Every miner builds
+        # its own block, but all four blocks of a round reach one control
+        # state, so each round runs one party half.
         miners = tuple(MinerProfile(miner_party(f"m{i}"), Fraction(1, 4),
                                     kind, kind == "active")
                        for i, kind in enumerate(
@@ -662,7 +660,8 @@ class TestControlMerge:
         masses = [m for _, groups in entries for m in groups.values()]
         assert sum(masses) == total == 50 and len(masses) > 1
         rounds = range(1, scen.horizon + 1)
-        assert acted == mined == {rnd: 1 for rnd in rounds}
+        assert mined == {rnd: 4 for rnd in rounds}
+        assert acted == {rnd: 1 for rnd in rounds}
         # `ttc` walks the one schedule pinned to one miner: one block and
         # one party half a round, no draw, and no forward pass or payoff.
         mined.clear()
@@ -697,10 +696,30 @@ class TestControlMerge:
 
 
 class TestOneMoverRounds:
-    """A pass without a verdict's memo whose every round has one mover
-    walks its one schedule: one block a round, and no step cache, round
-    key, neutral check or control key.  Any other pass without a memo
-    keeps its steps for one round."""
+    """A pass whose every round has one mover walks its one schedule, with
+    a verdict's memo or without: one block a round, and no step cache,
+    round key or control key.  Any other pass without a memo keeps its
+    steps for one round."""
+
+    @staticmethod
+    def counted(monkeypatch) -> Counter:
+        """Counts of blocks mined, control keys and round keys built."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def run(*args):
+                calls[name] += 1
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr(game, "_mine", counted("blocks", game._mine))
+        monkeypatch.setattr(ChainState, "control_key", counted(
+            "control_key", ChainState.control_key))
+        for cls in vars(agents).values():
+            if isinstance(cls, type) and "round_key" in vars(cls):
+                monkeypatch.setattr(cls, "round_key",
+                                    counted("round_key", cls.round_key))
+        return calls
 
     @pytest.mark.parametrize("argv", [
         ["expect", "--scenario", str(SCENARIOS / "naive_bribery.json"),
@@ -711,26 +730,18 @@ class TestOneMoverRounds:
         # A one-miner Monte-Carlo `expect` job, whose pass has one mover
         # a round, and a `ttc` job, which walks its pinned schedule: each
         # walks one schedule, one block a round, and keys nothing.
-        calls = Counter()
-
-        def counted(name, fn):
-            def run(*args):
-                calls[name] += 1
-                return fn(*args)
-            return run
-
-        monkeypatch.setattr(game, "_mine", counted("blocks", game._mine))
-        monkeypatch.setattr(game, "_neutral",
-                            counted("neutral", game._neutral))
-        monkeypatch.setattr(ChainState, "control_key", counted(
-            "control_key", ChainState.control_key))
-        for cls in vars(agents).values():
-            if isinstance(cls, type) and "round_key" in vars(cls):
-                monkeypatch.setattr(cls, "round_key",
-                                    counted("round_key", cls.round_key))
+        calls = self.counted(monkeypatch)
         assert runner.main(argv) == 0
         horizon = runner.load_scenario(argv[2])[0].horizon
         assert calls == Counter(blocks=horizon)
+
+    def test_a_one_miner_verdict_walks_under_its_memo(self, monkeypatch):
+        # Lemma 6 on one miner runs three passes through its verdict's
+        # memo, and each walks: one block a round, and nothing keyed.
+        scen = demba_scenario()
+        calls = self.counted(monkeypatch)
+        assert analysis.verify_demba_lemma(6, scen).consistent
+        assert calls == Counter(blocks=3 * scen.horizon)
 
     @pytest.mark.parametrize("pin", [None, {4: M3}])
     def test_a_pass_keeps_no_state_of_an_earlier_round(self, monkeypatch,
@@ -1029,9 +1040,9 @@ class TestCredits:
 
 
 class TestIdleBlocks:
-    """Miners with equal policies share a miner-neutral block, which names
-    its miner only as the fee payee (`game._neutral`); a block that names
-    its miner otherwise, as a transaction's creator, is mined per miner."""
+    """Every miner mines its own block at each control state it reaches,
+    whatever its policy's round key, and the merged pass still equals
+    plays over every schedule."""
 
     def game(self, bob, first=None, second=None):
         scen = naive_scenario(f=0, T=4, miners=(
@@ -1059,14 +1070,6 @@ class TestIdleBlocks:
         assert eu.utilities == dict(want)
         return mined
 
-    def test_idle_blocks_are_mined_once_per_state(self, monkeypatch):
-        # Both miners censor the payee's reveal through T, in blocks with
-        # no transaction that write nothing: the second takes the first's.
-        scen, profile = self.game(BobHonest())
-        mined = self.mined(monkeypatch, scen, profile)
-        assert all(mined[rnd, M2] < mined[rnd, M1]
-                   for rnd in range(2, scen.T + 1))
-
     def test_unequal_policies_mine_their_own_blocks(self, monkeypatch):
         # The same blocks, from policies whose keys differ.
         scen, profile = self.game(
@@ -1074,25 +1077,6 @@ class TestIdleBlocks:
         mined = self.mined(monkeypatch, scen, profile)
         assert all(mined[rnd, M2] == mined[rnd, M1]
                    for rnd in range(1, scen.horizon + 1))
-
-    def test_each_clause_alone_names_the_miner(self):
-        # A block that pays the payee's redemption fee to its miner is
-        # neutral; one transaction or one part write more that names a
-        # miner otherwise makes it not.
-        scen, _ = self.game(BobHonest())
-        state, miners = game.build_genesis(scen)[0], {M1, M2}
-        fee_paying = make_block(1, M1, scen, [tx_reveal_dep_a(scen)])
-        assert game._neutral(state, state, fee_paying, miners)
-        col_m = tx_reveal_dep_a(scen)._replace(consumes=((COL_ID, COL_M),))
-        for tx in (call_tx("call", BOB, CBOB_ID, "init"),
-                   payment_tx("from", M2, BOB, 1),
-                   payment_tx("to", BOB, M2, 1), col_m):
-            block = make_block(1, M1, scen, [*fee_paying.txs, tx])
-            assert not game._neutral(state, state, block, miners), tx.tx_id
-        for part in ("bribery", "mint_log"):
-            nxt = state.draft()
-            nxt.write(part)
-            assert not game._neutral(state, nxt.seal(), fee_paying, miners)
 
     def test_a_block_that_names_its_miner_is_never_shared(self, monkeypatch):
         # A bribe request that the budget cannot cover changes nothing, so

@@ -49,6 +49,14 @@ def he_sample(**sections):
     return doc
 
 
+def demba_sample(**sections):
+    """The one-miner demba sample scenario with whole sections replaced."""
+    doc = json.loads((SCENARIOS / "demba_honest.json").read_text(
+        encoding="utf-8"))
+    doc.update(sections)
+    return doc
+
+
 def loads(module: str, *argv, code: int = 0) -> bool:
     """Whether a fresh interpreter that imports the engine and, given an
     argv, runs `arena argv` to exit code `code` has loaded `module`."""
@@ -542,6 +550,18 @@ SHADOWED = {
 }
 
 
+#: One-miner jobs at a horizon whose per-round lists cannot be allocated,
+#: or past a draw's most items: each refuses it before it iterates a
+#: round.  case -> (subcommand and options, document, field).
+HUGE_HORIZONS = {
+    f"{job[0]}{'-mc' if '--mode' in job else ''}-horizon-{size}": (
+        job, (demba_sample if job[0] == "lemmas" else minimal_naive)(
+            timing={"T": 4, "t_pub": 1, "horizon": horizon}), "horizon")
+    for job in (["expect"], ["expect", "--mode", "mc", "--trials", "1"],
+                ["dominance", "--player", "alice"], ["lemmas"])
+    for size, horizon in (("does-not-fit", 10**12),
+                          ("past-any-draw", 2**63))}
+
 # case -> (subcommand, a valid scenario document it cannot check, the
 # field its error line names)
 CANNOT_CHECK = {
@@ -576,6 +596,7 @@ CANNOT_CHECK = {
         ["ttc", "--path", "alice-redeems", "--trials", "1"],
         he_sample(timing={"T": 3, "t_pub": 1, "l": 1, "horizon": 2**63}),
         "horizon"),
+    **HUGE_HORIZONS,
 }
 
 
@@ -590,6 +611,30 @@ def test_ttc_refuses_a_horizon_it_cannot_walk(case, horizon, tmp_path,
     assert capsys.readouterr().err == (
         f"error: validation-error(horizon): a schedule of {horizon} rounds "
         "does not fit in memory\n")
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_HORIZONS))
+def test_every_job_refuses_a_horizon_it_cannot_hold(case, tmp_path, capsys):
+    # The line `simulate` and `ttc` print, from every job whose pass
+    # would hold a list of the horizon's length.
+    options, doc, _ = HUGE_HORIZONS[case]
+    path = write_doc(tmp_path, doc)
+    assert main([options[0], "--scenario", str(path), *options[1:]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: validation-error(horizon): a schedule of "
+        f"{doc['timing']['horizon']} rounds does not fit in memory\n")
+
+
+def test_the_enumeration_cap_is_decided_without_its_power(tmp_path, capsys):
+    # Three miners over 10^12 free rounds: the cap needs neither the count
+    # 3^(10^12) nor a pass over the rounds to count them free.
+    doc = he_sample(timing={"T": 3, "t_pub": 1, "l": 1, "horizon": 10**12})
+    start = time.perf_counter()
+    assert main(["expect", "--scenario", str(write_doc(tmp_path, doc))]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: enumeration-cap-exceeded: 3^1000000000000 schedules; "
+        "use monte-carlo mode\n")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(BAD_OVERRIDES)
