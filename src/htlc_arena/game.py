@@ -16,7 +16,7 @@ policy does that round, `agents.MinerPolicy.round_key`).  Then the
 parties' broadcasts, the label and its check run once per mined control
 state.  A verdict's passes share one cache of block steps (`StepMemo`),
 so a pass builds only the blocks that no earlier pass of the verdict
-built.  Any other pass keeps a control state's steps only for its round.
+built.  Any other pass caches no step and asks no round key.
 One rule moves a round's payoff groups whole, unsplit: every miner that
 can mine the round takes a step to the same successor with the same
 increment.  A pass whose every round has one miner that can mine it has
@@ -795,8 +795,8 @@ class StepMemo:
     profile around it (`agents.MinerPolicy`), so passes whose profiles
     differ in one policy build only the blocks that differ.  `analysis`
     makes one per verdict and scenario and drops it with the verdict's
-    expectations; a pass without one keeps each control state's steps
-    only for its round (`_forward`), and a pass that walks keeps none.
+    expectations; a pass without one asks no round key and caches no step
+    (`_forward`), and a pass that walks keeps none.
     """
 
     __slots__ = ("blocks",)
@@ -836,8 +836,9 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     state reads its payoff parts, and each group's own draws are checked
     as below.
 
-    A pass without `memo` keeps a private cache for each control state
-    and round: a control key holds the height, so no later round reads it.
+    A pass without `memo` asks no round key and caches no step: a miner
+    takes its step from a control state once (`steps`), and a control
+    key holds the height, so no later round could read a step either.
 
     A pass whose every round has one mover walks its one schedule instead
     (`walk`), with a verdict's memo or without: a Monte-Carlo pass with
@@ -903,15 +904,17 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     def take(state, rank, steps, built, miner) -> tuple:
         """`miner`'s step from `state` in round `rnd`, kept in `steps`:
         (successor's `mined` entry, block, increment).  `built` holds the
-        cached steps from `state`'s control state."""
-        round_key = keys[miner]
-        done = built.get((round_key, miner))
+        memo's steps from `state`'s control state, and is None without a
+        memo."""
+        cache_key = None if built is None else (keys[miner], miner)
+        done = None if cache_key is None else built.get(cache_key)
         if done is None:
             block, nxt = _mine(scen, profile, state, rnd, miner)
             entry = _enter(mined, nxt, rank, expected_total, rnd)
             paying = payoffs.step(state, nxt, block)
-            # Keeping the state the pass keeps, not one more.
-            built[round_key, miner] = block, entry[0], paying
+            if cache_key is not None:
+                # Keeping the state the pass keeps, not one more.
+                built[cache_key] = block, entry[0], paying
         else:
             block, nxt, paying = done
             entry = _enter(mined, nxt, rank, expected_total, rnd)
@@ -922,11 +925,11 @@ def _forward(scen: Scenario, profile: StrategyProfile, mass, split, whole,
     for rnd in range(1, scen.horizon + 1):
         mined: dict = {}
         able = movers[rnd - 1]
-        keys = {miner: profile.miners[miner].round_key(rnd, scen)
-                for miner in able}
+        if memo is not None:
+            keys = {miner: profile.miners[miner].round_key(rnd, scen)
+                    for miner in able}
         for key, (state, rank, groups) in frontier.items():
-            # A private cache holds one control state's steps for a round.
-            built = {} if memo is None else built_at.setdefault(key, {})
+            built = None if memo is None else built_at.setdefault(key, {})
             steps: dict = {}  # miner -> (entry, block, increment)
             # Bound on every entry: a `step` left from an earlier round
             # would keep that round's state alive.

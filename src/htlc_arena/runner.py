@@ -612,7 +612,9 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `arena` parser, built once: `parse_args` does not change it.
-    Its `commands` map each subcommand to its own parser (`main`)."""
+    Its `commands` map each subcommand to its own parser (`main`).  It
+    declares the whole grammar: `_read_plain` reads a plain line from
+    a subcommand parser's actions, and keeps no table of its own."""
     parser = _Parser(
         prog="arena",
         description="Deterministic HTLC bribery-game simulator and verifier")
@@ -660,11 +662,53 @@ COMMANDS = {"simulate": cmd_simulate, "expect": cmd_expect,
             "pool": cmd_pool, "ttc": cmd_ttc}
 
 
+def _read_plain(command: argparse.ArgumentParser,
+                words: list) -> Optional[argparse.Namespace]:
+    """The namespace `command` parses from `words`, read from its actions
+    where the line is plain, or None.
+
+    A plain line is `--name value` pairs: each `--name` an exact option
+    string of one of `command`'s store actions, given once, and no value
+    that starts with `-`.  Each value goes through its action's `type`
+    and `choices` as argparse takes it (`_get_value`, `_check_value`),
+    and each option left out gets its action's default.  Any other line,
+    a value its action refuses and a line without a required option get
+    None, so that the parser reads them, with its help and its errors."""
+    if len(words) % 2:
+        return None
+    options = command._option_string_actions
+    values = {}
+    for name, word in zip(words[::2], words[1::2]):
+        action = options.get(name)
+        if (type(action) is not argparse._StoreAction
+                or action.dest in values or word.startswith("-")):
+            return None
+        try:
+            value = word if action.type is None else action.type(word)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    read = {}  # in the parser's order, as argparse fills a namespace
+    for action in command._actions:
+        if action.dest in values:
+            read[action.dest] = values[action.dest]
+        elif action.required:
+            return None
+        elif action.default is not argparse.SUPPRESS:
+            read[action.dest] = action.default
+    return argparse.Namespace(**read)
+
+
 def main(argv=None) -> int:
     """Run one `arena` job on `argv` (default `sys.argv[1:]`); returns its
-    exit code.  A line that starts with a subcommand goes straight to that
-    subcommand's parser, as the top-level parser would pass it on whole;
-    the top-level parser reads any other line, for its own errors and help."""
+    exit code.  A line that starts with a subcommand is that subcommand's
+    to read, as the top-level parser would pass it on whole: a plain line
+    is read from the subcommand parser's actions (`_read_plain`), and the
+    subcommand parser reads any other, with its help and usage errors.
+    The top-level parser reads every line that does not start with a
+    subcommand, for its own errors and help."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         parser = build_parser()
@@ -672,7 +716,8 @@ def main(argv=None) -> int:
         if command is None:
             args = parser.parse_args(argv)
         else:
-            args = command.parse_args(argv[1:])
+            args = (_read_plain(command, argv[1:])
+                    or command.parse_args(argv[1:]))
             args.subcommand = argv[0]
         _check_options(args)
         report, code = COMMANDS[args.subcommand](args)

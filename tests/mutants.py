@@ -48,18 +48,19 @@ RUNNER = "src/htlc_arena/runner.py"
 MUTANTS = (
     # A verdict's passes share a step of one miner whatever its policy.
     Mutant("cache-key-without-round-key", GAME,
-           "round_key = keys[miner]",
-           "round_key = None",
+           "cache_key = None if built is None else (keys[miner], miner)",
+           "cache_key = None if built is None else (None, miner)",
            ("tests/test_analysis.py::TestM2MbaLemmas::"
             "test_lemma4_deferral_strictly_decays",
             "tests/test_golden.py::"
             "test_report_bytes_match_golden[he_m2mba.lemmas]")),
     # Any miner of a round key takes another's stored step.
     Mutant("cache-key-without-miner", GAME,
-           "done = built.get((round_key, miner))",
-           "done = built.get((round_key, miner)) or next(\n"
-           "                    (step for (k, _), step in built.items()\n"
-           "                     if k == round_key), None)",
+           "done = None if cache_key is None else built.get(cache_key)",
+           "done = None if cache_key is None else built.get(cache_key) "
+           "or next(\n"
+           "            (step for (k, _), step in built.items()\n"
+           "             if k == cache_key[0]), None)",
            ("tests/test_analysis.py::"
             "test_step_memo_leaves_every_verdict_as_fresh_passes_give_it",
             "tests/test_analysis.py::TestM2MbaLemmas::"
@@ -75,11 +76,11 @@ MUTANTS = (
             "test_exact_expectation_checks_label_order",
             "tests/test_game.py::TestRoundHalves::"
             "test_merged_predecessors_keep_the_higher_label_rank")),
-    # A verdict's passes keep private caches, as a pass without a memo
-    # does, so a later pass of the verdict builds every step again.
+    # A verdict's passes cache no step, as a pass without a memo does, so
+    # a later pass of the verdict builds every step again.
     Mutant("memo-left-unread", GAME,
-           "built = {} if memo is None else built_at.setdefault(key, {})",
-           "built = {}",
+           "built = None if memo is None else built_at.setdefault(key, {})",
+           "built = None",
            ("tests/test_analysis.py::TestM2MbaLemmas::"
             "test_a_verdict_builds_each_step_once",)),
     # Mined states that reach different control states merge once their
@@ -608,6 +609,52 @@ MUTANTS = (
                      "naive-briber-negative-br",
                      "naive-briber-negative-budget",
                      "sdrba-briber-negative-epsilon"))),
+    # The plain-line reader (`runner._read_plain`) takes a line that the
+    # subcommand's parser reads otherwise, or reads a value otherwise.
+    Mutant("plain-line-with-an-odd-word", RUNNER,
+           "    if len(words) % 2:\n        return None\n",
+           "",
+           ("tests/test_runner.py::test_main_parses_an_edge_line_as_the_"
+            "parser_does[option-without-value]",)),
+    Mutant("plain-line-with-a-help-option", RUNNER,
+           "if (type(action) is not argparse._StoreAction",
+           "if (action is None",
+           ("tests/test_runner.py::test_help_prints_the_parsers_text[argv2]",)),
+    Mutant("plain-line-with-an-abbreviation", RUNNER,
+           "        action = options.get(name)\n",
+           "        action = options.get(name) or next(\n"
+           "            (a for o, a in options.items() if o.startswith(name)),"
+           " None)\n",
+           ("tests/test_runner.py::test_a_job_parses_its_line_once",)),
+    Mutant("plain-line-with-a-repeated-option", RUNNER,
+           "or action.dest in values or word",
+           "or word",
+           ("tests/test_runner.py::test_a_job_parses_its_line_once",)),
+    Mutant("plain-line-with-an-option-for-a-value", RUNNER,
+           ' or word.startswith("-")):',
+           "):",
+           ("tests/test_runner.py::test_main_parses_an_edge_line_as_the_"
+            "parser_does[value-is-an-option]",)),
+    Mutant("plain-value-unconverted", RUNNER,
+           "value = word if action.type is None else action.type(word)",
+           "value = word",
+           ("tests/test_runner.py::test_main_parses_an_edge_line_as_the_"
+            "parser_does[plain-alpha-risk-nan]",)),
+    Mutant("plain-value-its-type-refuses", RUNNER,
+           "argparse.ArgumentTypeError):\n            return None\n",
+           "argparse.ArgumentTypeError):\n            value = word\n",
+           ("tests/test_runner.py::test_main_parses_an_edge_line_as_the_"
+            "parser_does[type-refused]",)),
+    Mutant("plain-value-outside-its-choices", RUNNER,
+           "if action.choices is not None and value not in action.choices:",
+           "if False:",
+           ("tests/test_runner.py::test_main_parses_an_edge_line_as_the_"
+            "parser_does[choice-refused]",)),
+    Mutant("plain-line-without-a-required-option", RUNNER,
+           "        elif action.required:\n            return None\n",
+           "",
+           ("tests/test_runner.py::test_main_parses_an_edge_line_as_the_"
+            "parser_does[required-left-out]",)),
 )
 
 

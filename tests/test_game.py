@@ -698,8 +698,8 @@ class TestControlMerge:
 class TestOneMoverRounds:
     """A pass whose every round has one mover walks its one schedule, with
     a verdict's memo or without: one block a round, and no step cache,
-    round key or control key.  Any other pass without a memo keeps its
-    steps for one round."""
+    round key or control key.  Any other pass without a memo asks no
+    round key and caches no step."""
 
     @staticmethod
     def counted(monkeypatch) -> Counter:
@@ -742,6 +742,17 @@ class TestOneMoverRounds:
         calls = self.counted(monkeypatch)
         assert analysis.verify_demba_lemma(6, scen).consistent
         assert calls == Counter(blocks=3 * scen.horizon)
+
+    def test_a_pass_without_a_memo_keys_no_round(self, monkeypatch,
+                                                 capsys):
+        # An exact `expect` on three miners merges, outside any verdict:
+        # each miner takes its step from a control state once, so the
+        # pass asks no round key and builds one block per control state
+        # and miner that can mine its round.
+        calls = self.counted(monkeypatch)
+        assert runner.main(["expect", "--scenario",
+                            str(SCENARIOS / "he_m2mba.json")]) == 0
+        assert calls["round_key"] == 0 and calls["blocks"] == 51
 
     @pytest.mark.parametrize("pin", [None, {4: M3}])
     def test_a_pass_keeps_no_state_of_an_earlier_round(self, monkeypatch,

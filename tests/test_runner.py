@@ -10,8 +10,9 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -872,16 +873,21 @@ def test_mutated_sample_scenario_fails_cleanly(tmp_path_factory, doc):
 
 
 #: Option values a user may pass by mistake: signs, zero, ints past 2^63,
-#: floats too large, too small or not finite, booleans and odd strings.
+#: floats too large, too small or not finite, booleans and odd strings,
+#: and spellings that `int` takes (a space, a plus sign, an Arabic-Indic
+#: digit, an underscore) or refuses (hex, a decimal point).
 ODD_VALUES = ("-1", "0", str(2 ** 63), str(2 ** 64 + 1), "1e300", "1e-320",
               "nan", "inf", "-inf", "true", "false", "", " ", "x", "1/0",
-              "-1/2", "m1\n", "--seed")
+              "-1/2", "m1\n", "--seed", " 7", "+7", "\u0663", "7_0", "0x10",
+              "1.0")
 #: Trial counts are small or past any allocation: one that fits in memory
 #: but is huge would run for minutes.
 TRIALS = ("1", "2", "7", "40", str(10 ** 12), str(2 ** 62), str(2 ** 63),
           "999999999999999999999")
 #: Each subcommand's options beyond `--scenario` and `--out`, with the
 #: values that make sense for each; every option also draws `ODD_VALUES`.
+#: `--out` stays out: the lines of `argvs` run whole, and its own line is
+#: in `EDGE_LINES`.
 OPTIONS = {
     "simulate": {},
     "expect": {"--mode": ("exact", "mc"), "--trials": TRIALS},
@@ -957,8 +963,11 @@ def parsed_by_parser(argv):
 TTC = ["--scenario", str(SCENARIOS / "naive_bribery.json"), "--path",
        "alice-redeems"]
 #: Lines at the edges of the parsers: no or an unknown subcommand, an
-#: option before the subcommand, abbreviations, `=`, a repeated option and
-#: the `--` separator.
+#: option before the subcommand, abbreviations, `=`, a repeated option,
+#: the `--` separator, a value that is an option or negative, one that
+#: its type or its choices refuse, a required option left out and an
+#: option without its value.  The `plain-` lines are the ones `main`
+#: reads without argparse: `--out` and a float type.
 EDGE_LINES = {
     "empty": [],
     "unknown-subcommand": ["verify", *NAIVE],
@@ -971,6 +980,15 @@ EDGE_LINES = {
     "separator-then-stray": ["ttc", *TTC, "--", "x"],
     "separator-first": ["ttc", "--", *TTC],
     "subcommand-twice": ["ttc", "ttc", *TTC],
+    "value-is-an-option": ["dominance", *NAIVE, "--player", "--seed"],
+    "negative-value": ["ttc", *TTC, "--seed", "-1"],
+    "type-refused": ["ttc", *TTC, "--trials", "0x10"],
+    "choice-refused": ["ttc", *TTC, "--variant", "naive"],
+    "required-left-out": ["ttc", *NAIVE],
+    "option-without-value": ["ttc", *TTC, "--trials"],
+    "plain-out": ["ttc", *TTC, "--out",
+                  str(Path(tempfile.gettempdir()) / "report.tsv")],
+    "plain-alpha-risk-nan": ["pool", "--alpha-risk", "nan"],
 }
 
 
@@ -986,7 +1004,16 @@ def test_main_parses_every_line_as_the_parser_does(argv):
     assert parsed_by_main(argv) == parsed_by_parser(argv)
 
 
-@pytest.mark.parametrize("argv", [["ttc", "--help"], ["-h"]])
+def test_main_parses_every_battery_line_as_the_parser_does():
+    # The 153 lines of the byte-identity battery; none is run.
+    battery = json.loads((Path(__file__).parent / "golden" /
+                          "battery.json").read_text(encoding="utf-8"))
+    for argv in (entry["argv"] for entry in battery):
+        assert parsed_by_main(argv) == parsed_by_parser(argv), argv
+
+
+@pytest.mark.parametrize("argv", [["ttc", "--help"], ["-h"],
+                                  ["ttc", *TTC, "--help", "x"]])
 def test_help_prints_the_parsers_text(argv, capsys):
     with pytest.raises(SystemExit) as direct:
         runner.build_parser().parse_args(argv)
@@ -998,6 +1025,9 @@ def test_help_prints_the_parsers_text(argv, capsys):
 
 
 def test_a_job_parses_its_line_once(monkeypatch, capsys):
+    # A plain line is read from the subcommand parser's actions and never
+    # reaches argparse; every other line that names a subcommand, help
+    # included, reaches that subcommand's parser once.
     calls = []
     real = argparse.ArgumentParser.parse_known_args
 
@@ -1007,7 +1037,18 @@ def test_a_job_parses_its_line_once(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     assert main(["ttc", *TTC, "--trials", "5"]) == 0
-    assert calls == ["arena ttc"]
+    assert calls == []
+    lines = {case: argv for case, argv in EDGE_LINES.items()
+             if argv[:1] and argv[0] in runner.COMMANDS}
+    lines["help"] = ["ttc", "--help"]
+    seen = {}
+    for case, argv in lines.items():
+        calls.clear()
+        with suppress(SystemExit):
+            parsed_by_main(argv)
+        seen[case] = calls.copy()
+    assert seen == {case: [] if case.startswith("plain-") else
+                    [f"arena {argv[0]}"] for case, argv in lines.items()}
 
 
 def test_every_command_is_a_subcommand():
