@@ -7,8 +7,8 @@ from .contracts import (FeeSchedule, build_demba, build_he_htlc,
                         build_mad_htlc, build_naive_htlc, check_fee_schedule,
                         resolve_demba_dep)
 from .ledger import Block, ChainState, TxRecord, Witness, apply_block, validate_tx
-from .game import (MinerProfile, Outcome, Scenario, Schedule, StrategyProfile,
-                   expected_utilities, play, state_label)
+from .game import (PROTOCOLS, MinerProfile, Outcome, Scenario, Schedule,
+                   StrategyProfile, expected_utilities, play)
 from .analysis import dominance_check
 
 __all__ = [
@@ -16,7 +16,7 @@ __all__ = [
     "FeeSchedule", "build_demba", "build_he_htlc", "build_mad_htlc",
     "build_naive_htlc", "check_fee_schedule", "resolve_demba_dep",
     "Block", "ChainState", "TxRecord", "Witness", "apply_block",
-    "validate_tx", "MinerProfile", "Outcome", "Scenario", "Schedule",
-    "StrategyProfile", "dominance_check", "expected_utilities", "play",
-    "state_label", "__version__",
+    "validate_tx", "MinerProfile", "Outcome", "PROTOCOLS", "Scenario",
+    "Schedule", "StrategyProfile", "dominance_check", "expected_utilities",
+    "play", "__version__",
 ]

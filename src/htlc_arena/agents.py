@@ -31,6 +31,13 @@ no longer open (`_whole`) gives way to the policy's ordinary block, as a
 B3a block does when the briber rejects it.  Policies
 read settlement facts through `ledger.ChainView`, the view bribery
 contracts see.
+
+Protocol facts come from the scenario's record (`Scenario.rules`): the
+protected transfer's transaction ids and the two-phase commit.  A policy
+compares protocol names only for how it plays each one itself (the
+payer's refund and collateral moves, the confiscation block and the
+verdict spaces), and its `protocols` set names those it fits
+(`game.fits`).
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .contracts import (BriberyCall, CBOB_ID, CM2M_ID, COL_A_ID, COL_B,
                         PRE_AA2, PRE_B, SECRETS)
 from .ledger import (CONTRACT_CALL, PAYMENT, RELATED, Block, ChainView,
                      TxRecord, Witness, broadcast, validate_tx)
-from .game import Scenario, policy_key
+from .game import Scenario, fits, policy_key
 
 
 def _preimages_known(state, slots) -> bool:
@@ -90,6 +97,15 @@ def tx_confiscate(state, creator: Party, cid: str, path: str,
     pre = frozenset({(cid, s, v) for s, v in values.items()})
     return TxRecord(f"tx.{path}.{creator.id}", creator, RELATED,
                     ((cid, path),), Witness(pre), 0)
+
+
+def _protected_transfer(scen: Scenario) -> TxRecord:
+    """The payee's honest redemption, the protected transfer that a
+    censor keeps out (`Scenario.rules.target_tx_ids`): her commit of
+    pre_A in the two-phase protocol, her deposit redemption otherwise."""
+    if scen.rules.two_phase:
+        return tx_commit(scen, PRE_A)
+    return tx_reveal_dep_a(scen)
 
 
 def tx_commit(scen: Scenario, path: str) -> TxRecord:
@@ -250,9 +266,7 @@ class AliceHonest(PartyPolicy):
     def broadcasts(self, state, rnd, scen):
         if rnd != self._round(scen):
             return []
-        if scen.protocol == "demba":
-            return _if_open(state, tx_commit(scen, PRE_A))
-        return _if_open(state, tx_reveal_dep_a(scen))
+        return _if_open(state, _protected_transfer(scen))
 
 
 class AliceOffline(PartyPolicy):
@@ -261,7 +275,7 @@ class AliceOffline(PartyPolicy):
     name = "offline-then-refund"
 
     def broadcasts(self, state, rnd, scen):
-        if scen.protocol != "demba" or rnd != scen.T:
+        if not scen.rules.two_phase or rnd != scen.T:
             return []
         return _if_open(state, tx_commit(scen, PRE_A2))
 
@@ -288,10 +302,8 @@ class AliceCensoredFallback(PartyPolicy):
     def broadcasts(self, state, rnd, scen):
         t_pub = self.t_pub if self.t_pub is not None else scen.t_pub
         if rnd == t_pub:
-            if scen.protocol == "demba":
-                return _if_open(state, tx_commit(scen, PRE_A))
-            return _if_open(state, tx_reveal_dep_a(scen))
-        if scen.protocol == "demba" and rnd == scen.T:
+            return _if_open(state, _protected_transfer(scen))
+        if scen.rules.two_phase and rnd == scen.T:
             return _if_open(state, tx_commit(scen, PRE_AA2))
         return []
 
@@ -304,7 +316,7 @@ class BobHonest(PartyPolicy):
         self.name = f"honest(reveal={reveal_round})"
 
     def broadcasts(self, state, rnd, scen):
-        if scen.protocol == "demba":
+        if scen.rules.two_phase:
             if rnd == self.reveal_round:
                 return _if_open(state, tx_commit(scen, PRE_B))
             return []
@@ -391,34 +403,42 @@ class BobHydraBriber(_BriberyDeployer):
     protocols = frozenset({"mad"})
 
 
+#: Every party policy, by the name scenario files use.
+ALICE_POLICIES = {"honest": AliceHonest, "offline-then-refund": AliceOffline,
+                  "grief-double-reveal": AliceGrief,
+                  "censored-fallback": AliceCensoredFallback}
+BOB_POLICIES = {"honest": BobHonest, "delay": BobDelay,
+                "naive-briber": BobNaiveBriber, "b3a": BobB3a,
+                "hydra-briber": BobHydraBriber}
+
+
 def make_party_policy(role: str, name: str, **params) -> PartyPolicy:
     """Factory keyed by the names scenario files use."""
-    if role == "alice":
-        table = {"honest": AliceHonest, "offline-then-refund": AliceOffline,
-                 "grief-double-reveal": AliceGrief,
-                 "censored-fallback": AliceCensoredFallback}
-    else:
-        table = {"honest": BobHonest, "delay": BobDelay,
-                 "naive-briber": BobNaiveBriber, "b3a": BobB3a,
-                 "hydra-briber": BobHydraBriber}
+    table = ALICE_POLICIES if role == "alice" else BOB_POLICIES
     return _build_policy(table, f"{role} policy", name, params)
+
+
+def _parameters(cls) -> dict:
+    """Each parameter `cls`'s constructor takes -> the type a value of it
+    must have: its default's, or int where that default is None."""
+    return {key: int if p.default is None else type(p.default)
+            for key, p in inspect.signature(cls).parameters.items()}
 
 
 def _build_policy(table: dict, what: str, name: str, params: dict):
     """Construct the named policy, holding each parameter to one its
-    constructor takes and to the type of its default (an int where that
-    default is None), and an int to 0 or more: every int parameter is an
-    amount, a round or a case number."""
+    constructor takes and to the type of its default (`_PARAMETERS`),
+    and an int to 0 or more: every int parameter is an amount, a round
+    or a case number."""
     if name not in table:
         raise ValueError(f"unknown {what} {name!r}")
     cls = table[name]
-    signature = inspect.signature(cls).parameters if params else {}
+    wanted = _PARAMETERS[cls]
     for key, value in params.items():
-        if key not in signature:
+        if key not in wanted:
             # repr() keeps a key with a line break on the one error line.
             raise ValueError(f"{name} takes no parameter {key!r}")
-        default = signature[key].default
-        want = int if default is None else type(default)
+        want = wanted[key]
         if type(value) is not want:
             raise ValueError(f"{key} must be {want.__name__}, got {value!r}")
         if want is int and value < 0:
@@ -465,16 +485,6 @@ class HonestFeeMax(MinerPolicy):
         return _assemble(state, rnd, miner, scen)
 
 
-#: The protected transfer's transaction id, as `tx_commit` and
-#: `tx_reveal_dep_a` name it, on demba and on the other protocols.
-_DEMBA_TARGET = frozenset({f"tx.col.{PRE_A}"})
-_HTLC_TARGET = frozenset({"tx.depA"})
-
-
-def _target_tx_ids(scen: Scenario) -> frozenset:
-    return _DEMBA_TARGET if scen.protocol == "demba" else _HTLC_TARGET
-
-
 class CensorRelated(MinerPolicy):
     """Exclude protocol transactions until the deadline, then act honest.
 
@@ -503,7 +513,7 @@ class CensorRelated(MinerPolicy):
             view = ChainView(state, rnd, miner)
             pre_a = state.known.get(PRE_A)
             if rnd <= scen.T:
-                if any(t in state.mempool for t in _target_tx_ids(scen)):
+                if any(t in state.mempool for t in scen.rules.target_tx_ids):
                     head.append(call_tx(f"tx.cbob.req.{rnd}", miner, CBOB_ID,
                                         "requestBribe"))
             elif view.target_included_ever():
@@ -513,7 +523,7 @@ class CensorRelated(MinerPolicy):
                                         or view.settlement_landed()):
                 tail.append(call_tx(f"tx.cbob.claim.{rnd}", miner, CBOB_ID,
                                     "claimBribe", {"preimage": pre_a}))
-        exclude = _target_tx_ids(scen) if rnd <= scen.T else frozenset()
+        exclude = scen.rules.target_tx_ids if rnd <= scen.T else frozenset()
         return _assemble(state, rnd, miner, scen, head, tail, exclude)
 
 
@@ -526,7 +536,7 @@ class M2MbaPassive(MinerPolicy):
     def build_block(self, state, rnd, miner, scen):
         if rnd <= scen.T and not _preimages_known(state, (PRE_A, PRE_B)):
             return _assemble(state, rnd, miner, scen,
-                             exclude=_target_tx_ids(scen))
+                             exclude=scen.rules.target_tx_ids)
         return _confiscation_block(state, rnd, miner, scen, pact=False)
 
 
@@ -625,11 +635,12 @@ class M2MbaActive(MinerPolicy):
             if scen.m2mba_split != "equal":
                 pact = state.bribery.get(CM2M_ID)
                 if (pact is not None and not pact.settled
-                        and any(t in state.mempool for t in _target_tx_ids(scen))):
+                        and any(t in state.mempool
+                                for t in scen.rules.target_tx_ids)):
                     head.append(call_tx(f"tx.cm2m.req.{rnd}", miner, CM2M_ID,
                                         "requestBribe"))
             return _assemble(state, rnd, miner, scen, head,
-                             exclude=_target_tx_ids(scen))
+                             exclude=scen.rules.target_tx_ids)
         return _confiscation_block(state, rnd, miner, scen,
                                    pact=scen.m2mba_split != "equal",
                                    claim_only=self._claim_only(rnd))
@@ -753,6 +764,11 @@ MINER_POLICIES = {"honest-fee-max": HonestFeeMax,
                   "hydra-accomplice": HydraAccomplice}
 
 
+#: Each named policy's parameters (`_parameters`), derived once.
+_PARAMETERS = {cls: _parameters(cls) for table in (
+    ALICE_POLICIES, BOB_POLICIES, MINER_POLICIES) for cls in table.values()}
+
+
 def make_miner_policy(name: str, **params) -> MinerPolicy:
     return _build_policy(MINER_POLICIES, "miner policy", name, params)
 
@@ -764,19 +780,19 @@ def policy_space(scen: Scenario, player) -> list:
 
     On he a miner in the pact (`Scenario.coalition`) is offered the pact's
     policies and any other miner the passive attack; no player is offered
-    a policy whose `protocols` exclude the scenario's protocol.
+    a policy that does not fit the scenario's protocol (`game.fits`).
     """
-    demba = scen.protocol == "demba"
+    two_phase = scen.rules.two_phase
     late = max(1, scen.T - 1)
     if player == "alice":
         space = ([AliceHonest(), AliceHonest(min(scen.t_pub + 1, scen.T)),
                   AliceOffline(), AliceGrief(), AliceCensoredFallback(),
-                  AliceHonest(late)] if demba
+                  AliceHonest(late)] if two_phase
                  else [AliceHonest(), AliceOffline()])
     elif player == "bob":
         space = ([BobHonest(1), BobHonest(late), BobDelay(1), BobDelay(2)]
-                 if demba else [BobHonest(), BobNaiveBriber(), BobB3a(),
-                                BobHydraBriber()])
+                 if two_phase else [BobHonest(), BobNaiveBriber(), BobB3a(),
+                                    BobHydraBriber()])
     elif scen.protocol in ("naive", "mad"):
         space = [HonestFeeMax(), CensorRelated()]
     else:
@@ -784,5 +800,4 @@ def policy_space(scen: Scenario, player) -> list:
         if scen.protocol == "he":
             space[:0] = ([M2MbaActive("race"), M2MbaActive("accept")]
                          if player in scen.coalition else [M2MbaPassive()])
-    return [p for p in space
-            if p.protocols is None or scen.protocol in p.protocols]
+    return [p for p in space if fits(p, scen)]

@@ -313,7 +313,7 @@ def verify_m2mba_lemma(n: int, scen: Scenario,
     kinds = {1: "active", 2: "active", 3: "passive", 4: "active", 5: "active"}
     if n not in kinds:
         raise ScenarioError(f"no such lemma {n}")
-    if scen.protocol != "he":
+    if scen.rules.theorem != "m2mba":
         raise ScenarioError("protocol-mismatch: pact lemmas run on 'he'")
     delta = scen.T - scen.t_pub
     f_a = scen.f_dep_a
@@ -430,7 +430,7 @@ def verify_theorem_m2mba(scen: Scenario) -> TheoremReport:
     inequalities are reported per miner; a violated hypothesis does not
     stop the dominance run.
     """
-    if scen.protocol != "he":
+    if scen.rules.theorem != "m2mba":
         raise ScenarioError("protocol-mismatch")
     base = _attack_profile(scen)
     expect = _verdict_expectations()
@@ -504,7 +504,7 @@ def verify_demba(scen: Scenario) -> DembaReport:
     profile in the space the payee never clears more than deposit plus her
     collateral, nor the payer more than his collateral.
     """
-    if scen.protocol != "demba":
+    if scen.rules.theorem != "demba":
         raise ScenarioError("protocol-mismatch")
     miner = scen.miner_parties()[0]
     alice_space, bob_space, miner_space = (
@@ -567,7 +567,7 @@ def verify_demba(scen: Scenario) -> DembaReport:
 
 def verify_demba_lemma(n: int, scen: Scenario) -> LemmaVerdict:
     """Per-party dominance checks for the two-phase protocol (6, 7, 8)."""
-    if scen.protocol != "demba":
+    if scen.rules.theorem != "demba":
         raise ScenarioError("protocol-mismatch")
     expect = _verdict_expectations()
     if n == 6:

@@ -40,6 +40,10 @@ reads the completion round from the final state.  `play` and its
 Dominance verdicts, which weigh expectations against each other, live in
 `analysis`.
 
+Each protocol's facts sit in one record (`ProtocolRules`), its row of
+`PROTOCOLS`, which every Scenario holds as `rules`; the engine, the
+verifiers and the CLI read the record rather than branch on the name.
+
 Utilities carry no discounting: they are raw end-of-game token deltas from
 the post-setup baseline.  The one exception to pre-funded contracts is the
 two-phase protocol, where the payer publishes the deposit contract after
@@ -55,20 +59,18 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
 from .core import (ALICE, BOB, EXTERNAL, MAX_DRAW_ITEMS, ArenaError,
                    ContractError, Party, ScenarioError, debit)
-from .contracts import (COL_A_ID, COL_B_ID, COL_ID, DEP_A, DEP_ID,
-                        FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B, SECRETS,
-                        build_demba, build_he_htlc, build_mad_htlc,
-                        build_naive_htlc, derive_he_delay)
+from .contracts import (COL_A_ID, COL_B, COL_B_ID, COL_ID, DEP_A, DEP_B,
+                        DEP_BURN, DEP_ID, FeeSchedule, PRE_A, PRE_A2, PRE_AA2,
+                        PRE_B, SECRETS, build_demba, build_he_htlc,
+                        build_mad_htlc, build_naive_htlc, derive_he_delay)
 from .ledger import ChainState, ChainView, Part, apply_block, broadcast
 
 if TYPE_CHECKING:
     import numpy as np
-
-PROTOCOLS = ("naive", "mad", "he", "demba")
 
 #: Most schedules an exact expectation may stand for: |miners|^free rounds.
 ENUM_CAP = 10_000_000
@@ -110,6 +112,7 @@ class Scenario:
     """All protocol, fee, timing, and miner parameters for one game.
 
     Construction is the one place a game's parameters are checked: it
+    looks up its protocol's record (`rules`, a row of `PROTOCOLS`),
     derives `l` and `horizon`, then builds the round-0 genesis once.  The
     scenario is frozen, so that genesis can never go stale; derive variants
     with `dataclasses.replace`, which checks and builds them afresh.  A
@@ -143,7 +146,10 @@ class Scenario:
     pact_bribes: Optional[dict] = None  # Party -> per-block bribe override
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
+        # A document may give any JSON value; only a string names a row.
+        rules = (PROTOCOLS.get(self.protocol) if type(self.protocol) is str
+                 else None)
+        if rules is None:
             raise _invalid("protocol", f"got {self.protocol!r}")
         for name in _INT_FIELDS:
             value = getattr(self, name)
@@ -164,7 +170,7 @@ class Scenario:
         ids = [m.party.id for m in self.miners]
         if len(set(ids)) != len(ids):
             raise _invalid("miners", f"duplicate miner id in {ids}")
-        if self.protocol == "he" and self.l < 1:
+        if rules.derives_l and self.l < 1:
             object.__setattr__(self, "l", _built(
                 derive_he_delay, self.v_dep, self.v_col, self.f))
         if self.horizon is None:
@@ -174,9 +180,9 @@ class Scenario:
             raise _invalid("horizon", "too short for every refund path to fire")
         if self.t_pub < 1 or self.t_pub > self.T:
             raise _invalid("t_pub", "must fall in [1, T]")
-        if self.protocol == "demba" and self.fee_schedule is None:
-            raise _invalid("fee_schedule", "required for demba")
-        if self.protocol != "demba" and self.fee_schedule is not None:
+        if rules.two_phase and self.fee_schedule is None:
+            raise _invalid("fee_schedule", f"required for {self.protocol}")
+        if not rules.two_phase and self.fee_schedule is not None:
             raise _invalid("fee_schedule", "only demba takes a fee schedule, "
                            f"got protocol {self.protocol!r}")
         if self.fee_schedule is not None and self.fee_schedule.T != self.T:
@@ -188,6 +194,7 @@ class Scenario:
             object.__setattr__(self, "pact_bribes",
                                MappingProxyType(dict(self.pact_bribes)))
         # Plain attributes, not fields: replace() builds fresh ones.
+        object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_weights", (weights, scale))
         object.__setattr__(self, "_genesis", _built(_build_genesis, self))
 
@@ -311,31 +318,12 @@ def build_genesis(scen: Scenario) -> tuple:
 
 
 def _build_genesis(scen: Scenario) -> tuple:
+    rules = scen.rules
+    contracts, live = rules.genesis(scen)
+    target_contract, target_path = rules.target
     meta = {"T": scen.T, "l": scen.l, "capacity": scen.capacity,
-            "f": scen.f, "target_contract": DEP_ID, "target_path": DEP_A,
-            "fee_schedule": scen.fee_schedule}
-    if scen.protocol == "naive":
-        dep = build_naive_htlc(ALICE, BOB, scen.v_dep, SECRETS[PRE_A], scen.T)
-        contracts = {DEP_ID: dep}
-        live = {DEP_ID: scen.v_dep}
-    elif scen.protocol == "mad":
-        dep, col = build_mad_htlc(ALICE, BOB, scen.v_dep, scen.v_col, SECRETS,
-                                  scen.T)
-        contracts = {DEP_ID: dep, COL_ID: col}
-        live = {DEP_ID: scen.v_dep, COL_ID: scen.v_col}
-    elif scen.protocol == "he":
-        dep, col = build_he_htlc(ALICE, BOB, scen.v_dep, scen.v_col, SECRETS,
-                                 scen.T, scen.l)
-        contracts = {DEP_ID: dep, COL_ID: col}
-        live = {DEP_ID: scen.v_dep + scen.v_col, COL_ID: 0}
-    else:
-        dep, col_a, col_b = build_demba(ALICE, BOB, scen.v_dep, scen.v_col_a,
-                                        scen.v_col_b, scen.v_ded, SECRETS,
-                                        scen.T, scen.fee_schedule)
-        contracts = {DEP_ID: dep, COL_A_ID: col_a, COL_B_ID: col_b}
-        live = {COL_A_ID: scen.v_col_a, COL_B_ID: scen.v_col_b}
-        meta["target_contract"] = COL_A_ID
-        meta["target_path"] = PRE_A
+            "f": scen.f, "target_contract": target_contract,
+            "target_path": target_path, "fee_schedule": scen.fee_schedule}
     start = _start_balance(scen)
     balances = {ALICE: start, BOB: start,
                 EXTERNAL: start + scen.capacity * scen.f * (scen.horizon + 2)}
@@ -343,7 +331,7 @@ def _build_genesis(scen: Scenario) -> tuple:
         balances[m.party] = start
     baseline = Part.of(balances)
     escrow0 = sum(live.values())
-    if scen.protocol == "demba":
+    if rules.two_phase:
         # Deposit contract goes live only after both collaterals exist, so
         # the payer funds it inside the measured window.
         debit(balances, BOB, scen.v_dep)
@@ -355,22 +343,41 @@ def _build_genesis(scen: Scenario) -> tuple:
     return state, baseline, escrow0
 
 
+def _naive_contracts(scen: Scenario) -> tuple:
+    dep = build_naive_htlc(ALICE, BOB, scen.v_dep, SECRETS[PRE_A], scen.T)
+    return {DEP_ID: dep}, {DEP_ID: scen.v_dep}
+
+
+def _mad_contracts(scen: Scenario) -> tuple:
+    dep, col = build_mad_htlc(ALICE, BOB, scen.v_dep, scen.v_col, SECRETS,
+                              scen.T)
+    return {DEP_ID: dep, COL_ID: col}, {DEP_ID: scen.v_dep, COL_ID: scen.v_col}
+
+
+def _he_contracts(scen: Scenario) -> tuple:
+    dep, col = build_he_htlc(ALICE, BOB, scen.v_dep, scen.v_col, SECRETS,
+                             scen.T, scen.l)
+    return ({DEP_ID: dep, COL_ID: col},
+            {DEP_ID: scen.v_dep + scen.v_col, COL_ID: 0})
+
+
+def _demba_contracts(scen: Scenario) -> tuple:
+    dep, col_a, col_b = build_demba(ALICE, BOB, scen.v_dep, scen.v_col_a,
+                                    scen.v_col_b, scen.v_ded, SECRETS,
+                                    scen.T, scen.fee_schedule)
+    # The deposit goes live inside the measured window (`_build_genesis`).
+    return ({DEP_ID: dep, COL_A_ID: col_a, COL_B_ID: col_b},
+            {COL_A_ID: scen.v_col_a, COL_B_ID: scen.v_col_b})
+
+
 # ---------------------------------------------------------------------------
 # State labelling.
 # ---------------------------------------------------------------------------
 
 
-def state_label(state: ChainState, protocol: str) -> str:
-    """Classify the game state; a pure function of the chain state."""
-    if protocol == "demba":
-        red_a = state.redemptions.get(COL_A_ID)
-        red_b = state.redemptions.get(COL_B_ID)
-        if red_a is None or red_b is None:
-            return "all-red"
-        mode = {PRE_A: "A", PRE_A2: "A'", PRE_AA2: "AA'"}[red_a[0]]
-        b_round = state.reveal_round(COL_B_ID, PRE_B)
-        late = b_round is not None and b_round > state.meta["T"]
-        return f"nred-{mode}B" + ("T" if late else "")
+def _htlc_label(state: ChainState) -> str:
+    """The label of a one-deposit game: red until the deposit is
+    redeemed, then by the path and by whether pre_A was revealed."""
     entry = state.redemptions.get(DEP_ID)
     if entry is None:
         return "red"
@@ -379,10 +386,112 @@ def state_label(state: ChainState, protocol: str) -> str:
     return "nred-rev" if PRE_A in state.known else "nred-nrev"
 
 
+_COMMIT_MODES = {PRE_A: "A", PRE_A2: "A'", PRE_AA2: "AA'"}
+
+
+def _demba_label(state: ChainState) -> str:
+    """The label of the two-phase game: all-red until both collaterals
+    are redeemed, then by the payee's commit and the payer's lateness."""
+    red_a = state.redemptions.get(COL_A_ID)
+    red_b = state.redemptions.get(COL_B_ID)
+    if red_a is None or red_b is None:
+        return "all-red"
+    b_round = state.reveal_round(COL_B_ID, PRE_B)
+    late = b_round is not None and b_round > state.meta["T"]
+    return f"nred-{_COMMIT_MODES[red_a[0]]}B" + ("T" if late else "")
+
+
 _LABEL_ORDER = {name: i for i, name in enumerate(
     ("red", "all-red", "nred-nrev", "nred-rev", "nred-A",
      "nred-AB", "nred-A'B", "nred-AA'B", "nred-ABT", "nred-A'BT",
      "nred-AA'BT"))}
+
+
+# ---------------------------------------------------------------------------
+# The protocol table.
+# ---------------------------------------------------------------------------
+
+
+class ProtocolRules(NamedTuple):
+    """One protocol's facts: its row of `PROTOCOLS`, which a Scenario
+    holds as `rules`.  A row holds data and functions of this module
+    only, so `agents` policies read its data rather than the table
+    naming a policy.
+
+    `genesis` builds a scenario's (contracts, live deposits).  `target`
+    is the (contract, path) of the protected transfer, which the bribery
+    contracts' guards read (`ledger.ChainView`), and `target_tx_ids` the
+    transactions that carry it, which a censor keeps out.  `label` labels
+    a chain state; `tags` holds the terminal tag of each deposit path not
+    tagged by its own name.  `completion` maps each `ttc` path the
+    protocol has to the (contract, path) redemptions that complete it, a
+    path of None standing for any, in the round the last of them lands.
+    With `derives_l`, an `l` left at 0 is derived from the amounts.
+    `two_phase` marks the two-phase commit: its scenario carries a fee
+    schedule (no other protocol takes one), its parties commit to
+    collateral contracts at the schedule's fees, and its payer funds the
+    deposit inside the measured window.  With `equal_split`, the pact's
+    equal split shares a confiscation by the censored window's blocks.
+    `lemmas` and `theorem` name the verdicts that run on the protocol.
+    """
+
+    genesis: Callable
+    target: tuple
+    target_tx_ids: frozenset
+    label: Callable
+    tags: Mapping
+    completion: Mapping
+    derives_l: bool
+    two_phase: bool
+    equal_split: bool
+    lemmas: tuple = ()
+    theorem: Optional[str] = None
+
+
+#: Transaction ids of the protected transfer, as `agents` names them.
+_HTLC_TARGET = frozenset({"tx.depA"})
+_NO_TAGS = MappingProxyType({})
+
+#: Each protocol's record, by the name scenario files use.
+PROTOCOLS = {
+    "naive": ProtocolRules(
+        genesis=_naive_contracts, target=(DEP_ID, DEP_A),
+        target_tx_ids=_HTLC_TARGET, label=_htlc_label, tags=_NO_TAGS,
+        completion=MappingProxyType({
+            "alice-redeems": ((DEP_ID, DEP_A),),
+            "bob-both": ((DEP_ID, None),)}),
+        derives_l=False, two_phase=False, equal_split=False),
+    "mad": ProtocolRules(
+        genesis=_mad_contracts, target=(DEP_ID, DEP_A),
+        target_tx_ids=_HTLC_TARGET, label=_htlc_label, tags=_NO_TAGS,
+        completion=MappingProxyType({
+            "alice-redeems": ((DEP_ID, DEP_A),),
+            "bob-collateral": ((COL_ID, None),),
+            "bob-both": ((DEP_ID, None), (COL_ID, None))}),
+        derives_l=False, two_phase=False, equal_split=False),
+    # The payee's path pays the payer his collateral back, and the staged
+    # refund completes when the combined pot leaves the collateral.
+    "he": ProtocolRules(
+        genesis=_he_contracts, target=(DEP_ID, DEP_A),
+        target_tx_ids=_HTLC_TARGET, label=_htlc_label, tags=_NO_TAGS,
+        completion=MappingProxyType({
+            "alice-redeems": ((DEP_ID, DEP_A),),
+            "bob-collateral": ((DEP_ID, None),),
+            "bob-both": ((COL_ID, COL_B),)}),
+        derives_l=True, two_phase=False, equal_split=True,
+        lemmas=(1, 2, 3, 4, 5), theorem="m2mba"),
+    "demba": ProtocolRules(
+        genesis=_demba_contracts, target=(COL_A_ID, PRE_A),
+        target_tx_ids=frozenset({f"tx.col.{PRE_A}"}), label=_demba_label,
+        tags=MappingProxyType({DEP_A: "to-Alice", DEP_B: "to-Bob",
+                               DEP_BURN: "burn"}),
+        completion=MappingProxyType({
+            "alice-redeems": ((DEP_ID, None),),
+            "bob-collateral": ((COL_B_ID, None),),
+            "bob-both": ((DEP_ID, None),)}),
+        derives_l=False, two_phase=True, equal_split=False,
+        lemmas=(6, 7, 8), theorem="demba"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +507,16 @@ def policy_key(policy) -> tuple:
     return type(policy), tuple(sorted(vars(policy).items()))
 
 
+def fits(policy, scen: Scenario) -> bool:
+    """Whether `policy` may play on `scen`: a policy's `protocols` set,
+    where it has one, names the protocols it fits."""
+    allowed = getattr(policy, "protocols", None)
+    return allowed is None or scen.protocol in allowed
+
+
 def _check_profile(scen: Scenario, profile: StrategyProfile) -> None:
     for pol in (profile.alice, profile.bob, *profile.miners.values()):
-        allowed = getattr(pol, "protocols", None)
-        if allowed is not None and scen.protocol not in allowed:
+        if not fits(pol, scen):
             raise ScenarioError(
                 f"policy {pol.name!r} not valid for protocol {scen.protocol!r}")
     for party in scen.miner_parties():
@@ -441,7 +556,7 @@ def _act(scen: Scenario, profile: StrategyProfile, state: ChainState,
         emissions = [*emissions, *more]
     if emissions:
         state = broadcast(state, emissions)
-    label = state_label(state, scen.protocol)
+    label = scen.rules.label(state)
     rank = _LABEL_ORDER[label]
     if rank < prev_rank and label in ("red", "all-red"):
         raise ScenarioError(f"state label regressed to {label} at {rnd}")
@@ -529,19 +644,16 @@ def _censor_income(bribe_log) -> dict:
 
 
 def _terminal_tag(state: ChainState, scen: Scenario) -> str:
-    if scen.protocol == "demba":
-        entry = state.redemptions.get(DEP_ID)
-        if entry is None:
-            return "pending"
-        return {DEP_A: "to-Alice", "dep-B": "to-Bob",
-                "dep-Burn": "burn"}.get(entry[0], entry[0])
+    """How the deposit settled: its path's tag, or pending."""
     entry = state.redemptions.get(DEP_ID)
-    return entry[0] if entry else "pending"
+    if entry is None:
+        return "pending"
+    return scen.rules.tags.get(entry[0], entry[0])
 
 
 def _window_rounds(scen: Scenario) -> range:
     """The censored rounds t_pub+1..T whose blocks the equal split counts."""
-    if scen.protocol == "he" and scen.m2mba_split == "equal":
+    if scen.rules.equal_split and scen.m2mba_split == "equal":
         return range(scen.t_pub + 1, scen.T + 1)
     return range(0)
 

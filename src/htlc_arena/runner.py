@@ -8,6 +8,10 @@ parsing a report reproduces the record strings exactly.
 
 Exit codes: 0 success, 1 usage or validation errors, 2 a lemma or theorem
 verdict failed.
+
+What differs by protocol (which lemmas and theorem `lemmas` runs, which
+redemptions complete a `ttc` path) is read from the scenario's record,
+its row of `game.PROTOCOLS`.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from typing import Optional
 
 from . import __version__
 from .core import ArenaError, EXTERNAL, ScenarioError, miner_party
-from .contracts import (COL_B, COL_B_ID, COL_ID, DEP_A, DEP_ID, FeeSchedule,
-                        PRE_A, PRE_A2, PRE_AA2, PRE_B)
+from .contracts import FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B
 from .game import (MinerProfile, Scenario, Schedule, StrategyProfile,
                    check_field, each_round, expected_utilities,
                    mean_half_width, play, policy_key, sample_schedule,
@@ -435,23 +438,22 @@ def cmd_dominance(args) -> tuple:
 
 def cmd_lemmas(args) -> tuple:
     scen, _, digest = _load(args)
-    if scen.protocol == "he":
-        verify, numbers, theorem = verify_m2mba_lemma, (1, 2, 3, 4, 5), "m2mba"
-    elif scen.protocol == "demba":
-        verify, numbers, theorem = verify_demba_lemma, (6, 7, 8), "demba"
-    else:
+    theorem = scen.rules.theorem
+    if theorem is None:
         raise ScenarioError(
             "validation-error(protocol): lemma checks need 'he' or 'demba'")
+    pact = theorem == "m2mba"
+    verify = verify_m2mba_lemma if pact else verify_demba_lemma
     report = Report(_base_header(args, "lemmas", digest=digest))
     failed = False
-    for n in numbers:
+    for n in scen.rules.lemmas:
         v = verify(n, scen)
         report.add(v.lemma_id, "-",
                    f"consistent={'true' if v.consistent else 'false'}",
                    f"hypothesis={v.hypothesis_holds}",
                    f"conclusion={v.conclusion_holds}")
         failed |= not v.consistent
-    if scen.protocol == "he":
+    if pact:
         thm = verify_theorem_m2mba(scen)
         dominant = thm.all_dominant
         failed |= thm.hypothesis_holds and not dominant
@@ -514,31 +516,22 @@ def _completion_round(out, scen: Scenario, path: str) -> Optional[int]:
 
 
 def _completed(red, scen: Scenario, path: str) -> Optional[int]:
-    """The round `path` completed in, by the redemptions `red`, or None.
-    It reads each redemption's path and round, which the control key holds
+    """The round `path` completed in, by the redemptions `red`, or None:
+    the round the last of the redemptions that complete it on the
+    scenario's protocol landed in (`ProtocolRules.completion`).  It reads
+    each redemption's path and round, which the control key holds
     (`ledger.Redemptions`), so every state of one control state agrees."""
-
-    def landed(cid: str, via: Optional[str] = None) -> Optional[int]:
-        """The round contract `cid` was redeemed in (through path `via`)."""
+    needed = scen.rules.completion.get(path)
+    if needed is None:  # the one `ttc` path a protocol may lack
+        raise ScenarioError(f"validation-error(path): {scen.protocol} has "
+                            "no collateral")
+    rounds = []
+    for cid, via in needed:
         entry = red.get(cid)
-        return entry[1] if entry and via in (None, entry[0]) else None
-
-    if scen.protocol == "demba":
-        return landed(COL_B_ID if path == "bob-collateral" else DEP_ID)
-    if path == "alice-redeems":
-        return landed(DEP_ID, DEP_A)
-    if path == "bob-collateral":
-        if scen.protocol == "naive":
-            raise ScenarioError("validation-error(path): naive has no collateral")
-        return landed(DEP_ID if scen.protocol == "he" else COL_ID)
-    if scen.protocol == "naive":
-        return landed(DEP_ID)
-    if scen.protocol == "he":
-        # The staged refund completes when the combined pot leaves the
-        # collateral contract.
-        return landed(COL_ID, COL_B)
-    rounds = [red[c][1] for c in (DEP_ID, COL_ID) if c in red]
-    return max(rounds) if len(rounds) == 2 else None
+        if entry is None or via not in (None, entry[0]):
+            return None
+        rounds.append(entry[1])
+    return max(rounds)
 
 
 def ttc(scen: Scenario, path: str) -> dict:

@@ -609,6 +609,47 @@ MUTANTS = (
                      "naive-briber-negative-br",
                      "naive-briber-negative-budget",
                      "sdrba-briber-negative-epsilon"))),
+    # The protocol table (`game.PROTOCOLS`): each entry breaks one field
+    # of one protocol's record.  demba's protected transfer is a path the
+    # payee's honest commit does not take.
+    Mutant("demba-target-path", GAME,
+           "genesis=_demba_contracts, target=(COL_A_ID, PRE_A),",
+           "genesis=_demba_contracts, target=(COL_A_ID, PRE_A2),",
+           ("tests/test_ledger.py::TestChainView::"
+            "test_the_honest_payees_transfer_is_the_target[demba_scenario]",)),
+    # A demba censor keeps out the one-deposit protocols' transfer, which
+    # demba has none of, so the payee's commit is never censored.
+    Mutant("demba-target-tx-ids", GAME,
+           'target_tx_ids=frozenset({f"tx.col.{PRE_A}"}),',
+           "target_tx_ids=_HTLC_TARGET,",
+           ("tests/test_agents.py::test_a_censor_keeps_the_protected_"
+            "transfer_out_until_T[demba_scenario]",)),
+    # he's payer-collateral path completes when the collateral contract is
+    # redeemed, which the payee's honest path leaves empty.
+    Mutant("he-bob-collateral-on-the-collateral", GAME,
+           '            "bob-collateral": ((DEP_ID, None),),\n'
+           '            "bob-both": ((COL_ID, COL_B),)}),',
+           '            "bob-collateral": ((COL_ID, None),),\n'
+           '            "bob-both": ((COL_ID, COL_B),)}),',
+           ("tests/test_golden.py::"
+            "test_report_bytes_match_golden[he_m2mba.ttc-bob-collateral]",)),
+    # The pact's verdicts are set on mad, which has no pact.
+    Mutant("pact-verdicts-on-mad", GAME,
+           '            "bob-both": ((DEP_ID, None), (COL_ID, None))}),\n'
+           "        derives_l=False, two_phase=False, equal_split=False),",
+           '            "bob-both": ((DEP_ID, None), (COL_ID, None))}),\n'
+           "        derives_l=False, two_phase=False, equal_split=False,\n"
+           '        lemmas=(1, 2, 3, 4, 5), theorem="m2mba"),',
+           ("tests/test_runner.py::test_bad_input_exits_one_with_one_error_"
+            "line[lemmas-on-mad]",)),
+    # The equal split shares a confiscation on mad as on he.
+    Mutant("equal-split-on-mad", GAME,
+           '            "bob-both": ((DEP_ID, None), (COL_ID, None))}),\n'
+           "        derives_l=False, two_phase=False, equal_split=False),",
+           '            "bob-both": ((DEP_ID, None), (COL_ID, None))}),\n'
+           "        derives_l=False, two_phase=False, equal_split=True),",
+           ("tests/test_game.py::TestPlay::"
+            "test_the_equal_split_is_played_on_he_alone",)),
     # The plain-line reader (`runner._read_plain`) takes a line that the
     # subcommand's parser reads otherwise, or reads a value otherwise.
     Mutant("plain-line-with-an-odd-word", RUNNER,
@@ -677,7 +718,9 @@ def outcome(returncode: int) -> str:
 
 def outcomes(mutant: Mutant) -> dict:
     """Each killer of `mutant` -> its `outcome` on a mutated copy of the
-    tree."""
+    tree.  The copy holds no Hypothesis example database, so each killer
+    runs at one fixed Hypothesis seed, and a catalogue run repeats its
+    verdicts."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -688,8 +731,9 @@ def outcomes(mutant: Mutant) -> dict:
                "PYTHONDONTWRITEBYTECODE": "1"}
         return {test: outcome(subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", test], cwd=copy, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode)
+             "no:cacheprovider", "--hypothesis-seed=0", test],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL).returncode)
             for test in mutant.killers}
 
 

@@ -552,3 +552,105 @@ class TestProtocolGuards:
         # The space drops exactly the policies whose protocols exclude the
         # scenario's, so on mad Bob may also weigh B3a and the hydra.
         assert [pol.name for pol in policy_space(build(), "bob")] == bobs
+
+
+
+@pytest.mark.parametrize("build", [naive_scenario, mad_scenario, he_scenario,
+                                   demba_scenario])
+def test_a_censor_keeps_the_protected_transfer_out_until_T(build):
+    # The payee's honest transfer is what a censor excludes up to the
+    # deadline, on every protocol, and what an honest miner includes.
+    scen = build()
+    transfer = agents._protected_transfer(scen)
+    state = seeded_state(scen, [transfer])
+    censored = CensorRelated(participate=False).build_block(
+        state, scen.T, M1, scen)
+    honest = HonestFeeMax().build_block(state, scen.T, M1, scen)
+    assert transfer not in censored.txs and transfer in honest.txs
+#: Per protocol, the policies that `game._check_profile` admits for each
+#: role, by the names scenario files use, and the spaces `policy_space`
+#: offers alice, bob, a pact member (m1) and a passive miner (m2).
+_HTLC_ALICE = ["honest(t_pub=scenario)", "offline-then-refund"]
+ADMISSION = {
+    "naive": (
+        {"alice": ["honest", "offline-then-refund", "censored-fallback"],
+         "bob": ["honest", "naive-briber"],
+         "miner": ["honest-fee-max", "censor-related"]},
+        {"alice": _HTLC_ALICE,
+         "bob": ["honest(reveal=1)", "naive-briber(br=scenario)"],
+         "m1": ["honest-fee-max", "censor-related"],
+         "m2": ["honest-fee-max", "censor-related"]}),
+    "mad": (
+        {"alice": ["honest", "offline-then-refund", "censored-fallback"],
+         "bob": ["honest", "naive-briber", "b3a", "hydra-briber"],
+         "miner": ["honest-fee-max", "censor-related", "m2mba-passive",
+                   "b3a-accomplice", "sdrba-briber", "hydra-accomplice"]},
+        {"alice": _HTLC_ALICE,
+         "bob": ["honest(reveal=1)", "naive-briber(br=scenario)",
+                 "b3a(case=1)", "hydra-briber"],
+         "m1": ["honest-fee-max", "censor-related"],
+         "m2": ["honest-fee-max", "censor-related"]}),
+    "he": (
+        {"alice": ["honest", "offline-then-refund", "censored-fallback"],
+         "bob": ["honest"],
+         "miner": ["honest-fee-max", "censor-related", "m2mba-active",
+                   "m2mba-passive"]},
+        {"alice": _HTLC_ALICE,
+         "bob": ["honest(reveal=1)"],
+         "m1": ["m2mba-active(race)", "m2mba-active(accept)",
+                "honest-fee-max", "censor-related(participate=False)"],
+         "m2": ["m2mba-passive", "honest-fee-max",
+                "censor-related(participate=False)"]}),
+    "demba": (
+        {"alice": ["honest", "offline-then-refund", "grief-double-reveal",
+                   "censored-fallback"],
+         "bob": ["honest", "delay"],
+         "miner": ["honest-fee-max", "censor-related"]},
+        {"alice": ["honest(t_pub=scenario)", "honest(t_pub=2)",
+                   "offline-then-refund", "grief-double-reveal",
+                   "censored-fallback", "honest(t_pub=3)"],
+         "bob": ["honest(reveal=1)", "honest(reveal=3)", "delay(1)",
+                 "delay(2)"],
+         "m1": ["honest-fee-max", "censor-related(participate=False)"],
+         "m2": ["honest-fee-max", "censor-related(participate=False)"]}),
+}
+_FACTORY_NAMES = {
+    "alice": ["honest", "offline-then-refund", "grief-double-reveal",
+              "censored-fallback"],
+    "bob": ["honest", "delay", "naive-briber", "b3a", "hydra-briber"],
+    "miner": list(agents.MINER_POLICIES)}
+
+
+@pytest.mark.parametrize("protocol", sorted(ADMISSION))
+def test_each_protocol_admits_and_offers_its_own_policies(protocol):
+    # Widening or narrowing what a policy fits shows here as a changed row.
+    build = {"naive": naive_scenario, "mad": mad_scenario,
+             "he": he_scenario, "demba": demba_scenario}[protocol]
+    scen = build(miners=(MinerProfile(M1, Fraction(1, 2), "active", True),
+                         MinerProfile(M2, Fraction(1, 2))))
+    admitted, spaces = ADMISSION[protocol]
+
+    def admits(role, pol) -> bool:
+        profile = StrategyProfile(
+            pol if role == "alice" else AliceHonest(),
+            pol if role == "bob" else BobHonest(),
+            {M1: pol if role == "miner" else HonestFeeMax(),
+             M2: HonestFeeMax()})
+        try:
+            game._check_profile(scen, profile)
+        except ScenarioError:
+            return False
+        return True
+
+    assert {role: [name for name in names if admits(role, (
+        make_miner_policy(name) if role == "miner"
+        else make_party_policy(role, name)))]
+        for role, names in _FACTORY_NAMES.items()} == admitted
+
+    def shown(pol) -> str:
+        quiet = vars(pol).get("participate", True) is False
+        return f"{pol.name}(participate=False)" if quiet else pol.name
+
+    assert {getattr(player, "id", player): [
+        shown(pol) for pol in policy_space(scen, player)]
+        for player in ("alice", "bob", M1, M2)} == spaces

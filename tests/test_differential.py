@@ -25,7 +25,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from htlc_arena.agents import (AliceCensoredFallback, AliceHonest,
                                B3aAccomplice, BobB3a, BobHonest,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
-                               M2MbaActive, M2MbaPassive, call_tx)
+                               M2MbaActive, M2MbaPassive, SdrbaBriber,
+                               call_tx)
 from htlc_arena import game
 from htlc_arena.contracts import (BURNED, CBOB_ID, COL_M, DEP_ID,
                                   REDEEMABLE, Burn)
@@ -245,6 +246,21 @@ def _bribe_request_game():
     scen = naive_scenario(T=4, f=0, miners=miners)
     profile = StrategyProfile(AliceHonest(), BobNaiveBriber(), {
         p: CensorRelated() for p in PARTIES[:2]})
+    return scen, profile, {}
+
+
+def _settled_bribery_game():
+    # On mad a censor takes the naive briber's bribes of 0 while the
+    # reverse briber confiscates the deposit.  Some states of one height
+    # differ only in whether the funded censorship contract has settled,
+    # so only the bribery contracts in the control key tell them apart.
+    miners = tuple(MinerProfile(p, power, "active") for p, power in zip(
+        PARTIES, (Fraction(0), Fraction(1, 3), Fraction(2, 3))))
+    scen = mad_scenario(v_dep=100, v_col=50, T=4, br=0, epsilon=5,
+                        miners=miners)
+    profile = StrategyProfile(AliceHonest(), BobNaiveBriber(), {
+        PARTIES[0]: HonestFeeMax(), PARTIES[1]: CensorRelated(),
+        PARTIES[2]: SdrbaBriber()})
     return scen, profile, {}
 
 
@@ -565,7 +581,7 @@ def _control_reads(scen, profile, pool, state):
              for block in blocks],
             profile.alice.broadcasts(state, rnd, scen),
             profile.bob.broadcasts(state, rnd, scen),
-            game.state_label(state, scen.protocol),
+            scen.rules.label(state),
             game._terminal_tag(state, scen),
             game._split_confiscator(scen, state),
             [result_or_error(_completed, state.redemptions, scen, path)
@@ -578,6 +594,7 @@ def _control_reads(scen, profile, pool, state):
 @example(drawn=_race_confiscation_game(), seed=0)
 @example(drawn=_b3a_coinbase_game(), seed=0)
 @example(drawn=_party_merge_game(), seed=0)
+@example(drawn=_settled_bribery_game(), seed=0)
 def test_equal_control_keys_read_alike(drawn, seed):
     # The forward pass keeps one state per control key, so the key must
     # fix all that the pass reads.  It leaves the contracts' statuses out

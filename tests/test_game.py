@@ -21,7 +21,7 @@ from htlc_arena.core import (ALICE, BOB, ArenaError, LedgerError,
 from htlc_arena.contracts import PRE_A, FeeSchedule
 from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
-                               M2MbaActive, payment_tx)
+                               M2MbaActive, M2MbaPassive, payment_tx)
 from htlc_arena.analysis import dominance_check
 from htlc_arena.game import (MinerProfile, Scenario, Schedule,
                              StrategyProfile, enumerate_schedules,
@@ -44,6 +44,15 @@ def _no_draw(seed):
 
 def _no_pass(*args):
     raise AssertionError("ran a forward pass")
+
+
+def relabelled(monkeypatch, scen, label):
+    """`scen` built again once its protocol's record labels states by
+    `label` (`ProtocolRules.label`)."""
+    rules = game.PROTOCOLS[scen.protocol]
+    monkeypatch.setitem(game.PROTOCOLS, scen.protocol,
+                        rules._replace(label=label))
+    return replace(scen)
 
 
 def honest_profile(scen, miner_policy=None):
@@ -187,6 +196,21 @@ class TestPlay:
             assert out.delta(p) == Fraction(60, 4)
         assert out.conserves()
 
+    def test_the_equal_split_is_played_on_he_alone(self):
+        # On mad too a colluder confiscates the collateral after the
+        # payer's refund reveals pre_B, but only the pact on he shares a
+        # confiscation by the censored window's blocks.
+        miners = tuple(MinerProfile(p, Fraction(1, 2), "active", True)
+                       for p in (M1, M2))
+        scen = mad_scenario(miners=miners)
+        profile = StrategyProfile(AliceHonest(), BobHonest(),
+                                  {p: M2MbaPassive() for p in (M1, M2)})
+        out = play(scen, profile, Schedule((M1, M2) * 4))
+        assert out.state.redemptions["col"][0] == "col-M"
+        equal = play(replace(scen, m2mba_split="equal"), profile,
+                     Schedule((M1, M2) * 4))
+        assert equal.deltas == out.deltas
+
     def test_short_schedule_rejected(self):
         scen = naive_scenario()
         with pytest.raises(ScenarioError):
@@ -222,7 +246,6 @@ class TestProtocolFlows:
     def test_mad_confiscation_when_payer_cheats(self):
         # The payer's refund attempt reveals his preimage; a waiting miner
         # takes both pots instead of including it.
-        from htlc_arena.agents import M2MbaPassive
         scen = mad_scenario(T=5, f=0, f_dep_a=3)
         profile = StrategyProfile(AliceHonest(), BobHonest(),
                                   {M1: M2MbaPassive()})
@@ -381,9 +404,8 @@ class TestExpectations:
 
     @pytest.mark.parametrize("shape", sorted(PASS_SHAPES))
     def test_exact_expectation_checks_label_order(self, monkeypatch, shape):
-        monkeypatch.setattr(game, "state_label", lambda state, protocol:
-                            "red" if state.height == 3 else "nred-A")
-        scen = self.PASS_SHAPES[shape]
+        scen = relabelled(monkeypatch, self.PASS_SHAPES[shape], lambda state:
+                          "red" if state.height == 3 else "nred-A")
         with pytest.raises(ScenarioError, match="regressed to red at 3"):
             expected_utilities(scen, honest_profile(scen))
 
@@ -569,10 +591,10 @@ class TestRoundHalves:
             self, monkeypatch, label, raises):
         # In round 2 the censor keeps the game red and the honest miner
         # lands the payee's redemption (nred-A): two control states.
-        scen = self.two_miners()
         profile = StrategyProfile(AliceHonest(), BobHonest(),
                                   {M1: CensorRelated(), M2: HonestFeeMax()})
-        real_apply, real_label = game.apply_block, game.state_label
+        real_apply = game.apply_block
+        real_label = game.PROTOCOLS["naive"].label
         first: dict = {}
 
         def apply_block(state, block):
@@ -582,19 +604,16 @@ class TestRoundHalves:
                 state = first.setdefault(2, state)
             return real_apply(state, block)
 
-        def state_label(state, protocol):
-            return (label if state.height >= 3
-                    else real_label(state, protocol))
-
         monkeypatch.setattr(game, "apply_block", apply_block)
-        monkeypatch.setattr(game, "state_label", state_label)
+        scen = relabelled(monkeypatch, self.two_miners(), lambda state: (
+            label if state.height >= 3 else real_label(state)))
         if raises:
             with pytest.raises(ScenarioError,
                                match=f"state label regressed to {label} at 3"):
                 expected_utilities(scen, profile)
         else:
             expected_utilities(scen, profile)
-        assert real_label(first[2], scen.protocol) == "red"
+        assert real_label(first[2]) == "red"
 
     def test_parties_act_once_per_mined_state(self, monkeypatch):
         # Unequal policies mine their own blocks, and in most rounds the
@@ -816,10 +835,10 @@ class TestTtcWalk:
             ttc(self.SCEN, "alice-redeems")
 
     def test_it_checks_the_label_rule(self, monkeypatch):
-        monkeypatch.setattr(game, "state_label", lambda state, protocol:
-                            "red" if state.height == 3 else "nred-A")
+        scen = relabelled(monkeypatch, self.SCEN, lambda state:
+                          "red" if state.height == 3 else "nred-A")
         with pytest.raises(ScenarioError, match="regressed to red at 3"):
-            ttc(self.SCEN, "alice-redeems")
+            ttc(scen, "alice-redeems")
 
     @pytest.mark.parametrize("read", ["ttc", "expect"])
     def test_a_party_with_no_setup_balance_fails_the_walk(self, monkeypatch,

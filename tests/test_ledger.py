@@ -30,7 +30,7 @@ from htlc_arena.ledger import (CONTRACT_CALL, PAYMENT, Block, ChainState,
                                broadcast, fee_split, validate_tx)
 
 from conftest import (M1, M2, PARTS, demba_scenario, he_scenario,
-                      naive_scenario, state_identity)
+                      mad_scenario, naive_scenario, state_identity)
 from test_acceptance import _fuzz_pools, _fuzz_scenario
 
 
@@ -554,6 +554,19 @@ class TestChainView:
                                          {M1: HonestFeeMax()}),
                    Schedule((M1,) * scen.horizon))
         assert out.state.redemptions[DEP_ID][:2] == (DEP_A, scen.T)
+        view = ChainView(out.state, scen.horizon, M1)
+        assert view.target_included_by_deadline()
+        assert view.target_included_ever() and not view.settlement_landed()
+
+    @pytest.mark.parametrize("build", [naive_scenario, mad_scenario,
+                                       he_scenario, demba_scenario])
+    def test_the_honest_payees_transfer_is_the_target(self, build):
+        # On every protocol the payee's honest redemption, or her commit
+        # on demba, is the protected transfer the guards read.
+        scen = build()
+        out = play(scen, StrategyProfile(AliceHonest(), BobHonest(),
+                                         {M1: HonestFeeMax()}),
+                   Schedule((M1,) * scen.horizon))
         view = ChainView(out.state, scen.horizon, M1)
         assert view.target_included_by_deadline()
         assert view.target_included_ever() and not view.settlement_landed()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import subprocess
+
 import mutants
 from mutants import MUTANTS, ROOT, outcome
 
@@ -41,3 +43,19 @@ def test_a_run_that_tested_nothing_fails_the_catalogue(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == (f"{mutant.id}: 0/{len(mutant.killers)} killers "
                         f"failed; error: {' '.join(mutant.killers)}")
+
+
+def test_every_killer_runs_at_one_hypothesis_seed(monkeypatch):
+    # The mutated copy holds no Hypothesis example database, so only a
+    # fixed seed makes a killer draw the same examples in every run.
+    mutant = next(m for m in MUTANTS if len(m.killers) > 1)
+    commands = []
+
+    def run(command, **kwargs):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 1)
+
+    monkeypatch.setattr(mutants.subprocess, "run", run)
+    assert set(mutants.outcomes(mutant).values()) == {"killed"}
+    assert [command[-2:] for command in commands] == [
+        ["--hypothesis-seed=0", test] for test in mutant.killers]

@@ -345,6 +345,8 @@ class TestCli:
 # case -> (scenario document, the field its error line names)
 MALFORMED = {
     "T-not-an-int": (minimal_naive(timing={"T": "x"}), "T"),
+    "unknown-protocol": (minimal_naive(protocol="htlc"), "protocol"),
+    "protocol-not-a-string": (minimal_naive(protocol=["naive"]), "protocol"),
     "top-level-array": ([minimal_naive()], "document"),
     "unknown-policy-name": (
         minimal_naive(policies={"bob": {"name": "nope"}}), "policies.bob"),
@@ -566,6 +568,10 @@ HUGE_HORIZONS = {
 # case -> (subcommand, a valid scenario document it cannot check, the
 # field its error line names)
 CANNOT_CHECK = {
+    # Only he and demba have lemmas and a theorem to verify.
+    **{f"lemmas-on-{protocol}": (["lemmas"], minimal_naive(
+        protocol=protocol, amounts={"v_dep": 100, "v_col": 50}), "protocol")
+       for protocol in ("naive", "mad")},
     # Lemma 5 spreads its bribe over the T - t_pub censored blocks.
     "lemmas-t_pub-at-T": (["lemmas"], he_sample(
         timing={"T": 3, "t_pub": 3, "l": 1}), "t_pub"),
