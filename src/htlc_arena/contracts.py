@@ -443,15 +443,15 @@ def _freeze(contract, *names) -> None:
 class CensorBriberyContract:
     """Payer-funded censorship pact: reserve a bribe per censored block.
 
-    Miners that mine a block in the censorship era call request_bribe once
-    per own block to reserve `br`.  After the payer's refund (or a
-    confiscation) lands without the target tx ever having been included, any
-    knower of the payee's preimage can call claim_bribe: every reservation
-    pays out, the caller's includer earns one extra `br`, and the remainder
-    returns to the payer.  Failed guards are silent no-ops, and an
-    unfunded contract (deposit 0) has nothing to claim or refund: it stays
-    open for its init, which the ledger refuses once the contract is
-    funded (`ledger.validate_tx`).
+    Its calls (`step`): `init` funds it with the tokens the ledger debits
+    from the caller.  Miners call `requestBribe` once per own block in the
+    censorship era to reserve `br`.  After the payer's refund (or a
+    confiscation) lands without the target tx ever having been included,
+    any knower of the payee's preimage can call `claimBribe`: every
+    reservation pays out, the caller's includer earns one extra `br`, and
+    the remainder returns to the payer.  `refundToBob` is its `release`,
+    once the target has landed.  Failed guards are silent no-ops, and
+    `refusal` names a funded budget's `init` and any other method.
 
     Frozen, with a read-only `reserved`, so a chain state's cached key and
     total cannot go stale: each step returns the contract after it, and
@@ -505,31 +505,48 @@ class CensorBriberyContract:
             self.bal_left - self.br, MappingProxyType(reserved), self.settled,
             rnd)
 
-    def claim_bribe(self, caller: Party, preimage: str, target_included: bool,
-                    settlement_landed: bool) -> tuple:
+    def claim_bribe(self, caller: Party, preimage: str, view) -> tuple:
         """(contract, [(party, amount, tag)] payouts); no payouts when a
         guard fails."""
         if self.settled or not self.deposit or preimage != self.pre_a_value:
             return self, []
-        if target_included or not settlement_landed:
+        if view.target_included_ever() or not view.settlement_landed():
             return self, []
-        count = sum(self.reserved.values())
-        if self.deposit - (count + 1) * self.br < 0:
+        remainder = self.deposit - (sum(self.reserved.values()) + 1) * self.br
+        if remainder < 0:
             return self, []
         payouts = [(party, self.br * n, "censor-bribe") for party, n in sorted(
             self.reserved.items(), key=lambda kv: kv[0].id)]
         payouts.append((caller, self.br, "claim-bonus"))
-        remainder = self.deposit - (count + 1) * self.br
         if remainder > 0:
             payouts.append((self.owner, remainder, "remainder"))
         return self._settled(), payouts
 
-    def refund_owner(self, target_included: bool) -> tuple:
-        # Once the target tx lands at any height, bribes are unclaimable and
-        # the whole budget returns to the payer.
-        if self.settled or not self.deposit or not target_included:
+    def release(self, view) -> tuple:
+        """(contract, payouts): the whole budget back to the payer once the
+        target tx has landed; an unfunded budget waits for its funding."""
+        if self.settled or not self.deposit or not view.target_included_ever():
             return self, []
         return self._settled(), [(self.owner, self.deposit, "refund")]
+
+    def refusal(self, call: BriberyCall) -> Optional[str]:
+        """None, or why the ledger refuses `call`: an unknown method, or an
+        `init` of a funded budget (a settled one keeps its deposit)."""
+        if call.method not in ("init", "requestBribe", "claimBribe", "refundToBob"):
+            return f"has no method {call.method!r}"
+        return "already funded" if call.method == "init" and self.deposit else None
+
+    def step(self, call: BriberyCall, rnd: int, view) -> tuple:
+        """(contract, payouts) after `call`, as `bribery_contract_step`."""
+        if call.method == "init":
+            return self.init(call.args["val"]), []
+        if call.method == "requestBribe":
+            return self.request_bribe(call.caller, view.block_miner(), rnd), []
+        if call.method == "claimBribe":
+            return self.claim_bribe(call.caller, call.args.get("preimage", ""), view)
+        if call.method == "refundToBob":
+            return self.release(view)
+        raise ContractError(f"unknown method {call.method!r}")
 
     def _settled(self) -> "CensorBriberyContract":
         return CensorBriberyContract(
@@ -541,11 +558,12 @@ class CensorBriberyContract:
 class MinerPactContract:
     """Miner-to-miner pact: lock collateral, censor, split the confiscation.
 
-    Colluding miners lock `lock_amount` each.  Censoring-era blocks mined by
-    members reserve a per-recipient bribe.  Once the collateral contract has
-    been confiscated, claim_bribe pays each reservation from the
-    confiscator's locked collateral, pays the caller one bribe, and returns
-    every remaining lock.  refund_all returns locks when the attack is dead.
+    Colluding miners lock `lock_amount` each.  Its calls (`step`): members
+    `requestBribe` a per-recipient bribe in censoring-era blocks; once the
+    collateral is confiscated, `claimBribe` pays each reservation from the
+    confiscator's lock, the caller one bribe, and every remaining lock;
+    `refundToMiners` returns the locks once the attack is over.  `release`
+    returns them once no claim can pay, and `refusal` names other methods.
 
     Frozen like `CensorBriberyContract`, with read-only maps: each step
     returns the contract after it, built directly, as there.
@@ -589,21 +607,20 @@ class MinerPactContract:
         return MinerPactContract(self.T, self.pre_a_value, self.br, self.locked,
                                  MappingProxyType(reserved), self.settled, rnd)
 
-    def claim_bribe(self, caller: Party, preimage: str, target_included_by_T: bool,
-                    confiscator) -> tuple:
+    def claim_bribe(self, caller: Party, preimage: str, view) -> tuple:
         """(contract, payouts), as `CensorBriberyContract.claim_bribe`."""
+        confiscator = view.confiscator()
         if self.settled or preimage != self.pre_a_value:
             return self, []
-        if target_included_by_T or confiscator is None:
+        if view.target_included_by_deadline() or confiscator is None:
             return self, []
         owed = sum(self.br.get(p, 0) * n for p, n in self.reserved.items())
         stake = self.locked.get(confiscator, 0)
         caller_cut = self.br.get(caller, 0)
         if stake - owed - caller_cut < 0:
             return self, []
-        payouts = []
-        for party, n in sorted(self.reserved.items(), key=lambda kv: kv[0].id):
-            payouts.append((party, self.br.get(party, 0) * n, "censor-bribe"))
+        payouts = [(p, self.br.get(p, 0) * n, "censor-bribe") for p, n in
+                   sorted(self.reserved.items(), key=lambda kv: kv[0].id)]
         payouts.append((caller, caller_cut, "claim-bonus"))
         locked = dict(self.locked)
         locked[confiscator] = stake - owed - caller_cut
@@ -620,46 +637,39 @@ class MinerPactContract:
                sorted(self.locked.items(), key=lambda kv: kv[0].id) if a > 0]
         return self._settled(), out
 
+    def release(self, view) -> tuple:
+        """`refund_all` once the target has landed, or once the collateral
+        went to the payer or to a non-member: neither holds a lock."""
+        if view.target_included_ever() or (
+                view.collateral_settled()
+                and self.locked.get(view.confiscator(), 0) == 0):
+            return self.refund_all()
+        return self, []
+
+    def refusal(self, call: BriberyCall) -> Optional[str]:
+        if call.method not in ("requestBribe", "claimBribe", "refundToMiners"):
+            return f"has no method {call.method!r}"
+        return None
+
+    def step(self, call: BriberyCall, rnd: int, view) -> tuple:
+        if call.method == "requestBribe":
+            return self.request_bribe(call.caller, view.block_miner(), rnd), []
+        if call.method == "claimBribe":
+            return self.claim_bribe(call.caller, call.args.get("preimage", ""), view)
+        if call.method == "refundToMiners":
+            if view.target_included_by_deadline() or view.attack_window_over():
+                return self.refund_all()
+            return self, []
+        raise ContractError(f"unknown method {call.method!r}")
+
     def _settled(self) -> "MinerPactContract":
         return MinerPactContract(self.T, self.pre_a_value, self.br,
                                  _NO_ENTRIES, _NO_ENTRIES, True,
                                  self.last_request_round)
 
 
-def bribery_contract_step(contract, call: BriberyCall, rnd: int, chain) -> tuple:
-    """Dispatch one call against a bribery contract; silent no-op on guard failure.
-
-    `chain` must answer three questions: was the protected target tx ever
-    included by its deadline, has the settlement (refund or confiscation)
-    landed, and who confiscated the collateral contract, if anyone.
-    Returns (contract after the call, [(party, amount, tag)] payouts); the
-    contract is the one passed in when the call changes nothing.
-    """
-    m = call.method
-    if isinstance(contract, CensorBriberyContract):
-        if m == "init":
-            return contract.init(call.args["val"]), []
-        if m == "requestBribe":
-            return contract.request_bribe(call.caller, chain.block_miner(),
-                                          rnd), []
-        if m == "claimBribe":
-            return contract.claim_bribe(
-                call.caller, call.args.get("preimage", ""),
-                chain.target_included_ever(), chain.settlement_landed())
-        if m == "refundToBob":
-            return contract.refund_owner(chain.target_included_ever())
-        raise ContractError(f"unknown method {m!r}")
-    if isinstance(contract, MinerPactContract):
-        if m == "requestBribe":
-            return contract.request_bribe(call.caller, chain.block_miner(),
-                                          rnd), []
-        if m == "claimBribe":
-            return contract.claim_bribe(
-                call.caller, call.args.get("preimage", ""),
-                chain.target_included_by_deadline(), chain.confiscator())
-        if m == "refundToMiners":
-            if chain.target_included_by_deadline() or chain.attack_window_over():
-                return contract.refund_all()
-            return contract, []
-        raise ContractError(f"unknown method {m!r}")
-    raise ContractError(f"not a bribery contract: {contract!r}")
+def bribery_contract_step(contract, call: BriberyCall, rnd: int, view) -> tuple:
+    """(contract after `call`, [(party, amount, tag)] payouts), reading the
+    chain through `view` (a `ledger.ChainView`); the contract is the one
+    passed in when the call changes nothing, as on a failed guard."""
+    return contract.step(call, rnd, view)

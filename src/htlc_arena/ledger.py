@@ -45,7 +45,9 @@ a related transaction, per contract it consumes, the contract id, the
 `apply_block` validates each transaction of a block and applies exactly
 those spends, so each spend's path lookup, outflow and fee split happen
 once; a block without transactions skips that walk.  Miner policies probe
-a transaction's validity and earned fee through the same call.
+a transaction's validity and earned fee through the same call.  Each
+bribery contract answers for its own calls (`step`), its `refusal`, which
+`validate_tx` raises, and its `release`, which ends every block.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ from typing import NamedTuple, Optional
 
 from .core import (BLOCK_MINER, EXTERNAL, LedgerError, Party, check_amount,
                    credit, debit)
-from .contracts import (BURNED, Burn, COL_ID, COL_M, CensorBriberyContract,
-                        ContractInstance, Forward, REST, RedeemPath, Transfer,
-                        bribery_contract_step, resolve_demba_dep)
+from .contracts import (BURNED, Burn, COL_ID, COL_M, ContractInstance, Forward,
+                        REST, RedeemPath, Transfer, bribery_contract_step,
+                        resolve_demba_dep)
 
 RELATED = "related"
 CONTRACT_CALL = "contract-call"
@@ -470,8 +472,8 @@ def _path_outflow(path: RedeemPath, rnd: int) -> int:
 
 def validate_tx(state: ChainState, tx: TxRecord, rnd: int):
     """Raise LedgerError unless `tx` is valid against `state` at `rnd`: a
-    fee below 0, a kind other than `apply_block`'s three, or an init of a
-    censorship bribery contract that is already funded is invalid.
+    fee below 0, a kind other than `apply_block`'s three, or a call that
+    its bribery contract refuses (`refusal`) is invalid.
 
     Returns the spends it checked, which `apply_block` applies as they
     are: for a related tx one (contract id, `RedeemPath`, outflow, earned
@@ -487,14 +489,9 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int):
         if tx.call is None or tx.call[0] not in state.bribery:
             raise LedgerError("unknown-output", "no such bribery contract")
         cid, call = tx.call
-        contract = state.bribery[cid]
-        # `_apply_call` debits every init, and an init sets the deposit.
-        # Only a funded contract settles, and a settled one keeps its
-        # deposit, so this refuses an init of a settled contract too.
-        if (call.method == "init"
-                and isinstance(contract, CensorBriberyContract)
-                and contract.deposit):
-            raise LedgerError("invalid-tx", f"{cid} already funded")
+        why = state.bribery[cid].refusal(call)
+        if why is not None:
+            raise LedgerError("invalid-tx", f"{cid} {why}")
         return ()
     if tx.kind == PAYMENT:
         if tx.payment is None:
@@ -619,7 +616,7 @@ def _pay(s: ChainState, payouts) -> None:
 class ChainView:
     """The settlement facts of one chain state, asked by bribery contracts
     as guard clauses and by miner policies: did the protected transfer
-    land, and who confiscated the collateral?"""
+    land, did the collateral settle, and who confiscated it?"""
 
     __slots__ = ("_s", "_rnd", "_miner")
 
@@ -647,6 +644,9 @@ class ChainView:
         """The target contract settled by any path but the protected one."""
         entry = self._target()
         return entry is not None and entry[0] != self._s.meta["target_path"]
+
+    def collateral_settled(self) -> bool:
+        return COL_ID in self._s.redemptions
 
     def confiscator(self):
         entry = self._s.redemptions.get(COL_ID)
@@ -709,32 +709,17 @@ def _auto_refund_bribery(s: ChainState, rnd: int, block_miner: Party) -> None:
     """Release bribery funds the moment their claim is provably dead.
 
     Anyone may trigger the refund methods, so the model fires them promptly
-    rather than leaving funds hostage to who mines next: the censorship
-    budget returns to its owner once the target tx has landed, and pact
-    collateral returns once no eligible confiscation claim can ever succeed.
+    rather than leaving funds hostage to who mines next: each unsettled
+    contract, in the bribery part's order, makes its own `release`.
     """
     view = None
     for cid, contract in list(s.bribery.items()):
-        if contract.settled:
-            continue
-        if view is None:
-            view = ChainView(s, rnd, block_miner)
-        if isinstance(contract, CensorBriberyContract):
-            if not view.target_included_ever():
-                continue
-            fresh, payouts = contract.refund_owner(True)
-            if fresh is contract:  # an unfunded budget waits for its funding
-                continue
-        else:  # MinerPactContract
-            # Dead once the target landed, or once the collateral went to
-            # the payer or to a non-member: neither holds a lock.
-            if not (view.target_included_ever() or (
-                    COL_ID in s.redemptions
-                    and contract.locked.get(view.confiscator(), 0) == 0)):
-                continue
-            fresh, payouts = contract.refund_all()
-        _pay(s, payouts)
-        s.write("bribery")[cid] = fresh
+        if not contract.settled:
+            view = view or ChainView(s, rnd, block_miner)
+            fresh, payouts = contract.release(view)
+            if fresh is not contract:
+                _pay(s, payouts)
+                s.write("bribery")[cid] = fresh
 
 
 def apply_block(state: ChainState, block: Block) -> ChainState:

@@ -24,7 +24,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
 from . import __version__
@@ -111,15 +110,18 @@ def _fee_schedule_from(doc: dict, T: int) -> FeeSchedule:
 def load_scenario(source, overrides=None) -> tuple:
     """Parse and validate a scenario file; returns (Scenario, StrategyProfile).
 
-    `source` is the file's path or the bytes read from it, which are
-    decoded as a text-mode read of the path would.  `overrides` maps
-    Scenario fields to values that replace the file's
+    `source` is the file's path, opened as given (`pathlib` would read
+    `''` as `.` and drop a trailing slash), or the bytes read from it,
+    which are decoded as a text-mode read of the path would.
+    `overrides` maps Scenario fields to values that replace the file's
     (`scenario_from_doc`)."""
-    data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    if not isinstance(source, bytes):
+        with open(source, "rb") as f:
+            source = f.read()
     try:
-        # Universal newlines, as `Path.read_text` reads: a parse error
+        # Universal newlines, as a text-mode read gives: a parse error
         # names the same line and column.
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = source.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"parse-error(line {e.lineno}, col {e.colno}): {e.msg}")
@@ -336,8 +338,9 @@ def _check_options(args) -> None:
 
 def _load(args, overrides=None) -> tuple:
     """The job's scenario, its file read once: (Scenario, StrategyProfile,
-    the digest of the very bytes that were parsed)."""
-    data = Path(args.scenario).read_bytes()
+    the digest of the very bytes that were parsed), opened as given."""
+    with open(args.scenario, "rb") as f:
+        data = f.read()
     scen, profile = load_scenario(data, overrides)
     return scen, profile, hashlib.sha256(data).hexdigest()[:16]
 
@@ -715,8 +718,9 @@ def main(argv=None) -> int:
         _check_options(args)
         report, code = COMMANDS[args.subcommand](args)
         text = report.render()
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
         else:
             sys.stdout.write(text)
     except (ScenarioError, OSError) as e:

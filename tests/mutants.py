@@ -559,23 +559,23 @@ MUTANTS = (
             "test_claim_blocked_for_outside_confiscator",)),
     # A censorship claim pays more than the budget holds.
     Mutant("censor-claim-overdraws-budget", CONTRACTS,
-           "if self.deposit - (count + 1) * self.br < 0:",
+           "if remainder < 0:",
            "if False:",
            ("tests/test_contracts.py::TestCensorBriberyContract::"
             "test_liquidity_under_random_call_sequences",)),
     # The pact's locks return on any confiscation, a member's included.
-    Mutant("pact-refund-on-any-confiscation", LEDGER,
-           "                    and contract.locked.get(view.confiscator(), "
-           "0) == 0)):",
-           "                    )):",
+    Mutant("pact-refund-on-any-confiscation", CONTRACTS,
+           "                and self.locked.get(view.confiscator(), 0) == 0):",
+           "                ):",
            ("tests/test_agents.py::TestPactAutoRefund::"
             "test_only_a_non_member_confiscation_refunds_the_locks"
             "[confiscator0]",)),
     # A censorship budget that was never funded is refunded, by the
     # ledger or by a call, and settles before the funding lands.
     Mutant("censor-refund-of-unfunded", CONTRACTS,
-           "if self.settled or not self.deposit or not target_included:",
-           "if self.settled or not target_included:",
+           "if self.settled or not self.deposit or not "
+           "view.target_included_ever():",
+           "if self.settled or not view.target_included_ever():",
            ("tests/test_agents.py::TestCensorAutoRefund::"
             "test_an_unfunded_budget_waits_for_its_funding",
             "tests/test_agents.py::TestCensorAutoRefund::"
@@ -592,15 +592,60 @@ MUTANTS = (
             "[claimBribe]",)),
     # A funded or settled censorship contract takes a second init, whose
     # budget it never holds.
-    Mutant("censor-init-of-funded", LEDGER,
-           "                and contract.deposit):",
-           "                and False):",
+    Mutant("censor-init-of-funded", CONTRACTS,
+           'return "already funded" if call.method == "init" and '
+           'self.deposit else None',
+           "return None",
            (*(f"tests/test_ledger.py::test_each_refusal_keeps_its_code_"
               f"and_detail[{case}]" for case in (
                   "init-mined-again", "init-copy-in-one-block",
                   "init-of-settled-contract")),
             "tests/test_properties.py::"
             "test_a_block_no_policy_builds_is_refused_or_conserves")),
+    # The bribery contracts' own answers to the ledger (`refusal`,
+    # `release`).  A call the pact has no method for is taken, and its
+    # step raises `ContractError` inside `apply_block`.
+    Mutant("unknown-method-unrefused", CONTRACTS,
+           'if call.method not in ("requestBribe", "claimBribe", '
+           '"refundToMiners"):',
+           "if False:",
+           tuple(f"tests/test_ledger.py::test_each_refusal_keeps_its_code_"
+                 f"and_detail[{case}]" for case in (
+                     "init-on-pact", "refund-to-bob-on-pact"))),
+    # A funded censorship budget is released in the block that funds it,
+    # before the target has landed.
+    Mutant("censor-release-before-target", CONTRACTS,
+           "if self.settled or not self.deposit or not "
+           "view.target_included_ever():",
+           "if self.settled or not self.deposit:",
+           ("tests/test_contracts.py::TestCensorBriberyContract::"
+            "test_release_waits_for_the_target",)),
+    # The pact keeps its locks after the target has landed.
+    Mutant("pact-release-without-target", CONTRACTS,
+           "        if view.target_included_ever() or (",
+           "        if (",
+           ("tests/test_contracts.py::TestMinerPactContract::"
+            "test_release_waits_until_no_claim_can_pay",)),
+    # The pact's locks return before the collateral has settled at all.
+    Mutant("pact-release-before-collateral-settles", CONTRACTS,
+           "                view.collateral_settled()\n",
+           "                True\n",
+           ("tests/test_contracts.py::TestMinerPactContract::"
+            "test_release_waits_until_no_claim_can_pay",)),
+    # The ledger applies a bribery step without the name the tracer
+    # counts (`contracts.bribery_step.calls`), which would read 0.
+    Mutant("bribery-step-bypasses-the-counted-site", LEDGER,
+           "after, payouts = bribery_contract_step(before, call, rnd,",
+           "after, payouts = before.step(call, rnd,",
+           ("tests/test_trace_sites.py::"
+            "test_a_bribery_call_passes_the_counted_site",)),
+    # A passive miner stops censoring a round before the deadline, so the
+    # payee's reveal lands in round T instead of being confiscated.
+    Mutant("passive-censors-until-T-minus-1", AGENTS,
+           "if rnd <= scen.T and not _preimages_known(state, (PRE_A, PRE_B)):",
+           "if rnd < scen.T and not _preimages_known(state, (PRE_A, PRE_B)):",
+           ("tests/test_game.py::TestProtocolFlows::"
+            "test_mad_confiscation_when_payer_cheats",)),
     Mutant("negative-policy-parameter", AGENTS,
            "if want is int and value < 0:",
            "if False:",

@@ -256,12 +256,13 @@ class _View:
     """Hand-steered chain answers for unit-level bribery steps."""
 
     def __init__(self, miner, included=False, settled=False, confiscator=None,
-                 window_over=False):
+                 window_over=False, collateral_settled=False):
         self._miner = miner
         self._included = included
         self._settled = settled
         self._confiscator = confiscator
         self._over = window_over
+        self._col_settled = collateral_settled
 
     def block_miner(self):
         return self._miner
@@ -281,6 +282,9 @@ class _View:
     def attack_window_over(self):
         return self._over
 
+    def collateral_settled(self):
+        return self._col_settled
+
 
 class TestCensorBriberyContract:
     """Each step returns the contract after it; the input never changes."""
@@ -296,8 +300,8 @@ class TestCensorBriberyContract:
             c = c.request_bribe(m, m, rnd)
             assert c is not before and before.reserved.get(m) is None
         funded = c
-        c, payouts = c.claim_bribe(miners[0], "s-a", target_included=False,
-                                   settlement_landed=True)
+        c, payouts = c.claim_bribe(miners[0], "s-a",
+                                   _View(miners[0], settled=True))
         got: dict = {}
         for p, a, _ in payouts:
             got[p] = got.get(p, 0) + a
@@ -313,7 +317,7 @@ class TestCensorBriberyContract:
         c = CensorBriberyContract(BOB, br=2, T=5, pre_a_value="s-a").init(100)
         c = c.request_bribe(M1, M1, 2)
         before = (c.bal_left, dict(c.reserved), c.settled)
-        assert c.claim_bribe(M1, "nope", False, True) == (c, [])
+        assert c.claim_bribe(M1, "nope", _View(M1, settled=True)) == (c, [])
         assert (c.bal_left, c.reserved, c.settled) == before
 
     def test_request_guards(self):
@@ -335,6 +339,18 @@ class TestCensorBriberyContract:
         settled = replace(funded, settled=True)
         assert settled.request_bribe(M1, M1, 2) is settled
 
+    def test_release_waits_for_the_target(self):
+        # The budget returns whole once the target has landed, and not
+        # before; an unfunded or settled budget releases nothing.
+        c = CensorBriberyContract(BOB, br=2, T=5, pre_a_value="s-a")
+        landed = _View(M1, included=True)
+        assert c.release(landed) == (c, [])
+        c = c.init(30).request_bribe(M1, M1, 2)
+        assert c.release(_View(M1, settled=True)) == (c, [])
+        released, payouts = c.release(landed)
+        assert released.settled and payouts == [(BOB, 30, "refund")]
+        assert released.release(landed) == (released, [])
+
     def test_liquidity_under_random_call_sequences(self):
         rng = random.Random(42)
         miners = self.miners(3)
@@ -350,8 +366,8 @@ class TestCensorBriberyContract:
                 assert c.bal_left >= 0
                 if rng.random() < 0.3:
                     c, payouts = c.claim_bribe(
-                        m, rng.choice(["s-a", "zz"]), rng.random() < 0.2,
-                        rng.random() < 0.8)
+                        m, rng.choice(["s-a", "zz"]),
+                        _View(m, rng.random() < 0.2, rng.random() < 0.8))
                     paid_out += sum(a for _, a, _ in payouts)
             assert paid_out <= deposit
 
@@ -365,8 +381,7 @@ class TestMinerPactContract:
         c = c.request_bribe(b, b, 3)
         c = c.request_bribe(b, b, 4)
         locked = c
-        c, payouts = c.claim_bribe(b, "s-a", target_included_by_T=False,
-                                   confiscator=b)
+        c, payouts = c.claim_bribe(b, "s-a", _View(b, confiscator=b))
         got: dict = {}
         for p, amount, _ in payouts:
             got[p] = got.get(p, 0) + amount
@@ -383,7 +398,8 @@ class TestMinerPactContract:
         outsider = miner_party("x")
         c = MinerPactContract(T=5, pre_a_value="s-a", br={a: 2})
         c = c.lock_collateral(a, 50).request_bribe(a, a, 2)
-        assert c.claim_bribe(a, "s-a", False, confiscator=outsider) == (c, [])
+        assert c.claim_bribe(a, "s-a", _View(a, confiscator=outsider)) == (
+            c, [])
         assert not c.settled
 
     def test_request_guards(self):
@@ -410,12 +426,28 @@ class TestMinerPactContract:
         c = MinerPactContract(T=5, pre_a_value="s-a", br={a: 2})
         c = c.lock_collateral(a, 50).request_bribe(a, a, 2)
         settled = replace(c, settled=True)
-        assert settled.claim_bribe(a, "s-a", False, confiscator=a) == (
-            settled, [])
-        assert c.claim_bribe(a, "nope", False, confiscator=a) == (c, [])
-        assert c.claim_bribe(a, "s-a", True, confiscator=a) == (c, [])
-        claimed, payouts = c.claim_bribe(a, "s-a", False, confiscator=a)
+        confiscated = _View(a, confiscator=a)
+        assert settled.claim_bribe(a, "s-a", confiscated) == (settled, [])
+        assert c.claim_bribe(a, "nope", confiscated) == (c, [])
+        assert c.claim_bribe(a, "s-a", _View(a, included=True,
+                                             confiscator=a)) == (c, [])
+        claimed, payouts = c.claim_bribe(a, "s-a", confiscated)
         assert claimed.settled and payouts
+
+    def test_release_waits_until_no_claim_can_pay(self):
+        # The locks return once the target has landed, or once the
+        # collateral settled to the payer or to a non-member; a member's
+        # confiscation, or no settlement yet, keeps them for the claim.
+        a, b = miner_party("a"), miner_party("b")
+        c = MinerPactContract(T=5, pre_a_value="s-a", br={a: 2})
+        c = c.lock_collateral(a, 50).request_bribe(a, a, 2)
+        for view in (_View(a), _View(a, confiscator=a, collateral_settled=True)):
+            assert c.release(view) == (c, [])
+        for view in (_View(a, included=True),
+                     _View(a, collateral_settled=True),
+                     _View(a, confiscator=b, collateral_settled=True)):
+            released, payouts = c.release(view)
+            assert released.settled and payouts == [(a, 50, "refund")]
 
     def test_refund_returns_all_locks(self):
         a, b = miner_party("a"), miner_party("b")

@@ -208,6 +208,16 @@ def _refuse_init_of_settled_contract():
     return state, init
 
 
+def _pact_call(method):
+    """An he game's state after an active miner's setup, which locks its
+    collateral in the miner pact, and the miner's call of `method` there,
+    which the pact does not have."""
+    scen = he_scenario()
+    state = M2MbaActive().setup(build_genesis(scen)[0], scen, M1)
+    return state, call_tx(f"tx.cm2m.{method}", M1, CM2M_ID, method,
+                          {"val": 5})
+
+
 #: case -> (a maker of the (state, offer) pair, the code and the exact
 #: detail of the ledger's refusal), the offer being a transaction or a
 #: whole block, offered in the round after the state's.  No other test
@@ -257,6 +267,12 @@ REFUSALS = {
         "tx 1 (tx.cbob.init.2): invalid-tx(cbob already funded)"),
     "init-of-settled-contract": (
         _refuse_init_of_settled_contract, "invalid-tx", "cbob already funded"),
+    # Neither is a method of the pact: the init would debit its caller.
+    "init-on-pact": (
+        lambda: _pact_call("init"), "invalid-tx", "cm2m has no method 'init'"),
+    "refund-to-bob-on-pact": (
+        lambda: _pact_call("refundToBob"), "invalid-tx",
+        "cm2m has no method 'refundToBob'"),
     "negative-fee-payment": (
         lambda: (fresh_naive(), payment_tx("tx.pay", ALICE, BOB, 5)._replace(
             declared_fee=-5)),

@@ -11,7 +11,8 @@ from htlc_arena import game
 from htlc_arena.core import (ALICE, BOB, LedgerError, credit, debit,
                              miner_party)
 from htlc_arena.contracts import (BriberyCall, CensorBriberyContract,
-                                  FeeSchedule, PRE_A, PRE_A2, PRE_AA2, PRE_B,
+                                  FeeSchedule, MinerPactContract, PRE_A,
+                                  PRE_A2, PRE_AA2, PRE_B,
                                   bribery_contract_step)
 from htlc_arena.agents import AliceHonest, BobHonest, HonestFeeMax
 from htlc_arena.game import MinerProfile, StrategyProfile, play
@@ -93,26 +94,37 @@ def test_honest_exchange_always_pays_the_reveal(t_pub, v_dep, f_dep_a, f):
 
 
 class _View:
-    def __init__(self, miner):
+    """Fixed chain answers: by default the target never lands and the
+    payer's settlement has."""
+
+    def __init__(self, miner, included=False, confiscator=None,
+                 window_over=False, collateral_settled=False):
         self._miner = miner
+        self._included = included
+        self._confiscator = confiscator
+        self._over = window_over
+        self._col_settled = collateral_settled
 
     def block_miner(self):
         return self._miner
 
     def target_included_ever(self):
-        return False
+        return self._included
 
     def target_included_by_deadline(self):
-        return False
+        return self._included
 
     def settlement_landed(self):
         return True
 
     def confiscator(self):
-        return None
+        return self._confiscator
 
     def attack_window_over(self):
-        return False
+        return self._over
+
+    def collateral_settled(self):
+        return self._col_settled
 
 
 @given(calls=st.lists(st.sampled_from(["requestBribe", "claimBribe",
@@ -132,6 +144,44 @@ def test_bribery_step_dispatch_never_overpays(calls, br, budget):
         paid += sum(amount for _, amount, _ in payouts)
         assert contract.bal_left >= 0
     assert paid <= budget
+
+
+PACT_MINERS = tuple(miner_party(f"p{i}") for i in range(3))
+OUTSIDER = miner_party("outsider")
+
+
+@given(members=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 9)),
+                        min_size=1, max_size=len(PACT_MINERS)),
+       calls=st.lists(st.tuples(
+           st.sampled_from(["requestBribe", "claimBribe", "refundToMiners",
+                            "release"]),
+           st.sampled_from((*PACT_MINERS, OUTSIDER)), st.integers(1, 8),
+           st.sampled_from((None, *PACT_MINERS, OUTSIDER)), st.booleans(),
+           st.booleans(), st.booleans()), min_size=1, max_size=12))
+def test_pact_calls_never_pay_out_more_than_the_locks(members, calls):
+    # Each member locks its drawn amount and is owed its drawn bribe; each
+    # call or release is asked of a drawn caller, round and chain.
+    parties = PACT_MINERS[:len(members)]
+    contract = MinerPactContract(T=4, pre_a_value="s-a", br={
+        p: br for p, (_, br) in zip(parties, members)})
+    for p, (lock, _) in zip(parties, members):
+        contract = contract.lock_collateral(p, lock)
+    locks = sum(lock for lock, _ in members)
+    paid = 0
+    for method, caller, rnd, confiscator, included, over, col in calls:
+        view = _View(caller, included, confiscator, over, col)
+        settled = contract.settled
+        if method == "release":
+            contract, payouts = contract.release(view)
+            if settled:  # a settled pact releases nothing
+                assert payouts == [] and contract.settled
+        else:
+            args = {"preimage": "s-a"} if method == "claimBribe" else {}
+            contract, payouts = bribery_contract_step(
+                contract, BriberyCall(method, caller, args), rnd, view)
+        paid += sum(amount for _, amount, _ in payouts)
+        assert contract.pool_total() >= 0
+        assert paid <= locks
 
 
 FORGERS = (miner_party("f1"), miner_party("f2"))

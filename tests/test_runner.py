@@ -647,7 +647,8 @@ def test_the_enumeration_cap_is_decided_without_its_power(tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(BAD_OVERRIDES)
                          + sorted(SHADOWED) + sorted(CANNOT_CHECK) + [
     "not-utf8", "deeply-nested", "scenario-is-a-directory",
-    "out-is-a-directory"])
+    "out-is-a-directory", "scenario-empty", "scenario-with-a-trailing-slash",
+    "out-empty", "out-with-a-trailing-slash"])
 def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
     argv = ["simulate", "--scenario", str(tmp_path / "scen.json")]
     field = None
@@ -667,6 +668,15 @@ def test_bad_input_exits_one_with_one_error_line(case, tmp_path, capsys):
         (tmp_path / "scen.json").write_text("[" * 200_000 + "]" * 200_000)
     elif case == "scenario-is-a-directory":
         argv[-1] = str(tmp_path)
+    elif case == "scenario-empty":
+        argv[-1] = ""
+    elif case == "scenario-with-a-trailing-slash":
+        # A path names the file as given: "scen.json/" is no directory.
+        argv[-1] = f"{write_doc(tmp_path, minimal_naive())}/"
+    elif case == "out-empty":
+        argv = ["pool", "--out", ""]
+    elif case == "out-with-a-trailing-slash":
+        argv = ["pool", "--out", f"{tmp_path / 'report.txt'}/"]
     else:
         argv = ["pool", "--out", str(tmp_path)]
     code = main(argv)
