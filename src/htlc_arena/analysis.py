@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (ALICE, BOB, MAX_DRAW_ITEMS, Party, ScenarioError,
                    miner_party)
@@ -122,8 +122,7 @@ def _verdict_expectations():
     return expect
 
 
-@dataclass
-class DominanceVerdict:
+class DominanceVerdict(NamedTuple):
     verdict: str  # strict | weak | none
     witness: Optional[dict] = None
 
@@ -639,8 +638,7 @@ class PoolParams:
                 raise ScenarioError(f"validation-error({name}): {rule}")
 
 
-@dataclass
-class PoolReport:
+class PoolReport(NamedTuple):
     E_solo: Fraction
     E_pool: Fraction
     ratio: Fraction

@@ -16,11 +16,21 @@ after T earns floor(alpha^(t-T) * fee) while the rest burns
 scheduled path and splits the paid one).
 `check_fee_schedule` holds a schedule to Eq.1/Eq.2 when a demba deposit
 is built.
+
+The record rule, for every module: a record whose construction checks
+nothing is a named tuple, which builds in a third to half of a frozen
+dataclass's time and is declared in a quarter of a dataclass's.  A
+record is a dataclass only where its construction checks or freezes its
+input (`FeeSchedule` and the two bribery contracts here, `game.Scenario`,
+`game.MinerProfile`, `analysis.PoolParams`), where the benchmark's
+references serialise it field by field (`analysis.LemmaVerdict`,
+`TheoremReport` and `DembaReport`), or where it is a mutable builder
+(`runner.Report`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Union
@@ -59,9 +69,9 @@ Amount = Union[int, str]
 
 class Transfer(NamedTuple):
     """Pay `amount` to a party (`core.BLOCK_MINER`: the including miner).
-    A named tuple, as every record a contract builder makes: each genesis
-    builds its paths and effects afresh, and a tuple builds in about half
-    a frozen dataclass's time."""
+    A named tuple, by the record rule (above), as every record a contract
+    builder makes: each genesis builds its contracts, paths and effects
+    afresh."""
 
     to: Party
     amount: Amount
@@ -124,13 +134,13 @@ REDEEMABLE = "redeemable"
 BURNED = "burned"
 
 
-@dataclass(frozen=True, slots=True)
-class ContractInstance:
+class ContractInstance(NamedTuple):
     """A single deposit output with one-shot redemption; what it holds
     is the chain state's `live` part alone.
 
-    Frozen, so a chain state that shares it cannot see it change: a
-    redemption replaces the instance with one of the new status.
+    A named tuple, as `Transfer` is, so a chain state that shares it
+    cannot see it change: a redemption replaces the instance with one of
+    the new status.
     """
 
     contract_id: str
@@ -419,24 +429,26 @@ def resolve_demba_dep(dep: ContractInstance, revealed_slots, rnd: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class BriberyCall:
+#: The read-only empty map: a settled contract's, and any empty one.
+_NO_ENTRIES = MappingProxyType({})
+
+
+class BriberyCall(NamedTuple):
     method: str
     caller: Party
-    args: dict = field(default_factory=dict)
-
-
-#: The read-only empty map a settled contract holds.
-_NO_ENTRIES = MappingProxyType({})
+    args: dict = _NO_ENTRIES
 
 
 def _freeze(contract, *names) -> None:
     """Hold each named map of a frozen `contract` as a read-only copy,
-    which no write can reach; a read-only map is kept as it is."""
+    which no write can reach; a read-only map is kept as it is, and an
+    empty one is `_NO_ENTRIES` (a field's default is `()`, as a dataclass
+    takes no unhashable default)."""
     for name in names:
         value = getattr(contract, name)
         if type(value) is not MappingProxyType:
-            object.__setattr__(contract, name, MappingProxyType(dict(value)))
+            object.__setattr__(contract, name, MappingProxyType(dict(value))
+                               if value else _NO_ENTRIES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -465,7 +477,7 @@ class CensorBriberyContract:
     pre_a_value: str
     deposit: int = 0
     bal_left: int = 0
-    reserved: MappingProxyType = field(default_factory=dict)  # Party -> count
+    reserved: MappingProxyType = ()  # Party -> count
     settled: bool = False
     last_request_round: int = -1
 
@@ -530,11 +542,19 @@ class CensorBriberyContract:
         return self._settled(), [(self.owner, self.deposit, "refund")]
 
     def refusal(self, call: BriberyCall) -> Optional[str]:
-        """None, or why the ledger refuses `call`: an unknown method, or an
-        `init` of a funded budget (a settled one keeps its deposit)."""
+        """None, or why the ledger refuses `call`: an unknown method, an
+        `init` of a funded budget (a settled one keeps its deposit), or an
+        `init` whose args hold no budget `val`, a non-negative int."""
         if call.method not in ("init", "requestBribe", "claimBribe", "refundToBob"):
             return f"has no method {call.method!r}"
-        return "already funded" if call.method == "init" and self.deposit else None
+        if call.method != "init":
+            return None
+        if self.deposit:
+            return "already funded"
+        val = call.args.get("val")
+        if type(val) is not int or val < 0:
+            return f"init needs a non-negative int 'val', got args {call.args!r}"
+        return None
 
     def step(self, call: BriberyCall, rnd: int, view) -> tuple:
         """(contract, payouts) after `call`, as `bribery_contract_step`."""
@@ -572,8 +592,8 @@ class MinerPactContract:
     T: int
     pre_a_value: str
     br: MappingProxyType  # Party -> per-block bribe owed to that miner
-    locked: MappingProxyType = field(default_factory=dict)  # Party -> amount
-    reserved: MappingProxyType = field(default_factory=dict)  # Party -> count
+    locked: MappingProxyType = ()  # Party -> amount
+    reserved: MappingProxyType = ()  # Party -> count
     settled: bool = False
     last_request_round: int = -1
 

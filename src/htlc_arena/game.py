@@ -250,8 +250,7 @@ def _built(builder, *args):
         raise _invalid(e.field, str(e)) from e
 
 
-@dataclass
-class StrategyProfile:
+class StrategyProfile(NamedTuple):
     alice: object
     bob: object
     miners: dict  # Party -> miner policy
@@ -262,14 +261,12 @@ class StrategyProfile:
         return f"alice={self.alice.name} bob={self.bob.name} {miners}"
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     miners: tuple  # one Party per round, index 0 = round 1
     weight: Fraction = Fraction(1)
 
 
-@dataclass
-class Outcome:
+class Outcome(NamedTuple):
     """Per-party net token deltas at game end, plus labelled trace.
 
     `escrow_delta` is the change in tokens still held by contracts (live
@@ -694,8 +691,7 @@ def _split(scen: Scenario, confiscator: Party, window) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExpectedUtilities:
+class ExpectedUtilities(NamedTuple):
     utilities: dict  # Party -> Fraction
     bribe_income: dict  # Party -> Fraction
     burned: Fraction

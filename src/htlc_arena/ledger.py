@@ -53,13 +53,12 @@ bribery contract answers for its own calls (`step`), its `refusal`, which
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
-from .core import (BLOCK_MINER, EXTERNAL, LedgerError, Party, check_amount,
-                   credit, debit)
-from .contracts import (BURNED, Burn, COL_ID, COL_M, ContractInstance, Forward,
-                        REST, RedeemPath, Transfer, bribery_contract_step,
-                        resolve_demba_dep)
+from .core import BLOCK_MINER, EXTERNAL, LedgerError, Party, credit, debit
+from .contracts import (BURNED, BriberyCall, Burn, COL_ID, COL_M,
+                        ContractInstance, Forward, REST, RedeemPath, Transfer,
+                        bribery_contract_step, resolve_demba_dep)
 
 RELATED = "related"
 CONTRACT_CALL = "contract-call"
@@ -68,8 +67,7 @@ PAYMENT = "payment"
 
 class Witness(NamedTuple):
     """Exact-witness evidence: asserted signers and bit-exact preimages.
-    A named tuple, as `TxRecord` is: a party's transactions carry a
-    witness built afresh each time a policy broadcasts them."""
+    A named tuple, as `TxRecord` is."""
 
     preimages: frozenset = frozenset()  # (contract_id, slot, value)
     signers: frozenset = frozenset()  # Party
@@ -79,9 +77,9 @@ EMPTY_WITNESS = Witness()
 
 
 class TxRecord(NamedTuple):
-    """One transaction.  A named tuple: policies build a transaction each
-    time they broadcast or mine one, and a tuple builds in a third of a
-    frozen dataclass's time or less."""
+    """One transaction.  A named tuple, by the record rule (`contracts`):
+    policies build a transaction, and its witness, each time they
+    broadcast or mine one."""
 
     tx_id: str
     creator: Party
@@ -95,9 +93,8 @@ class TxRecord(NamedTuple):
 
 class Block(NamedTuple):
     """One round's block: only what its miner chooses, as the game's
-    capacity and filler fee are the chain state's (`meta`).  A named tuple:
-    blocks are built once per mined branch, and a tuple builds in about
-    half a frozen dataclass's time."""
+    capacity and filler fee are the chain state's (`meta`).  A named
+    tuple, as `TxRecord` is: blocks are built once per mined branch."""
 
     round: int
     miner: Party
@@ -470,10 +467,20 @@ def _path_outflow(path: RedeemPath, rnd: int) -> int:
     return total
 
 
+def _not_an_amount(what: str, value) -> str:
+    """The detail that refuses `value` as the `what` of a block or tx,
+    which must be a non-negative int (a bool is none)."""
+    if type(value) is not int:
+        return f"{what} {value!r} is not an int"
+    return f"negative {what} {value}"
+
+
 def validate_tx(state: ChainState, tx: TxRecord, rnd: int):
     """Raise LedgerError unless `tx` is valid against `state` at `rnd`: a
-    fee below 0, a kind other than `apply_block`'s three, or a call that
-    its bribery contract refuses (`refusal`) is invalid.
+    fee, or a payment's amount, that is no int of 0 or more, a payment
+    that is not a pair, a call that is not a (contract id, `BriberyCall`)
+    pair with mapping args, a kind other than `apply_block`'s three, or a
+    call that its bribery contract refuses (`refusal`) is invalid.
 
     Returns the spends it checked, which `apply_block` applies as they
     are: for a related tx one (contract id, `RedeemPath`, outflow, earned
@@ -483,12 +490,18 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int):
     other kinds, which spend no contract, ().
     """
     fee = tx.declared_fee
-    if fee < 0:
-        raise LedgerError("invalid-tx", f"negative fee {fee}")
+    if type(fee) is not int or fee < 0:
+        raise LedgerError("invalid-tx", _not_an_amount("fee", fee))
     if tx.kind == CONTRACT_CALL:
         if tx.call is None or tx.call[0] not in state.bribery:
             raise LedgerError("unknown-output", "no such bribery contract")
+        if len(tx.call) != 2 or type(tx.call[1]) is not BriberyCall:
+            raise LedgerError("invalid-tx", "call is not a (contract id, "
+                              "BriberyCall) pair")
         cid, call = tx.call
+        if not isinstance(call.args, Mapping):
+            raise LedgerError("invalid-tx",
+                              f"call args {call.args!r} are not a mapping")
         why = state.bribery[cid].refusal(call)
         if why is not None:
             raise LedgerError("invalid-tx", f"{cid} {why}")
@@ -496,9 +509,13 @@ def validate_tx(state: ChainState, tx: TxRecord, rnd: int):
     if tx.kind == PAYMENT:
         if tx.payment is None:
             raise LedgerError("invalid-tx", "payment without destination")
+        if len(tx.payment) != 2:
+            raise LedgerError("invalid-tx",
+                              "payment is not a (party, amount) pair")
         amount = tx.payment[1]
-        if amount < 0:
-            raise LedgerError("invalid-tx", f"negative payment amount {amount}")
+        if type(amount) is not int or amount < 0:
+            raise LedgerError("invalid-tx",
+                              _not_an_amount("payment amount", amount))
         if state.balances.get(tx.creator, 0) < amount + fee:
             raise LedgerError("over-spend", f"{tx.creator.id} cannot fund payment")
         return ()
@@ -735,8 +752,8 @@ def apply_block(state: ChainState, block: Block) -> ChainState:
         raise LedgerError("stale-round",
                           f"block {rnd} onto height {state.height}")
     txs, fill = block.txs, block.unrelated_fill
-    if fill < 0:
-        raise LedgerError("invalid-tx", f"negative fill {fill}")
+    if type(fill) is not int or fill < 0:
+        raise LedgerError("invalid-tx", _not_an_amount("fill", fill))
     if len(txs) + fill > state.meta["capacity"]:
         raise LedgerError("invalid-tx", "block over capacity")
     s = state.draft()
@@ -747,7 +764,9 @@ def apply_block(state: ChainState, block: Block) -> ChainState:
         s.debit(EXTERNAL, total)
         s.credit(block.miner, total)
     for party, amount, reason in block.coinbase:
-        check_amount(amount)
+        if type(amount) is not int or amount < 0:
+            raise LedgerError("invalid-tx",
+                              _not_an_amount("coinbase amount", amount))
         s.credit(party, amount)
         s.write("mint_log").append((party, amount, reason))
     auto_ids = s.meta.get("auto_ids")

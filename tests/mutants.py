@@ -9,8 +9,9 @@ and runs the tests named for it there, one pytest process each; every one
 of them must fail (`outcome`: only pytest's exit 1 is a kill, and a run
 that found or collected no test is an error).  An equivalent mutant names
 no test but the argument why no play can tell it apart, and is not run.
-The runner prints one line per mutant and exits 1 if any test survived or
-any run was an error.  The file name keeps it out
+The runner prints one line per mutant, ending in the wall time its killers
+took, then the catalogue's total wall time, and exits 1 if any test
+survived or any run was an error.  The file name keeps it out
 of the repository's own test collection; `test_mutants.py` checks that
 every snippet still matches its file exactly once, so a mutant cannot go
 stale unnoticed.
@@ -24,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from time import perf_counter
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -422,8 +424,10 @@ MUTANTS = (
     # The refusals that keep a balance from going below zero and a
     # scheduled fee from escaping as a contract error.
     Mutant("negative-payment-accepted", LEDGER,
-           "        if amount < 0:\n",
-           "        if False:\n",
+           "        amount = tx.payment[1]\n"
+           "        if type(amount) is not int or amount < 0:\n",
+           "        amount = tx.payment[1]\n"
+           "        if type(amount) is not int:\n",
            ("tests/test_ledger.py::TestValidate::"
             "test_a_negative_payment_is_refused",)),
     Mutant("fee-mismatch-unchecked", LEDGER,
@@ -442,8 +446,8 @@ MUTANTS = (
             "test_a_spend_the_ledger_refuses_is_skipped")),
     # A negative fee pays a transaction's creator out of its miner.
     Mutant("negative-fee-accepted", LEDGER,
-           "    if fee < 0:\n",
-           "    if False:\n",
+           "    if type(fee) is not int or fee < 0:\n",
+           "    if type(fee) is not int:\n",
            tuple("tests/test_ledger.py::test_each_refusal_keeps_its_code_and_"
                  f"detail[negative-fee-{kind}]"
                  for kind in ("related", "call", "payment"))),
@@ -497,8 +501,8 @@ MUTANTS = (
     # A negative fill moves tokens from the miner to the external traffic,
     # below zero if it asks enough.
     Mutant("negative-fill-accepted", LEDGER,
-           "    if fill < 0:\n",
-           "    if False:\n",
+           "    if type(fill) is not int or fill < 0:\n",
+           "    if type(fill) is not int:\n",
            ("tests/test_ledger.py::test_each_refusal_keeps_its_code_and_detail"
             "[negative-fill]",)),
     # The protocols' own rules.  The pact's attack window closes a round
@@ -593,15 +597,23 @@ MUTANTS = (
     # A funded or settled censorship contract takes a second init, whose
     # budget it never holds.
     Mutant("censor-init-of-funded", CONTRACTS,
-           'return "already funded" if call.method == "init" and '
-           'self.deposit else None',
-           "return None",
+           '        if self.deposit:\n            return "already funded"\n',
+           "",
            (*(f"tests/test_ledger.py::test_each_refusal_keeps_its_code_"
               f"and_detail[{case}]" for case in (
                   "init-mined-again", "init-copy-in-one-block",
                   "init-of-settled-contract")),
             "tests/test_properties.py::"
             "test_a_block_no_policy_builds_is_refused_or_conserves")),
+    # A forged budget init passes validation whatever its `val`, and the
+    # ledger's debit or the contract's init fails out of `apply_block`.
+    Mutant("censor-init-val-unchecked", CONTRACTS,
+           "        if type(val) is not int or val < 0:\n",
+           "        if False:\n",
+           tuple(f"tests/test_ledger.py::test_each_refusal_keeps_its_code_"
+                 f"and_detail[init-{case}]" for case in (
+                     "without-val", "negative-val", "bool-val",
+                     "string-val"))),
     # The bribery contracts' own answers to the ledger (`refusal`,
     # `release`).  A call the pact has no method for is taken, and its
     # step raises `ContractError` inside `apply_block`.
@@ -646,6 +658,14 @@ MUTANTS = (
            "if rnd < scen.T and not _preimages_known(state, (PRE_A, PRE_B)):",
            ("tests/test_game.py::TestProtocolFlows::"
             "test_mad_confiscation_when_payer_cheats",)),
+    # The one-round-late twin: a passive miner censors round T + 1 too, so
+    # the payer's refund goes public first and the deposit is confiscated.
+    Mutant("passive-censors-until-T-plus-1", AGENTS,
+           "if rnd <= scen.T and not _preimages_known(state, (PRE_A, PRE_B)):",
+           "if rnd <= scen.T + 1 and not _preimages_known(state, "
+           "(PRE_A, PRE_B)):",
+           ("tests/test_game.py::TestProtocolFlows::"
+            "test_a_passive_miner_censors_through_T_and_no_later",)),
     Mutant("negative-policy-parameter", AGENTS,
            "if want is int and value < 0:",
            "if False:",
@@ -789,10 +809,12 @@ def main(argv: list) -> int:
         print(f"error: no mutant {', '.join(unknown)}", file=sys.stderr)
         return 1
     failed = False
+    start = perf_counter()
     for mutant in [known[name] for name in argv] or MUTANTS:
         if mutant.equivalent:
             print(f"{mutant.id}: equivalent: {mutant.equivalent}")
             continue
+        began = perf_counter()
         got = outcomes(mutant)
         line = (f"{mutant.id}: {list(got.values()).count('killed')}/"
                 f"{len(got)} killers failed")
@@ -801,7 +823,8 @@ def main(argv: list) -> int:
             if tests:
                 failed = True
                 line += f"; {kind}: {' '.join(tests)}"
-        print(line)
+        print(f"{line} ({perf_counter() - began:.1f} s)")
+    print(f"total: {perf_counter() - start:.1f} s")
     return 1 if failed else 0
 
 

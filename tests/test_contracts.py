@@ -160,7 +160,7 @@ class TestDembaResolution:
 
     def test_redeemed_deposit_never_resolves_again(self):
         dep, _, _ = self.build()
-        dep = replace(dep, status=("redeemed", DEP_A))
+        dep = dep._replace(status=("redeemed", DEP_A))
         slots = {COL_A_ID: {PRE_A, PRE_A2}, COL_B_ID: {PRE_B}}
         assert resolve_demba_dep(dep, slots, self.T + 1) is None
 
@@ -461,5 +461,5 @@ class TestMinerPactContract:
 def test_single_redemption_status_transitions():
     c = build_naive_htlc(ALICE, BOB, 100, "s-a", 5)
     assert c.redeemable
-    c = replace(c, status=("redeemed", DEP_A))
+    c = c._replace(status=("redeemed", DEP_A))
     assert not c.redeemable

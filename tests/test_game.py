@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from htlc_arena import agents, analysis, game, runner
 from htlc_arena.core import (ALICE, BOB, ArenaError, LedgerError,
                              ScenarioError, miner_party)
-from htlc_arena.contracts import PRE_A, FeeSchedule
-from htlc_arena.agents import (AliceHonest, AliceOffline, BobHonest,
+from htlc_arena.contracts import DEP_A, DEP_ID, PRE_A, FeeSchedule
+from htlc_arena.agents import (AliceHonest, AliceOffline, BobB3a, BobHonest,
                                BobNaiveBriber, CensorRelated, HonestFeeMax,
                                M2MbaActive, M2MbaPassive, payment_tx)
 from htlc_arena.analysis import dominance_check
@@ -254,6 +254,20 @@ class TestProtocolFlows:
         assert out.delta(BOB) == 0 and out.delta(ALICE) == 0
         assert out.terminal == "dep-M"
         assert out.trace[-1] == "nred-rev"
+
+    def test_a_passive_miner_censors_through_T_and_no_later(self):
+        # The b3a payer's refund, which carries the payer's preimage, goes
+        # public in round T + 1.  A passive miner that mines every round
+        # lands the payee's reveal in T + 1; one that still censored then
+        # would confiscate both pots in T + 2.
+        scen = mad_scenario(T=3, miners=(
+            MinerProfile(M1, Fraction(1, 2), "passive"),
+            MinerProfile(M2, Fraction(1, 2), "passive")))
+        profile = StrategyProfile(AliceHonest(), BobB3a(),
+                                  {M1: M2MbaPassive(), M2: M2MbaPassive()})
+        out = play(scen, profile, flat_schedule(scen), check_invariants=True)
+        assert out.terminal == "dep-A"
+        assert out.state.redemptions[DEP_ID][:2] == (DEP_A, scen.T + 1)
 
 
 class TestExpectations:

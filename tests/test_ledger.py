@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from htlc_arena import game, ledger
+from htlc_arena.analysis import PoolParams, dominance_check, pool_math
 from htlc_arena.core import (ALICE, BOB, EXTERNAL, LedgerError, credit, debit,
                              miner_party)
 from htlc_arena.agents import (AliceHonest, BobHonest, BobNaiveBriber,
@@ -20,7 +21,7 @@ from htlc_arena.agents import (AliceHonest, BobHonest, BobNaiveBriber,
                                tx_reveal_dep_a)
 from htlc_arena.contracts import (BURNED, CBOB_ID, CM2M_ID, COL_M, DEP_A,
                                   DEP_B, DEP_BURN, DEP_ID, PRE_A, PRE_A2,
-                                  PRE_AA2, PRE_B,
+                                  PRE_AA2, PRE_B, BriberyCall,
                                   ContractInstance, build_he_htlc,
                                   build_naive_htlc)
 from htlc_arena.game import (MinerProfile, Schedule, StrategyProfile,
@@ -218,6 +219,21 @@ def _pact_call(method):
                           {"val": 5})
 
 
+def _forged_init(args):
+    """The naive briber's setup state and its budget's init, with `args`
+    in place of the init's own."""
+    _, state, init = _briber_setup()
+    return state, init._replace(call=(CBOB_ID, BriberyCall(
+        "init", init.creator, args)))
+
+
+def _forged_call(call):
+    """The naive briber's setup state and its budget's init, calling
+    `call` in place of its own."""
+    _, state, init = _briber_setup()
+    return state, init._replace(call=call)
+
+
 #: case -> (a maker of the (state, offer) pair, the code and the exact
 #: detail of the ledger's refusal), the offer being a transaction or a
 #: whole block, offered in the round after the state's.  No other test
@@ -277,6 +293,49 @@ REFUSALS = {
         lambda: (fresh_naive(), payment_tx("tx.pay", ALICE, BOB, 5)._replace(
             declared_fee=-5)),
         "invalid-tx", "negative fee -5"),
+    # Forged budget inits: the ledger debits `val` before the contract's
+    # init runs, so the contract's `refusal` checks it.
+    "init-without-val": (
+        lambda: _forged_init({}), "invalid-tx",
+        "cbob init needs a non-negative int 'val', got args {}"),
+    "init-negative-val": (
+        lambda: _forged_init({"val": -5}), "invalid-tx",
+        "cbob init needs a non-negative int 'val', got args {'val': -5}"),
+    "init-bool-val": (
+        lambda: _forged_init({"val": True}), "invalid-tx",
+        "cbob init needs a non-negative int 'val', got args {'val': True}"),
+    "init-string-val": (
+        lambda: _forged_init({"val": "x"}), "invalid-tx",
+        "cbob init needs a non-negative int 'val', got args {'val': 'x'}"),
+    "call-args-none": (
+        lambda: _forged_init(None), "invalid-tx",
+        "call args None are not a mapping"),
+    "call-not-a-pair": (
+        lambda: _forged_call((CBOB_ID,)), "invalid-tx",
+        "call is not a (contract id, BriberyCall) pair"),
+    "call-of-a-plain-tuple": (
+        lambda: _forged_call((CBOB_ID, ("init", BOB, {"val": 5}))),
+        "invalid-tx", "call is not a (contract id, BriberyCall) pair"),
+    # Malformed block and transaction fields.
+    "coinbase-negative": (
+        lambda: (fresh_naive(), coinbase_block(1, BOB, -5, "mint")),
+        "invalid-tx", "negative coinbase amount -5"),
+    "coinbase-not-an-int": (
+        lambda: (fresh_naive(), coinbase_block(1, BOB, "x", "mint")),
+        "invalid-tx", "coinbase amount 'x' is not an int"),
+    "fill-not-an-int": (
+        lambda: (fresh_naive(), Block(round=1, miner=M1, unrelated_fill="2")),
+        "invalid-tx", "fill '2' is not an int"),
+    "fee-not-an-int": (
+        lambda: (fresh_naive(), alice_tx(fee="3")),
+        "invalid-tx", "fee '3' is not an int"),
+    "payment-amount-not-an-int": (
+        lambda: (fresh_naive(), payment_tx("tx.pay", ALICE, BOB, "5")),
+        "invalid-tx", "payment amount '5' is not an int"),
+    "payment-without-amount": (
+        lambda: (fresh_naive(), TxRecord("tx.pay", ALICE, PAYMENT,
+                                         payment=(BOB,))),
+        "invalid-tx", "payment is not a (party, amount) pair"),
 }
 
 
@@ -727,7 +786,7 @@ class TestParts:
         state = apply_block(state, Block(
             round=1, miner=M1, txs=(state.mempool["tx.cbob.init"],)))
         key, total = state.control_key(), state.conservation_total()
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             state.contracts["dep"].status = BURNED
         assert state.contracts["dep"].redeemable
         cbob = state.bribery[CBOB_ID]
@@ -798,13 +857,26 @@ class TestParts:
         dep = build_he_htlc(ALICE, BOB, 100, 50, {PRE_A: "a", PRE_B: "b"},
                             4, 2)[0]
         demba_dep = build_genesis(demba_scenario())[0].contracts[DEP_ID]
-        records = [tx, tx.witness, *dep.paths,
+        scen = naive_scenario()
+        profile = StrategyProfile(AliceHonest(), BobHonest(1),
+                                  {M1: HonestFeeMax()})
+        schedule = Schedule((M1,) * scen.horizon)
+        records = [tx, tx.witness, dep, *dep.paths,
                    *(e for p in dep.paths for e in p.effects),
                    *(e for p in demba_dep.paths for e in p.effects),
-                   *(r for p in demba_dep.paths for r in p.cross_reads)]
+                   *(r for p in demba_dep.paths for r in p.cross_reads),
+                   call_tx("tx.call", M1, CBOB_ID, "requestBribe").call[1],
+                   schedule, profile, play(scen, profile, schedule),
+                   game.expected_utilities(scen, profile),
+                   dominance_check(scen, "alice", AliceHonest(), (), profile),
+                   pool_math(PoolParams(Fraction(1), Fraction(4), 2,
+                                        Fraction(6), Fraction(1, 10),
+                                        Fraction(1)))]
         assert {type(r).__name__ for r in records} == {
-            "TxRecord", "Witness", "RedeemPath", "Transfer", "Burn",
-            "Forward", "CrossRead"}
+            "TxRecord", "Witness", "ContractInstance", "RedeemPath",
+            "Transfer", "Burn", "Forward", "CrossRead", "BriberyCall",
+            "Schedule", "StrategyProfile", "Outcome", "ExpectedUtilities",
+            "DominanceVerdict", "PoolReport"}
         for record in records:
             with pytest.raises(AttributeError):
                 setattr(record, record._fields[0], None)

@@ -36,13 +36,17 @@ def test_only_a_failing_run_kills():
 def test_a_run_that_tested_nothing_fails_the_catalogue(monkeypatch, capsys):
     mutant = next(m for m in MUTANTS if m.killers)
     seen = {"killed": 0, "error": 1, "survived": 1}
+    # Every reading of the clock is 2.5 s after the one before it.
+    clock = iter(range(100))
+    monkeypatch.setattr(mutants, "perf_counter", lambda: 2.5 * next(clock))
     for kind, code in seen.items():
         monkeypatch.setattr(mutants, "outcomes",
                             lambda m, kind=kind: {t: kind for t in m.killers})
         assert mutants.main([mutant.id]) == code, kind
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == (f"{mutant.id}: 0/{len(mutant.killers)} killers "
-                        f"failed; error: {' '.join(mutant.killers)}")
+    assert lines[2] == (f"{mutant.id}: 0/{len(mutant.killers)} killers "
+                        f"failed; error: {' '.join(mutant.killers)} (2.5 s)")
+    assert lines[3] == "total: 7.5 s"
 
 
 def test_every_killer_runs_at_one_hypothesis_seed(monkeypatch):
